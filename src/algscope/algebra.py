@@ -96,23 +96,49 @@ class ValidationReport:
     witness: tuple[int, int, int] | None
 
 
+#: bytes allowed per N^4-sized block operand in :func:`validate`
+_VALIDATE_BLOCK_BYTES = 16 * 2**20
+
+
 def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
     """Check associativity and the two-sided unit axiom.
 
     The associativity residual compares the coordinates of ``(e_i e_j) e_k``
-    and ``e_i (e_j e_k)`` for every basis triple; the witness is the triple
-    with the worst residual when the check fails.
+    and ``e_i (e_j e_k)`` for every basis triple; the witness is the first
+    triple (in ``i, j, k`` order) with the worst residual when the check
+    fails.  Both sides are formed as matrix products over blocks of ``i``
+    sized to about 16 MiB per operand, in real arithmetic when the structure
+    constants are real.  Peak memory therefore stays below about 48 MiB up to
+    N = 100 instead of growing like N^4 (about 300 MiB at N = 49).
     """
     c = alg.structure
-    left = np.einsum("ijm,mkl->ijkl", c, c)
-    right = np.einsum("jkm,iml->ijkl", c, c)
-    diff = np.abs(left - right)
-    max_assoc = float(diff.max()) if diff.size else 0.0
+    if not c.imag.any():
+        c = np.ascontiguousarray(c.real)
+    n = alg.dim
+    block = max(1, _VALIDATE_BLOCK_BYTES // max(1, c.itemsize * n**3))
+    rows = c.reshape(n * n, n)
+    cols = c.reshape(n, n * n)
+    max_assoc = 0.0
+    witness_at = (0, 0, 0)
+    for start in range(0, n, block):
+        blk = c[start : start + block]
+        b = blk.shape[0]
+        # left[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]
+        left = (blk.reshape(b * n, n) @ cols).reshape(b, n, n, n)
+        # right[i, j, k, l] = sum_m c[j, k, m] c[i, m, l]
+        right = (rows @ blk.transpose(1, 0, 2).reshape(n, b * n)).reshape(n, n, b, n)
+        left -= right.transpose(2, 0, 1, 3)
+        worst = np.abs(left).max(axis=3)
+        block_max = float(worst.max())
+        if start == 0 or block_max > max_assoc:
+            max_assoc = block_max
+            i, j, k = np.unravel_index(int(np.argmax(worst)), worst.shape)
+            witness_at = (start + int(i), int(j), int(k))
 
     u = alg.unit
     left_unit = np.einsum("j,jik->ik", u, c)
     right_unit = np.einsum("j,ijk->ik", u, c)
-    eye = np.eye(alg.dim)
+    eye = np.eye(n)
     max_unit = float(
         max(
             np.max(np.abs(left_unit - eye)) if left_unit.size else 0.0,
@@ -121,11 +147,7 @@ def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
     )
 
     passed = max_assoc < axiom_tol and max_unit < axiom_tol
-    witness = None
-    if max_assoc >= axiom_tol:
-        flat = int(np.argmax(diff.max(axis=3).reshape(-1)))
-        n = alg.dim
-        witness = (flat // (n * n), (flat // n) % n, flat % n)
+    witness = witness_at if max_assoc >= axiom_tol else None
     return ValidationReport(passed, max_assoc, max_unit, witness)
 
 
@@ -148,7 +170,9 @@ def pairwise_products(alg: Algebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
 
     Returns an array of shape ``(xs.cols, ys.cols, dim)``.
     """
-    return np.einsum("ia,jb,ijk->abk", xs, ys, alg.structure)
+    n = alg.dim
+    left = (xs.T @ alg.structure.reshape(n, n * n)).reshape(xs.shape[1], n, n)
+    return ys.T @ left
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "gram",
     "kernels",
     "reduce_pencil",
-    "reduce",
     "MultiplicativeReport",
     "is_multiplicative",
     "NilIdealReport",
@@ -175,10 +174,6 @@ def reduce_pencil(
     g = gram(alg, f)
     a_tilde = q.T @ g.a @ q
     return ReducedPencil(nil, q, a_tilde, a_tilde.T.copy(), alg.dim - nil.dim)
-
-
-# the operation is published under this name as well
-reduce = reduce_pencil
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,11 @@ def _alpha_in(value, where: str) -> ProjectivePoint:
 
 
 def algebra_to_doc(alg: Algebra) -> dict:
-    entries = []
-    c = alg.structure
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(alg.dim):
-                z = c[i, j, k]
-                if z != 0:
-                    entries.append([i, j, k, z.real, z.imag])
+    nonzero = np.nonzero(alg.structure)
+    entries = [
+        [int(i), int(j), int(k), float(z.real), float(z.imag)]
+        for i, j, k, z in zip(*nonzero, alg.structure[nonzero])
+    ]
     doc = {
         "dim": alg.dim,
         "unit": [_pair(z) for z in alg.unit],

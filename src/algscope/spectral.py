@@ -39,10 +39,9 @@ from .linalg import (
     nullspace,
     orthonormal_columns,
     pencil_eigen,
-    subspace_intersect,
-    subspace_equal,
     projector_distance,
-    subspace_sum,
+    rank,
+    subspace_equal,
 )
 
 __all__ = [
@@ -234,9 +233,18 @@ def _decomposition_checks(
     nil: Subspace,
     chi: HomogeneousPoly,
     points: list[SpectrumPoint],
-    v_spaces: dict[ProjectivePoint, Subspace],
+    v_frames: list[np.ndarray],
     tol: float,
 ) -> list[InvariantCheck]:
+    """Invariant checks of one decomposition.
+
+    ``v_frames[i]`` is the quotient-coordinate frame of V(alpha) for
+    ``points[i]``.  The V(alpha) split the algebra over nil exactly when the
+    stacked frames have rank equal to both their column count and K; once
+    the dimension checks fix the column count at K, this single rank test
+    proves the sum is direct and spans, which pairwise intersections cannot
+    for three or more spaces.
+    """
     checks = []
     k = alg.dim - nil.dim
 
@@ -251,9 +259,8 @@ def _decomposition_checks(
     )
 
     worst = 0
-    for p in points:
-        v = v_spaces[p.alpha]
-        worst = max(worst, abs(v.dim - nil.dim - p.algebraic_mult))
+    for p, frame in zip(points, v_frames):
+        worst = max(worst, abs(frame.shape[1] - p.algebraic_mult))
     checks.append(
         InvariantCheck(
             "v_dim_equals_nil_plus_multiplicity",
@@ -263,31 +270,15 @@ def _decomposition_checks(
         )
     )
 
-    worst = 0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            inter = subspace_intersect(
-                v_spaces[points[i].alpha], v_spaces[points[j].alpha], tol
-            )
-            worst = max(worst, abs(inter.dim - nil.dim))
+    stacked = np.hstack(v_frames) if v_frames else np.zeros((k, 0), dtype=complex)
+    cols = stacked.shape[1]
+    r = rank(stacked, tol, scale=1.0)
     checks.append(
         InvariantCheck(
-            "pairwise_v_intersections_equal_nil",
-            worst == 0,
-            float(worst),
-            "dim(V(a) ^ V(b)) vs dim nil over all pairs",
-        )
-    )
-
-    span = nil
-    for p in points:
-        span = subspace_sum(span, v_spaces[p.alpha])
-    checks.append(
-        InvariantCheck(
-            "v_spaces_span_algebra",
-            span.dim == alg.dim,
-            float(alg.dim - span.dim),
-            f"sum of V(alpha) has dim {span.dim} of {alg.dim}",
+            "v_spaces_direct_sum",
+            r == cols == k,
+            float(max(cols - r, k - r)),
+            f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
         )
     )
 
@@ -338,15 +329,17 @@ def decompose(
     polynomial, spectrum, and one Jordan filtration per spectral point.
 
     The result records the shift used, all dimensions, and a list of
-    invariant checks (multiplicity counts, directness of the splitting,
-    vanishing of the characteristic polynomial)."""
+    invariant checks: multiplicity counts, one rank test on the stacked
+    quotient frames of all V(alpha) proving that they form a direct sum
+    spanning the algebra over nil (``v_spaces_direct_sum``), and vanishing
+    of the characteristic polynomial."""
     rp = reduce_pencil(alg, f, tol)
     if rp.K == 0:
         chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
         checks = [
             InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
             InvariantCheck(
-                "v_spaces_span_algebra", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
+                "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
             ),
         ]
         return Decomposition(
@@ -358,16 +351,19 @@ def decompose(
     raw_points = spectrum(rp, alpha0, cluster_tol)
 
     points: list[SpectrumPoint] = []
+    v_frames: list[np.ndarray] = []
     v_spaces: dict[ProjectivePoint, Subspace] = {}
     filtrations: dict[ProjectivePoint, tuple[Subspace, ...]] = {}
     for alpha, mult in raw_points:
-        levels = [_lift(rp, w, tol) for w in _filtration_reduced(rp, alpha, alpha0, tol)]
+        frames = _filtration_reduced(rp, alpha, alpha0, tol)
+        levels = [_lift(rp, w, tol) for w in frames]
         dims = tuple(s.dim for s in levels)
         points.append(SpectrumPoint(alpha, mult, dims[0] - rp.nil.dim, dims))
+        v_frames.append(frames[-1])
         v_spaces[alpha] = levels[-1]
         filtrations[alpha] = tuple(levels)
 
-    checks = _decomposition_checks(alg, rp.nil, chi, points, v_spaces, tol)
+    checks = _decomposition_checks(alg, rp.nil, chi, points, v_frames, tol)
     return Decomposition(
         rp.nil,
         chi,

@@ -142,3 +142,49 @@ def match_root_multisets(a, b, tol):
         worst = max(worst, abs(b[j] - x) / max(1.0, abs(x)))
         b.pop(j)
     return worst
+
+
+def validate_naive(alg, axiom_tol):
+    """Associativity check over full N^4 tensors: (passed, max residual,
+    first worst triple or None).  Unit axioms are not part of this oracle."""
+    c = alg.structure
+    diff = np.abs(np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c))
+    worst = diff.max(axis=3)
+    max_assoc = float(worst.max())
+    witness = None
+    if max_assoc >= axiom_tol:
+        witness = tuple(int(x) for x in np.unravel_index(int(np.argmax(worst)), worst.shape))
+    return max_assoc < axiom_tol, max_assoc, witness
+
+
+def _raw_rank(m, tol=1e-9):
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s >= tol * max(float(s[0]) if s.size else 0.0, 1.0)))
+
+
+def v_split_pairwise_and_span(v_frames, nil_dim, ambient):
+    """The splitting test by pairwise intersections and a joint span, on
+    orthonormal full-algebra frames of the V(alpha): (every pairwise
+    intersection is exactly nil, the V(alpha) span the algebra)."""
+    eye = np.eye(ambient)
+    pairwise = True
+    for i in range(len(v_frames)):
+        for j in range(i + 1, len(v_frames)):
+            a, b = v_frames[i], v_frames[j]
+            stacked = np.vstack([eye - a @ a.conj().T, eye - b @ b.conj().T])
+            pairwise &= ambient - _raw_rank(stacked) == nil_dim
+    span = _raw_rank(np.hstack(v_frames)) == ambient if v_frames else nil_dim == ambient
+    return pairwise, span
+
+
+def algebra_doc_by_loops(alg):
+    """Sparse structure rows of an algebra file, visited by explicit loops in
+    (i, j, k) order."""
+    rows = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                z = alg.structure[i, j, k]
+                if z != 0:
+                    rows.append([i, j, k, z.real, z.imag])
+    return rows

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,14 @@ from algscope import (
     mat_algebra,
     multiply,
     opposite,
+    pairwise_products,
     symmetric3_table,
     upper_triangular,
     validate,
 )
+from algscope import algebra as algebra_module
+
+from oracles import validate_naive
 
 ALL_BUILDERS = [
     mat_algebra(1),
@@ -158,3 +164,85 @@ def test_direct_sum_has_componentwise_product():
     y = np.zeros(6, dtype=complex)
     y[5] = 1.0  # eps in the second summand
     assert np.all(multiply(s, x, y).coords == 0)
+
+
+def perturbed(alg, entries, noise=0.0, seed=0):
+    """Copy of ``alg`` with ``delta`` added at each ``(i, j, k)`` of
+    ``entries`` and optional complex noise everywhere."""
+    c = alg.structure.copy()
+    for index, delta in entries.items():
+        c[index] += delta
+    if noise:
+        rng = np.random.default_rng(seed)
+        c += noise * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
+    return Algebra(alg.dim, c, alg.unit)
+
+
+VALIDATE_CASES = [
+    mat_algebra(3),
+    upper_triangular(4),
+    direct_sum(mat_algebra(2), group_algebra(symmetric3_table())),
+    perturbed(mat_algebra(2), {(0, 1, 3): 1e-3}),
+    perturbed(mat_algebra(3), {(4, 5, 7): 2e-3j}),
+    perturbed(upper_triangular(3), {(1, 3, 4): -5e-4, (5, 5, 5): 1e-4}),
+    perturbed(group_algebra(symmetric3_table()), {}, noise=1e-6, seed=3),
+    perturbed(mat_algebra(3), {(2, 6, 0): 1e-2}, noise=1e-8, seed=4),
+]
+
+
+def assert_validate_matches_oracle(alg, tol):
+    report = validate(alg, tol)
+    passed, residual, witness = validate_naive(alg, tol)
+    assert report.passed == (passed and report.max_unit_residual < tol)
+    assert report.max_assoc_residual == pytest.approx(residual, rel=1e-12, abs=1e-300)
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize("alg", VALIDATE_CASES, ids=lambda a: f"dim{a.dim}")
+def test_validate_matches_naive_oracle(alg):
+    assert_validate_matches_oracle(alg, 1e-9)
+
+
+@pytest.mark.parametrize("alg", VALIDATE_CASES, ids=lambda a: f"dim{a.dim}")
+def test_validate_matches_naive_oracle_in_small_blocks(alg, monkeypatch):
+    # two values of i per block, so every case is checked across block edges
+    budget = 2 * alg.structure.itemsize * alg.dim**3
+    monkeypatch.setattr(algebra_module, "_VALIDATE_BLOCK_BYTES", budget)
+    assert_validate_matches_oracle(alg, 1e-9)
+
+
+def test_validate_witness_in_a_later_block(monkeypatch):
+    # a small defect in the first summand, a larger one in the second
+    alg = perturbed(direct_sum(mat_algebra(2), mat_algebra(2)), {(1, 2, 0): 1e-4, (5, 6, 4): 1e-3})
+    monkeypatch.setattr(algebra_module, "_VALIDATE_BLOCK_BYTES", 2 * 16 * alg.dim**3)
+    _, _, witness = validate_naive(alg, 1e-9)
+    assert witness[0] >= 2  # the worst triple lies outside the first block
+    report = validate(alg, 1e-9)
+    assert not report.passed and report.witness == witness
+
+
+def test_validate_memory_is_bounded():
+    alg = mat_algebra(7)
+    tracemalloc.start()
+    try:
+        report = validate(alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 64 * 2**20, f"validate peaked at {peak / 2**20:.1f} MiB on Mat_7"
+
+
+@pytest.mark.parametrize("cols", [(0, 3), (2, 0), (3, 5)])
+def test_pairwise_products_match_the_bilinear_product(cols):
+    rng = np.random.default_rng(11)
+    alg = direct_sum(upper_triangular(2), group_algebra(symmetric3_table()))
+    xs, ys = (
+        rng.standard_normal((alg.dim, m)) + 1j * rng.standard_normal((alg.dim, m)) for m in cols
+    )
+    prods = pairwise_products(alg, xs, ys)
+    assert prods.shape == (cols[0], cols[1], alg.dim)
+    for a in range(cols[0]):
+        for b in range(cols[1]):
+            expected = multiply(alg, xs[:, a], ys[:, b]).coords
+            np.testing.assert_allclose(prods[a, b], expected, atol=1e-13)

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algscope import Algebra, Functional, ParseError, decompose, mat_algebra, matrix_trace_functional
+from algscope import (
+    Algebra,
+    Functional,
+    ParseError,
+    decompose,
+    group_algebra,
+    mat_algebra,
+    matrix_trace_functional,
+    symmetric3_table,
+    upper_triangular,
+)
 from algscope.cli import main
 from algscope.report import (
     ReportDocument,
@@ -19,6 +29,8 @@ from algscope.report import (
     save_algebra,
     save_functional,
 )
+
+from oracles import algebra_doc_by_loops
 
 
 def random_algebra_object(seed):
@@ -53,6 +65,21 @@ class TestFileRoundTrips:
         f = Functional(rng.standard_normal(int(rng.integers(1, 8))) * (1 + 0.5j))
         back = functional_from_doc(functional_to_doc(f))
         np.testing.assert_array_equal(back.coords, f.coords)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_algebra_file_bytes_follow_index_order(self, seed, tmp_path):
+        algs = [mat_algebra(3), upper_triangular(3), group_algebra(symmetric3_table())]
+        alg = algs[seed] if seed < len(algs) else random_algebra_object(seed)
+        path = tmp_path / "a.alg"
+        save_algebra(alg, str(path))
+        doc = {
+            "dim": alg.dim,
+            "unit": [[z.real, z.imag] for z in alg.unit],
+            "structure": algebra_doc_by_loops(alg),
+        }
+        if alg.basis_labels is not None:
+            doc["basis"] = list(alg.basis_labels)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
     def test_duplicate_structure_entries_rejected(self):
         doc = {

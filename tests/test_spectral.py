@@ -9,6 +9,7 @@ from algscope import (
     char_poly,
     choose_alpha0,
     decompose,
+    direct_sum,
     dual_numbers,
     group_algebra,
     cyclic_table,
@@ -23,17 +24,19 @@ from algscope import (
     spectrum,
     stab,
     subspace_equal,
+    symmetric3_table,
     upper_triangular,
     verify_alpha0_independence,
 )
 from algscope.linalg import Subspace
-from algscope.spectral import _shift_regularity
+from algscope.spectral import _decomposition_checks, _filtration_reduced, _shift_regularity
 
 from oracles import (
     filtration_dims_fullspace,
     jordan_dims_by_powers,
     prescribed_pencil_algebra,
     stab_fullspace,
+    v_split_pairwise_and_span,
 )
 
 TOL = 1e-9
@@ -353,3 +356,84 @@ class TestDecompose:
             v = dec.v_spaces[p.alpha]
             if dec.nil.dim:
                 assert np.max(v.residual(dec.nil.frame)) < 1e-9
+
+
+def check_named(checks, name):
+    found = [c for c in checks if c.name == name]
+    assert len(found) == 1, [c.name for c in checks]
+    return found[0]
+
+
+def mat2_plus_s3():
+    return direct_sum(mat_algebra(2), group_algebra(symmetric3_table()))
+
+
+class TestDirectSumCheck:
+    @pytest.mark.parametrize(
+        "alg",
+        [mat_algebra(3), mat_algebra(4), mat_algebra(5), upper_triangular(5), mat2_plus_s3()],
+        ids=["mat3", "mat4", "mat5", "tri5", "mat2+s3"],
+    )
+    def test_agrees_with_pairwise_and_span_oracle(self, alg):
+        rng = np.random.default_rng(alg.dim)
+        functionals = [random_functional(alg.dim, rng) for _ in range(4)]
+        # one functional blind to the last basis vectors, so nil is nonzero
+        coords = functionals[0].coords.copy()
+        coords[alg.dim // 2 :] = 0.0
+        functionals.append(Functional(coords))
+        for f in functionals:
+            dec = decompose(alg, f)
+            check = check_named(dec.checks, "v_spaces_direct_sum")
+            frames = [dec.v_spaces[p.alpha].frame for p in dec.points]
+            pairwise, span = v_split_pairwise_and_span(frames, dec.nil.dim, alg.dim)
+            assert check.passed == (pairwise and span)
+            assert check.passed and check.residual == 0.0
+
+    def test_replaces_the_pairwise_and_span_checks(self):
+        dec = decompose(mat_algebra(3), diag125())
+        assert [c.name for c in dec.checks] == [
+            "multiplicities_sum_to_quotient_dim",
+            "v_dim_equals_nil_plus_multiplicity",
+            "v_spaces_direct_sum",
+            "char_poly_vanishes_on_spectrum",
+            "char_poly_infinity_multiplicity",
+        ]
+
+    @staticmethod
+    def mat3_frames():
+        """Mat_3 with diag(1, 2, 5): its reduced pencil, decomposition and the
+        quotient frames of every V(alpha)."""
+        alg = mat_algebra(3)
+        dec = decompose(alg, diag125())
+        rp = reduce_pencil(alg, diag125(), TOL)
+        frames = [
+            _filtration_reduced(rp, p.alpha, dec.alpha0_used, TOL)[-1] for p in dec.points
+        ]
+        return alg, rp, dec, frames
+
+    def test_repeated_column_fails_with_positive_residual(self):
+        alg, rp, dec, frames = self.mat3_frames()
+        i, j = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1][:2]
+        frames[j] = frames[i].copy()  # V(alpha_j) doctored to repeat V(alpha_i)
+        checks = _decomposition_checks(alg, rp.nil, dec.chi, list(dec.points), frames, TOL)
+        check = check_named(checks, "v_spaces_direct_sum")
+        assert not check.passed and check.residual >= 1.0
+        lifted = [np.hstack([rp.quotient_frame @ w, rp.nil.frame]) for w in frames]
+        assert v_split_pairwise_and_span(lifted, rp.nil.dim, alg.dim) == (False, False)
+        # the dimension checks cannot see the defect
+        assert check_named(checks, "v_dim_equals_nil_plus_multiplicity").passed
+
+    def test_extra_dependent_column_fails_even_at_full_rank(self):
+        alg, rp, dec, frames = self.mat3_frames()
+        frames[1] = np.hstack([frames[1], frames[0]])  # K + 1 columns of rank K
+        checks = _decomposition_checks(alg, rp.nil, dec.chi, list(dec.points), frames, TOL)
+        check = check_named(checks, "v_spaces_direct_sum")
+        assert not check.passed and check.residual == 1.0
+
+    def test_empty_quotient_reports_the_direct_sum_check(self):
+        dec = decompose(mat_algebra(2), Functional(np.zeros(4)))
+        assert [c.name for c in dec.checks] == [
+            "multiplicities_sum_to_quotient_dim",
+            "v_spaces_direct_sum",
+        ]
+        assert dec.ok
