@@ -37,7 +37,7 @@ from .report import (
     save_algebra,
 )
 from .spectral import decompose
-from .verify import DEFAULT_SUITES, SUITE_NAMES, negative_control_finding, run_suites
+from .verify import DEFAULT_SUITES, OBSERVATIONS, SUITE_NAMES, negative_control_finding, run_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,12 +172,12 @@ def _cmd_verify(args) -> int:
         control_detected = not control.passed
     report = report_from_findings(findings, seed, args.tol, args.cluster_tol)
     _emit(report, args.format, args.out)
-    # everything gates the exit code except the observation-grade
-    # transversality report and the deliberately failing control
+    # everything gates the exit code except observations and the
+    # deliberately failing control
     gating = [
         f
         for f in findings
-        if f.theorem_id != "StabTransversality"
+        if f.theorem_id not in OBSERVATIONS
         and not any("negative control" in note for note in f.notes)
     ]
     ok = all(f.passed for f in gating)

@@ -27,9 +27,10 @@ class SingularShift(AlgscopeError):
 
 
 class NoRegularValue(AlgscopeError):
-    """No regular shift could be found: the pencil determinant appears to
-    vanish identically, which contradicts the reduced-pencil construction and
-    signals broken input data."""
+    """No regular shift could be found: every sampled shift left the shifted
+    pencil's regularity (sigma_min over its scale) below the floor.  The
+    message states the best regularity reached and the floor.  Also raised
+    when a shift equals the spectral point under study."""
 
 
 class TheoremViolation(AlgscopeError):

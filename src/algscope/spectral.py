@@ -87,9 +87,12 @@ class InvariantCheck:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Full output of :func:`decompose` for one (algebra, functional) pair."""
+    """Full output of :func:`decompose` for one (algebra, functional) pair.
 
-    nil: Subspace
+    ``pencil`` is the reduced pencil every other field was built from; the
+    theorem suites read it instead of reducing the pairing again."""
+
+    pencil: ReducedPencil
     chi: HomogeneousPoly
     points: tuple[SpectrumPoint, ...]
     v_spaces: dict[ProjectivePoint, Subspace]
@@ -100,12 +103,16 @@ class Decomposition:
     checks: tuple[InvariantCheck, ...]
 
     @property
+    def nil(self) -> Subspace:
+        return self.pencil.nil
+
+    @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
     @property
     def quotient_dim(self) -> int:
-        return self.nil.ambient_dim - self.nil.dim
+        return self.pencil.K
 
     def point_at(self, alpha: ProjectivePoint, tol: float | None = None) -> SpectrumPoint | None:
         from .linalg import projective_close
@@ -135,20 +142,24 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
     accepted when the shifted pencil is comfortably nonsingular.
 
     Deterministic for a fixed seed; tries up to 64 samples and raises
-    :class:`NoRegularValue` if all fail, which contradicts the reduced
-    pencil's nondegeneracy and therefore signals broken data.
+    :class:`NoRegularValue` if all fall below ``floor``, reporting the best
+    regularity reached.
     """
     if rp.K < 1:
         raise NoRegularValue("empty pencil has no spectrum to shift into")
     rng = np.random.default_rng(seed)
+    best = 0.0
     for _ in range(64):
         modulus = rng.uniform(0.5, 2.0)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         alpha0 = complex(modulus * np.cos(phase), modulus * np.sin(phase))
-        if _shift_regularity(rp, alpha0) >= floor:
+        regularity = _shift_regularity(rp, alpha0)
+        if regularity >= floor:
             return alpha0
+        best = max(best, regularity)
     raise NoRegularValue(
-        "no regular shift found in 64 samples: the pencil determinant appears to vanish identically"
+        f"no regular shift found in 64 samples: the best regularity of the shifted pencil "
+        f"(sigma_min / scale) was {best:.3e}, below the floor {floor:.1e}"
     )
 
 
@@ -202,29 +213,24 @@ def _lift(rp: ReducedPencil, quotient_frame_cols: np.ndarray, tol: float) -> Sub
     return Subspace(ambient, frame, tol)
 
 
-def stab(alg: Algebra, f: Functional, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) -> Subspace:
-    """Stabilizer subspace of the full algebra at ``alpha`` (contains nil).
+def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) -> Subspace:
+    """Stabilizer subspace of the full algebra at ``alpha`` (contains nil),
+    read from the reduced pencil ``rp`` of (algebra, F).
 
     Equals {x : F(x z) = alpha F(z x) for all z} for finite alpha and
     {x : F(z x) = 0 for all z} at infinity.
     """
-    rp = reduce_pencil(alg, f, tol)
     return _lift(rp, _stab_reduced(rp, alpha, tol), tol)
 
 
 def jordan_filtration(
-    alg: Algebra,
-    f: Functional,
-    alpha: ProjectivePoint,
-    alpha0: complex,
-    tol: float = DEFAULT_TOL,
+    rp: ReducedPencil, alpha: ProjectivePoint, alpha0: complex, tol: float = DEFAULT_TOL
 ) -> list[Subspace]:
-    """Increasing filtration V^0 <= V^1 <= ... <= V(alpha) as subspaces of the
-    full algebra, each containing nil.  Requires a regular shift
-    ``alpha0 != alpha``."""
+    """Increasing filtration V^0 <= V^1 <= ... <= V(alpha) of the reduced
+    pencil ``rp``, as subspaces of the full algebra, each containing nil.
+    Requires a regular shift ``alpha0 != alpha``."""
     if not alpha.is_infinite and alpha.value == alpha0:
         raise NoRegularValue("the shift must differ from the point under study")
-    rp = reduce_pencil(alg, f, tol)
     return [_lift(rp, w, tol) for w in _filtration_reduced(rp, alpha, alpha0, tol)]
 
 
@@ -328,11 +334,12 @@ def decompose(
     """Run the full pipeline: kernels, reduced pencil, characteristic
     polynomial, spectrum, and one Jordan filtration per spectral point.
 
-    The result records the shift used, all dimensions, and a list of
-    invariant checks: multiplicity counts, one rank test on the stacked
-    quotient frames of all V(alpha) proving that they form a direct sum
-    spanning the algebra over nil (``v_spaces_direct_sum``), and vanishing
-    of the characteristic polynomial."""
+    The result keeps the reduced pencil (``pencil``) and records the shift
+    used, all dimensions, and a list of invariant checks: multiplicity
+    counts, one rank test on the stacked quotient frames of all V(alpha)
+    proving that they form a direct sum spanning the algebra over nil
+    (``v_spaces_direct_sum``), and vanishing of the characteristic
+    polynomial."""
     rp = reduce_pencil(alg, f, tol)
     if rp.K == 0:
         chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
@@ -342,9 +349,7 @@ def decompose(
                 "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
             ),
         ]
-        return Decomposition(
-            rp.nil, chi, (), {}, {}, None, tol, cluster_tol, tuple(checks)
-        )
+        return Decomposition(rp, chi, (), {}, {}, None, tol, cluster_tol, tuple(checks))
 
     alpha0 = choose_alpha0(rp, seed)
     chi = char_poly(rp)
@@ -365,7 +370,7 @@ def decompose(
 
     checks = _decomposition_checks(alg, rp.nil, chi, points, v_frames, tol)
     return Decomposition(
-        rp.nil,
+        rp,
         chi,
         tuple(points),
         v_spaces,
@@ -378,18 +383,18 @@ def decompose(
 
 
 def verify_alpha0_independence(
-    alg: Algebra,
-    f: Functional,
+    rp: ReducedPencil,
     alpha: ProjectivePoint,
     alpha0_a: complex,
     alpha0_b: complex,
     tol: float = DEFAULT_TOL,
     compare_tol: float = 1e-8,
 ) -> tuple[bool, float]:
-    """Compare every filtration level computed with two different regular
-    shifts; returns (all levels equal, max projector distance)."""
-    lev_a = jordan_filtration(alg, f, alpha, alpha0_a, tol)
-    lev_b = jordan_filtration(alg, f, alpha, alpha0_b, tol)
+    """Compare every filtration level of the reduced pencil ``rp`` computed
+    with two different regular shifts; returns (all levels equal, max
+    projector distance)."""
+    lev_a = jordan_filtration(rp, alpha, alpha0_a, tol)
+    lev_b = jordan_filtration(rp, alpha, alpha0_b, tol)
     if [s.dim for s in lev_a] != [s.dim for s in lev_b]:
         return False, float("inf")
     worst = 0.0

@@ -188,3 +188,20 @@ def algebra_doc_by_loops(alg):
                 if z != 0:
                     rows.append([i, j, k, z.real, z.imag])
     return rows
+
+
+def stab_transversality_pairwise(dec, tol=1e-9):
+    """The stabilizer transversality test pair by pair: (every pairwise
+    intersection of the Stab(alpha) is exactly nil, worst excess dimension,
+    number of pairs)."""
+    from algscope.linalg import subspace_intersect
+
+    stabs = [dec.filtrations[p.alpha][0] for p in dec.points]
+    worst = 0
+    pairs = 0
+    for i in range(len(stabs)):
+        for j in range(i + 1, len(stabs)):
+            inter = subspace_intersect(stabs[i], stabs[j], tol)
+            worst = max(worst, inter.dim - dec.nil.dim)
+            pairs += 1
+    return worst == 0, worst, pairs

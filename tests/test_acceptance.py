@@ -21,6 +21,7 @@ from algscope import (
     matrix_trace_functional,
     minimize_stab_dim,
     negative_control_finding,
+    opposite,
     projector_distance,
     random_functional,
     reduce_pencil,
@@ -139,7 +140,7 @@ def test_criterion_4_shift_independence_suite():
             if abs(shift_a - shift_b) < 1e-9:
                 continue
             equal, dist = verify_alpha0_independence(
-                alg, f, p.alpha, shift_a, shift_b, 1e-9, compare_tol=1e-8
+                rp, p.alpha, shift_a, shift_b, 1e-9, compare_tol=1e-8
             )
             assert equal and dist < 1e-8, (name, p.alpha, shift_a, shift_b, dist)
             done += 1
@@ -151,7 +152,8 @@ def test_criterion_5_product_inclusion_suite():
         for name, alg in corpus():
             for _ in range(50):
                 f = random_functional(alg.dim, rng)
-                for finding in verify_v_mult(alg, f, tol=1e-7):
+                dec, dec_op = decompose(alg, f), decompose(opposite(alg), f)
+                for finding in verify_v_mult(alg, dec, dec_op, tol=1e-7):
                     assert finding.passed, (name, finding)
 
 
@@ -161,7 +163,7 @@ def test_criterion_6_dimension_symmetry_suite():
         for name, alg in corpus():
             for _ in range(50):
                 f = random_functional(alg.dim, rng)
-                for finding in verify_dim_symmetry(alg, f):
+                for finding in verify_dim_symmetry(decompose(alg, f)):
                     assert finding.passed and finding.max_residual == 0.0, (name, finding)
 
 

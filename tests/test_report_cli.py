@@ -249,6 +249,21 @@ class TestCli:
         assert main(["builders", "dual", "--out", "d.alg"]) == 0
         assert main(["verify", "d.alg", "--suite", "bogus"]) == 1
 
+    def test_verify_rejects_the_removed_corollary1_suite(self, workdir, capsys):
+        assert main(["builders", "dual", "--out", "d.alg"]) == 0
+        assert main(["verify", "d.alg", "--suite", "corollary1"]) == 1
+
+    def test_verify_exit_code_ignores_failed_observations(self, workdir, capsys, monkeypatch):
+        import algscope.cli as cli
+        from algscope.verify import KERNEL_RELATIONS, OBSERVATIONS, STAB_TRANSVERSALITY, Finding
+
+        assert OBSERVATIONS == {STAB_TRANSVERSALITY}
+        assert main(["builders", "dual", "--out", "d.alg"]) == 0
+        for theorem_id, code in ((STAB_TRANSVERSALITY, 0), (KERNEL_RELATIONS, 2)):
+            failed = [Finding(theorem_id, False, 1.0)]
+            monkeypatch.setattr(cli, "run_suites", lambda *args, failed=failed, **kwargs: failed)
+            assert main(["verify", "d.alg"]) == code
+
     def test_text_format(self, workdir, capsys):
         write_inputs(workdir)
         assert main(["analyze", "mat3.alg", "d125.fn", "--format", "text"]) == 0

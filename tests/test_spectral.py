@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from algscope import (
     INFINITY,
     NoRegularValue,
     ProjectivePoint,
+    ReducedPencil,
     char_poly,
     choose_alpha0,
     decompose,
@@ -105,6 +108,17 @@ class TestChooseAlpha0:
         with pytest.raises(NoRegularValue):
             choose_alpha0(rp, seed=0)
 
+    def test_no_regular_value_reports_the_best_regularity(self):
+        # a~ is a nilpotent shift: a~ and a~^T share no kernel, yet every
+        # a~ - alpha0 a~^T is singular, so the pencil determinant is zero
+        a = np.diag([1.0, 1.0], 1).astype(complex)
+        rp = ReducedPencil(Subspace.zero(3), np.eye(3), a, a.T.copy(), 3)
+        with pytest.raises(NoRegularValue) as info:
+            choose_alpha0(rp, seed=3)
+        message = str(info.value)
+        best = re.search(r"best regularity .* was (\S+), below the floor 1\.0e-08$", message)
+        assert "64 samples" in message and best and float(best.group(1)) < 1e-8
+
 
 class TestSpectrum:
     def test_mat2_diag12(self):
@@ -138,16 +152,16 @@ class TestStab:
         rng = np.random.default_rng(0)
         for alg in (mat_algebra(2), upper_triangular(3), dual_numbers()):
             f = random_functional(alg.dim, rng)
-            s = stab(alg, f, ProjectivePoint.finite(1.0), TOL)
+            s = stab(reduce_pencil(alg, f, TOL), ProjectivePoint.finite(1.0), TOL)
             unit = alg.unit / np.linalg.norm(alg.unit)
             assert s.residual(unit.reshape(-1, 1))[0] < 1e-9
 
     def test_mat3_stab_at_one_is_the_diagonal(self):
-        s = stab(mat_algebra(3), diag125(), ProjectivePoint.finite(1.0), TOL)
+        s = stab(reduce_pencil(mat_algebra(3), diag125(), TOL), ProjectivePoint.finite(1.0), TOL)
         assert subspace_equal(s, coordinate_span(9, [0, 4, 8]), 1e-8)
 
     def test_mat3_stab_at_two_is_the_e21_line(self):
-        s = stab(mat_algebra(3), diag125(), ProjectivePoint.finite(2.0), TOL)
+        s = stab(reduce_pencil(mat_algebra(3), diag125(), TOL), ProjectivePoint.finite(2.0), TOL)
         assert subspace_equal(s, coordinate_span(9, [3]), 1e-8)
 
     def test_matches_the_fullspace_condition_oracle(self):
@@ -159,7 +173,7 @@ class TestStab:
                 value = None if p.alpha.is_infinite else p.alpha.value
                 frame = stab_fullspace(alg, f.coords, value)
                 oracle = Subspace(alg.dim, frame, TOL)
-                got = stab(alg, f, p.alpha, TOL)
+                got = stab(dec.pencil, p.alpha, TOL)
                 assert got.dim == oracle.dim
                 assert projector_distance(got, oracle) < 1e-8
 
@@ -169,12 +183,13 @@ class TestJordanFiltration:
         alg = mat_algebra(3)
         rp = reduce_pencil(alg, diag125(), TOL)
         a0 = choose_alpha0(rp)
-        levels = jordan_filtration(alg, diag125(), ProjectivePoint.finite(2.0), a0, TOL)
+        levels = jordan_filtration(rp, ProjectivePoint.finite(2.0), a0, TOL)
         assert len(levels) == 1 and levels[0].dim == 1
 
     def test_dual_numbers_everything_at_one(self):
         alg = dual_numbers()
-        levels = jordan_filtration(alg, Functional(np.array([1.0, 0.0])), ProjectivePoint.finite(1.0), 0.3 + 0.1j, TOL)
+        rp = reduce_pencil(alg, Functional(np.array([1.0, 0.0])), TOL)
+        levels = jordan_filtration(rp, ProjectivePoint.finite(1.0), 0.3 + 0.1j, TOL)
         assert levels[0].dim == 2  # eps lies in nil, the unit spans the quotient part
         assert levels[-1].dim == 2
 
@@ -219,8 +234,9 @@ class TestJordanFiltration:
 
     def test_shift_equal_to_point_is_rejected(self):
         alg = dual_numbers()
+        rp = reduce_pencil(alg, Functional(np.array([1.0, 0.0])), TOL)
         with pytest.raises(NoRegularValue):
-            jordan_filtration(alg, Functional(np.array([1.0, 0.0])), ProjectivePoint.finite(0.5), 0.5, TOL)
+            jordan_filtration(rp, ProjectivePoint.finite(0.5), 0.5, TOL)
 
     def test_alternative_recursion_gives_the_same_spaces(self):
         # for finite alpha the chain can be climbed against the transposed
@@ -292,7 +308,7 @@ class TestDegeneratePencils:
     def test_defective_point_respects_shift_independence(self):
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
         ok, dist = verify_alpha0_independence(
-            alg, f, ProjectivePoint.finite(-1.0), 0.4 + 0.7j, -1.2 + 0.3j, TOL
+            reduce_pencil(alg, f, TOL), ProjectivePoint.finite(-1.0), 0.4 + 0.7j, -1.2 + 0.3j, TOL
         )
         assert ok and dist < 1e-8
 
@@ -302,7 +318,7 @@ class TestAlpha0Independence:
         alg = mat_algebra(2)
         f = matrix_trace_functional(np.diag([1.0, 2.0]))
         ok, dist = verify_alpha0_independence(
-            alg, f, ProjectivePoint.finite(1.0), 3.0 + 0.0j, -2.0j, TOL
+            reduce_pencil(alg, f, TOL), ProjectivePoint.finite(1.0), 3.0 + 0.0j, -2.0j, TOL
         )
         assert ok and dist < 1e-8
 
@@ -310,7 +326,7 @@ class TestAlpha0Independence:
         alg = dual_numbers()
         f = Functional(np.array([1.0, 0.0]))
         ok, dist = verify_alpha0_independence(
-            alg, f, ProjectivePoint.finite(1.0), 0.7 + 0.2j, -1.3 + 0.4j, TOL
+            reduce_pencil(alg, f, TOL), ProjectivePoint.finite(1.0), 0.7 + 0.2j, -1.3 + 0.4j, TOL
         )
         assert ok and dist < 1e-10
 

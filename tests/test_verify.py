@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from algscope import (
     Functional,
     ProjectivePoint,
     decompose,
+    direct_sum,
     dual_numbers,
     group_algebra,
     klein_table,
@@ -12,8 +16,10 @@ from algscope import (
     matrix_trace_functional,
     minimize_stab_dim,
     negative_control_finding,
+    opposite,
     random_functional,
     run_suites,
+    symmetric3_table,
     upper_triangular,
     verify_alpha0_suite,
     verify_corollaries,
@@ -26,11 +32,14 @@ from algscope import (
 from algscope.verify import (
     COROLLARY_2,
     COROLLARY_3,
+    DEFAULT_SUITES,
     DIM_SYMMETRY_STAB,
     DIM_SYMMETRY_V,
     V_MULT_FINITE,
     V_MULT_NONZERO,
 )
+
+from oracles import stab_transversality_pairwise
 
 
 def full_dual(dim):
@@ -74,7 +83,8 @@ class TestKernelRelations:
 class TestVMult:
     def test_mat3_products_between_lines(self):
         alg = mat_algebra(3)
-        findings = verify_v_mult(alg, diag125())
+        dec, dec_op = decompose(alg, diag125()), decompose(opposite(alg), diag125())
+        findings = verify_v_mult(alg, dec, dec_op)
         assert [f.theorem_id for f in findings] == [V_MULT_FINITE, V_MULT_NONZERO]
         assert all(f.passed for f in findings)
 
@@ -110,7 +120,7 @@ class TestVMult:
     def test_commutative_algebra_all_at_one(self):
         alg = group_algebra(klein_table())
         f = random_functional(4, np.random.default_rng(3))
-        findings = verify_v_mult(alg, f)
+        findings = verify_v_mult(alg, decompose(alg, f), decompose(opposite(alg), f))
         assert all(f.passed for f in findings)
 
     def test_defective_point_products_climb_levels(self):
@@ -118,15 +128,15 @@ class TestVMult:
         from oracles import prescribed_pencil_algebra
 
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
-        findings = verify_v_mult(alg, f)
+        findings = verify_v_mult(alg, decompose(alg, f), decompose(opposite(alg), f))
         assert all(x.passed for x in findings)
-        for x in verify_dim_symmetry(alg, f):
+        for x in verify_dim_symmetry(decompose(alg, f)):
             assert x.passed
 
 
 class TestDimSymmetry:
     def test_mat3_mirror_pairs(self):
-        findings = verify_dim_symmetry(mat_algebra(3), diag125())
+        findings = verify_dim_symmetry(decompose(mat_algebra(3), diag125()))
         assert [f.theorem_id for f in findings] == [DIM_SYMMETRY_V, DIM_SYMMETRY_STAB]
         assert all(f.passed for f in findings)
 
@@ -134,13 +144,14 @@ class TestDimSymmetry:
         alg = upper_triangular(3)
         rng = np.random.default_rng(17)
         for _ in range(10):
-            findings = verify_dim_symmetry(alg, random_functional(alg.dim, rng))
+            findings = verify_dim_symmetry(decompose(alg, random_functional(alg.dim, rng)))
             assert all(f.passed for f in findings)
 
 
 class TestAlpha0Suite:
     def test_runs_on_spectrum_points(self):
-        finding = verify_alpha0_suite(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])))
+        dec = decompose(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])))
+        finding = verify_alpha0_suite(dec)
         assert finding.passed and finding.samples == 3
 
 
@@ -230,20 +241,62 @@ class TestRegularFunctionals:
 
 class TestTransversality:
     def test_mat3_pairwise_trivial(self):
-        finding = verify_stab_transversality(mat_algebra(3), diag125())
+        finding = verify_stab_transversality(decompose(mat_algebra(3), diag125()))
         assert finding.passed and finding.samples == 21
 
     def test_single_point_is_vacuous(self):
         alg = dual_numbers()
-        finding = verify_stab_transversality(alg, Functional(np.array([1.0, 0.0])))
+        finding = verify_stab_transversality(decompose(alg, Functional(np.array([1.0, 0.0]))))
         assert finding.passed and finding.samples == 0
 
     def test_klein_random_sweep(self):
         alg = group_algebra(klein_table())
         rng = np.random.default_rng(31)
         for _ in range(10):
-            finding = verify_stab_transversality(alg, random_functional(4, rng))
+            finding = verify_stab_transversality(decompose(alg, random_functional(4, rng)))
             assert finding.passed
+
+    def test_rank_test_matches_the_pairwise_oracle(self):
+        rng = np.random.default_rng(37)
+        algs = [
+            mat_algebra(3),
+            mat_algebra(4),
+            upper_triangular(5),
+            group_algebra(klein_table()),
+            direct_sum(mat_algebra(2), group_algebra(symmetric3_table())),
+        ]
+        decs = [decompose(alg, random_functional(alg.dim, rng)) for alg in algs for _ in range(4)]
+        # rank-deficient weights give a nonzero nil
+        for weights in ([1.0, 2.0, 0.0], [1.0, 3.0, 0.0, 0.0]):
+            w = np.diag(weights)
+            decs.append(decompose(mat_algebra(len(weights)), matrix_trace_functional(w)))
+        assert any(dec.nil.dim for dec in decs)
+        for dec in decs:
+            finding = verify_stab_transversality(dec)
+            passed, worst, pairs = stab_transversality_pairwise(dec)
+            assert (finding.passed, finding.samples) == (passed, pairs)
+            assert finding.max_residual == float(worst) == 0.0 and finding.witness is None
+
+    @pytest.mark.parametrize(
+        "alg, f",
+        [
+            (mat_algebra(3), diag125()),
+            (
+                direct_sum(mat_algebra(2), dual_numbers()),
+                Functional(np.array([1.0, 0.0, 0.0, 2.0, 1.0, 0.0])),
+            ),
+        ],
+    )
+    def test_repeated_stab_frame_fails(self, alg, f):
+        dec = decompose(alg, f)
+        first, second = dec.points[0].alpha, dec.points[1].alpha
+        filtrations = {**dec.filtrations, second: dec.filtrations[first]}
+        doctored = dataclasses.replace(dec, filtrations=filtrations)
+        finding = verify_stab_transversality(doctored)
+        passed, worst, pairs = stab_transversality_pairwise(doctored)
+        assert not passed and worst >= 1
+        assert not finding.passed and finding.max_residual >= 1
+        assert finding.witness == (second,) and finding.samples == pairs
 
 
 class TestRunSuites:
@@ -257,6 +310,42 @@ class TestRunSuites:
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suites(mat_algebra(2), suites=("nope",), n_functionals=1)
+
+    def test_corollary1_suite_is_gone(self):
+        with pytest.raises(ValueError):
+            run_suites(mat_algebra(2), suites=("corollary1",), n_functionals=1)
+
+    @pytest.mark.parametrize("with_v_mult", [True, False])
+    def test_one_decomposition_per_functional(self, monkeypatch, with_v_mult):
+        import algscope.functional
+        import algscope.spectral
+        import algscope.verify
+
+        real_decompose = algscope.verify.decompose
+        real_reduce = algscope.functional.reduce_pencil
+        seeds = []
+        reductions = []
+
+        def counting_decompose(*args, **kwargs):
+            bound = inspect.signature(real_decompose).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seeds.append(bound.arguments["seed"])
+            return real_decompose(*args, **kwargs)
+
+        def counting_reduce(*args, **kwargs):
+            reductions.append(args)
+            return real_reduce(*args, **kwargs)
+
+        monkeypatch.setattr(algscope.verify, "decompose", counting_decompose)
+        # every module that bound the name at import time
+        for module in (algscope.functional, algscope.spectral, algscope.verify):
+            monkeypatch.setattr(module, "reduce_pencil", counting_reduce)
+        suites = tuple(s for s in DEFAULT_SUITES if with_v_mult or s != "v-mult")
+        n = 3
+        run_suites(mat_algebra(3), suites, n, seed=7)
+        assert len(seeds) == (2 if with_v_mult else 1) * n
+        assert seeds == [7] * len(seeds)
+        assert len(reductions) == len(seeds)
 
     def test_corollary_suites_run(self):
         findings = run_suites(
