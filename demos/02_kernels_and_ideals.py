@@ -23,7 +23,7 @@ ker = ag.kernels(dual, f)
 print(f"dim left kernel = {ker.left.dim}, right = {ker.right.dim}, nil = {ker.nil.dim}")
 print("eps direction inside nil:", np.round(ker.nil.frame[:, 0], 6))
 
-ideal = ag.nil_ideal_check(dual, f)
+ideal = ag.nil_ideal_check(dual, ker)
 print(f"nil is an ideal: {ideal.is_ideal} (residual {ideal.max_residual:.1e})")
 
 rep = ag.is_multiplicative(dual, f)

@@ -31,7 +31,7 @@ for name, alg in corpus:
         # feeds every suite
         dec = ag.decompose(alg, f)
         dec_op = ag.decompose(ag.opposite(alg), f)
-        findings = [ag.verify_kernel_relations(alg, f)]
+        findings = [ag.verify_kernel_relations(alg, dec.pencil.kernels)]
         findings += ag.verify_v_mult(alg, dec, dec_op)
         findings += ag.verify_dim_symmetry(dec)
         findings.append(ag.verify_alpha0_suite(dec))

@@ -5,13 +5,16 @@ multiplication table through F gives the pairing matrix a[i, j] = F(e_i e_j),
 a bilinear form on the algebra.  Its left kernel, right kernel and their
 intersection (the two-sided degenerate directions, ``nil``) drive the whole
 decomposition: compressing the form to an orthonormal complement of ``nil``
-yields the reduced pencil (a~, a~^T) that is nondegenerate for generic
-pencil combinations.
+yields the reduced pencil (a~, a~^T).  For a generic F the pencil is regular:
+some combination a~ - alpha0 a~^T is invertible.  It need not be for a
+special F: on Mat_4 with F(X) = tr(N X), N the nilpotent shift, every
+combination is singular, and :func:`algscope.spectral.decompose` raises
+:class:`algscope.errors.NoRegularValue`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -112,7 +115,10 @@ class Kernels(NamedTuple):
 def kernels(alg: Algebra, f: Functional, tol: float = 1e-9) -> Kernels:
     """Left kernel {x : F(x y) = 0 for all y}, right kernel
     {x : F(y x) = 0 for all y}, and their intersection ``nil``."""
-    g = gram(alg, f)
+    return _kernels_of(gram(alg, f), tol)
+
+
+def _kernels_of(g: GramData, tol: float) -> Kernels:
     ker_l = nullspace(g.at, tol)
     ker_r = nullspace(g.a, tol)
     nil = subspace_intersect(ker_l, ker_r, tol)
@@ -123,28 +129,35 @@ def kernels(alg: Algebra, f: Functional, tol: float = 1e-9) -> Kernels:
 class ReducedPencil:
     """The pairing compressed to an orthonormal complement of ``nil``.
 
-    ``a_tilde = Q^T a Q`` where the columns of ``Q = quotient_frame`` complete
-    ``nil`` to a basis; ``at_tilde`` is its transpose.  ``K`` is the quotient
-    dimension.  Downstream results must not depend on the choice of Q.
+    ``kernels`` are the left and right kernels of the pairing and their
+    intersection ``nil``.  ``a_tilde = Q^T a Q`` where the columns of
+    ``Q = quotient_frame`` complete ``nil`` to a basis; ``at_tilde`` is its
+    transpose.  ``K`` is the quotient dimension.  Downstream results must not
+    depend on the choice of Q.
     """
 
-    nil: Subspace
+    kernels: Kernels
     quotient_frame: np.ndarray
     a_tilde: np.ndarray
     at_tilde: np.ndarray
     K: int
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("quotient_frame", "a_tilde", "at_tilde"):
             m = np.asarray(getattr(self, name), dtype=complex)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
+        scale = 1.0 if self.K == 0 else max(float(np.linalg.norm(self.a_tilde, "fro")), 1e-300)
+        object.__setattr__(self, "_scale", scale)
+
+    @property
+    def nil(self) -> Subspace:
+        return self.kernels.nil
 
     def pencil_scale(self) -> float:
         """Magnitude of the pencil before any cancellation; rank-decision floor."""
-        if self.K == 0:
-            return 1.0
-        return max(float(np.linalg.norm(self.a_tilde, "fro")), 1e-300)
+        return self._scale
 
 
 def reduce_pencil(
@@ -155,7 +168,8 @@ def reduce_pencil(
     ``quotient_frame`` may supply any orthonormal complement of ``nil``; by
     default the canonical SVD complement is used.
     """
-    ker = kernels(alg, f, tol)
+    g = gram(alg, f)
+    ker = _kernels_of(g, tol)
     nil = ker.nil
     if quotient_frame is None:
         q = complement(nil).frame
@@ -171,9 +185,8 @@ def reduce_pencil(
             overlap.size and np.max(np.abs(overlap)) > 10 * tol
         ):
             raise DimensionMismatch("quotient frame is not an orthonormal complement of nil")
-    g = gram(alg, f)
     a_tilde = q.T @ g.a @ q
-    return ReducedPencil(nil, q, a_tilde, a_tilde.T.copy(), alg.dim - nil.dim)
+    return ReducedPencil(ker, q, a_tilde, a_tilde.T.copy(), alg.dim - nil.dim)
 
 
 @dataclass(frozen=True)
@@ -214,10 +227,12 @@ class NilIdealReport:
     max_residual: float
 
 
-def nil_ideal_check(alg: Algebra, f: Functional, tol: float = 1e-9) -> NilIdealReport:
+def nil_ideal_check(alg: Algebra, ker: Kernels, tol: float = 1e-9) -> NilIdealReport:
     """When left kernel = right kernel = nil, verify that nil is a two-sided
-    ideal by projecting basis-by-frame products onto nil's complement."""
-    ker = kernels(alg, f, tol)
+    ideal by projecting basis-by-frame products onto nil's complement.
+
+    ``ker`` are the kernels of a functional on ``alg``, as returned by
+    :func:`kernels` or kept by :class:`ReducedPencil`."""
     premise = subspace_equal(ker.left, ker.nil, 100 * tol) and subspace_equal(
         ker.right, ker.nil, 100 * tol
     )

@@ -41,7 +41,6 @@ from .linalg import (
     pencil_eigen,
     projector_distance,
     rank,
-    subspace_equal,
 )
 
 __all__ = [
@@ -90,13 +89,19 @@ class Decomposition:
     """Full output of :func:`decompose` for one (algebra, functional) pair.
 
     ``pencil`` is the reduced pencil every other field was built from; the
-    theorem suites read it instead of reducing the pairing again."""
+    theorem suites read it instead of reducing the pairing again.
+    ``filtrations`` holds the levels V^0 <= V^1 <= ... of each point as
+    subspaces of the full algebra, and ``quotient_filtrations`` the same
+    levels as the quotient-coordinate frames they were lifted from; level 0
+    is Stab(alpha), which does not depend on the shift, so the shift-
+    independence suite starts its filtrations from it."""
 
     pencil: ReducedPencil
     chi: HomogeneousPoly
     points: tuple[SpectrumPoint, ...]
     v_spaces: dict[ProjectivePoint, Subspace]
     filtrations: dict[ProjectivePoint, tuple[Subspace, ...]]
+    quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]]
     alpha0_used: complex | None
     tol: float
     cluster_tol: float
@@ -188,18 +193,33 @@ def _stab_reduced(rp: ReducedPencil, alpha: ProjectivePoint, tol: float) -> np.n
 
 
 def _filtration_reduced(
-    rp: ReducedPencil, alpha: ProjectivePoint, alpha0: complex, tol: float
+    rp: ReducedPencil,
+    alpha: ProjectivePoint,
+    alpha0: complex,
+    tol: float,
+    stab_frame: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Quotient-coordinate frames of V^0 <= V^1 <= ... until the dimension
-    stabilizes (at most K steps)."""
+    stabilizes (at most K steps).
+
+    ``stab_frame``, when given, is V^0 = Stab(alpha) as computed by this
+    function at the same ``tol``, and replaces its recomputation.  Whether
+    the chain grows is decided from singular values alone; the vectors of a
+    level are computed only when it is larger than the one before."""
     s_mat, s_scale = _slot_one_operator(rp, alpha)
     t_mat = rp.at_tilde - alpha0 * rp.a_tilde
     t_scale = (1.0 + abs(alpha0)) * rp.pencil_scale()
-    levels = [nullspace(s_mat, tol, scale=s_scale).frame]
+    if stab_frame is None:
+        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
+    levels = [stab_frame]
     for _ in range(rp.K):
         image = orthonormal_columns(t_mat @ levels[-1], tol, scale=t_scale)
         off_image = s_mat - image @ (image.conj().T @ s_mat)
+        if rp.K - rank(off_image, tol, scale=s_scale) <= levels[-1].shape[1]:
+            break
         nxt = nullspace(off_image, tol, scale=s_scale).frame
+        # a full SVD may round its singular values differently from the
+        # values-only one, so the level must still be seen to grow
         if nxt.shape[1] <= levels[-1].shape[1]:
             break
         levels.append(nxt)
@@ -224,14 +244,25 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
 
 
 def jordan_filtration(
-    rp: ReducedPencil, alpha: ProjectivePoint, alpha0: complex, tol: float = DEFAULT_TOL
+    rp: ReducedPencil,
+    alpha: ProjectivePoint,
+    alpha0: complex,
+    tol: float = DEFAULT_TOL,
+    stab_frame: np.ndarray | None = None,
 ) -> list[Subspace]:
     """Increasing filtration V^0 <= V^1 <= ... <= V(alpha) of the reduced
     pencil ``rp``, as subspaces of the full algebra, each containing nil.
-    Requires a regular shift ``alpha0 != alpha``."""
+    Requires a regular shift ``alpha0 != alpha``.
+
+    V^0 = Stab(alpha) does not depend on the shift.  ``stab_frame`` may pass
+    its quotient-coordinate frame at the same ``tol``, for instance
+    ``dec.quotient_filtrations[alpha][0]`` of a :class:`Decomposition` of
+    the same pencil; the chain then climbs from it without computing it
+    again."""
     if not alpha.is_infinite and alpha.value == alpha0:
         raise NoRegularValue("the shift must differ from the point under study")
-    return [_lift(rp, w, tol) for w in _filtration_reduced(rp, alpha, alpha0, tol)]
+    frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frame)
+    return [_lift(rp, w, tol) for w in frames]
 
 
 def _decomposition_checks(
@@ -349,7 +380,7 @@ def decompose(
                 "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
             ),
         ]
-        return Decomposition(rp, chi, (), {}, {}, None, tol, cluster_tol, tuple(checks))
+        return Decomposition(rp, chi, (), {}, {}, {}, None, tol, cluster_tol, tuple(checks))
 
     alpha0 = choose_alpha0(rp, seed)
     chi = char_poly(rp)
@@ -359,6 +390,7 @@ def decompose(
     v_frames: list[np.ndarray] = []
     v_spaces: dict[ProjectivePoint, Subspace] = {}
     filtrations: dict[ProjectivePoint, tuple[Subspace, ...]] = {}
+    quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
     for alpha, mult in raw_points:
         frames = _filtration_reduced(rp, alpha, alpha0, tol)
         levels = [_lift(rp, w, tol) for w in frames]
@@ -367,6 +399,7 @@ def decompose(
         v_frames.append(frames[-1])
         v_spaces[alpha] = levels[-1]
         filtrations[alpha] = tuple(levels)
+        quotient_filtrations[alpha] = tuple(frames)
 
     checks = _decomposition_checks(alg, rp.nil, chi, points, v_frames, tol)
     return Decomposition(
@@ -375,6 +408,7 @@ def decompose(
         tuple(points),
         v_spaces,
         filtrations,
+        quotient_filtrations,
         alpha0,
         tol,
         cluster_tol,
@@ -389,17 +423,21 @@ def verify_alpha0_independence(
     alpha0_b: complex,
     tol: float = DEFAULT_TOL,
     compare_tol: float = 1e-8,
+    stab_frame: np.ndarray | None = None,
 ) -> tuple[bool, float]:
     """Compare every filtration level of the reduced pencil ``rp`` computed
     with two different regular shifts; returns (all levels equal, max
-    projector distance)."""
-    lev_a = jordan_filtration(rp, alpha, alpha0_a, tol)
-    lev_b = jordan_filtration(rp, alpha, alpha0_b, tol)
+    projector distance).  Both filtrations start from ``stab_frame`` when it
+    is given (see :func:`jordan_filtration`)."""
+    lev_a = jordan_filtration(rp, alpha, alpha0_a, tol, stab_frame)
+    lev_b = jordan_filtration(rp, alpha, alpha0_b, tol, stab_frame)
     if [s.dim for s in lev_a] != [s.dim for s in lev_b]:
         return False, float("inf")
     worst = 0.0
     for sa, sb in zip(lev_a, lev_b):
-        worst = max(worst, projector_distance(sa, sb))
-        if not subspace_equal(sa, sb, compare_tol):
+        # the dimensions agree, so the levels are equal iff the distance is small
+        dist = projector_distance(sa, sb)
+        worst = max(worst, dist)
+        if not dist < compare_tol:
             return False, worst
-    return worst < compare_tol, worst
+    return True, worst

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, multiply, opposite, pairwise_products
-from .functional import Functional, gram, kernels, random_functional, reduce_pencil
+from .functional import Functional, Kernels, gram, kernels, random_functional, reduce_pencil
 from .linalg import ProjectivePoint, Subspace, nullspace, projector_distance, rank
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -93,13 +93,14 @@ class Finding:
 # kernel product relations
 
 
-def verify_kernel_relations(
-    alg: Algebra, f: Functional, tol: float = 1e-8, rank_tol: float = DEFAULT_TOL
-) -> Finding:
+def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Finding:
     """All seven product inclusions between the left kernel, right kernel,
-    their intersection, and the full algebra."""
-    ker = kernels(alg, f, rank_tol)
-    full = Subspace.full(alg.dim, rank_tol)
+    their intersection, and the full algebra.
+
+    ``ker`` are the kernels of a functional on ``alg``, as returned by
+    :func:`algscope.functional.kernels` or kept by the reduced pencil of a
+    decomposition (``dec.pencil.kernels``)."""
+    full = Subspace.full(alg.dim, ker.nil.tol)
     relations = [
         ("left*algebra<=left", ker.left, full, ker.left),
         ("algebra*right<=right", full, ker.right, ker.right),
@@ -133,7 +134,12 @@ def verify_kernel_relations(
 def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) -> Finding:
     """Shift-independence of the filtration: for every spectral point of
     ``dec``, the filtrations of its pencil under two random regular shifts
-    (drawn with seeds ``seed + 1`` and ``seed + 2``) must be identical."""
+    (drawn with seeds ``seed + 1`` and ``seed + 2``) must be identical.
+
+    Level 0, Stab(alpha), does not involve the shift, so both filtrations
+    start from the decomposition's own frame of it
+    (``dec.quotient_filtrations``) and climb from there; every higher level
+    is computed afresh under each shift."""
     if not dec.points:
         return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
     shift_a = choose_alpha0(dec.pencil, seed=seed + 1)
@@ -144,7 +150,13 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     ok = True
     for p in dec.points:
         equal, dist = verify_alpha0_independence(
-            dec.pencil, p.alpha, shift_a, shift_b, dec.tol, compare_tol=tol
+            dec.pencil,
+            p.alpha,
+            shift_a,
+            shift_b,
+            dec.tol,
+            compare_tol=tol,
+            stab_frame=dec.quotient_filtrations[p.alpha][0],
         )
         samples += 1
         if dist > worst or not equal:
@@ -158,35 +170,71 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
 # product inclusions between filtration levels
 
 
+def _target_indices(dec: Decomposition, values: np.ndarray) -> np.ndarray:
+    """Index into ``dec.points`` of the point each finite value falls at, or
+    -1: :meth:`Decomposition.point_at` (the first point within
+    ``cluster_tol``, relative for large values) applied elementwise."""
+    finite = np.array([not p.alpha.is_infinite for p in dec.points], dtype=bool)
+    alphas = np.array([0j if p.alpha.is_infinite else p.alpha.value for p in dec.points])
+    v = values[..., None]
+    scale = np.maximum(np.maximum(1.0, np.abs(v)), np.abs(alphas))
+    close = (np.abs(v - alphas) <= dec.cluster_tol * scale) & finite
+    return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
+
+
 def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[float, tuple | None, int]:
     """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for all finite pairs of spectral
     points of ``dec``; products falling at a non-spectral value must lie in
-    nil.  Returns (worst residual, witness, samples)."""
-    worst = 0.0
-    witness = None
-    samples = 0
-    finite_points = [p for p in dec.points if not p.alpha.is_infinite]
-    for p in finite_points:
-        for q in finite_points:
-            target_value = p.alpha.value * q.alpha.value
-            target_point = dec.point_at(ProjectivePoint.finite(target_value))
-            filt_p = dec.filtrations[p.alpha]
-            filt_q = dec.filtrations[q.alpha]
-            for k in range(len(filt_p)):
-                for m in range(len(filt_q)):
-                    if target_point is None:
-                        target = dec.nil
-                    else:
-                        levels = dec.filtrations[target_point.alpha]
-                        target = levels[min(k + m, len(levels) - 1)]
-                    prods = pairwise_products(alg, filt_p[k].frame, filt_q[m].frame)
-                    res = target.residual(prods.reshape(-1, alg.dim).T)
-                    samples += res.size
-                    local = float(res.max()) if res.size else 0.0
-                    if local > worst:
-                        worst = local
-                        witness = (p.alpha, q.alpha, k, m)
-    return worst, witness, samples
+    nil.  Returns (worst residual, witness, samples).
+
+    The level frames of all finite points are stacked into one matrix and
+    multiplied in one :func:`pairwise_products` call.  Each product's
+    residual is taken once, against its own target level, and the products
+    are grouped by target.  The witness (a, b, k, m) is the first quadruple,
+    in the order a, b, k, m over the points in spectrum order, whose products
+    reach the worst residual; every product of two columns is one sample."""
+    finite = [p for p in dec.points if not p.alpha.is_infinite]
+    if not finite:
+        return 0.0, None, 0
+    # column c of the stack spans part of level level_of[c] at finite[point_of[c]]
+    frames, point_of, level_of = [], [], []
+    for i, p in enumerate(finite):
+        for k, level in enumerate(dec.filtrations[p.alpha]):
+            frames.append(level.frame)
+            point_of += [i] * level.dim
+            level_of += [k] * level.dim
+    stacked = np.hstack(frames)
+    point_of = np.array(point_of, dtype=int)
+    level_of = np.array(level_of, dtype=int)
+    prods = pairwise_products(alg, stacked, stacked).reshape(-1, alg.dim)
+
+    # the target of each product, as an index into all levels of all points:
+    # level min(k + m, last) at the point of alpha * beta, or -1 for nil
+    values = np.array([p.alpha.value for p in finite])
+    at = _target_indices(dec, np.multiply.outer(values, values))
+    target_point = at[point_of[:, None], point_of[None, :]]
+    n_levels = np.array([len(dec.filtrations[p.alpha]) for p in dec.points])
+    first_level = np.cumsum(n_levels) - n_levels
+    level = np.minimum(level_of[:, None] + level_of[None, :], n_levels[target_point] - 1)
+    target = np.where(target_point >= 0, first_level[target_point] + level, -1).ravel()
+    all_levels = [s for p in dec.points for s in dec.filtrations[p.alpha]]
+
+    res = np.empty(prods.shape[0])
+    # the targets that occur (np.unique would import numpy.ma, about 1 MB)
+    for t in np.flatnonzero(np.bincount(target + 1)) - 1:
+        members = target == t
+        space = dec.nil if t < 0 else all_levels[t]
+        res[members] = space.residual(prods[members].T)
+    worst = float(res.max()) if res.size else 0.0
+    if worst <= 0.0:
+        return 0.0, None, res.size
+    rows, cols = np.divmod(np.flatnonzero(res == worst), len(point_of))
+    r, c = min(
+        zip(rows, cols),
+        key=lambda rc: (point_of[rc[0]], point_of[rc[1]], level_of[rc[0]], level_of[rc[1]]),
+    )
+    a, b = finite[point_of[r]].alpha, finite[point_of[c]].alpha
+    return worst, (a, b, int(level_of[r]), int(level_of[c])), res.size
 
 
 def verify_v_mult(
@@ -294,15 +342,32 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
 # regular functionals
 
 
+def _slot_one_combination(
+    alg: Algebra, f: Functional, lambda0: complex, mu0: complex
+) -> tuple[np.ndarray, float]:
+    """The pencil combination acting on the first slot of the pairing,
+    ``lambda0 a^T + mu0 a``, with its pre-cancellation scale."""
+    g = gram(alg, f)
+    m = lambda0 * g.at + mu0 * g.a
+    scale = (abs(lambda0) + abs(mu0)) * max(float(np.linalg.norm(g.a, "fro")), 1e-300)
+    return m, scale
+
+
 def _slot_one_kernel(
     alg: Algebra, f: Functional, lambda0: complex, mu0: complex, tol: float
 ) -> Subspace:
     """Kernel of the pencil combination acting on the first slot of the
     pairing: {x : lambda0 F(x z) + mu0 F(z x) = 0 for all z}."""
-    g = gram(alg, f)
-    m = lambda0 * g.at + mu0 * g.a
-    scale = (abs(lambda0) + abs(mu0)) * max(float(np.linalg.norm(g.a, "fro")), 1e-300)
+    m, scale = _slot_one_combination(alg, f, lambda0, mu0)
     return nullspace(m, tol, scale=scale)
+
+
+def _slot_one_kernel_dim(
+    alg: Algebra, f: Functional, lambda0: complex, mu0: complex, tol: float
+) -> int:
+    """Dimension of :func:`_slot_one_kernel`, from singular values alone."""
+    m, scale = _slot_one_combination(alg, f, lambda0, mu0)
+    return alg.dim - rank(m, tol, scale=scale)
 
 
 def minimize_stab_dim(
@@ -328,7 +393,7 @@ def minimize_stab_dim(
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     best_f = f_start
-    best_dim = _slot_one_kernel(alg, f_start, lambda0, mu0, tol).dim
+    best_dim = _slot_one_kernel_dim(alg, f_start, lambda0, mu0, tol)
     for _ in range(samples):
         coords = f_start.coords.copy()
         for g in s_basis:
@@ -336,7 +401,7 @@ def minimize_stab_dim(
             phase = rng.uniform(0.0, 2.0 * np.pi)
             coords = coords + radius * np.exp(1j * phase) * g.coords
         candidate = Functional(coords)
-        d = _slot_one_kernel(alg, candidate, lambda0, mu0, tol).dim
+        d = _slot_one_kernel_dim(alg, candidate, lambda0, mu0, tol)
         if d < best_dim:
             best_dim = d
             best_f = candidate
@@ -486,8 +551,9 @@ def run_suites(
     """Run the selected suites over random functionals; deterministic per
     seed.  Per-functional suites loop over the drawn functionals and read one
     decomposition of each (plus one of the opposite algebra for ``v-mult``),
-    made with ``seed``; the regular-functional suites run once at the
-    sampled minimizer."""
+    made with ``seed``; ``kernel-relations`` and ``nil-ideal`` read the
+    kernels its reduced pencil keeps.  The regular-functional suites run once
+    at the sampled minimizer."""
     from .functional import is_multiplicative, nil_ideal_check
 
     unknown = [s for s in suites if s not in SUITE_NAMES]
@@ -500,8 +566,11 @@ def run_suites(
     for index, f in enumerate(fs):
         if analysed:
             dec = decompose(alg, f, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
+            ker = dec.pencil.kernels
+        elif {"kernel-relations", "nil-ideal"}.intersection(suites):
+            ker = kernels(alg, f, rank_tol)
         if "kernel-relations" in suites:
-            findings.append(verify_kernel_relations(alg, f, rank_tol=rank_tol))
+            findings.append(verify_kernel_relations(alg, ker))
         if "alpha0" in suites:
             findings.append(verify_alpha0_suite(dec, seed=seed + index))
         if "v-mult" in suites:
@@ -512,7 +581,7 @@ def run_suites(
         if "transversality" in suites:
             findings.append(verify_stab_transversality(dec))
         if "nil-ideal" in suites:
-            rep = nil_ideal_check(alg, f, rank_tol)
+            rep = nil_ideal_check(alg, ker, rank_tol)
             ok = (not rep.premise_holds) or bool(rep.is_ideal)
             res = 0.0 if not rep.premise_holds else rep.max_residual
             findings.append(

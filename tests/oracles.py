@@ -205,3 +205,38 @@ def stab_transversality_pairwise(dec, tol=1e-9):
             worst = max(worst, inter.dim - dec.nil.dim)
             pairs += 1
     return worst == 0, worst, pairs
+
+
+def product_inclusions_pairwise(alg, dec):
+    """The product inclusions V^k(a) V^m(b) <= V^{k+m}(a b) checked block by
+    block: one product tensor and one residual per (a, b, k, m), visited in
+    that order over the finite points of ``dec``.  Returns (worst residual,
+    first (a, b, k, m) reaching it or None, number of products)."""
+    from algscope.linalg import ProjectivePoint
+
+    worst = 0.0
+    witness = None
+    samples = 0
+    finite_points = [p for p in dec.points if not p.alpha.is_infinite]
+    for p in finite_points:
+        for q in finite_points:
+            target_point = dec.point_at(ProjectivePoint.finite(p.alpha.value * q.alpha.value))
+            filt_p = dec.filtrations[p.alpha]
+            filt_q = dec.filtrations[q.alpha]
+            for k in range(len(filt_p)):
+                for m in range(len(filt_q)):
+                    if target_point is None:
+                        target = dec.nil
+                    else:
+                        levels = dec.filtrations[target_point.alpha]
+                        target = levels[min(k + m, len(levels) - 1)]
+                    prods = np.einsum(
+                        "ia,jb,ijk->abk", filt_p[k].frame, filt_q[m].frame, alg.structure
+                    )
+                    res = target.residual(prods.reshape(-1, alg.dim).T)
+                    samples += res.size
+                    local = float(res.max()) if res.size else 0.0
+                    if local > worst:
+                        worst = local
+                        witness = (p.alpha, q.alpha, k, m)
+    return worst, witness, samples

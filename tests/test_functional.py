@@ -121,6 +121,18 @@ class TestReducedPencil:
             assert np.max(np.abs(rp.nil.frame.T @ g.a)) < 1e-9
         np.testing.assert_allclose(rp.a_tilde, rp.quotient_frame.T @ g.a @ rp.quotient_frame)
 
+    def test_keeps_the_kernels_it_reduced_by(self):
+        alg = upper_triangular(3)
+        coords = random_functional(alg.dim, np.random.default_rng(11)).coords.copy()
+        coords[0] = 0.0
+        f = Functional(coords)
+        rp = reduce_pencil(alg, f, TOL)
+        ker = kernels(alg, f, TOL)
+        assert rp.nil is rp.kernels.nil
+        for got, expected in zip(rp.kernels, ker):
+            assert np.array_equal(got.frame, expected.frame)
+        assert rp.pencil_scale() == float(np.linalg.norm(rp.a_tilde, "fro"))
+
     def test_spectra_do_not_depend_on_the_quotient_frame(self):
         alg = upper_triangular(3)
         f = random_functional(alg.dim, np.random.default_rng(8))
@@ -166,13 +178,16 @@ class TestMultiplicative:
 
 class TestNilIdeal:
     def test_dual_numbers_nil_is_an_ideal(self):
-        rep = nil_ideal_check(dual_numbers(), Functional(np.array([1.0, 0.0])), TOL)
+        alg = dual_numbers()
+        rep = nil_ideal_check(alg, kernels(alg, Functional(np.array([1.0, 0.0]))), TOL)
         assert rep.premise_holds and rep.is_ideal and rep.max_residual < 1e-12
 
     def test_zero_functional_trivially_ideal(self):
-        rep = nil_ideal_check(mat_algebra(2), Functional(np.zeros(4)), TOL)
+        alg = mat_algebra(2)
+        rep = nil_ideal_check(alg, kernels(alg, Functional(np.zeros(4))), TOL)
         assert rep.premise_holds and rep.is_ideal
 
     def test_trivial_nil_is_vacuously_ideal(self):
-        rep = nil_ideal_check(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])), TOL)
+        alg = mat_algebra(2)
+        rep = nil_ideal_check(alg, kernels(alg, matrix_trace_functional(np.diag([1.0, 2.0]))), TOL)
         assert rep.premise_holds and rep.is_ideal and rep.max_residual == 0.0

@@ -6,6 +6,7 @@ import pytest
 from algscope import (
     Functional,
     INFINITY,
+    Kernels,
     NoRegularValue,
     ProjectivePoint,
     ReducedPencil,
@@ -112,7 +113,8 @@ class TestChooseAlpha0:
         # a~ is a nilpotent shift: a~ and a~^T share no kernel, yet every
         # a~ - alpha0 a~^T is singular, so the pencil determinant is zero
         a = np.diag([1.0, 1.0], 1).astype(complex)
-        rp = ReducedPencil(Subspace.zero(3), np.eye(3), a, a.T.copy(), 3)
+        zero = Subspace.zero(3)
+        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(3), a, a.T.copy(), 3)
         with pytest.raises(NoRegularValue) as info:
             choose_alpha0(rp, seed=3)
         message = str(info.value)

@@ -11,6 +11,7 @@ from algscope import (
     direct_sum,
     dual_numbers,
     group_algebra,
+    kernels,
     klein_table,
     mat_algebra,
     matrix_trace_functional,
@@ -29,17 +30,25 @@ from algscope import (
     verify_stab_transversality,
     verify_v_mult,
 )
+from algscope.linalg import Subspace
 from algscope.verify import (
     COROLLARY_2,
     COROLLARY_3,
     DEFAULT_SUITES,
     DIM_SYMMETRY_STAB,
     DIM_SYMMETRY_V,
+    SUITE_NAMES,
     V_MULT_FINITE,
     V_MULT_NONZERO,
+    _product_inclusions,
+    _target_indices,
 )
 
-from oracles import stab_transversality_pairwise
+from oracles import (
+    prescribed_pencil_algebra,
+    product_inclusions_pairwise,
+    stab_transversality_pairwise,
+)
 
 
 def full_dual(dim):
@@ -52,18 +61,20 @@ def diag125():
 
 class TestKernelRelations:
     def test_zero_functional_passes_trivially(self):
-        finding = verify_kernel_relations(mat_algebra(2), Functional(np.zeros(4)))
+        alg = mat_algebra(2)
+        finding = verify_kernel_relations(alg, kernels(alg, Functional(np.zeros(4))))
         assert finding.passed
 
     def test_dual_numbers_exact(self):
-        finding = verify_kernel_relations(dual_numbers(), Functional(np.array([1.0, 0.0])))
+        alg = dual_numbers()
+        finding = verify_kernel_relations(alg, kernels(alg, Functional(np.array([1.0, 0.0]))))
         assert finding.passed and finding.max_residual < 1e-14
 
     def test_random_triangular_sweep(self):
         alg = upper_triangular(3)
         rng = np.random.default_rng(42)
         for _ in range(20):
-            finding = verify_kernel_relations(alg, random_functional(alg.dim, rng))
+            finding = verify_kernel_relations(alg, kernels(alg, random_functional(alg.dim, rng)))
             assert finding.passed, finding
 
     def test_failure_carries_a_witness(self):
@@ -75,7 +86,7 @@ class TestKernelRelations:
         c = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
         alg = Algebra(3, c, np.array([1.0, 0.0, 0.0]))
         f = Functional(np.array([0.0, 1.0, 0.0]))
-        finding = verify_kernel_relations(alg, f)
+        finding = verify_kernel_relations(alg, kernels(alg, f))
         if not finding.passed:
             assert finding.witness is not None
 
@@ -125,8 +136,6 @@ class TestVMult:
 
     def test_defective_point_products_climb_levels(self):
         # the planted Jordan block at -1 exercises k + m > 0 targets
-        from oracles import prescribed_pencil_algebra
-
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
         findings = verify_v_mult(alg, decompose(alg, f), decompose(opposite(alg), f))
         assert all(x.passed for x in findings)
@@ -237,6 +246,166 @@ class TestRegularFunctionals:
         alg = mat_algebra(2)
         finding = verify_corollaries(alg, Functional(alg.unit.copy()), ProjectivePoint.finite(1.0))
         assert not finding.passed
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(53)
+    algs = [
+        ("Mat_3", mat_algebra(3)),
+        ("Mat_4", mat_algebra(4)),
+        ("tri_5", upper_triangular(5)),
+        ("Mat_2+S3", direct_sum(mat_algebra(2), group_algebra(symmetric3_table()))),
+    ]
+    cases = [(name, alg, random_functional(alg.dim, rng)) for name, alg in algs for _ in range(3)]
+    # rank-deficient weights: nil is nonzero and the spectrum holds 0 and infinity
+    weights = matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
+    cases.append(("Mat_3 weights 1, 2, 0", mat_algebra(3), weights))
+    return cases
+
+
+class TestProductInclusionsOracle:
+    """The one-tensor product inclusions against the block-by-block loop."""
+
+    @staticmethod
+    def assert_agree(alg, dec):
+        worst, witness, samples = _product_inclusions(alg, dec, 1e-7)
+        worst_ref, witness_ref, samples_ref = product_inclusions_pairwise(alg, dec)
+        assert abs(worst - worst_ref) <= 1e-12
+        assert samples == samples_ref
+        if worst_ref > 1e-10:
+            assert witness == witness_ref
+        return worst, witness
+
+    @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
+    def test_matches_the_pairwise_loop(self, case):
+        _, alg, f = case
+        for a in (alg, opposite(alg)):
+            self.assert_agree(a, decompose(a, f))
+
+    def test_cases_cover_nil_zero_and_infinity(self):
+        decs = [decompose(alg, f) for _, alg, f in _oracle_cases()]
+        assert any(dec.nil.dim for dec in decs)
+        assert any(
+            any(p.alpha.is_infinite for p in dec.points)
+            and any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
+            for dec in decs
+        )
+
+    @pytest.mark.parametrize("cluster_tol", [None, 0.6])
+    def test_target_points_match_point_at(self, cluster_tol):
+        dec = decompose(mat_algebra(3), diag125())
+        if cluster_tol is not None:
+            # wide clusters make several points match; the first one wins
+            dec = dataclasses.replace(dec, cluster_tol=cluster_tol)
+        values = np.array([p.alpha.value for p in dec.points])
+        grid = np.concatenate([np.outer(values, values).ravel(), [4.0, 1.0 + 1e-9, 0.0, 30.0]])
+        for value, index in zip(grid, _target_indices(dec, grid)):
+            point = dec.point_at(ProjectivePoint.finite(value))
+            assert index == -1 if point is None else dec.points[index] is point
+
+    def test_defective_point_matches(self):
+        alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
+        dec = decompose(alg, f)
+        assert any(len(levels) > 1 for levels in dec.filtrations.values())
+        self.assert_agree(alg, dec)
+
+    def test_empty_levels_give_no_samples(self):
+        alg = mat_algebra(2)
+        dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
+        empty = {alpha: (Subspace.zero(alg.dim),) for alpha in dec.filtrations}
+        doctored = dataclasses.replace(dec, filtrations=empty)
+        assert self.assert_agree(alg, doctored) == (0.0, None)
+
+    @pytest.mark.parametrize(
+        "alg, f",
+        [
+            (mat_algebra(3), diag125()),
+            (mat_algebra(3), matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))),
+            # a Jordan block at -1 beside a second direction at 1: residual
+            # 1.0 is reached in several blocks, so the witness order decides
+            prescribed_pencil_algebra(np.array([[1, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=complex)),
+        ],
+    )
+    def test_swapped_level_fails_with_the_same_witness(self, alg, f):
+        dec = decompose(alg, f)
+        # V(1) holds the unit, whose square then misses its new target
+        first = dec.point_at(ProjectivePoint.finite(1.0)).alpha
+        second = next(p.alpha for p in dec.points if p.alpha != first)
+        filtrations = {
+            **dec.filtrations,
+            first: dec.filtrations[second],
+            second: dec.filtrations[first],
+        }
+        doctored = dataclasses.replace(dec, filtrations=filtrations)
+        worst, witness = self.assert_agree(alg, doctored)
+        assert worst > 0.1 and witness is not None
+        finding = verify_v_mult(alg, doctored, decompose(opposite(alg), f))[0]
+        assert finding.theorem_id == V_MULT_FINITE and not finding.passed
+
+
+class TestLinearAlgebraCounts:
+    """Stab(alpha) is computed once per point, a level's vectors only when the
+    chain grows, and v-mult forms one product tensor per decomposition."""
+
+    @staticmethod
+    def count_nullspace(monkeypatch):
+        import algscope.spectral as spectral
+
+        calls = []
+        original = spectral.nullspace
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "nullspace", counted)
+        return calls
+
+    @pytest.mark.parametrize("defective", [False, True])
+    def test_nullspace_per_point_and_growth_step(self, monkeypatch, defective):
+        if defective:
+            alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
+        else:
+            alg, f = mat_algebra(3), random_functional(9, np.random.default_rng(59))
+        calls = self.count_nullspace(monkeypatch)
+        dec = decompose(alg, f)
+        growth = sum(len(levels) - 1 for levels in dec.filtrations.values())
+        assert growth == (1 if defective else 0)
+        assert len(calls) == len(dec.points) + growth
+        calls.clear()
+        finding = verify_alpha0_suite(dec)
+        assert finding.passed
+        # no Stab(alpha) nullspace: only the growth steps, once per shift
+        assert len(calls) == 2 * growth
+
+    def test_pairwise_products_once_per_decomposition(self, monkeypatch):
+        import sys
+
+        import algscope.functional as functional
+        import algscope.verify as verify
+
+        callers = []
+        original = verify.pairwise_products
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "pairwise_products", counted)
+        monkeypatch.setattr(functional, "pairwise_products", counted)
+        n = 3
+        for alg in (mat_algebra(3), upper_triangular(5)):
+            callers.clear()
+            run_suites(alg, SUITE_NAMES, n_functionals=n, seed=4)
+            assert callers.count("_product_inclusions") == 2 * n
+            assert callers.count("verify_kernel_relations") <= 7 * n
+            assert callers.count("nil_ideal_check") <= 2 * n
+            assert callers.count("verify_corollaries") <= 2
+            known = ("_product_inclusions", "verify_kernel_relations")
+            known += ("nil_ideal_check", "verify_corollaries")
+            assert len(callers) == sum(callers.count(c) for c in known)
+        # on tri_5 the left and right kernels are nonzero, so their products count too
+        assert callers.count("verify_kernel_relations") > 0
 
 
 class TestTransversality:
