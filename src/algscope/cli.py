@@ -4,12 +4,17 @@ Exit codes: 0 on success with all checks passing, 1 on parse or usage
 errors, 2 when an invariant or a proved-theorem finding fails (the report is
 still emitted).  The seed falls back to the ALGSCOPE_SEED environment
 variable when --seed is not given.
+
+Each subcommand imports the pipeline modules it runs inside its own
+function, so ``builders`` loads none of them and ``analyze`` does not load
+``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,6 +34,7 @@ from .algebra import (
 from .errors import AlgscopeError, BadParams, NoRegularValue, ParseError, UnknownBuilder
 from .report import (
     ReportDocument,
+    algebra_to_doc,
     load_algebra,
     load_functional,
     render_text,
@@ -36,8 +42,7 @@ from .report import (
     report_from_findings,
     save_algebra,
 )
-from .spectral import decompose
-from .verify import DEFAULT_SUITES, OBSERVATIONS, SUITE_NAMES, negative_control_finding, run_suites
+from .suite_names import DEFAULT_SUITES, SUITE_NAMES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +59,26 @@ def _default_seed() -> int:
         raise BadParams(f"ALGSCOPE_SEED must be an integer, got {env!r}") from None
 
 
+def _positive_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {raw!r}")
+    return value
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algscope",
@@ -63,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="rank decision tolerance")
+    common.add_argument("--tol", type=_positive_float, default=1e-9, help="rank decision tolerance")
     common.add_argument(
-        "--cluster-tol", type=float, default=1e-6, help="spectral point clustering tolerance"
+        "--cluster-tol", type=_positive_float, default=1e-6, help="spectral point clustering tolerance"
     )
     common.add_argument("--seed", type=int, default=None, help="random seed (env ALGSCOPE_SEED)")
     common.add_argument("--out", default=None, help="write the report to this file")
@@ -85,7 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="run theorem suites over random functionals"
     )
     p_verify.add_argument("algebra", help="algebra file (JSON)")
-    p_verify.add_argument("--functionals", type=int, default=10, help="number of random functionals")
+    p_verify.add_argument(
+        "--functionals", type=_positive_int, default=10, help="number of random functionals"
+    )
     p_verify.add_argument(
         "--suite",
         default=",".join(DEFAULT_SUITES),
@@ -117,6 +144,8 @@ def _emit(report: ReportDocument, fmt: str, out: str | None):
 
 
 def _cmd_analyze(args) -> int:
+    from .spectral import decompose
+
     alg = load_algebra(args.algebra)
     f = load_functional(args.functional)
     if f.dim != alg.dim:
@@ -147,6 +176,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import OBSERVATIONS, negative_control_finding, run_suites
+
     alg = load_algebra(args.algebra)
     if not args.skip_validate:
         rep = validate(alg, max(args.tol, 1e-12))
@@ -154,6 +185,8 @@ def _cmd_verify(args) -> int:
             raise ParseError("algebra fails the axioms; see analyze --skip-validate")
     seed = args.seed if args.seed is not None else _default_seed()
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+    if not suites:
+        raise BadParams(f"--suite names no suite: {args.suite!r}")
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise BadParams(f"unknown suite names: {', '.join(unknown)}")
@@ -231,8 +264,6 @@ def _cmd_builders(args) -> int:
     if not check.passed:
         raise AlgscopeError("builder output failed validation; this is a bug")
     if args.out is None:
-        from .report import algebra_to_doc
-
         sys.stdout.write(json.dumps(algebra_to_doc(alg), indent=2) + "\n")
     else:
         save_algebra(alg, args.out)
@@ -241,9 +272,9 @@ def _cmd_builders(args) -> int:
 
 def _int_param(raw: str) -> int:
     try:
-        return int(raw)
-    except ValueError:
-        raise BadParams(f"expected an integer parameter, got {raw!r}") from None
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise BadParams(str(exc)) from None
 
 
 def main(argv=None) -> int:

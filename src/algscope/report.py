@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import Algebra
 from .errors import ParseError
-from .functional import Functional
-from .linalg import INFINITY, ProjectivePoint
-from .spectral import Decomposition
-from .verify import Finding
+
+if TYPE_CHECKING:  # the pipeline modules load only where a function needs them
+    from .functional import Functional
+    from .linalg import ProjectivePoint
+    from .spectral import Decomposition
+    from .verify import Finding
 
 __all__ = [
     "algebra_to_doc",
@@ -59,6 +62,8 @@ def _alpha_out(p: ProjectivePoint):
 
 
 def _alpha_in(value, where: str) -> ProjectivePoint:
+    from .linalg import INFINITY, ProjectivePoint
+
     if value == "inf":
         return INFINITY
     return ProjectivePoint.finite(_unpair(value, where))
@@ -128,6 +133,8 @@ def functional_to_doc(f: Functional) -> dict:
 
 
 def functional_from_doc(doc: dict) -> Functional:
+    from .functional import Functional
+
     if not isinstance(doc, dict) or "coords" not in doc:
         raise ParseError("functional document needs a 'coords' list", "coords")
     coords = doc["coords"]
@@ -256,6 +263,8 @@ class ReportDocument:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ReportDocument":
+        from .verify import Finding
+
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ParseError("report document needs a 'kind'", "kind")
         tolerances = doc.get("tolerances", {})
@@ -343,6 +352,8 @@ def report_from_decomposition(
 
 
 def _stringify_witness(f: Finding) -> Finding:
+    from .verify import Finding
+
     if f.witness is None or isinstance(f.witness, str):
         return f
     return Finding(f.theorem_id, f.passed, f.max_residual, repr(f.witness), f.samples, f.notes)

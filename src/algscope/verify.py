@@ -29,6 +29,7 @@ from .spectral import (
     stab,
     verify_alpha0_independence,
 )
+from .suite_names import DEFAULT_SUITES, SUITE_NAMES
 
 __all__ = [
     "Finding",
@@ -522,22 +523,6 @@ def negative_control_finding(alg: Algebra, tol: float = 1e-6) -> Finding:
 
 # --------------------------------------------------------------------------
 # suite driver
-
-
-SUITE_NAMES = (
-    "kernel-relations",
-    "alpha0",
-    "v-mult",
-    "dim-symmetry",
-    "transversality",
-    "nil-ideal",
-    "multiplicative",
-    "corollary2",
-    "corollary3",
-    "perturbation",
-)
-
-DEFAULT_SUITES = ("kernel-relations", "alpha0", "v-mult", "dim-symmetry", "transversality")
 
 
 def run_suites(

@@ -151,6 +151,11 @@ class TestCli:
         assert main(["builders", "warp", "9"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["matrix", "0"], ["triangular", "0"], ["matrix", "-2"]])
+    def test_builders_size_below_one_is_usage_error(self, workdir, capsys, args):
+        assert main(["builders", *args]) == 1
+        assert f"expected an integer >= 1, got {args[1]!r}" in capsys.readouterr().err
+
     def test_analyze_success_and_exit_code(self, workdir, capsys):
         write_inputs(workdir)
         assert main(["analyze", "mat3.alg", "d125.fn"]) == 0
@@ -249,20 +254,58 @@ class TestCli:
         assert main(["builders", "dual", "--out", "d.alg"]) == 0
         assert main(["verify", "d.alg", "--suite", "bogus"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--functionals", "0"], ["--functionals", "-2"], ["--suite", ",,"]]
+    )
+    def test_verify_that_would_check_nothing_is_usage_error(self, workdir, capsys, flags):
+        assert main(["builders", "dual", "--out", "d.alg"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "d.alg", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and flags[0] in captured.err
+
+    def test_verify_help_lists_every_suite_and_the_default_set(self, capsys):
+        from algscope.cli import _build_parser
+        from algscope.suite_names import DEFAULT_SUITES, SUITE_NAMES
+
+        assert main(["verify", "--help"]) == 0
+        help_text = "".join(capsys.readouterr().out.split())  # help wraps at hyphens
+        assert all(name in help_text for name in SUITE_NAMES)
+        args = _build_parser().parse_args(["verify", "a.alg"])
+        assert tuple(args.suite.split(",")) == DEFAULT_SUITES
+
     def test_verify_rejects_the_removed_corollary1_suite(self, workdir, capsys):
         assert main(["builders", "dual", "--out", "d.alg"]) == 0
         assert main(["verify", "d.alg", "--suite", "corollary1"]) == 1
 
     def test_verify_exit_code_ignores_failed_observations(self, workdir, capsys, monkeypatch):
-        import algscope.cli as cli
+        import algscope.verify as verify
         from algscope.verify import KERNEL_RELATIONS, OBSERVATIONS, STAB_TRANSVERSALITY, Finding
 
         assert OBSERVATIONS == {STAB_TRANSVERSALITY}
         assert main(["builders", "dual", "--out", "d.alg"]) == 0
         for theorem_id, code in ((STAB_TRANSVERSALITY, 0), (KERNEL_RELATIONS, 2)):
             failed = [Finding(theorem_id, False, 1.0)]
-            monkeypatch.setattr(cli, "run_suites", lambda *args, failed=failed, **kwargs: failed)
+            monkeypatch.setattr(verify, "run_suites", lambda *args, failed=failed, **kwargs: failed)
             assert main(["verify", "d.alg"]) == code
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--cluster-tol", "0")],
+    )
+    def test_tolerance_flag_not_finite_and_positive_is_usage_error(
+        self, workdir, capsys, command, flag, value
+    ):
+        # on Mat_4, --cluster-tol 0 used to fail the invariants (exit 2), --tol 0
+        # raised a traceback, and --tol nan blamed the algebra's axioms
+        save_algebra(mat_algebra(4), "mat4.alg")
+        save_functional(matrix_trace_functional(np.diag([1.0, 2.0, 3.0, 5.0])), "f.fn")
+        inputs = ["mat4.alg", "f.fn"] if command == "analyze" else ["mat4.alg", "--functionals", "1"]
+        assert main([command, *inputs, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected a finite number > 0, got {value!r}" in captured.err
 
     def test_text_format(self, workdir, capsys):
         write_inputs(workdir)
