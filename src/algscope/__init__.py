@@ -90,6 +90,7 @@ _EXPORTS = {
             "choose_alpha0",
             "decompose",
             "jordan_filtration",
+            "opposite_decomposition",
             "spectrum",
             "stab",
             "verify_alpha0_independence",

@@ -54,9 +54,9 @@ def _default_seed() -> int:
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError:
-        raise BadParams(f"ALGSCOPE_SEED must be an integer, got {env!r}") from None
+        return _nonnegative_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise BadParams(f"ALGSCOPE_SEED: {exc}") from None
 
 
 def _positive_float(raw: str) -> float:
@@ -69,14 +69,23 @@ def _positive_float(raw: str) -> float:
     return value
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer >= ``minimum``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cluster-tol", type=_positive_float, default=1e-6, help="spectral point clustering tolerance"
     )
-    common.add_argument("--seed", type=int, default=None, help="random seed (env ALGSCOPE_SEED)")
+    common.add_argument(
+        "--seed", type=_nonnegative_int, default=None, help="random seed (env ALGSCOPE_SEED)"
+    )
     common.add_argument("--out", default=None, help="write the report to this file")
     common.add_argument("--format", choices=("json", "text"), default="json")
 

@@ -240,3 +240,29 @@ def product_inclusions_pairwise(alg, dec):
                         worst = local
                         witness = (p.alpha, q.alpha, k, m)
     return worst, witness, samples
+
+
+def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed=0, tol=1e-9):
+    """The kernel-dimension minimizer with its perturbations drawn one
+    direction at a time: per sample, a radius then a phase for each member
+    of ``s_basis`` in order, added to the start one scaled vector at a
+    time.  Returns (first sample reaching the minimal dimension, that
+    dimension)."""
+    from algscope import Functional
+    from algscope.verify import _slot_one_kernel_dim
+
+    rng = np.random.default_rng(seed)
+    best_f = f_start
+    best_dim = _slot_one_kernel_dim(alg, f_start, lambda0, mu0, tol)
+    for _ in range(samples):
+        coords = f_start.coords.copy()
+        for g in s_basis:
+            radius = rng.uniform(0.0, 0.1)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            coords = coords + radius * np.exp(1j * phase) * g.coords
+        candidate = Functional(coords)
+        d = _slot_one_kernel_dim(alg, candidate, lambda0, mu0, tol)
+        if d < best_dim:
+            best_dim = d
+            best_f = candidate
+    return best_f, best_dim

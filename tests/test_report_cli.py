@@ -307,6 +307,22 @@ class TestCli:
         assert captured.out == ""
         assert f"argument {flag}: expected a finite number > 0, got {value!r}" in captured.err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_is_usage_error(self, workdir, capsys, monkeypatch, command, source):
+        # numpy's default_rng used to raise ValueError out of main
+        save_algebra(mat_algebra(2), "mat2.alg")
+        save_functional(matrix_trace_functional(np.diag([1.0, 2.0])), "f.fn")
+        inputs = ["mat2.alg", "f.fn"] if command == "analyze" else ["mat2.alg", "--functionals", "1"]
+        if source == "flag":
+            args, expected = ["--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"
+        else:
+            monkeypatch.setenv("ALGSCOPE_SEED", "-5")
+            args, expected = [], "ALGSCOPE_SEED: expected an integer >= 0, got '-5'"
+        assert main([command, *inputs, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and expected in captured.err
+
     def test_text_format(self, workdir, capsys):
         write_inputs(workdir)
         assert main(["analyze", "mat3.alg", "d125.fn", "--format", "text"]) == 0

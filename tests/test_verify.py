@@ -45,6 +45,7 @@ from algscope.verify import (
 )
 
 from oracles import (
+    minimize_stab_dim_loop,
     prescribed_pencil_algebra,
     product_inclusions_pairwise,
     stab_transversality_pairwise,
@@ -94,8 +95,7 @@ class TestKernelRelations:
 class TestVMult:
     def test_mat3_products_between_lines(self):
         alg = mat_algebra(3)
-        dec, dec_op = decompose(alg, diag125()), decompose(opposite(alg), diag125())
-        findings = verify_v_mult(alg, dec, dec_op)
+        findings = verify_v_mult(alg, decompose(alg, diag125()))
         assert [f.theorem_id for f in findings] == [V_MULT_FINITE, V_MULT_NONZERO]
         assert all(f.passed for f in findings)
 
@@ -131,13 +131,13 @@ class TestVMult:
     def test_commutative_algebra_all_at_one(self):
         alg = group_algebra(klein_table())
         f = random_functional(4, np.random.default_rng(3))
-        findings = verify_v_mult(alg, decompose(alg, f), decompose(opposite(alg), f))
+        findings = verify_v_mult(alg, decompose(alg, f))
         assert all(f.passed for f in findings)
 
     def test_defective_point_products_climb_levels(self):
         # the planted Jordan block at -1 exercises k + m > 0 targets
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
-        findings = verify_v_mult(alg, decompose(alg, f), decompose(opposite(alg), f))
+        findings = verify_v_mult(alg, decompose(alg, f))
         assert all(x.passed for x in findings)
         for x in verify_dim_symmetry(decompose(alg, f)):
             assert x.passed
@@ -193,6 +193,35 @@ class TestMinimize:
             _, dim = minimize_stab_dim(alg, 1.0, -1.0, full_dual(6), f0, samples=samples, seed=9)
             dims.append(dim)
         assert all(a >= b for a, b in zip(dims, dims[1:]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_draws_the_same_samples_as_the_loop(self, n, monkeypatch):
+        # the eps of one sample come from one uniform call, in the order the
+        # per-direction loop drew its radii and phases
+        import algscope.verify as verify
+
+        real_dim = verify._slot_one_kernel_dim
+        evaluated = []
+
+        def recording_dim(alg, f, *args):
+            evaluated.append(f.coords.tobytes())
+            return real_dim(alg, f, *args)
+
+        monkeypatch.setattr(verify, "_slot_one_kernel_dim", recording_dim)
+        alg = mat_algebra(n)
+        rng = np.random.default_rng(100 + n)
+        starts = [Functional(np.zeros(alg.dim, dtype=complex)), random_functional(alg.dim, rng)]
+        for lambda0, mu0 in ((1.0, -1.0), (1.0, 0.0)):
+            for seed, f0 in enumerate(starts):
+                args = (alg, lambda0, mu0, full_dual(alg.dim), f0)
+                evaluated.clear()
+                f_min, dim = minimize_stab_dim(*args, samples=32, seed=seed)
+                stream = list(evaluated)
+                evaluated.clear()
+                f_ref, dim_ref = minimize_stab_dim_loop(*args, samples=32, seed=seed)
+                assert len(stream) == 33 and stream == evaluated
+                assert dim == dim_ref
+                assert f_min.coords.tobytes() == f_ref.coords.tobytes()
 
 
 class TestRegularFunctionals:
@@ -339,7 +368,7 @@ class TestProductInclusionsOracle:
         doctored = dataclasses.replace(dec, filtrations=filtrations)
         worst, witness = self.assert_agree(alg, doctored)
         assert worst > 0.1 and witness is not None
-        finding = verify_v_mult(alg, doctored, decompose(opposite(alg), f))[0]
+        finding = verify_v_mult(alg, doctored)[0]
         assert finding.theorem_id == V_MULT_FINITE and not finding.passed
 
 
@@ -512,7 +541,7 @@ class TestRunSuites:
         suites = tuple(s for s in DEFAULT_SUITES if with_v_mult or s != "v-mult")
         n = 3
         run_suites(mat_algebra(3), suites, n, seed=7)
-        assert len(seeds) == (2 if with_v_mult else 1) * n
+        assert len(seeds) == n
         assert seeds == [7] * len(seeds)
         assert len(reductions) == len(seeds)
 
