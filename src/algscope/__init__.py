@@ -48,6 +48,7 @@ _EXPORTS = {
             "NonFinite",
             "ParseError",
             "ShapeError",
+            "SingularPencil",
             "SingularShift",
             "TheoremViolation",
             "UnknownBuilder",

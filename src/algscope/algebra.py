@@ -5,6 +5,12 @@ An algebra of dimension N is stored as the dense tensor ``c`` with
 unit element.  Builders construct the reference algebras used throughout the
 test corpus: full matrix algebras, upper-triangular matrices, dual numbers,
 group algebras, direct sums, and the opposite algebra.
+
+:func:`validate` checks the axioms exactly.  Its associativity check runs a
+sparse kernel over the nonzero structure constants when they are few (the
+reference algebras: Mat_n has n^3 of n^6) and a blocked dense kernel
+otherwise (for example after a change of basis); the nonzero counts choose,
+and both keep their memory within a fixed block budget.
 """
 
 from __future__ import annotations
@@ -96,8 +102,18 @@ class ValidationReport:
     witness: tuple[int, int, int] | None
 
 
-#: bytes allowed per N^4-sized block operand in :func:`validate`
+#: bytes allowed per N^4-sized block operand of the dense kernel of
+#: :func:`validate`, and for one block's keys and products in its sparse kernel
 _VALIDATE_BLOCK_BYTES = 16 * 2**20
+
+#: :func:`validate` runs the sparse kernel when the dense kernel's N^5
+#: multiply-adds outnumber the sparse kernel's T products by more than this
+#: factor.  Measured on one CPU (numpy 2.4, OpenBLAS on one thread): the dense
+#: kernel is 50-250x faster on fully dense tensors (N^5 / T = 0.5), the two
+#: break even between N^5 / T = 130 (T near 10^5) and 250 (T near 2 * 10^6),
+#: and the sparse kernel is 20-30x faster on Mat_7 and tri_8 (N^5 / T above
+#: 5 * 10^4).  Below N = 12 both take well under a millisecond.
+_SPARSE_MIN_RATIO = 256
 
 
 def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
@@ -106,34 +122,39 @@ def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
     The associativity residual compares the coordinates of ``(e_i e_j) e_k``
     and ``e_i (e_j e_k)`` for every basis triple; the witness is the first
     triple (in ``i, j, k`` order) with the worst residual when the check
-    fails.  Both sides are formed as matrix products over blocks of ``i``
-    sized to about 16 MiB per operand, in real arithmetic when the structure
-    constants are real.  Peak memory therefore stays below about 48 MiB up to
-    N = 100 instead of growing like N^4 (about 300 MiB at N = 49).
+    fails.  Two exact kernels compute it, in real arithmetic when the
+    structure constants are real.  They differ only in the order of
+    summation, so they give the same witness and residuals equal up to
+    rounding.
+
+    - The sparse kernel forms only the T nonzero products ``c[i, j, m]
+      c[m, k, l]`` and ``c[j, k, m] c[i, m, l]`` and sums them per
+      ``(i, j, k, l)``; a triple that no product touches has residual
+      exactly 0, as in the dense kernel.  It works through blocks of pairs
+      ``(i, j)`` whose keys and products take at most
+      ``_VALIDATE_BLOCK_BYTES`` (16 MiB), about 40 MiB at peak with the sort
+      whatever N is.  Only a single pair whose products (at most 2 N^3)
+      exceed the budget makes a larger block.
+    - The dense kernel forms both sides as matrix products over blocks of
+      ``i`` sized to about 16 MiB per operand, so its peak memory stays
+      below about 48 MiB up to N = 100 instead of growing like N^4 (about
+      300 MiB at N = 49).
+
+    The input chooses the kernel: sparse when ``T = sum_m nnz(c[:, :, m]) *
+    (nnz(c[m, :, :]) + nnz(c[:, m, :]))`` is below ``N^5 /
+    _SPARSE_MIN_RATIO``, dense otherwise.
     """
     c = alg.structure
     if not c.imag.any():
         c = np.ascontiguousarray(c.real)
     n = alg.dim
-    block = max(1, _VALIDATE_BLOCK_BYTES // max(1, c.itemsize * n**3))
-    rows = c.reshape(n * n, n)
-    cols = c.reshape(n, n * n)
+    nonzeros = np.nonzero(c)
+    blocks = _assoc_sparse(c, nonzeros) if _sparse_pays(n, *nonzeros) else _assoc_dense(c)
     max_assoc = 0.0
     witness_at = (0, 0, 0)
-    for start in range(0, n, block):
-        blk = c[start : start + block]
-        b = blk.shape[0]
-        # left[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]
-        left = (blk.reshape(b * n, n) @ cols).reshape(b, n, n, n)
-        # right[i, j, k, l] = sum_m c[j, k, m] c[i, m, l]
-        right = (rows @ blk.transpose(1, 0, 2).reshape(n, b * n)).reshape(n, n, b, n)
-        left -= right.transpose(2, 0, 1, 3)
-        worst = np.abs(left).max(axis=3)
-        block_max = float(worst.max())
+    for start, block_max, at in blocks:
         if start == 0 or block_max > max_assoc:
-            max_assoc = block_max
-            i, j, k = np.unravel_index(int(np.argmax(worst)), worst.shape)
-            witness_at = (start + int(i), int(j), int(k))
+            max_assoc, witness_at = block_max, at
 
     u = alg.unit
     left_unit = np.einsum("j,jik->ik", u, c)
@@ -149,6 +170,106 @@ def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
     passed = max_assoc < axiom_tol and max_unit < axiom_tol
     witness = witness_at if max_assoc >= axiom_tol else None
     return ValidationReport(passed, max_assoc, max_unit, witness)
+
+
+def _sparse_pays(n: int, first: np.ndarray, second: np.ndarray, third: np.ndarray) -> bool:
+    """Whether the sparse kernel's product count T, from the coordinates of
+    the nonzero structure constants, is below N^5 / ``_SPARSE_MIN_RATIO``."""
+    per_third = np.bincount(third, minlength=n)
+    terms = int(per_third @ (np.bincount(first, minlength=n) + np.bincount(second, minlength=n)))
+    return _SPARSE_MIN_RATIO * terms < n**5
+
+
+def _assoc_dense(c: np.ndarray):
+    """Yield ``(start, worst residual, first worst triple)`` per block of
+    ``i``, both sides formed as dense matrix products."""
+    n = c.shape[0]
+    block = max(1, _VALIDATE_BLOCK_BYTES // max(1, c.itemsize * n**3))
+    rows = c.reshape(n * n, n)
+    cols = c.reshape(n, n * n)
+    for start in range(0, n, block):
+        blk = c[start : start + block]
+        b = blk.shape[0]
+        # left[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]
+        left = (blk.reshape(b * n, n) @ cols).reshape(b, n, n, n)
+        # right[i, j, k, l] = sum_m c[j, k, m] c[i, m, l]
+        right = (rows @ blk.transpose(1, 0, 2).reshape(n, b * n)).reshape(n, n, b, n)
+        left -= right.transpose(2, 0, 1, 3)
+        worst = np.abs(left).max(axis=3)
+        i, j, k = np.unravel_index(int(np.argmax(worst)), worst.shape)
+        yield start, float(worst.max()), (start + int(i), int(j), int(k))
+
+
+def _assoc_sparse(c: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """Yield ``(start, worst residual, first worst triple)`` per block of
+    pairs ``(i, j)``, flattened to ``i * N + j``, from the nonzero products
+    alone.
+
+    ``nonzeros`` are the coordinates of the nonzero ``c[i, j, m]`` in C
+    order.  On the left side each entry ``(i, j, m)`` meets every
+    ``(m, k, l)``; on the right side each entry ``(i, m, l)`` meets every
+    ``(j, k, m)`` whose ``(i, j)`` lies in the block.  The products are keyed
+    by the flat index of ``(i, j, k, l)``, sorted and summed per key.  A block
+    takes consecutive pairs up to ``_VALIDATE_BLOCK_BYTES`` of products, or a
+    single pair (at most 2 N^3 products) that exceeds it alone.
+    """
+    n = c.shape[0]
+    first, second, third = nonzeros
+    vals = c[nonzeros]
+    pair = first * n + second
+    count_first = np.bincount(first, minlength=n)
+    begin_first = np.cumsum(count_first) - count_first
+    # the right side's partners (j, k, m), sorted by m and then by j
+    by_third = np.argsort(third, kind="stable")
+    third_first = (third * n + first)[by_third]
+    # products per pair (i, j): each c[i, j, m] meets nnz(c[m, :, :]) entries
+    # on the left, each c[i, m, l] meets nnz(c[j, :, m]) on the right
+    left = np.bincount(pair, weights=count_first[third], minlength=n * n)
+    per_im = np.bincount(pair, minlength=n * n).reshape(n, n).astype(float)
+    per_jm = np.bincount(first * n + third, minlength=n * n).reshape(n, n).astype(float)
+    done = np.concatenate(([0.0], np.cumsum(left + (per_im @ per_jm.T).ravel())))
+    cap = _VALIDATE_BLOCK_BYTES // (8 + c.itemsize)
+    start = 0
+    while start < n * n:
+        stop = max(start + 1, int(np.searchsorted(done, done[start] + cap, side="right")) - 1)
+        # left side: c[i, j, m] c[m, k, l]
+        rows = np.arange(*np.searchsorted(pair, (start, stop)))
+        a, b = _meet(rows, begin_first[third[rows]], count_first[third[rows]])
+        keys = [(pair[a] * n + second[b]) * n + third[b]]
+        products = [vals[a] * vals[b]]
+        # right side: c[j, k, m] c[i, m, l], with j in the block's part of row i
+        rows = np.arange(*np.searchsorted(first, (start // n, (stop - 1) // n + 1)))
+        row_start = first[rows] * n
+        lo = np.searchsorted(third_first, second[rows] * n + np.clip(start - row_start, 0, n))
+        hi = np.searchsorted(third_first, second[rows] * n + np.clip(stop - row_start, 0, n))
+        a, b = _meet(rows, lo, hi - lo)
+        b = by_third[b]
+        keys.append(((first[a] * n + first[b]) * n + second[b]) * n + third[a])
+        products.append(-(vals[b] * vals[a]))
+        # drop the index arrays before the sort, so that a block peaks near
+        # twice its keys and products
+        del a, b
+        keys = np.concatenate(keys)
+        products = np.concatenate(products)
+        order = np.argsort(keys)
+        keys = keys[order]
+        products = products[order]
+        del order
+        heads = np.flatnonzero(np.diff(keys, prepend=-1))
+        residual = np.abs(np.add.reduceat(products, heads))
+        block_max = float(residual.max(initial=0.0))
+        # the first key with the worst residual, else the block's first triple
+        worst = int(keys[heads[int(np.argmax(residual))]]) // n if block_max > 0.0 else start * n
+        yield start, block_max, tuple(int(x) for x in np.unravel_index(worst, (n,) * 3))
+        start = stop
+
+
+def _meet(rows: np.ndarray, begins: np.ndarray, counts: np.ndarray):
+    """Pair each of ``rows`` with the ``counts`` positions from its ``begins``:
+    the repeated rows and the positions, as two aligned index arrays."""
+    owners = np.repeat(rows, counts)
+    offsets = np.arange(owners.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owners, np.repeat(begins, counts) + offsets
 
 
 def _coords(x) -> np.ndarray:

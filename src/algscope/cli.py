@@ -154,6 +154,17 @@ def _emit(report: ReportDocument, fmt: str, out: str | None):
             handle.write(text)
 
 
+def _require_axioms(alg, tol: float):
+    """Raise :class:`ParseError` with both residuals and the witness when
+    ``alg`` fails the axioms at ``tol``."""
+    rep = validate(alg, max(tol, 1e-12))
+    if not rep.passed:
+        raise ParseError(
+            f"algebra fails the axioms: associativity residual {rep.max_assoc_residual:.3e}, "
+            f"unit residual {rep.max_unit_residual:.3e}, witness {rep.witness}"
+        )
+
+
 def _cmd_analyze(args) -> int:
     from .spectral import decompose
 
@@ -162,12 +173,7 @@ def _cmd_analyze(args) -> int:
     if f.dim != alg.dim:
         raise ParseError(f"functional has {f.dim} coordinates for a dim-{alg.dim} algebra")
     if not args.skip_validate:
-        rep = validate(alg, max(args.tol, 1e-12))
-        if not rep.passed:
-            raise ParseError(
-                f"algebra fails the axioms: associativity residual {rep.max_assoc_residual:.3e}, "
-                f"unit residual {rep.max_unit_residual:.3e}, witness {rep.witness}"
-            )
+        _require_axioms(alg, args.tol)
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         dec = decompose(alg, f, seed=seed, tol=args.tol, cluster_tol=args.cluster_tol)
@@ -191,9 +197,7 @@ def _cmd_verify(args) -> int:
 
     alg = load_algebra(args.algebra)
     if not args.skip_validate:
-        rep = validate(alg, max(args.tol, 1e-12))
-        if not rep.passed:
-            raise ParseError("algebra fails the axioms; see analyze --skip-validate")
+        _require_axioms(alg, args.tol)
     seed = args.seed if args.seed is not None else _default_seed()
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     if not suites:

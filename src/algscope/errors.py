@@ -33,6 +33,14 @@ class NoRegularValue(AlgscopeError):
     when a shift equals the spectral point under study."""
 
 
+class SingularPencil(NoRegularValue):
+    """The reduced pencil is singular for every alpha: after every sampled
+    shift failed, ``a~^T - alpha a~`` was still rank-deficient at K + 1 more
+    distinct alpha, which a regular pencil of size K cannot be, so F is not
+    generic.  The message leads with that cause and ends with the best
+    regularity the shift search reached."""
+
+
 class TheoremViolation(AlgscopeError):
     """A proved identity failed its direct numerical verification.  This means
     a bug or a conditioning problem, never a property of the input."""

@@ -9,7 +9,8 @@ yields the reduced pencil (a~, a~^T).  For a generic F the pencil is regular:
 some combination a~ - alpha0 a~^T is invertible.  It need not be for a
 special F: on Mat_4 with F(X) = tr(N X), N the nilpotent shift, every
 combination is singular, and :func:`algscope.spectral.decompose` raises
-:class:`algscope.errors.NoRegularValue`.
+:class:`algscope.errors.SingularPencil`, a :class:`~algscope.errors.NoRegularValue`
+that names this cause.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra
-from .errors import NoRegularValue
+from .errors import NoRegularValue, SingularPencil
 from .functional import Functional, Kernels, ReducedPencil, reduce_pencil
 from .linalg import (
     HomogeneousPoly,
@@ -144,30 +144,49 @@ def _shift_regularity(rp: ReducedPencil, alpha0: complex) -> float:
     return float(s[-1]) / scale if s.size else 0.0
 
 
+def _draw_shift(rng: np.random.Generator) -> complex:
+    """A random modulus in [0.5, 2] with a random phase."""
+    modulus = rng.uniform(0.5, 2.0)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(modulus * np.cos(phase), modulus * np.sin(phase))
+
+
 def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> complex:
     """Draw a regular shift: random modulus in [0.5, 2], random phase,
     accepted when the shifted pencil is comfortably nonsingular.
 
     Deterministic for a fixed seed; tries up to 64 samples and raises
     :class:`NoRegularValue` if all fall below ``floor``, reporting the best
-    regularity reached.
+    regularity reached.  It raises the subclass :class:`SingularPencil` when
+    ``a~^T - alpha a~`` then has rank below K at K + 1 further distinct draws
+    of alpha: a regular pencil is singular at no more than K points, so this
+    one is singular for every alpha.
     """
     if rp.K < 1:
         raise NoRegularValue("empty pencil has no spectrum to shift into")
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(64):
-        modulus = rng.uniform(0.5, 2.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        alpha0 = complex(modulus * np.cos(phase), modulus * np.sin(phase))
+        alpha0 = _draw_shift(rng)
         regularity = _shift_regularity(rp, alpha0)
         if regularity >= floor:
             return alpha0
         best = max(best, regularity)
-    raise NoRegularValue(
+    failure = (
         f"no regular shift found in 64 samples: the best regularity of the shifted pencil "
         f"(sigma_min / scale) was {best:.3e}, below the floor {floor:.1e}"
     )
+    top = 0
+    for _ in range(rp.K + 1):
+        alpha = _draw_shift(rng)
+        scale = (1.0 + abs(alpha)) * rp.pencil_scale()
+        top = max(top, rank(rp.at_tilde - alpha * rp.a_tilde, DEFAULT_TOL, scale=scale))
+    if top < rp.K:
+        raise SingularPencil(
+            f"the pencil is singular for every alpha; F is not generic: a~^T - alpha a~ has "
+            f"rank at most {top} of {rp.K} at {rp.K + 1} distinct alpha; {failure}"
+        )
+    raise NoRegularValue(failure)
 
 
 def spectrum(

@@ -178,6 +178,36 @@ def perturbed(alg, entries, noise=0.0, seed=0):
     return Algebra(alg.dim, c, alg.unit)
 
 
+def cyclic_group_algebra(n):
+    """The group algebra of Z/n by index arithmetic, without the n^3 loop
+    that checks a Cayley table."""
+    c = np.zeros((n, n, n))
+    i, j = np.divmod(np.arange(n * n), n)
+    c[i, j, (i + j) % n] = 1.0
+    return Algebra(n, c, np.eye(n)[0])
+
+
+def in_unimodular_basis(alg, seed):
+    """``alg`` in the basis f_a = sum_i p[i, a] e_i for a random integer
+    matrix ``p`` of determinant 1: most structure constants become nonzero,
+    yet they stay integers, so the associativity residual stays exactly 0."""
+    rng = np.random.default_rng(seed)
+    n = alg.dim
+    lower = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=int)
+    upper = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=int)
+    p = lower @ upper
+    p_inv = np.rint(np.linalg.inv(p)).astype(int)
+    assert np.array_equal(p_inv @ p, np.eye(n, dtype=int))
+    c = np.einsum("ia,jb,ijk,ck->abc", p, p, alg.structure, p_inv)
+    return Algebra(n, c, p_inv @ alg.unit)
+
+
+DENSE_VALID = [
+    pytest.param(in_unimodular_basis(mat_algebra(2), 0), id="mat2-unimodular-basis"),
+    pytest.param(in_unimodular_basis(mat_algebra(3), 0), id="mat3-unimodular-basis"),
+    pytest.param(in_unimodular_basis(upper_triangular(3), 0), id="tri3-unimodular-basis"),
+]
+
 VALIDATE_CASES = [
     mat_algebra(3),
     upper_triangular(4),
@@ -187,38 +217,80 @@ VALIDATE_CASES = [
     perturbed(upper_triangular(3), {(1, 3, 4): -5e-4, (5, 5, 5): 1e-4}),
     perturbed(group_algebra(symmetric3_table()), {}, noise=1e-6, seed=3),
     perturbed(mat_algebra(3), {(2, 6, 0): 1e-2}, noise=1e-8, seed=4),
+    *DENSE_VALID,
 ]
 
+KERNELS = ("sparse", "dense")
 
-def assert_validate_matches_oracle(alg, tol):
+
+def force_kernel(monkeypatch, kernel):
+    monkeypatch.setattr(algebra_module, "_sparse_pays", lambda *coords: kernel == "sparse")
+
+
+def assert_validate_matches_oracle(alg, tol, kernel):
     report = validate(alg, tol)
     passed, residual, witness = validate_naive(alg, tol)
-    assert report.passed == (passed and report.max_unit_residual < tol)
-    assert report.max_assoc_residual == pytest.approx(residual, rel=1e-12, abs=1e-300)
-    assert report.witness == witness
+    assert report.passed == (passed and report.max_unit_residual < tol), kernel
+    assert report.max_assoc_residual == pytest.approx(residual, rel=1e-12, abs=1e-300), kernel
+    assert report.witness == witness, kernel
 
 
 @pytest.mark.parametrize("alg", VALIDATE_CASES, ids=lambda a: f"dim{a.dim}")
-def test_validate_matches_naive_oracle(alg):
-    assert_validate_matches_oracle(alg, 1e-9)
+def test_validate_matches_naive_oracle(alg, monkeypatch):
+    for kernel in KERNELS:
+        force_kernel(monkeypatch, kernel)
+        assert_validate_matches_oracle(alg, 1e-9, kernel)
 
 
 @pytest.mark.parametrize("alg", VALIDATE_CASES, ids=lambda a: f"dim{a.dim}")
 def test_validate_matches_naive_oracle_in_small_blocks(alg, monkeypatch):
-    # two values of i per block, so every case is checked across block edges
-    budget = 2 * alg.structure.itemsize * alg.dim**3
-    monkeypatch.setattr(algebra_module, "_VALIDATE_BLOCK_BYTES", budget)
-    assert_validate_matches_oracle(alg, 1e-9)
+    # two values of i per dense block, and a few pairs (i, j) per sparse
+    # block (8 to 12 products, or one pair with more), so every case is
+    # checked across block edges
+    budgets = {"dense": 2 * alg.structure.itemsize * alg.dim**3, "sparse": 8 * (8 + 16)}
+    for kernel in KERNELS:
+        force_kernel(monkeypatch, kernel)
+        monkeypatch.setattr(algebra_module, "_VALIDATE_BLOCK_BYTES", budgets[kernel])
+        assert_validate_matches_oracle(alg, 1e-9, kernel)
+
+
+@pytest.mark.parametrize(
+    "alg, kernel",
+    [
+        *[pytest.param(p.values[0], "dense", id=p.id) for p in DENSE_VALID],
+        # N^5 / T = 18: the dense kernel is faster at this size
+        pytest.param(group_algebra(symmetric3_table()), "dense", id="s3"),
+        pytest.param(mat_algebra(7), "sparse", id="mat7"),
+        pytest.param(upper_triangular(8), "sparse", id="tri8"),
+        pytest.param(cyclic_group_algebra(32), "sparse", id="z32"),
+    ],
+)
+def test_validate_kernel_follows_the_nonzero_counts(alg, kernel):
+    coords = np.nonzero(alg.structure)
+    assert algebra_module._sparse_pays(alg.dim, *coords) == (kernel == "sparse")
 
 
 def test_validate_witness_in_a_later_block(monkeypatch):
     # a small defect in the first summand, a larger one in the second
     alg = perturbed(direct_sum(mat_algebra(2), mat_algebra(2)), {(1, 2, 0): 1e-4, (5, 6, 4): 1e-3})
-    monkeypatch.setattr(algebra_module, "_VALIDATE_BLOCK_BYTES", 2 * 16 * alg.dim**3)
+    budgets = {"dense": 2 * 16 * alg.dim**3, "sparse": 8 * (8 + 16)}
     _, _, witness = validate_naive(alg, 1e-9)
     assert witness[0] >= 2  # the worst triple lies outside the first block
-    report = validate(alg, 1e-9)
-    assert not report.passed and report.witness == witness
+    for kernel in KERNELS:
+        force_kernel(monkeypatch, kernel)
+        monkeypatch.setattr(algebra_module, "_VALIDATE_BLOCK_BYTES", budgets[kernel])
+        report = validate(alg, 1e-9)
+        assert not report.passed and report.witness == witness, kernel
+
+
+def validate_peak(alg):
+    tracemalloc.start()
+    try:
+        report = validate(alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
 
 
 def test_validate_memory_is_bounded():
@@ -231,6 +303,24 @@ def test_validate_memory_is_bounded():
         tracemalloc.stop()
     assert report.passed
     assert peak < 64 * 2**20, f"validate peaked at {peak / 2**20:.1f} MiB on Mat_7"
+
+
+@pytest.mark.parametrize(
+    "build, kernel",
+    [
+        pytest.param(lambda: mat_algebra(7), "dense", id="mat7-dense"),
+        # N = 144: the top of the scale ladder
+        pytest.param(lambda: mat_algebra(12), "sparse", id="mat12"),
+        # 4.2 million products, about 146 MiB in one block
+        pytest.param(lambda: cyclic_group_algebra(128), "sparse", id="z128"),
+    ],
+)
+def test_validate_memory_is_bounded_on_each_kernel(build, kernel, monkeypatch):
+    alg = build()
+    force_kernel(monkeypatch, kernel)
+    report, peak = validate_peak(alg)
+    assert report.passed
+    assert peak < 64 * 2**20, f"validate peaked at {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("cols", [(0, 3), (2, 0), (3, 5)])

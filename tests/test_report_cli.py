@@ -192,6 +192,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["analyze", "bad.alg", "f.fn", "--skip-validate"]) in (0, 2)
 
+    @pytest.mark.parametrize("command", [["verify"], ["analyze", "f.fn"]])
+    def test_axiom_failure_states_residuals_and_witness(self, workdir, capsys, command):
+        from algscope import validate
+
+        base = mat_algebra(2)
+        c = base.structure.copy()
+        c[0, 1, 3] += 1e-3  # breaks the (E11 E12) E22 chain
+        bad = Algebra(4, c, base.unit)
+        save_algebra(bad, "bad.alg")
+        save_functional(Functional(np.array([1.0, 0.5, 2.0, 0.25])), "f.fn")
+        rep = validate(bad, 1e-9)
+        assert main([command[0], "bad.alg", *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert f"associativity residual {rep.max_assoc_residual:.3e}" in err
+        assert f"unit residual {rep.max_unit_residual:.3e}" in err
+        assert f"witness {rep.witness}" in err
+
     def test_analyze_singular_pencil_exits_two_with_report(self, workdir, capsys):
         from algscope import upper_triangular
 
@@ -201,6 +218,7 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert failed and failed[0]["name"] == "regular_shift_exists"
+        assert failed[0]["detail"].startswith("the pencil is singular for every alpha")
 
     def test_analyze_zero_functional(self, workdir, capsys):
         assert main(["builders", "dual", "--out", "dual.alg"]) == 0

@@ -25,6 +25,7 @@ from algscope import (
     projector_distance,
     random_functional,
     reduce_pencil,
+    SingularPencil,
     spectrum,
     stab,
     subspace_equal,
@@ -292,6 +293,39 @@ class TestDegeneratePencils:
         # f11 + f22 = 0 with f12 != 0 kills every pencil combination
         with pytest.raises(NoRegularValue):
             decompose(upper_triangular(2), Functional(np.array([1.0, 1.0, -1.0])))
+
+    @pytest.mark.parametrize(
+        "alg, f, top, k",
+        [
+            # F(X) = tr(N X) with N the nilpotent shift
+            pytest.param(
+                mat_algebra(3), matrix_trace_functional(np.diag(np.ones(2), 1)), 6, 8, id="mat3"
+            ),
+            pytest.param(
+                mat_algebra(4), matrix_trace_functional(np.diag(np.ones(3), 1)), 12, 15, id="mat4"
+            ),
+            pytest.param(upper_triangular(2), Functional(np.array([0.0, 1.0, 0.0])), 2, 3, id="tri2"),
+        ],
+    )
+    def test_singular_pencil_names_the_cause(self, alg, f, top, k):
+        with pytest.raises(SingularPencil) as info:
+            decompose(alg, f)
+        message = str(info.value)
+        assert message.startswith("the pencil is singular for every alpha; F is not generic")
+        assert f"rank at most {top} of {k} at {k + 1} distinct alpha" in message
+        assert re.search(r"best regularity .* was \S+, below the floor 1\.0e-08$", message)
+
+    def test_nearly_singular_regular_pencil_is_not_called_singular(self):
+        # a~ = diag(1, 9e-9): every shift misses the 1e-8 regularity floor,
+        # yet a~^T - alpha a~ keeps full rank at the rank cutoff 1e-9 unless
+        # alpha lies near 1
+        a = np.diag([1.0, 9e-9]).astype(complex)
+        zero = Subspace.zero(2)
+        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(2), a, a.T.copy(), 2)
+        with pytest.raises(NoRegularValue) as info:
+            choose_alpha0(rp, seed=0)
+        assert not isinstance(info.value, SingularPencil)
+        assert str(info.value).startswith("no regular shift found in 64 samples")
 
     def test_defective_point_climbs_two_levels(self):
         # planted core [[1, 1], [-1, 0]]: chi = -(lam+mu)^2 (lam-mu)^2, the
