@@ -2,7 +2,7 @@
 
 Every finding here must pass: the seven kernel product relations, the
 shift-independence of the filtration, the product inclusions between
-filtration levels (directly and through the opposite algebra), and the exact
+filtration levels (over pairs of finite and of nonzero points), and the exact
 dimension symmetry of the spectrum under alpha -> 1/alpha.
 """
 
@@ -27,8 +27,8 @@ for name, alg in corpus:
     worst = {}
     for _ in range(per_algebra):
         f = ag.random_functional(alg.dim, rng)
-        # one decomposition per functional feeds every suite; v-mult mirrors
-        # it into the opposite algebra's (ag.opposite_decomposition)
+        # one decomposition per functional feeds every suite; v-mult checks
+        # both of its variants on one product tensor of it
         dec = ag.decompose(alg, f)
         findings = [ag.verify_kernel_relations(alg, dec.pencil.kernels)]
         findings += ag.verify_v_mult(alg, dec)

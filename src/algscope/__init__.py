@@ -91,7 +91,6 @@ _EXPORTS = {
             "choose_alpha0",
             "decompose",
             "jordan_filtration",
-            "opposite_decomposition",
             "spectrum",
             "stab",
             "verify_alpha0_independence",

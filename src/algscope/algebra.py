@@ -142,11 +142,16 @@ def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
 
     The input chooses the kernel: sparse when ``T = sum_m nnz(c[:, :, m]) *
     (nnz(c[m, :, :]) + nnz(c[:, m, :]))`` is below ``N^5 /
-    _SPARSE_MIN_RATIO``, dense otherwise.
+    _SPARSE_MIN_RATIO``, dense otherwise.  The unit check also runs in real
+    arithmetic when both the structure constants and the unit are real.
     """
     c = alg.structure
+    u = alg.unit
     if not c.imag.any():
         c = np.ascontiguousarray(c.real)
+        if not u.imag.any():
+            # a complex unit would promote the real tensor in the unit check
+            u = u.real
     n = alg.dim
     nonzeros = np.nonzero(c)
     blocks = _assoc_sparse(c, nonzeros) if _sparse_pays(n, *nonzeros) else _assoc_dense(c)
@@ -156,7 +161,6 @@ def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
         if start == 0 or block_max > max_assoc:
             max_assoc, witness_at = block_max, at
 
-    u = alg.unit
     left_unit = np.einsum("j,jik->ik", u, c)
     right_unit = np.einsum("j,ijk->ik", u, c)
     eye = np.eye(n)

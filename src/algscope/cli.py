@@ -1,9 +1,11 @@
 """Command-line surface: analyze, verify, builders.
 
 Exit codes: 0 on success with all checks passing, 1 on parse or usage
-errors, 2 when an invariant or a proved-theorem finding fails (the report is
-still emitted).  The seed falls back to the ALGSCOPE_SEED environment
-variable when --seed is not given.
+errors and when ``analyze`` is given a functional whose reduced pencil is
+singular for every alpha (F is not generic; no report), 2 when an invariant
+or a proved-theorem finding fails (the report is still emitted).  The seed
+falls back to the ALGSCOPE_SEED environment variable when --seed is not
+given.
 
 Each subcommand imports the pipeline modules it runs inside its own
 function, so ``builders`` loads none of them and ``analyze`` does not load
@@ -31,7 +33,14 @@ from .algebra import (
     upper_triangular,
     validate,
 )
-from .errors import AlgscopeError, BadParams, NoRegularValue, ParseError, UnknownBuilder
+from .errors import (
+    AlgscopeError,
+    BadParams,
+    NoRegularValue,
+    ParseError,
+    SingularPencil,
+    UnknownBuilder,
+)
 from .report import (
     ReportDocument,
     algebra_to_doc,
@@ -177,6 +186,10 @@ def _cmd_analyze(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         dec = decompose(alg, f, seed=seed, tol=args.tol, cluster_tol=args.cluster_tol)
+    except SingularPencil as exc:
+        # a precondition on the input, not a failed invariant
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NoRegularValue as exc:
         report = ReportDocument(
             kind="analyze",

@@ -30,12 +30,11 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import NoRegularValue, SingularPencil
-from .functional import Functional, Kernels, ReducedPencil, reduce_pencil
+from .functional import Functional, ReducedPencil, reduce_pencil
 from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
-    _point_sort_key,
     det_poly,
     nullspace,
     orthonormal_columns,
@@ -54,7 +53,6 @@ __all__ = [
     "stab",
     "jordan_filtration",
     "decompose",
-    "opposite_decomposition",
     "verify_alpha0_independence",
 ]
 
@@ -101,13 +99,17 @@ class Decomposition:
     pencil: ReducedPencil
     chi: HomogeneousPoly
     points: tuple[SpectrumPoint, ...]
-    v_spaces: dict[ProjectivePoint, Subspace]
     filtrations: dict[ProjectivePoint, tuple[Subspace, ...]]
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]]
     alpha0_used: complex | None
     tol: float
     cluster_tol: float
     checks: tuple[InvariantCheck, ...]
+
+    @property
+    def v_spaces(self) -> dict[ProjectivePoint, Subspace]:
+        """V(alpha), the last filtration level, of each point."""
+        return {alpha: levels[-1] for alpha, levels in self.filtrations.items()}
 
     @property
     def nil(self) -> Subspace:
@@ -401,7 +403,7 @@ def decompose(
                 "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
             ),
         ]
-        return Decomposition(rp, chi, (), {}, {}, {}, None, tol, cluster_tol, tuple(checks))
+        return Decomposition(rp, chi, (), {}, {}, None, tol, cluster_tol, tuple(checks))
 
     alpha0 = choose_alpha0(rp, seed)
     chi = char_poly(rp)
@@ -409,7 +411,6 @@ def decompose(
 
     points: list[SpectrumPoint] = []
     v_frames: list[np.ndarray] = []
-    v_spaces: dict[ProjectivePoint, Subspace] = {}
     filtrations: dict[ProjectivePoint, tuple[Subspace, ...]] = {}
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
     for alpha, mult in raw_points:
@@ -418,7 +419,6 @@ def decompose(
         dims = tuple(s.dim for s in levels)
         points.append(SpectrumPoint(alpha, mult, dims[0] - rp.nil.dim, dims))
         v_frames.append(frames[-1])
-        v_spaces[alpha] = levels[-1]
         filtrations[alpha] = tuple(levels)
         quotient_filtrations[alpha] = tuple(frames)
 
@@ -427,56 +427,12 @@ def decompose(
         rp,
         chi,
         tuple(points),
-        v_spaces,
         filtrations,
         quotient_filtrations,
         alpha0,
         tol,
         cluster_tol,
         tuple(checks),
-    )
-
-
-def opposite_decomposition(dec: Decomposition) -> Decomposition:
-    """The decomposition of the opposite algebra for the same functional,
-    read off ``dec`` without any linear algebra.
-
-    The opposite algebra pairs through a^T, so its left and right kernels
-    swap, its nil and quotient frame are those of ``dec`` and its reduced
-    pencil is (a~^T, a~).  Its slot-one operator at alpha,
-    a~ - alpha a~^T, is a nonzero multiple of the original one at 1/alpha,
-    and so is its shift operator at alpha0 of the original one at 1/alpha0.
-    Each point alpha of ``dec`` therefore becomes 1/alpha (0 and infinity
-    swapped) with the same multiplicity, stabilizer and filtration levels,
-    and the shift becomes 1/alpha0; the levels do not depend on the shift.
-    chi is unchanged because det(lam a~^T + mu a~) = det(lam a~ + mu a~^T).
-    No SVD is needed because no space is computed: the frames of ``dec`` are
-    reused under the relabelled points, which are sorted as
-    :func:`spectrum` sorts them, so ``points`` and
-    :meth:`Decomposition.point_at` behave as on a fresh decomposition.
-
-    ``checks`` are ``dec``'s own: each invariant is a statement about the
-    spaces and chi, which are shared."""
-    rp = dec.pencil
-    left, right, nil = rp.kernels
-    pencil = ReducedPencil(
-        Kernels(right, left, nil), rp.quotient_frame, rp.at_tilde, rp.a_tilde, rp.K
-    )
-    mirrored = sorted(((p.alpha.inverse(), p) for p in dec.points), key=_point_sort_key)
-    return Decomposition(
-        pencil,
-        dec.chi,
-        tuple(
-            SpectrumPoint(alpha, p.algebraic_mult, p.stab_dim, p.filtration_dims)
-            for alpha, p in mirrored
-        ),
-        {alpha: dec.v_spaces[p.alpha] for alpha, p in mirrored},
-        {alpha: dec.filtrations[p.alpha] for alpha, p in mirrored},
-        {alpha: dec.quotient_filtrations[p.alpha] for alpha, p in mirrored},
-        None if dec.alpha0_used is None else 1.0 / dec.alpha0_used,
-        dec.tol,
-        dec.cluster_tol,
-        dec.checks,
     )
 
 

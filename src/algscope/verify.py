@@ -2,12 +2,13 @@
 decomposition, producing pass/fail findings with residuals and witnesses.
 
 Proved identities (the kernel product relations, shift-independence of the
-filtration, product inclusions between filtration levels, the dimension
-symmetries) must pass on any valid input; a failure always indicates a
-defect or a conditioning problem and carries a witness reproducing the worst
-case.  The regular-functional identities hold only at a functional that
-locally minimizes the relevant kernel dimension, so the suite provides an
-empirical minimizer and a deliberate negative control.
+filtration, product inclusions between filtration levels over pairs of
+finite and of nonzero points, the dimension symmetries) must pass on any
+valid input; a failure always indicates a defect or a conditioning problem
+and carries a witness reproducing the worst case.  The regular-functional
+identities hold only at a functional that locally minimizes the relevant
+kernel dimension, so the suite provides an empirical minimizer and a
+deliberate negative control.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, multiply, opposite, pairwise_products
+from .algebra import Algebra, multiply, pairwise_products
 from .functional import Functional, Kernels, gram, kernels, random_functional, reduce_pencil
 from .linalg import ProjectivePoint, Subspace, nullspace, rank
 from .spectral import (
@@ -26,7 +27,6 @@ from .spectral import (
     Decomposition,
     choose_alpha0,
     decompose,
-    opposite_decomposition,
     stab,
     verify_alpha0_independence,
 )
@@ -184,23 +184,26 @@ def _target_indices(dec: Decomposition, values: np.ndarray) -> np.ndarray:
     return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
-def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[float, tuple | None, int]:
-    """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for all finite pairs of spectral
-    points of ``dec``; products falling at a non-spectral value must lie in
-    nil.  Returns (worst residual, witness, samples).
+def _product_inclusions(alg: Algebra, dec: Decomposition) -> tuple[tuple, tuple]:
+    """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for the pairs of spectral points
+    of ``dec``, where infinity times a nonzero point is infinity; products
+    falling at a non-spectral value must lie in nil.  Returns (worst
+    residual, witness, samples) over the pairs of finite points, then over
+    the pairs of nonzero points, infinity included.
 
-    The level frames of all finite points are stacked into one matrix and
+    The level frames of all points are stacked into one matrix and
     multiplied in one :func:`pairwise_products` call.  Each product's
     residual is taken once, against its own target level, and the products
-    are grouped by target.  The witness (a, b, k, m) is the first quadruple,
-    in the order a, b, k, m over the points in spectrum order, whose products
-    reach the worst residual; every product of two columns is one sample."""
-    finite = [p for p in dec.points if not p.alpha.is_infinite]
-    if not finite:
-        return 0.0, None, 0
-    # column c of the stack spans part of level level_of[c] at finite[point_of[c]]
+    are grouped by target; products of 0 and infinity have no target and
+    belong to neither variant.  A variant's witness (a, b, k, m), meaning
+    V^k(a) V^m(b), is the first quadruple, in the order a, b, k, m over the
+    points in spectrum order, whose products reach its worst residual; every
+    product of two of its columns is one sample."""
+    if not dec.points:
+        return (0.0, None, 0), (0.0, None, 0)
+    # column c of the stack spans part of level level_of[c] at dec.points[point_of[c]]
     frames, point_of, level_of = [], [], []
-    for i, p in enumerate(finite):
+    for i, p in enumerate(dec.points):
         for k, level in enumerate(dec.filtrations[p.alpha]):
             frames.append(level.frame)
             point_of += [i] * level.dim
@@ -211,9 +214,14 @@ def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[f
     prods = pairwise_products(alg, stacked, stacked).reshape(-1, alg.dim)
 
     # the target of each product, as an index into all levels of all points:
-    # level min(k + m, last) at the point of alpha * beta, or -1 for nil
-    values = np.array([p.alpha.value for p in finite])
+    # level min(k + m, last) at the point of alpha * beta (infinity when a
+    # factor is), or -1 for nil
+    infinite = np.array([p.alpha.is_infinite for p in dec.points], dtype=bool)
+    values = np.array([0j if p.alpha.is_infinite else p.alpha.value for p in dec.points])
+    finite_col = ~infinite[point_of]
+    nonzero_col = (infinite | (values != 0))[point_of]
     at = _target_indices(dec, np.multiply.outer(values, values))
+    at[infinite[:, None] | infinite[None, :]] = np.argmax(infinite)
     target_point = at[point_of[:, None], point_of[None, :]]
     n_levels = np.array([len(dec.filtrations[p.alpha]) for p in dec.points])
     first_level = np.cumsum(n_levels) - n_levels
@@ -221,49 +229,49 @@ def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[f
     target = np.where(target_point >= 0, first_level[target_point] + level, -1).ravel()
     all_levels = [s for p in dec.points for s in dec.filtrations[p.alpha]]
 
-    res = np.empty(prods.shape[0])
+    in_variant = [np.outer(cols, cols).ravel() for cols in (finite_col, nonzero_col)]
+    covered = in_variant[0] | in_variant[1]
+    res = np.zeros(prods.shape[0])
     # the targets that occur (np.unique would import numpy.ma, about 1 MB)
-    for t in np.flatnonzero(np.bincount(target + 1)) - 1:
-        members = target == t
+    for t in np.flatnonzero(np.bincount(target[covered] + 1)) - 1:
+        members = covered & (target == t)
         space = dec.nil if t < 0 else all_levels[t]
         res[members] = space.residual(prods[members].T)
-    worst = float(res.max()) if res.size else 0.0
-    if worst <= 0.0:
-        return 0.0, None, res.size
-    rows, cols = np.divmod(np.flatnonzero(res == worst), len(point_of))
-    r, c = min(
-        zip(rows, cols),
-        key=lambda rc: (point_of[rc[0]], point_of[rc[1]], level_of[rc[0]], level_of[rc[1]]),
-    )
-    a, b = finite[point_of[r]].alpha, finite[point_of[c]].alpha
-    return worst, (a, b, int(level_of[r]), int(level_of[c])), res.size
+
+    def worst_of(members: np.ndarray) -> tuple[float, tuple | None, int]:
+        samples = int(members.sum())
+        worst = float(res[members].max()) if samples else 0.0
+        if worst <= 0.0:
+            return 0.0, None, samples
+        rows, cols = np.divmod(np.flatnonzero(members & (res == worst)), len(point_of))
+        r, c = min(
+            zip(rows, cols),
+            key=lambda rc: (point_of[rc[0]], point_of[rc[1]], level_of[rc[0]], level_of[rc[1]]),
+        )
+        a, b = dec.points[point_of[r]].alpha, dec.points[point_of[c]].alpha
+        return worst, (a, b, int(level_of[r]), int(level_of[c])), samples
+
+    return worst_of(in_variant[0]), worst_of(in_variant[1])
 
 
 def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[Finding]:
-    """Product inclusions for finite pairs, and for nonzero pairs via the
-    opposite algebra, where the filtration at alpha becomes the filtration
-    at 1/alpha.  Returns one finding per variant.
-
-    The nonzero variant checks the inclusions in ``opposite(alg)`` on
-    :func:`~algscope.spectral.opposite_decomposition` of ``dec``, which
-    carries the levels of ``dec`` at alpha to 1/alpha; the identification of
-    the two spaces that the proof uses holds there by construction, so the
-    finding's residual measures only the products."""
-    worst, witness, samples = _product_inclusions(alg, dec, tol)
+    """Product inclusions V^k(a) V^m(b) <= V^{k+m}(a b) between the
+    filtration levels of ``dec``, one finding per variant: ``VMultFinite``
+    over the pairs of finite points and ``VMultNonzero`` over the pairs of
+    nonzero points, where infinity times a nonzero point is infinity.  Both
+    read one product tensor (see :func:`_product_inclusions`); the witness
+    (a, b, k, m) of either names V^k(a) V^m(b) in ``dec``'s own points.  The
+    pair (0, infinity) belongs to neither variant."""
+    finite, nonzero = _product_inclusions(alg, dec)
     notes = ()
     has_zero = any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
     has_inf = any(p.alpha.is_infinite for p in dec.points)
     if has_zero and has_inf:
         notes = ("mixed pair (0, infinity) not covered by either variant; skipped",)
-    finite_finding = Finding(V_MULT_FINITE, worst < tol, worst, witness, samples, notes)
-
-    worst_op, witness_op, samples_op = _product_inclusions(
-        opposite(alg), opposite_decomposition(dec), tol
-    )
-    nonzero_finding = Finding(
-        V_MULT_NONZERO, worst_op < tol, worst_op, witness_op, samples_op, notes
-    )
-    return [finite_finding, nonzero_finding]
+    return [
+        Finding(V_MULT_FINITE, finite[0] < tol, *finite, notes),
+        Finding(V_MULT_NONZERO, nonzero[0] < tol, *nonzero, notes),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -528,10 +536,11 @@ def run_suites(
 ) -> list[Finding]:
     """Run the selected suites over random functionals; deterministic per
     seed.  Per-functional suites loop over the drawn functionals and read one
-    decomposition of each, made with ``seed``; ``v-mult`` mirrors it into the
-    opposite algebra's without decomposing again, and ``kernel-relations``
-    and ``nil-ideal`` read the kernels its reduced pencil keeps.  The
-    regular-functional suites run once at the sampled minimizer."""
+    decomposition of each, made with ``seed``; ``v-mult`` checks both of its
+    variants on one product tensor of that decomposition, and
+    ``kernel-relations`` and ``nil-ideal`` read the kernels its reduced
+    pencil keeps.  The regular-functional suites run once at the sampled
+    minimizer."""
     from .functional import is_multiplicative, nil_ideal_check
 
     unknown = [s for s in suites if s not in SUITE_NAMES]

@@ -207,20 +207,28 @@ def stab_transversality_pairwise(dec, tol=1e-9):
     return worst == 0, worst, pairs
 
 
-def product_inclusions_pairwise(alg, dec):
+def product_inclusions_pairwise(alg, dec, variant):
     """The product inclusions V^k(a) V^m(b) <= V^{k+m}(a b) checked block by
     block: one product tensor and one residual per (a, b, k, m), visited in
-    that order over the finite points of ``dec``.  Returns (worst residual,
-    first (a, b, k, m) reaching it or None, number of products)."""
-    from algscope.linalg import ProjectivePoint
+    that order over the points of ``variant``, either the finite points of
+    ``dec`` or its nonzero points, infinity included.  Infinity times a
+    point is infinity.  Returns (worst residual, first (a, b, k, m) reaching
+    it or None, number of products)."""
+    from algscope.linalg import INFINITY, ProjectivePoint
 
     worst = 0.0
     witness = None
     samples = 0
-    finite_points = [p for p in dec.points if not p.alpha.is_infinite]
-    for p in finite_points:
-        for q in finite_points:
-            target_point = dec.point_at(ProjectivePoint.finite(p.alpha.value * q.alpha.value))
+    if variant == "finite":
+        points = [p for p in dec.points if not p.alpha.is_infinite]
+    else:
+        points = [p for p in dec.points if p.alpha.is_infinite or p.alpha.value != 0]
+    for p in points:
+        for q in points:
+            if p.alpha.is_infinite or q.alpha.is_infinite:
+                target_point = dec.point_at(INFINITY)
+            else:
+                target_point = dec.point_at(ProjectivePoint.finite(p.alpha.value * q.alpha.value))
             filt_p = dec.filtrations[p.alpha]
             filt_q = dec.filtrations[q.alpha]
             for k in range(len(filt_p)):

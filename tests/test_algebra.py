@@ -187,17 +187,24 @@ def cyclic_group_algebra(n):
     return Algebra(n, c, np.eye(n)[0])
 
 
-def in_unimodular_basis(alg, seed):
+def in_unimodular_basis(alg, seed, gaussian=False):
     """``alg`` in the basis f_a = sum_i p[i, a] e_i for a random integer
-    matrix ``p`` of determinant 1: most structure constants become nonzero,
-    yet they stay integers, so the associativity residual stays exactly 0."""
+    matrix ``p`` of determinant 1, or with ``gaussian`` one whose entries
+    are Gaussian integers: most structure constants become nonzero, yet
+    they stay (Gaussian) integers, so both residuals stay exactly 0."""
     rng = np.random.default_rng(seed)
     n = alg.dim
-    lower = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=int)
-    upper = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=int)
+
+    def entries(triangle, k):
+        draw = triangle(rng.integers(-1, 2, (n, n)), k)
+        return draw + 1j * triangle(rng.integers(-1, 2, (n, n)), k) if gaussian else draw
+
+    lower = entries(np.tril, -1) + np.eye(n, dtype=int)
+    upper = entries(np.triu, 1) + np.eye(n, dtype=int)
     p = lower @ upper
-    p_inv = np.rint(np.linalg.inv(p)).astype(int)
-    assert np.array_equal(p_inv @ p, np.eye(n, dtype=int))
+    p_inv = np.linalg.inv(p)
+    p_inv = np.rint(p_inv.real) + 1j * np.rint(p_inv.imag) if gaussian else np.rint(p_inv).astype(int)
+    assert np.array_equal(p_inv @ p, np.eye(n))
     c = np.einsum("ia,jb,ijk,ck->abc", p, p, alg.structure, p_inv)
     return Algebra(n, c, p_inv @ alg.unit)
 
@@ -336,3 +343,51 @@ def test_pairwise_products_match_the_bilinear_product(cols):
         for b in range(cols[1]):
             expected = multiply(alg, xs[:, a], ys[:, b]).coords
             np.testing.assert_allclose(prods[a, b], expected, atol=1e-13)
+
+
+def unit_residual_in_complex_arithmetic(alg):
+    """The unit residual with the unit and the structure constants as complex
+    arrays, whatever their values."""
+    eye = np.eye(alg.dim)
+    u, c = alg.unit.astype(complex), alg.structure.astype(complex)
+    left = np.abs(np.einsum("j,jik->ik", u, c) - eye).max()
+    right = np.abs(np.einsum("j,ijk->ik", u, c) - eye).max()
+    return float(max(left, right))
+
+
+def in_real_basis(alg, seed):
+    """``alg`` in a random real basis near the original: real structure
+    constants and unit whose products round."""
+    rng = np.random.default_rng(seed)
+    p = np.eye(alg.dim) + 0.3 * rng.standard_normal((alg.dim, alg.dim))
+    p_inv = np.linalg.inv(p)
+    c = np.einsum("ia,jb,ijk,ck->abc", p, p, alg.structure.real, p_inv, optimize=True)
+    return Algebra(alg.dim, c, p_inv @ alg.unit.real)
+
+
+COMPLEX_UNIT_CASES = [
+    pytest.param(in_unimodular_basis(mat_algebra(3), 1, gaussian=True), id="mat3-gaussian-basis"),
+    pytest.param(in_unimodular_basis(upper_triangular(3), 2, gaussian=True), id="tri3-gaussian-basis"),
+    # real structure constants, a unit off by an imaginary 1e-3
+    pytest.param(Algebra(4, mat_algebra(2).structure, mat_algebra(2).unit + 1e-3j), id="mat2-imaginary-unit"),
+]
+
+
+@pytest.mark.parametrize("alg", COMPLEX_UNIT_CASES)
+def test_unit_check_keeps_a_complex_unit(alg):
+    assert alg.unit.imag.any()
+    report = validate(alg)
+    assert report.max_unit_residual == unit_residual_in_complex_arithmetic(alg)
+    assert report.passed == (report.max_unit_residual == 0.0)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        *VALIDATE_CASES,
+        *COMPLEX_UNIT_CASES,
+        *[pytest.param(in_real_basis(mat_algebra(n), n), id=f"mat{n}-real-basis") for n in (2, 3, 4)],
+    ],
+)
+def test_unit_residual_equals_the_complex_arithmetic_one(alg):
+    assert validate(alg).max_unit_residual == unit_residual_in_complex_arithmetic(alg)

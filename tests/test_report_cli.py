@@ -209,16 +209,37 @@ class TestCli:
         assert f"unit residual {rep.max_unit_residual:.3e}" in err
         assert f"witness {rep.witness}" in err
 
-    def test_analyze_singular_pencil_exits_two_with_report(self, workdir, capsys):
-        from algscope import upper_triangular
+    def test_analyze_singular_pencil_exits_one(self, workdir, capsys):
+        inputs = [
+            # F(X) = tr(N X) with N the nilpotent shift
+            (mat_algebra(3), matrix_trace_functional(np.diag(np.ones(2), 1))),
+            (mat_algebra(4), matrix_trace_functional(np.diag(np.ones(3), 1))),
+            (upper_triangular(2), Functional(np.array([0.0, 1.0, 0.0]))),
+        ]
+        for alg, f in inputs:
+            save_algebra(alg, "a.alg")
+            save_functional(f, "f.fn")
+            assert main(["analyze", "a.alg", "f.fn", "--out", "r.json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "error: the pencil is singular for every alpha; F is not generic"
+            )
+            assert not (workdir / "r.json").exists()
 
-        save_algebra(upper_triangular(2), "tri2.alg")
-        save_functional(Functional(np.array([0.0, 1.0, 0.0])), "e12.fn")
-        assert main(["analyze", "tri2.alg", "e12.fn"]) == 2
+    def test_analyze_without_regular_shift_exits_two_with_report(self, workdir, capsys):
+        from oracles import prescribed_pencil_algebra
+
+        # a~ = diag(1, 9e-9) at the core: every shift misses the regularity
+        # floor, yet the pencil is regular
+        alg, f = prescribed_pencil_algebra(np.diag([1.0, 9e-9]))
+        save_algebra(alg, "a.alg")
+        save_functional(f, "f.fn")
+        assert main(["analyze", "a.alg", "f.fn"]) == 2
         doc = json.loads(capsys.readouterr().out)
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert failed and failed[0]["name"] == "regular_shift_exists"
-        assert failed[0]["detail"].startswith("the pencil is singular for every alpha")
+        assert failed[0]["detail"].startswith("no regular shift found in 64 samples")
 
     def test_analyze_zero_functional(self, workdir, capsys):
         assert main(["builders", "dual", "--out", "dual.alg"]) == 0

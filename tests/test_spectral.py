@@ -409,6 +409,17 @@ class TestDecompose:
             if dec.nil.dim:
                 assert np.max(v.residual(dec.nil.frame)) < 1e-9
 
+    def test_v_spaces_follow_the_filtrations(self):
+        import dataclasses
+
+        dec = decompose(mat_algebra(3), diag125())
+        assert all(dec.v_spaces[a] is levels[-1] for a, levels in dec.filtrations.items())
+        # a decomposition doctored in its filtrations alone has no stale V(alpha)
+        first, second = (p.alpha for p in dec.points[:2])
+        filtrations = {**dec.filtrations, first: dec.filtrations[second]}
+        doctored = dataclasses.replace(dec, filtrations=filtrations)
+        assert doctored.v_spaces[first] is dec.filtrations[second][-1]
+
 
 def check_named(checks, name):
     found = [c for c in checks if c.name == name]

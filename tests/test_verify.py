@@ -134,6 +134,21 @@ class TestVMult:
         findings = verify_v_mult(alg, decompose(alg, f))
         assert all(f.passed for f in findings)
 
+    def test_no_mirrored_decomposition_is_left(self):
+        """Both variants read the decomposition of the algebra they are given;
+        the mirror of it into the opposite algebra is gone from the package,
+        its namespace and the README."""
+        from pathlib import Path
+
+        import algscope
+        import algscope.spectral as spectral
+
+        root = Path(__file__).resolve().parents[1]
+        assert "opposite_decomposition" not in algscope.__all__
+        assert not hasattr(spectral, "opposite_decomposition")
+        for path in [*(root / "src" / "algscope").glob("*.py"), root / "README.md"]:
+            assert "opposite_decomposition" not in path.read_text(encoding="utf-8"), path
+
     def test_defective_point_products_climb_levels(self):
         # the planted Jordan block at -1 exercises k + m > 0 targets
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
@@ -293,17 +308,24 @@ def _oracle_cases():
 
 
 class TestProductInclusionsOracle:
-    """The one-tensor product inclusions against the block-by-block loop."""
+    """The one-tensor product inclusions against the block-by-block loop, for
+    both variants: the pairs of finite points and the pairs of nonzero
+    points."""
 
     @staticmethod
     def assert_agree(alg, dec):
-        worst, witness, samples = _product_inclusions(alg, dec, 1e-7)
-        worst_ref, witness_ref, samples_ref = product_inclusions_pairwise(alg, dec)
-        assert abs(worst - worst_ref) <= 1e-12
-        assert samples == samples_ref
-        if worst_ref > 1e-10:
-            assert witness == witness_ref
-        return worst, witness
+        """(worst, witness) of the finite variant, then of the nonzero one."""
+        found = []
+        for variant, (worst, witness, samples) in zip(
+            ("finite", "nonzero"), _product_inclusions(alg, dec)
+        ):
+            worst_ref, witness_ref, samples_ref = product_inclusions_pairwise(alg, dec, variant)
+            assert abs(worst - worst_ref) <= 1e-12, variant
+            assert samples == samples_ref, variant
+            if worst_ref > 1e-10:
+                assert witness == witness_ref, variant
+            found.append((worst, witness))
+        return found
 
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
     def test_matches_the_pairwise_loop(self, case):
@@ -343,7 +365,23 @@ class TestProductInclusionsOracle:
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
         empty = {alpha: (Subspace.zero(alg.dim),) for alpha in dec.filtrations}
         doctored = dataclasses.replace(dec, filtrations=empty)
-        assert self.assert_agree(alg, doctored) == (0.0, None)
+        assert self.assert_agree(alg, doctored) == [(0.0, None)] * 2
+
+    def test_doctored_infinity_fails_only_the_nonzero_variant(self):
+        alg = mat_algebra(3)
+        dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
+        inf = dec.points[-1].alpha
+        one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
+        assert inf.is_infinite
+        # V(1) holds the unit, so V(1) V(2) misses V(1) put in place of V(inf)
+        filtrations = {**dec.filtrations, inf: dec.filtrations[one]}
+        doctored = dataclasses.replace(dec, filtrations=filtrations)
+        (worst, _), (worst_nonzero, witness) = self.assert_agree(alg, doctored)
+        assert worst < 1e-12 and worst_nonzero > 0.1
+        # the witness names V^k(a) V^m(b) in the decomposition's own points
+        assert inf in witness[:2]
+        finite, nonzero = verify_v_mult(alg, doctored)
+        assert finite.passed and not nonzero.passed and nonzero.witness == witness
 
     @pytest.mark.parametrize(
         "alg, f",
@@ -366,10 +404,11 @@ class TestProductInclusionsOracle:
             second: dec.filtrations[first],
         }
         doctored = dataclasses.replace(dec, filtrations=filtrations)
-        worst, witness = self.assert_agree(alg, doctored)
-        assert worst > 0.1 and witness is not None
-        finding = verify_v_mult(alg, doctored)[0]
-        assert finding.theorem_id == V_MULT_FINITE and not finding.passed
+        for worst, witness in self.assert_agree(alg, doctored):
+            assert worst > 0.1 and witness is not None
+        findings = verify_v_mult(alg, doctored)
+        assert [f.theorem_id for f in findings] == [V_MULT_FINITE, V_MULT_NONZERO]
+        assert not any(f.passed for f in findings)
 
 
 class TestLinearAlgebraCounts:
@@ -410,6 +449,7 @@ class TestLinearAlgebraCounts:
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
         import sys
 
+        import algscope.algebra as algebra
         import algscope.functional as functional
         import algscope.verify as verify
 
@@ -420,13 +460,24 @@ class TestLinearAlgebraCounts:
             callers.append(sys._getframe(1).f_code.co_name)
             return original(*args, **kwargs)
 
+        opposites = []
+        original_opposite = algebra.opposite
+
+        def counted_opposite(alg):
+            opposites.append(alg.dim)
+            return original_opposite(alg)
+
         monkeypatch.setattr(verify, "pairwise_products", counted)
         monkeypatch.setattr(functional, "pairwise_products", counted)
+        monkeypatch.setattr(algebra, "opposite", counted_opposite)
+        # v-mult reads the algebra it is given, never the opposite algebra
+        assert not hasattr(verify, "opposite")
         n = 3
         for alg in (mat_algebra(3), upper_triangular(5)):
             callers.clear()
             run_suites(alg, SUITE_NAMES, n_functionals=n, seed=4)
-            assert callers.count("_product_inclusions") == 2 * n
+            assert callers.count("_product_inclusions") == n
+            assert opposites == []
             assert callers.count("verify_kernel_relations") <= 7 * n
             assert callers.count("nil_ideal_check") <= 2 * n
             assert callers.count("verify_corollaries") <= 2
