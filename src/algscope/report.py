@@ -1,16 +1,18 @@
 """File formats and report serialization.
 
-All documents are JSON.  Complex numbers serialize as ``[re, im]`` pairs and
-the infinite spectral point as the string ``"inf"``, avoiding any locale or
-formatting ambiguity.  Structure constants are stored sparsely as
-``[i, j, k, re, im]`` rows because the reference tensors are overwhelmingly
-zero.  Serialization is deterministic: identical inputs produce byte-identical
-documents.
+All documents are strict JSON.  Complex numbers serialize as ``[re, im]``
+pairs, the infinite spectral point as the string ``"inf"``, and non-finite
+floats (a residual with no finite value) as the strings ``"inf"``, ``"-inf"``
+and ``"nan"``, avoiding any locale or formatting ambiguity.  Structure
+constants are stored sparsely as ``[i, j, k, re, im]`` rows because the
+reference tensors are overwhelmingly zero.  Serialization is deterministic:
+identical inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -42,19 +44,28 @@ __all__ = [
 ]
 
 
-def _pair(z: complex) -> list[float]:
+def _real_out(x: float) -> float | str:
+    """``x``, or "inf", "-inf" or "nan" when it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else str(x)
+
+
+def _real_in(value, where: str) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number or value in ("inf", "-inf", "nan"):
+        return float(value)
+    raise ParseError('expected a number, "inf", "-inf" or "nan"', where)
+
+
+def _pair(z: complex) -> list[float | str]:
     z = complex(z)
-    return [z.real, z.imag]
+    return [_real_out(z.real), _real_out(z.imag)]
 
 
 def _unpair(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParseError("expected a [re, im] pair", where)
-    return complex(float(value[0]), float(value[1]))
+    return complex(_real_in(value[0], where), _real_in(value[1], where))
 
 
 def _alpha_out(p: ProjectivePoint):
@@ -76,7 +87,7 @@ def _alpha_in(value, where: str) -> ProjectivePoint:
 def algebra_to_doc(alg: Algebra) -> dict:
     nonzero = np.nonzero(alg.structure)
     entries = [
-        [int(i), int(j), int(k), float(z.real), float(z.imag)]
+        [int(i), int(j), int(k), *_pair(z)]
         for i, j, k, z in zip(*nonzero, alg.structure[nonzero])
     ]
     doc = {
@@ -161,10 +172,13 @@ def load_functional(path: str) -> Functional:
     return functional_from_doc(_load_json(path))
 
 
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _dump_json(doc: dict, path: str):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, indent=2))
-        handle.write("\n")
+        handle.write(_json_text(doc))
 
 
 def save_algebra(alg: Algebra, path: str):
@@ -241,7 +255,7 @@ class ReportDocument:
                 {
                     "theorem_id": f.theorem_id,
                     "passed": f.passed,
-                    "max_residual": f.max_residual,
+                    "max_residual": _real_out(f.max_residual),
                     "witness": (
                         f.witness
                         if f.witness is None or isinstance(f.witness, str)
@@ -254,12 +268,13 @@ class ReportDocument:
             ]
         if self.checks:
             doc["checks"] = [
-                {"name": n, "passed": p, "residual": r, "detail": d} for n, p, r, d in self.checks
+                {"name": n, "passed": p, "residual": _real_out(r), "detail": d}
+                for n, p, r, d in self.checks
             ]
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2) + "\n"
+        return _json_text(self.to_doc())
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ReportDocument":
@@ -281,7 +296,7 @@ class ReportDocument:
             Finding(
                 str(f["theorem_id"]),
                 bool(f["passed"]),
-                float(f["max_residual"]),
+                _real_in(f["max_residual"], "findings.max_residual"),
                 f.get("witness"),
                 int(f.get("samples", 0)),
                 tuple(f.get("notes", ())),
@@ -289,7 +304,12 @@ class ReportDocument:
             for f in doc.get("findings", [])
         )
         checks = tuple(
-            (str(c["name"]), bool(c["passed"]), float(c["residual"]), str(c.get("detail", "")))
+            (
+                str(c["name"]),
+                bool(c["passed"]),
+                _real_in(c["residual"], "checks.residual"),
+                str(c.get("detail", "")),
+            )
             for c in doc.get("checks", [])
         )
         v_frames = None

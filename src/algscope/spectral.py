@@ -17,14 +17,15 @@ nullspace of the transposed combination).  Stab(infinity) is the kernel of
 
 climbs the Jordan chain of the shifted operator and stabilizes at V(alpha);
 the stabilized spaces are independent of the regular shift alpha0 and satisfy
-dim V(alpha) = dim nil + algebraic multiplicity of alpha.  All spaces are
-materialized as subspaces of the full algebra containing nil, so downstream
-product tests multiply honest algebra elements.
+dim V(alpha) = dim nil + algebraic multiplicity of alpha.  The levels are
+kept as quotient frames and lifted on demand to subspaces of the full algebra
+containing nil, so downstream product tests multiply honest algebra elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,21 +91,29 @@ class Decomposition:
 
     ``pencil`` is the reduced pencil every other field was built from; the
     theorem suites read it instead of reducing the pairing again.
-    ``filtrations`` holds the levels V^0 <= V^1 <= ... of each point as
-    subspaces of the full algebra, and ``quotient_filtrations`` the same
-    levels as the quotient-coordinate frames they were lifted from; level 0
-    is Stab(alpha), which does not depend on the shift, so the shift-
-    independence suite starts its filtrations from it."""
+    ``quotient_filtrations`` stores the levels V^0 <= V^1 <= ... of each
+    point as quotient-coordinate frames, each fixing its level with nil;
+    ``filtrations`` and ``v_spaces`` lift them to the full algebra on first
+    access.  Level 0 is Stab(alpha), which does not depend on the shift, so
+    the shift-independence suite starts its filtrations from it."""
 
     pencil: ReducedPencil
     chi: HomogeneousPoly
     points: tuple[SpectrumPoint, ...]
-    filtrations: dict[ProjectivePoint, tuple[Subspace, ...]]
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]]
     alpha0_used: complex | None
     tol: float
     cluster_tol: float
     checks: tuple[InvariantCheck, ...]
+
+    @cached_property
+    def filtrations(self) -> dict[ProjectivePoint, tuple[Subspace, ...]]:
+        """The levels of each point as subspaces of the full algebra, each
+        containing nil."""
+        return {
+            alpha: tuple(_lift(self.pencil, w, self.tol) for w in frames)
+            for alpha, frames in self.quotient_filtrations.items()
+        }
 
     @property
     def v_spaces(self) -> dict[ProjectivePoint, Subspace]:
@@ -208,13 +217,6 @@ def _slot_one_operator(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[np.nd
     return m, (1.0 + abs(alpha.value)) * rp.pencil_scale()
 
 
-def _stab_reduced(rp: ReducedPencil, alpha: ProjectivePoint, tol: float) -> np.ndarray:
-    if rp.K == 0:
-        return np.zeros((0, 0), dtype=complex)
-    m, scale = _slot_one_operator(rp, alpha)
-    return nullspace(m, tol, scale=scale).frame
-
-
 def _filtration_reduced(
     rp: ReducedPencil,
     alpha: ProjectivePoint,
@@ -263,7 +265,8 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
     Equals {x : F(x z) = alpha F(z x) for all z} for finite alpha and
     {x : F(z x) = 0 for all z} at infinity.
     """
-    return _lift(rp, _stab_reduced(rp, alpha, tol), tol)
+    m, scale = _slot_one_operator(rp, alpha)
+    return _lift(rp, nullspace(m, tol, scale=scale).frame, tol)
 
 
 def jordan_filtration(
@@ -403,31 +406,26 @@ def decompose(
                 "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
             ),
         ]
-        return Decomposition(rp, chi, (), {}, {}, None, tol, cluster_tol, tuple(checks))
+        return Decomposition(rp, chi, (), {}, None, tol, cluster_tol, tuple(checks))
 
     alpha0 = choose_alpha0(rp, seed)
     chi = char_poly(rp)
     raw_points = spectrum(rp, alpha0, cluster_tol)
 
     points: list[SpectrumPoint] = []
-    v_frames: list[np.ndarray] = []
-    filtrations: dict[ProjectivePoint, tuple[Subspace, ...]] = {}
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
     for alpha, mult in raw_points:
         frames = _filtration_reduced(rp, alpha, alpha0, tol)
-        levels = [_lift(rp, w, tol) for w in frames]
-        dims = tuple(s.dim for s in levels)
-        points.append(SpectrumPoint(alpha, mult, dims[0] - rp.nil.dim, dims))
-        v_frames.append(frames[-1])
-        filtrations[alpha] = tuple(levels)
+        dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
+        points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         quotient_filtrations[alpha] = tuple(frames)
 
+    v_frames = [levels[-1] for levels in quotient_filtrations.values()]
     checks = _decomposition_checks(alg, rp.nil, chi, points, v_frames, tol)
     return Decomposition(
         rp,
         chi,
         tuple(points),
-        filtrations,
         quotient_filtrations,
         alpha0,
         tol,
@@ -448,15 +446,18 @@ def verify_alpha0_independence(
     """Compare every filtration level of the reduced pencil ``rp`` computed
     with two different regular shifts; returns (all levels equal, max
     projector distance).  Both filtrations start from ``stab_frame`` when it
-    is given (see :func:`jordan_filtration`)."""
-    lev_a = jordan_filtration(rp, alpha, alpha0_a, tol, stab_frame)
-    lev_b = jordan_filtration(rp, alpha, alpha0_b, tol, stab_frame)
-    if [s.dim for s in lev_a] != [s.dim for s in lev_b]:
+    is given (see :func:`jordan_filtration`).  The levels are compared in
+    quotient coordinates, where their lifts' common nil drops out."""
+    if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
+        raise NoRegularValue("the shift must differ from the point under study")
+    lev_a = _filtration_reduced(rp, alpha, alpha0_a, tol, stab_frame)
+    lev_b = _filtration_reduced(rp, alpha, alpha0_b, tol, stab_frame)
+    if [w.shape[1] for w in lev_a] != [w.shape[1] for w in lev_b]:
         return False, float("inf")
     worst = 0.0
-    for sa, sb in zip(lev_a, lev_b):
+    for wa, wb in zip(lev_a, lev_b):
         # the dimensions agree, so the levels are equal iff the distance is small
-        dist = projector_distance(sa, sb)
+        dist = projector_distance(Subspace(rp.K, wa, tol), Subspace(rp.K, wb, tol))
         worst = max(worst, dist)
         if not dist < compare_tol:
             return False, worst

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, multiply, pairwise_products
+from .algebra import Algebra, pairwise_products
 from .functional import Functional, Kernels, gram, kernels, random_functional, reduce_pencil
 from .linalg import ProjectivePoint, Subspace, nullspace, rank
 from .spectral import (
@@ -91,6 +91,15 @@ class Finding:
     notes: tuple[str, ...] = ()
 
 
+def _first_worst(res: np.ndarray) -> tuple[float, tuple | None]:
+    """The largest of ``res`` and its index, the first in C order, or (0.0,
+    None) when ``res`` is empty or zero."""
+    worst = float(res.max()) if res.size else 0.0
+    if worst == 0.0:
+        return 0.0, None
+    return worst, tuple(int(i) for i in np.unravel_index(np.argmax(res), res.shape))
+
+
 # --------------------------------------------------------------------------
 # kernel product relations
 
@@ -119,13 +128,11 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Fi
         if xs.dim == 0 or ys.dim == 0:
             continue
         prods = pairwise_products(alg, xs.frame, ys.frame)
-        res = target.residual(prods.reshape(-1, alg.dim).T)
+        res = target.residual(prods.reshape(-1, alg.dim).T).reshape(xs.dim, ys.dim)
         samples += res.size
-        local = float(res.max()) if res.size else 0.0
+        local, at = _first_worst(res)
         if local > worst:
-            worst = local
-            idx = int(np.argmax(res))
-            witness = (name, idx // ys.dim, idx % ys.dim)
+            worst, witness = local, (name,) + at
     return Finding(KERNEL_RELATIONS, worst < tol, worst, witness, samples)
 
 
@@ -313,30 +320,28 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
     """Observation-grade: the stabilizers of distinct spectral points of
     ``dec`` meet only in nil.
 
-    One rank test covers all P(P-1)/2 pairs (``samples``): projected to
-    quotient coordinates, where nil vanishes, the stacked Stab(alpha) frames
-    must have rank equal to the sum of the stabilizer dimensions, so the
-    stabilizers form a direct sum over nil.  That implies pairwise
-    transversality, and both hold whenever the decomposition's own
-    ``v_spaces_direct_sum`` check passes, since Stab(alpha) <= V(alpha).  The
-    residual is the rank deficit and the witness the first point whose
-    stabilizer meets the earlier ones.  The stabilizers are not asserted to
-    fill the quotient, which fails in general."""
+    One rank test covers all P(P-1)/2 pairs (``samples``): the stacked
+    quotient-coordinate Stab(alpha) frames (level 0 of
+    ``dec.quotient_filtrations``) must have rank equal to the sum of the
+    stabilizer dimensions, so the stabilizers form a direct sum over nil.
+    That implies pairwise transversality, and both hold whenever the
+    decomposition's own ``v_spaces_direct_sum`` check passes, since
+    Stab(alpha) <= V(alpha).  The residual is the rank deficit and the
+    witness the first point whose stabilizer meets the earlier ones.  The
+    stabilizers are not asserted to fill the quotient, which fails in
+    general."""
     if not dec.points:
         return Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)
-    q_h = dec.pencil.quotient_frame.conj().T
-    frames = [q_h @ dec.filtrations[p.alpha][0].frame for p in dec.points]
+    frames = [dec.quotient_filtrations[p.alpha][0] for p in dec.points]
     stacked = np.hstack(frames)
-    # nil projects to zero columns, so only the quotient dimensions count
-    dims = np.cumsum([w.shape[1] - dec.nil.dim for w in frames])
     ends = np.cumsum([w.shape[1] for w in frames])
-    deficit = int(dims[-1]) - rank(stacked, dec.tol, scale=1.0)
+    deficit = int(ends[-1]) - rank(stacked, dec.tol, scale=1.0)
     n = len(frames)
     witness = None
     if deficit:
         # the first point whose stabilizer meets the sum of the earlier ones
         prefix_ranks = (rank(stacked[:, :end], dec.tol, scale=1.0) for end in ends)
-        first = next(i for i, r in enumerate(prefix_ranks) if r < dims[i])
+        first = next(i for i, r in enumerate(prefix_ranks) if r < ends[i])
         witness = (dec.points[first].alpha,)
     return Finding(STAB_TRANSVERSALITY, deficit == 0, float(deficit), witness, n * (n - 1) // 2)
 
@@ -424,23 +429,13 @@ def verify_regular_perturbation(
     ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination."""
     xs = _slot_one_kernel(alg, f_min, lambda0, mu0, rank_tol)
     ys = _slot_one_kernel(alg, f_min, mu0, lambda0, rank_tol)
-    worst = 0.0
-    witness = None
-    samples = 0
-    for i in range(xs.dim):
-        for j in range(ys.dim):
-            x = xs.frame[:, i]
-            y = ys.frame[:, j]
-            w = lambda0 * multiply(alg, x, y).coords + mu0 * multiply(alg, y, x).coords
-            for gi, g in enumerate(s_basis):
-                val = abs(complex(w @ g.coords))
-                norm = float(np.linalg.norm(g.coords))
-                r = val / (1.0 + norm)
-                samples += 1
-                if r > worst:
-                    worst = r
-                    witness = (i, j, gi)
-    return Finding(REGULAR_PERTURBATION, worst < tol, worst, witness, samples)
+    xy = pairwise_products(alg, xs.frame, ys.frame)
+    yx = pairwise_products(alg, ys.frame, xs.frame).transpose(1, 0, 2)
+    directions = np.array([g.coords for g in s_basis], dtype=complex).reshape(-1, alg.dim)
+    w = lambda0 * xy + mu0 * yx
+    res = np.abs(w @ directions.T) / (1.0 + np.linalg.norm(directions, axis=1))
+    worst, witness = _first_worst(res)
+    return Finding(REGULAR_PERTURBATION, worst < tol, worst, witness, res.size)
 
 
 def verify_corollaries(
@@ -459,45 +454,25 @@ def verify_corollaries(
     """
     if alpha.is_infinite:
         raise ValueError("corollaries are stated for finite alpha")
-    worst = 0.0
-    witness = None
-    samples = 0
-
-    def track(value: float, wit: tuple):
-        nonlocal worst, witness, samples
-        samples += 1
-        if value > worst:
-            worst = value
-            witness = wit
-
     if alpha.value == 0:
         ker = kernels(alg, f_min, rank_tol)
-        prods = (
-            pairwise_products(alg, ker.left.frame, ker.right.frame)
-            if ker.left.dim and ker.right.dim
-            else np.zeros((0, 0, alg.dim))
+        stab_res = np.linalg.norm(pairwise_products(alg, ker.left.frame, ker.right.frame), axis=-1)
+        nil_res = np.linalg.norm(pairwise_products(alg, ker.nil.frame, ker.nil.frame), axis=-1)
+        # max keeps the first of equal residuals, as the loop order did
+        (worst, at), label = max(
+            ((_first_worst(stab_res), "stab0*stabinf"), (_first_worst(nil_res), "nil*nil")),
+            key=lambda found: found[0][0],
         )
-        for i in range(prods.shape[0]):
-            for j in range(prods.shape[1]):
-                track(float(np.linalg.norm(prods[i, j])), ("stab0*stabinf", i, j))
-        if ker.nil.dim:
-            nil_prods = pairwise_products(alg, ker.nil.frame, ker.nil.frame)
-            for i in range(nil_prods.shape[0]):
-                for j in range(nil_prods.shape[1]):
-                    track(float(np.linalg.norm(nil_prods[i, j])), ("nil*nil", i, j))
-        theorem_id = COROLLARY_3
-    else:
-        rp = reduce_pencil(alg, f_min, rank_tol)
-        xs = stab(rp, alpha, rank_tol)
-        ys = stab(rp, alpha.inverse(), rank_tol)
-        theorem_id = COROLLARY_2 if alpha.value == 1 else COROLLARY_1
-        for i in range(xs.dim):
-            for j in range(ys.dim):
-                x = xs.frame[:, i]
-                y = ys.frame[:, j]
-                d = multiply(alg, x, y).coords - alpha.value * multiply(alg, y, x).coords
-                track(float(np.linalg.norm(d)), (i, j))
-    return Finding(theorem_id, worst < tol, worst, witness, samples)
+        witness = at and (label,) + at
+        return Finding(COROLLARY_3, worst < tol, worst, witness, stab_res.size + nil_res.size)
+    rp = reduce_pencil(alg, f_min, rank_tol)
+    xs = stab(rp, alpha, rank_tol)
+    ys = stab(rp, alpha.inverse(), rank_tol)
+    xy = pairwise_products(alg, xs.frame, ys.frame)
+    yx = pairwise_products(alg, ys.frame, xs.frame).transpose(1, 0, 2)
+    worst, witness = _first_worst(np.linalg.norm(xy - alpha.value * yx, axis=-1))
+    theorem_id = COROLLARY_2 if alpha.value == 1 else COROLLARY_1
+    return Finding(theorem_id, worst < tol, worst, witness, xs.dim * ys.dim)
 
 
 def negative_control_finding(alg: Algebra, tol: float = 1e-6) -> Finding:

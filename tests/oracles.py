@@ -274,3 +274,63 @@ def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed
             best_dim = d
             best_f = candidate
     return best_f, best_dim
+
+
+def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, rank_tol=1e-9):
+    """The regular perturbation identity pair by pair: for every column x of
+    the kernel of ``lambda0 a + mu0 a^T``, every column y of the swapped
+    kernel and every direction G, in that order, one product at a time.
+    Returns (worst |G(lambda0 x y + mu0 y x)| / (1 + |G|), first (i, j, g)
+    reaching it or None, number of samples)."""
+    from algscope import multiply
+    from algscope.verify import _slot_one_kernel
+
+    xs = _slot_one_kernel(alg, f_min, lambda0, mu0, rank_tol)
+    ys = _slot_one_kernel(alg, f_min, mu0, lambda0, rank_tol)
+    worst = 0.0
+    witness = None
+    samples = 0
+    for i in range(xs.dim):
+        for j in range(ys.dim):
+            x = xs.frame[:, i]
+            y = ys.frame[:, j]
+            w = lambda0 * multiply(alg, x, y).coords + mu0 * multiply(alg, y, x).coords
+            for gi, g in enumerate(s_basis):
+                r = abs(complex(w @ g.coords)) / (1.0 + float(np.linalg.norm(g.coords)))
+                samples += 1
+                if r > worst:
+                    worst = r
+                    witness = (i, j, gi)
+    return worst, witness, samples
+
+
+def corollaries_loop(alg, f_min, alpha, rank_tol=1e-9):
+    """The corollary identities pair by pair, one product at a time: at
+    alpha = 0 the products of the left with the right kernel, then of nil
+    with itself; at other finite alpha x y - alpha y x for x in Stab(alpha)
+    and y in Stab(1/alpha).  Returns (worst norm, first witness reaching it
+    or None, number of samples)."""
+    from algscope import kernels, multiply, reduce_pencil, stab
+
+    worst = 0.0
+    witness = None
+    samples = 0
+    if alpha.value == 0:
+        ker = kernels(alg, f_min, rank_tol)
+        pairs = [("stab0*stabinf", ker.left, ker.right, 0.0), ("nil*nil", ker.nil, ker.nil, 0.0)]
+    else:
+        rp = reduce_pencil(alg, f_min, rank_tol)
+        xs, ys = stab(rp, alpha, rank_tol), stab(rp, alpha.inverse(), rank_tol)
+        pairs = [(None, xs, ys, alpha.value)]
+    for label, xs, ys, value in pairs:
+        for i in range(xs.dim):
+            for j in range(ys.dim):
+                x = xs.frame[:, i]
+                y = ys.frame[:, j]
+                d = multiply(alg, x, y).coords - value * multiply(alg, y, x).coords
+                r = float(np.linalg.norm(d))
+                samples += 1
+                if r > worst:
+                    worst = r
+                    witness = (i, j) if label is None else (label, i, j)
+    return worst, witness, samples

@@ -8,14 +8,23 @@ two independent decompositions, of an algebra and of its opposite, are
 compared.  Products in the opposite algebra run in reverse order, so the
 v-mult variant over pairs of finite points of one decomposition covers the
 products of the variant over pairs of nonzero points of the other.
+
+The direct sum A + B with the functional (F1, F2) pairs block-diagonally,
+so its spectrum is the union of those of (A, F1) and (B, F2): at a point of
+both, multiplicities and stabilizer dimensions add, and nil is nil_A + nil_B.
 """
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from algscope import (
+    Functional,
+    ProjectivePoint,
     decompose,
     direct_sum,
+    dual_numbers,
     group_algebra,
     klein_table,
     mat_algebra,
@@ -130,3 +139,47 @@ class TestOppositeMirror:
         assert left.dim and right.dim
         for space, space_op in ((left, right_op), (right, left_op), (nil, nil_op)):
             assert space.dim == space_op.dim and projector_distance(space, space_op) < 1e-8
+
+
+def _direct_sum_cases():
+    rng = np.random.default_rng(73)
+    algebras = [
+        ("Mat_2", mat_algebra(2)),
+        ("Mat_3", mat_algebra(3)),
+        ("tri_3", upper_triangular(3)),
+        ("S3", group_algebra(symmetric3_table())),
+        ("Klein", group_algebra(klein_table())),
+        ("dual", dual_numbers()),
+    ]
+    return [
+        (
+            f"{name_a}+{name_b}",
+            (alg_a, random_functional(alg_a.dim, rng)),
+            (alg_b, random_functional(alg_b.dim, rng)),
+        )
+        for (name_a, alg_a), (name_b, alg_b) in combinations_with_replacement(algebras, 2)
+    ]
+
+
+class TestDirectSum:
+    @pytest.mark.parametrize("case", _direct_sum_cases(), ids=lambda case: case[0])
+    def test_spectrum_is_the_union(self, case):
+        _, (alg_a, f_a), (alg_b, f_b) = case
+        parts = [decompose(alg_a, f_a), decompose(alg_b, f_b)]
+        f = Functional(np.concatenate([f_a.coords, f_b.coords]))
+        dec = decompose(direct_sum(alg_a, alg_b), f)
+        assert dec.ok and all(part.ok for part in parts)
+        assert dec.nil.dim == sum(part.nil.dim for part in parts)
+        for p in dec.points:
+            found = [part.point_at(p.alpha) for part in parts]
+            assert any(found), p.alpha
+            assert p.algebraic_mult == sum(q.algebraic_mult for q in found if q)
+            assert p.stab_dim == sum(q.stab_dim for q in found if q)
+            # V(alpha) of the sum is V(alpha) of each part that has alpha,
+            # plus nil of each part that has not
+            v_dims = [q.filtration_dims[-1] if q else part.nil.dim for q, part in zip(found, parts)]
+            assert p.filtration_dims[-1] == sum(v_dims)
+        for part in parts:
+            assert all(dec.point_at(q.alpha) for q in part.points)
+        # the unit lies in Stab(1), so alpha = 1 is a point of both parts
+        assert all(part.point_at(ProjectivePoint.finite(1.0)) for part in parts)

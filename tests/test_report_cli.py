@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ from algscope.report import (
 )
 
 from oracles import algebra_doc_by_loops
+
+
+def strict_json(text):
+    """Parse ``text``, refusing the non-standard constants NaN, Infinity and
+    -Infinity that Python's json module writes by default."""
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def random_algebra_object(seed):
@@ -109,6 +120,32 @@ class TestReportRoundTrip:
         back = ReportDocument.from_json(text)
         assert back == report
         assert back.to_json() == text
+
+    def test_non_finite_residuals_are_strict_json(self):
+        from algscope.verify import Finding
+
+        report = ReportDocument(
+            kind="verify",
+            tol=1e-9,
+            cluster_tol=1e-6,
+            seed=0,
+            findings=tuple(Finding("T", False, x) for x in (math.inf, -math.inf, math.nan)),
+            checks=(("c", False, math.inf, ""),),
+        )
+        text = report.to_json()
+        doc = strict_json(text)
+        assert [f["max_residual"] for f in doc["findings"]] == ["inf", "-inf", "nan"]
+        assert doc["checks"][0]["residual"] == "inf"
+        back = ReportDocument.from_json(text)
+        assert [f.max_residual for f in back.findings[:2]] == [math.inf, -math.inf]
+        assert math.isnan(back.findings[2].max_residual) and back.checks == report.checks
+        assert back.to_json() == text
+
+    @pytest.mark.parametrize("residual", ["Infinity", "infinite", None, True])
+    def test_residual_spellings_outside_the_format_are_rejected(self, residual):
+        doc = {"kind": "verify", "checks": [{"name": "c", "passed": False, "residual": residual}]}
+        with pytest.raises(ParseError):
+            ReportDocument.from_doc(doc)
 
     def test_text_rendering_mentions_key_sections(self):
         alg = mat_algebra(2)
@@ -240,6 +277,20 @@ class TestCli:
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert failed and failed[0]["name"] == "regular_shift_exists"
         assert failed[0]["detail"].startswith("no regular shift found in 64 samples")
+
+    def test_report_without_regular_shift_is_strict_json(self, workdir):
+        from oracles import prescribed_pencil_algebra
+
+        alg, f = prescribed_pencil_algebra(np.diag([1.0, 9e-9]))
+        save_algebra(alg, "a.alg")
+        save_functional(f, "f.fn")
+        assert main(["analyze", "a.alg", "f.fn", "--out", "r.json"]) == 2
+        text = (workdir / "r.json").read_text()
+        doc = strict_json(text)
+        assert doc["checks"][0]["residual"] == "inf"
+        back = ReportDocument.from_json(text)
+        assert back.checks[0][0] == "regular_shift_exists" and back.checks[0][2] == math.inf
+        assert back.to_json() == text
 
     def test_analyze_zero_functional(self, workdir, capsys):
         assert main(["builders", "dual", "--out", "dual.alg"]) == 0

@@ -414,11 +414,14 @@ class TestDecompose:
 
         dec = decompose(mat_algebra(3), diag125())
         assert all(dec.v_spaces[a] is levels[-1] for a, levels in dec.filtrations.items())
-        # a decomposition doctored in its filtrations alone has no stale V(alpha)
+        assert "filtrations" not in {field.name for field in dataclasses.fields(dec)}
+        # the levels are stored once, as quotient frames: doctoring them
+        # leaves no stale lifted level or V(alpha)
         first, second = (p.alpha for p in dec.points[:2])
-        filtrations = {**dec.filtrations, first: dec.filtrations[second]}
-        doctored = dataclasses.replace(dec, filtrations=filtrations)
-        assert doctored.v_spaces[first] is dec.filtrations[second][-1]
+        levels = dec.quotient_filtrations
+        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, first: levels[second]})
+        assert projector_distance(doctored.filtrations[first][0], dec.filtrations[second][0]) == 0
+        assert doctored.v_spaces[first] is doctored.filtrations[first][-1]
 
 
 def check_named(checks, name):

@@ -18,6 +18,7 @@ from algscope import (
     minimize_stab_dim,
     negative_control_finding,
     opposite,
+    projector_distance,
     random_functional,
     run_suites,
     symmetric3_table,
@@ -30,7 +31,6 @@ from algscope import (
     verify_stab_transversality,
     verify_v_mult,
 )
-from algscope.linalg import Subspace
 from algscope.verify import (
     COROLLARY_2,
     COROLLARY_3,
@@ -45,9 +45,11 @@ from algscope.verify import (
 )
 
 from oracles import (
+    corollaries_loop,
     minimize_stab_dim_loop,
     prescribed_pencil_algebra,
     product_inclusions_pairwise,
+    regular_perturbation_loop,
     stab_transversality_pairwise,
 )
 
@@ -292,6 +294,93 @@ class TestRegularFunctionals:
         assert not finding.passed
 
 
+def _regular_cases():
+    """(label, algebra, functional, alpha) for the element identities: the
+    minimizers run_suites uses, diagonal functionals with spectral points
+    beside 1, and the unit functional, the negative control, which fails
+    wherever the algebra is not commutative."""
+    rng = np.random.default_rng(57)
+    algs = [
+        ("Mat_2", mat_algebra(2)),
+        ("Mat_3", mat_algebra(3)),
+        ("tri_3", upper_triangular(3)),
+        ("S3", group_algebra(symmetric3_table())),
+        ("Klein", group_algebra(klein_table())),
+        ("dual", dual_numbers()),
+        ("Mat_2+S3", direct_sum(mat_algebra(2), group_algebra(symmetric3_table()))),
+    ]
+    cases = []
+    for name, alg in algs:
+        f_start = random_functional(alg.dim, rng)
+        for lambda0, mu0, alpha in ((1.0, -1.0, 1.0), (1.0, 0.0, 0.0)):
+            f_min, _ = minimize_stab_dim(alg, lambda0, mu0, full_dual(alg.dim), f_start, seed=3)
+            cases.append((f"{name} minimizer alpha={alpha:g}", alg, f_min, alpha))
+        cases.append((f"{name} unit", alg, Functional(alg.unit.copy()), 1.0))
+        cases.append((f"{name} unit alpha=0", alg, Functional(alg.unit.copy()), 0.0))
+    for alpha in (2.0, 5.0, 0.0):
+        cases.append((f"Mat_3 diag 1, 2, 5 alpha={alpha:g}", mat_algebra(3), diag125(), alpha))
+    weights = matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
+    cases.append(("Mat_3 weights 1, 2, 0 alpha=0", mat_algebra(3), weights, 0.0))
+    return cases
+
+
+REGULAR_CASES = _regular_cases()
+
+
+class TestLoopReferences:
+    """The vectorised element identities match the pair-by-pair loops they
+    replaced: the same verdict and samples, residuals within 1e-14, and on a
+    failing case the same witness."""
+
+    @staticmethod
+    def assert_agree(finding, reference):
+        worst, witness, samples = reference
+        assert (finding.passed, finding.samples) == (worst < 1e-6, samples)
+        assert abs(finding.max_residual - worst) <= 1e-14
+        if not finding.passed:
+            assert finding.witness == witness
+        return finding
+
+    @pytest.mark.parametrize("case", REGULAR_CASES, ids=lambda case: case[0])
+    def test_corollaries(self, case):
+        _, alg, f, alpha = case
+        point = ProjectivePoint.finite(alpha)
+        self.assert_agree(verify_corollaries(alg, f, point), corollaries_loop(alg, f, point))
+
+    @pytest.mark.parametrize("case", REGULAR_CASES, ids=lambda case: case[0])
+    def test_regular_perturbation(self, case):
+        _, alg, f, alpha = case
+        for lambda0, mu0 in ((1.0, -1.0), (1.0, -alpha), (1.0, 0.0)):
+            args = (alg, f, lambda0, mu0, full_dual(alg.dim))
+            self.assert_agree(verify_regular_perturbation(*args), regular_perturbation_loop(*args))
+
+    def test_restricted_direction(self):
+        alg = mat_algebra(2)
+        f = matrix_trace_functional(np.diag([1.0, 2.0]))
+        args = (alg, f, 1.0, -2.0, [f])
+        reference = regular_perturbation_loop(*args)
+        assert self.assert_agree(verify_regular_perturbation(*args), reference).samples == 1
+
+    def test_cases_cover_failures_and_empty_kernels(self):
+        findings = [
+            verify_corollaries(alg, f, ProjectivePoint.finite(alpha))
+            for _, alg, f, alpha in REGULAR_CASES
+        ]
+        assert sum(not f.passed for f in findings) >= 3
+        assert any(f.samples == 0 for f in findings)
+        assert any(f.theorem_id == COROLLARY_3 and not f.passed for f in findings)
+        unit = Functional(mat_algebra(2).unit.copy())
+        perturbation = verify_regular_perturbation(mat_algebra(2), unit, 1.0, -1.0, full_dual(4))
+        assert not perturbation.passed
+
+    def test_negative_control(self):
+        for alg in (mat_algebra(2), mat_algebra(3), group_algebra(symmetric3_table())):
+            finding = negative_control_finding(alg)
+            unit = Functional(alg.unit.copy())
+            reference = corollaries_loop(alg, unit, ProjectivePoint.finite(1.0))
+            assert not self.assert_agree(finding, reference).passed
+
+
 def _oracle_cases():
     rng = np.random.default_rng(53)
     algs = [
@@ -363,8 +452,9 @@ class TestProductInclusionsOracle:
     def test_empty_levels_give_no_samples(self):
         alg = mat_algebra(2)
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
-        empty = {alpha: (Subspace.zero(alg.dim),) for alpha in dec.filtrations}
-        doctored = dataclasses.replace(dec, filtrations=empty)
+        assert dec.nil.dim == 0
+        empty = {alpha: (np.zeros((dec.quotient_dim, 0)),) for alpha in dec.quotient_filtrations}
+        doctored = dataclasses.replace(dec, quotient_filtrations=empty)
         assert self.assert_agree(alg, doctored) == [(0.0, None)] * 2
 
     def test_doctored_infinity_fails_only_the_nonzero_variant(self):
@@ -374,8 +464,8 @@ class TestProductInclusionsOracle:
         one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
         assert inf.is_infinite
         # V(1) holds the unit, so V(1) V(2) misses V(1) put in place of V(inf)
-        filtrations = {**dec.filtrations, inf: dec.filtrations[one]}
-        doctored = dataclasses.replace(dec, filtrations=filtrations)
+        levels = dec.quotient_filtrations
+        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, inf: levels[one]})
         (worst, _), (worst_nonzero, witness) = self.assert_agree(alg, doctored)
         assert worst < 1e-12 and worst_nonzero > 0.1
         # the witness names V^k(a) V^m(b) in the decomposition's own points
@@ -398,12 +488,9 @@ class TestProductInclusionsOracle:
         # V(1) holds the unit, whose square then misses its new target
         first = dec.point_at(ProjectivePoint.finite(1.0)).alpha
         second = next(p.alpha for p in dec.points if p.alpha != first)
-        filtrations = {
-            **dec.filtrations,
-            first: dec.filtrations[second],
-            second: dec.filtrations[first],
-        }
-        doctored = dataclasses.replace(dec, filtrations=filtrations)
+        levels = dec.quotient_filtrations
+        swapped = {**levels, first: levels[second], second: levels[first]}
+        doctored = dataclasses.replace(dec, quotient_filtrations=swapped)
         for worst, witness in self.assert_agree(alg, doctored):
             assert worst > 0.1 and witness is not None
         findings = verify_v_mult(alg, doctored)
@@ -480,9 +567,12 @@ class TestLinearAlgebraCounts:
             assert opposites == []
             assert callers.count("verify_kernel_relations") <= 7 * n
             assert callers.count("nil_ideal_check") <= 2 * n
-            assert callers.count("verify_corollaries") <= 2
-            known = ("_product_inclusions", "verify_kernel_relations")
-            known += ("nil_ideal_check", "verify_corollaries")
+            # two products for each of Corollary2, Corollary3 and
+            # RegularPerturbation: x y and y x, or stab0 stabinf and nil nil
+            assert callers.count("verify_corollaries") == 4
+            assert callers.count("verify_regular_perturbation") == 2
+            known = ("_product_inclusions", "verify_kernel_relations", "nil_ideal_check")
+            known += ("verify_corollaries", "verify_regular_perturbation")
             assert len(callers) == sum(callers.count(c) for c in known)
         # on tri_5 the left and right kernels are nonzero, so their products count too
         assert callers.count("verify_kernel_relations") > 0
@@ -539,13 +629,35 @@ class TestTransversality:
     def test_repeated_stab_frame_fails(self, alg, f):
         dec = decompose(alg, f)
         first, second = dec.points[0].alpha, dec.points[1].alpha
-        filtrations = {**dec.filtrations, second: dec.filtrations[first]}
-        doctored = dataclasses.replace(dec, filtrations=filtrations)
+        levels = dec.quotient_filtrations
+        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, second: levels[first]})
         finding = verify_stab_transversality(doctored)
         passed, worst, pairs = stab_transversality_pairwise(doctored)
         assert not passed and worst >= 1
         assert not finding.passed and finding.max_residual >= 1
         assert finding.witness == (second,) and finding.samples == pairs
+
+
+def test_doctored_quotient_frames_reach_every_reader():
+    """The quotient frames are the one stored form of the levels: a
+    decomposition doctored in them alone is seen doctored by its lifted
+    levels, its V(alpha), both v-mult variants and the transversality
+    suite."""
+    alg = mat_algebra(3)
+    dec = decompose(alg, diag125())
+    one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
+    two = dec.point_at(ProjectivePoint.finite(2.0)).alpha
+    levels = dec.quotient_filtrations
+    doctored = dataclasses.replace(dec, quotient_filtrations={**levels, two: levels[one]})
+    assert projector_distance(doctored.filtrations[two][0], dec.filtrations[one][0]) == 0
+    assert projector_distance(doctored.v_spaces[two], dec.v_spaces[one]) == 0
+    assert all(f.passed for f in verify_v_mult(alg, dec))
+    # V(1) holds the unit, whose square misses V(4) = nil
+    assert not any(f.passed for f in verify_v_mult(alg, doctored))
+    assert verify_stab_transversality(dec).passed
+    finding = verify_stab_transversality(doctored)
+    # 2 follows 1 in spectrum order
+    assert not finding.passed and finding.witness == (two,)
 
 
 class TestRunSuites:
