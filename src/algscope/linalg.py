@@ -11,6 +11,12 @@ Operators of the form ``a - alpha*b`` can cancel to a matrix that is zero up
 to roundoff; for those the caller passes ``scale`` (the pre-cancellation
 magnitude) so the cutoff never collapses to the noise floor of an
 all-noise matrix.
+
+The ``stack_*`` primitives make the same decisions for a stack of equal-shape
+matrices with one LAPACK call: numpy runs the routine of a single call on
+each matrix of the stack, so every result is bitwise that of the single
+call.  Callers split long stacks with :func:`stack_chunks`, which keeps each
+stack within ``_STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ __all__ = [
     "rank",
     "nullspace",
     "orthonormal_columns",
+    "stack_chunks",
+    "as_stack",
+    "stack_ranks",
+    "stack_nullspaces",
+    "stack_column_spans",
     "subspace_sum",
     "subspace_intersect",
     "subspace_equal",
@@ -62,6 +73,13 @@ def _svd_cutoff(s: np.ndarray, tol: float, scale: float | None) -> float:
     if scale is not None:
         base = max(base, float(scale))
     return tol * base
+
+
+def _stack_ranks_of(s: np.ndarray, tol: float, scales) -> np.ndarray:
+    """Rank of each matrix of a stack from its row of singular values, each
+    row with its own cutoff at its own scale."""
+    cutoffs = [_svd_cutoff(row, tol, scale) for row, scale in zip(s, scales)]
+    return np.sum(s >= np.array(cutoffs).reshape(-1, 1), axis=1)
 
 
 def rank(m, tol: float, *, scale: float | None = None) -> int:
@@ -210,6 +228,66 @@ def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.n
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     r = int(np.sum(s >= _svd_cutoff(s, tol, scale)))
     return u[:, :r]
+
+
+# --------------------------------------------------------------------------
+# stacks of matrices
+
+#: bytes allowed per stack of matrices handed to one batched LAPACK call
+_STACK_BYTES = 256 * 2**10
+
+
+def stack_chunks(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of ``range(n)`` whose items, ``item_bytes`` each,
+    take at most ``_STACK_BYTES`` together; an item over the budget goes
+    alone."""
+    step = max(1, _STACK_BYTES // max(1, item_bytes))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def as_stack(mats) -> np.ndarray:
+    """Stack equal-shape matrices into a finite complex 3-d array; raise on
+    NaN/Inf, as :func:`as_matrix` does for one matrix."""
+    m = np.stack(mats).astype(complex, copy=False)
+    if m.ndim != 3:
+        raise ShapeError(f"expected a stack of 2-d arrays, got shape {m.shape}")
+    if m.size and not np.all(np.isfinite(m)):
+        raise NonFinite("matrix contains NaN or Inf entries")
+    return m
+
+
+def stack_ranks(stack: np.ndarray, tol: float, scales) -> np.ndarray:
+    """:func:`rank` of each matrix of ``stack`` at its own ``scales[i]``, from
+    one values-only SVD."""
+    return _stack_ranks_of(np.linalg.svd(stack, compute_uv=False), tol, scales)
+
+
+def stack_nullspaces(stack: np.ndarray, tol: float, scales) -> list[np.ndarray]:
+    """``nullspace(stack[i], tol, scale=scales[i]).frame`` for each matrix of
+    ``stack``, from one full SVD.  The frames are read-only, and each is
+    checked orthonormal within ``10 * tol``, as :class:`Subspace` checks it,
+    by one stacked product per column count."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    _, s, vh = np.linalg.svd(stack)
+    frames = [v[r:].conj().T for v, r in zip(vh, _stack_ranks_of(s, tol, scales))]
+    by_width: dict[int, list[np.ndarray]] = {}
+    for frame in frames:
+        frame.setflags(write=False)
+        by_width.setdefault(frame.shape[1], []).append(frame)
+    for width, group in by_width.items():
+        f = np.stack(group)
+        g = f.conj().transpose(0, 2, 1) @ f
+        if g.size and np.max(np.abs(g - np.eye(width))) > 10.0 * tol:
+            raise ShapeError("frame columns are not orthonormal at the stated tolerance")
+    return frames
+
+
+def stack_column_spans(stack: np.ndarray, tol: float, scales) -> list[np.ndarray]:
+    """``orthonormal_columns(stack[i], tol, scale=scales[i])`` for each matrix
+    of ``stack`` (at least one column each), from one thin SVD."""
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    return [w[:, :r] for w, r in zip(u, _stack_ranks_of(s, tol, scales))]
 
 
 def _check_ambient(a: Subspace, b: Subspace):
@@ -406,8 +484,10 @@ def det_poly(a, b) -> HomogeneousPoly:
     Recovered by evaluating the determinant at ``K+1`` sample ratios and
     solving the interpolation system; sampling at the ``K+1``-st roots of
     unity makes the system an exact inverse DFT with unit-modulus nodes, so
-    the recovery is perfectly conditioned at any degree.  For ``K = 0`` the
-    empty-determinant convention gives the constant polynomial 1.
+    the recovery is perfectly conditioned at any degree.  The ``K+1``
+    determinants come from stacked ``np.linalg.det`` calls, in chunks of at
+    most ``_STACK_BYTES``.  For ``K = 0`` the empty-determinant convention
+    gives the constant polynomial 1.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -417,6 +497,11 @@ def det_poly(a, b) -> HomogeneousPoly:
     if k == 0:
         return HomogeneousPoly(0, np.array([1.0 + 0.0j]))
     nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    values = np.array([np.linalg.det(a + t * b) for t in nodes])
+    values = np.concatenate(
+        [
+            np.linalg.det(np.stack([a + t * b for t in nodes[c]]))
+            for c in stack_chunks(k + 1, a.nbytes)
+        ]
+    )
     coeffs = np.fft.fft(values) / (k + 1)
     return HomogeneousPoly(k, coeffs)

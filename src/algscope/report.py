@@ -57,6 +57,27 @@ def _real_in(value, where: str) -> float:
     raise ParseError('expected a number, "inf", "-inf" or "nan"', where)
 
 
+def _int_in(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError("expected an integer", where)
+
+
+def _list_in(value, where: str) -> list:
+    if isinstance(value, list):
+        return value
+    raise ParseError("expected a list", where)
+
+
+def _field(obj, key: str, where: str):
+    """``obj[key]``, or :class:`ParseError` naming the missing field."""
+    if not isinstance(obj, dict):
+        raise ParseError("expected an object", where)
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}", where)
+    return obj[key]
+
+
 def _pair(z: complex) -> list[float | str]:
     z = complex(z)
     return [_real_out(z.real), _real_out(z.imag)]
@@ -130,7 +151,7 @@ def algebra_from_doc(doc: dict) -> Algebra:
         if (i, j, k) in seen:
             raise ParseError(f"duplicate entry for ({i}, {j}, {k})", where)
         seen.add((i, j, k))
-        structure[i, j, k] = complex(float(row[3]), float(row[4]))
+        structure[i, j, k] = _unpair(row[3:], where)
     labels = doc.get("basis")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:
@@ -283,51 +304,61 @@ class ReportDocument:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ParseError("report document needs a 'kind'", "kind")
         tolerances = doc.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ParseError("expected an object", "tolerances")
         spectrum = tuple(
             SpectrumRow(
-                _alpha_in(row.get("alpha"), "spectrum.alpha"),
-                int(row["algebraic_mult"]),
-                int(row["stab_dim"]),
-                tuple(int(d) for d in row["filtration_dims"]),
+                _alpha_in(_field(row, "alpha", "spectrum"), "spectrum.alpha"),
+                _int_in(_field(row, "algebraic_mult", "spectrum"), "spectrum.algebraic_mult"),
+                _int_in(_field(row, "stab_dim", "spectrum"), "spectrum.stab_dim"),
+                tuple(
+                    _int_in(d, "spectrum.filtration_dims")
+                    for d in _list_in(
+                        _field(row, "filtration_dims", "spectrum"), "spectrum.filtration_dims"
+                    )
+                ),
             )
-            for row in doc.get("spectrum", [])
+            for row in _list_in(doc.get("spectrum", []), "spectrum")
         )
         findings = tuple(
             Finding(
-                str(f["theorem_id"]),
-                bool(f["passed"]),
-                _real_in(f["max_residual"], "findings.max_residual"),
+                str(_field(f, "theorem_id", "findings")),
+                bool(_field(f, "passed", "findings")),
+                _real_in(_field(f, "max_residual", "findings"), "findings.max_residual"),
                 f.get("witness"),
-                int(f.get("samples", 0)),
-                tuple(f.get("notes", ())),
+                _int_in(f.get("samples", 0), "findings.samples"),
+                tuple(_list_in(f.get("notes", []), "findings.notes")),
             )
-            for f in doc.get("findings", [])
+            for f in _list_in(doc.get("findings", []), "findings")
         )
         checks = tuple(
             (
-                str(c["name"]),
-                bool(c["passed"]),
-                _real_in(c["residual"], "checks.residual"),
+                str(_field(c, "name", "checks")),
+                bool(_field(c, "passed", "checks")),
+                _real_in(_field(c, "residual", "checks"), "checks.residual"),
                 str(c.get("detail", "")),
             )
-            for c in doc.get("checks", [])
+            for c in _list_in(doc.get("checks", []), "checks")
         )
         v_frames = None
         if "v_frames" in doc:
             v_frames = tuple(
-                tuple(tuple(_unpair(z, "v_frames") for z in col) for col in frame)
-                for frame in doc["v_frames"]
+                tuple(
+                    tuple(_unpair(z, "v_frames") for z in _list_in(col, "v_frames"))
+                    for col in _list_in(frame, "v_frames")
+                )
+                for frame in _list_in(doc["v_frames"], "v_frames")
             )
         chi = None
         if "chi" in doc:
-            chi = tuple(_unpair(z, "chi") for z in doc["chi"])
+            chi = tuple(_unpair(z, "chi") for z in _list_in(doc["chi"], "chi"))
         return cls(
             kind=str(doc["kind"]),
-            tol=float(tolerances.get("tol", 1e-9)),
-            cluster_tol=float(tolerances.get("cluster_tol", 1e-6)),
-            seed=int(doc.get("seed", 0)),
+            tol=_real_in(tolerances.get("tol", 1e-9), "tolerances.tol"),
+            cluster_tol=_real_in(tolerances.get("cluster_tol", 1e-6), "tolerances.cluster_tol"),
+            seed=_int_in(doc.get("seed", 0), "seed"),
             alpha0=_unpair(doc["alpha0"], "alpha0") if "alpha0" in doc else None,
-            nil_dim=int(doc["nil_dim"]) if "nil_dim" in doc else None,
+            nil_dim=_int_in(doc["nil_dim"], "nil_dim") if "nil_dim" in doc else None,
             chi=chi,
             spectrum=spectrum,
             v_frames=v_frames,

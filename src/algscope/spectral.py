@@ -36,12 +36,15 @@ from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
+    as_stack,
     det_poly,
     nullspace,
-    orthonormal_columns,
     pencil_eigen,
-    projector_distance,
     rank,
+    stack_chunks,
+    stack_column_spans,
+    stack_nullspaces,
+    stack_ranks,
 )
 
 __all__ = [
@@ -219,35 +222,81 @@ def _slot_one_operator(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[np.nd
 
 def _filtration_reduced(
     rp: ReducedPencil,
-    alpha: ProjectivePoint,
-    alpha0: complex,
+    alphas: list[ProjectivePoint],
+    alpha0s: list[complex],
     tol: float,
-    stab_frame: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Quotient-coordinate frames of V^0 <= V^1 <= ... until the dimension
+    stab_frames: list[np.ndarray] | None = None,
+) -> list[list[np.ndarray]]:
+    """Quotient-coordinate frames of V^0 <= V^1 <= ... of each item, the
+    point ``alphas[i]`` under the shift ``alpha0s[i]``, until its dimension
     stabilizes (at most K steps).
 
-    ``stab_frame``, when given, is V^0 = Stab(alpha) as computed by this
-    function at the same ``tol``, and replaces its recomputation.  Whether
-    the chain grows is decided from singular values alone; the vectors of a
-    level are computed only when it is larger than the one before."""
-    s_mat, s_scale = _slot_one_operator(rp, alpha)
-    t_mat = rp.at_tilde - alpha0 * rp.a_tilde
-    t_scale = (1.0 + abs(alpha0)) * rp.pencil_scale()
-    if stab_frame is None:
-        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
-    levels = [stab_frame]
+    ``stab_frames``, when given, are the V^0 = Stab(alpha) frames as
+    computed by this function at the same ``tol``, and replace their
+    recomputation.  The items climb their chains in step, so each LAPACK
+    call serves all of them: one stacked SVD gives every Stab(alpha), and
+    at each level one thin SVD per column width gives the images, one
+    values-only SVD decides which chains grow, and one full SVD gives the
+    next level of the growing ones.  A level's vectors are thus computed
+    only when it is larger than the one before.  Items go through in chunks
+    whose K x K operators fit ``linalg._STACK_BYTES`` together, so memory
+    stays bounded whatever the number of points."""
+    levels: list[list[np.ndarray]] = []
+    for c in stack_chunks(len(alphas), 16 * rp.K**2):
+        stabs = None if stab_frames is None else stab_frames[c]
+        levels += _climb(rp, alphas[c], alpha0s[c], tol, stabs)
+    return levels
+
+
+def _climb(
+    rp: ReducedPencil,
+    alphas: list[ProjectivePoint],
+    alpha0s: list[complex],
+    tol: float,
+    stab_frames: list[np.ndarray] | None,
+) -> list[list[np.ndarray]]:
+    """The filtrations of one chunk of :func:`_filtration_reduced`'s items.
+
+    Every matrix is formed by the same operations as for a single item, and
+    only the SVDs are stacked, so each frame is bitwise the one a lone item
+    gets."""
+    s_ops = [_slot_one_operator(rp, alpha) for alpha in alphas]
+    s_scales = np.array([scale for _, scale in s_ops])
+    shifted = {a0: rp.at_tilde - a0 * rp.a_tilde for a0 in alpha0s}
+    t_scales = [(1.0 + abs(a0)) * rp.pencil_scale() for a0 in alpha0s]
+    if stab_frames is None:
+        stab_frames = stack_nullspaces(as_stack([m for m, _ in s_ops]), tol, s_scales)
+    levels = [[w] for w in stab_frames]
+    active = list(range(len(alphas)))
     for _ in range(rp.K):
-        image = orthonormal_columns(t_mat @ levels[-1], tol, scale=t_scale)
-        off_image = s_mat - image @ (image.conj().T @ s_mat)
-        if rp.K - rank(off_image, tol, scale=s_scale) <= levels[-1].shape[1]:
+        if not active:
             break
-        nxt = nullspace(off_image, tol, scale=s_scale).frame
-        # a full SVD may round its singular values differently from the
-        # values-only one, so the level must still be seen to grow
-        if nxt.shape[1] <= levels[-1].shape[1]:
+        # the image of each top level under the shifted operator, whose
+        # orthonormal columns come from one thin SVD per column width
+        images = {}
+        by_width: dict[int, list[int]] = {}
+        for i in active:
+            images[i] = shifted[alpha0s[i]] @ levels[i][-1]
+            by_width.setdefault(images[i].shape[1], []).append(i)
+        for width, members in by_width.items():
+            if width:
+                stack = as_stack([images[i] for i in members])
+                spans = stack_column_spans(stack, tol, [t_scales[i] for i in members])
+                images.update(zip(members, spans))
+        off_image = [s_ops[i][0] - images[i] @ (images[i].conj().T @ s_ops[i][0]) for i in active]
+        ranks = stack_ranks(as_stack(off_image), tol, s_scales[active])
+        grows = [j for j, i in enumerate(active) if rp.K - ranks[j] > levels[i][-1].shape[1]]
+        if not grows:
             break
-        levels.append(nxt)
+        growing = [active[j] for j in grows]
+        stack = as_stack([off_image[j] for j in grows])
+        active = []
+        for i, nxt in zip(growing, stack_nullspaces(stack, tol, s_scales[growing])):
+            # a full SVD may round its singular values differently from the
+            # values-only one, so the level must still be seen to grow
+            if nxt.shape[1] > levels[i][-1].shape[1]:
+                levels[i].append(nxt)
+                active.append(i)
     return levels
 
 
@@ -287,7 +336,8 @@ def jordan_filtration(
     again."""
     if not alpha.is_infinite and alpha.value == alpha0:
         raise NoRegularValue("the shift must differ from the point under study")
-    frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frame)
+    stabs = None if stab_frame is None else [stab_frame]
+    frames = _filtration_reduced(rp, [alpha], [alpha0], tol, stabs)[0]
     return [_lift(rp, w, tol) for w in frames]
 
 
@@ -412,10 +462,11 @@ def decompose(
     chi = char_poly(rp)
     raw_points = spectrum(rp, alpha0, cluster_tol)
 
+    alphas = [alpha for alpha, _ in raw_points]
+    all_frames = _filtration_reduced(rp, alphas, [alpha0] * len(alphas), tol)
     points: list[SpectrumPoint] = []
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
-    for alpha, mult in raw_points:
-        frames = _filtration_reduced(rp, alpha, alpha0, tol)
+    for (alpha, mult), frames in zip(raw_points, all_frames):
         dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         quotient_filtrations[alpha] = tuple(frames)
@@ -448,17 +499,50 @@ def verify_alpha0_independence(
     projector distance).  Both filtrations start from ``stab_frame`` when it
     is given (see :func:`jordan_filtration`).  The levels are compared in
     quotient coordinates, where their lifts' common nil drops out."""
-    if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
-        raise NoRegularValue("the shift must differ from the point under study")
-    lev_a = _filtration_reduced(rp, alpha, alpha0_a, tol, stab_frame)
-    lev_b = _filtration_reduced(rp, alpha, alpha0_b, tol, stab_frame)
-    if [w.shape[1] for w in lev_a] != [w.shape[1] for w in lev_b]:
-        return False, float("inf")
-    worst = 0.0
-    for wa, wb in zip(lev_a, lev_b):
-        # the dimensions agree, so the levels are equal iff the distance is small
-        dist = projector_distance(Subspace(rp.K, wa, tol), Subspace(rp.K, wb, tol))
-        worst = max(worst, dist)
-        if not dist < compare_tol:
-            return False, worst
-    return True, worst
+    stabs = None if stab_frame is None else [stab_frame]
+    return _alpha0_independence(rp, [alpha], alpha0_a, alpha0_b, tol, compare_tol, stabs)[0]
+
+
+def _alpha0_independence(
+    rp: ReducedPencil,
+    alphas: list[ProjectivePoint],
+    alpha0_a: complex,
+    alpha0_b: complex,
+    tol: float,
+    compare_tol: float,
+    stab_frames: list[np.ndarray] | None,
+) -> list[tuple[bool, float]]:
+    """:func:`verify_alpha0_independence` at each of ``alphas``: one
+    filtration call climbs all 2P chains (every point under ``alpha0_a``,
+    then under ``alpha0_b``), and stacked values-only SVDs give the
+    projector distances of all levels, the largest singular value being
+    ``norm(d, 2)``.  Each point stops at its first level that differs."""
+    for alpha in alphas:
+        if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
+            raise NoRegularValue("the shift must differ from the point under study")
+    n = len(alphas)
+    stabs = None if stab_frames is None else stab_frames * 2
+    chains = _filtration_reduced(rp, alphas * 2, [alpha0_a] * n + [alpha0_b] * n, tol, stabs)
+    pairs = list(zip(chains[:n], chains[n:]))
+    same_dims = [[w.shape[1] for w in a] == [w.shape[1] for w in b] for a, b in pairs]
+    # the dimensions agree, so the levels are equal iff the distance is small
+    compared = [level for (a, b), same in zip(pairs, same_dims) if same for level in zip(a, b)]
+    dists: list[float] = []
+    for c in stack_chunks(len(compared), 16 * rp.K**2):
+        d = as_stack([wa @ wa.conj().T - wb @ wb.conj().T for wa, wb in compared[c]])
+        dists += np.linalg.svd(d, compute_uv=False).max(axis=-1, initial=0.0).tolist()
+    remaining = iter(dists)
+    results = []
+    for (levels, _), same in zip(pairs, same_dims):
+        if not same:
+            results.append((False, float("inf")))
+            continue
+        worst = 0.0
+        equal = True
+        for dist in [next(remaining) for _ in levels]:
+            worst = max(worst, dist)
+            if not dist < compare_tol:
+                equal = False
+                break
+        results.append((equal, worst))
+    return results

@@ -20,15 +20,15 @@ import numpy as np
 
 from .algebra import Algebra, pairwise_products
 from .functional import Functional, Kernels, gram, kernels, random_functional, reduce_pencil
-from .linalg import ProjectivePoint, Subspace, nullspace, rank
+from .linalg import ProjectivePoint, Subspace, as_stack, nullspace, rank, stack_chunks, stack_ranks
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
     Decomposition,
+    _alpha0_independence,
     choose_alpha0,
     decompose,
     stab,
-    verify_alpha0_independence,
 )
 from .suite_names import DEFAULT_SUITES, SUITE_NAMES
 
@@ -148,31 +148,33 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     Level 0, Stab(alpha), does not involve the shift, so both filtrations
     start from the decomposition's own frame of it
     (``dec.quotient_filtrations``) and climb from there; every higher level
-    is computed afresh under each shift."""
+    is computed afresh under each shift.  Each point is compared as
+    :func:`algscope.spectral.verify_alpha0_independence` compares it, but
+    all 2P filtrations climb in one batch and the projector distances of
+    all their levels come from stacked values-only SVDs, each stack within
+    ``linalg._STACK_BYTES``."""
     if not dec.points:
         return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
     shift_a = choose_alpha0(dec.pencil, seed=seed + 1)
     shift_b = choose_alpha0(dec.pencil, seed=seed + 2)
+    results = _alpha0_independence(
+        dec.pencil,
+        [p.alpha for p in dec.points],
+        shift_a,
+        shift_b,
+        dec.tol,
+        tol,
+        [dec.quotient_filtrations[p.alpha][0] for p in dec.points],
+    )
     worst = 0.0
     witness = None
-    samples = 0
     ok = True
-    for p in dec.points:
-        equal, dist = verify_alpha0_independence(
-            dec.pencil,
-            p.alpha,
-            shift_a,
-            shift_b,
-            dec.tol,
-            compare_tol=tol,
-            stab_frame=dec.quotient_filtrations[p.alpha][0],
-        )
-        samples += 1
+    for p, (equal, dist) in zip(dec.points, results):
         if dist > worst or not equal:
             worst = max(worst, dist)
             witness = (p.alpha, shift_a, shift_b)
         ok = ok and equal
-    return Finding(ALPHA0_INDEPENDENCE, ok, worst, witness, samples)
+    return Finding(ALPHA0_INDEPENDENCE, ok, worst, witness, len(results))
 
 
 # --------------------------------------------------------------------------
@@ -370,14 +372,6 @@ def _slot_one_kernel(
     return nullspace(m, tol, scale=scale)
 
 
-def _slot_one_kernel_dim(
-    alg: Algebra, f: Functional, lambda0: complex, mu0: complex, tol: float
-) -> int:
-    """Dimension of :func:`_slot_one_kernel`, from singular values alone."""
-    m, scale = _slot_one_combination(alg, f, lambda0, mu0)
-    return alg.dim - rank(m, tol, scale=scale)
-
-
 def minimize_stab_dim(
     alg: Algebra,
     lambda0: complex,
@@ -389,30 +383,34 @@ def minimize_stab_dim(
     tol: float = DEFAULT_TOL,
 ) -> tuple[Functional, int]:
     """Sample ``f_start + sum eps_i g_i`` with small random eps (|eps| <= 0.1)
-    and return the first sample attaining the minimal kernel dimension of
-    ``lambda0 a + mu0 a^T``.
+    and return the first of ``f_start`` and the samples attaining the
+    minimal kernel dimension of ``lambda0 a + mu0 a^T``.
 
     Rank is lower-semicontinuous, so the minimum over the neighbourhood is the
     generic value and random sampling finds it with overwhelming probability.
     The sample stream is a deterministic function of the seed, evaluated as a
-    prefix, so more samples can only lower the result.
+    prefix, so more samples can only lower the result.  The ranks of all
+    candidates come from stacked values-only SVDs, each stack within
+    ``linalg._STACK_BYTES``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     directions = np.array([g.coords for g in s_basis], dtype=complex).reshape(-1, f_start.dim)
-    best_f = f_start
-    best_dim = _slot_one_kernel_dim(alg, f_start, lambda0, mu0, tol)
+    candidates = [f_start]
     for _ in range(samples):
         # (radius, phase) per direction, drawn in the order of ``s_basis``
         draws = rng.uniform([0.0, 0.0], [0.1, 2.0 * np.pi], size=(len(s_basis), 2))
         eps = draws[:, 0] * np.exp(1j * draws[:, 1])
-        candidate = Functional(f_start.coords + eps @ directions)
-        d = _slot_one_kernel_dim(alg, candidate, lambda0, mu0, tol)
-        if d < best_dim:
-            best_dim = d
-            best_f = candidate
-    return best_f, best_dim
+        candidates.append(Functional(f_start.coords + eps @ directions))
+    dims = []
+    for c in stack_chunks(len(candidates), 16 * alg.dim**2):
+        combos = [_slot_one_combination(alg, f, lambda0, mu0) for f in candidates[c]]
+        ranks = stack_ranks(as_stack([m for m, _ in combos]), tol, [scale for _, scale in combos])
+        dims += (alg.dim - ranks).tolist()
+    # the first minimum: a later candidate must be strictly lower to win
+    best = int(np.argmin(dims))
+    return candidates[best], dims[best]
 
 
 def verify_regular_perturbation(

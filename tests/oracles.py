@@ -254,14 +254,19 @@ def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed
     """The kernel-dimension minimizer with its perturbations drawn one
     direction at a time: per sample, a radius then a phase for each member
     of ``s_basis`` in order, added to the start one scaled vector at a
-    time.  Returns (first sample reaching the minimal dimension, that
-    dimension)."""
+    time, and each candidate's rank taken by its own SVD.  Returns (first
+    sample reaching the minimal dimension, that dimension)."""
     from algscope import Functional
-    from algscope.verify import _slot_one_kernel_dim
+    from algscope.linalg import rank
+    from algscope.verify import _slot_one_combination
+
+    def kernel_dim(f):
+        m, scale = _slot_one_combination(alg, f, lambda0, mu0)
+        return alg.dim - rank(m, tol, scale=scale)
 
     rng = np.random.default_rng(seed)
     best_f = f_start
-    best_dim = _slot_one_kernel_dim(alg, f_start, lambda0, mu0, tol)
+    best_dim = kernel_dim(f_start)
     for _ in range(samples):
         coords = f_start.coords.copy()
         for g in s_basis:
@@ -269,11 +274,66 @@ def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed
             phase = rng.uniform(0.0, 2.0 * np.pi)
             coords = coords + radius * np.exp(1j * phase) * g.coords
         candidate = Functional(coords)
-        d = _slot_one_kernel_dim(alg, candidate, lambda0, mu0, tol)
+        d = kernel_dim(candidate)
         if d < best_dim:
             best_dim = d
             best_f = candidate
     return best_f, best_dim
+
+
+def filtration_reduced_loop(rp, alpha, alpha0, tol, stab_frame=None):
+    """The quotient-coordinate filtration of one point, one SVD per call:
+    Stab(alpha), then per level the image's orthonormal columns, a rank
+    test for growth and the next level's nullspace, each through the
+    library's single-matrix primitives.  Returns the list of level
+    frames."""
+    from algscope.linalg import nullspace, orthonormal_columns, rank
+    from algscope.spectral import _slot_one_operator
+
+    s_mat, s_scale = _slot_one_operator(rp, alpha)
+    t_mat = rp.at_tilde - alpha0 * rp.a_tilde
+    t_scale = (1.0 + abs(alpha0)) * rp.pencil_scale()
+    if stab_frame is None:
+        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
+    levels = [stab_frame]
+    for _ in range(rp.K):
+        image = orthonormal_columns(t_mat @ levels[-1], tol, scale=t_scale)
+        off_image = s_mat - image @ (image.conj().T @ s_mat)
+        if rp.K - rank(off_image, tol, scale=s_scale) <= levels[-1].shape[1]:
+            break
+        nxt = nullspace(off_image, tol, scale=s_scale).frame
+        if nxt.shape[1] <= levels[-1].shape[1]:
+            break
+        levels.append(nxt)
+    return levels
+
+
+def alpha0_independence_loop(rp, alpha, alpha0_a, alpha0_b, tol, compare_tol, stab_frame=None):
+    """Shift independence at one point from two looped filtrations and one
+    projector distance per level: (all levels equal, max distance), stopping
+    at the first level that differs."""
+    from algscope.linalg import Subspace, projector_distance
+
+    lev_a = filtration_reduced_loop(rp, alpha, alpha0_a, tol, stab_frame)
+    lev_b = filtration_reduced_loop(rp, alpha, alpha0_b, tol, stab_frame)
+    if [w.shape[1] for w in lev_a] != [w.shape[1] for w in lev_b]:
+        return False, float("inf")
+    worst = 0.0
+    for wa, wb in zip(lev_a, lev_b):
+        dist = projector_distance(Subspace(rp.K, wa, tol), Subspace(rp.K, wb, tol))
+        worst = max(worst, dist)
+        if not dist < compare_tol:
+            return False, worst
+    return True, worst
+
+
+def det_poly_loop(a, b):
+    """Coefficients of det(lam a + mu b), one determinant per root-of-unity
+    node, as an array."""
+    k = a.shape[0]
+    nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
+    values = np.array([np.linalg.det(a + t * b) for t in nodes])
+    return np.fft.fft(values) / (k + 1)
 
 
 def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, rank_tol=1e-9):

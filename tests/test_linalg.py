@@ -20,7 +20,17 @@ from algscope import (
     subspace_intersect,
     subspace_sum,
 )
-from algscope.linalg import rank
+from algscope.linalg import (
+    as_stack,
+    orthonormal_columns,
+    rank,
+    stack_chunks,
+    stack_column_spans,
+    stack_nullspaces,
+    stack_ranks,
+)
+
+from oracles import det_poly_loop
 
 TOL = 1e-10
 
@@ -172,7 +182,78 @@ MAT2_PAIRING = np.array(
 MAT2_CHI = np.array([-4.0, -18.0, -28.0, -18.0, -4.0], dtype=complex)
 
 
+def random_stack(rng, n, rows, cols, rank_of=None):
+    """``n`` complex matrices, the i-th of rank ``rank_of[i]`` when given."""
+    mats = []
+    for i in range(n):
+        r = min(rows, cols) if rank_of is None else rank_of[i]
+        left = rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))
+        right = rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
+        mats.append(left @ right)
+    return mats
+
+
+class TestStackedPrimitives:
+    """Each stacked primitive gives bitwise the single-matrix result."""
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_match_the_single_matrix_calls(self, k):
+        rng = np.random.default_rng(k)
+        ranks = [int(r) for r in rng.integers(0, k + 1, size=7)]
+        mats = random_stack(rng, 7, k, k, ranks)
+        scales = rng.uniform(0.5, 2.0, size=7)
+        stack = as_stack(mats)
+        assert stack_ranks(stack, TOL, scales).tolist() == [
+            rank(m, TOL, scale=sc) for m, sc in zip(mats, scales)
+        ] == ranks
+        frames = stack_nullspaces(stack, TOL, scales)
+        for m, sc, w in zip(mats, scales, frames):
+            assert np.array_equal(w, nullspace(m, TOL, scale=sc).frame)
+            assert not w.flags.writeable
+        cols = random_stack(rng, 5, k + 2, k, ranks[:5])
+        spans = stack_column_spans(as_stack(cols), TOL, scales[:5])
+        for m, sc, w in zip(cols, scales, spans):
+            assert np.array_equal(w, orthonormal_columns(m, TOL, scale=sc))
+
+    def test_nonfinite_entry_is_rejected(self):
+        mats = [np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
+        mats[1][2, 0] = np.inf
+        with pytest.raises(NonFinite):
+            as_stack(mats)
+
+    def test_orthonormality_is_checked_like_a_subspace(self):
+        # a cutoff above every singular value keeps all of vh, whose
+        # roundoff exceeds 10 * tol at this tol, alone or stacked
+        rng = np.random.default_rng(3)
+        mats = random_stack(rng, 2, 6, 6)
+        with pytest.raises(ShapeError):
+            nullspace(mats[0], 1e-18, scale=1e20)
+        with pytest.raises(ShapeError):
+            stack_nullspaces(as_stack(mats), 1e-18, [1e20, 1e20])
+        with pytest.raises(ValueError):
+            stack_nullspaces(as_stack(mats), 0.0, [1.0, 1.0])
+
+    def test_chunks_stay_within_the_budget(self, monkeypatch):
+        import algscope.linalg as linalg
+
+        monkeypatch.setattr(linalg, "_STACK_BYTES", 1000)
+        assert stack_chunks(7, 300) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert stack_chunks(2, 5000) == [slice(0, 1), slice(1, 2)]
+        assert stack_chunks(0, 300) == []
+
+
 class TestDetPoly:
+    @pytest.mark.parametrize("per_chunk", [None, 1, 3])
+    def test_matches_the_per_node_loop(self, monkeypatch, per_chunk):
+        import algscope.linalg as linalg
+
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 5, 8, 13):
+            a, b = random_stack(rng, 2, k, k)
+            if per_chunk is not None:
+                monkeypatch.setattr(linalg, "_STACK_BYTES", per_chunk * a.nbytes)
+            assert np.array_equal(det_poly(a, b).coeffs, det_poly_loop(a, b))
+
     def test_empty_determinant_convention(self):
         p = det_poly(np.zeros((0, 0)), np.zeros((0, 0)))
         assert p.degree == 0 and p.coeffs[0] == 1.0

@@ -147,6 +147,58 @@ class TestReportRoundTrip:
         with pytest.raises(ParseError):
             ReportDocument.from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"kind": "verify", "checks": [{"name": "c"}]}, "checks: missing field 'passed'"),
+            ({"kind": "verify", "checks": ["c"]}, "checks: expected an object"),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [
+                        {"theorem_id": "T", "passed": True, "max_residual": 0.0, "samples": "x"}
+                    ],
+                },
+                "findings.samples: expected an integer",
+            ),
+            (
+                {"kind": "analyze", "spectrum": [{"alpha": "inf", "algebraic_mult": 1}]},
+                "spectrum: missing field 'stab_dim'",
+            ),
+            (
+                {
+                    "kind": "analyze",
+                    "spectrum": [
+                        {
+                            "alpha": "inf",
+                            "algebraic_mult": 1.5,
+                            "stab_dim": 1,
+                            "filtration_dims": [1],
+                        }
+                    ],
+                },
+                "spectrum.algebraic_mult: expected an integer",
+            ),
+            ({"kind": "analyze", "nil_dim": "2"}, "nil_dim: expected an integer"),
+            ({"kind": "analyze", "tolerances": {"tol": "small"}}, "tolerances.tol: expected"),
+            ({"kind": "analyze", "v_frames": 3}, "v_frames: expected a list"),
+            ({"kind": "analyze", "chi": [[1.0, 0.0]], "spectrum": {}}, "spectrum: expected a list"),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [
+                        {"theorem_id": "T", "passed": True, "max_residual": 0.0, "notes": "n"}
+                    ],
+                },
+                "findings.notes: expected a list",
+            ),
+        ],
+    )
+    def test_truncated_or_mistyped_reports_raise_parse_errors(self, doc, where):
+        with pytest.raises(ParseError) as caught:
+            ReportDocument.from_doc(doc)
+        assert str(caught.value).startswith(where)
+
     def test_text_rendering_mentions_key_sections(self):
         alg = mat_algebra(2)
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
@@ -208,6 +260,17 @@ class TestCli:
         write_inputs(workdir)
         save_functional(Functional(np.zeros(2, dtype=complex)), "tiny.fn")
         assert main(["analyze", "mat3.alg", "tiny.fn"]) == 1
+
+    @pytest.mark.parametrize("value", ["x", "1.0", None])
+    def test_analyze_malformed_structure_value_is_usage_error(self, workdir, capsys, value):
+        write_inputs(workdir)
+        doc = json.loads((workdir / "mat3.alg").read_text(encoding="utf-8"))
+        assert doc["structure"][0][3] == 1.0
+        doc["structure"][0][3] = value
+        (workdir / "bad.alg").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", "bad.alg", "d125.fn"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: structure[0]: expected a number")
 
     def test_analyze_invalid_json_reports_location(self, workdir, capsys):
         (workdir / "broken.alg").write_text("{not json", encoding="utf-8")

@@ -19,6 +19,7 @@ from algscope import (
     cyclic_table,
     jordan_filtration,
     kernels,
+    klein_table,
     mat_algebra,
     matrix_trace_functional,
     projective_close,
@@ -34,10 +35,17 @@ from algscope import (
     verify_alpha0_independence,
 )
 from algscope.linalg import Subspace
-from algscope.spectral import _decomposition_checks, _filtration_reduced, _shift_regularity
+from algscope.spectral import (
+    _alpha0_independence,
+    _decomposition_checks,
+    _filtration_reduced,
+    _shift_regularity,
+)
 
 from oracles import (
+    alpha0_independence_loop,
     filtration_dims_fullspace,
+    filtration_reduced_loop,
     jordan_dims_by_powers,
     prescribed_pencil_algebra,
     stab_fullspace,
@@ -278,6 +286,107 @@ class TestJordanFiltration:
                     assert projector_distance(got, quotient_want) < 1e-8
 
 
+def batch_cases():
+    """(name, reduced pencil, its points, shifts): the verify-small algebras
+    at three random functionals each, and the defective pencil that grows a
+    level; the shifts are the decomposition's own and two more draws."""
+    algs = {
+        "Mat_3": mat_algebra(3),
+        "Mat_4": mat_algebra(4),
+        "tri_5": upper_triangular(5),
+        "S3": group_algebra(symmetric3_table()),
+        "Klein": group_algebra(klein_table()),
+        "Mat_2+S3": direct_sum(mat_algebra(2), group_algebra(symmetric3_table())),
+    }
+    rng = np.random.default_rng(61)
+    pairs = [
+        (name, alg, random_functional(alg.dim, rng)) for name, alg in algs.items() for _ in range(3)
+    ]
+    pairs.append(("defective",) + prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]])))
+    cases = []
+    for name, alg, f in pairs:
+        dec = decompose(alg, f)
+        shifts = [dec.alpha0_used] + [choose_alpha0(dec.pencil, seed=s) for s in (5, 6)]
+        cases.append((name, dec.pencil, [p.alpha for p in dec.points], shifts))
+    return cases
+
+
+BATCH_CASES = batch_cases()
+
+
+class TestBatchedFiltration:
+    """The batched filtration gives bitwise the frames of the per-point loop,
+    whatever the chunks of its stacks."""
+
+    @staticmethod
+    def assert_frames_equal(batched, looped):
+        assert len(batched) == len(looped)
+        for got, want in zip(batched, looped):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert not any(g.flags.writeable for g in got)
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+    def test_matches_the_per_point_loop(self, case):
+        _, rp, alphas, shifts = case
+        for shift in shifts:
+            batched = _filtration_reduced(rp, alphas, [shift] * len(alphas), TOL)
+            looped = [filtration_reduced_loop(rp, alpha, shift, TOL) for alpha in alphas]
+            self.assert_frames_equal(batched, looped)
+        # mixed shifts in one call, each chain from a given Stab(alpha)
+        items = [(alpha, shift) for shift in shifts[1:] for alpha in alphas]
+        stabs = [filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0] for alpha, _ in items]
+        batched = _filtration_reduced(rp, *map(list, zip(*items)), TOL, stabs)
+        looped = [filtration_reduced_loop(rp, a, s, TOL, w) for (a, s), w in zip(items, stabs)]
+        self.assert_frames_equal(batched, looped)
+
+    def test_defective_case_grows_a_level(self):
+        _, rp, alphas, shifts = BATCH_CASES[-1]
+        levels = _filtration_reduced(rp, alphas, [shifts[0]] * len(alphas), TOL)
+        assert max(len(chain) for chain in levels) == 2
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("case", [BATCH_CASES[0], BATCH_CASES[-1]], ids=["Mat_3", "defective"])
+    def test_chunks_of_one_and_of_odd_sizes(self, monkeypatch, case, per_chunk):
+        import algscope.linalg as linalg
+
+        _, rp, alphas, shifts = case
+        items = [(alpha, shift) for shift in shifts for alpha in alphas]
+        looped = [filtration_reduced_loop(rp, a, s, TOL) for a, s in items]
+        budget = per_chunk * 16 * rp.K**2
+        assert len(linalg.stack_chunks(len(items), 16 * rp.K**2)) == 1
+        monkeypatch.setattr(linalg, "_STACK_BYTES", budget)
+        chunks = linalg.stack_chunks(len(items), 16 * rp.K**2)
+        assert len(chunks) == -(-len(items) // per_chunk) > 1
+        batched = _filtration_reduced(rp, *map(list, zip(*items)), TOL)
+        self.assert_frames_equal(batched, looped)
+        # the projector distances split across chunks too
+        results = _alpha0_independence(rp, alphas, shifts[1], shifts[2], TOL, 1e-8, None)
+        assert results == [
+            alpha0_independence_loop(rp, alpha, shifts[1], shifts[2], TOL, 1e-8) for alpha in alphas
+        ]
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+    def test_shift_independence_matches_the_loop(self, case):
+        _, rp, alphas, shifts = case
+        stabs = [filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0] for alpha in alphas]
+        for stab_frames in (None, stabs):
+            got = _alpha0_independence(rp, alphas, shifts[1], shifts[2], TOL, 1e-8, stab_frames)
+            frames = stab_frames or [None] * len(alphas)
+            want = [
+                alpha0_independence_loop(rp, alpha, shifts[1], shifts[2], TOL, 1e-8, w)
+                for alpha, w in zip(alphas, frames)
+            ]
+            assert got == want and all(equal for equal, _ in got)
+
+    def test_nonfinite_operator_is_rejected(self):
+        from algscope.errors import NonFinite
+
+        _, rp, alphas, shifts = BATCH_CASES[0]
+        with pytest.raises(NonFinite):
+            _filtration_reduced(rp, alphas, [complex("nan")] * len(alphas), TOL)
+
+
 class TestDegeneratePencils:
     def test_nilpotent_pairing_has_no_regular_shift(self):
         # F = coefficient of E12 turns the pairing into a nilpotent Jordan
@@ -472,8 +581,10 @@ class TestDirectSumCheck:
         alg = mat_algebra(3)
         dec = decompose(alg, diag125())
         rp = reduce_pencil(alg, diag125(), TOL)
+        alphas = [p.alpha for p in dec.points]
         frames = [
-            _filtration_reduced(rp, p.alpha, dec.alpha0_used, TOL)[-1] for p in dec.points
+            levels[-1]
+            for levels in _filtration_reduced(rp, alphas, [dec.alpha0_used] * len(alphas), TOL)
         ]
         return alg, rp, dec, frames
 

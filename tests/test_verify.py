@@ -214,17 +214,18 @@ class TestMinimize:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_draws_the_same_samples_as_the_loop(self, n, monkeypatch):
         # the eps of one sample come from one uniform call, in the order the
-        # per-direction loop drew its radii and phases
+        # per-direction loop drew its radii and phases; both form the pencil
+        # combination of each candidate once, in sample order
         import algscope.verify as verify
 
-        real_dim = verify._slot_one_kernel_dim
+        real_combination = verify._slot_one_combination
         evaluated = []
 
-        def recording_dim(alg, f, *args):
+        def recording_combination(alg, f, *args):
             evaluated.append(f.coords.tobytes())
-            return real_dim(alg, f, *args)
+            return real_combination(alg, f, *args)
 
-        monkeypatch.setattr(verify, "_slot_one_kernel_dim", recording_dim)
+        monkeypatch.setattr(verify, "_slot_one_combination", recording_combination)
         alg = mat_algebra(n)
         rng = np.random.default_rng(100 + n)
         starts = [Functional(np.zeros(alg.dim, dtype=complex)), random_functional(alg.dim, rng)]
@@ -237,6 +238,22 @@ class TestMinimize:
                 evaluated.clear()
                 f_ref, dim_ref = minimize_stab_dim_loop(*args, samples=32, seed=seed)
                 assert len(stream) == 33 and stream == evaluated
+                assert dim == dim_ref
+                assert f_min.coords.tobytes() == f_ref.coords.tobytes()
+
+    @pytest.mark.parametrize("per_chunk", [1, 5])
+    def test_chunked_ranks_give_the_loop_minimizer(self, monkeypatch, per_chunk):
+        import algscope.linalg as linalg
+
+        alg = upper_triangular(3)
+        monkeypatch.setattr(linalg, "_STACK_BYTES", per_chunk * 16 * alg.dim**2)
+        rng = np.random.default_rng(7)
+        starts = [Functional(np.zeros(alg.dim, dtype=complex)), random_functional(alg.dim, rng)]
+        for seed, f0 in enumerate(starts):
+            for lambda0, mu0 in ((1.0, -1.0), (1.0, 0.0)):
+                args = (alg, lambda0, mu0, full_dual(alg.dim), f0)
+                f_min, dim = minimize_stab_dim(*args, samples=32, seed=seed)
+                f_ref, dim_ref = minimize_stab_dim_loop(*args, samples=32, seed=seed)
                 assert dim == dim_ref
                 assert f_min.coords.tobytes() == f_ref.coords.tobytes()
 
@@ -499,39 +516,70 @@ class TestProductInclusionsOracle:
 
 
 class TestLinearAlgebraCounts:
-    """Stab(alpha) is computed once per point, a level's vectors only when the
-    chain grows, and v-mult forms one product tensor per decomposition."""
+    """The filtrations of all points share their SVD calls, a level's vectors
+    are computed only when a chain grows, and v-mult forms one product
+    tensor per decomposition."""
 
     @staticmethod
-    def count_nullspace(monkeypatch):
-        import algscope.spectral as spectral
-
+    def count_svd(monkeypatch):
         calls = []
-        original = spectral.nullspace
+        original = np.linalg.svd
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return original(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "nullspace", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         return calls
 
+    def test_svd_calls_do_not_grow_with_the_points(self, monkeypatch):
+        calls = self.count_svd(monkeypatch)
+        counts = []
+        for n, seed in ((3, 59), (4, 60)):
+            alg = mat_algebra(n)
+            calls.clear()
+            dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(seed)))
+            assert len(dec.points) == n * (n - 1) + 1
+            assert all(len(levels) == 1 for levels in dec.quotient_filtrations.values())
+            counts.append(len(calls))
+        # 7 points on Mat_3 and 13 on Mat_4, but the same number of SVDs
+        assert counts[0] == counts[1]
+
     @pytest.mark.parametrize("defective", [False, True])
-    def test_nullspace_per_point_and_growth_step(self, monkeypatch, defective):
+    def test_one_stacked_svd_per_filtration_step(self, monkeypatch, defective):
+        import algscope.spectral as spectral
+
         if defective:
             alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
         else:
             alg, f = mat_algebra(3), random_functional(9, np.random.default_rng(59))
-        calls = self.count_nullspace(monkeypatch)
         dec = decompose(alg, f)
-        growth = sum(len(levels) - 1 for levels in dec.filtrations.values())
-        assert growth == (1 if defective else 0)
-        assert len(calls) == len(dec.points) + growth
+        chains = [dec.quotient_filtrations[p.alpha] for p in dec.points]
+        assert sum(len(levels) - 1 for levels in chains) == (1 if defective else 0)
+        # per step: one thin SVD per width of the climbing levels, one growth
+        # test, and one nullspace SVD when some chain grows
+        steps = 0
+        for t in range(max(len(levels) for levels in chains)):
+            climbing = [levels for levels in chains if len(levels) > t]
+            steps += len({levels[t].shape[1] for levels in climbing} - {0}) + 1
+            steps += any(len(levels) > t + 1 for levels in climbing)
+        calls = self.count_svd(monkeypatch)
+        frames = spectral._filtration_reduced(
+            dec.pencil, [p.alpha for p in dec.points], [dec.alpha0_used] * len(dec.points), dec.tol
+        )
+        assert [[w.shape for w in levels] for levels in frames] == [
+            [w.shape for w in levels] for levels in chains
+        ]
+        # plus one Stab(alpha) SVD for all points
+        assert len(calls) == 1 + steps
+        assert calls[0] == ((len(dec.points), dec.quotient_dim, dec.quotient_dim), True)
         calls.clear()
-        finding = verify_alpha0_suite(dec)
-        assert finding.passed
-        # no Stab(alpha) nullspace: only the growth steps, once per shift
-        assert len(calls) == 2 * growth
+        assert verify_alpha0_suite(dec).passed
+        # one regularity SVD per shift drawn (each accepted at its first
+        # draw), no Stab(alpha), the same steps over both shifts at once,
+        # and one values-only SVD for the projector distances of all levels
+        assert len(calls) == 2 + steps + 1
+        assert calls[-1] == ((sum(map(len, chains)), dec.quotient_dim, dec.quotient_dim), False)
 
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
         import sys
