@@ -341,9 +341,13 @@ def complement(a: Subspace) -> Subspace:
 # pencil eigen-analysis
 
 
-def _cluster_values(values: np.ndarray, cluster_tol: float) -> list[tuple[complex, int]]:
-    """Single-linkage clustering of complex values; relative for large moduli."""
+def _cluster_values(values: np.ndarray, cluster_tol: float) -> list[list[int]]:
+    """Single-linkage clustering of complex values; relative for large
+    moduli.  Returns the indices of each cluster's members, the clusters in
+    the order of their first members."""
     n = len(values)
+    modulus = np.maximum(1.0, np.abs(values))
+    close = np.abs(values[:, None] - values) <= cluster_tol * np.maximum(modulus[:, None], modulus)
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -352,40 +356,32 @@ def _cluster_values(values: np.ndarray, cluster_tol: float) -> list[tuple[comple
             x = parent[x]
         return x
 
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        parent[find(int(i))] = find(int(j))
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= cluster_tol * max(
-                1.0, abs(values[i]), abs(values[j])
-            ):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(values[i])
-    return [(complex(np.mean(g)), len(g)) for g in groups.values()]
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
-def _point_sort_key(item: tuple[ProjectivePoint, int]):
+def _point_sort_key(item: tuple[ProjectivePoint, int, np.ndarray | None]):
     p = item[0]
     if p.is_infinite:
         return (1, 0.0, 0.0)
     return (0, abs(p.value), float(np.angle(p.value)))
 
 
-def pencil_eigen(
-    a, b, alpha0: complex, *, cluster_tol: float = 1e-6
-) -> list[tuple[ProjectivePoint, int]]:
-    """Eigenvalues of the pencil ``a - alpha*b`` through the regular shift
-    ``alpha0``.
+def _shifted_eigen(
+    a, b, alpha0: complex, cluster_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigen-analysis behind :func:`pencil_eigen`, before clustering.
 
-    Forms ``M = (a - alpha0*b)^{-1} b``, takes its eigenvalues ``L`` and maps
-    ``L = 0 -> alpha = infinity`` and ``L != 0 -> alpha = alpha0 + 1/L``.
-    Mapped values closer than ``cluster_tol`` (relative for large moduli) are
-    merged into a single point with summed multiplicity; multiplicities add up
-    to the pencil size.  The two poles of the projective line are treated
-    symmetrically at the same resolution: values of modulus at most
-    ``cluster_tol`` snap to exactly 0, mirroring the cutoff that sends values
-    of modulus beyond ``1/cluster_tol`` to infinity, so the involution
-    alpha -> 1/alpha maps returned points to returned points.
+    Forms ``M = (a - alpha0*b)^{-1} b`` and takes its eigenvalues ``L`` and
+    unit eigenvectors from one ``np.linalg.eig``.  Returns ``(at_inf,
+    alphas, vectors)``: ``at_inf[i]`` flags an eigenvalue within the
+    infinity cutoff (``b x = 0`` for its vector x), ``alphas[i] = alpha0 +
+    1/L[i]`` is the mapped value of every other one (``(a - alpha*b) x =
+    0``), and column i of the read-only ``vectors`` is its eigenvector.
 
     Raises :class:`SingularShift` when ``a - alpha0*b`` is numerically
     singular, which signals a bad shift rather than bad data.
@@ -394,9 +390,8 @@ def pencil_eigen(
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"pencil needs equal square matrices, got {a.shape} and {b.shape}")
-    k = a.shape[0]
-    if k == 0:
-        return []
+    if a.shape[0] == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
     shifted = a - alpha0 * b
     s = np.linalg.svd(shifted, compute_uv=False)
     problem_scale = max(
@@ -404,20 +399,52 @@ def pencil_eigen(
     )
     if s[-1] < 1e-12 * max(s[0], problem_scale):
         raise SingularShift(f"shift alpha0={alpha0} leaves the pencil singular")
-    m = np.linalg.solve(shifted, b)
-    lams = np.linalg.eigvals(m)
+    lams, vectors = np.linalg.eig(np.linalg.solve(shifted, b))
+    vectors.setflags(write=False)
+    at_inf = np.abs(lams) <= cluster_tol / (1.0 + cluster_tol * abs(alpha0))
+    alphas = alpha0 + 1.0 / np.where(at_inf, 1.0, lams)
+    return at_inf, alphas, vectors
 
-    inf_thresh = cluster_tol / (1.0 + cluster_tol * abs(alpha0))
-    inf_count = int(np.sum(np.abs(lams) <= inf_thresh))
-    finite = lams[np.abs(lams) > inf_thresh]
-    alphas = alpha0 + 1.0 / finite
 
-    points = [
-        (ProjectivePoint.finite(0.0 if abs(z) <= cluster_tol else z), mult)
-        for z, mult in _cluster_values(alphas, cluster_tol)
-    ]
-    if inf_count:
-        points.append((INFINITY, inf_count))
+def pencil_eigen(
+    a, b, alpha0: complex, *, cluster_tol: float = 1e-6
+) -> list[tuple[ProjectivePoint, int, np.ndarray | None]]:
+    """Eigenvalues of the pencil ``a - alpha*b`` through the regular shift
+    ``alpha0``, with the eigenvector of each simple one.
+
+    The eigenvalues ``L`` of ``M = (a - alpha0*b)^{-1} b`` come from
+    :func:`_shifted_eigen`, which maps ``L = 0 -> alpha = infinity`` and
+    ``L != 0 -> alpha = alpha0 + 1/L``.  Mapped values closer than
+    ``cluster_tol`` (relative for large moduli) are merged into a single
+    point with summed multiplicity; multiplicities add up to the pencil
+    size.  The two poles of the projective line are treated symmetrically at
+    the same resolution: values of modulus at most ``cluster_tol`` snap to
+    exactly 0, mirroring the cutoff that sends values of modulus beyond
+    ``1/cluster_tol`` to infinity, so the involution alpha -> 1/alpha maps
+    returned points to returned points.
+
+    Each item is (point, multiplicity, vector).  At a point of multiplicity
+    1, ``vector`` is the eigenvector of its one eigenvalue as a read-only
+    unit column x, with ``(a - alpha*b) x = 0`` (``b x = 0`` at infinity);
+    at a multiple point it is None.  Raises :class:`SingularShift` as
+    :func:`_shifted_eigen` does.
+    """
+    at_inf, alphas, vectors = _shifted_eigen(a, b, alpha0, cluster_tol)
+
+    def vector(members: list[int]) -> np.ndarray | None:
+        # a slice, so the column stays a read-only view
+        return vectors[:, members[0] : members[0] + 1] if len(members) == 1 else None
+
+    finite = np.flatnonzero(~at_inf)
+    points = []
+    for members in _cluster_values(alphas[finite], cluster_tol):
+        # np.mean's sum and division, without its per-call overhead
+        z = complex(alphas[finite[members]].sum() / len(members))
+        point = ProjectivePoint.finite(0.0 if abs(z) <= cluster_tol else z)
+        points.append((point, len(members), vector(finite[members].tolist())))
+    if at_inf.any():
+        inf_members = np.flatnonzero(at_inf).tolist()
+        points.append((INFINITY, len(inf_members), vector(inf_members)))
     points.sort(key=_point_sort_key)
     return points
 

@@ -241,10 +241,6 @@ class ReportDocument:
     findings: tuple[Finding, ...] = ()
     checks: tuple[tuple[str, bool, float, str], ...] = ()
 
-    @property
-    def all_checks_passed(self) -> bool:
-        return all(passed for _, passed, _, _ in self.checks)
-
     def to_doc(self) -> dict:
         doc: dict = {
             "kind": self.kind,

@@ -17,8 +17,14 @@ nullspace of the transposed combination).  Stab(infinity) is the kernel of
 
 climbs the Jordan chain of the shifted operator and stabilizes at V(alpha);
 the stabilized spaces are independent of the regular shift alpha0 and satisfy
-dim V(alpha) = dim nil + algebraic multiplicity of alpha.  The levels are
-kept as quotient frames and lifted on demand to subspaces of the full algebra
+dim V(alpha) = dim nil + algebraic multiplicity of alpha.
+
+One eigendecomposition of the shifted operator gives the spectrum and, at
+every simple point (multiplicity 1), the whole filtration: there
+1 <= dim Stab(alpha) <= dim V(alpha) - dim nil = 1, so V(alpha) = Stab(alpha)
+is spanned by the eigenvector, with no rank decision and no climb.  Only the
+points of multiplicity 2 and more climb their chains.  The levels are kept
+as quotient frames and lifted on demand to subspaces of the full algebra
 containing nil, so downstream product tests multiply honest algebra elements.
 """
 
@@ -36,6 +42,7 @@ from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
+    _shifted_eigen,
     as_stack,
     det_poly,
     nullspace,
@@ -205,10 +212,18 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
 
 def spectrum(
     rp: ReducedPencil, alpha0: complex, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> list[tuple[ProjectivePoint, int]]:
+) -> list[tuple[ProjectivePoint, int, np.ndarray | None]]:
     """Spectral points with algebraic multiplicities, sorted by modulus then
-    phase with infinity last."""
-    return pencil_eigen(rp.a_tilde, rp.at_tilde, alpha0, cluster_tol=cluster_tol)
+    phase with infinity last, each with the quotient frame of Stab(alpha)
+    when its multiplicity is 1 (None otherwise).
+
+    One eigendecomposition of the pencil ``a~^T - alpha a~`` through the
+    shift ``alpha0`` (:func:`algscope.linalg.pencil_eigen`) gives both.  It
+    has the spectrum of ``a~ - alpha a~^T``, its transpose, and its
+    eigenvectors span the kernels of ``a~^T - alpha a~``, the stabilizers.
+    At a simple point 1 <= dim Stab(alpha) <= dim V(alpha) = 1, so the
+    eigenvector is the whole filtration, with no rank decision."""
+    return pencil_eigen(rp.at_tilde, rp.a_tilde, alpha0, cluster_tol=cluster_tol)
 
 
 def _slot_one_operator(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[np.ndarray, float]:
@@ -229,7 +244,9 @@ def _filtration_reduced(
 ) -> list[list[np.ndarray]]:
     """Quotient-coordinate frames of V^0 <= V^1 <= ... of each item, the
     point ``alphas[i]`` under the shift ``alpha0s[i]``, until its dimension
-    stabilizes (at most K steps).
+    stabilizes (at most K steps).  :func:`decompose` climbs only its points
+    of multiplicity 2 and more; a simple point's one level is the
+    eigenvector :func:`spectrum` gives, and this climb is its test oracle.
 
     ``stab_frames``, when given, are the V^0 = Stab(alpha) frames as
     computed by this function at the same ``tol``, and replace their
@@ -342,14 +359,13 @@ def jordan_filtration(
 
 
 def _decomposition_checks(
-    alg: Algebra,
-    nil: Subspace,
+    rp: ReducedPencil,
     chi: HomogeneousPoly,
     points: list[SpectrumPoint],
     v_frames: list[np.ndarray],
     tol: float,
 ) -> list[InvariantCheck]:
-    """Invariant checks of one decomposition.
+    """Invariant checks of one decomposition of the reduced pencil ``rp``.
 
     ``v_frames[i]`` is the quotient-coordinate frame of V(alpha) for
     ``points[i]``.  The V(alpha) split the algebra over nil exactly when the
@@ -359,7 +375,7 @@ def _decomposition_checks(
     for three or more spaces.
     """
     checks = []
-    k = alg.dim - nil.dim
+    k = rp.K
 
     total = sum(p.algebraic_mult for p in points)
     checks.append(
@@ -380,6 +396,29 @@ def _decomposition_checks(
             worst == 0,
             float(worst),
             "dim V(alpha) - dim nil vs algebraic multiplicity",
+        )
+    )
+
+    # at a simple point the dimension check holds by construction, so test
+    # that the frame lies in Stab(alpha): since sigma_min <= |S v|, a
+    # residual below tol means the rank decision at the same cutoff would
+    # find dim Stab(alpha) >= 1
+    simple = [(p.alpha, w) for p, w in zip(points, v_frames) if p.algebraic_mult == 1]
+    widths = [w.shape[1] for _, w in simple]
+    infinite = np.repeat([alpha.is_infinite for alpha, _ in simple], widths).astype(bool)
+    values = np.repeat([0j if alpha.is_infinite else alpha.value for alpha, _ in simple], widths)
+    frames = np.hstack([w for _, w in simple] or [np.zeros((k, 0))])
+    a_frames = rp.a_tilde @ frames
+    images = np.where(infinite, a_frames, rp.at_tilde @ frames - values * a_frames)
+    scales = np.where(infinite, 1.0, 1.0 + np.abs(values)) * rp.pencil_scale()
+    off = float(np.max(np.linalg.norm(images, axis=0) / scales, initial=0.0))
+    checks.append(
+        InvariantCheck(
+            "simple_frames_in_stabilizer",
+            off < tol,
+            off,
+            "max |(a~^T - alpha a~) v| / ((1 + |alpha|) scale) over simple points, "
+            "|a~ v| / scale at infinity",
         )
     )
 
@@ -441,12 +480,16 @@ def decompose(
     """Run the full pipeline: kernels, reduced pencil, characteristic
     polynomial, spectrum, and one Jordan filtration per spectral point.
 
-    The result keeps the reduced pencil (``pencil``) and records the shift
-    used, all dimensions, and a list of invariant checks: multiplicity
-    counts, one rank test on the stacked quotient frames of all V(alpha)
-    proving that they form a direct sum spanning the algebra over nil
-    (``v_spaces_direct_sum``), and vanishing of the characteristic
-    polynomial."""
+    One eigendecomposition (:func:`spectrum`) gives the spectrum and the
+    filtration of every simple point, its eigenvector; only the points of
+    multiplicity 2 and more climb (:func:`_filtration_reduced`).  The result
+    keeps the reduced pencil (``pencil``) and records the shift used, all
+    dimensions, and a list of invariant checks: multiplicity counts, the
+    residual of each simple point's frame in Stab(alpha)
+    (``simple_frames_in_stabilizer``), one rank test on the stacked quotient
+    frames of all V(alpha) proving that they form a direct sum spanning the
+    algebra over nil (``v_spaces_direct_sum``), and vanishing of the
+    characteristic polynomial."""
     rp = reduce_pencil(alg, f, tol)
     if rp.K == 0:
         chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
@@ -462,17 +505,19 @@ def decompose(
     chi = char_poly(rp)
     raw_points = spectrum(rp, alpha0, cluster_tol)
 
-    alphas = [alpha for alpha, _ in raw_points]
-    all_frames = _filtration_reduced(rp, alphas, [alpha0] * len(alphas), tol)
+    # a simple point's eigenvector is its one level; the others climb
+    multiple = [alpha for alpha, _, vector in raw_points if vector is None]
+    climbed = iter(_filtration_reduced(rp, multiple, [alpha0] * len(multiple), tol))
     points: list[SpectrumPoint] = []
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
-    for (alpha, mult), frames in zip(raw_points, all_frames):
+    for alpha, mult, vector in raw_points:
+        frames = next(climbed) if vector is None else [vector]
         dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         quotient_filtrations[alpha] = tuple(frames)
 
     v_frames = [levels[-1] for levels in quotient_filtrations.values()]
-    checks = _decomposition_checks(alg, rp.nil, chi, points, v_frames, tol)
+    checks = _decomposition_checks(rp, chi, points, v_frames, tol)
     return Decomposition(
         rp,
         chi,
@@ -511,38 +556,84 @@ def _alpha0_independence(
     tol: float,
     compare_tol: float,
     stab_frames: list[np.ndarray] | None,
+    simple: list[bool] | None = None,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[tuple[bool, float]]:
-    """:func:`verify_alpha0_independence` at each of ``alphas``: one
-    filtration call climbs all 2P chains (every point under ``alpha0_a``,
-    then under ``alpha0_b``), and stacked values-only SVDs give the
-    projector distances of all levels, the largest singular value being
-    ``norm(d, 2)``.  Each point stops at its first level that differs."""
+    """:func:`verify_alpha0_independence` at each of ``alphas``.
+
+    A point flagged in ``simple`` (algebraic multiplicity 1) does not climb:
+    its one level under each shift is the eigenvector of that shift's pencil
+    (see :func:`_simple_frames`), and the two must span one line, which the
+    given ``stab_frames`` entry must span too.  The other points climb in
+    one filtration call, all their chains at once (every point under
+    ``alpha0_a``, then under ``alpha0_b``).  Stacked values-only SVDs give
+    the projector distances of all compared levels, the largest singular
+    value being ``norm(d, 2)``.  Each point stops at its first level that
+    differs; levels of different dimensions, or a simple point without a
+    simple match, give (False, inf)."""
     for alpha in alphas:
         if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
             raise NoRegularValue("the shift must differ from the point under study")
     n = len(alphas)
-    stabs = None if stab_frames is None else stab_frames * 2
-    chains = _filtration_reduced(rp, alphas * 2, [alpha0_a] * n + [alpha0_b] * n, tol, stabs)
-    pairs = list(zip(chains[:n], chains[n:]))
-    same_dims = [[w.shape[1] for w in a] == [w.shape[1] for w in b] for a, b in pairs]
-    # the dimensions agree, so the levels are equal iff the distance is small
-    compared = [level for (a, b), same in zip(pairs, same_dims) if same for level in zip(a, b)]
+    simple = simple or [False] * n
+    climbing = [i for i in range(n) if not simple[i]]
+    m = len(climbing)
+    stabs = None if stab_frames is None else [stab_frames[i] for i in climbing] * 2
+    chains = _filtration_reduced(
+        rp, [alphas[i] for i in climbing] * 2, [alpha0_a] * m + [alpha0_b] * m, tol, stabs
+    )
+    # the level pairs to compare at each point, or None when they cannot match
+    compared: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * n
+    for i, a, b in zip(climbing, chains[:m], chains[m:]):
+        if [w.shape[1] for w in a] == [w.shape[1] for w in b]:
+            compared[i] = list(zip(a, b))
+    singles = [i for i in range(n) if simple[i]]
+    eigen_a, eigen_b = (
+        _simple_frames(rp, [alphas[i] for i in singles], shift, cluster_tol)
+        for shift in (alpha0_a, alpha0_b)
+    )
+    for i, va, vb in zip(singles, eigen_a, eigen_b):
+        if va is not None and vb is not None:
+            given = [] if stab_frames is None else [(stab_frames[i], va)]
+            if all(w.shape[1] == 1 for w, _ in given):
+                compared[i] = [(va, vb)] + given
+    flat = [pair for pairs in compared if pairs is not None for pair in pairs]
     dists: list[float] = []
-    for c in stack_chunks(len(compared), 16 * rp.K**2):
-        d = as_stack([wa @ wa.conj().T - wb @ wb.conj().T for wa, wb in compared[c]])
+    for c in stack_chunks(len(flat), 16 * rp.K**2):
+        d = as_stack([wa @ wa.conj().T - wb @ wb.conj().T for wa, wb in flat[c]])
         dists += np.linalg.svd(d, compute_uv=False).max(axis=-1, initial=0.0).tolist()
     remaining = iter(dists)
     results = []
-    for (levels, _), same in zip(pairs, same_dims):
-        if not same:
+    for pairs in compared:
+        if pairs is None:
             results.append((False, float("inf")))
             continue
         worst = 0.0
         equal = True
-        for dist in [next(remaining) for _ in levels]:
+        for dist in [next(remaining) for _ in pairs]:
             worst = max(worst, dist)
             if not dist < compare_tol:
                 equal = False
                 break
         results.append((equal, worst))
     return results
+
+
+def _simple_frames(
+    rp: ReducedPencil, alphas: list[ProjectivePoint], alpha0: complex, cluster_tol: float
+) -> list[np.ndarray | None]:
+    """The eigenvector frame of each of ``alphas`` under the shift
+    ``alpha0``, from the eigendecomposition :func:`spectrum` makes: that of
+    the one eigenvalue whose mapped value lies within ``cluster_tol`` of
+    alpha (as :func:`algscope.linalg.projective_close` measures it), or None
+    when no eigenvalue or several lie there."""
+    if not alphas:
+        return []
+    at_inf, values, vectors = _shifted_eigen(rp.at_tilde, rp.a_tilde, alpha0, cluster_tol)
+    wanted_inf = np.array([a.is_infinite for a in alphas])[:, None]
+    wanted = np.array([0j if a.is_infinite else a.value for a in alphas])[:, None]
+    scale = np.maximum(np.maximum(1.0, np.abs(wanted)), np.abs(values))
+    near = np.abs(wanted - values) <= cluster_tol * scale
+    near = np.where(wanted_inf | at_inf, wanted_inf & at_inf, near)
+    found = [int(row.argmax()) if row.sum() == 1 else None for row in near]
+    return [None if j is None else vectors[:, j : j + 1] for j in found]

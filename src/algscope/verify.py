@@ -145,14 +145,19 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     ``dec``, the filtrations of its pencil under two random regular shifts
     (drawn with seeds ``seed + 1`` and ``seed + 2``) must be identical.
 
-    Level 0, Stab(alpha), does not involve the shift, so both filtrations
-    start from the decomposition's own frame of it
-    (``dec.quotient_filtrations``) and climb from there; every higher level
-    is computed afresh under each shift.  Each point is compared as
-    :func:`algscope.spectral.verify_alpha0_independence` compares it, but
-    all 2P filtrations climb in one batch and the projector distances of
-    all their levels come from stacked values-only SVDs, each stack within
-    ``linalg._STACK_BYTES``."""
+    At a simple point the filtration is one level, the eigenvector of the
+    shifted pencil (see :func:`algscope.spectral.spectrum`).  The
+    eigenvectors under the two shifts, each taken at the one point within
+    ``dec.cluster_tol`` of alpha, must span the decomposition's own frame;
+    a point with no such simple match counts as unequal, with distance inf.
+    A multiple point climbs: level 0, Stab(alpha), does not involve the
+    shift, so both filtrations start from the decomposition's own frame of
+    it (``dec.quotient_filtrations``), and every higher level is computed
+    afresh under each shift.  The chains of all multiple points climb in
+    one batch, and the projector distances of all compared levels come from
+    stacked values-only SVDs, each stack within ``linalg._STACK_BYTES``.
+    A failing finding names as witness (alpha, shift_a, shift_b), and a
+    passing one, whose distances are round-off, names none."""
     if not dec.points:
         return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
     shift_a = choose_alpha0(dec.pencil, seed=seed + 1)
@@ -165,6 +170,8 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
         dec.tol,
         tol,
         [dec.quotient_filtrations[p.alpha][0] for p in dec.points],
+        [p.algebraic_mult == 1 for p in dec.points],
+        dec.cluster_tol,
     )
     worst = 0.0
     witness = None
@@ -174,7 +181,8 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
             worst = max(worst, dist)
             witness = (p.alpha, shift_a, shift_b)
         ok = ok and equal
-    return Finding(ALPHA0_INDEPENDENCE, ok, worst, witness, len(results))
+    # a passing suite's distances are round-off, so it names no witness
+    return Finding(ALPHA0_INDEPENDENCE, ok, worst, None if ok else witness, len(results))
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +201,7 @@ def _target_indices(dec: Decomposition, values: np.ndarray) -> np.ndarray:
     return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
-def _product_inclusions(alg: Algebra, dec: Decomposition) -> tuple[tuple, tuple]:
+def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[tuple, tuple]:
     """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for the pairs of spectral points
     of ``dec``, where infinity times a nonzero point is infinity; products
     falling at a non-spectral value must lie in nil.  Returns (worst
@@ -204,10 +212,13 @@ def _product_inclusions(alg: Algebra, dec: Decomposition) -> tuple[tuple, tuple]
     multiplied in one :func:`pairwise_products` call.  Each product's
     residual is taken once, against its own target level, and the products
     are grouped by target; products of 0 and infinity have no target and
-    belong to neither variant.  A variant's witness (a, b, k, m), meaning
-    V^k(a) V^m(b), is the first quadruple, in the order a, b, k, m over the
-    points in spectrum order, whose products reach its worst residual; every
-    product of two of its columns is one sample."""
+    belong to neither variant.  A variant whose worst residual reaches
+    ``tol`` names as witness (a, b, k, m), meaning V^k(a) V^m(b), the first
+    quadruple, in the order a, b, k, m over the points in spectrum order,
+    whose products reach that residual.  Below ``tol`` the residuals are
+    round-off, whose argmax any reordering of the arithmetic moves, so a
+    passing variant names no witness.  Every product of two of its columns
+    is one sample."""
     if not dec.points:
         return (0.0, None, 0), (0.0, None, 0)
     # column c of the stack spans part of level level_of[c] at dec.points[point_of[c]]
@@ -250,8 +261,8 @@ def _product_inclusions(alg: Algebra, dec: Decomposition) -> tuple[tuple, tuple]
     def worst_of(members: np.ndarray) -> tuple[float, tuple | None, int]:
         samples = int(members.sum())
         worst = float(res[members].max()) if samples else 0.0
-        if worst <= 0.0:
-            return 0.0, None, samples
+        if worst < tol:
+            return worst, None, samples
         rows, cols = np.divmod(np.flatnonzero(members & (res == worst)), len(point_of))
         r, c = min(
             zip(rows, cols),
@@ -269,9 +280,10 @@ def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[F
     over the pairs of finite points and ``VMultNonzero`` over the pairs of
     nonzero points, where infinity times a nonzero point is infinity.  Both
     read one product tensor (see :func:`_product_inclusions`); the witness
-    (a, b, k, m) of either names V^k(a) V^m(b) in ``dec``'s own points.  The
-    pair (0, infinity) belongs to neither variant."""
-    finite, nonzero = _product_inclusions(alg, dec)
+    (a, b, k, m) of a failing variant names V^k(a) V^m(b) in ``dec``'s own
+    points, and a passing one names none.  The pair (0, infinity) belongs
+    to neither variant."""
+    finite, nonzero = _product_inclusions(alg, dec, tol)
     notes = ()
     has_zero = any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
     has_inf = any(p.alpha.is_infinite for p in dec.points)

@@ -394,3 +394,20 @@ def corollaries_loop(alg, f_min, alpha, rank_tol=1e-9):
                     worst = r
                     witness = (i, j) if label is None else (label, i, j)
     return worst, witness, samples
+
+
+def cluster_values_loop(values, cluster_tol):
+    """Single-linkage clusters of complex values from a test of every pair
+    (i < j) in turn, closeness relative for large moduli: the member indices
+    of each cluster, the clusters in the order of their first members."""
+    n = len(values)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= cluster_tol * max(1.0, abs(values[i]), abs(values[j])):
+                old, new = label[i], label[j]
+                label = [new if x == old else x for x in label]
+    groups = {}
+    for i in range(n):
+        groups.setdefault(label[i], []).append(i)
+    return list(groups.values())

@@ -21,6 +21,7 @@ from algscope import (
     subspace_sum,
 )
 from algscope.linalg import (
+    _cluster_values,
     as_stack,
     orthonormal_columns,
     rank,
@@ -30,7 +31,7 @@ from algscope.linalg import (
     stack_ranks,
 )
 
-from oracles import det_poly_loop
+from oracles import cluster_values_loop, det_poly_loop
 
 TOL = 1e-10
 
@@ -140,19 +141,57 @@ class TestPencilEigen:
     def test_equal_matrices_single_point(self):
         pts = pencil_eigen(np.eye(2), np.eye(2), 0.0)
         assert len(pts) == 1
-        alpha, mult = pts[0]
+        alpha, mult, vector = pts[0]
         assert mult == 2 and projective_close(alpha, ProjectivePoint.finite(1.0), 1e-9)
+        assert vector is None
 
     def test_zero_second_matrix_gives_infinity(self):
         pts = pencil_eigen(np.eye(2), np.zeros((2, 2)), 0.0)
-        assert pts == [(INFINITY, 2)]
+        assert pts == [(INFINITY, 2, None)]
 
     def test_diagonal_pencil(self):
         # ker(a - alpha*b) is nontrivial exactly at alpha in {1, 2}
         pts = pencil_eigen(np.diag([1.0, 2.0]), np.eye(2), 0.0)
-        assert [m for _, m in pts] == [1, 1]
-        values = sorted(abs(p.value) for p, _ in pts)
+        assert [m for _, m, _ in pts] == [1, 1]
+        values = sorted(abs(p.value) for p, _, _ in pts)
         assert abs(values[0] - 1.0) < 1e-9 and abs(values[1] - 2.0) < 1e-9
+
+    def test_simple_points_carry_their_eigenvectors(self):
+        # a - alpha b with a = diag(1, 2, 3, 4), b = diag(1, 1, 0, 1) and a
+        # random change of basis: simple points 1 and 4, a double point 2
+        # and a simple point at infinity
+        rng = np.random.default_rng(17)
+        p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = p @ np.diag([1.0, 2.0, 2.0, 4.0]) @ q
+        b = p @ np.diag([1.0, 1.0, 1.0, 0.0]) @ q
+        pts = pencil_eigen(a, b, 0.3 + 0.1j)
+        assert [(None if x.is_infinite else round(x.value.real, 6), m) for x, m, _ in pts] == [
+            (1.0, 1),
+            (2.0, 2),
+            (None, 1),
+        ]
+        scale = np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
+        for alpha, mult, vector in pts:
+            if mult > 1:
+                assert vector is None
+                continue
+            assert vector.shape == (4, 1) and not vector.flags.writeable
+            assert abs(np.linalg.norm(vector) - 1.0) < 1e-14
+            op = b if alpha.is_infinite else a - alpha.value * b
+            assert np.linalg.norm(op @ vector) < 1e-12 * (1.0 + abs(alpha.value or 0.0)) * scale
+
+    def test_clusters_match_the_pairwise_loop(self):
+        # near-duplicates within and just outside the tolerance, chains that
+        # link through a middle value, and large moduli
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            base = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            base *= 10.0 ** rng.integers(-2, 8, size=8)
+            step = 1e-6 * np.maximum(1.0, np.abs(base))
+            extra = [base[0] + 0.6 * step[0], base[0] + 1.2 * step[0], base[1] + 1.5 * step[1]]
+            values = rng.permutation(np.concatenate([base, extra]))
+            assert _cluster_values(values, 1e-6) == cluster_values_loop(values, 1e-6)
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularShift):
@@ -165,7 +204,7 @@ class TestPencilEigen:
             a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             pts = pencil_eigen(a, b, 0.1 + 0.2j)
-            assert sum(m for _, m in pts) == k
+            assert sum(m for _, m, _ in pts) == k
 
 
 # pairing of Mat2 with the functional dual to diag(1, 2); the expected
@@ -299,7 +338,7 @@ class TestDetPoly:
             b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             chi = det_poly(a, b)
             d = np.arange(k + 1)
-            for alpha, _ in pencil_eigen(a, b, 0.3 + 0.1j):
+            for alpha, _, _ in pencil_eigen(a, b, 0.3 + 0.1j):
                 if alpha.is_infinite:
                     assert chi.infinity_multiplicity() >= 1
                     continue

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -33,6 +34,7 @@ from algscope import (
     symmetric3_table,
     upper_triangular,
     verify_alpha0_independence,
+    verify_alpha0_suite,
 )
 from algscope.linalg import Subspace
 from algscope.spectral import (
@@ -137,7 +139,7 @@ class TestSpectrum:
         pts = spectrum(rp, choose_alpha0(rp))
         expected = {0.5: 1, 1.0: 2, 2.0: 1}
         assert len(pts) == 3
-        for alpha, mult in pts:
+        for alpha, mult, _ in pts:
             match = min(expected, key=lambda v: abs(alpha.value - v))
             assert abs(alpha.value - match) < 1e-8 and expected[match] == mult
 
@@ -145,7 +147,7 @@ class TestSpectrum:
         rp = reduce_pencil(dual_numbers(), Functional(np.array([1.0, 0.0])), TOL)
         pts = spectrum(rp, choose_alpha0(rp))
         assert len(pts) == 1
-        alpha, mult = pts[0]
+        alpha, mult, _ = pts[0]
         assert mult == 1 and projective_close(alpha, ProjectivePoint.finite(1.0), 1e-8)
 
     def test_mat3_seven_points(self):
@@ -153,7 +155,7 @@ class TestSpectrum:
         pts = spectrum(rp, choose_alpha0(rp))
         expected = {1.0: 3, 2.0: 1, 5.0: 1, 2.5: 1, 0.5: 1, 0.2: 1, 0.4: 1}
         assert len(pts) == 7
-        for alpha, mult in pts:
+        for alpha, mult, _ in pts:
             match = min(expected, key=lambda v: abs(alpha.value - v))
             assert abs(alpha.value - match) < 1e-8 and expected[match] == mult
 
@@ -569,6 +571,7 @@ class TestDirectSumCheck:
         assert [c.name for c in dec.checks] == [
             "multiplicities_sum_to_quotient_dim",
             "v_dim_equals_nil_plus_multiplicity",
+            "simple_frames_in_stabilizer",
             "v_spaces_direct_sum",
             "char_poly_vanishes_on_spectrum",
             "char_poly_infinity_multiplicity",
@@ -592,7 +595,7 @@ class TestDirectSumCheck:
         alg, rp, dec, frames = self.mat3_frames()
         i, j = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1][:2]
         frames[j] = frames[i].copy()  # V(alpha_j) doctored to repeat V(alpha_i)
-        checks = _decomposition_checks(alg, rp.nil, dec.chi, list(dec.points), frames, TOL)
+        checks = _decomposition_checks(rp, dec.chi, list(dec.points), frames, TOL)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual >= 1.0
         lifted = [np.hstack([rp.quotient_frame @ w, rp.nil.frame]) for w in frames]
@@ -603,7 +606,7 @@ class TestDirectSumCheck:
     def test_extra_dependent_column_fails_even_at_full_rank(self):
         alg, rp, dec, frames = self.mat3_frames()
         frames[1] = np.hstack([frames[1], frames[0]])  # K + 1 columns of rank K
-        checks = _decomposition_checks(alg, rp.nil, dec.chi, list(dec.points), frames, TOL)
+        checks = _decomposition_checks(rp, dec.chi, list(dec.points), frames, TOL)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual == 1.0
 
@@ -614,3 +617,114 @@ class TestDirectSumCheck:
             "v_spaces_direct_sum",
         ]
         assert dec.ok
+
+
+def random_unit(k, rng):
+    v = rng.standard_normal((k, 1)) + 1j * rng.standard_normal((k, 1))
+    return v / np.linalg.norm(v)
+
+
+def simple_frame_cases():
+    """(name, algebra, functional): Mat_5, Mat_4+tri_4, S3 and Mat_2+S3 at
+    three random functionals each."""
+    algs = {
+        "Mat_5": mat_algebra(5),
+        "Mat_4+tri_4": direct_sum(mat_algebra(4), upper_triangular(4)),
+        "S3": group_algebra(symmetric3_table()),
+        "Mat_2+S3": mat2_plus_s3(),
+    }
+    rng = np.random.default_rng(67)
+    return [
+        (name, alg, random_functional(alg.dim, rng)) for name, alg in algs.items() for _ in range(3)
+    ]
+
+
+SIMPLE_FRAME_CASES = simple_frame_cases()
+
+
+class TestSimpleFrames:
+    """A point of multiplicity 1 takes its one level from the eigenvector of
+    the shifted pencil; only the multiple points climb."""
+
+    @pytest.mark.parametrize("case", SIMPLE_FRAME_CASES, ids=lambda case: case[0])
+    def test_match_the_climbed_frames(self, case):
+        _, alg, f = case
+        dec = decompose(alg, f)
+        assert dec.ok, [c for c in dec.checks if not c.passed]
+        simple = [p for p in dec.points if p.algebraic_mult == 1]
+        multiple = [p.alpha for p in dec.points if p.algebraic_mult > 1]
+        assert simple and multiple
+        for p in simple:
+            climbed = jordan_filtration(dec.pencil, p.alpha, dec.alpha0_used, TOL)
+            assert [s.dim for s in climbed] == list(p.filtration_dims) == [1 + dec.nil.dim]
+            assert projector_distance(climbed[0], dec.filtrations[p.alpha][0]) < 1e-10
+        # the multiple points keep bitwise the frames of the climb
+        chains = _filtration_reduced(dec.pencil, multiple, [dec.alpha0_used] * len(multiple), TOL)
+        for alpha, chain in zip(multiple, chains):
+            stored = dec.quotient_filtrations[alpha]
+            assert len(chain) == len(stored)
+            assert all(np.array_equal(w, v) for w, v in zip(chain, stored))
+
+    @pytest.mark.parametrize("case", SIMPLE_FRAME_CASES, ids=lambda case: case[0])
+    def test_stabilizer_residual_is_far_below_tol(self, case):
+        _, alg, f = case
+        check = check_named(decompose(alg, f).checks, "simple_frames_in_stabilizer")
+        assert check.passed and 0.0 < check.residual < 1e-4 * TOL
+
+    def test_random_frame_fails_the_stabilizer_check(self):
+        alg = mat_algebra(3)
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(71)))
+        frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        i = next(q for q, p in enumerate(dec.points) if p.algebraic_mult == 1)
+        frames[i] = random_unit(dec.quotient_dim, np.random.default_rng(72))
+        checks = _decomposition_checks(dec.pencil, dec.chi, list(dec.points), frames, TOL)
+        check = check_named(checks, "simple_frames_in_stabilizer")
+        assert not check.passed and check.residual > 1e-3
+        # the dimension checks cannot see the defect
+        assert check_named(checks, "v_dim_equals_nil_plus_multiplicity").passed
+
+    def test_random_frame_at_infinity_fails_the_stabilizer_check(self):
+        # spectrum {0, 1, infinity}, all simple
+        dec = decompose(upper_triangular(2), Functional(np.array([1.0, 1.0, 2.0])))
+        inf = dec.points[-1]
+        assert inf.alpha.is_infinite and inf.algebraic_mult == 1
+        frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        frames[-1] = random_unit(dec.quotient_dim, np.random.default_rng(73))
+        checks = _decomposition_checks(dec.pencil, dec.chi, list(dec.points), frames, TOL)
+        assert not check_named(checks, "simple_frames_in_stabilizer").passed
+
+    def test_alpha0_suite_fails_on_a_doctored_simple_frame(self):
+        alg = mat_algebra(3)
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(74)))
+        assert verify_alpha0_suite(dec).passed
+        p = next(p for p in dec.points if p.algebraic_mult == 1)
+        frame = random_unit(dec.quotient_dim, np.random.default_rng(75))
+        frame.setflags(write=False)
+        levels = {**dec.quotient_filtrations, p.alpha: (frame,)}
+        finding = verify_alpha0_suite(dataclasses.replace(dec, quotient_filtrations=levels))
+        assert not finding.passed and finding.max_residual > 1e-3
+        assert finding.witness[0] == p.alpha
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+    def test_shift_independence_compares_eigenvectors_at_simple_points(self, case):
+        _, rp, alphas, shifts = case
+        dec_frames = _filtration_reduced(rp, alphas, [shifts[0]] * len(alphas), TOL)
+        stabs = [levels[0] for levels in dec_frames]
+        simple = [len(levels) == 1 and levels[0].shape[1] == 1 for levels in dec_frames]
+        got = _alpha0_independence(rp, alphas, shifts[1], shifts[2], TOL, 1e-8, stabs, simple)
+        for alpha, w, is_simple, result in zip(alphas, stabs, simple, got):
+            if is_simple:
+                assert result[0] and result[1] < 1e-10
+            else:
+                # the multiple points still climb, as the loop does
+                loop = alpha0_independence_loop(rp, alpha, shifts[1], shifts[2], TOL, 1e-8, w)
+                assert result == loop
+
+    def test_simple_point_without_a_simple_match_is_unequal(self):
+        rp = reduce_pencil(mat_algebra(3), diag125(), TOL)
+        shifts = [choose_alpha0(rp, seed=s) for s in (1, 2)]
+        # 3.0 is no spectral point, and 1.0 has multiplicity 3
+        alphas = [ProjectivePoint.finite(z) for z in (3.0, 1.0, 2.0)]
+        got = _alpha0_independence(rp, alphas, *shifts, TOL, 1e-8, None, [True] * 3)
+        assert got[:2] == [(False, float("inf"))] * 2
+        assert got[2][0] and got[2][1] < 1e-10

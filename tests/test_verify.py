@@ -179,6 +179,8 @@ class TestAlpha0Suite:
         dec = decompose(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])))
         finding = verify_alpha0_suite(dec)
         assert finding.passed and finding.samples == 3
+        # the distances are round-off, so no point is named
+        assert finding.max_residual < 1e-12 and finding.witness is None
 
 
 class TestMinimize:
@@ -419,19 +421,30 @@ class TestProductInclusionsOracle:
     points."""
 
     @staticmethod
-    def assert_agree(alg, dec):
-        """(worst, witness) of the finite variant, then of the nonzero one."""
+    def assert_agree(alg, dec, tol=1e-7):
+        """(worst, witness) of the finite variant, then of the nonzero one.
+        A variant whose worst residual reaches ``tol`` names the loop's
+        witness, and one below it names none."""
         found = []
         for variant, (worst, witness, samples) in zip(
-            ("finite", "nonzero"), _product_inclusions(alg, dec)
+            ("finite", "nonzero"), _product_inclusions(alg, dec, tol)
         ):
             worst_ref, witness_ref, samples_ref = product_inclusions_pairwise(alg, dec, variant)
             assert abs(worst - worst_ref) <= 1e-12, variant
             assert samples == samples_ref, variant
-            if worst_ref > 1e-10:
-                assert witness == witness_ref, variant
+            assert witness == (witness_ref if worst_ref >= tol else None), variant
             found.append((worst, witness))
         return found
+
+    def test_passing_variants_name_no_witness(self):
+        alg = mat_algebra(3)
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(79)))
+        findings = verify_v_mult(alg, dec)
+        assert all(f.passed and 0.0 < f.max_residual < 1e-12 for f in findings)
+        assert [f.witness for f in findings] == [None, None]
+        # at a floor below the round-off its argmax is named
+        for worst, witness, _ in _product_inclusions(alg, dec, 1e-300):
+            assert worst > 0.0 and witness is not None
 
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
     def test_matches_the_pairwise_loop(self, case):
@@ -576,10 +589,21 @@ class TestLinearAlgebraCounts:
         calls.clear()
         assert verify_alpha0_suite(dec).passed
         # one regularity SVD per shift drawn (each accepted at its first
-        # draw), no Stab(alpha), the same steps over both shifts at once,
-        # and one values-only SVD for the projector distances of all levels
-        assert len(calls) == 2 + steps + 1
-        assert calls[-1] == ((sum(map(len, chains)), dec.quotient_dim, dec.quotient_dim), False)
+        # draw), one singularity SVD per shift's eigendecomposition for the
+        # simple points, no Stab(alpha), the steps of the multiple points
+        # over both shifts at once, and one values-only SVD for the
+        # projector distances of all compared levels: each level of a
+        # multiple point, and two pairs of frames at a simple point
+        multiple = [levels for p, levels in zip(dec.points, chains) if p.algebraic_mult > 1]
+        simple = len(chains) - len(multiple)
+        climb_steps = 0
+        for t in range(max(len(levels) for levels in multiple)):
+            climbing = [levels for levels in multiple if len(levels) > t]
+            climb_steps += len({levels[t].shape[1] for levels in climbing} - {0}) + 1
+            climb_steps += any(len(levels) > t + 1 for levels in climbing)
+        assert len(calls) == 2 + 2 * (simple > 0) + climb_steps + 1
+        compared = sum(map(len, multiple)) + 2 * simple
+        assert calls[-1] == ((compared, dec.quotient_dim, dec.quotient_dim), False)
 
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
         import sys
