@@ -12,11 +12,11 @@ to roundoff; for those the caller passes ``scale`` (the pre-cancellation
 magnitude) so the cutoff never collapses to the noise floor of an
 all-noise matrix.
 
-The ``stack_*`` primitives make the same decisions for a stack of equal-shape
-matrices with one LAPACK call: numpy runs the routine of a single call on
-each matrix of the stack, so every result is bitwise that of the single
-call.  Callers split long stacks with :func:`stack_chunks`, which keeps each
-stack within ``_STACK_BYTES``.
+:func:`stack_ranks` makes the rank decision of :func:`rank` for a stack of
+equal-shape matrices with one LAPACK call: numpy runs the routine of a
+single call on each matrix of the stack, so every rank is that of the
+single call.  Callers split long stacks with :func:`stack_chunks`, which
+keeps each stack within ``_STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "stack_chunks",
     "as_stack",
     "stack_ranks",
-    "stack_nullspaces",
-    "stack_column_spans",
     "subspace_sum",
     "subspace_intersect",
     "subspace_equal",
@@ -73,13 +71,6 @@ def _svd_cutoff(s: np.ndarray, tol: float, scale: float | None) -> float:
     if scale is not None:
         base = max(base, float(scale))
     return tol * base
-
-
-def _stack_ranks_of(s: np.ndarray, tol: float, scales) -> np.ndarray:
-    """Rank of each matrix of a stack from its row of singular values, each
-    row with its own cutoff at its own scale."""
-    cutoffs = [_svd_cutoff(row, tol, scale) for row, scale in zip(s, scales)]
-    return np.sum(s >= np.array(cutoffs).reshape(-1, 1), axis=1)
 
 
 def rank(m, tol: float, *, scale: float | None = None) -> int:
@@ -259,35 +250,9 @@ def as_stack(mats) -> np.ndarray:
 def stack_ranks(stack: np.ndarray, tol: float, scales) -> np.ndarray:
     """:func:`rank` of each matrix of ``stack`` at its own ``scales[i]``, from
     one values-only SVD."""
-    return _stack_ranks_of(np.linalg.svd(stack, compute_uv=False), tol, scales)
-
-
-def stack_nullspaces(stack: np.ndarray, tol: float, scales) -> list[np.ndarray]:
-    """``nullspace(stack[i], tol, scale=scales[i]).frame`` for each matrix of
-    ``stack``, from one full SVD.  The frames are read-only, and each is
-    checked orthonormal within ``10 * tol``, as :class:`Subspace` checks it,
-    by one stacked product per column count."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _, s, vh = np.linalg.svd(stack)
-    frames = [v[r:].conj().T for v, r in zip(vh, _stack_ranks_of(s, tol, scales))]
-    by_width: dict[int, list[np.ndarray]] = {}
-    for frame in frames:
-        frame.setflags(write=False)
-        by_width.setdefault(frame.shape[1], []).append(frame)
-    for width, group in by_width.items():
-        f = np.stack(group)
-        g = f.conj().transpose(0, 2, 1) @ f
-        if g.size and np.max(np.abs(g - np.eye(width))) > 10.0 * tol:
-            raise ShapeError("frame columns are not orthonormal at the stated tolerance")
-    return frames
-
-
-def stack_column_spans(stack: np.ndarray, tol: float, scales) -> list[np.ndarray]:
-    """``orthonormal_columns(stack[i], tol, scale=scales[i])`` for each matrix
-    of ``stack`` (at least one column each), from one thin SVD."""
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    return [w[:, :r] for w, r in zip(u, _stack_ranks_of(s, tol, scales))]
+    s = np.linalg.svd(stack, compute_uv=False)
+    cutoffs = [_svd_cutoff(row, tol, scale) for row, scale in zip(s, scales)]
+    return np.sum(s >= np.array(cutoffs).reshape(-1, 1), axis=1)
 
 
 def _check_ambient(a: Subspace, b: Subspace):

@@ -124,10 +124,7 @@ def algebra_to_doc(alg: Algebra) -> dict:
 def algebra_from_doc(doc: dict) -> Algebra:
     if not isinstance(doc, dict):
         raise ParseError("algebra document must be an object")
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("missing or non-integer value", "dim") from None
+    dim = _int_in(_field(doc, "dim", "algebra"), "dim")
     if dim < 1:
         raise ParseError("must be >= 1", "dim")
     unit_raw = doc.get("unit")

@@ -23,9 +23,14 @@ One eigendecomposition of the shifted operator gives the spectrum and, at
 every simple point (multiplicity 1), the whole filtration: there
 1 <= dim Stab(alpha) <= dim V(alpha) - dim nil = 1, so V(alpha) = Stab(alpha)
 is spanned by the eigenvector, with no rank decision and no climb.  Only the
-points of multiplicity 2 and more climb their chains.  The levels are kept
-as quotient frames and lifted on demand to subspaces of the full algebra
-containing nil, so downstream product tests multiply honest algebra elements.
+points of multiplicity 2 and more climb their chains, each on its own.  The
+levels are kept as quotient frames and lifted on demand to subspaces of the
+full algebra containing nil, so downstream product tests multiply honest
+algebra elements.
+
+Level 0 does not involve the shift, so shift independence has content only
+above it: :func:`verify_alpha0_independence` checks a level 0 by its
+residual in Stab(alpha) and compares the levels above it under two shifts.
 """
 
 from __future__ import annotations
@@ -42,16 +47,11 @@ from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
-    _shifted_eigen,
-    as_stack,
     det_poly,
     nullspace,
+    orthonormal_columns,
     pencil_eigen,
     rank,
-    stack_chunks,
-    stack_column_spans,
-    stack_nullspaces,
-    stack_ranks,
 )
 
 __all__ = [
@@ -246,74 +246,34 @@ def _filtration_reduced(
     point ``alphas[i]`` under the shift ``alpha0s[i]``, until its dimension
     stabilizes (at most K steps).  :func:`decompose` climbs only its points
     of multiplicity 2 and more; a simple point's one level is the
-    eigenvector :func:`spectrum` gives, and this climb is its test oracle.
+    eigenvector :func:`spectrum` gives.
 
-    ``stab_frames``, when given, are the V^0 = Stab(alpha) frames as
-    computed by this function at the same ``tol``, and replace their
-    recomputation.  The items climb their chains in step, so each LAPACK
-    call serves all of them: one stacked SVD gives every Stab(alpha), and
-    at each level one thin SVD per column width gives the images, one
-    values-only SVD decides which chains grow, and one full SVD gives the
-    next level of the growing ones.  A level's vectors are thus computed
-    only when it is larger than the one before.  Items go through in chunks
-    whose K x K operators fit ``linalg._STACK_BYTES`` together, so memory
-    stays bounded whatever the number of points."""
+    ``stab_frames``, when given, are the V^0 = Stab(alpha) frames, and the
+    chains climb from them instead of computing them.  Each chain climbs on
+    its own: per level, the orthonormal columns of the image under the
+    shifted operator, a values-only rank test for growth, and the next
+    level's nullspace only when the level grows."""
     levels: list[list[np.ndarray]] = []
-    for c in stack_chunks(len(alphas), 16 * rp.K**2):
-        stabs = None if stab_frames is None else stab_frames[c]
-        levels += _climb(rp, alphas[c], alpha0s[c], tol, stabs)
-    return levels
-
-
-def _climb(
-    rp: ReducedPencil,
-    alphas: list[ProjectivePoint],
-    alpha0s: list[complex],
-    tol: float,
-    stab_frames: list[np.ndarray] | None,
-) -> list[list[np.ndarray]]:
-    """The filtrations of one chunk of :func:`_filtration_reduced`'s items.
-
-    Every matrix is formed by the same operations as for a single item, and
-    only the SVDs are stacked, so each frame is bitwise the one a lone item
-    gets."""
-    s_ops = [_slot_one_operator(rp, alpha) for alpha in alphas]
-    s_scales = np.array([scale for _, scale in s_ops])
-    shifted = {a0: rp.at_tilde - a0 * rp.a_tilde for a0 in alpha0s}
-    t_scales = [(1.0 + abs(a0)) * rp.pencil_scale() for a0 in alpha0s]
-    if stab_frames is None:
-        stab_frames = stack_nullspaces(as_stack([m for m, _ in s_ops]), tol, s_scales)
-    levels = [[w] for w in stab_frames]
-    active = list(range(len(alphas)))
-    for _ in range(rp.K):
-        if not active:
-            break
-        # the image of each top level under the shifted operator, whose
-        # orthonormal columns come from one thin SVD per column width
-        images = {}
-        by_width: dict[int, list[int]] = {}
-        for i in active:
-            images[i] = shifted[alpha0s[i]] @ levels[i][-1]
-            by_width.setdefault(images[i].shape[1], []).append(i)
-        for width, members in by_width.items():
-            if width:
-                stack = as_stack([images[i] for i in members])
-                spans = stack_column_spans(stack, tol, [t_scales[i] for i in members])
-                images.update(zip(members, spans))
-        off_image = [s_ops[i][0] - images[i] @ (images[i].conj().T @ s_ops[i][0]) for i in active]
-        ranks = stack_ranks(as_stack(off_image), tol, s_scales[active])
-        grows = [j for j, i in enumerate(active) if rp.K - ranks[j] > levels[i][-1].shape[1]]
-        if not grows:
-            break
-        growing = [active[j] for j in grows]
-        stack = as_stack([off_image[j] for j in grows])
-        active = []
-        for i, nxt in zip(growing, stack_nullspaces(stack, tol, s_scales[growing])):
+    for i, (alpha, alpha0) in enumerate(zip(alphas, alpha0s)):
+        s_mat, s_scale = _slot_one_operator(rp, alpha)
+        t_mat = rp.at_tilde - alpha0 * rp.a_tilde
+        t_scale = (1.0 + abs(alpha0)) * rp.pencil_scale()
+        if stab_frames is None:
+            chain = [nullspace(s_mat, tol, scale=s_scale).frame]
+        else:
+            chain = [stab_frames[i]]
+        for _ in range(rp.K):
+            image = orthonormal_columns(t_mat @ chain[-1], tol, scale=t_scale)
+            off_image = s_mat - image @ (image.conj().T @ s_mat)
+            if rp.K - rank(off_image, tol, scale=s_scale) <= chain[-1].shape[1]:
+                break
+            nxt = nullspace(off_image, tol, scale=s_scale).frame
             # a full SVD may round its singular values differently from the
             # values-only one, so the level must still be seen to grow
-            if nxt.shape[1] > levels[i][-1].shape[1]:
-                levels[i].append(nxt)
-                active.append(i)
+            if nxt.shape[1] <= chain[-1].shape[1]:
+                break
+            chain.append(nxt)
+        levels.append(chain)
     return levels
 
 
@@ -358,6 +318,30 @@ def jordan_filtration(
     return [_lift(rp, w, tol) for w in frames]
 
 
+def _stab_residuals(
+    rp: ReducedPencil, alphas: list[ProjectivePoint], frames: list[np.ndarray]
+) -> list[float]:
+    """How far each quotient frame ``frames[i]`` lies from Stab(alphas[i]):
+    the largest ``|(a~^T - alpha a~) w| / ((1 + |alpha|) scale)`` over its
+    columns w, ``|a~ w| / scale`` at infinity, with ``scale`` the pencil
+    scale.  Since sigma_min <= |S w| for a unit w, a residual below ``tol``
+    means the rank decision at the same cutoff would find
+    dim Stab(alpha) >= 1.  All frames go through two products with their
+    stacked columns."""
+    widths = np.array([w.shape[1] for w in frames], dtype=int)
+    infinite = np.repeat([alpha.is_infinite for alpha in alphas], widths).astype(bool)
+    values = np.repeat([0j if alpha.is_infinite else alpha.value for alpha in alphas], widths)
+    stacked = np.hstack([*frames, np.zeros((rp.K, 0))])
+    a_frames = rp.a_tilde @ stacked
+    images = np.where(infinite, a_frames, rp.at_tilde @ stacked - values * a_frames)
+    scales = np.where(infinite, 1.0, 1.0 + np.abs(values)) * rp.pencil_scale()
+    res = np.linalg.norm(images, axis=0) / scales
+    # the largest of each frame's columns, from its first column to the
+    # next frame's; the appended 0 gives a trailing empty frame an index
+    worst = np.maximum.reduceat(np.append(res, 0.0), np.cumsum(widths) - widths)
+    return np.where(widths > 0, worst, 0.0).tolist()
+
+
 def _decomposition_checks(
     rp: ReducedPencil,
     chi: HomogeneousPoly,
@@ -400,18 +384,9 @@ def _decomposition_checks(
     )
 
     # at a simple point the dimension check holds by construction, so test
-    # that the frame lies in Stab(alpha): since sigma_min <= |S v|, a
-    # residual below tol means the rank decision at the same cutoff would
-    # find dim Stab(alpha) >= 1
+    # that the frame lies in Stab(alpha)
     simple = [(p.alpha, w) for p, w in zip(points, v_frames) if p.algebraic_mult == 1]
-    widths = [w.shape[1] for _, w in simple]
-    infinite = np.repeat([alpha.is_infinite for alpha, _ in simple], widths).astype(bool)
-    values = np.repeat([0j if alpha.is_infinite else alpha.value for alpha, _ in simple], widths)
-    frames = np.hstack([w for _, w in simple] or [np.zeros((k, 0))])
-    a_frames = rp.a_tilde @ frames
-    images = np.where(infinite, a_frames, rp.at_tilde @ frames - values * a_frames)
-    scales = np.where(infinite, 1.0, 1.0 + np.abs(values)) * rp.pencil_scale()
-    off = float(np.max(np.linalg.norm(images, axis=0) / scales, initial=0.0))
+    off = max(_stab_residuals(rp, *zip(*simple)) if simple else [], default=0.0)
     checks.append(
         InvariantCheck(
             "simple_frames_in_stabilizer",
@@ -539,13 +514,24 @@ def verify_alpha0_independence(
     compare_tol: float = 1e-8,
     stab_frame: np.ndarray | None = None,
 ) -> tuple[bool, float]:
-    """Compare every filtration level of the reduced pencil ``rp`` computed
-    with two different regular shifts; returns (all levels equal, max
-    projector distance).  Both filtrations start from ``stab_frame`` when it
-    is given (see :func:`jordan_filtration`).  The levels are compared in
-    quotient coordinates, where their lifts' common nil drops out."""
-    stabs = None if stab_frame is None else [stab_frame]
-    return _alpha0_independence(rp, [alpha], alpha0_a, alpha0_b, tol, compare_tol, stabs)[0]
+    """Shift independence of the filtration of the reduced pencil ``rp`` at
+    ``alpha``; returns (independent, max residual).
+
+    Level 0, Stab(alpha), does not involve the shift: its quotient frame,
+    ``stab_frame`` when given and the nullspace at ``tol`` otherwise, must
+    lie in Stab(alpha) (see :func:`_stab_residuals`), with a residual below
+    ``tol``.  The filtration then climbs from it under each shift, and every
+    higher level must agree, with projector distance below ``compare_tol``.
+    The levels are compared in quotient coordinates, where their lifts'
+    common nil drops out."""
+    if stab_frame is None:
+        m, scale = _slot_one_operator(rp, alpha)
+        stab_frame = nullspace(m, tol, scale=scale).frame
+    (residual,) = _stab_residuals(rp, [alpha], [stab_frame])
+    ((equal, dist),) = _alpha0_independence(
+        rp, [alpha], alpha0_a, alpha0_b, tol, compare_tol, [stab_frame]
+    )
+    return residual < tol and equal, max(residual, dist)
 
 
 def _alpha0_independence(
@@ -555,85 +541,34 @@ def _alpha0_independence(
     alpha0_b: complex,
     tol: float,
     compare_tol: float,
-    stab_frames: list[np.ndarray] | None,
-    simple: list[bool] | None = None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    stab_frames: list[np.ndarray],
 ) -> list[tuple[bool, float]]:
-    """:func:`verify_alpha0_independence` at each of ``alphas``.
+    """The levels above 0 of the filtration at each of ``alphas``, climbed
+    from its ``stab_frames`` entry under ``alpha0_a`` and under ``alpha0_b``,
+    compared: (all equal, max projector distance) per point.
 
-    A point flagged in ``simple`` (algebraic multiplicity 1) does not climb:
-    its one level under each shift is the eigenvector of that shift's pencil
-    (see :func:`_simple_frames`), and the two must span one line, which the
-    given ``stab_frames`` entry must span too.  The other points climb in
-    one filtration call, all their chains at once (every point under
-    ``alpha0_a``, then under ``alpha0_b``).  Stacked values-only SVDs give
-    the projector distances of all compared levels, the largest singular
-    value being ``norm(d, 2)``.  Each point stops at its first level that
-    differs; levels of different dimensions, or a simple point without a
-    simple match, give (False, inf)."""
+    Both chains share level 0, so it is not compared.  Each point stops at
+    its first level that differs; chains of different dimensions give
+    (False, inf)."""
     for alpha in alphas:
         if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
             raise NoRegularValue("the shift must differ from the point under study")
     n = len(alphas)
-    simple = simple or [False] * n
-    climbing = [i for i in range(n) if not simple[i]]
-    m = len(climbing)
-    stabs = None if stab_frames is None else [stab_frames[i] for i in climbing] * 2
     chains = _filtration_reduced(
-        rp, [alphas[i] for i in climbing] * 2, [alpha0_a] * m + [alpha0_b] * m, tol, stabs
+        rp, alphas * 2, [alpha0_a] * n + [alpha0_b] * n, tol, stab_frames * 2
     )
-    # the level pairs to compare at each point, or None when they cannot match
-    compared: list[list[tuple[np.ndarray, np.ndarray]] | None] = [None] * n
-    for i, a, b in zip(climbing, chains[:m], chains[m:]):
-        if [w.shape[1] for w in a] == [w.shape[1] for w in b]:
-            compared[i] = list(zip(a, b))
-    singles = [i for i in range(n) if simple[i]]
-    eigen_a, eigen_b = (
-        _simple_frames(rp, [alphas[i] for i in singles], shift, cluster_tol)
-        for shift in (alpha0_a, alpha0_b)
-    )
-    for i, va, vb in zip(singles, eigen_a, eigen_b):
-        if va is not None and vb is not None:
-            given = [] if stab_frames is None else [(stab_frames[i], va)]
-            if all(w.shape[1] == 1 for w, _ in given):
-                compared[i] = [(va, vb)] + given
-    flat = [pair for pairs in compared if pairs is not None for pair in pairs]
-    dists: list[float] = []
-    for c in stack_chunks(len(flat), 16 * rp.K**2):
-        d = as_stack([wa @ wa.conj().T - wb @ wb.conj().T for wa, wb in flat[c]])
-        dists += np.linalg.svd(d, compute_uv=False).max(axis=-1, initial=0.0).tolist()
-    remaining = iter(dists)
     results = []
-    for pairs in compared:
-        if pairs is None:
+    for a, b in zip(chains[:n], chains[n:]):
+        if [w.shape[1] for w in a] != [w.shape[1] for w in b]:
             results.append((False, float("inf")))
             continue
         worst = 0.0
         equal = True
-        for dist in [next(remaining) for _ in pairs]:
+        for wa, wb in zip(a[1:], b[1:]):
+            dist = float(np.linalg.norm(wa @ wa.conj().T - wb @ wb.conj().T, 2))
             worst = max(worst, dist)
             if not dist < compare_tol:
                 equal = False
                 break
         results.append((equal, worst))
     return results
-
-
-def _simple_frames(
-    rp: ReducedPencil, alphas: list[ProjectivePoint], alpha0: complex, cluster_tol: float
-) -> list[np.ndarray | None]:
-    """The eigenvector frame of each of ``alphas`` under the shift
-    ``alpha0``, from the eigendecomposition :func:`spectrum` makes: that of
-    the one eigenvalue whose mapped value lies within ``cluster_tol`` of
-    alpha (as :func:`algscope.linalg.projective_close` measures it), or None
-    when no eigenvalue or several lie there."""
-    if not alphas:
-        return []
-    at_inf, values, vectors = _shifted_eigen(rp.at_tilde, rp.a_tilde, alpha0, cluster_tol)
-    wanted_inf = np.array([a.is_infinite for a in alphas])[:, None]
-    wanted = np.array([0j if a.is_infinite else a.value for a in alphas])[:, None]
-    scale = np.maximum(np.maximum(1.0, np.abs(wanted)), np.abs(values))
-    near = np.abs(wanted - values) <= cluster_tol * scale
-    near = np.where(wanted_inf | at_inf, wanted_inf & at_inf, near)
-    found = [int(row.argmax()) if row.sum() == 1 else None for row in near]
-    return [None if j is None else vectors[:, j : j + 1] for j in found]

@@ -26,6 +26,7 @@ from .spectral import (
     DEFAULT_TOL,
     Decomposition,
     _alpha0_independence,
+    _stab_residuals,
     choose_alpha0,
     decompose,
     stab,
@@ -141,48 +142,50 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Fi
 
 
 def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) -> Finding:
-    """Shift-independence of the filtration: for every spectral point of
-    ``dec``, the filtrations of its pencil under two random regular shifts
-    (drawn with seeds ``seed + 1`` and ``seed + 2``) must be identical.
+    """Shift-independence of the filtration at every spectral point of
+    ``dec``, under two random regular shifts drawn with seeds ``seed + 1``
+    and ``seed + 2``.
 
-    At a simple point the filtration is one level, the eigenvector of the
-    shifted pencil (see :func:`algscope.spectral.spectrum`).  The
-    eigenvectors under the two shifts, each taken at the one point within
-    ``dec.cluster_tol`` of alpha, must span the decomposition's own frame;
-    a point with no such simple match counts as unequal, with distance inf.
-    A multiple point climbs: level 0, Stab(alpha), does not involve the
-    shift, so both filtrations start from the decomposition's own frame of
-    it (``dec.quotient_filtrations``), and every higher level is computed
-    afresh under each shift.  The chains of all multiple points climb in
-    one batch, and the projector distances of all compared levels come from
-    stacked values-only SVDs, each stack within ``linalg._STACK_BYTES``.
-    A failing finding names as witness (alpha, shift_a, shift_b), and a
-    passing one, whose distances are round-off, names none."""
+    One rule covers every point.  Level 0, Stab(alpha), does not involve
+    the shift, so the decomposition's own frame of it
+    (``dec.quotient_filtrations``) must lie in Stab(alpha), with a residual
+    below ``dec.tol`` (see :func:`algscope.spectral._stab_residuals`).  At a
+    simple point that level is the whole filtration.  A multiple point
+    climbs its filtration from that level under each shift, and the levels
+    above 0 must agree, with projector distance below ``tol``; levels of
+    different dimensions count as unequal, with distance inf.  The residual
+    of a point is the largest of these.  A failing finding names as witness
+    (alpha, shift_a, shift_b) for the first failing point with the largest
+    residual, and a passing one, whose residuals are round-off, names none."""
     if not dec.points:
         return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
     shift_a = choose_alpha0(dec.pencil, seed=seed + 1)
     shift_b = choose_alpha0(dec.pencil, seed=seed + 2)
-    results = _alpha0_independence(
+    alphas = [p.alpha for p in dec.points]
+    frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
+    multiple = [i for i, p in enumerate(dec.points) if p.algebraic_mult > 1]
+    climbed = _alpha0_independence(
         dec.pencil,
-        [p.alpha for p in dec.points],
+        [alphas[i] for i in multiple],
         shift_a,
         shift_b,
         dec.tol,
         tol,
-        [dec.quotient_filtrations[p.alpha][0] for p in dec.points],
-        [p.algebraic_mult == 1 for p in dec.points],
-        dec.cluster_tol,
+        [frames[i] for i in multiple],
     )
-    worst = 0.0
+    above_0 = dict(zip(multiple, climbed))
+    results = []
+    for i, residual in enumerate(_stab_residuals(dec.pencil, alphas, frames)):
+        equal, dist = above_0.get(i, (True, 0.0))
+        results.append((residual < dec.tol and equal, max(residual, dist)))
+    worst = max(residual for _, residual in results)
+    failing = [i for i, (passed, _) in enumerate(results) if not passed]
     witness = None
-    ok = True
-    for p, (equal, dist) in zip(dec.points, results):
-        if dist > worst or not equal:
-            worst = max(worst, dist)
-            witness = (p.alpha, shift_a, shift_b)
-        ok = ok and equal
-    # a passing suite's distances are round-off, so it names no witness
-    return Finding(ALPHA0_INDEPENDENCE, ok, worst, None if ok else witness, len(results))
+    if failing:
+        # max keeps the first of equal residuals
+        at = max(failing, key=lambda i: results[i][1])
+        witness = (alphas[at], shift_a, shift_b)
+    return Finding(ALPHA0_INDEPENDENCE, not failing, worst, witness, len(results))
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +305,9 @@ def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[F
 def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
     """The spectrum of ``dec`` is closed under alpha -> 1/alpha (0 and
     infinity paired) with exactly equal multiplicities, V dimensions, and
-    stabilizer dimensions."""
+    stabilizer dimensions.  Each finding's witness is the first point, in
+    spectrum order, that reaches its largest mismatch, with its mirror or
+    "no mirror point"."""
     v_mismatch = 0
     stab_mismatch = 0
     v_witness = None
@@ -310,8 +315,9 @@ def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
     for p in dec.points:
         mirror = dec.point_at(p.alpha.inverse())
         if mirror is None:
-            v_mismatch = max(v_mismatch, p.algebraic_mult)
-            v_witness = (p.alpha, "no mirror point")
+            if p.algebraic_mult > v_mismatch:
+                v_mismatch = p.algebraic_mult
+                v_witness = (p.alpha, "no mirror point")
             continue
         dv = abs(p.algebraic_mult - mirror.algebraic_mult) + abs(
             p.filtration_dims[-1] - mirror.filtration_dims[-1]

@@ -308,23 +308,37 @@ def filtration_reduced_loop(rp, alpha, alpha0, tol, stab_frame=None):
     return levels
 
 
-def alpha0_independence_loop(rp, alpha, alpha0_a, alpha0_b, tol, compare_tol, stab_frame=None):
-    """Shift independence at one point from two looped filtrations and one
-    projector distance per level: (all levels equal, max distance), stopping
-    at the first level that differs."""
-    from algscope.linalg import Subspace, projector_distance
+def alpha0_independence_loop(
+    rp, alpha, alpha0_a, alpha0_b, tol, compare_tol, stab_frame=None, climb=True
+):
+    """Shift independence at one point: (independent, max residual).  Level
+    0, ``stab_frame`` or the nullspace of the slot-one operator, must lie in
+    Stab(alpha), each column's |S w| / scale taken on its own below ``tol``.
+    With ``climb``, two looped filtrations from that level, one per shift,
+    must then agree above level 0, one projector distance per level below
+    ``compare_tol``, stopping at the first level that differs."""
+    from algscope.linalg import Subspace, nullspace, projector_distance
+    from algscope.spectral import _slot_one_operator
 
+    s_mat, s_scale = _slot_one_operator(rp, alpha)
+    if stab_frame is None:
+        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
+    worst = 0.0
+    for j in range(stab_frame.shape[1]):
+        worst = max(worst, float(np.linalg.norm(s_mat @ stab_frame[:, j])) / s_scale)
+    equal = worst < tol
+    if not climb:
+        return equal, worst
     lev_a = filtration_reduced_loop(rp, alpha, alpha0_a, tol, stab_frame)
     lev_b = filtration_reduced_loop(rp, alpha, alpha0_b, tol, stab_frame)
     if [w.shape[1] for w in lev_a] != [w.shape[1] for w in lev_b]:
         return False, float("inf")
-    worst = 0.0
-    for wa, wb in zip(lev_a, lev_b):
+    for wa, wb in zip(lev_a[1:], lev_b[1:]):
         dist = projector_distance(Subspace(rp.K, wa, tol), Subspace(rp.K, wb, tol))
         worst = max(worst, dist)
         if not dist < compare_tol:
             return False, worst
-    return True, worst
+    return equal, worst
 
 
 def det_poly_loop(a, b):

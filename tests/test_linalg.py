@@ -23,11 +23,8 @@ from algscope import (
 from algscope.linalg import (
     _cluster_values,
     as_stack,
-    orthonormal_columns,
     rank,
     stack_chunks,
-    stack_column_spans,
-    stack_nullspaces,
     stack_ranks,
 )
 
@@ -233,7 +230,7 @@ def random_stack(rng, n, rows, cols, rank_of=None):
 
 
 class TestStackedPrimitives:
-    """Each stacked primitive gives bitwise the single-matrix result."""
+    """The stacked rank test gives the single-matrix ranks."""
 
     @pytest.mark.parametrize("k", [1, 4, 9])
     def test_match_the_single_matrix_calls(self, k):
@@ -241,18 +238,9 @@ class TestStackedPrimitives:
         ranks = [int(r) for r in rng.integers(0, k + 1, size=7)]
         mats = random_stack(rng, 7, k, k, ranks)
         scales = rng.uniform(0.5, 2.0, size=7)
-        stack = as_stack(mats)
-        assert stack_ranks(stack, TOL, scales).tolist() == [
+        assert stack_ranks(as_stack(mats), TOL, scales).tolist() == [
             rank(m, TOL, scale=sc) for m, sc in zip(mats, scales)
         ] == ranks
-        frames = stack_nullspaces(stack, TOL, scales)
-        for m, sc, w in zip(mats, scales, frames):
-            assert np.array_equal(w, nullspace(m, TOL, scale=sc).frame)
-            assert not w.flags.writeable
-        cols = random_stack(rng, 5, k + 2, k, ranks[:5])
-        spans = stack_column_spans(as_stack(cols), TOL, scales[:5])
-        for m, sc, w in zip(cols, scales, spans):
-            assert np.array_equal(w, orthonormal_columns(m, TOL, scale=sc))
 
     def test_nonfinite_entry_is_rejected(self):
         mats = [np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
@@ -262,15 +250,10 @@ class TestStackedPrimitives:
 
     def test_orthonormality_is_checked_like_a_subspace(self):
         # a cutoff above every singular value keeps all of vh, whose
-        # roundoff exceeds 10 * tol at this tol, alone or stacked
+        # roundoff exceeds 10 * tol at this tol
         rng = np.random.default_rng(3)
-        mats = random_stack(rng, 2, 6, 6)
         with pytest.raises(ShapeError):
-            nullspace(mats[0], 1e-18, scale=1e20)
-        with pytest.raises(ShapeError):
-            stack_nullspaces(as_stack(mats), 1e-18, [1e20, 1e20])
-        with pytest.raises(ValueError):
-            stack_nullspaces(as_stack(mats), 0.0, [1.0, 1.0])
+            nullspace(random_stack(rng, 1, 6, 6)[0], 1e-18, scale=1e20)
 
     def test_chunks_stay_within_the_budget(self, monkeypatch):
         import algscope.linalg as linalg

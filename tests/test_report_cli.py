@@ -213,6 +213,10 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+#: a field to delete rather than overwrite
+MISSING = object()
+
+
 def write_inputs(tmp_path):
     alg = mat_algebra(3)
     save_algebra(alg, str(tmp_path / "mat3.alg"))
@@ -261,16 +265,35 @@ class TestCli:
         save_functional(Functional(np.zeros(2, dtype=complex)), "tiny.fn")
         assert main(["analyze", "mat3.alg", "tiny.fn"]) == 1
 
-    @pytest.mark.parametrize("value", ["x", "1.0", None])
-    def test_analyze_malformed_structure_value_is_usage_error(self, workdir, capsys, value):
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("structure", 0, 3), "x", "structure[0]: expected a number"),
+            (("structure", 0, 3), "1.0", "structure[0]: expected a number"),
+            (("structure", 0, 3), None, "structure[0]: expected a number"),
+            (("dim",), 9.0, "dim: expected an integer"),
+            (("dim",), 9.5, "dim: expected an integer"),
+            (("dim",), True, "dim: expected an integer"),
+            (("dim",), "9", "dim: expected an integer"),
+            (("dim",), None, "dim: expected an integer"),
+            (("dim",), MISSING, "algebra: missing field 'dim'"),
+        ],
+    )
+    def test_analyze_malformed_value_is_usage_error(self, workdir, capsys, path, value, message):
         write_inputs(workdir)
         doc = json.loads((workdir / "mat3.alg").read_text(encoding="utf-8"))
-        assert doc["structure"][0][3] == 1.0
-        doc["structure"][0][3] = value
+        assert doc["dim"] == 9 and doc["structure"][0][3] == 1.0
+        *outer, key = path
+        owner = doc
+        for step in outer:
+            owner = owner[step]
+        if value is MISSING:
+            del owner[key]
+        else:
+            owner[key] = value
         (workdir / "bad.alg").write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", "bad.alg", "d125.fn"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: structure[0]: expected a number")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_analyze_invalid_json_reports_location(self, workdir, capsys):
         (workdir / "broken.alg").write_text("{not json", encoding="utf-8")

@@ -289,9 +289,10 @@ class TestJordanFiltration:
 
 
 def batch_cases():
-    """(name, reduced pencil, its points, shifts): the verify-small algebras
-    at three random functionals each, and the defective pencil that grows a
-    level; the shifts are the decomposition's own and two more draws."""
+    """(name, reduced pencil, its points, shifts, decomposition): the
+    verify-small algebras at three random functionals each, and the
+    defective pencil that grows a level; the shifts are the decomposition's
+    own and two more draws."""
     algs = {
         "Mat_3": mat_algebra(3),
         "Mat_4": mat_algebra(4),
@@ -309,82 +310,62 @@ def batch_cases():
     for name, alg, f in pairs:
         dec = decompose(alg, f)
         shifts = [dec.alpha0_used] + [choose_alpha0(dec.pencil, seed=s) for s in (5, 6)]
-        cases.append((name, dec.pencil, [p.alpha for p in dec.points], shifts))
+        cases.append((name, dec.pencil, [p.alpha for p in dec.points], shifts, dec))
     return cases
 
 
 BATCH_CASES = batch_cases()
 
 
-class TestBatchedFiltration:
-    """The batched filtration gives bitwise the frames of the per-point loop,
-    whatever the chunks of its stacks."""
+class TestFiltrationClimb:
+    """The filtration climbs each chain on its own and gives bitwise the
+    frames of the oracle's loop."""
 
     @staticmethod
-    def assert_frames_equal(batched, looped):
-        assert len(batched) == len(looped)
-        for got, want in zip(batched, looped):
+    def assert_frames_equal(climbed, looped):
+        assert len(climbed) == len(looped)
+        for got, want in zip(climbed, looped):
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert not any(g.flags.writeable for g in got)
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
     def test_matches_the_per_point_loop(self, case):
-        _, rp, alphas, shifts = case
+        _, rp, alphas, shifts, _ = case
         for shift in shifts:
-            batched = _filtration_reduced(rp, alphas, [shift] * len(alphas), TOL)
+            climbed = _filtration_reduced(rp, alphas, [shift] * len(alphas), TOL)
             looped = [filtration_reduced_loop(rp, alpha, shift, TOL) for alpha in alphas]
-            self.assert_frames_equal(batched, looped)
+            self.assert_frames_equal(climbed, looped)
         # mixed shifts in one call, each chain from a given Stab(alpha)
         items = [(alpha, shift) for shift in shifts[1:] for alpha in alphas]
         stabs = [filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0] for alpha, _ in items]
-        batched = _filtration_reduced(rp, *map(list, zip(*items)), TOL, stabs)
+        climbed = _filtration_reduced(rp, *map(list, zip(*items)), TOL, stabs)
         looped = [filtration_reduced_loop(rp, a, s, TOL, w) for (a, s), w in zip(items, stabs)]
-        self.assert_frames_equal(batched, looped)
+        self.assert_frames_equal(climbed, looped)
 
     def test_defective_case_grows_a_level(self):
-        _, rp, alphas, shifts = BATCH_CASES[-1]
+        _, rp, alphas, shifts, _ = BATCH_CASES[-1]
         levels = _filtration_reduced(rp, alphas, [shifts[0]] * len(alphas), TOL)
         assert max(len(chain) for chain in levels) == 2
 
-    @pytest.mark.parametrize("per_chunk", [1, 3])
-    @pytest.mark.parametrize("case", [BATCH_CASES[0], BATCH_CASES[-1]], ids=["Mat_3", "defective"])
-    def test_chunks_of_one_and_of_odd_sizes(self, monkeypatch, case, per_chunk):
-        import algscope.linalg as linalg
-
-        _, rp, alphas, shifts = case
-        items = [(alpha, shift) for shift in shifts for alpha in alphas]
-        looped = [filtration_reduced_loop(rp, a, s, TOL) for a, s in items]
-        budget = per_chunk * 16 * rp.K**2
-        assert len(linalg.stack_chunks(len(items), 16 * rp.K**2)) == 1
-        monkeypatch.setattr(linalg, "_STACK_BYTES", budget)
-        chunks = linalg.stack_chunks(len(items), 16 * rp.K**2)
-        assert len(chunks) == -(-len(items) // per_chunk) > 1
-        batched = _filtration_reduced(rp, *map(list, zip(*items)), TOL)
-        self.assert_frames_equal(batched, looped)
-        # the projector distances split across chunks too
-        results = _alpha0_independence(rp, alphas, shifts[1], shifts[2], TOL, 1e-8, None)
-        assert results == [
-            alpha0_independence_loop(rp, alpha, shifts[1], shifts[2], TOL, 1e-8) for alpha in alphas
-        ]
-
     @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
     def test_shift_independence_matches_the_loop(self, case):
-        _, rp, alphas, shifts = case
+        _, rp, alphas, shifts, _ = case
         stabs = [filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0] for alpha in alphas]
-        for stab_frames in (None, stabs):
-            got = _alpha0_independence(rp, alphas, shifts[1], shifts[2], TOL, 1e-8, stab_frames)
-            frames = stab_frames or [None] * len(alphas)
-            want = [
-                alpha0_independence_loop(rp, alpha, shifts[1], shifts[2], TOL, 1e-8, w)
-                for alpha, w in zip(alphas, frames)
-            ]
-            assert got == want and all(equal for equal, _ in got)
+        for alpha, w in zip(alphas, stabs):
+            for stab_frame in (None, w):
+                got = verify_alpha0_independence(rp, alpha, *shifts[1:], TOL, 1e-8, stab_frame)
+                want = alpha0_independence_loop(rp, alpha, *shifts[1:], TOL, 1e-8, stab_frame)
+                assert got[0] == want[0] is True
+                assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-15)
+        # the levels above 0, compared without the level-0 residual
+        results = _alpha0_independence(rp, alphas, *shifts[1:], TOL, 1e-8, stabs)
+        assert all(equal and dist < 1e-8 for equal, dist in results)
 
     def test_nonfinite_operator_is_rejected(self):
         from algscope.errors import NonFinite
 
-        _, rp, alphas, shifts = BATCH_CASES[0]
+        _, rp, alphas, shifts, _ = BATCH_CASES[0]
         with pytest.raises(NonFinite):
             _filtration_reduced(rp, alphas, [complex("nan")] * len(alphas), TOL)
 
@@ -705,26 +686,78 @@ class TestSimpleFrames:
         assert not finding.passed and finding.max_residual > 1e-3
         assert finding.witness[0] == p.alpha
 
-    @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
-    def test_shift_independence_compares_eigenvectors_at_simple_points(self, case):
-        _, rp, alphas, shifts = case
-        dec_frames = _filtration_reduced(rp, alphas, [shifts[0]] * len(alphas), TOL)
-        stabs = [levels[0] for levels in dec_frames]
-        simple = [len(levels) == 1 and levels[0].shape[1] == 1 for levels in dec_frames]
-        got = _alpha0_independence(rp, alphas, shifts[1], shifts[2], TOL, 1e-8, stabs, simple)
-        for alpha, w, is_simple, result in zip(alphas, stabs, simple, got):
-            if is_simple:
-                assert result[0] and result[1] < 1e-10
-            else:
-                # the multiple points still climb, as the loop does
-                loop = alpha0_independence_loop(rp, alpha, shifts[1], shifts[2], TOL, 1e-8, w)
-                assert result == loop
 
-    def test_simple_point_without_a_simple_match_is_unequal(self):
-        rp = reduce_pencil(mat_algebra(3), diag125(), TOL)
-        shifts = [choose_alpha0(rp, seed=s) for s in (1, 2)]
-        # 3.0 is no spectral point, and 1.0 has multiplicity 3
-        alphas = [ProjectivePoint.finite(z) for z in (3.0, 1.0, 2.0)]
-        got = _alpha0_independence(rp, alphas, *shifts, TOL, 1e-8, None, [True] * 3)
-        assert got[:2] == [(False, float("inf"))] * 2
-        assert got[2][0] and got[2][1] < 1e-10
+def doctored_level0(dec, alpha, frame):
+    """``dec`` with the one level of ``alpha`` replaced by ``frame``."""
+    frame.setflags(write=False)
+    levels = {**dec.quotient_filtrations, alpha: (frame,)}
+    return dataclasses.replace(dec, quotient_filtrations=levels)
+
+
+def random_frame(k, width, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((k, width)) + 1j * rng.standard_normal((k, width)))
+    return q
+
+
+class TestAlpha0SuiteRule:
+    """The alpha0 suite checks every point's level 0 against Stab(alpha)
+    and climbs only the multiple points, under both shifts, from that
+    level."""
+
+    @staticmethod
+    def loop(dec, seed=0):
+        """The oracle at every point of ``dec`` with the suite's shifts."""
+        shifts = [choose_alpha0(dec.pencil, seed=seed + s) for s in (1, 2)]
+        return [
+            alpha0_independence_loop(
+                dec.pencil,
+                p.alpha,
+                *shifts,
+                dec.tol,
+                1e-8,
+                dec.quotient_filtrations[p.alpha][0],
+                climb=p.algebraic_mult > 1,
+            )
+            for p in dec.points
+        ]
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+    def test_matches_the_loop(self, case):
+        dec = case[-1]
+        finding = verify_alpha0_suite(dec, seed=3)
+        want = self.loop(dec, seed=3)
+        assert finding.passed and all(equal for equal, _ in want)
+        worst = max(residual for _, residual in want)
+        assert finding.max_residual == pytest.approx(worst, rel=1e-9, abs=1e-15)
+        assert finding.samples == len(dec.points) and finding.witness is None
+
+    def test_fails_on_a_doctored_frame_at_a_one_level_multiple_point(self):
+        # alpha = 1 has multiplicity 3 and a chain of one level: both
+        # shifts climb from the level under test, and neither grows
+        dec = decompose(mat_algebra(3), diag125())
+        p = find_point(dec, 1.0)
+        assert p.algebraic_mult == 3 and len(dec.quotient_filtrations[p.alpha]) == 1
+        doctored = doctored_level0(dec, p.alpha, random_frame(9, 3, np.random.default_rng(76)))
+        finding = verify_alpha0_suite(doctored)
+        assert not finding.passed and finding.max_residual > 1e-3
+        assert finding.witness[0] == p.alpha
+        want = self.loop(doctored)
+        assert [equal for equal, _ in want].count(False) == 1
+        worst = max(residual for _, residual in want)
+        assert finding.max_residual == pytest.approx(worst, rel=1e-9)
+
+    def test_witness_is_the_first_worst_failing_point(self):
+        # alpha = 2 comes after alpha = 1 in the spectrum; its frame is
+        # moved off Stab(2) by far less than alpha = 1's random frame
+        dec = decompose(mat_algebra(3), diag125())
+        one, two = find_point(dec, 1.0), find_point(dec, 2.0)
+        rng = np.random.default_rng(77)
+        doctored = doctored_level0(dec, one.alpha, random_frame(9, 3, rng))
+        v = dec.quotient_filtrations[two.alpha][0] + 1e-4 * random_unit(9, rng)
+        doctored = doctored_level0(doctored, two.alpha, v / np.linalg.norm(v))
+        want = self.loop(doctored)
+        residuals = {p.alpha: r for p, (equal, r) in zip(dec.points, want) if not equal}
+        assert list(residuals) == [one.alpha, two.alpha]
+        assert 1e-9 < residuals[two.alpha] < 1e-3 < residuals[one.alpha]
+        finding = verify_alpha0_suite(doctored)
+        assert not finding.passed and finding.witness[0] == one.alpha

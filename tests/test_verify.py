@@ -166,6 +166,23 @@ class TestDimSymmetry:
         assert [f.theorem_id for f in findings] == [DIM_SYMMETRY_V, DIM_SYMMETRY_STAB]
         assert all(f.passed for f in findings)
 
+    def test_witness_is_the_first_worst_point(self):
+        # alpha = 1 (multiplicity 3) and alpha = 2 (multiplicity 1) moved off
+        # their mirrors: the largest mismatch, 3, is reached at alpha = 1
+        # alone, before 2 and its mirror 1/2 lose their pairing
+        dec = decompose(mat_algebra(3), diag125())
+        one = dec.point_at(ProjectivePoint.finite(1.0))
+        two = dec.point_at(ProjectivePoint.finite(2.0))
+        moved = {one: 7.0, two: 11.0}
+        points = tuple(
+            dataclasses.replace(p, alpha=ProjectivePoint.finite(moved[p])) if p in moved else p
+            for p in dec.points
+        )
+        v, stab_finding = verify_dim_symmetry(dataclasses.replace(dec, points=points))
+        assert not v.passed and v.max_residual == 3.0
+        assert v.witness == (ProjectivePoint.finite(7.0), "no mirror point")
+        assert stab_finding.passed
+
     def test_triangular_spectrum_closed_under_inversion(self):
         alg = upper_triangular(3)
         rng = np.random.default_rng(17)
@@ -529,20 +546,40 @@ class TestProductInclusionsOracle:
 
 
 class TestLinearAlgebraCounts:
-    """The filtrations of all points share their SVD calls, a level's vectors
-    are computed only when a chain grows, and v-mult forms one product
-    tensor per decomposition."""
+    """Only the multiple points climb, each chain on its own, a level's
+    vectors are computed only when its chain grows, the alpha0 suite runs
+    no eigendecomposition, and v-mult forms one product tensor per
+    decomposition."""
 
     @staticmethod
     def count_svd(monkeypatch):
+        """Record each ``np.linalg.svd`` call as (shape, kind), kind one of
+        "values", "thin" and "full"."""
         calls = []
         original = np.linalg.svd
 
         def counted(a, *args, **kwargs):
-            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            if not kwargs.get("compute_uv", True):
+                kind = "values"
+            else:
+                kind = "full" if kwargs.get("full_matrices", True) else "thin"
+            calls.append((a.shape, kind))
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        """Record the (args, kwargs) of each call of ``owner.name``."""
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_svd_calls_do_not_grow_with_the_points(self, monkeypatch):
@@ -559,7 +596,7 @@ class TestLinearAlgebraCounts:
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("defective", [False, True])
-    def test_one_stacked_svd_per_filtration_step(self, monkeypatch, defective):
+    def test_svd_calls_per_chain(self, monkeypatch, defective):
         import algscope.spectral as spectral
 
         if defective:
@@ -567,15 +604,19 @@ class TestLinearAlgebraCounts:
         else:
             alg, f = mat_algebra(3), random_functional(9, np.random.default_rng(59))
         dec = decompose(alg, f)
+        k = dec.quotient_dim
         chains = [dec.quotient_filtrations[p.alpha] for p in dec.points]
         assert sum(len(levels) - 1 for levels in chains) == (1 if defective else 0)
-        # per step: one thin SVD per width of the climbing levels, one growth
-        # test, and one nullspace SVD when some chain grows
-        steps = 0
-        for t in range(max(len(levels) for levels in chains)):
-            climbing = [levels for levels in chains if len(levels) > t]
-            steps += len({levels[t].shape[1] for levels in climbing} - {0}) + 1
-            steps += any(len(levels) > t + 1 for levels in climbing)
+
+        def chain_calls(levels, from_stab):
+            # Stab(alpha) unless given; per level the image's thin SVD and a
+            # values-only growth test; the next level's full SVD when it grows
+            calls = [] if from_stab else [((k, k), "full")]
+            for t, w in enumerate(levels):
+                calls += [((k, w.shape[1]), "thin"), ((k, k), "values")]
+                calls += [((k, k), "full")] * (t + 1 < len(levels))
+            return calls
+
         calls = self.count_svd(monkeypatch)
         frames = spectral._filtration_reduced(
             dec.pencil, [p.alpha for p in dec.points], [dec.alpha0_used] * len(dec.points), dec.tol
@@ -583,27 +624,21 @@ class TestLinearAlgebraCounts:
         assert [[w.shape for w in levels] for levels in frames] == [
             [w.shape for w in levels] for levels in chains
         ]
-        # plus one Stab(alpha) SVD for all points
-        assert len(calls) == 1 + steps
-        assert calls[0] == ((len(dec.points), dec.quotient_dim, dec.quotient_dim), True)
+        assert calls == [c for levels in chains for c in chain_calls(levels, False)]
         calls.clear()
+        eigs = self.count_calls(monkeypatch, np.linalg, "eig")
+        norms = self.count_calls(monkeypatch, np.linalg, "norm")
         assert verify_alpha0_suite(dec).passed
+        assert eigs == []
         # one regularity SVD per shift drawn (each accepted at its first
-        # draw), one singularity SVD per shift's eigendecomposition for the
-        # simple points, no Stab(alpha), the steps of the multiple points
-        # over both shifts at once, and one values-only SVD for the
-        # projector distances of all compared levels: each level of a
-        # multiple point, and two pairs of frames at a simple point
+        # draw), then the chain of each multiple point from its level 0,
+        # under one shift and then the other
         multiple = [levels for p, levels in zip(dec.points, chains) if p.algebraic_mult > 1]
-        simple = len(chains) - len(multiple)
-        climb_steps = 0
-        for t in range(max(len(levels) for levels in multiple)):
-            climbing = [levels for levels in multiple if len(levels) > t]
-            climb_steps += len({levels[t].shape[1] for levels in climbing} - {0}) + 1
-            climb_steps += any(len(levels) > t + 1 for levels in climbing)
-        assert len(calls) == 2 + 2 * (simple > 0) + climb_steps + 1
-        compared = sum(map(len, multiple)) + 2 * simple
-        assert calls[-1] == ((compared, dec.quotient_dim, dec.quotient_dim), False)
+        climbs = [c for levels in multiple * 2 for c in chain_calls(levels, True)]
+        assert calls == [((k, k), "values")] * 2 + climbs
+        # one spectral-norm projector distance per level above 0
+        distances = [args for args, _ in norms if args[1:] == (2,)]
+        assert len(distances) == sum(len(levels) - 1 for levels in multiple)
 
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
         import sys
