@@ -12,11 +12,10 @@ to roundoff; for those the caller passes ``scale`` (the pre-cancellation
 magnitude) so the cutoff never collapses to the noise floor of an
 all-noise matrix.
 
-:func:`stack_ranks` makes the rank decision of :func:`rank` for a stack of
+:func:`stack_ranks` makes the rank decision of :func:`rank` for a list of
 equal-shape matrices with one LAPACK call: numpy runs the routine of a
 single call on each matrix of the stack, so every rank is that of the
-single call.  Callers split long stacks with :func:`stack_chunks`, which
-keeps each stack within ``_STACK_BYTES``.
+single call.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ __all__ = [
     "rank",
     "nullspace",
     "orthonormal_columns",
-    "stack_chunks",
-    "as_stack",
     "stack_ranks",
     "subspace_sum",
     "subspace_intersect",
@@ -224,32 +221,16 @@ def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.n
 # --------------------------------------------------------------------------
 # stacks of matrices
 
-#: bytes allowed per stack of matrices handed to one batched LAPACK call
-_STACK_BYTES = 256 * 2**10
 
-
-def stack_chunks(n: int, item_bytes: int) -> list[slice]:
-    """Consecutive slices of ``range(n)`` whose items, ``item_bytes`` each,
-    take at most ``_STACK_BYTES`` together; an item over the budget goes
-    alone."""
-    step = max(1, _STACK_BYTES // max(1, item_bytes))
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
-
-
-def as_stack(mats) -> np.ndarray:
-    """Stack equal-shape matrices into a finite complex 3-d array; raise on
-    NaN/Inf, as :func:`as_matrix` does for one matrix."""
-    m = np.stack(mats).astype(complex, copy=False)
-    if m.ndim != 3:
-        raise ShapeError(f"expected a stack of 2-d arrays, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+def stack_ranks(mats, tol: float, scales) -> np.ndarray:
+    """:func:`rank` of each of the equal-shape matrices ``mats`` at its own
+    ``scales[i]``, from one values-only SVD of their stack; raises on NaN/Inf
+    as :func:`as_matrix` does."""
+    stack = np.stack(mats).astype(complex, copy=False)
+    if stack.ndim != 3:
+        raise ShapeError(f"expected a stack of 2-d arrays, got shape {stack.shape}")
+    if stack.size and not np.all(np.isfinite(stack)):
         raise NonFinite("matrix contains NaN or Inf entries")
-    return m
-
-
-def stack_ranks(stack: np.ndarray, tol: float, scales) -> np.ndarray:
-    """:func:`rank` of each matrix of ``stack`` at its own ``scales[i]``, from
-    one values-only SVD."""
     s = np.linalg.svd(stack, compute_uv=False)
     cutoffs = [_svd_cutoff(row, tol, scale) for row, scale in zip(s, scales)]
     return np.sum(s >= np.array(cutoffs).reshape(-1, 1), axis=1)
@@ -336,27 +317,37 @@ def _point_sort_key(item: tuple[ProjectivePoint, int, np.ndarray | None]):
     return (0, abs(p.value), float(np.angle(p.value)))
 
 
-def _shifted_eigen(
-    a, b, alpha0: complex, cluster_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eigen-analysis behind :func:`pencil_eigen`, before clustering.
+def pencil_eigen(
+    a, b, alpha0: complex, *, cluster_tol: float = 1e-6
+) -> list[tuple[ProjectivePoint, int, np.ndarray | None]]:
+    """Eigenvalues of the pencil ``a - alpha*b`` through the regular shift
+    ``alpha0``, with the eigenvector of each simple one.
 
-    Forms ``M = (a - alpha0*b)^{-1} b`` and takes its eigenvalues ``L`` and
-    unit eigenvectors from one ``np.linalg.eig``.  Returns ``(at_inf,
-    alphas, vectors)``: ``at_inf[i]`` flags an eigenvalue within the
-    infinity cutoff (``b x = 0`` for its vector x), ``alphas[i] = alpha0 +
-    1/L[i]`` is the mapped value of every other one (``(a - alpha*b) x =
-    0``), and column i of the read-only ``vectors`` is its eigenvector.
+    One ``np.linalg.eig`` gives the eigenvalues ``L`` and unit eigenvectors
+    of ``M = (a - alpha0*b)^{-1} b``.  An eigenvalue within the infinity
+    cutoff (``b x = 0`` for its vector x) maps to alpha = infinity, and every
+    other one to ``alpha = alpha0 + 1/L`` (``(a - alpha*b) x = 0``).  Mapped
+    values closer than ``cluster_tol`` (relative for large moduli) are
+    merged into a single point with summed multiplicity; multiplicities add
+    up to the pencil size.  The two poles of the projective line are treated
+    symmetrically at the same resolution: values of modulus at most
+    ``cluster_tol`` snap to exactly 0, mirroring the cutoff that sends
+    values of modulus beyond ``1/cluster_tol`` to infinity, so the
+    involution alpha -> 1/alpha maps returned points to returned points.
 
-    Raises :class:`SingularShift` when ``a - alpha0*b`` is numerically
-    singular, which signals a bad shift rather than bad data.
+    Each item is (point, multiplicity, vector).  At a point of multiplicity
+    1, ``vector`` is the eigenvector of its one eigenvalue as a read-only
+    unit column x, with ``(a - alpha*b) x = 0`` (``b x = 0`` at infinity);
+    at a multiple point it is None.  Raises :class:`SingularShift` when
+    ``a - alpha0*b`` is numerically singular, which signals a bad shift
+    rather than bad data.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"pencil needs equal square matrices, got {a.shape} and {b.shape}")
     if a.shape[0] == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
+        return []
     shifted = a - alpha0 * b
     s = np.linalg.svd(shifted, compute_uv=False)
     problem_scale = max(
@@ -368,33 +359,6 @@ def _shifted_eigen(
     vectors.setflags(write=False)
     at_inf = np.abs(lams) <= cluster_tol / (1.0 + cluster_tol * abs(alpha0))
     alphas = alpha0 + 1.0 / np.where(at_inf, 1.0, lams)
-    return at_inf, alphas, vectors
-
-
-def pencil_eigen(
-    a, b, alpha0: complex, *, cluster_tol: float = 1e-6
-) -> list[tuple[ProjectivePoint, int, np.ndarray | None]]:
-    """Eigenvalues of the pencil ``a - alpha*b`` through the regular shift
-    ``alpha0``, with the eigenvector of each simple one.
-
-    The eigenvalues ``L`` of ``M = (a - alpha0*b)^{-1} b`` come from
-    :func:`_shifted_eigen`, which maps ``L = 0 -> alpha = infinity`` and
-    ``L != 0 -> alpha = alpha0 + 1/L``.  Mapped values closer than
-    ``cluster_tol`` (relative for large moduli) are merged into a single
-    point with summed multiplicity; multiplicities add up to the pencil
-    size.  The two poles of the projective line are treated symmetrically at
-    the same resolution: values of modulus at most ``cluster_tol`` snap to
-    exactly 0, mirroring the cutoff that sends values of modulus beyond
-    ``1/cluster_tol`` to infinity, so the involution alpha -> 1/alpha maps
-    returned points to returned points.
-
-    Each item is (point, multiplicity, vector).  At a point of multiplicity
-    1, ``vector`` is the eigenvector of its one eigenvalue as a read-only
-    unit column x, with ``(a - alpha*b) x = 0`` (``b x = 0`` at infinity);
-    at a multiple point it is None.  Raises :class:`SingularShift` as
-    :func:`_shifted_eigen` does.
-    """
-    at_inf, alphas, vectors = _shifted_eigen(a, b, alpha0, cluster_tol)
 
     def vector(members: list[int]) -> np.ndarray | None:
         # a slice, so the column stays a read-only view
@@ -477,9 +441,9 @@ def det_poly(a, b) -> HomogeneousPoly:
     solving the interpolation system; sampling at the ``K+1``-st roots of
     unity makes the system an exact inverse DFT with unit-modulus nodes, so
     the recovery is perfectly conditioned at any degree.  The ``K+1``
-    determinants come from stacked ``np.linalg.det`` calls, in chunks of at
-    most ``_STACK_BYTES``.  For ``K = 0`` the empty-determinant convention
-    gives the constant polynomial 1.
+    determinants come from one ``np.linalg.det`` call per node.  For
+    ``K = 0`` the empty-determinant convention gives the constant
+    polynomial 1.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -489,11 +453,6 @@ def det_poly(a, b) -> HomogeneousPoly:
     if k == 0:
         return HomogeneousPoly(0, np.array([1.0 + 0.0j]))
     nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    values = np.concatenate(
-        [
-            np.linalg.det(np.stack([a + t * b for t in nodes[c]]))
-            for c in stack_chunks(k + 1, a.nbytes)
-        ]
-    )
+    values = np.array([np.linalg.det(a + t * b) for t in nodes])
     coeffs = np.fft.fft(values) / (k + 1)
     return HomogeneousPoly(k, coeffs)

@@ -63,6 +63,12 @@ def _int_in(value, where: str) -> int:
     raise ParseError("expected an integer", where)
 
 
+def _bool_in(value, where: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ParseError("expected true or false", where)
+
+
 def _list_in(value, where: str) -> list:
     if isinstance(value, list):
         return value
@@ -87,6 +93,14 @@ def _unpair(value, where: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParseError("expected a [re, im] pair", where)
     return complex(_real_in(value[0], where), _real_in(value[1], where))
+
+
+def _finite_unpair(value, where: str) -> complex:
+    """:func:`_unpair` for input files, whose numbers must all be finite."""
+    z = _unpair(value, where)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError("expected a finite [re, im] pair", where)
+    return z
 
 
 def _alpha_out(p: ProjectivePoint):
@@ -130,7 +144,7 @@ def algebra_from_doc(doc: dict) -> Algebra:
     unit_raw = doc.get("unit")
     if not isinstance(unit_raw, list) or len(unit_raw) != dim:
         raise ParseError(f"expected a list of {dim} [re, im] pairs", "unit")
-    unit = np.array([_unpair(v, f"unit[{i}]") for i, v in enumerate(unit_raw)])
+    unit = np.array([_finite_unpair(v, f"unit[{i}]") for i, v in enumerate(unit_raw)])
     structure = np.zeros((dim, dim, dim), dtype=complex)
     entries = doc.get("structure", [])
     if not isinstance(entries, list):
@@ -148,7 +162,7 @@ def algebra_from_doc(doc: dict) -> Algebra:
         if (i, j, k) in seen:
             raise ParseError(f"duplicate entry for ({i}, {j}, {k})", where)
         seen.add((i, j, k))
-        structure[i, j, k] = _unpair(row[3:], where)
+        structure[i, j, k] = _finite_unpair(row[3:], where)
     labels = doc.get("basis")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:
@@ -169,7 +183,7 @@ def functional_from_doc(doc: dict) -> Functional:
     coords = doc["coords"]
     if not isinstance(coords, list) or not coords:
         raise ParseError("expected a non-empty list of [re, im] pairs", "coords")
-    return Functional(np.array([_unpair(v, f"coords[{i}]") for i, v in enumerate(coords)]))
+    return Functional(np.array([_finite_unpair(v, f"coords[{i}]") for i, v in enumerate(coords)]))
 
 
 def _load_json(path: str) -> dict:
@@ -316,7 +330,7 @@ class ReportDocument:
         findings = tuple(
             Finding(
                 str(_field(f, "theorem_id", "findings")),
-                bool(_field(f, "passed", "findings")),
+                _bool_in(_field(f, "passed", "findings"), "findings.passed"),
                 _real_in(_field(f, "max_residual", "findings"), "findings.max_residual"),
                 f.get("witness"),
                 _int_in(f.get("samples", 0), "findings.samples"),
@@ -327,7 +341,7 @@ class ReportDocument:
         checks = tuple(
             (
                 str(_field(c, "name", "checks")),
-                bool(_field(c, "passed", "checks")),
+                _bool_in(_field(c, "passed", "checks"), "checks.passed"),
                 _real_in(_field(c, "residual", "checks"), "checks.residual"),
                 str(c.get("detail", "")),
             )

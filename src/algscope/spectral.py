@@ -199,9 +199,8 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
     )
     top = 0
     for _ in range(rp.K + 1):
-        alpha = _draw_shift(rng)
-        scale = (1.0 + abs(alpha)) * rp.pencil_scale()
-        top = max(top, rank(rp.at_tilde - alpha * rp.a_tilde, DEFAULT_TOL, scale=scale))
+        m, scale = _slot_one_operator(rp, ProjectivePoint.finite(_draw_shift(rng)))
+        top = max(top, rank(m, DEFAULT_TOL, scale=scale))
     if top < rp.K:
         raise SingularPencil(
             f"the pencil is singular for every alpha; F is not generic: a~^T - alpha a~ has "
@@ -217,12 +216,13 @@ def spectrum(
     phase with infinity last, each with the quotient frame of Stab(alpha)
     when its multiplicity is 1 (None otherwise).
 
-    One eigendecomposition of the pencil ``a~^T - alpha a~`` through the
-    shift ``alpha0`` (:func:`algscope.linalg.pencil_eigen`) gives both.  It
-    has the spectrum of ``a~ - alpha a~^T``, its transpose, and its
-    eigenvectors span the kernels of ``a~^T - alpha a~``, the stabilizers.
-    At a simple point 1 <= dim Stab(alpha) <= dim V(alpha) = 1, so the
-    eigenvector is the whole filtration, with no rank decision."""
+    :func:`algscope.linalg.pencil_eigen` gives both, from one values-only
+    SVD that tests the shift ``alpha0`` and one eigendecomposition of the
+    pencil ``a~^T - alpha a~`` through it.  That pencil has the spectrum of
+    ``a~ - alpha a~^T``, its transpose, and its eigenvectors span the
+    kernels of ``a~^T - alpha a~``, the stabilizers.  At a simple point
+    1 <= dim Stab(alpha) <= dim V(alpha) = 1, so the eigenvector is the
+    whole filtration, with no rank decision."""
     return pencil_eigen(rp.at_tilde, rp.a_tilde, alpha0, cluster_tol=cluster_tol)
 
 
@@ -237,44 +237,38 @@ def _slot_one_operator(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[np.nd
 
 def _filtration_reduced(
     rp: ReducedPencil,
-    alphas: list[ProjectivePoint],
-    alpha0s: list[complex],
+    alpha: ProjectivePoint,
+    alpha0: complex,
     tol: float,
-    stab_frames: list[np.ndarray] | None = None,
-) -> list[list[np.ndarray]]:
-    """Quotient-coordinate frames of V^0 <= V^1 <= ... of each item, the
-    point ``alphas[i]`` under the shift ``alpha0s[i]``, until its dimension
-    stabilizes (at most K steps).  :func:`decompose` climbs only its points
-    of multiplicity 2 and more; a simple point's one level is the
-    eigenvector :func:`spectrum` gives.
+    stab_frame: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Quotient-coordinate frames of V^0 <= V^1 <= ... at ``alpha`` under
+    the shift ``alpha0``, until the dimension stabilizes (at most K steps).
+    :func:`decompose` climbs only its points of multiplicity 2 and more; a
+    simple point's one level is the eigenvector :func:`spectrum` gives.
 
-    ``stab_frames``, when given, are the V^0 = Stab(alpha) frames, and the
-    chains climb from them instead of computing them.  Each chain climbs on
-    its own: per level, the orthonormal columns of the image under the
-    shifted operator, a values-only rank test for growth, and the next
-    level's nullspace only when the level grows."""
-    levels: list[list[np.ndarray]] = []
-    for i, (alpha, alpha0) in enumerate(zip(alphas, alpha0s)):
-        s_mat, s_scale = _slot_one_operator(rp, alpha)
-        t_mat = rp.at_tilde - alpha0 * rp.a_tilde
-        t_scale = (1.0 + abs(alpha0)) * rp.pencil_scale()
-        if stab_frames is None:
-            chain = [nullspace(s_mat, tol, scale=s_scale).frame]
-        else:
-            chain = [stab_frames[i]]
-        for _ in range(rp.K):
-            image = orthonormal_columns(t_mat @ chain[-1], tol, scale=t_scale)
-            off_image = s_mat - image @ (image.conj().T @ s_mat)
-            if rp.K - rank(off_image, tol, scale=s_scale) <= chain[-1].shape[1]:
-                break
-            nxt = nullspace(off_image, tol, scale=s_scale).frame
-            # a full SVD may round its singular values differently from the
-            # values-only one, so the level must still be seen to grow
-            if nxt.shape[1] <= chain[-1].shape[1]:
-                break
-            chain.append(nxt)
-        levels.append(chain)
-    return levels
+    ``stab_frame``, when given, is the V^0 = Stab(alpha) frame, and the
+    chain climbs from it instead of computing it.  Per level: the
+    orthonormal columns of the image under the shifted operator, a
+    values-only rank test for growth, and the next level's nullspace only
+    when the level grows."""
+    s_mat, s_scale = _slot_one_operator(rp, alpha)
+    t_mat, t_scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha0))
+    if stab_frame is None:
+        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
+    chain = [stab_frame]
+    for _ in range(rp.K):
+        image = orthonormal_columns(t_mat @ chain[-1], tol, scale=t_scale)
+        off_image = s_mat - image @ (image.conj().T @ s_mat)
+        if rp.K - rank(off_image, tol, scale=s_scale) <= chain[-1].shape[1]:
+            break
+        nxt = nullspace(off_image, tol, scale=s_scale).frame
+        # a full SVD may round its singular values differently from the
+        # values-only one, so the level must still be seen to grow
+        if nxt.shape[1] <= chain[-1].shape[1]:
+            break
+        chain.append(nxt)
+    return chain
 
 
 def _lift(rp: ReducedPencil, quotient_frame_cols: np.ndarray, tol: float) -> Subspace:
@@ -296,26 +290,14 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
 
 
 def jordan_filtration(
-    rp: ReducedPencil,
-    alpha: ProjectivePoint,
-    alpha0: complex,
-    tol: float = DEFAULT_TOL,
-    stab_frame: np.ndarray | None = None,
+    rp: ReducedPencil, alpha: ProjectivePoint, alpha0: complex, tol: float = DEFAULT_TOL
 ) -> list[Subspace]:
     """Increasing filtration V^0 <= V^1 <= ... <= V(alpha) of the reduced
     pencil ``rp``, as subspaces of the full algebra, each containing nil.
-    Requires a regular shift ``alpha0 != alpha``.
-
-    V^0 = Stab(alpha) does not depend on the shift.  ``stab_frame`` may pass
-    its quotient-coordinate frame at the same ``tol``, for instance
-    ``dec.quotient_filtrations[alpha][0]`` of a :class:`Decomposition` of
-    the same pencil; the chain then climbs from it without computing it
-    again."""
+    Requires a regular shift ``alpha0 != alpha``."""
     if not alpha.is_infinite and alpha.value == alpha0:
         raise NoRegularValue("the shift must differ from the point under study")
-    stabs = None if stab_frame is None else [stab_frame]
-    frames = _filtration_reduced(rp, [alpha], [alpha0], tol, stabs)[0]
-    return [_lift(rp, w, tol) for w in frames]
+    return [_lift(rp, w, tol) for w in _filtration_reduced(rp, alpha, alpha0, tol)]
 
 
 def _stab_residuals(
@@ -480,13 +462,11 @@ def decompose(
     chi = char_poly(rp)
     raw_points = spectrum(rp, alpha0, cluster_tol)
 
-    # a simple point's eigenvector is its one level; the others climb
-    multiple = [alpha for alpha, _, vector in raw_points if vector is None]
-    climbed = iter(_filtration_reduced(rp, multiple, [alpha0] * len(multiple), tol))
     points: list[SpectrumPoint] = []
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
     for alpha, mult, vector in raw_points:
-        frames = next(climbed) if vector is None else [vector]
+        # a simple point's eigenvector is its one level; the others climb
+        frames = _filtration_reduced(rp, alpha, alpha0, tol) if vector is None else [vector]
         dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         quotient_filtrations[alpha] = tuple(frames)
@@ -528,47 +508,36 @@ def verify_alpha0_independence(
         m, scale = _slot_one_operator(rp, alpha)
         stab_frame = nullspace(m, tol, scale=scale).frame
     (residual,) = _stab_residuals(rp, [alpha], [stab_frame])
-    ((equal, dist),) = _alpha0_independence(
-        rp, [alpha], alpha0_a, alpha0_b, tol, compare_tol, [stab_frame]
-    )
+    equal, dist = _alpha0_independence(rp, alpha, alpha0_a, alpha0_b, tol, compare_tol, stab_frame)
     return residual < tol and equal, max(residual, dist)
 
 
 def _alpha0_independence(
     rp: ReducedPencil,
-    alphas: list[ProjectivePoint],
+    alpha: ProjectivePoint,
     alpha0_a: complex,
     alpha0_b: complex,
     tol: float,
     compare_tol: float,
-    stab_frames: list[np.ndarray],
-) -> list[tuple[bool, float]]:
-    """The levels above 0 of the filtration at each of ``alphas``, climbed
-    from its ``stab_frames`` entry under ``alpha0_a`` and under ``alpha0_b``,
-    compared: (all equal, max projector distance) per point.
+    stab_frame: np.ndarray,
+) -> tuple[bool, float]:
+    """The levels above 0 of the filtration at ``alpha``, climbed from
+    ``stab_frame`` under ``alpha0_a`` and under ``alpha0_b``, compared:
+    (all equal, max projector distance).
 
-    Both chains share level 0, so it is not compared.  Each point stops at
-    its first level that differs; chains of different dimensions give
+    Both chains share level 0, so it is not compared.  The comparison stops
+    at the first level that differs; chains of different dimensions give
     (False, inf)."""
-    for alpha in alphas:
-        if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
-            raise NoRegularValue("the shift must differ from the point under study")
-    n = len(alphas)
-    chains = _filtration_reduced(
-        rp, alphas * 2, [alpha0_a] * n + [alpha0_b] * n, tol, stab_frames * 2
-    )
-    results = []
-    for a, b in zip(chains[:n], chains[n:]):
-        if [w.shape[1] for w in a] != [w.shape[1] for w in b]:
-            results.append((False, float("inf")))
-            continue
-        worst = 0.0
-        equal = True
-        for wa, wb in zip(a[1:], b[1:]):
-            dist = float(np.linalg.norm(wa @ wa.conj().T - wb @ wb.conj().T, 2))
-            worst = max(worst, dist)
-            if not dist < compare_tol:
-                equal = False
-                break
-        results.append((equal, worst))
-    return results
+    if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
+        raise NoRegularValue("the shift must differ from the point under study")
+    a = _filtration_reduced(rp, alpha, alpha0_a, tol, stab_frame)
+    b = _filtration_reduced(rp, alpha, alpha0_b, tol, stab_frame)
+    if [w.shape[1] for w in a] != [w.shape[1] for w in b]:
+        return False, float("inf")
+    worst = 0.0
+    for wa, wb in zip(a[1:], b[1:]):
+        dist = float(np.linalg.norm(wa @ wa.conj().T - wb @ wb.conj().T, 2))
+        worst = max(worst, dist)
+        if not dist < compare_tol:
+            return False, worst
+    return True, worst

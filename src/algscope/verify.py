@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import Algebra, pairwise_products
 from .functional import Functional, Kernels, gram, kernels, random_functional, reduce_pencil
-from .linalg import ProjectivePoint, Subspace, as_stack, nullspace, rank, stack_chunks, stack_ranks
+from .linalg import ProjectivePoint, Subspace, nullspace, rank, stack_ranks
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
@@ -163,20 +163,13 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     shift_b = choose_alpha0(dec.pencil, seed=seed + 2)
     alphas = [p.alpha for p in dec.points]
     frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
-    multiple = [i for i, p in enumerate(dec.points) if p.algebraic_mult > 1]
-    climbed = _alpha0_independence(
-        dec.pencil,
-        [alphas[i] for i in multiple],
-        shift_a,
-        shift_b,
-        dec.tol,
-        tol,
-        [frames[i] for i in multiple],
-    )
-    above_0 = dict(zip(multiple, climbed))
     results = []
-    for i, residual in enumerate(_stab_residuals(dec.pencil, alphas, frames)):
-        equal, dist = above_0.get(i, (True, 0.0))
+    for p, w, residual in zip(dec.points, frames, _stab_residuals(dec.pencil, alphas, frames)):
+        equal, dist = True, 0.0
+        if p.algebraic_mult > 1:
+            equal, dist = _alpha0_independence(
+                dec.pencil, p.alpha, shift_a, shift_b, dec.tol, tol, w
+            )
         results.append((residual < dec.tol and equal, max(residual, dist)))
     worst = max(residual for _, residual in results)
     failing = [i for i, (passed, _) in enumerate(results) if not passed]
@@ -408,8 +401,8 @@ def minimize_stab_dim(
     generic value and random sampling finds it with overwhelming probability.
     The sample stream is a deterministic function of the seed, evaluated as a
     prefix, so more samples can only lower the result.  The ranks of all
-    candidates come from stacked values-only SVDs, each stack within
-    ``linalg._STACK_BYTES``.
+    candidates come from one stacked values-only SVD
+    (:func:`algscope.linalg.stack_ranks`).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -421,11 +414,9 @@ def minimize_stab_dim(
         draws = rng.uniform([0.0, 0.0], [0.1, 2.0 * np.pi], size=(len(s_basis), 2))
         eps = draws[:, 0] * np.exp(1j * draws[:, 1])
         candidates.append(Functional(f_start.coords + eps @ directions))
-    dims = []
-    for c in stack_chunks(len(candidates), 16 * alg.dim**2):
-        combos = [_slot_one_combination(alg, f, lambda0, mu0) for f in candidates[c]]
-        ranks = stack_ranks(as_stack([m for m, _ in combos]), tol, [scale for _, scale in combos])
-        dims += (alg.dim - ranks).tolist()
+    combos = [_slot_one_combination(alg, f, lambda0, mu0) for f in candidates]
+    ranks = stack_ranks([m for m, _ in combos], tol, [scale for _, scale in combos])
+    dims = (alg.dim - ranks).tolist()
     # the first minimum: a later candidate must be strictly lower to win
     best = int(np.argmin(dims))
     return candidates[best], dims[best]

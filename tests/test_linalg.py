@@ -20,13 +20,7 @@ from algscope import (
     subspace_intersect,
     subspace_sum,
 )
-from algscope.linalg import (
-    _cluster_values,
-    as_stack,
-    rank,
-    stack_chunks,
-    stack_ranks,
-)
+from algscope.linalg import _cluster_values, rank, stack_ranks
 
 from oracles import cluster_values_loop, det_poly_loop
 
@@ -238,7 +232,7 @@ class TestStackedPrimitives:
         ranks = [int(r) for r in rng.integers(0, k + 1, size=7)]
         mats = random_stack(rng, 7, k, k, ranks)
         scales = rng.uniform(0.5, 2.0, size=7)
-        assert stack_ranks(as_stack(mats), TOL, scales).tolist() == [
+        assert stack_ranks(mats, TOL, scales).tolist() == [
             rank(m, TOL, scale=sc) for m, sc in zip(mats, scales)
         ] == ranks
 
@@ -246,7 +240,7 @@ class TestStackedPrimitives:
         mats = [np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
         mats[1][2, 0] = np.inf
         with pytest.raises(NonFinite):
-            as_stack(mats)
+            stack_ranks(mats, TOL, [1.0, 1.0])
 
     def test_orthonormality_is_checked_like_a_subspace(self):
         # a cutoff above every singular value keeps all of vh, whose
@@ -255,25 +249,12 @@ class TestStackedPrimitives:
         with pytest.raises(ShapeError):
             nullspace(random_stack(rng, 1, 6, 6)[0], 1e-18, scale=1e20)
 
-    def test_chunks_stay_within_the_budget(self, monkeypatch):
-        import algscope.linalg as linalg
-
-        monkeypatch.setattr(linalg, "_STACK_BYTES", 1000)
-        assert stack_chunks(7, 300) == [slice(0, 3), slice(3, 6), slice(6, 7)]
-        assert stack_chunks(2, 5000) == [slice(0, 1), slice(1, 2)]
-        assert stack_chunks(0, 300) == []
-
 
 class TestDetPoly:
-    @pytest.mark.parametrize("per_chunk", [None, 1, 3])
-    def test_matches_the_per_node_loop(self, monkeypatch, per_chunk):
-        import algscope.linalg as linalg
-
+    def test_matches_the_per_node_loop(self):
         rng = np.random.default_rng(17)
         for k in (1, 2, 5, 8, 13):
             a, b = random_stack(rng, 2, k, k)
-            if per_chunk is not None:
-                monkeypatch.setattr(linalg, "_STACK_BYTES", per_chunk * a.nbytes)
             assert np.array_equal(det_poly(a, b).coeffs, det_poly_loop(a, b))
 
     def test_empty_determinant_convention(self):

@@ -192,6 +192,17 @@ class TestReportRoundTrip:
                 },
                 "findings.notes: expected a list",
             ),
+            (
+                {"kind": "verify", "checks": [{"name": "c", "passed": 1, "residual": 0.0}]},
+                "checks.passed: expected true or false",
+            ),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [{"theorem_id": "T", "passed": "false", "max_residual": 1.0}],
+                },
+                "findings.passed: expected true or false",
+            ),
         ],
     )
     def test_truncated_or_mistyped_reports_raise_parse_errors(self, doc, where):
@@ -294,6 +305,36 @@ class TestCli:
         (workdir / "bad.alg").write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", "bad.alg", "d125.fn"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "file, path, where",
+        [
+            ("d125.fn", ("coords", 1, 0), "coords[1]"),
+            ("d125.fn", ("coords", 0, 1), "coords[0]"),
+            ("mat3.alg", ("structure", 0, 3), "structure[0]"),
+            ("mat3.alg", ("structure", 2, 4), "structure[2]"),
+            ("mat3.alg", ("unit", 0, 0), "unit[0]"),
+        ],
+    )
+    def test_non_finite_input_value_is_usage_error(self, workdir, capsys, file, path, value, where):
+        # math.nan and math.inf reach the file as the JSON literals NaN and
+        # Infinity, which Python's json module reads back
+        write_inputs(workdir)
+        doc = json.loads((workdir / file).read_text(encoding="utf-8"))
+        *outer, key = path
+        owner = doc
+        for step in outer:
+            owner = owner[step]
+        owner[key] = value
+        (workdir / file).write_text(json.dumps(doc), encoding="utf-8")
+        commands = [["analyze", "mat3.alg", "d125.fn"]]
+        if file == "mat3.alg":
+            commands.append(["verify", "mat3.alg", "--functionals", "1"])
+        for command in commands:
+            assert main(command) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {where}: expected a finite [re, im] pair"), err
 
     def test_analyze_invalid_json_reports_location(self, workdir, capsys):
         (workdir / "broken.alg").write_text("{not json", encoding="utf-8")

@@ -333,20 +333,19 @@ class TestFiltrationClimb:
     def test_matches_the_per_point_loop(self, case):
         _, rp, alphas, shifts, _ = case
         for shift in shifts:
-            climbed = _filtration_reduced(rp, alphas, [shift] * len(alphas), TOL)
+            climbed = [_filtration_reduced(rp, alpha, shift, TOL) for alpha in alphas]
             looped = [filtration_reduced_loop(rp, alpha, shift, TOL) for alpha in alphas]
             self.assert_frames_equal(climbed, looped)
-        # mixed shifts in one call, each chain from a given Stab(alpha)
-        items = [(alpha, shift) for shift in shifts[1:] for alpha in alphas]
-        stabs = [filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0] for alpha, _ in items]
-        climbed = _filtration_reduced(rp, *map(list, zip(*items)), TOL, stabs)
-        looped = [filtration_reduced_loop(rp, a, s, TOL, w) for (a, s), w in zip(items, stabs)]
-        self.assert_frames_equal(climbed, looped)
+        # each chain from a given Stab(alpha), under the other shifts
+        for alpha in alphas:
+            w = filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0]
+            climbed = [_filtration_reduced(rp, alpha, s, TOL, w) for s in shifts[1:]]
+            looped = [filtration_reduced_loop(rp, alpha, s, TOL, w) for s in shifts[1:]]
+            self.assert_frames_equal(climbed, looped)
 
     def test_defective_case_grows_a_level(self):
         _, rp, alphas, shifts, _ = BATCH_CASES[-1]
-        levels = _filtration_reduced(rp, alphas, [shifts[0]] * len(alphas), TOL)
-        assert max(len(chain) for chain in levels) == 2
+        assert max(len(_filtration_reduced(rp, alpha, shifts[0], TOL)) for alpha in alphas) == 2
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
     def test_shift_independence_matches_the_loop(self, case):
@@ -358,16 +357,16 @@ class TestFiltrationClimb:
                 want = alpha0_independence_loop(rp, alpha, *shifts[1:], TOL, 1e-8, stab_frame)
                 assert got[0] == want[0] is True
                 assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-15)
-        # the levels above 0, compared without the level-0 residual
-        results = _alpha0_independence(rp, alphas, *shifts[1:], TOL, 1e-8, stabs)
-        assert all(equal and dist < 1e-8 for equal, dist in results)
+            # the levels above 0, compared without the level-0 residual
+            equal, dist = _alpha0_independence(rp, alpha, *shifts[1:], TOL, 1e-8, w)
+            assert equal and dist < 1e-8
 
     def test_nonfinite_operator_is_rejected(self):
         from algscope.errors import NonFinite
 
         _, rp, alphas, shifts, _ = BATCH_CASES[0]
         with pytest.raises(NonFinite):
-            _filtration_reduced(rp, alphas, [complex("nan")] * len(alphas), TOL)
+            _filtration_reduced(rp, alphas[0], complex("nan"), TOL)
 
 
 class TestDegeneratePencils:
@@ -566,10 +565,7 @@ class TestDirectSumCheck:
         dec = decompose(alg, diag125())
         rp = reduce_pencil(alg, diag125(), TOL)
         alphas = [p.alpha for p in dec.points]
-        frames = [
-            levels[-1]
-            for levels in _filtration_reduced(rp, alphas, [dec.alpha0_used] * len(alphas), TOL)
-        ]
+        frames = [_filtration_reduced(rp, alpha, dec.alpha0_used, TOL)[-1] for alpha in alphas]
         return alg, rp, dec, frames
 
     def test_repeated_column_fails_with_positive_residual(self):
@@ -640,8 +636,8 @@ class TestSimpleFrames:
             assert [s.dim for s in climbed] == list(p.filtration_dims) == [1 + dec.nil.dim]
             assert projector_distance(climbed[0], dec.filtrations[p.alpha][0]) < 1e-10
         # the multiple points keep bitwise the frames of the climb
-        chains = _filtration_reduced(dec.pencil, multiple, [dec.alpha0_used] * len(multiple), TOL)
-        for alpha, chain in zip(multiple, chains):
+        for alpha in multiple:
+            chain = _filtration_reduced(dec.pencil, alpha, dec.alpha0_used, TOL)
             stored = dec.quotient_filtrations[alpha]
             assert len(chain) == len(stored)
             assert all(np.array_equal(w, v) for w, v in zip(chain, stored))
