@@ -69,6 +69,12 @@ def _bool_in(value, where: str) -> bool:
     raise ParseError("expected true or false", where)
 
 
+def _str_in(value, where: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ParseError("expected a string", where)
+
+
 def _list_in(value, where: str) -> list:
     if isinstance(value, list):
         return value
@@ -96,11 +102,20 @@ def _unpair(value, where: str) -> complex:
 
 
 def _finite_unpair(value, where: str) -> complex:
-    """:func:`_unpair` for input files, whose numbers must all be finite."""
+    """:func:`_unpair` for a value that must be finite: a number of an input
+    file, a finite spectral point or the shift of a report."""
     z = _unpair(value, where)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ParseError("expected a finite [re, im] pair", where)
     return z
+
+
+def _witness_in(value) -> str | None:
+    """A finding's witness as :meth:`ReportDocument.to_doc` writes it: a
+    string (the repr of a tuple) or null."""
+    if value is None or isinstance(value, str):
+        return value
+    raise ParseError("expected a string or null", "findings.witness")
 
 
 def _alpha_out(p: ProjectivePoint):
@@ -112,7 +127,7 @@ def _alpha_in(value, where: str) -> ProjectivePoint:
 
     if value == "inf":
         return INFINITY
-    return ProjectivePoint.finite(_unpair(value, where))
+    return ProjectivePoint.finite(_finite_unpair(value, where))
 
 
 # --------------------------------------------------------------------------
@@ -329,10 +344,10 @@ class ReportDocument:
         )
         findings = tuple(
             Finding(
-                str(_field(f, "theorem_id", "findings")),
+                _str_in(_field(f, "theorem_id", "findings"), "findings.theorem_id"),
                 _bool_in(_field(f, "passed", "findings"), "findings.passed"),
                 _real_in(_field(f, "max_residual", "findings"), "findings.max_residual"),
-                f.get("witness"),
+                _witness_in(f.get("witness")),
                 _int_in(f.get("samples", 0), "findings.samples"),
                 tuple(_list_in(f.get("notes", []), "findings.notes")),
             )
@@ -340,10 +355,10 @@ class ReportDocument:
         )
         checks = tuple(
             (
-                str(_field(c, "name", "checks")),
+                _str_in(_field(c, "name", "checks"), "checks.name"),
                 _bool_in(_field(c, "passed", "checks"), "checks.passed"),
                 _real_in(_field(c, "residual", "checks"), "checks.residual"),
-                str(c.get("detail", "")),
+                _str_in(c.get("detail", ""), "checks.detail"),
             )
             for c in _list_in(doc.get("checks", []), "checks")
         )
@@ -360,11 +375,11 @@ class ReportDocument:
         if "chi" in doc:
             chi = tuple(_unpair(z, "chi") for z in _list_in(doc["chi"], "chi"))
         return cls(
-            kind=str(doc["kind"]),
+            kind=_str_in(doc["kind"], "kind"),
             tol=_real_in(tolerances.get("tol", 1e-9), "tolerances.tol"),
             cluster_tol=_real_in(tolerances.get("cluster_tol", 1e-6), "tolerances.cluster_tol"),
             seed=_int_in(doc.get("seed", 0), "seed"),
-            alpha0=_unpair(doc["alpha0"], "alpha0") if "alpha0" in doc else None,
+            alpha0=_finite_unpair(doc["alpha0"], "alpha0") if "alpha0" in doc else None,
             nil_dim=_int_in(doc["nil_dim"], "nil_dim") if "nil_dim" in doc else None,
             chi=chi,
             spectrum=spectrum,

@@ -19,11 +19,16 @@ climbs the Jordan chain of the shifted operator and stabilizes at V(alpha);
 the stabilized spaces are independent of the regular shift alpha0 and satisfy
 dim V(alpha) = dim nil + algebraic multiplicity of alpha.
 
-One eigendecomposition of the shifted operator gives the spectrum and, at
-every simple point (multiplicity 1), the whole filtration: there
+One eigendecomposition of the shifted operator gives the spectrum with the
+multiplicity of every point, and the dimension identity fixes where each
+chain ends: a chain ends at its multiplicity, with no test that it has
+stopped growing.  A point whose Stab(alpha) already has that dimension is
+complete at level 0.  Simple points are the case mult = 1: there
 1 <= dim Stab(alpha) <= dim V(alpha) - dim nil = 1, so V(alpha) = Stab(alpha)
-is spanned by the eigenvector, with no rank decision and no climb.  Only the
-points of multiplicity 2 and more climb their chains, each on its own.  The
+is spanned by the eigenvector, with no rank decision at all.  The other
+points climb their chains, each on its own, up to the multiplicity.  A
+spectrum that miscounts a point cannot hide behind this: the dimension
+check and the direct-sum rank test of :func:`decompose` still see it.  The
 levels are kept as quotient frames and lifted on demand to subspaces of the
 full algebra containing nil, so downstream product tests multiply honest
 algebra elements.
@@ -241,23 +246,28 @@ def _filtration_reduced(
     alpha0: complex,
     tol: float,
     stab_frame: np.ndarray | None = None,
+    mult: int | None = None,
 ) -> list[np.ndarray]:
     """Quotient-coordinate frames of V^0 <= V^1 <= ... at ``alpha`` under
     the shift ``alpha0``, until the dimension stabilizes (at most K steps).
-    :func:`decompose` climbs only its points of multiplicity 2 and more; a
-    simple point's one level is the eigenvector :func:`spectrum` gives.
 
     ``stab_frame``, when given, is the V^0 = Stab(alpha) frame, and the
-    chain climbs from it instead of computing it.  Per level: the
-    orthonormal columns of the image under the shifted operator, a
-    values-only rank test for growth, and the next level's nullspace only
-    when the level grows."""
+    chain climbs from it instead of computing it.  ``mult``, when given, is
+    the algebraic multiplicity of ``alpha``; since dim V(alpha) - dim nil
+    equals it, the chain ends at the first level of that dimension, with no
+    test that it has stopped growing.  A level 0 of full dimension is then
+    the whole chain, with no climb; a simple point (mult = 1) is that case.
+    Without ``mult`` the chain ends where it stops growing, or at K.  Per
+    level below the end: the orthonormal columns of the image under the
+    shifted operator, a values-only rank test for growth, and the next
+    level's nullspace only when the level grows."""
     s_mat, s_scale = _slot_one_operator(rp, alpha)
     t_mat, t_scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha0))
     if stab_frame is None:
         stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
     chain = [stab_frame]
-    for _ in range(rp.K):
+    end = rp.K if mult is None else mult
+    while chain[-1].shape[1] < end:
         image = orthonormal_columns(t_mat @ chain[-1], tol, scale=t_scale)
         off_image = s_mat - image @ (image.conj().T @ s_mat)
         if rp.K - rank(off_image, tol, scale=s_scale) <= chain[-1].shape[1]:
@@ -437,9 +447,10 @@ def decompose(
     """Run the full pipeline: kernels, reduced pencil, characteristic
     polynomial, spectrum, and one Jordan filtration per spectral point.
 
-    One eigendecomposition (:func:`spectrum`) gives the spectrum and the
-    filtration of every simple point, its eigenvector; only the points of
-    multiplicity 2 and more climb (:func:`_filtration_reduced`).  The result
+    One eigendecomposition (:func:`spectrum`) gives the spectrum, each
+    point's multiplicity and the filtration of every simple point, its
+    eigenvector; every other point climbs (:func:`_filtration_reduced`) and
+    its chain ends at its multiplicity.  The result
     keeps the reduced pencil (``pencil``) and records the shift used, all
     dimensions, and a list of invariant checks: multiplicity counts, the
     residual of each simple point's frame in Stab(alpha)
@@ -466,7 +477,11 @@ def decompose(
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
     for alpha, mult, vector in raw_points:
         # a simple point's eigenvector is its one level; the others climb
-        frames = _filtration_reduced(rp, alpha, alpha0, tol) if vector is None else [vector]
+        # up to their multiplicity
+        if vector is None:
+            frames = _filtration_reduced(rp, alpha, alpha0, tol, mult=mult)
+        else:
+            frames = [vector]
         dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         quotient_filtrations[alpha] = tuple(frames)
@@ -520,18 +535,20 @@ def _alpha0_independence(
     tol: float,
     compare_tol: float,
     stab_frame: np.ndarray,
+    mult: int | None = None,
 ) -> tuple[bool, float]:
     """The levels above 0 of the filtration at ``alpha``, climbed from
-    ``stab_frame`` under ``alpha0_a`` and under ``alpha0_b``, compared:
-    (all equal, max projector distance).
+    ``stab_frame`` under ``alpha0_a`` and under ``alpha0_b``, each ending at
+    the multiplicity ``mult`` when it is given, compared: (all equal, max
+    projector distance).
 
     Both chains share level 0, so it is not compared.  The comparison stops
     at the first level that differs; chains of different dimensions give
     (False, inf)."""
     if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
         raise NoRegularValue("the shift must differ from the point under study")
-    a = _filtration_reduced(rp, alpha, alpha0_a, tol, stab_frame)
-    b = _filtration_reduced(rp, alpha, alpha0_b, tol, stab_frame)
+    a = _filtration_reduced(rp, alpha, alpha0_a, tol, stab_frame, mult)
+    b = _filtration_reduced(rp, alpha, alpha0_b, tol, stab_frame, mult)
     if [w.shape[1] for w in a] != [w.shape[1] for w in b]:
         return False, float("inf")
     worst = 0.0

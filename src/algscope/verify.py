@@ -141,6 +141,12 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Fi
 # shift independence
 
 
+def _suite_shifts(dec: Decomposition, seed: int) -> tuple[complex, complex]:
+    """The alpha0 suite's two regular shifts, drawn with seeds ``seed + 1``
+    and ``seed + 2``."""
+    return choose_alpha0(dec.pencil, seed=seed + 1), choose_alpha0(dec.pencil, seed=seed + 2)
+
+
 def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) -> Finding:
     """Shift-independence of the filtration at every spectral point of
     ``dec``, under two random regular shifts drawn with seeds ``seed + 1``
@@ -149,26 +155,29 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     One rule covers every point.  Level 0, Stab(alpha), does not involve
     the shift, so the decomposition's own frame of it
     (``dec.quotient_filtrations``) must lie in Stab(alpha), with a residual
-    below ``dec.tol`` (see :func:`algscope.spectral._stab_residuals`).  At a
-    simple point that level is the whole filtration.  A multiple point
-    climbs its filtration from that level under each shift, and the levels
-    above 0 must agree, with projector distance below ``tol``; levels of
-    different dimensions count as unequal, with distance inf.  The residual
+    below ``dec.tol`` (see :func:`algscope.spectral._stab_residuals`).  A
+    chain ends at its multiplicity, so a level 0 of that dimension is the
+    whole filtration; a simple point is the case mult = 1.  A point whose
+    level 0 is below its multiplicity climbs its filtration from that level
+    under each shift, up to the multiplicity, and the levels above 0 must
+    agree, with projector distance below ``tol``; levels of different
+    dimensions count as unequal, with distance inf.  The shifts are drawn
+    only when a point climbs or a failing finding names them.  The residual
     of a point is the largest of these.  A failing finding names as witness
     (alpha, shift_a, shift_b) for the first failing point with the largest
     residual, and a passing one, whose residuals are round-off, names none."""
     if not dec.points:
         return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
-    shift_a = choose_alpha0(dec.pencil, seed=seed + 1)
-    shift_b = choose_alpha0(dec.pencil, seed=seed + 2)
+    shifts = None
     alphas = [p.alpha for p in dec.points]
     frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
     results = []
     for p, w, residual in zip(dec.points, frames, _stab_residuals(dec.pencil, alphas, frames)):
         equal, dist = True, 0.0
-        if p.algebraic_mult > 1:
+        if w.shape[1] < p.algebraic_mult:
+            shifts = shifts or _suite_shifts(dec, seed)
             equal, dist = _alpha0_independence(
-                dec.pencil, p.alpha, shift_a, shift_b, dec.tol, tol, w
+                dec.pencil, p.alpha, *shifts, dec.tol, tol, w, p.algebraic_mult
             )
         results.append((residual < dec.tol and equal, max(residual, dist)))
     worst = max(residual for _, residual in results)
@@ -177,7 +186,7 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     if failing:
         # max keeps the first of equal residuals
         at = max(failing, key=lambda i: results[i][1])
-        witness = (alphas[at], shift_a, shift_b)
+        witness = (alphas[at], *(shifts or _suite_shifts(dec, seed)))
     return Finding(ALPHA0_INDEPENDENCE, not failing, worst, witness, len(results))
 
 
@@ -383,6 +392,20 @@ def _slot_one_kernel(
     return nullspace(m, tol, scale=scale)
 
 
+def _perturbed_coords(
+    f_start: Functional, s_basis: list[Functional], samples: int, seed: int
+) -> np.ndarray:
+    """Coordinates of ``f_start`` and of ``samples`` perturbations
+    ``f_start + sum eps_i g_i`` (|eps_i| <= 0.1), one row each.  One
+    uniform call draws, per sample and in the order of ``s_basis``, the
+    radius and the phase of each eps: the stream of one call per sample."""
+    rng = np.random.default_rng(seed)
+    directions = np.array([g.coords for g in s_basis], dtype=complex).reshape(-1, f_start.dim)
+    draws = rng.uniform([0.0, 0.0], [0.1, 2.0 * np.pi], size=(samples, len(s_basis), 2))
+    eps = draws[..., 0] * np.exp(1j * draws[..., 1])
+    return np.vstack([f_start.coords, f_start.coords + eps @ directions])
+
+
 def minimize_stab_dim(
     alg: Algebra,
     lambda0: complex,
@@ -400,26 +423,22 @@ def minimize_stab_dim(
     Rank is lower-semicontinuous, so the minimum over the neighbourhood is the
     generic value and random sampling finds it with overwhelming probability.
     The sample stream is a deterministic function of the seed, evaluated as a
-    prefix, so more samples can only lower the result.  The ranks of all
-    candidates come from one stacked values-only SVD
+    prefix, so more samples can only lower the result.  The pairing matrices
+    of all candidates come from one contraction, their pencil combinations
+    (those of :func:`_slot_one_combination`) and scales are formed as
+    arrays, and their ranks come from one stacked values-only SVD
     (:func:`algscope.linalg.stack_ranks`).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    directions = np.array([g.coords for g in s_basis], dtype=complex).reshape(-1, f_start.dim)
-    candidates = [f_start]
-    for _ in range(samples):
-        # (radius, phase) per direction, drawn in the order of ``s_basis``
-        draws = rng.uniform([0.0, 0.0], [0.1, 2.0 * np.pi], size=(len(s_basis), 2))
-        eps = draws[:, 0] * np.exp(1j * draws[:, 1])
-        candidates.append(Functional(f_start.coords + eps @ directions))
-    combos = [_slot_one_combination(alg, f, lambda0, mu0) for f in candidates]
-    ranks = stack_ranks([m for m, _ in combos], tol, [scale for _, scale in combos])
-    dims = (alg.dim - ranks).tolist()
+    coords = _perturbed_coords(f_start, s_basis, samples, seed)
+    a = np.einsum("ijk,ck->cij", alg.structure, coords)
+    combos = lambda0 * a.transpose(0, 2, 1) + mu0 * a
+    scales = (abs(lambda0) + abs(mu0)) * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
+    dims = alg.dim - stack_ranks(combos, tol, scales)
     # the first minimum: a later candidate must be strictly lower to win
     best = int(np.argmin(dims))
-    return candidates[best], dims[best]
+    return (Functional(coords[best].copy()) if best else f_start), int(dims[best])
 
 
 def verify_regular_perturbation(

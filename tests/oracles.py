@@ -250,12 +250,28 @@ def product_inclusions_pairwise(alg, dec, variant):
     return worst, witness, samples
 
 
+def perturbation_samples_loop(f_start, s_basis, samples=32, seed=0):
+    """The coordinates of ``f_start`` and of each sample of the
+    kernel-dimension minimizer, drawn one direction at a time: per sample,
+    a radius then a phase for each member of ``s_basis`` in order, added to
+    the start one scaled vector at a time.  Returns a list of arrays."""
+    rng = np.random.default_rng(seed)
+    candidates = [f_start.coords]
+    for _ in range(samples):
+        coords = f_start.coords.copy()
+        for g in s_basis:
+            radius = rng.uniform(0.0, 0.1)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            coords = coords + radius * np.exp(1j * phase) * g.coords
+        candidates.append(coords)
+    return candidates
+
+
 def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed=0, tol=1e-9):
-    """The kernel-dimension minimizer with its perturbations drawn one
-    direction at a time: per sample, a radius then a phase for each member
-    of ``s_basis`` in order, added to the start one scaled vector at a
-    time, and each candidate's rank taken by its own SVD.  Returns (first
-    sample reaching the minimal dimension, that dimension)."""
+    """The kernel-dimension minimizer over the samples of
+    :func:`perturbation_samples_loop`, each candidate's rank taken by its
+    own SVD.  Returns (first sample reaching the minimal dimension, that
+    dimension)."""
     from algscope import Functional
     from algscope.linalg import rank
     from algscope.verify import _slot_one_combination
@@ -264,15 +280,9 @@ def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed
         m, scale = _slot_one_combination(alg, f, lambda0, mu0)
         return alg.dim - rank(m, tol, scale=scale)
 
-    rng = np.random.default_rng(seed)
     best_f = f_start
     best_dim = kernel_dim(f_start)
-    for _ in range(samples):
-        coords = f_start.coords.copy()
-        for g in s_basis:
-            radius = rng.uniform(0.0, 0.1)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            coords = coords + radius * np.exp(1j * phase) * g.coords
+    for coords in perturbation_samples_loop(f_start, s_basis, samples, seed)[1:]:
         candidate = Functional(coords)
         d = kernel_dim(candidate)
         if d < best_dim:
@@ -341,13 +351,22 @@ def alpha0_independence_loop(
     return equal, worst
 
 
-def det_poly_loop(a, b):
-    """Coefficients of det(lam a + mu b), one determinant per root-of-unity
-    node, as an array."""
+def det_poly_exact(a, b):
+    """Coefficients of det(lam a + mu b) for integer matrices ``a`` and
+    ``b``, exactly: Bareiss determinants of a + t b at the integer nodes
+    t = 0..K, interpolated over the rationals with sympy.  Returns K + 1
+    sympy Rationals, entry d the coefficient of lam^(K-d) mu^d."""
+    import sympy
+
+    if not (np.array_equal(a, np.round(a.real)) and np.array_equal(b, np.round(b.real))):
+        raise ValueError("the exact oracle takes integer matrices")
     k = a.shape[0]
-    nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    values = np.array([np.linalg.det(a + t * b) for t in nodes])
-    return np.fft.fft(values) / (k + 1)
+    ma = sympy.Matrix(np.round(a.real).astype(int).tolist())
+    mb = sympy.Matrix(np.round(b.real).astype(int).tolist())
+    t = sympy.Symbol("t")
+    nodes = [(node, (ma + node * mb).det(method="bareiss")) for node in range(k + 1)]
+    ascending = sympy.Poly(sympy.interpolate(nodes, t), t).all_coeffs()[::-1]
+    return [sympy.Rational(c) for c in ascending] + [sympy.Rational(0)] * (k + 1 - len(ascending))
 
 
 def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, rank_tol=1e-9):

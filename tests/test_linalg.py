@@ -22,7 +22,7 @@ from algscope import (
 )
 from algscope.linalg import _cluster_values, rank, stack_ranks
 
-from oracles import cluster_values_loop, det_poly_loop
+from oracles import cluster_values_loop, det_poly_exact
 
 TOL = 1e-10
 
@@ -251,11 +251,26 @@ class TestStackedPrimitives:
 
 
 class TestDetPoly:
-    def test_matches_the_per_node_loop(self):
+    def test_matches_exact_rational_interpolation(self):
+        # integer pencils with K <= 6, exact coefficients from the oracle;
+        # interpolation at unit-circle nodes is perfectly conditioned, so
+        # each coefficient is off by a few eps times the coefficient norm
+        # (at most 1.2e-15 of it over 120 such pencils); 1e-13 leaves room
+        pytest.importorskip("sympy")
         rng = np.random.default_rng(17)
-        for k in (1, 2, 5, 8, 13):
-            a, b = random_stack(rng, 2, k, k)
-            assert np.array_equal(det_poly(a, b).coeffs, det_poly_loop(a, b))
+        for k in range(1, 7):
+            for kind in ("random", "singular b", "transpose"):
+                a = rng.integers(-3, 4, (k, k)).astype(float)
+                b = rng.integers(-3, 4, (k, k)).astype(float)
+                if kind == "singular b":
+                    b[:, 0] = 0.0  # det b = 0: the last coefficient vanishes
+                elif kind == "transpose":
+                    b = a.T.copy()
+                exact = np.array([complex(c) for c in det_poly_exact(a, b)])
+                if kind == "singular b":
+                    assert exact[-1] == 0
+                got = det_poly(a, b).coeffs
+                assert np.max(np.abs(got - exact)) <= 1e-13 * np.linalg.norm(exact), (k, kind)
 
     def test_empty_determinant_convention(self):
         p = det_poly(np.zeros((0, 0)), np.zeros((0, 0)))

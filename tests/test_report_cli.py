@@ -203,6 +203,43 @@ class TestReportRoundTrip:
                 },
                 "findings.passed: expected true or false",
             ),
+            (
+                {
+                    "kind": "analyze",
+                    "spectrum": [
+                        {
+                            "alpha": ["nan", 0.0],
+                            "algebraic_mult": 1,
+                            "stab_dim": 1,
+                            "filtration_dims": [1],
+                        }
+                    ],
+                },
+                "spectrum.alpha: expected a finite [re, im] pair",
+            ),
+            ({"kind": "analyze", "alpha0": ["nan", 0.0]}, "alpha0: expected a finite"),
+            ({"kind": "analyze", "alpha0": [0.5, "inf"]}, "alpha0: expected a finite"),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [
+                        {"theorem_id": "T", "passed": False, "max_residual": 1.0, "witness": [1]}
+                    ],
+                },
+                "findings.witness: expected a string or null",
+            ),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [{"theorem_id": 5, "passed": True, "max_residual": 0.0}],
+                },
+                "findings.theorem_id: expected a string",
+            ),
+            (
+                {"kind": "verify", "checks": [{"name": 5, "passed": True, "residual": 0.0}]},
+                "checks.name: expected a string",
+            ),
+            ({"kind": 5}, "kind: expected a string"),
         ],
     )
     def test_truncated_or_mistyped_reports_raise_parse_errors(self, doc, where):

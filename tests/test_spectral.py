@@ -369,6 +369,90 @@ class TestFiltrationClimb:
             _filtration_reduced(rp, alphas[0], complex("nan"), TOL)
 
 
+#: planted pencil cores (see ``prescribed_pencil_algebra``), each with the
+#: number of levels of its longest chain
+PLANTED_JORDAN_BLOCKS = {
+    # a 2 x 2 block at alpha = -1: a chain of levels (1, 2)
+    "block2": (np.array([[1.0, 1.0], [-1.0, 0.0]]), 2),
+    # alpha = 1 of multiplicity 5 with levels (3, 4, 5)
+    "levels3": (np.array([[0.0, 0.0, 1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 0.0]]), 3),
+    # two 2 x 2 blocks at alpha = -1: levels (2, 4)
+    "two-blocks": (np.kron(np.eye(2), np.array([[1.0, 1.0], [-1.0, 0.0]])), 2),
+}
+
+
+def split_point(monkeypatch, value):
+    """Doctor the spectrum of every later :func:`decompose`: the multiple
+    point at ``value`` becomes two, at its value and 1e-12 above it, with
+    half its multiplicity each.  The multiplicities still sum to K."""
+    import algscope.spectral as spectral
+
+    original = spectral.pencil_eigen
+
+    def doctored(*args, **kwargs):
+        points = []
+        for alpha, mult, vector in original(*args, **kwargs):
+            if vector is None and not alpha.is_infinite and abs(alpha.value - value) < 1e-6:
+                copy = ProjectivePoint.finite(alpha.value + 1e-12)
+                points += [(alpha, mult // 2, None), (copy, mult - mult // 2, None)]
+            else:
+                points.append((alpha, mult, vector))
+        return points
+
+    monkeypatch.setattr(spectral, "pencil_eigen", doctored)
+
+
+class TestChainEndsAtMultiplicity:
+    """A chain ends at the first level whose dimension is the algebraic
+    multiplicity that the spectrum counted."""
+
+    @pytest.mark.parametrize("name", list(PLANTED_JORDAN_BLOCKS))
+    def test_capped_chains_match_the_loop_where_a_point_climbs(self, name):
+        beta, want_levels = PLANTED_JORDAN_BLOCKS[name]
+        dec = decompose(*prescribed_pencil_algebra(beta))
+        rp = dec.pencil
+        assert max(len(levels) for levels in dec.quotient_filtrations.values()) == want_levels
+        for shift in [dec.alpha0_used] + [choose_alpha0(rp, seed=s) for s in (5, 6)]:
+            capped = [
+                _filtration_reduced(rp, p.alpha, shift, TOL, mult=p.algebraic_mult)
+                for p in dec.points
+            ]
+            looped = [filtration_reduced_loop(rp, p.alpha, shift, TOL) for p in dec.points]
+            TestFiltrationClimb.assert_frames_equal(capped, looped)
+            assert [levels[-1].shape[1] for levels in capped] == [
+                p.algebraic_mult for p in dec.points
+            ]
+            if shift == dec.alpha0_used:
+                TestFiltrationClimb.assert_frames_equal(
+                    capped, [dec.quotient_filtrations[p.alpha] for p in dec.points]
+                )
+
+    def test_split_semisimple_point_fails_both_checks(self, monkeypatch):
+        # Mat_4's alpha = 1 has multiplicity 4 and Stab(1) of dimension 4:
+        # each half counts 2 but its level 0 already has dimension 4
+        alg = mat_algebra(4)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        assert decompose(alg, f).ok
+        split_point(monkeypatch, 1.0)
+        dec = decompose(alg, f)
+        assert [p.algebraic_mult for p in dec.points if p.algebraic_mult > 1] == [2, 2]
+        assert check_named(dec.checks, "multiplicities_sum_to_quotient_dim").passed
+        assert not check_named(dec.checks, "v_dim_equals_nil_plus_multiplicity").passed
+        assert not check_named(dec.checks, "v_spaces_direct_sum").passed
+
+    def test_split_climbing_point_fails_the_direct_sum(self, monkeypatch):
+        # two 2 x 2 Jordan blocks at alpha = -1: each half counts 2, which
+        # Stab(-1) already reaches, but both halves span the same space
+        alg, f = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["two-blocks"][0])
+        assert decompose(alg, f).ok
+        split_point(monkeypatch, -1.0)
+        dec = decompose(alg, f)
+        assert [p.algebraic_mult for p in dec.points].count(2) == 3
+        assert check_named(dec.checks, "multiplicities_sum_to_quotient_dim").passed
+        check = check_named(dec.checks, "v_spaces_direct_sum")
+        assert not check.passed and check.residual >= 2.0
+
+
 class TestDegeneratePencils:
     def test_nilpotent_pairing_has_no_regular_shift(self):
         # F = coefficient of E12 turns the pairing into a nilpotent Jordan
@@ -737,6 +821,8 @@ class TestAlpha0SuiteRule:
         finding = verify_alpha0_suite(doctored)
         assert not finding.passed and finding.max_residual > 1e-3
         assert finding.witness[0] == p.alpha
+        # no point climbs, but the witness still names the suite's shifts
+        assert finding.witness[1:] == tuple(choose_alpha0(dec.pencil, seed=s) for s in (1, 2))
         want = self.loop(doctored)
         assert [equal for equal, _ in want].count(False) == 1
         worst = max(residual for _, residual in want)

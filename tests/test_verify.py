@@ -47,6 +47,7 @@ from algscope.verify import (
 from oracles import (
     corollaries_loop,
     minimize_stab_dim_loop,
+    perturbation_samples_loop,
     prescribed_pencil_algebra,
     product_inclusions_pairwise,
     regular_perturbation_loop,
@@ -231,34 +232,33 @@ class TestMinimize:
         assert all(a >= b for a, b in zip(dims, dims[1:]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_draws_the_same_samples_as_the_loop(self, n, monkeypatch):
-        # the eps of one sample come from one uniform call, in the order the
-        # per-direction loop drew its radii and phases; both form the pencil
-        # combination of each candidate once, in sample order
-        import algscope.verify as verify
+    def test_draws_the_same_samples_as_the_loop(self, n):
+        # all eps come from one uniform call, in the order the per-direction
+        # loop drew its radii and phases, so the candidates are bitwise the
+        # loop's and so is the minimizer
+        from algscope.verify import _perturbed_coords
 
-        real_combination = verify._slot_one_combination
-        evaluated = []
-
-        def recording_combination(alg, f, *args):
-            evaluated.append(f.coords.tobytes())
-            return real_combination(alg, f, *args)
-
-        monkeypatch.setattr(verify, "_slot_one_combination", recording_combination)
         alg = mat_algebra(n)
         rng = np.random.default_rng(100 + n)
         starts = [Functional(np.zeros(alg.dim, dtype=complex)), random_functional(alg.dim, rng)]
-        for lambda0, mu0 in ((1.0, -1.0), (1.0, 0.0)):
-            for seed, f0 in enumerate(starts):
+        for seed, f0 in enumerate(starts):
+            candidates = _perturbed_coords(f0, full_dual(alg.dim), 32, seed)
+            looped = perturbation_samples_loop(f0, full_dual(alg.dim), 32, seed)
+            assert candidates.shape == (33, alg.dim)
+            assert candidates.tobytes() == np.array(looped).tobytes()
+            for lambda0, mu0 in ((1.0, -1.0), (1.0, 0.0)):
                 args = (alg, lambda0, mu0, full_dual(alg.dim), f0)
-                evaluated.clear()
                 f_min, dim = minimize_stab_dim(*args, samples=32, seed=seed)
-                stream = list(evaluated)
-                evaluated.clear()
                 f_ref, dim_ref = minimize_stab_dim_loop(*args, samples=32, seed=seed)
-                assert len(stream) == 33 and stream == evaluated
                 assert dim == dim_ref
                 assert f_min.coords.tobytes() == f_ref.coords.tobytes()
+
+    def test_a_prefix_of_the_samples_is_the_shorter_stream(self):
+        from algscope.verify import _perturbed_coords
+
+        f0 = random_functional(6, np.random.default_rng(3))
+        long = _perturbed_coords(f0, full_dual(6), 32, 4)
+        assert np.array_equal(_perturbed_coords(f0, full_dual(6), 5, 4), long[:6])
 
     def test_stacked_ranks_give_the_loop_minimizer(self):
         alg = upper_triangular(3)
@@ -542,10 +542,11 @@ class TestProductInclusionsOracle:
 
 
 class TestLinearAlgebraCounts:
-    """Only the multiple points climb, each chain on its own, a level's
-    vectors are computed only when its chain grows, the alpha0 suite runs
-    no eigendecomposition, and v-mult forms one product tensor per
-    decomposition."""
+    """Only the points whose level 0 is below their multiplicity climb,
+    each chain on its own up to the multiplicity, a level's vectors are
+    computed only when its chain grows, the alpha0 suite runs no
+    eigendecomposition and draws no shift when nothing climbs, and v-mult
+    forms one product tensor per decomposition."""
 
     @staticmethod
     def count_svd(monkeypatch):
@@ -594,6 +595,7 @@ class TestLinearAlgebraCounts:
     @pytest.mark.parametrize("defective", [False, True])
     def test_svd_calls_per_chain(self, monkeypatch, defective):
         import algscope.spectral as spectral
+        import algscope.verify as verify
 
         if defective:
             alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
@@ -601,41 +603,51 @@ class TestLinearAlgebraCounts:
             alg, f = mat_algebra(3), random_functional(9, np.random.default_rng(59))
         dec = decompose(alg, f)
         k = dec.quotient_dim
-        chains = [dec.quotient_filtrations[p.alpha] for p in dec.points]
-        assert sum(len(levels) - 1 for levels in chains) == (1 if defective else 0)
+        multiple = [p for p in dec.points if p.algebraic_mult > 1]
+        chains = [dec.quotient_filtrations[p.alpha] for p in multiple]
+        # alpha = 1 has a level 0 of full dimension on both inputs; the
+        # planted Jordan block's alpha = -1 climbs one level
+        assert [len(levels) for levels in chains] == ([1, 2] if defective else [1])
+        assert all(levels[-1].shape[1] == p.algebraic_mult for p, levels in zip(multiple, chains))
 
         def chain_calls(levels, from_stab):
-            # Stab(alpha) unless given; per level the image's thin SVD and a
-            # values-only growth test; the next level's full SVD when it grows
+            # Stab(alpha) unless given; per level below the multiplicity the
+            # image's thin SVD, a values-only growth test and the next
+            # level's full SVD; nothing at the level that reaches it
             calls = [] if from_stab else [((k, k), "full")]
-            for t, w in enumerate(levels):
-                calls += [((k, w.shape[1]), "thin"), ((k, k), "values")]
-                calls += [((k, k), "full")] * (t + 1 < len(levels))
+            for w in levels[:-1]:
+                calls += [((k, w.shape[1]), "thin"), ((k, k), "values"), ((k, k), "full")]
             return calls
 
         calls = self.count_svd(monkeypatch)
         frames = [
-            spectral._filtration_reduced(dec.pencil, p.alpha, dec.alpha0_used, dec.tol)
-            for p in dec.points
+            spectral._filtration_reduced(
+                dec.pencil, p.alpha, dec.alpha0_used, dec.tol, mult=p.algebraic_mult
+            )
+            for p in multiple
         ]
         assert [[w.shape for w in levels] for levels in frames] == [
             [w.shape for w in levels] for levels in chains
         ]
+        # a full-dimension level 0 takes its one nullspace SVD
         assert calls == [c for levels in chains for c in chain_calls(levels, False)]
         calls.clear()
         eigs = self.count_calls(monkeypatch, np.linalg, "eig")
         norms = self.count_calls(monkeypatch, np.linalg, "norm")
+        draws = self.count_calls(monkeypatch, verify, "choose_alpha0")
         assert verify_alpha0_suite(dec).passed
         assert eigs == []
-        # one regularity SVD per shift drawn (each accepted at its first
-        # draw), then the chain of each multiple point from its level 0,
-        # under one shift and then the other
-        multiple = [levels for p, levels in zip(dec.points, chains) if p.algebraic_mult > 1]
-        climbs = [c for levels in multiple for c in chain_calls(levels, True) * 2]
-        assert calls == [((k, k), "values")] * 2 + climbs
+        # the shifts are drawn only when a point climbs: one regularity SVD
+        # per shift (each accepted at its first draw), then the chain of
+        # each climbing point from its level 0, under one shift and then
+        # the other
+        climbing = [levels for levels in chains if len(levels) > 1]
+        assert len(draws) == (2 if climbing else 0)
+        climbs = [c for levels in climbing for c in chain_calls(levels, True) * 2]
+        assert calls == [((k, k), "values")] * len(draws) + climbs
         # one spectral-norm projector distance per level above 0
         distances = [args for args, _ in norms if args[1:] == (2,)]
-        assert len(distances) == sum(len(levels) - 1 for levels in multiple)
+        assert len(distances) == sum(len(levels) - 1 for levels in climbing)
 
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
         import sys
