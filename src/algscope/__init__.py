@@ -90,6 +90,7 @@ _EXPORTS = {
             "char_poly",
             "choose_alpha0",
             "decompose",
+            "decompose_all",
             "jordan_filtration",
             "spectrum",
             "stab",

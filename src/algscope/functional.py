@@ -21,8 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import Algebra, Element, pairwise_products
-from .errors import DimensionMismatch, TheoremViolation
-from .linalg import Subspace, complement, nullspace, rank, subspace_equal, subspace_intersect
+from .errors import DimensionMismatch, NonFinite, TheoremViolation
+from .linalg import (
+    Subspace,
+    _nullspaces,
+    complement,
+    rank,
+    subspace_equal,
+    subspace_intersect,
+)
 
 __all__ = [
     "Functional",
@@ -99,11 +106,17 @@ class GramData:
             object.__setattr__(self, name, m)
 
 
+def _pairings(alg: Algebra, coords: np.ndarray) -> np.ndarray:
+    """Pairing matrices F(e_i e_j) of the functionals whose coordinates are
+    the rows of ``coords``, from one contraction."""
+    return np.einsum("ijk,ck->cij", alg.structure, coords)
+
+
 def gram(alg: Algebra, f: Functional) -> GramData:
     """Pairing matrix of the multiplication table through F."""
     if f.dim != alg.dim:
         raise DimensionMismatch("functional does not match the algebra dimension")
-    a = np.einsum("ijk,k->ij", alg.structure, f.coords)
+    a = _pairings(alg, f.coords[None])[0]
     return GramData(a, a.T.copy())
 
 
@@ -116,14 +129,28 @@ class Kernels(NamedTuple):
 def kernels(alg: Algebra, f: Functional, tol: float = 1e-9) -> Kernels:
     """Left kernel {x : F(x y) = 0 for all y}, right kernel
     {x : F(y x) = 0 for all y}, and their intersection ``nil``."""
-    return _kernels_of(gram(alg, f), tol)
+    a = gram(alg, f).a
+    _check_pairing(a, tol)
+    return _stack_kernels(a[None], tol)[0]
 
 
-def _kernels_of(g: GramData, tol: float) -> Kernels:
-    ker_l = nullspace(g.at, tol)
-    ker_r = nullspace(g.a, tol)
-    nil = subspace_intersect(ker_l, ker_r, tol)
-    return Kernels(ker_l, ker_r, nil)
+def _check_pairing(a: np.ndarray, tol: float):
+    """The errors that the kernels of the pairing ``a`` raise: a tolerance
+    that is not positive, or a non-finite entry."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("matrix contains NaN or Inf entries")
+
+
+def _stack_kernels(a: np.ndarray, tol: float) -> list[Kernels]:
+    """Kernels of each finite pairing matrix of the stack ``a``: one full SVD
+    of the transposed stack gives the left kernels and one of the stack the
+    right ones; their intersection is taken per pairing."""
+    unscaled = [None] * len(a)
+    lefts = _nullspaces(a.transpose(0, 2, 1), tol, unscaled)
+    rights = _nullspaces(a, tol, unscaled)
+    return [Kernels(l, r, subspace_intersect(l, r, tol)) for l, r in zip(lefts, rights)]
 
 
 @dataclass(frozen=True)
@@ -169,8 +196,49 @@ def reduce_pencil(
     ``quotient_frame`` may supply any orthonormal complement of ``nil``; by
     default the canonical SVD complement is used.
     """
-    g = gram(alg, f)
-    ker = _kernels_of(g, tol)
+    (rp,) = _reduce_pencils(alg, [f], tol, [quotient_frame])
+    if isinstance(rp, Exception):
+        raise rp
+    return rp
+
+
+def _reduce_pencils(
+    alg: Algebra, fs: list[Functional], tol: float, quotient_frames=None
+) -> list[ReducedPencil | Exception]:
+    """:func:`reduce_pencil` of each functional of ``fs`` (with
+    ``quotient_frames[i]`` when given): the pairing matrices come from one
+    contraction and the kernels from two stacked SVDs.  A functional that
+    :func:`reduce_pencil` would refuse gets in its place the error it would
+    raise, and the others are unaffected."""
+    frames = [None] * len(fs) if quotient_frames is None else quotient_frames
+    out: list = [None] * len(fs)
+    for i, f in enumerate(fs):
+        if f.dim != alg.dim:
+            out[i] = DimensionMismatch("functional does not match the algebra dimension")
+    sized = [i for i, rp in enumerate(out) if rp is None]
+    coords = np.array([fs[i].coords for i in sized], dtype=complex).reshape(-1, alg.dim)
+    pairings = _pairings(alg, coords)
+    for i, a in zip(sized, pairings):
+        try:
+            _check_pairing(a, tol)
+        except (ValueError, NonFinite) as exc:
+            out[i] = exc
+    keep = [j for j, i in enumerate(sized) if out[i] is None]
+    if keep:
+        for j, ker in zip(keep, _stack_kernels(pairings[keep], tol)):
+            i = sized[j]
+            try:
+                out[i] = _compress(alg, pairings[j], ker, tol, frames[i])
+            except DimensionMismatch as exc:
+                out[i] = exc
+    return out
+
+
+def _compress(
+    alg: Algebra, a: np.ndarray, ker: Kernels, tol: float, quotient_frame: np.ndarray | None
+) -> ReducedPencil:
+    """The pairing ``a`` compressed to the complement ``quotient_frame`` of
+    the ``nil`` of its kernels ``ker``, the canonical one when it is None."""
     nil = ker.nil
     if quotient_frame is None:
         q = complement(nil).frame
@@ -186,7 +254,7 @@ def reduce_pencil(
             overlap.size and np.max(np.abs(overlap)) > 10 * tol
         ):
             raise DimensionMismatch("quotient frame is not an orthonormal complement of nil")
-    a_tilde = q.T @ g.a @ q
+    a_tilde = q.T @ a @ q
     return ReducedPencil(ker, q, a_tilde, a_tilde.T.copy(), alg.dim - nil.dim)
 
 

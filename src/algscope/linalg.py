@@ -15,7 +15,11 @@ all-noise matrix.
 :func:`stack_ranks` makes the rank decision of :func:`rank` for a list of
 equal-shape matrices with one LAPACK call: numpy runs the routine of a
 single call on each matrix of the stack, so every rank is that of the
-single call.
+single call.  The nullspaces, determinant polynomials and pencil
+eigen-analyses are written the same way, over a stack (``_nullspaces``,
+``_det_polys``, ``_shifted_eigens``); :func:`nullspace`, :func:`det_poly` and
+:func:`pencil_eigen` call them with a stack of one, so a batch of pencils
+gets, bit for bit, the answers of one call per pencil.
 """
 
 from __future__ import annotations
@@ -202,10 +206,19 @@ def nullspace(m, tol: float, *, scale: float | None = None) -> Subspace:
         return Subspace(0, np.zeros((0, 0), dtype=complex), tol)
     if m.shape[0] == 0:
         return Subspace.full(n, tol)
-    u, s, vh = np.linalg.svd(m)
-    cutoff = _svd_cutoff(s, tol, scale)
-    r = int(np.sum(s >= cutoff))
-    return Subspace(n, vh[r:].conj().T, tol)
+    return _nullspaces(m[None], tol, [scale])[0]
+
+
+def _nullspaces(stack: np.ndarray, tol: float, scales) -> list[Subspace]:
+    """:func:`nullspace` of each matrix of the finite, nonempty stack
+    ``stack`` at its own ``scales[i]``, from one full SVD of the stack."""
+    _, s, vh = np.linalg.svd(stack)
+    n = stack.shape[-1]
+    frames = []
+    for row, v, scale in zip(s, vh, scales):
+        r = int(np.sum(row >= _svd_cutoff(row, tol, scale)))
+        frames.append(Subspace(n, v[r:].conj().T, tol))
+    return frames
 
 
 def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.ndarray:
@@ -252,8 +265,11 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace, tol: float) -> Subspace:
-    """Intersection, via the nullspace of stacked projector complements."""
+    """Intersection, via the nullspace of stacked projector complements; the
+    zero subspace, with no SVD, when either input is zero."""
     _check_ambient(a, b)
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim, tol)
     eye = np.eye(a.ambient_dim)
     stacked = np.vstack([eye - a.projector(), eye - b.projector()])
     # projectors have unit scale, so an all-roundoff stack means full overlap
@@ -355,8 +371,30 @@ def pencil_eigen(
     )
     if s[-1] < 1e-12 * max(s[0], problem_scale):
         raise SingularShift(f"shift alpha0={alpha0} leaves the pencil singular")
+    return _shifted_eigens(shifted[None], b[None], [alpha0], cluster_tol)[0]
+
+
+def _shifted_eigens(
+    shifted: np.ndarray, b: np.ndarray, alpha0s, cluster_tol: float
+) -> list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]:
+    """The points of :func:`pencil_eigen` for each pencil of a stack, given
+    ``shifted[i] = a[i] - alpha0s[i] * b[i]`` at a shift already known to be
+    regular: one ``solve`` and one ``eig`` over the whole stack, then the
+    clustering of each pencil's eigenvalues."""
     lams, vectors = np.linalg.eig(np.linalg.solve(shifted, b))
     vectors.setflags(write=False)
+    return [
+        _eigen_points(lam, vec, alpha0, cluster_tol)
+        for lam, vec, alpha0 in zip(lams, vectors, alpha0s)
+    ]
+
+
+def _eigen_points(
+    lams: np.ndarray, vectors: np.ndarray, alpha0: complex, cluster_tol: float
+) -> list[tuple[ProjectivePoint, int, np.ndarray | None]]:
+    """Map the eigenvalues ``lams`` of ``(a - alpha0*b)^{-1} b`` to points
+    alpha, cluster them and pair each simple one with its column of
+    ``vectors`` (see :func:`pencil_eigen`)."""
     at_inf = np.abs(lams) <= cluster_tol / (1.0 + cluster_tol * abs(alpha0))
     alphas = alpha0 + 1.0 / np.where(at_inf, 1.0, lams)
 
@@ -449,10 +487,17 @@ def det_poly(a, b) -> HomogeneousPoly:
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"det_poly needs equal square matrices, got {a.shape} and {b.shape}")
-    k = a.shape[0]
-    if k == 0:
+    if a.shape[0] == 0:
         return HomogeneousPoly(0, np.array([1.0 + 0.0j]))
+    return _det_polys(a[None], b[None])[0]
+
+
+def _det_polys(a: np.ndarray, b: np.ndarray) -> list[HomogeneousPoly]:
+    """:func:`det_poly` of each pair of a stack of nonempty K x K pencils:
+    one ``np.linalg.det`` call per node over the whole stack.  The K+1
+    nodes are never stacked as well: the ``(K+1) x stack`` call is slower
+    at large K."""
+    k = a.shape[-1]
     nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    values = np.array([np.linalg.det(a + t * b) for t in nodes])
-    coeffs = np.fft.fft(values) / (k + 1)
-    return HomogeneousPoly(k, coeffs)
+    values = np.stack([np.linalg.det(a + t * b) for t in nodes], axis=1)
+    return [HomogeneousPoly(k, np.fft.fft(row) / (k + 1)) for row in values]

@@ -36,6 +36,18 @@ algebra elements.
 Level 0 does not involve the shift, so shift independence has content only
 above it: :func:`verify_alpha0_independence` checks a level 0 by its
 residual in Stab(alpha) and compares the levels above it under two shifts.
+
+:func:`decompose_all` decomposes a batch of functionals with one seed, each
+stage once over the batch, grouped by the quotient dimension K: the
+reduction, the shift draws, chi, the spectrum and the level 0 of the
+multiple points each run stacked LAPACK calls.  Each stage has one
+implementation, written over a stack; the single-pencil functions
+(:func:`algscope.functional.reduce_pencil`, :func:`choose_alpha0`,
+:func:`char_poly`, :func:`spectrum`, :func:`algscope.linalg.nullspace`)
+call it with a stack of one, and :func:`decompose` is the batch of one.
+numpy runs on each matrix of a stack the routine a single call runs on it,
+so the rule is bitwise equality: each decomposition of a batch equals the
+one its functional gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,11 +59,14 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import NoRegularValue, SingularPencil
-from .functional import Functional, ReducedPencil, reduce_pencil
+from .functional import Functional, ReducedPencil, _reduce_pencils
 from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
+    _det_polys,
+    _nullspaces,
+    _shifted_eigens,
     det_poly,
     nullspace,
     orthonormal_columns,
@@ -69,6 +84,7 @@ __all__ = [
     "stab",
     "jordan_filtration",
     "decompose",
+    "decompose_all",
     "verify_alpha0_independence",
 ]
 
@@ -164,10 +180,26 @@ def char_poly(rp: ReducedPencil) -> HomogeneousPoly:
 
 def _shift_regularity(rp: ReducedPencil, alpha0: complex) -> float:
     """sigma_min / max(sigma_max, pencil scale) of the shifted pencil."""
-    shifted = rp.a_tilde - alpha0 * rp.at_tilde
-    s = np.linalg.svd(shifted, compute_uv=False)
-    scale = max(float(s[0]) if s.size else 0.0, (1.0 + abs(alpha0)) * rp.pencil_scale())
-    return float(s[-1]) / scale if s.size else 0.0
+    return float(_shift_regularities(*_pencil_stack([rp]), alpha0)[0])
+
+
+def _pencil_stack(rps: list[ReducedPencil]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The a~, the a~^T and the pencil scales of pencils of one size K >= 1,
+    stacked."""
+    return (
+        np.stack([rp.a_tilde for rp in rps]),
+        np.stack([rp.at_tilde for rp in rps]),
+        np.array([rp.pencil_scale() for rp in rps]),
+    )
+
+
+def _shift_regularities(
+    a: np.ndarray, at: np.ndarray, scales: np.ndarray, alpha0: complex
+) -> np.ndarray:
+    """:func:`_shift_regularity` of each pencil of the stack (a, at) with
+    pencil scales ``scales``, from one values-only SVD."""
+    s = np.linalg.svd(a - alpha0 * at, compute_uv=False)
+    return s[:, -1] / np.maximum(s[:, 0], (1.0 + abs(alpha0)) * scales)
 
 
 def _draw_shift(rng: np.random.Generator) -> complex:
@@ -190,28 +222,62 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
     """
     if rp.K < 1:
         raise NoRegularValue("empty pencil has no spectrum to shift into")
+    (alpha0,) = _choose_alpha0s([rp], seed, floor)
+    if isinstance(alpha0, Exception):
+        raise alpha0
+    return alpha0
+
+
+def _choose_alpha0s(
+    rps: list[ReducedPencil], seed: int = 0, floor: float = 1e-8
+) -> list[complex | NoRegularValue]:
+    """:func:`choose_alpha0` of each of the pencils ``rps``, all of one size
+    K >= 1 and all with ``seed``, so every pencil sees the same draws.  Each
+    draw is tested with one values-only SVD over the pencils still waiting;
+    a pencil that finds no shift gets in its place the error
+    :func:`choose_alpha0` would raise."""
     rng = np.random.default_rng(seed)
-    best = 0.0
+    a, at, scales = _pencil_stack(rps)
+    out: list = [None] * len(rps)
+    best = [0.0] * len(rps)
+    waiting = np.arange(len(rps))
     for _ in range(64):
         alpha0 = _draw_shift(rng)
-        regularity = _shift_regularity(rp, alpha0)
-        if regularity >= floor:
-            return alpha0
-        best = max(best, regularity)
+        regularity = _shift_regularities(a[waiting], at[waiting], scales[waiting], alpha0)
+        for j, r in zip(waiting.tolist(), regularity.tolist()):
+            if r >= floor:
+                out[j] = alpha0
+            else:
+                best[j] = max(best[j], r)
+        waiting = waiting[~(regularity >= floor)]
+        if not waiting.size:
+            return out
+    more_draws = [_draw_shift(rng) for _ in range(rps[0].K + 1)]
+    for j in waiting.tolist():
+        out[j] = _no_shift_error(rps[j], best[j], floor, more_draws)
+    return out
+
+
+def _no_shift_error(
+    rp: ReducedPencil, best: float, floor: float, more_draws: list[complex]
+) -> NoRegularValue:
+    """Why no shift was found for ``rp``: :class:`SingularPencil` when
+    ``a~^T - alpha a~`` has rank below K at each of the K + 1 draws
+    ``more_draws``, :class:`NoRegularValue` otherwise."""
     failure = (
         f"no regular shift found in 64 samples: the best regularity of the shifted pencil "
         f"(sigma_min / scale) was {best:.3e}, below the floor {floor:.1e}"
     )
     top = 0
-    for _ in range(rp.K + 1):
-        m, scale = _slot_one_operator(rp, ProjectivePoint.finite(_draw_shift(rng)))
+    for alpha in more_draws:
+        m, scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha))
         top = max(top, rank(m, DEFAULT_TOL, scale=scale))
     if top < rp.K:
-        raise SingularPencil(
+        return SingularPencil(
             f"the pencil is singular for every alpha; F is not generic: a~^T - alpha a~ has "
             f"rank at most {top} of {rp.K} at {rp.K + 1} distinct alpha; {failure}"
         )
-    raise NoRegularValue(failure)
+    return NoRegularValue(failure)
 
 
 def spectrum(
@@ -457,47 +523,129 @@ def decompose(
     (``simple_frames_in_stabilizer``), one rank test on the stacked quotient
     frames of all V(alpha) proving that they form a direct sum spanning the
     algebra over nil (``v_spaces_direct_sum``), and vanishing of the
-    characteristic polynomial."""
-    rp = reduce_pencil(alg, f, tol)
-    if rp.K == 0:
-        chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-        checks = [
-            InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
-            InvariantCheck(
-                "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
-            ),
-        ]
-        return Decomposition(rp, chi, (), {}, None, tol, cluster_tol, tuple(checks))
+    characteristic polynomial.  It is :func:`decompose_all` of the one
+    functional ``f``."""
+    return decompose_all(alg, [f], seed, tol, cluster_tol)[0]
 
-    alpha0 = choose_alpha0(rp, seed)
-    chi = char_poly(rp)
-    raw_points = spectrum(rp, alpha0, cluster_tol)
 
-    points: list[SpectrumPoint] = []
-    quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
-    for alpha, mult, vector in raw_points:
-        # a simple point's eigenvector is its one level; the others climb
-        # up to their multiplicity
-        if vector is None:
-            frames = _filtration_reduced(rp, alpha, alpha0, tol, mult=mult)
-        else:
-            frames = [vector]
-        dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
-        points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
-        quotient_filtrations[alpha] = tuple(frames)
+def decompose_all(
+    alg: Algebra,
+    fs: list[Functional],
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> list[Decomposition]:
+    """:func:`decompose` of each functional of ``fs``, all with ``seed``, as
+    one batch: each stage runs once over the batch, grouped by the quotient
+    dimension K, and hands every matrix of a stack to the LAPACK routine a
+    single call would run on it, so each decomposition equals, bit for bit,
+    the one :func:`decompose` returns.
 
-    v_frames = [levels[-1] for levels in quotient_filtrations.values()]
-    checks = _decomposition_checks(rp, chi, points, v_frames, tol)
-    return Decomposition(
-        rp,
-        chi,
-        tuple(points),
-        quotient_filtrations,
-        alpha0,
-        tol,
-        cluster_tol,
-        tuple(checks),
+    The pairing matrices come from one contraction and the two kernels from
+    one stacked SVD each; each draw of the shift is tested with one
+    values-only SVD over the pencils still waiting for one; chi takes one
+    ``det`` per interpolation node, the spectrum one ``solve`` and one
+    ``eig``, and the level 0 of every multiple point one nullspace SVD.  The
+    shift that :func:`choose_alpha0` accepts leaves the pencil far from
+    singular, so the spectrum takes it without the singular-shift test of
+    :func:`algscope.linalg.pencil_eigen`.  When functionals fail, the error
+    that the first of them in ``fs`` raises from :func:`decompose` is
+    raised."""
+    rps = _reduce_pencils(alg, list(fs), tol)
+    out: list = list(rps)
+    groups: dict[int, list[int]] = {}
+    for i, rp in enumerate(rps):
+        if isinstance(rp, ReducedPencil):
+            if rp.K == 0:
+                out[i] = _empty_decomposition(alg, rp, tol, cluster_tol)
+            else:
+                groups.setdefault(rp.K, []).append(i)
+    for members in groups.values():
+        for i, alpha0 in zip(members, _choose_alpha0s([rps[i] for i in members], seed)):
+            out[i] = alpha0
+    failed = next((r for r in out if isinstance(r, Exception)), None)
+    if failed is not None:
+        raise failed
+    for members in groups.values():
+        decs = _decompose_stack(
+            [rps[i] for i in members], [out[i] for i in members], tol, cluster_tol
+        )
+        for i, dec in zip(members, decs):
+            out[i] = dec
+    return out
+
+
+def _empty_decomposition(
+    alg: Algebra, rp: ReducedPencil, tol: float, cluster_tol: float
+) -> Decomposition:
+    """The decomposition of a pencil with K = 0: nil is the whole algebra."""
+    chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
+    checks = (
+        InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
+        InvariantCheck(
+            "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
+        ),
     )
+    return Decomposition(rp, chi, (), {}, None, tol, cluster_tol, checks)
+
+
+def _spectra(
+    a: np.ndarray, at: np.ndarray, alpha0s: list[complex], cluster_tol: float
+) -> list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]:
+    """:func:`spectrum` of each pencil of the stack (a, at) at its regular
+    shift ``alpha0s[i]``, without the singular-shift test."""
+    shifted = at - np.array(alpha0s)[:, None, None] * a
+    return _shifted_eigens(shifted, a, alpha0s, cluster_tol)
+
+
+def _decompose_stack(
+    rps: list[ReducedPencil], alpha0s: list[complex], tol: float, cluster_tol: float
+) -> list[Decomposition]:
+    """The decompositions of pencils of one size K >= 1 at their regular
+    shifts ``alpha0s``: chi and the spectrum over the stack, then the level
+    0 of every multiple point from one stacked nullspace SVD, each chain
+    climbed from it up to the point's multiplicity, and the checks."""
+    a, at, _ = _pencil_stack(rps)
+    chis = _det_polys(a, at)
+    spectra = _spectra(a, at, alpha0s, cluster_tol)
+    # (pencil, item) of each multiple point, and its Stab(alpha) frame
+    multiple = [
+        (c, j) for c, raw in enumerate(spectra) for j, item in enumerate(raw) if item[2] is None
+    ]
+    stab_frames = {}
+    if multiple:
+        mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
+        for key, space in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):
+            stab_frames[key] = space.frame
+    decs = []
+    for c, (rp, alpha0, chi, raw) in enumerate(zip(rps, alpha0s, chis, spectra)):
+        points: list[SpectrumPoint] = []
+        quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
+        for j, (alpha, mult, vector) in enumerate(raw):
+            # a simple point's eigenvector is its one level; the others climb
+            # from their Stab(alpha) up to their multiplicity
+            if vector is None:
+                frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frames[c, j], mult)
+            else:
+                frames = [vector]
+            dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
+            points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
+            quotient_filtrations[alpha] = tuple(frames)
+        v_frames = [levels[-1] for levels in quotient_filtrations.values()]
+        checks = _decomposition_checks(rp, chi, points, v_frames, tol)
+        decs.append(
+            Decomposition(
+                rp,
+                chi,
+                tuple(points),
+                quotient_filtrations,
+                alpha0,
+                tol,
+                cluster_tol,
+                tuple(checks),
+            )
+        )
+    return decs
 
 
 def verify_alpha0_independence(

@@ -28,7 +28,7 @@ from .spectral import (
     _alpha0_independence,
     _stab_residuals,
     choose_alpha0,
-    decompose,
+    decompose_all,
     stab,
 )
 from .suite_names import DEFAULT_SUITES, SUITE_NAMES
@@ -304,18 +304,32 @@ def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[F
 # dimension symmetries
 
 
+def _mirror_indices(dec: Decomposition) -> list[int]:
+    """Index into ``dec.points`` of the point at the inverse
+    (:meth:`ProjectivePoint.inverse`) of each point, or -1:
+    :meth:`Decomposition.point_at` applied to every inverse.  The finite
+    inverses are looked up at once (:func:`_target_indices`); the inverse of
+    0 is infinity, which matches the infinite point."""
+    inverses = [p.alpha.inverse() for p in dec.points]
+    found = _target_indices(dec, np.array([0j if q.is_infinite else q.value for q in inverses]))
+    at_infinity = next((i for i, p in enumerate(dec.points) if p.alpha.is_infinite), -1)
+    return [at_infinity if q.is_infinite else int(i) for q, i in zip(inverses, found)]
+
+
 def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
     """The spectrum of ``dec`` is closed under alpha -> 1/alpha (0 and
     infinity paired) with exactly equal multiplicities, V dimensions, and
     stabilizer dimensions.  Each finding's witness is the first point, in
     spectrum order, that reaches its largest mismatch, with its mirror or
-    "no mirror point"."""
+    "no mirror point".  Each mirror is found by the rule of
+    :meth:`Decomposition.point_at`, all of them at once (see
+    :func:`_mirror_indices`)."""
     v_mismatch = 0
     stab_mismatch = 0
     v_witness = None
     stab_witness = None
-    for p in dec.points:
-        mirror = dec.point_at(p.alpha.inverse())
+    for p, m in zip(dec.points, _mirror_indices(dec)):
+        mirror = dec.points[m] if m >= 0 else None
         if mirror is None:
             if p.algebraic_mult > v_mismatch:
                 v_mismatch = p.algebraic_mult
@@ -536,12 +550,14 @@ def run_suites(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[Finding]:
     """Run the selected suites over random functionals; deterministic per
-    seed.  Per-functional suites loop over the drawn functionals and read one
-    decomposition of each, made with ``seed``; ``v-mult`` checks both of its
-    variants on one product tensor of that decomposition, and
-    ``kernel-relations`` and ``nil-ideal`` read the kernels its reduced
-    pencil keeps.  The regular-functional suites run once at the sampled
-    minimizer."""
+    seed.  The drawn functionals are decomposed as one batch, with ``seed``
+    (:func:`algscope.spectral.decompose_all`), and each decomposition equals,
+    bit for bit, the one :func:`algscope.spectral.decompose` gives its
+    functional alone.  Per-functional suites then loop over the functionals
+    and read each one's decomposition; ``v-mult`` checks both of its
+    variants on one product tensor of it, and ``kernel-relations`` and
+    ``nil-ideal`` read the kernels its reduced pencil keeps.  The
+    regular-functional suites run once at the sampled minimizer."""
     from .functional import is_multiplicative, nil_ideal_check
 
     unknown = [s for s in suites if s not in SUITE_NAMES]
@@ -550,10 +566,12 @@ def run_suites(
     rng = np.random.default_rng(seed)
     fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
     analysed = {"alpha0", "v-mult", "dim-symmetry", "transversality"}.intersection(suites)
+    if analysed:
+        decs = decompose_all(alg, fs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
     findings: list[Finding] = []
     for index, f in enumerate(fs):
         if analysed:
-            dec = decompose(alg, f, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
+            dec = decs[index]
             ker = dec.pencil.kernels
         elif {"kernel-relations", "nil-ideal"}.intersection(suites):
             ker = kernels(alg, f, rank_tol)

@@ -207,6 +207,29 @@ def stab_transversality_pairwise(dec, tol=1e-9):
     return worst == 0, worst, pairs
 
 
+def dim_symmetry_scan(dec):
+    """The dimension symmetry findings' (mismatch, witness) pairs, V then
+    Stab, with each mirror found by a scan of every point
+    (``dec.point_at``), O(P^2) per decomposition."""
+    v_mismatch = stab_mismatch = 0
+    v_witness = stab_witness = None
+    for p in dec.points:
+        mirror = dec.point_at(p.alpha.inverse())
+        if mirror is None:
+            if p.algebraic_mult > v_mismatch:
+                v_mismatch, v_witness = p.algebraic_mult, (p.alpha, "no mirror point")
+            continue
+        dv = abs(p.algebraic_mult - mirror.algebraic_mult) + abs(
+            p.filtration_dims[-1] - mirror.filtration_dims[-1]
+        )
+        if dv > v_mismatch:
+            v_mismatch, v_witness = dv, (p.alpha, mirror.alpha)
+        ds = abs(p.stab_dim - mirror.stab_dim)
+        if ds > stab_mismatch:
+            stab_mismatch, stab_witness = ds, (p.alpha, mirror.alpha)
+    return (float(v_mismatch), v_witness), (float(stab_mismatch), stab_witness)
+
+
 def product_inclusions_pairwise(alg, dec, variant):
     """The product inclusions V^k(a) V^m(b) <= V^{k+m}(a b) checked block by
     block: one product tensor and one residual per (a, b, k, m), visited in
@@ -444,3 +467,48 @@ def cluster_values_loop(values, cluster_tol):
     for i in range(n):
         groups.setdefault(label[i], []).append(i)
     return list(groups.values())
+
+
+def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
+    """One functional's decomposition from the public single-pencil steps,
+    in the order of the pipeline: ``reduce_pencil``, ``choose_alpha0``,
+    ``char_poly``, ``spectrum`` (with its singular-shift test), one chain per
+    multiple point up to its multiplicity from its own nullspace, and the
+    invariant checks."""
+    from algscope.linalg import HomogeneousPoly
+    from algscope.functional import reduce_pencil
+    from algscope.spectral import (
+        Decomposition,
+        InvariantCheck,
+        SpectrumPoint,
+        _decomposition_checks,
+        _filtration_reduced,
+        char_poly,
+        choose_alpha0,
+        spectrum,
+    )
+
+    rp = reduce_pencil(alg, f, tol)
+    if rp.K == 0:
+        checks = (
+            InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
+            InvariantCheck(
+                "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
+            ),
+        )
+        chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
+        return Decomposition(rp, chi, (), {}, None, tol, cluster_tol, checks)
+    alpha0 = choose_alpha0(rp, seed)
+    chi = char_poly(rp)
+    points, levels = [], {}
+    for alpha, mult, vector in spectrum(rp, alpha0, cluster_tol):
+        if vector is None:
+            frames = _filtration_reduced(rp, alpha, alpha0, tol, mult=mult)
+        else:
+            frames = [vector]
+        dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
+        points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
+        levels[alpha] = tuple(frames)
+    v_frames = [chain[-1] for chain in levels.values()]
+    checks = _decomposition_checks(rp, chi, points, v_frames, tol)
+    return Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(checks))

@@ -20,7 +20,14 @@ from algscope import (
     subspace_intersect,
     subspace_sum,
 )
-from algscope.linalg import _cluster_values, rank, stack_ranks
+from algscope.linalg import (
+    _cluster_values,
+    _det_polys,
+    _nullspaces,
+    _shifted_eigens,
+    rank,
+    stack_ranks,
+)
 
 from oracles import cluster_values_loop, det_poly_exact
 
@@ -93,6 +100,21 @@ class TestSubspaceLattice:
 
     def test_intersect_orthogonal_lines(self):
         assert subspace_intersect(line(2, 0), line(2, 1), TOL).dim == 0
+
+    @pytest.mark.parametrize("dims", [(0, 0), (0, 2), (3, 0)])
+    def test_intersect_with_zero_takes_no_svd(self, monkeypatch, dims):
+        rng = np.random.default_rng(sum(dims))
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        a, b = (Subspace(4, q[:, :d], TOL) for d in dims)
+        eye = np.eye(4)
+        # the SVD path: the nullspace of the stacked projector complements
+        want = nullspace(np.vstack([eye - a.projector(), eye - b.projector()]), TOL, scale=1.0)
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args))
+        got = subspace_intersect(a, b, TOL)
+        assert calls == []
+        assert (got.ambient_dim, got.tol, got.dim) == (want.ambient_dim, want.tol, 0)
+        assert got.frame.shape == want.frame.shape and got.frame.dtype == want.frame.dtype
 
     def test_intersect_planes_in_common_line(self):
         plane_a = subspace_sum(line(3, 0), line(3, 1))
@@ -224,7 +246,8 @@ def random_stack(rng, n, rows, cols, rank_of=None):
 
 
 class TestStackedPrimitives:
-    """The stacked rank test gives the single-matrix ranks."""
+    """Each stacked primitive gives the answers of the single-matrix calls,
+    bit for bit."""
 
     @pytest.mark.parametrize("k", [1, 4, 9])
     def test_match_the_single_matrix_calls(self, k):
@@ -235,6 +258,43 @@ class TestStackedPrimitives:
         assert stack_ranks(mats, TOL, scales).tolist() == [
             rank(m, TOL, scale=sc) for m, sc in zip(mats, scales)
         ] == ranks
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_stacked_nullspaces_are_the_single_calls(self, k):
+        rng = np.random.default_rng(10 + k)
+        ranks = [int(r) for r in rng.integers(0, k + 1, size=7)]
+        mats = np.stack(random_stack(rng, 7, k, k, ranks))
+        scales = [None, *rng.uniform(0.5, 2.0, size=6)]
+        for got, m, sc in zip(_nullspaces(mats, TOL, scales), mats, scales):
+            want = nullspace(m, TOL, scale=sc)
+            assert got.frame.shape == want.frame.shape == (k, k - rank(m, TOL, scale=sc))
+            assert got.frame.tobytes() == want.frame.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_stacked_det_polys_are_the_single_calls(self, k):
+        rng = np.random.default_rng(20 + k)
+        a = rng.standard_normal((5, k, k)) + 1j * rng.standard_normal((5, k, k))
+        b = rng.standard_normal((5, k, k)) + 1j * rng.standard_normal((5, k, k))
+        for got, x, y in zip(_det_polys(a, b), a, b):
+            assert got.degree == k
+            assert got.coeffs.tobytes() == det_poly(x, y).coeffs.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_stacked_eigens_are_the_single_calls(self, k):
+        rng = np.random.default_rng(30 + k)
+        a = rng.standard_normal((5, k, k)) + 1j * rng.standard_normal((5, k, k))
+        b = rng.standard_normal((5, k, k)) + 1j * rng.standard_normal((5, k, k))
+        # a repeated eigenvalue and an infinite one in the last pencil
+        b[-1] = np.diag(np.r_[np.zeros(k // 2), np.ones(k - k // 2)])
+        alpha0s = [complex(z) for z in rng.standard_normal(5) + 1j * rng.standard_normal(5)]
+        shifted = a - np.array(alpha0s)[:, None, None] * b
+        batch = _shifted_eigens(shifted, b, alpha0s, 1e-6)
+        for got, x, y, alpha0 in zip(batch, a, b, alpha0s):
+            want = pencil_eigen(x, y, alpha0)
+            assert [(p, m) for p, m, _ in got] == [(p, m) for p, m, _ in want]
+            for (_, _, v), (_, _, w) in zip(got, want):
+                assert (v is None) == (w is None)
+                assert v is None or v.tobytes() == w.tobytes()
 
     def test_nonfinite_entry_is_rejected(self):
         mats = [np.eye(3, dtype=complex), np.eye(3, dtype=complex)]

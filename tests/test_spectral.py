@@ -9,6 +9,8 @@ from algscope import (
     INFINITY,
     Kernels,
     NoRegularValue,
+    DimensionMismatch,
+    NonFinite,
     ProjectivePoint,
     ReducedPencil,
     char_poly,
@@ -39,6 +41,7 @@ from algscope import (
 from algscope.linalg import Subspace
 from algscope.spectral import (
     _alpha0_independence,
+    decompose_all,
     _decomposition_checks,
     _filtration_reduced,
     _shift_regularity,
@@ -46,6 +49,7 @@ from algscope.spectral import (
 
 from oracles import (
     alpha0_independence_loop,
+    decompose_loop,
     filtration_dims_fullspace,
     filtration_reduced_loop,
     jordan_dims_by_powers,
@@ -387,11 +391,11 @@ def split_point(monkeypatch, value):
     half its multiplicity each.  The multiplicities still sum to K."""
     import algscope.spectral as spectral
 
-    original = spectral.pencil_eigen
+    original = spectral._spectra
 
-    def doctored(*args, **kwargs):
+    def split(raw):
         points = []
-        for alpha, mult, vector in original(*args, **kwargs):
+        for alpha, mult, vector in raw:
             if vector is None and not alpha.is_infinite and abs(alpha.value - value) < 1e-6:
                 copy = ProjectivePoint.finite(alpha.value + 1e-12)
                 points += [(alpha, mult // 2, None), (copy, mult - mult // 2, None)]
@@ -399,7 +403,8 @@ def split_point(monkeypatch, value):
                 points.append((alpha, mult, vector))
         return points
 
-    monkeypatch.setattr(spectral, "pencil_eigen", doctored)
+    # the spectra of a batch, which decompose takes with a batch of one
+    monkeypatch.setattr(spectral, "_spectra", lambda *args: [split(r) for r in original(*args)])
 
 
 class TestChainEndsAtMultiplicity:
@@ -843,3 +848,151 @@ class TestAlpha0SuiteRule:
         assert 1e-9 < residuals[two.alpha] < 1e-3 < residuals[one.alpha]
         finding = verify_alpha0_suite(doctored)
         assert not finding.passed and finding.witness[0] == one.alpha
+
+
+def assert_bitwise_equal(got, want):
+    """Two decompositions agree bit for bit: every array of the pencil, its
+    kernels, chi and the levels, and every other field exactly."""
+
+    def same(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    for rp_got, rp_want in ((got.pencil, want.pencil),):
+        for name in ("left", "right", "nil"):
+            same(getattr(rp_got.kernels, name).frame, getattr(rp_want.kernels, name).frame)
+        for name in ("quotient_frame", "a_tilde", "at_tilde"):
+            same(getattr(rp_got, name), getattr(rp_want, name))
+        assert rp_got.K == rp_want.K and rp_got.pencil_scale() == rp_want.pencil_scale()
+    assert got.chi.degree == want.chi.degree
+    same(got.chi.coeffs, want.chi.coeffs)
+    assert got.points == want.points
+    assert list(got.quotient_filtrations) == list(want.quotient_filtrations)
+    for alpha, levels in got.quotient_filtrations.items():
+        assert len(levels) == len(want.quotient_filtrations[alpha])
+        for w_got, w_want in zip(levels, want.quotient_filtrations[alpha]):
+            same(w_got, w_want)
+    assert (got.alpha0_used, got.tol, got.cluster_tol) == (
+        want.alpha0_used,
+        want.tol,
+        want.cluster_tol,
+    )
+    assert repr(got.checks) == repr(want.checks)
+
+
+def verify_small_inputs():
+    small_sum = direct_sum(mat_algebra(2), group_algebra(symmetric3_table()))
+    return {
+        "Mat_3": mat_algebra(3),
+        "Mat_4": mat_algebra(4),
+        "tri_5": upper_triangular(5),
+        "S3": group_algebra(symmetric3_table()),
+        "Klein": group_algebra(klein_table()),
+        "Mat_2+S3": small_sum,
+    }
+
+
+def nilpotent_shift_functional():
+    """F(X) = tr(N X) on Mat_3, N the nilpotent shift: the reduced pencil is
+    singular for every alpha."""
+    return matrix_trace_functional(np.diag(np.ones(2), 1))
+
+
+class TestDecomposeAll:
+    """A batch is decomposed, bit for bit, as each functional is alone."""
+
+    @pytest.mark.parametrize("name", list(verify_small_inputs()))
+    def test_bitwise_equal_to_the_loop(self, name):
+        alg = verify_small_inputs()[name]
+        rng = np.random.default_rng(31)
+        fs = [random_functional(alg.dim, rng) for _ in range(10)]
+        decs = decompose_all(alg, fs, seed=9)
+        assert len(decs) == len(fs) and all(dec.ok for dec in decs)
+        for f, dec in zip(fs, decs):
+            assert_bitwise_equal(dec, decompose_loop(alg, f, seed=9))
+            assert_bitwise_equal(decompose(alg, f, seed=9), dec)
+
+    def test_mixed_quotient_dimensions(self):
+        # Mat_2 + S3 with one functional that vanishes on the S3 summand, so
+        # its nil is that summand (K = 4 against 10), and one that vanishes
+        # everywhere (K = 0)
+        alg = verify_small_inputs()["Mat_2+S3"]
+        rng = np.random.default_rng(32)
+        on_mat2 = np.concatenate([random_functional(4, rng).coords, np.zeros(6)])
+        fs = [random_functional(alg.dim, rng) for _ in range(3)]
+        fs[1:1] = [Functional(on_mat2), Functional(np.zeros(alg.dim))]
+        decs = decompose_all(alg, fs, seed=4)
+        assert [dec.quotient_dim for dec in decs] == [10, 4, 0, 10, 10]
+        assert [dec.nil.dim for dec in decs] == [0, 6, 10, 0, 0]
+        for f, dec in zip(fs, decs):
+            assert_bitwise_equal(dec, decompose_loop(alg, f, seed=4))
+
+    def test_climbing_points_match_the_loop(self):
+        alg, f = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["levels3"][0])
+        rng = np.random.default_rng(33)
+        fs = [f] + [random_functional(alg.dim, rng) for _ in range(3)]
+        decs = decompose_all(alg, fs, seed=2)
+        assert max(len(levels) for levels in decs[0].quotient_filtrations.values()) == 3
+        for f, dec in zip(fs, decs):
+            assert_bitwise_equal(dec, decompose_loop(alg, f, seed=2))
+
+    def test_empty_batch(self):
+        assert decompose_all(mat_algebra(2), []) == []
+
+    def test_singular_functional_second_raises(self):
+        alg = mat_algebra(3)
+        good = random_functional(alg.dim, np.random.default_rng(34))
+        singular = nilpotent_shift_functional()
+        with pytest.raises(SingularPencil) as alone:
+            decompose(alg, singular, seed=3)
+        with pytest.raises(SingularPencil) as batch:
+            decompose_all(alg, [good, singular, good], seed=3)
+        assert str(batch.value) == str(alone.value)
+
+    def test_first_failing_functional_in_input_order_raises(self):
+        # a wrong dimension and a non-finite pairing fail at the reduction,
+        # before the shift draw at which the singular functional fails
+        alg = mat_algebra(3)
+        good = random_functional(alg.dim, np.random.default_rng(35))
+        singular = nilpotent_shift_functional()
+        short = Functional(np.ones(4))
+        nan = Functional(np.full(alg.dim, np.nan))
+        with pytest.raises(SingularPencil):
+            decompose_all(alg, [good, singular, short, nan])
+        with pytest.raises(DimensionMismatch):
+            decompose_all(alg, [good, short, singular])
+        with pytest.raises(NonFinite):
+            decompose_all(alg, [nan, singular, short])
+        with pytest.raises(NoRegularValue, match="empty pencil") as empty:
+            choose_alpha0(reduce_pencil(alg, Functional(np.zeros(alg.dim))))
+        assert not isinstance(empty.value, SingularPencil)
+
+    def test_batched_shift_draws_match_each_pencil_alone(self):
+        # K = 9 pencils accepted at different draws (at floor 0.05 the first
+        # takes 7, the second 1) and one singular for every alpha, whose
+        # K = 8 stack finds no shift; at floor 1 no pencil finds one
+        from algscope.spectral import _choose_alpha0s
+
+        rng = np.random.default_rng(36)
+        stacks = [
+            [reduce_pencil(mat_algebra(3), random_functional(9, rng)) for _ in range(3)],
+            [reduce_pencil(mat_algebra(3), nilpotent_shift_functional())] * 2,
+            [reduce_pencil(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])))],
+        ]
+        kinds = []
+        for floor in (1e-8, 0.05, 0.075, 1.0):
+            for rps in stacks:
+                batch = _choose_alpha0s(rps, seed=7, floor=floor)
+                for rp, got in zip(rps, batch):
+                    kinds.append((floor, type(got).__name__))
+                    try:
+                        want = choose_alpha0(rp, seed=7, floor=floor)
+                    except NoRegularValue as exc:
+                        assert type(got) is type(exc) and str(got) == str(exc)
+                    else:
+                        assert got == want
+        assert {kind for floor, kind in kinds if floor == 0.05} == {"complex", "SingularPencil"}
+        assert {kind for floor, kind in kinds if floor == 1.0} == {
+            "NoRegularValue",
+            "SingularPencil",
+        }

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import inspect
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from algscope import (
+    INFINITY,
     Functional,
     ProjectivePoint,
     decompose,
@@ -46,6 +48,7 @@ from algscope.verify import (
 
 from oracles import (
     corollaries_loop,
+    dim_symmetry_scan,
     minimize_stab_dim_loop,
     perturbation_samples_loop,
     prescribed_pencil_algebra,
@@ -183,6 +186,45 @@ class TestDimSymmetry:
         assert not v.passed and v.max_residual == 3.0
         assert v.witness == (ProjectivePoint.finite(7.0), "no mirror point")
         assert stab_finding.passed
+
+    @staticmethod
+    def mirror_cases():
+        """Decompositions whose spectra have mirrors, lack them, hold 0 and
+        infinity, or put two points within ``cluster_tol`` of one inverse."""
+        rng = np.random.default_rng(23)
+        algs = [mat_algebra(3), upper_triangular(4), group_algebra(symmetric3_table())]
+        algs.append(direct_sum(mat_algebra(2), upper_triangular(3)))
+        decs = [decompose(alg, random_functional(alg.dim, rng)) for alg in algs]
+        decs += [decompose(*prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]])))]
+        dec = decompose(mat_algebra(3), diag125())
+        cases = list(decs) + [dec]
+        # each point in turn moved off its mirror, onto a value with no
+        # mirror, to 0 and to infinity
+        for i, p in enumerate(dec.points):
+            for alpha in (ProjectivePoint.finite(7.0), ProjectivePoint.finite(0.0), INFINITY):
+                moved = dataclasses.replace(p, alpha=alpha)
+                points = dec.points[:i] + (moved,) + dec.points[i + 1 :]
+                cases.append(dataclasses.replace(dec, points=points))
+        # a point within cluster_tol of another: both match one inverse
+        near = ProjectivePoint.finite(dec.points[0].alpha.value * (1 + 1e-8))
+        twin = dataclasses.replace(dec.points[0], alpha=near)
+        cases.append(dataclasses.replace(dec, points=dec.points + (twin,)))
+        return cases
+
+    def test_mirrors_match_the_scan(self):
+        cases = self.mirror_cases()
+        assert any(not all(f.passed for f in verify_dim_symmetry(dec)) for dec in cases)
+        for dec in cases:
+            got = verify_dim_symmetry(dec)
+            assert [(f.max_residual, f.witness) for f in got] == list(dim_symmetry_scan(dec))
+            assert [f.samples for f in got] == [len(dec.points)] * 2
+
+    def test_mirrors_take_no_scan(self, monkeypatch):
+        from algscope.spectral import Decomposition
+
+        dec = decompose(mat_algebra(3), diag125())
+        monkeypatch.setattr(Decomposition, "point_at", None)
+        assert all(f.passed for f in verify_dim_symmetry(dec))
 
     def test_triangular_spectrum_closed_under_inversion(self):
         alg = upper_triangular(3)
@@ -613,10 +655,11 @@ class TestLinearAlgebraCounts:
         def chain_calls(levels, from_stab):
             # Stab(alpha) unless given; per level below the multiplicity the
             # image's thin SVD, a values-only growth test and the next
-            # level's full SVD; nothing at the level that reaches it
-            calls = [] if from_stab else [((k, k), "full")]
+            # level's full SVD; nothing at the level that reaches it.  A
+            # nullspace is the SVD of a stack of one
+            calls = [] if from_stab else [((1, k, k), "full")]
             for w in levels[:-1]:
-                calls += [((k, w.shape[1]), "thin"), ((k, k), "values"), ((k, k), "full")]
+                calls += [((k, w.shape[1]), "thin"), ((k, k), "values"), ((1, k, k), "full")]
             return calls
 
         calls = self.count_svd(monkeypatch)
@@ -638,16 +681,47 @@ class TestLinearAlgebraCounts:
         assert verify_alpha0_suite(dec).passed
         assert eigs == []
         # the shifts are drawn only when a point climbs: one regularity SVD
-        # per shift (each accepted at its first draw), then the chain of
-        # each climbing point from its level 0, under one shift and then
-        # the other
+        # (of a stack of one) per shift, each accepted at its first draw,
+        # then the chain of each climbing point from its level 0, under one
+        # shift and then the other
         climbing = [levels for levels in chains if len(levels) > 1]
         assert len(draws) == (2 if climbing else 0)
         climbs = [c for levels in climbing for c in chain_calls(levels, True) * 2]
-        assert calls == [((k, k), "values")] * len(draws) + climbs
+        assert calls == [((1, k, k), "values")] * len(draws) + climbs
         # one spectral-norm projector distance per level above 0
         distances = [args for args, _ in norms if args[1:] == (2,)]
         assert len(distances) == sum(len(levels) - 1 for levels in climbing)
+
+    def test_lapack_calls_of_an_all_suite_run(self, monkeypatch):
+        # Mat_3 with 10 random functionals: K = 9 and nil = 0 for each, and
+        # alpha = 1 is the one multiple point, with Stab(1) of dimension 3
+        calls = self.count_svd(monkeypatch)
+        eigs = self.count_calls(monkeypatch, np.linalg, "eig")
+        solves = self.count_calls(monkeypatch, np.linalg, "solve")
+        dets = self.count_calls(monkeypatch, np.linalg, "det")
+        findings = run_suites(mat_algebra(3), SUITE_NAMES, 10, seed=0)
+        assert all(f.passed for f in findings)
+        # the spectrum: one solve and one eig over the batch; chi: one det
+        # per node over the batch, K + 1 = 10 nodes
+        assert (len(eigs), len(solves), len(dets)) == (1, 1, 10)
+        assert [args[0].shape for args, _ in dets] == [(10, 9, 9)] * 10
+        assert collections.Counter(calls) == {
+            # the left and right kernels of the batch, then the level 0 of
+            # its multiple points; both kernels are 0, so the intersections
+            # and the complements take no SVD
+            ((10, 9, 9), "full"): 3,
+            # every pencil accepts the first shift drawn
+            ((10, 9, 9), "values"): 1,
+            # per functional: the direct-sum check, the transversality rank
+            # and the multiplicative rank
+            ((9, 9), "values"): 30,
+            # the corollary2 and corollary3 minimizers, one stack each
+            ((33, 9, 9), "values"): 2,
+            # the minimizers' kernels: for corollary2 a reduced pencil and
+            # two stabilizers, for the perturbation suite two slot-one
+            # kernels, for corollary3 the left and right kernels
+            ((1, 9, 9), "full"): 8,
+        }
 
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
         import sys
@@ -793,36 +867,41 @@ class TestRunSuites:
             run_suites(mat_algebra(2), suites=("corollary1",), n_functionals=1)
 
     @pytest.mark.parametrize("with_v_mult", [True, False])
-    def test_one_decomposition_per_functional(self, monkeypatch, with_v_mult):
+    def test_one_batched_decomposition_per_call(self, monkeypatch, with_v_mult):
         import algscope.functional
         import algscope.spectral
         import algscope.verify
 
-        real_decompose = algscope.verify.decompose
-        real_reduce = algscope.functional.reduce_pencil
-        seeds = []
+        real_decompose_all = algscope.verify.decompose_all
+        real_reduce = algscope.functional._reduce_pencils
+        batches = []
         reductions = []
 
-        def counting_decompose(*args, **kwargs):
-            bound = inspect.signature(real_decompose).bind(*args, **kwargs)
+        def counting_decompose_all(*args, **kwargs):
+            bound = inspect.signature(real_decompose_all).bind(*args, **kwargs)
             bound.apply_defaults()
-            seeds.append(bound.arguments["seed"])
-            return real_decompose(*args, **kwargs)
+            batches.append((len(bound.arguments["fs"]), bound.arguments["seed"]))
+            return real_decompose_all(*args, **kwargs)
 
-        def counting_reduce(*args, **kwargs):
-            reductions.append(args)
-            return real_reduce(*args, **kwargs)
+        def counting_reduce(alg, fs, *args, **kwargs):
+            reductions.append(len(fs))
+            return real_reduce(alg, fs, *args, **kwargs)
 
-        monkeypatch.setattr(algscope.verify, "decompose", counting_decompose)
-        # every module that bound the name at import time
-        for module in (algscope.functional, algscope.spectral, algscope.verify):
-            monkeypatch.setattr(module, "reduce_pencil", counting_reduce)
+        def single(*args, **kwargs):
+            raise AssertionError("run_suites decomposes its functionals as one batch")
+
+        monkeypatch.setattr(algscope.verify, "decompose_all", counting_decompose_all)
+        # every module that bound the names at import time
+        for module in (algscope.functional, algscope.spectral):
+            monkeypatch.setattr(module, "_reduce_pencils", counting_reduce)
+        for module in (algscope.functional, algscope.verify):
+            monkeypatch.setattr(module, "reduce_pencil", single)
+        monkeypatch.setattr(algscope.spectral, "decompose", single)
         suites = tuple(s for s in DEFAULT_SUITES if with_v_mult or s != "v-mult")
         n = 3
         run_suites(mat_algebra(3), suites, n, seed=7)
-        assert len(seeds) == n
-        assert seeds == [7] * len(seeds)
-        assert len(reductions) == len(seeds)
+        assert batches == [(n, 7)]
+        assert reductions == [n]
 
     def test_corollary_suites_run(self):
         findings = run_suites(
