@@ -182,7 +182,7 @@ def algebra_from_doc(doc: dict) -> Algebra:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:
             raise ParseError(f"expected {dim} labels", "basis")
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(_str_in(s, f"basis[{i}]") for i, s in enumerate(labels))
     return Algebra(dim, structure, unit, labels)
 
 
@@ -349,7 +349,10 @@ class ReportDocument:
                 _real_in(_field(f, "max_residual", "findings"), "findings.max_residual"),
                 _witness_in(f.get("witness")),
                 _int_in(f.get("samples", 0), "findings.samples"),
-                tuple(_list_in(f.get("notes", []), "findings.notes")),
+                tuple(
+                    _str_in(note, "findings.notes")
+                    for note in _list_in(f.get("notes", []), "findings.notes")
+                ),
             )
             for f in _list_in(doc.get("findings", []), "findings")
         )

@@ -5,22 +5,30 @@ Proved identities (the kernel product relations, shift-independence of the
 filtration, product inclusions between filtration levels over pairs of
 finite and of nonzero points, the dimension symmetries) must pass on any
 valid input; a failure always indicates a defect or a conditioning problem
-and carries a witness reproducing the worst case.  The regular-functional
-identities hold only at a functional that locally minimizes the relevant
-kernel dimension, so the suite provides an empirical minimizer and a
-deliberate negative control.
+and carries a witness reproducing the worst case; a passing one names none.
+The regular-functional identities hold only at a functional that locally
+minimizes the relevant kernel dimension, so the suite provides an empirical
+minimizer and a deliberate negative control.  Every suite reads one
+analysis: kernels, a decomposition, or a minimizer's reduced pencil.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import Algebra, pairwise_products
-from .functional import Functional, Kernels, gram, kernels, random_functional, reduce_pencil
-from .linalg import ProjectivePoint, Subspace, nullspace, rank, stack_ranks
+from .functional import (
+    Functional,
+    Kernels,
+    ReducedPencil,
+    kernels,
+    random_functional,
+    reduce_pencil,
+)
+from .linalg import INFINITY, ProjectivePoint, Subspace, rank, stack_ranks
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
@@ -92,12 +100,14 @@ class Finding:
     notes: tuple[str, ...] = ()
 
 
-def _first_worst(res: np.ndarray) -> tuple[float, tuple | None]:
-    """The largest of ``res`` and its index, the first in C order, or (0.0,
-    None) when ``res`` is empty or zero."""
+def _first_worst(res: np.ndarray, tol: float) -> tuple[float, tuple | None]:
+    """The largest of ``res`` (0.0 when empty) and, when it reaches ``tol``,
+    its index, the first in C order.  Below ``tol`` the residuals are
+    round-off, whose argmax any reordering of the arithmetic moves, so the
+    index is None."""
     worst = float(res.max()) if res.size else 0.0
-    if worst == 0.0:
-        return 0.0, None
+    if worst < tol:
+        return worst, None
     return worst, tuple(int(i) for i in np.unravel_index(np.argmax(res), res.shape))
 
 
@@ -131,9 +141,9 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Fi
         prods = pairwise_products(alg, xs.frame, ys.frame)
         res = target.residual(prods.reshape(-1, alg.dim).T).reshape(xs.dim, ys.dim)
         samples += res.size
-        local, at = _first_worst(res)
+        local, at = _first_worst(res, tol)
         if local > worst:
-            worst, witness = local, (name,) + at
+            worst, witness = local, at and (name,) + at
     return Finding(KERNEL_RELATIONS, worst < tol, worst, witness, samples)
 
 
@@ -386,26 +396,6 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
 # regular functionals
 
 
-def _slot_one_combination(
-    alg: Algebra, f: Functional, lambda0: complex, mu0: complex
-) -> tuple[np.ndarray, float]:
-    """The pencil combination acting on the first slot of the pairing,
-    ``lambda0 a^T + mu0 a``, with its pre-cancellation scale."""
-    g = gram(alg, f)
-    m = lambda0 * g.at + mu0 * g.a
-    scale = (abs(lambda0) + abs(mu0)) * max(float(np.linalg.norm(g.a, "fro")), 1e-300)
-    return m, scale
-
-
-def _slot_one_kernel(
-    alg: Algebra, f: Functional, lambda0: complex, mu0: complex, tol: float
-) -> Subspace:
-    """Kernel of the pencil combination acting on the first slot of the
-    pairing: {x : lambda0 F(x z) + mu0 F(z x) = 0 for all z}."""
-    m, scale = _slot_one_combination(alg, f, lambda0, mu0)
-    return nullspace(m, tol, scale=scale)
-
-
 def _perturbed_coords(
     f_start: Functional, s_basis: list[Functional], samples: int, seed: int
 ) -> np.ndarray:
@@ -439,9 +429,9 @@ def minimize_stab_dim(
     The sample stream is a deterministic function of the seed, evaluated as a
     prefix, so more samples can only lower the result.  The pairing matrices
     of all candidates come from one contraction, their pencil combinations
-    (those of :func:`_slot_one_combination`) and scales are formed as
-    arrays, and their ranks come from one stacked values-only SVD
-    (:func:`algscope.linalg.stack_ranks`).
+    and scales are formed as arrays, and their ranks come from one stacked
+    values-only SVD (:func:`algscope.linalg.stack_ranks`).  The candidates
+    are ranked, never reduced: the suites read the winner's reduced pencil.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -455,62 +445,70 @@ def minimize_stab_dim(
     return (Functional(coords[best].copy()) if best else f_start), int(dims[best])
 
 
+def _stab_pair(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[Subspace, Subspace]:
+    """Stab(alpha) and Stab(1/alpha) of ``rp`` at its own rank tolerance,
+    with one nullspace when 1/alpha == alpha."""
+    xs = stab(rp, alpha, rp.nil.tol)
+    inverse = alpha.inverse()
+    return xs, (xs if inverse == alpha else stab(rp, inverse, rp.nil.tol))
+
+
 def verify_regular_perturbation(
     alg: Algebra,
-    f_min: Functional,
+    rp: ReducedPencil,
     lambda0: complex,
     mu0: complex,
     s_basis: list[Functional],
     tol: float = 1e-6,
-    rank_tol: float = DEFAULT_TOL,
 ) -> Finding:
     """At a kernel-dimension minimizer, every direction G of the perturbation
     space annihilates ``lambda0 x y + mu0 y x`` for x in the kernel of
-    ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination."""
-    xs = _slot_one_kernel(alg, f_min, lambda0, mu0, rank_tol)
-    ys = _slot_one_kernel(alg, f_min, mu0, lambda0, rank_tol)
+    ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination.
+    These are Stab(alpha) and Stab(1/alpha) of the minimizer's reduced
+    pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0);
+    (0, 0) raises :class:`ValueError`."""
+    if lambda0 == 0 and mu0 == 0:
+        raise ValueError("lambda0 and mu0 must not both be 0")
+    alpha = INFINITY if lambda0 == 0 else ProjectivePoint.finite(-mu0 / lambda0)
+    xs, ys = _stab_pair(rp, alpha)
     xy = pairwise_products(alg, xs.frame, ys.frame)
     yx = pairwise_products(alg, ys.frame, xs.frame).transpose(1, 0, 2)
     directions = np.array([g.coords for g in s_basis], dtype=complex).reshape(-1, alg.dim)
     w = lambda0 * xy + mu0 * yx
     res = np.abs(w @ directions.T) / (1.0 + np.linalg.norm(directions, axis=1))
-    worst, witness = _first_worst(res)
+    worst, witness = _first_worst(res, tol)
     return Finding(REGULAR_PERTURBATION, worst < tol, worst, witness, res.size)
 
 
 def verify_corollaries(
-    alg: Algebra,
-    f_min: Functional,
-    alpha: ProjectivePoint,
-    tol: float = 1e-6,
-    rank_tol: float = DEFAULT_TOL,
+    alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint, tol: float = 1e-6
 ) -> Finding:
-    """Element-level identities at a stabilizer-dimension minimizer.
+    """Element-level identities at a stabilizer-dimension minimizer, read
+    from its reduced pencil ``rp``.
 
     alpha = 1: the stabilizer is a commutative subalgebra (commutators
-    vanish).  alpha = 0: products of Stab(0) with Stab(infinity) vanish and
-    nil squares to zero.  Other finite alpha: x y = alpha y x for x in
-    Stab(alpha), y in Stab(1/alpha).
+    vanish).  alpha = 0: products of Stab(0) with Stab(infinity), the left
+    and right kernels ``rp.kernels``, vanish and nil squares to zero.  Other
+    finite alpha: x y = alpha y x for x in Stab(alpha), y in Stab(1/alpha).
     """
     if alpha.is_infinite:
         raise ValueError("corollaries are stated for finite alpha")
     if alpha.value == 0:
-        ker = kernels(alg, f_min, rank_tol)
+        ker = rp.kernels
         stab_res = np.linalg.norm(pairwise_products(alg, ker.left.frame, ker.right.frame), axis=-1)
         nil_res = np.linalg.norm(pairwise_products(alg, ker.nil.frame, ker.nil.frame), axis=-1)
         # max keeps the first of equal residuals, as the loop order did
         (worst, at), label = max(
-            ((_first_worst(stab_res), "stab0*stabinf"), (_first_worst(nil_res), "nil*nil")),
+            (_first_worst(stab_res, tol), "stab0*stabinf"),
+            (_first_worst(nil_res, tol), "nil*nil"),
             key=lambda found: found[0][0],
         )
         witness = at and (label,) + at
         return Finding(COROLLARY_3, worst < tol, worst, witness, stab_res.size + nil_res.size)
-    rp = reduce_pencil(alg, f_min, rank_tol)
-    xs = stab(rp, alpha, rank_tol)
-    ys = stab(rp, alpha.inverse(), rank_tol)
+    xs, ys = _stab_pair(rp, alpha)
     xy = pairwise_products(alg, xs.frame, ys.frame)
     yx = pairwise_products(alg, ys.frame, xs.frame).transpose(1, 0, 2)
-    worst, witness = _first_worst(np.linalg.norm(xy - alpha.value * yx, axis=-1))
+    worst, witness = _first_worst(np.linalg.norm(xy - alpha.value * yx, axis=-1), tol)
     theorem_id = COROLLARY_2 if alpha.value == 1 else COROLLARY_1
     return Finding(theorem_id, worst < tol, worst, witness, xs.dim * ys.dim)
 
@@ -523,18 +521,11 @@ def negative_control_finding(alg: Algebra, tol: float = 1e-6) -> Finding:
     The returned finding reports the underlying check; the control *passes*
     exactly when that check fails, guarding against vacuously green suites.
     """
-    control = Functional(alg.unit.copy())
+    control = reduce_pencil(alg, Functional(alg.unit.copy()), DEFAULT_TOL)
     inner = verify_corollaries(alg, control, ProjectivePoint.finite(1.0), tol)
-    detected = not inner.passed
     notes = ("negative control: expected the commutativity check to fail",)
-    return Finding(
-        inner.theorem_id,
-        inner.passed,
-        inner.max_residual,
-        inner.witness,
-        inner.samples,
-        notes + (("control detected",) if detected else ("control NOT detected",)),
-    )
+    detected = "control NOT detected" if inner.passed else "control detected"
+    return replace(inner, notes=notes + (detected,))
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +548,8 @@ def run_suites(
     and read each one's decomposition; ``v-mult`` checks both of its
     variants on one product tensor of it, and ``kernel-relations`` and
     ``nil-ideal`` read the kernels its reduced pencil keeps.  The
-    regular-functional suites run once at the sampled minimizer."""
+    regular-functional suites run once at a sampled minimizer, reduced once
+    at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil."""
     from .functional import is_multiplicative, nil_ideal_check
 
     unknown = [s for s in suites if s not in SUITE_NAMES]
@@ -602,14 +594,14 @@ def run_suites(
     f_start = fs[0] if fs else random_functional(alg.dim, rng)
     if "corollary2" in suites or "perturbation" in suites:
         f_min, _ = minimize_stab_dim(alg, 1.0, -1.0, full_dual, f_start, seed=seed, tol=rank_tol)
+        rp = reduce_pencil(alg, f_min, rank_tol)
         if "corollary2" in suites:
-            findings.append(verify_corollaries(alg, f_min, ProjectivePoint.finite(1.0)))
+            findings.append(verify_corollaries(alg, rp, ProjectivePoint.finite(1.0)))
         if "perturbation" in suites:
-            findings.append(
-                verify_regular_perturbation(alg, f_min, 1.0, -1.0, full_dual, rank_tol=rank_tol)
-            )
+            findings.append(verify_regular_perturbation(alg, rp, 1.0, -1.0, full_dual))
     if "corollary3" in suites:
         f_min0, _ = minimize_stab_dim(alg, 1.0, 0.0, full_dual, f_start, seed=seed, tol=rank_tol)
-        findings.append(verify_corollaries(alg, f_min0, ProjectivePoint.finite(0.0)))
+        rp0 = reduce_pencil(alg, f_min0, rank_tol)
+        findings.append(verify_corollaries(alg, rp0, ProjectivePoint.finite(0.0)))
     findings.sort(key=lambda fi: fi.theorem_id)  # stable: preserves input index order
     return findings

@@ -16,6 +16,29 @@ def pairing_entry(alg, f_coords, p, q):
     return total
 
 
+def pairing_matrix(alg, f_coords):
+    """The pairing a[p, q] = F(e_p e_q), entry by entry."""
+    n = alg.dim
+    a = np.zeros((n, n), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            a[p, q] = pairing_entry(alg, f_coords, p, q)
+    return a
+
+
+def slot_one_combination(alg, f_coords, lambda0, mu0):
+    """The matrix of x -> lambda0 F(x e_q) + mu0 F(e_q x), row q by row q,
+    and its pre-cancellation scale (|lambda0| + |mu0|) |a|_F."""
+    a = pairing_matrix(alg, f_coords)
+    scale = (abs(lambda0) + abs(mu0)) * max(float(np.linalg.norm(a)), 1e-300)
+    return lambda0 * a.T + mu0 * a, scale
+
+
+def slot_one_kernel(alg, f_coords, lambda0, mu0):
+    """Orthonormal frame of {x : lambda0 F(x z) + mu0 F(z x) = 0 for all z}."""
+    return raw_kernel(*slot_one_combination(alg, f_coords, lambda0, mu0))
+
+
 def raw_kernel(matrix, floor_scale):
     """Orthonormal kernel basis with an absolute singular-value floor."""
     u, s, vh = np.linalg.svd(matrix)
@@ -49,10 +72,7 @@ def filtration_dims_fullspace(alg, f_coords, alpha, alpha0, max_steps=None):
     of x lies in the column span of the alpha0-condition matrix applied to
     level k."""
     n = alg.dim
-    a = np.zeros((n, n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            a[p, q] = pairing_entry(alg, f_coords, p, q)
+    a = pairing_matrix(alg, f_coords)
     if alpha is None:
         cond_alpha = a  # rows q: F(e_q x)
     else:
@@ -297,10 +317,9 @@ def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed
     dimension)."""
     from algscope import Functional
     from algscope.linalg import rank
-    from algscope.verify import _slot_one_combination
 
     def kernel_dim(f):
-        m, scale = _slot_one_combination(alg, f, lambda0, mu0)
+        m, scale = slot_one_combination(alg, f.coords, lambda0, mu0)
         return alg.dim - rank(m, tol, scale=scale)
 
     best_f = f_start
@@ -392,24 +411,29 @@ def det_poly_exact(a, b):
     return [sympy.Rational(c) for c in ascending] + [sympy.Rational(0)] * (k + 1 - len(ascending))
 
 
-def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, rank_tol=1e-9):
+def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, frames=None):
     """The regular perturbation identity pair by pair: for every column x of
     the kernel of ``lambda0 a + mu0 a^T``, every column y of the swapped
     kernel and every direction G, in that order, one product at a time.
-    Returns (worst |G(lambda0 x y + mu0 y x)| / (1 + |G|), first (i, j, g)
-    reaching it or None, number of samples)."""
+    The kernels are :func:`slot_one_kernel`'s, or the pair of frames
+    ``frames`` spanning them, since the residual and the witness depend on
+    the frames.  Returns (worst |G(lambda0 x y + mu0 y x)| / (1 + |G|),
+    first (i, j, g) reaching it or None, number of samples)."""
     from algscope import multiply
-    from algscope.verify import _slot_one_kernel
 
-    xs = _slot_one_kernel(alg, f_min, lambda0, mu0, rank_tol)
-    ys = _slot_one_kernel(alg, f_min, mu0, lambda0, rank_tol)
+    if frames is None:
+        frames = (
+            slot_one_kernel(alg, f_min.coords, lambda0, mu0),
+            slot_one_kernel(alg, f_min.coords, mu0, lambda0),
+        )
+    xs, ys = frames
     worst = 0.0
     witness = None
     samples = 0
-    for i in range(xs.dim):
-        for j in range(ys.dim):
-            x = xs.frame[:, i]
-            y = ys.frame[:, j]
+    for i in range(xs.shape[1]):
+        for j in range(ys.shape[1]):
+            x = xs[:, i]
+            y = ys[:, j]
             w = lambda0 * multiply(alg, x, y).coords + mu0 * multiply(alg, y, x).coords
             for gi, g in enumerate(s_basis):
                 r = abs(complex(w @ g.coords)) / (1.0 + float(np.linalg.norm(g.coords)))

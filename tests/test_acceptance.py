@@ -194,10 +194,11 @@ def test_criterion_8_regular_functionals():
                 alg, 1.0, -1.0, full_dual, random_functional(alg.dim, rng), samples=32, seed=8
             )
             assert dim == n  # the commutant of a generic matrix
-            cor2 = verify_corollaries(alg, f_min, ProjectivePoint.finite(1.0), tol=1e-6)
+            rp = reduce_pencil(alg, f_min)
+            cor2 = verify_corollaries(alg, rp, ProjectivePoint.finite(1.0), tol=1e-6)
             assert cor2.passed and cor2.max_residual < 1e-6
             # corollary 1 at alpha = 1 is the same element identity ||xy - yx||
-            cor1 = verify_corollaries(alg, f_min, ProjectivePoint.finite(1.0), tol=1e-6)
+            cor1 = verify_corollaries(alg, rp, ProjectivePoint.finite(1.0), tol=1e-6)
             assert cor1.max_residual < 1e-6
         control = negative_control_finding(mat_algebra(2), tol=1e-6)
         assert not control.passed  # Stab(1) = all of Mat2 is not commutative

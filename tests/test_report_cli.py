@@ -110,6 +110,14 @@ class TestFileRoundTrips:
         with pytest.raises(ParseError, match="unit"):
             algebra_from_doc({"dim": 2, "unit": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("label", [None, 3, ["E11"]])
+    def test_non_string_basis_label_rejected(self, label):
+        # a label is kept as written, never coerced: null is not the label "None"
+        doc = {"dim": 2, "unit": [[1.0, 0.0], [0.0, 0.0]], "basis": ["1", label]}
+        with pytest.raises(ParseError) as caught:
+            algebra_from_doc(doc)
+        assert str(caught.value).startswith("basis[1]: expected a string")
+
 
 class TestReportRoundTrip:
     def test_analyze_report_round_trip_is_lossless(self):
@@ -191,6 +199,15 @@ class TestReportRoundTrip:
                     ],
                 },
                 "findings.notes: expected a list",
+            ),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [
+                        {"theorem_id": "T", "passed": True, "max_residual": 0.0, "notes": [1, None]}
+                    ],
+                },
+                "findings.notes: expected a string",
             ),
             (
                 {"kind": "verify", "checks": [{"name": "c", "passed": 1, "residual": 0.0}]},
@@ -325,6 +342,8 @@ class TestCli:
             (("dim",), "9", "dim: expected an integer"),
             (("dim",), None, "dim: expected an integer"),
             (("dim",), MISSING, "algebra: missing field 'dim'"),
+            (("basis", 0), None, "basis[0]: expected a string"),
+            (("basis", 4), 22, "basis[4]: expected a string"),
         ],
     )
     def test_analyze_malformed_value_is_usage_error(self, workdir, capsys, path, value, message):

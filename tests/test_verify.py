@@ -9,6 +9,7 @@ from algscope import (
     INFINITY,
     Functional,
     ProjectivePoint,
+    Subspace,
     decompose,
     direct_sum,
     dual_numbers,
@@ -22,7 +23,9 @@ from algscope import (
     opposite,
     projector_distance,
     random_functional,
+    reduce_pencil,
     run_suites,
+    stab,
     symmetric3_table,
     upper_triangular,
     verify_alpha0_suite,
@@ -54,6 +57,8 @@ from oracles import (
     prescribed_pencil_algebra,
     product_inclusions_pairwise,
     regular_perturbation_loop,
+    slot_one_kernel,
+    stab_fullspace,
     stab_transversality_pairwise,
 )
 
@@ -323,7 +328,7 @@ class TestRegularFunctionals:
         f_min, _ = minimize_stab_dim(
             alg, 1.0, -1.0, full_dual(alg.dim), random_functional(alg.dim, rng), seed=4
         )
-        finding = verify_corollaries(alg, f_min, ProjectivePoint.finite(1.0))
+        finding = verify_corollaries(alg, reduce_pencil(alg, f_min), ProjectivePoint.finite(1.0))
         assert finding.theorem_id == COROLLARY_2
         assert finding.passed and finding.max_residual < 1e-6
 
@@ -334,7 +339,8 @@ class TestRegularFunctionals:
         f_min, _ = minimize_stab_dim(
             alg, 1.0, -1.0, full_dual(alg.dim), random_functional(alg.dim, rng), seed=5
         )
-        finding = verify_regular_perturbation(alg, f_min, 1.0, -1.0, full_dual(alg.dim))
+        rp = reduce_pencil(alg, f_min)
+        finding = verify_regular_perturbation(alg, rp, 1.0, -1.0, full_dual(alg.dim))
         assert finding.passed and finding.max_residual < 1e-6
 
     def test_perturbation_theorem_restricted_direction(self):
@@ -343,7 +349,7 @@ class TestRegularFunctionals:
         # gives F(x y - 2 y x) = 0 there
         alg = mat_algebra(2)
         f = matrix_trace_functional(np.diag([1.0, 2.0]))
-        finding = verify_regular_perturbation(alg, f, 1.0, -2.0, [f])
+        finding = verify_regular_perturbation(alg, reduce_pencil(alg, f), 1.0, -2.0, [f])
         assert finding.passed and finding.samples == 1
 
     def test_corollary3_on_triangular(self):
@@ -351,7 +357,7 @@ class TestRegularFunctionals:
         f0 = Functional(np.array([1.0, 1.0, 2.0]))
         f_min, dim = minimize_stab_dim(alg, 1.0, 0.0, full_dual(3), f0, seed=6)
         assert dim == 1
-        finding = verify_corollaries(alg, f_min, ProjectivePoint.finite(0.0))
+        finding = verify_corollaries(alg, reduce_pencil(alg, f_min), ProjectivePoint.finite(0.0))
         assert finding.theorem_id == COROLLARY_3
         assert finding.passed and finding.max_residual < 1e-10
 
@@ -364,7 +370,8 @@ class TestRegularFunctionals:
     def test_identities_may_fail_away_from_the_minimizer(self):
         # direct check at the non-minimal functional: Stab(1) is all of Mat2
         alg = mat_algebra(2)
-        finding = verify_corollaries(alg, Functional(alg.unit.copy()), ProjectivePoint.finite(1.0))
+        unit = reduce_pencil(alg, Functional(alg.unit.copy()))
+        finding = verify_corollaries(alg, unit, ProjectivePoint.finite(1.0))
         assert not finding.passed
 
 
@@ -401,6 +408,69 @@ def _regular_cases():
 REGULAR_CASES = _regular_cases()
 
 
+def perturbation_pairs(alpha):
+    """(lambda0, mu0) pencil combinations for a case at ``alpha``, and the
+    swapped pairs: each names Stab(-mu0 / lambda0), infinity at lambda0 = 0,
+    and its swap the inverse point."""
+    pairs = [(1.0, -1.0), (1.0, -alpha), (1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
+    return pairs + [(mu0, lambda0) for lambda0, mu0 in pairs]
+
+
+def perturbation_point(lambda0, mu0):
+    return INFINITY if lambda0 == 0 else ProjectivePoint.finite(-mu0 / lambda0)
+
+
+class TestStabilizerRoute:
+    """The regular-functional suites read Stab(alpha) and Stab(1/alpha) with
+    ``stab`` on the minimizer's reduced pencil; that route agrees with the
+    defining conditions assembled from the structure constants."""
+
+    @pytest.mark.parametrize("case", REGULAR_CASES, ids=lambda case: case[0])
+    def test_stab_matches_the_fullspace_oracles(self, case):
+        _, alg, f, alpha = case
+        rp = reduce_pencil(alg, f)
+        for lambda0, mu0 in perturbation_pairs(alpha):
+            point = perturbation_point(lambda0, mu0)
+            got = stab(rp, point, rp.nil.tol)
+            value = None if point.is_infinite else point.value
+            for frame in (
+                stab_fullspace(alg, f.coords, value),
+                slot_one_kernel(alg, f.coords, lambda0, mu0),
+            ):
+                oracle = Subspace(alg.dim, frame, 1e-9)
+                assert got.dim == oracle.dim, (lambda0, mu0)
+                assert projector_distance(got, oracle) < 1e-8, (lambda0, mu0)
+
+    def test_zero_combination_is_rejected(self):
+        alg = mat_algebra(2)
+        rp = reduce_pencil(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
+        with pytest.raises(ValueError, match="both be 0"):
+            verify_regular_perturbation(alg, rp, 0.0, 0.0, full_dual(4))
+
+    def test_self_inverse_point_takes_one_nullspace(self, monkeypatch):
+        import algscope.verify as verify
+
+        calls = []
+        real = verify.stab
+
+        def counted(rp, alpha, tol):
+            calls.append(alpha)
+            return real(rp, alpha, tol)
+
+        monkeypatch.setattr(verify, "stab", counted)
+        alg = mat_algebra(3)
+        rp = reduce_pencil(alg, diag125())
+        verify_corollaries(alg, rp, ProjectivePoint.finite(1.0))
+        verify_regular_perturbation(alg, rp, 1.0, 1.0, full_dual(9))
+        verify_regular_perturbation(alg, rp, 1.0, -2.0, full_dual(9))
+        assert calls == [
+            ProjectivePoint.finite(1.0),
+            ProjectivePoint.finite(-1.0),
+            ProjectivePoint.finite(2.0),
+            ProjectivePoint.finite(0.5),
+        ]
+
+
 class TestLoopReferences:
     """The vectorised element identities match the pair-by-pair loops they
     replaced: the same verdict and samples, residuals within 1e-14, and on a
@@ -411,41 +481,52 @@ class TestLoopReferences:
         worst, witness, samples = reference
         assert (finding.passed, finding.samples) == (worst < 1e-6, samples)
         assert abs(finding.max_residual - worst) <= 1e-14
-        if not finding.passed:
-            assert finding.witness == witness
+        assert finding.witness == (None if finding.passed else witness)
         return finding
 
     @pytest.mark.parametrize("case", REGULAR_CASES, ids=lambda case: case[0])
     def test_corollaries(self, case):
         _, alg, f, alpha = case
         point = ProjectivePoint.finite(alpha)
-        self.assert_agree(verify_corollaries(alg, f, point), corollaries_loop(alg, f, point))
+        finding = verify_corollaries(alg, reduce_pencil(alg, f), point)
+        self.assert_agree(finding, corollaries_loop(alg, f, point))
 
     @pytest.mark.parametrize("case", REGULAR_CASES, ids=lambda case: case[0])
     def test_regular_perturbation(self, case):
         _, alg, f, alpha = case
-        for lambda0, mu0 in ((1.0, -1.0), (1.0, -alpha), (1.0, 0.0)):
+        rp = reduce_pencil(alg, f)
+        for lambda0, mu0 in perturbation_pairs(alpha):
             args = (alg, f, lambda0, mu0, full_dual(alg.dim))
-            self.assert_agree(verify_regular_perturbation(*args), regular_perturbation_loop(*args))
+            finding = verify_regular_perturbation(alg, rp, *args[2:])
+            # the residual and the witness depend on the frames: the loop
+            # over the stabilizers the suite reads gives both
+            point = perturbation_point(lambda0, mu0)
+            frames = (stab(rp, point).frame, stab(rp, point.inverse()).frame)
+            self.assert_agree(finding, regular_perturbation_loop(*args, frames=frames))
+            # the loop over the oracle's own kernels gives the verdict
+            worst, _, samples = regular_perturbation_loop(*args)
+            assert (finding.passed, finding.samples) == (worst < 1e-6, samples)
 
     def test_restricted_direction(self):
         alg = mat_algebra(2)
         f = matrix_trace_functional(np.diag([1.0, 2.0]))
         args = (alg, f, 1.0, -2.0, [f])
         reference = regular_perturbation_loop(*args)
-        assert self.assert_agree(verify_regular_perturbation(*args), reference).samples == 1
+        finding = verify_regular_perturbation(alg, reduce_pencil(alg, f), 1.0, -2.0, [f])
+        assert self.assert_agree(finding, reference).samples == 1
 
     def test_cases_cover_failures_and_empty_kernels(self):
         findings = [
-            verify_corollaries(alg, f, ProjectivePoint.finite(alpha))
+            verify_corollaries(alg, reduce_pencil(alg, f), ProjectivePoint.finite(alpha))
             for _, alg, f, alpha in REGULAR_CASES
         ]
         assert sum(not f.passed for f in findings) >= 3
         assert any(f.samples == 0 for f in findings)
         assert any(f.theorem_id == COROLLARY_3 and not f.passed for f in findings)
-        unit = Functional(mat_algebra(2).unit.copy())
-        perturbation = verify_regular_perturbation(mat_algebra(2), unit, 1.0, -1.0, full_dual(4))
-        assert not perturbation.passed
+        alg = mat_algebra(2)
+        unit = reduce_pencil(alg, Functional(alg.unit.copy()))
+        perturbation = verify_regular_perturbation(alg, unit, 1.0, -1.0, full_dual(4))
+        assert not perturbation.passed and perturbation.witness is not None
 
     def test_negative_control(self):
         for alg in (mat_algebra(2), mat_algebra(3), group_algebra(symmetric3_table())):
@@ -717,10 +798,11 @@ class TestLinearAlgebraCounts:
             ((9, 9), "values"): 30,
             # the corollary2 and corollary3 minimizers, one stack each
             ((33, 9, 9), "values"): 2,
-            # the minimizers' kernels: for corollary2 a reduced pencil and
-            # two stabilizers, for the perturbation suite two slot-one
-            # kernels, for corollary3 the left and right kernels
-            ((1, 9, 9), "full"): 8,
+            # the minimizers' reduced pencils, two kernels each: corollary2
+            # and the perturbation suite share one, and each reads its
+            # Stab(1), which is its own inverse; corollary3 reads the
+            # kernels of the other
+            ((1, 9, 9), "full"): 6,
         }
 
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
@@ -902,6 +984,20 @@ class TestRunSuites:
         run_suites(mat_algebra(3), suites, n, seed=7)
         assert batches == [(n, 7)]
         assert reductions == [n]
+
+    def test_passing_findings_name_no_witness(self):
+        # a passing finding's residuals are round-off, whose argmax any
+        # reordering of the arithmetic moves, so every suite names a witness
+        # only when it fails
+        findings = run_suites(upper_triangular(5), SUITE_NAMES, 3, seed=1)
+        assert {f.theorem_id for f in findings} >= {
+            "KernelRelations",
+            COROLLARY_2,
+            COROLLARY_3,
+            "RegularPerturbation",
+        }
+        assert all(f.passed for f in findings)
+        assert [f for f in findings if f.witness is not None] == []
 
     def test_corollary_suites_run(self):
         findings = run_suites(
