@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
     )
     control_detected = None
     if args.negative_control:
-        control = negative_control_finding(alg)
+        control = negative_control_finding(alg, rank_tol=args.tol)
         findings = list(findings) + [control]
         control_detected = not control.passed
     report = report_from_findings(findings, seed, args.tol, args.cluster_tol)

@@ -285,11 +285,12 @@ def subspace_equal(a: Subspace, b: Subspace, tol: float) -> bool:
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
+    """Operator-norm distance of the two orthogonal projectors; 0.0, with no
+    SVD, when both subspaces are zero."""
     _check_ambient(a, b)
-    d = a.projector() - b.projector()
-    if d.size == 0:
+    if a.dim == b.dim == 0:
         return 0.0
-    return float(np.linalg.norm(d, ord=2))
+    return float(np.linalg.norm(a.projector() - b.projector(), ord=2))
 
 
 def complement(a: Subspace) -> Subspace:

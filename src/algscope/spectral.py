@@ -29,9 +29,12 @@ is spanned by the eigenvector, with no rank decision at all.  The other
 points climb their chains, each on its own, up to the multiplicity.  A
 spectrum that miscounts a point cannot hide behind this: the dimension
 check and the direct-sum rank test of :func:`decompose` still see it.  The
-levels are kept as quotient frames and lifted on demand to subspaces of the
-full algebra containing nil, so downstream product tests multiply honest
-algebra elements.
+levels are kept as quotient frames.  The product tests multiply honest
+algebra elements, the columns ``[Q W, nil]`` of each level, and measure
+each product in quotient coordinates: every level contains nil and
+``[Q, nil]`` is unitary, so no level needs a lift.
+:attr:`Decomposition.filtrations` lifts the levels to subspaces of the full
+algebra on first access, for the report's frames and the public API.
 
 Level 0 does not involve the shift, so shift independence has content only
 above it: :func:`verify_alpha0_independence` checks a level 0 by its
@@ -45,6 +48,7 @@ implementation, written over a stack; the single-pencil functions
 (:func:`algscope.functional.reduce_pencil`, :func:`choose_alpha0`,
 :func:`char_poly`, :func:`spectrum`, :func:`algscope.linalg.nullspace`)
 call it with a stack of one, and :func:`decompose` is the batch of one.
+The invariant checks, too, run once over each stack.
 numpy runs on each matrix of a stack the routine a single call runs on it,
 so the rule is bitwise equality: each decomposition of a batch equals the
 one its functional gets alone, bit for bit.
@@ -72,6 +76,7 @@ from .linalg import (
     orthonormal_columns,
     pencil_eigen,
     rank,
+    stack_ranks,
 )
 
 __all__ = [
@@ -347,11 +352,17 @@ def _filtration_reduced(
     return chain
 
 
+def _lift_frame(rp: ReducedPencil, quotient_frame_cols: np.ndarray) -> np.ndarray:
+    """Frame of the preimage in the full algebra: the quotient directions
+    ``Q w``, then all of nil.  ``[Q, nil]`` is unitary, so the frame is
+    orthonormal when the quotient columns are."""
+    return np.hstack([rp.quotient_frame @ quotient_frame_cols, rp.nil.frame])
+
+
 def _lift(rp: ReducedPencil, quotient_frame_cols: np.ndarray, tol: float) -> Subspace:
-    """Preimage in the full algebra: quotient directions plus all of nil."""
-    ambient = rp.nil.ambient_dim
-    frame = np.hstack([rp.quotient_frame @ quotient_frame_cols, rp.nil.frame])
-    return Subspace(ambient, frame, tol)
+    """A filtration level as a subspace of the full algebra: quotient
+    directions plus all of nil."""
+    return Subspace(rp.nil.ambient_dim, _lift_frame(rp, quotient_frame_cols), tol)
 
 
 def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) -> Subspace:
@@ -362,7 +373,8 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
     {x : F(z x) = 0 for all z} at infinity.
     """
     m, scale = _slot_one_operator(rp, alpha)
-    return _lift(rp, nullspace(m, tol, scale=scale).frame, tol)
+    frame = _lift_frame(rp, nullspace(m, tol, scale=scale).frame)
+    return Subspace(rp.nil.ambient_dim, frame, tol)
 
 
 def jordan_filtration(
@@ -377,130 +389,182 @@ def jordan_filtration(
 
 
 def _stab_residuals(
-    rp: ReducedPencil, alphas: list[ProjectivePoint], frames: list[np.ndarray]
-) -> list[float]:
-    """How far each quotient frame ``frames[i]`` lies from Stab(alphas[i]):
-    the largest ``|(a~^T - alpha a~) w| / ((1 + |alpha|) scale)`` over its
+    rps: list[ReducedPencil], alphas: list[list[ProjectivePoint]], frames: list[list[np.ndarray]]
+) -> list[list[float]]:
+    """How far each quotient frame ``frames[c][i]`` lies from
+    Stab(alphas[c][i]) of the pencil ``rps[c]``, all of one size K: the
+    largest ``|(a~^T - alpha a~) w| / ((1 + |alpha|) scale)`` over its
     columns w, ``|a~ w| / scale`` at infinity, with ``scale`` the pencil
-    scale.  Since sigma_min <= |S w| for a unit w, a residual below ``tol``
-    means the rank decision at the same cutoff would find
-    dim Stab(alpha) >= 1.  All frames go through two products with their
-    stacked columns."""
-    widths = np.array([w.shape[1] for w in frames], dtype=int)
-    infinite = np.repeat([alpha.is_infinite for alpha in alphas], widths).astype(bool)
-    values = np.repeat([0j if alpha.is_infinite else alpha.value for alpha in alphas], widths)
-    stacked = np.hstack([*frames, np.zeros((rp.K, 0))])
-    a_frames = rp.a_tilde @ stacked
-    images = np.where(infinite, a_frames, rp.at_tilde @ stacked - values * a_frames)
-    scales = np.where(infinite, 1.0, 1.0 + np.abs(values)) * rp.pencil_scale()
-    res = np.linalg.norm(images, axis=0) / scales
-    # the largest of each frame's columns, from its first column to the
-    # next frame's; the appended 0 gives a trailing empty frame an index
-    worst = np.maximum.reduceat(np.append(res, 0.0), np.cumsum(widths) - widths)
-    return np.where(widths > 0, worst, 0.0).tolist()
+    scale, and 0.0 for a frame with no columns.  Since sigma_min <= |S w|
+    for a unit w, a residual below ``tol`` means the rank decision at the
+    same cutoff would find dim Stab(alpha) >= 1.  The pencils whose frames
+    have the same number of columns in all go through two stacked products
+    with their columns side by side, which hand each pencil's matrices to
+    the routine a pencil alone gets, so a pencil's residuals have the same
+    bits in a stack of any size."""
+    a, at, scales = _pencil_stack(rps)
+    widths = [[w.shape[1] for w in f] for f in frames]
+    # per pencil and column: whether its point is infinity, and its value
+    infinite = [np.repeat([x.is_infinite for x in row], n) for row, n in zip(alphas, widths)]
+    values = [
+        np.repeat([0j if x.is_infinite else x.value for x in row], n)
+        for row, n in zip(alphas, widths)
+    ]
+    counts = [sum(n) for n in widths]
+    out = [[0.0] * len(f) for f in frames]
+    for count in sorted(set(counts) - {0}):
+        members = [c for c, n in enumerate(counts) if n == count]
+        w = np.stack([np.hstack(frames[c]) for c in members])
+        inf = np.array([infinite[c] for c in members], dtype=bool)
+        val = np.array([values[c] for c in members])
+        a_w = a[members] @ w
+        images = np.where(inf[:, None, :], a_w, at[members] @ w - val[:, None, :] * a_w)
+        res = np.linalg.norm(images, axis=1) / (
+            np.where(inf, 1.0, 1.0 + np.abs(val)) * scales[members, None]
+        )
+        for c, row in zip(members, res):
+            # the largest of each frame's columns, from its first column to
+            # the next frame's; the appended 0 gives a trailing empty frame
+            # an index
+            starts = np.cumsum(widths[c]) - widths[c]
+            worst = np.maximum.reduceat(np.append(row, 0.0), starts)
+            out[c] = np.where(np.array(widths[c]) > 0, worst, 0.0).tolist()
+    return out
+
+
+def _direct_sum_ranks(
+    v_frames: list[list[np.ndarray]], k: int, tol: float
+) -> list[tuple[int, int]]:
+    """(rank, column count) of each pencil's stacked V(alpha) frames, K rows
+    each, at unit scale: one values-only SVD per column count, normally the
+    one stack of K x K matrices."""
+    stacked = [np.hstack(frames + [np.zeros((k, 0))]) for frames in v_frames]
+    counts = [w.shape[1] for w in stacked]
+    ranks = [0] * len(stacked)
+    for count in sorted(set(counts) - {0}):
+        members = [c for c, n in enumerate(counts) if n == count]
+        found = stack_ranks([stacked[c] for c in members], tol, [1.0] * len(members))
+        for c, r in zip(members, found.tolist()):
+            ranks[c] = r
+    return list(zip(ranks, counts))
+
+
+def _chi_residuals(chis: list[HomogeneousPoly], points: list[list[SpectrumPoint]]) -> list[float]:
+    """Per pencil, the largest ``|chi(1, -alpha)|`` over the evaluation
+    magnitude ``sum_d |c_d| |alpha|^d`` (floored by the coefficient norm)
+    over its finite points, 0.0 when it has none.  Every chi has the same
+    degree, so all finite points of the stack are evaluated at once, each
+    row by the arithmetic of :meth:`HomogeneousPoly.evaluate`; moduli are
+    ``np.hypot``, which equals Python's ``abs`` of a complex."""
+    finite = [
+        (c, p.alpha.value) for c, ps in enumerate(points) for p in ps if not p.alpha.is_infinite
+    ]
+    if not finite:
+        return [0.0] * len(chis)
+    owner, alphas = zip(*finite)
+    owner, alphas = list(owner), np.array(alphas, dtype=complex)
+    d = np.arange(chis[0].degree + 1)
+    coeffs = np.stack([chi.coeffs for chi in chis])[owner]
+    norms = np.array([chi.coefficient_norm() for chi in chis])[owner]
+    magnitudes = np.sum(np.abs(coeffs) * np.abs(alphas)[:, None] ** d, axis=1)
+    values = np.sum(coeffs * (-alphas)[:, None] ** d, axis=1)
+    rel = np.hypot(values.real, values.imag) / np.maximum(np.maximum(magnitudes, norms), 1e-300)
+    # fmax ignores a NaN ratio, as the running Python max of the loop did
+    worst = np.zeros(len(chis))
+    np.fmax.at(worst, owner, rel)
+    return worst.tolist()
 
 
 def _decomposition_checks(
-    rp: ReducedPencil,
-    chi: HomogeneousPoly,
-    points: list[SpectrumPoint],
-    v_frames: list[np.ndarray],
+    rps: list[ReducedPencil],
+    chis: list[HomogeneousPoly],
+    points: list[list[SpectrumPoint]],
+    v_frames: list[list[np.ndarray]],
     tol: float,
-) -> list[InvariantCheck]:
-    """Invariant checks of one decomposition of the reduced pencil ``rp``.
+) -> list[list[InvariantCheck]]:
+    """Invariant checks of the decompositions of the reduced pencils
+    ``rps``, all of one size K >= 1, run once over the stack; a single
+    decomposition is the stack of one, and gets the same bits in a stack of
+    any size.
 
-    ``v_frames[i]`` is the quotient-coordinate frame of V(alpha) for
-    ``points[i]``.  The V(alpha) split the algebra over nil exactly when the
-    stacked frames have rank equal to both their column count and K; once
-    the dimension checks fix the column count at K, this single rank test
-    proves the sum is direct and spans, which pairwise intersections cannot
-    for three or more spaces.
+    ``v_frames[c][i]`` is the quotient-coordinate frame of V(alpha) for
+    ``points[c][i]``.  The V(alpha) split the algebra over nil exactly when
+    the stacked frames have rank equal to both their column count and K;
+    once the dimension checks fix the column count at K, this single rank
+    test proves the sum is direct and spans, which pairwise intersections
+    cannot for three or more spaces.  The ranks take one values-only SVD per
+    column count (:func:`_direct_sum_ranks`), the simple points' residuals
+    in Stab(alpha) one product over the stack (:func:`_stab_residuals`),
+    and chi is evaluated at every finite point of the stack at once
+    (:func:`_chi_residuals`).
     """
-    checks = []
-    k = rp.K
-
-    total = sum(p.algebraic_mult for p in points)
-    checks.append(
-        InvariantCheck(
-            "multiplicities_sum_to_quotient_dim",
-            total == k,
-            float(abs(total - k)),
-            f"sum {total} vs K {k}",
-        )
-    )
-
-    worst = 0
-    for p, frame in zip(points, v_frames):
-        worst = max(worst, abs(frame.shape[1] - p.algebraic_mult))
-    checks.append(
-        InvariantCheck(
-            "v_dim_equals_nil_plus_multiplicity",
-            worst == 0,
-            float(worst),
-            "dim V(alpha) - dim nil vs algebraic multiplicity",
-        )
-    )
-
+    k = rps[0].K
     # at a simple point the dimension check holds by construction, so test
     # that the frame lies in Stab(alpha)
-    simple = [(p.alpha, w) for p, w in zip(points, v_frames) if p.algebraic_mult == 1]
-    off = max(_stab_residuals(rp, *zip(*simple)) if simple else [], default=0.0)
-    checks.append(
-        InvariantCheck(
-            "simple_frames_in_stabilizer",
-            off < tol,
-            off,
-            "max |(a~^T - alpha a~) v| / ((1 + |alpha|) scale) over simple points, "
-            "|a~ v| / scale at infinity",
-        )
+    simple = [[p.algebraic_mult == 1 for p in ps] for ps in points]
+    residuals = _stab_residuals(
+        rps,
+        [[p.alpha for p, keep in zip(ps, row) if keep] for ps, row in zip(points, simple)],
+        [[w for w, keep in zip(ws, row) if keep] for ws, row in zip(v_frames, simple)],
     )
-
-    stacked = np.hstack(v_frames) if v_frames else np.zeros((k, 0), dtype=complex)
-    cols = stacked.shape[1]
-    r = rank(stacked, tol, scale=1.0)
-    checks.append(
-        InvariantCheck(
-            "v_spaces_direct_sum",
-            r == cols == k,
-            float(max(cols - r, k - r)),
-            f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
+    off_simple = [max(row, default=0.0) for row in residuals]
+    direct_sum = _direct_sum_ranks(v_frames, k, tol)
+    chi_residuals = _chi_residuals(chis, points)
+    out = []
+    for chi, ps, frames, off, (r, cols), worst_rel in zip(
+        chis, points, v_frames, off_simple, direct_sum, chi_residuals
+    ):
+        total = sum(p.algebraic_mult for p in ps)
+        worst = max((abs(w.shape[1] - p.algebraic_mult) for p, w in zip(ps, frames)), default=0)
+        inf_mult = next((p.algebraic_mult for p in ps if p.alpha.is_infinite), 0)
+        chi_inf = chi.infinity_multiplicity()
+        out.append(
+            [
+                InvariantCheck(
+                    "multiplicities_sum_to_quotient_dim",
+                    total == k,
+                    float(abs(total - k)),
+                    f"sum {total} vs K {k}",
+                ),
+                InvariantCheck(
+                    "v_dim_equals_nil_plus_multiplicity",
+                    worst == 0,
+                    float(worst),
+                    "dim V(alpha) - dim nil vs algebraic multiplicity",
+                ),
+                InvariantCheck(
+                    "simple_frames_in_stabilizer",
+                    off < tol,
+                    off,
+                    "max |(a~^T - alpha a~) v| / ((1 + |alpha|) scale) over simple points, "
+                    "|a~ v| / scale at infinity",
+                ),
+                InvariantCheck(
+                    "v_spaces_direct_sum",
+                    r == cols == k,
+                    float(max(cols - r, k - r)),
+                    f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
+                ),
+                # backward-error normalization: divide by the evaluation
+                # magnitude, since |alpha|^K dwarfs the coefficient norm for
+                # large roots even when alpha is a perfect root; floor it by
+                # the coefficient norm, since at alpha = 0 it collapses to
+                # |c_0|, exactly the quantity under test
+                InvariantCheck(
+                    "char_poly_vanishes_on_spectrum",
+                    worst_rel < 1e-6,
+                    worst_rel,
+                    "max |chi(1, -alpha)| over the evaluation magnitude",
+                ),
+                InvariantCheck(
+                    "char_poly_infinity_multiplicity",
+                    chi_inf == inf_mult,
+                    float(abs(chi_inf - inf_mult)),
+                    f"trailing coefficient vanishing order {chi_inf} vs multiplicity {inf_mult}",
+                ),
+            ]
         )
-    )
-
-    # backward-error normalization: divide by the evaluation magnitude
-    # sum_d |c_d| |alpha|^d, since |alpha|^K dwarfs the coefficient norm for
-    # large roots even when alpha is a perfect root
-    worst_rel = 0.0
-    d = np.arange(chi.degree + 1)
-    coeff_norm = chi.coefficient_norm()
-    for p in points:
-        if p.alpha.is_infinite:
-            continue
-        magnitude = float(np.sum(np.abs(chi.coeffs) * np.abs(p.alpha.value) ** d))
-        value = abs(chi.evaluate(1.0, -p.alpha.value))
-        # floor by the coefficient norm: at alpha = 0 the evaluation magnitude
-        # collapses to |c_0|, which is exactly the quantity under test
-        worst_rel = max(worst_rel, value / max(magnitude, coeff_norm, 1e-300))
-    checks.append(
-        InvariantCheck(
-            "char_poly_vanishes_on_spectrum",
-            worst_rel < 1e-6,
-            worst_rel,
-            "max |chi(1, -alpha)| over the evaluation magnitude",
-        )
-    )
-
-    inf_mult = next((p.algebraic_mult for p in points if p.alpha.is_infinite), 0)
-    chi_inf = chi.infinity_multiplicity()
-    checks.append(
-        InvariantCheck(
-            "char_poly_infinity_multiplicity",
-            chi_inf == inf_mult,
-            float(abs(chi_inf - inf_mult)),
-            f"trailing coefficient vanishing order {chi_inf} vs multiplicity {inf_mult}",
-        )
-    )
-    return checks
+    return out
 
 
 def decompose(
@@ -604,7 +668,8 @@ def _decompose_stack(
     """The decompositions of pencils of one size K >= 1 at their regular
     shifts ``alpha0s``: chi and the spectrum over the stack, then the level
     0 of every multiple point from one stacked nullspace SVD, each chain
-    climbed from it up to the point's multiplicity, and the checks."""
+    climbed from it up to the point's multiplicity, and the checks, once
+    over the stack."""
     a, at, _ = _pencil_stack(rps)
     chis = _det_polys(a, at)
     spectra = _spectra(a, at, alpha0s, cluster_tol)
@@ -617,8 +682,8 @@ def _decompose_stack(
         mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
         for key, space in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):
             stab_frames[key] = space.frame
-    decs = []
-    for c, (rp, alpha0, chi, raw) in enumerate(zip(rps, alpha0s, chis, spectra)):
+    all_points, all_levels = [], []
+    for c, (rp, alpha0, raw) in enumerate(zip(rps, alpha0s, spectra)):
         points: list[SpectrumPoint] = []
         quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
         for j, (alpha, mult, vector) in enumerate(raw):
@@ -631,21 +696,16 @@ def _decompose_stack(
             dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
             points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
             quotient_filtrations[alpha] = tuple(frames)
-        v_frames = [levels[-1] for levels in quotient_filtrations.values()]
-        checks = _decomposition_checks(rp, chi, points, v_frames, tol)
-        decs.append(
-            Decomposition(
-                rp,
-                chi,
-                tuple(points),
-                quotient_filtrations,
-                alpha0,
-                tol,
-                cluster_tol,
-                tuple(checks),
-            )
+        all_points.append(points)
+        all_levels.append(quotient_filtrations)
+    v_frames = [[levels[-1] for levels in q.values()] for q in all_levels]
+    checks = _decomposition_checks(rps, chis, all_points, v_frames, tol)
+    return [
+        Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(found))
+        for rp, chi, points, levels, alpha0, found in zip(
+            rps, chis, all_points, all_levels, alpha0s, checks
         )
-    return decs
+    ]
 
 
 def verify_alpha0_independence(
@@ -670,7 +730,7 @@ def verify_alpha0_independence(
     if stab_frame is None:
         m, scale = _slot_one_operator(rp, alpha)
         stab_frame = nullspace(m, tol, scale=scale).frame
-    (residual,) = _stab_residuals(rp, [alpha], [stab_frame])
+    ((residual,),) = _stab_residuals([rp], [[alpha]], [[stab_frame]])
     equal, dist = _alpha0_independence(rp, alpha, alpha0_a, alpha0_b, tol, compare_tol, stab_frame)
     return residual < tol and equal, max(residual, dist)
 

@@ -34,6 +34,7 @@ from .spectral import (
     DEFAULT_TOL,
     Decomposition,
     _alpha0_independence,
+    _lift_frame,
     _stab_residuals,
     choose_alpha0,
     decompose_all,
@@ -182,7 +183,8 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     alphas = [p.alpha for p in dec.points]
     frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
     results = []
-    for p, w, residual in zip(dec.points, frames, _stab_residuals(dec.pencil, alphas, frames)):
+    (residuals,) = _stab_residuals([dec.pencil], [alphas], [frames])
+    for p, w, residual in zip(dec.points, frames, residuals):
         equal, dist = True, 0.0
         if w.shape[1] < p.algebraic_mult:
             shifts = shifts or _suite_shifts(dec, seed)
@@ -216,6 +218,21 @@ def _target_indices(dec: Decomposition, values: np.ndarray) -> np.ndarray:
     return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
+def _chunks(widths: list[int], limit: int) -> list[list[int]]:
+    """Consecutive indices into ``widths``, split greedily so that each
+    chunk's widths sum to at most ``limit``, unless one width alone
+    exceeds it."""
+    chunks = [[]]
+    total = 0
+    for i, width in enumerate(widths):
+        if chunks[-1] and total + width > limit:
+            chunks.append([])
+            total = 0
+        chunks[-1].append(i)
+        total += width
+    return chunks
+
+
 def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[tuple, tuple]:
     """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for the pairs of spectral points
     of ``dec``, where infinity times a nonzero point is infinity; products
@@ -223,29 +240,34 @@ def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[t
     residual, witness, samples) over the pairs of finite points, then over
     the pairs of nonzero points, infinity included.
 
-    The level frames of all points are stacked into one matrix and
-    multiplied in one :func:`pairwise_products` call.  Each product's
-    residual is taken once, against its own target level, and the products
-    are grouped by target; products of 0 and infinity have no target and
-    belong to neither variant.  A variant whose worst residual reaches
-    ``tol`` names as witness (a, b, k, m), meaning V^k(a) V^m(b), the first
-    quadruple, in the order a, b, k, m over the points in spectrum order,
-    whose products reach that residual.  Below ``tol`` the residuals are
-    round-off, whose argmax any reordering of the arithmetic moves, so a
-    passing variant names no witness.  Every product of two of its columns
-    is one sample."""
+    The levels are read as the quotient frames W of
+    ``dec.quotient_filtrations``, with no lift to :class:`Subspace`: the
+    columns ``[Q W, nil]`` of all levels of all points are stacked into one
+    matrix and multiplied in one :func:`pairwise_products` call.  Every
+    level contains nil and ``[Q, nil]`` is unitary, so a product p lies off
+    the level ``[Q W, nil]`` by exactly the part of its quotient
+    coordinates c = Q^H p off W, and off nil by all of c: its residual is
+    ``|c - W W^H c| / max(1, |p|)``, or ``|c| / max(1, |p|)`` for nil.
+    Each product's residual is taken once, against its own target level:
+    all coordinates are projected onto the columns of all levels in one
+    product, and each keeps only its target's columns.  Products of 0 and
+    infinity belong to neither variant.  A variant whose worst
+    residual reaches ``tol`` names as witness (a, b, k, m), meaning
+    V^k(a) V^m(b), the first quadruple, in the order a, b, k, m over the
+    points in spectrum order, whose products reach that residual.  Below
+    ``tol`` the residuals are round-off, whose argmax any reordering of the
+    arithmetic moves, so a passing variant names no witness.  Every product
+    of two of its columns is one sample."""
     if not dec.points:
         return (0.0, None, 0), (0.0, None, 0)
+    rp = dec.pencil
+    all_levels = [w for p in dec.points for w in dec.quotient_filtrations[p.alpha]]
+    n_levels = np.array([len(dec.quotient_filtrations[p.alpha]) for p in dec.points])
     # column c of the stack spans part of level level_of[c] at dec.points[point_of[c]]
-    frames, point_of, level_of = [], [], []
-    for i, p in enumerate(dec.points):
-        for k, level in enumerate(dec.filtrations[p.alpha]):
-            frames.append(level.frame)
-            point_of += [i] * level.dim
-            level_of += [k] * level.dim
-    stacked = np.hstack(frames)
-    point_of = np.array(point_of, dtype=int)
-    level_of = np.array(level_of, dtype=int)
+    widths = [w.shape[1] + rp.nil.dim for w in all_levels]
+    point_of = np.repeat(np.repeat(np.arange(len(dec.points)), n_levels), widths)
+    level_of = np.repeat(np.concatenate([np.arange(n) for n in n_levels]), widths)
+    stacked = np.hstack([_lift_frame(rp, w) for w in all_levels])
     prods = pairwise_products(alg, stacked, stacked).reshape(-1, alg.dim)
 
     # the target of each product, as an index into all levels of all points:
@@ -258,20 +280,25 @@ def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[t
     at = _target_indices(dec, np.multiply.outer(values, values))
     at[infinite[:, None] | infinite[None, :]] = np.argmax(infinite)
     target_point = at[point_of[:, None], point_of[None, :]]
-    n_levels = np.array([len(dec.filtrations[p.alpha]) for p in dec.points])
     first_level = np.cumsum(n_levels) - n_levels
     level = np.minimum(level_of[:, None] + level_of[None, :], n_levels[target_point] - 1)
     target = np.where(target_point >= 0, first_level[target_point] + level, -1).ravel()
-    all_levels = [s for p in dec.points for s in dec.filtrations[p.alpha]]
 
     in_variant = [np.outer(cols, cols).ravel() for cols in (finite_col, nonzero_col)]
     covered = in_variant[0] | in_variant[1]
-    res = np.zeros(prods.shape[0])
-    # the targets that occur (np.unique would import numpy.ma, about 1 MB)
-    for t in np.flatnonzero(np.bincount(target[covered] + 1)) - 1:
-        members = covered & (target == t)
-        space = dec.nil if t < 0 else all_levels[t]
-        res[members] = space.residual(prods[members].T)
+    # each product's quotient coordinates, as a row, and their projection
+    # onto its target level; a chunk holds whole levels of at most N columns
+    # in all, so no array outgrows the product tensor
+    coords = prods @ rp.quotient_frame.conj()
+    projected = np.zeros_like(coords)
+    for chunk in _chunks([w.shape[1] for w in all_levels], alg.dim):
+        cols = np.hstack([all_levels[t] for t in chunk])
+        level_of_col = np.repeat(chunk, [all_levels[t].shape[1] for t in chunk])
+        onto = coords @ cols.conj()
+        onto[target[:, None] != level_of_col] = 0.0
+        projected += onto @ cols.T
+    off = np.linalg.norm(coords - projected, axis=1)
+    res = off / np.maximum(1.0, np.linalg.norm(prods, axis=1))
 
     def worst_of(members: np.ndarray) -> tuple[float, tuple | None, int]:
         samples = int(members.sum())
@@ -513,15 +540,18 @@ def verify_corollaries(
     return Finding(theorem_id, worst < tol, worst, witness, xs.dim * ys.dim)
 
 
-def negative_control_finding(alg: Algebra, tol: float = 1e-6) -> Finding:
+def negative_control_finding(
+    alg: Algebra, tol: float = 1e-6, rank_tol: float = DEFAULT_TOL
+) -> Finding:
     """Run the commutativity corollary at a deliberately non-minimizing
     functional (the unit-coordinate functional, whose pairing is symmetric on
-    the reference algebras, making Stab(1) the whole algebra).
+    the reference algebras, making Stab(1) the whole algebra), reduced at
+    ``rank_tol``.
 
     The returned finding reports the underlying check; the control *passes*
     exactly when that check fails, guarding against vacuously green suites.
     """
-    control = reduce_pencil(alg, Functional(alg.unit.copy()), DEFAULT_TOL)
+    control = reduce_pencil(alg, Functional(alg.unit.copy()), rank_tol)
     inner = verify_corollaries(alg, control, ProjectivePoint.finite(1.0), tol)
     notes = ("negative control: expected the commutativity check to fail",)
     detected = "control NOT detected" if inner.passed else "control detected"
@@ -546,8 +576,9 @@ def run_suites(
     bit for bit, the one :func:`algscope.spectral.decompose` gives its
     functional alone.  Per-functional suites then loop over the functionals
     and read each one's decomposition; ``v-mult`` checks both of its
-    variants on one product tensor of it, and ``kernel-relations`` and
-    ``nil-ideal`` read the kernels its reduced pencil keeps.  The
+    variants on one product tensor of it, in quotient coordinates, so no
+    suite lifts a level (``Decomposition.filtrations``); ``kernel-relations``
+    and ``nil-ideal`` read the kernels its reduced pencil keeps.  The
     regular-functional suites run once at a sampled minimizer, reduced once
     at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil."""
     from .functional import is_multiplicative, nil_ideal_check

@@ -149,6 +149,18 @@ def prescribed_pencil_algebra(beta):
     return alg, algscope.Functional(coords)
 
 
+#: planted pencil cores (see ``prescribed_pencil_algebra``), each with the
+#: number of levels of its longest chain
+PLANTED_JORDAN_BLOCKS = {
+    # a 2 x 2 block at alpha = -1: a chain of levels (1, 2)
+    "block2": (np.array([[1.0, 1.0], [-1.0, 0.0]]), 2),
+    # alpha = 1 of multiplicity 5 with levels (3, 4, 5)
+    "levels3": (np.array([[0.0, 0.0, 1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 0.0]]), 3),
+    # two 2 x 2 blocks at alpha = -1: levels (2, 4)
+    "two-blocks": (np.kron(np.eye(2), np.array([[1.0, 1.0], [-1.0, 0.0]])), 2),
+}
+
+
 def match_root_multisets(a, b, tol):
     """Greedy nearest matching of two complex multisets; max matched distance,
     or inf when the sizes differ."""
@@ -493,12 +505,103 @@ def cluster_values_loop(values, cluster_tol):
     return list(groups.values())
 
 
+def decomposition_checks_loop(rp, chi, points, v_frames, tol):
+    """The invariant checks of one decomposition, as the library ran them
+    per pencil before it ran them over a stack: the simple points' columns
+    in one product with the pencil, one rank of the stacked V(alpha)
+    frames, and one evaluation of chi per finite point.  Returns the checks
+    in the library's order, as ``InvariantCheck`` records."""
+    from algscope.spectral import InvariantCheck
+
+    k = rp.K
+    checks = []
+    total = sum(p.algebraic_mult for p in points)
+    checks.append(
+        InvariantCheck(
+            "multiplicities_sum_to_quotient_dim",
+            total == k,
+            float(abs(total - k)),
+            f"sum {total} vs K {k}",
+        )
+    )
+    worst = 0
+    for p, frame in zip(points, v_frames):
+        worst = max(worst, abs(frame.shape[1] - p.algebraic_mult))
+    checks.append(
+        InvariantCheck(
+            "v_dim_equals_nil_plus_multiplicity",
+            worst == 0,
+            float(worst),
+            "dim V(alpha) - dim nil vs algebraic multiplicity",
+        )
+    )
+    # every simple column, its point's value and whether that is infinity
+    simple = [(p.alpha, w) for p, w in zip(points, v_frames) if p.algebraic_mult == 1]
+    widths = [w.shape[1] for _, w in simple]
+    infinite = np.repeat([alpha.is_infinite for alpha, _ in simple], widths).astype(bool)
+    values = np.repeat([0j if a.is_infinite else a.value for a, _ in simple], widths)
+    stacked = np.hstack([w for _, w in simple] + [np.zeros((k, 0))])
+    a_frames = rp.a_tilde @ stacked
+    images = np.where(infinite, a_frames, rp.at_tilde @ stacked - values * a_frames)
+    scales = np.where(infinite, 1.0, 1.0 + np.abs(values)) * rp.pencil_scale()
+    res = np.linalg.norm(images, axis=0) / scales
+    off = float(res.max()) if res.size else 0.0
+    checks.append(
+        InvariantCheck(
+            "simple_frames_in_stabilizer",
+            off < tol,
+            off,
+            "max |(a~^T - alpha a~) v| / ((1 + |alpha|) scale) over simple points, "
+            "|a~ v| / scale at infinity",
+        )
+    )
+    stacked = np.hstack(v_frames) if v_frames else np.zeros((k, 0), dtype=complex)
+    cols = stacked.shape[1]
+    r = _raw_rank(stacked, tol) if cols else 0
+    checks.append(
+        InvariantCheck(
+            "v_spaces_direct_sum",
+            r == cols == k,
+            float(max(cols - r, k - r)),
+            f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
+        )
+    )
+    worst_rel = 0.0
+    d = np.arange(chi.degree + 1)
+    coeff_norm = chi.coefficient_norm()
+    for p in points:
+        if p.alpha.is_infinite:
+            continue
+        magnitude = float(np.sum(np.abs(chi.coeffs) * np.abs(p.alpha.value) ** d))
+        value = abs(chi.evaluate(1.0, -p.alpha.value))
+        worst_rel = max(worst_rel, value / max(magnitude, coeff_norm, 1e-300))
+    checks.append(
+        InvariantCheck(
+            "char_poly_vanishes_on_spectrum",
+            worst_rel < 1e-6,
+            worst_rel,
+            "max |chi(1, -alpha)| over the evaluation magnitude",
+        )
+    )
+    inf_mult = next((p.algebraic_mult for p in points if p.alpha.is_infinite), 0)
+    chi_inf = chi.infinity_multiplicity()
+    checks.append(
+        InvariantCheck(
+            "char_poly_infinity_multiplicity",
+            chi_inf == inf_mult,
+            float(abs(chi_inf - inf_mult)),
+            f"trailing coefficient vanishing order {chi_inf} vs multiplicity {inf_mult}",
+        )
+    )
+    return checks
+
+
 def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     """One functional's decomposition from the public single-pencil steps,
     in the order of the pipeline: ``reduce_pencil``, ``choose_alpha0``,
     ``char_poly``, ``spectrum`` (with its singular-shift test), one chain per
     multiple point up to its multiplicity from its own nullspace, and the
-    invariant checks."""
+    library's invariant checks of a stack of one."""
     from algscope.linalg import HomogeneousPoly
     from algscope.functional import reduce_pencil
     from algscope.spectral import (
@@ -534,5 +637,5 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         levels[alpha] = tuple(frames)
     v_frames = [chain[-1] for chain in levels.values()]
-    checks = _decomposition_checks(rp, chi, points, v_frames, tol)
+    (checks,) = _decomposition_checks([rp], [chi], [points], [v_frames], tol)
     return Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(checks))

@@ -16,6 +16,7 @@ from algscope import (
     nullspace,
     pencil_eigen,
     projective_close,
+    projector_distance,
     subspace_equal,
     subspace_intersect,
     subspace_sum,
@@ -115,6 +116,22 @@ class TestSubspaceLattice:
         assert calls == []
         assert (got.ambient_dim, got.tol, got.dim) == (want.ambient_dim, want.tol, 0)
         assert got.frame.shape == want.frame.shape and got.frame.dtype == want.frame.dtype
+
+    @pytest.mark.parametrize("ambient", [0, 1, 5])
+    def test_distance_of_zero_subspaces_takes_no_svd(self, monkeypatch, ambient):
+        import numpy.linalg._linalg as numpy_linalg
+
+        a, b = Subspace.zero(ambient, TOL), Subspace.zero(ambient, 1e-6)
+        # the SVD path: the spectral norm of the zero projector difference
+        want = float(np.linalg.norm(a.projector() - b.projector(), 2)) if ambient else 0.0
+        calls = []
+        # np.linalg.norm(x, 2) calls the module's own svd
+        for owner in (np.linalg, numpy_linalg):
+            monkeypatch.setattr(owner, "svd", lambda *args, **kwargs: calls.append(args))
+        got = projector_distance(a, b)
+        assert calls == []
+        assert type(got) is float and got == want == 0.0
+        assert subspace_equal(a, b, 1e-300)
 
     def test_intersect_planes_in_common_line(self):
         plane_a = subspace_sum(line(3, 0), line(3, 1))

@@ -491,6 +491,24 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert "v_frames" in doc and len(doc["v_frames"]) == 7
 
+    def test_only_analyze_frames_lifts_the_levels(self, workdir, capsys, monkeypatch):
+        import algscope.spectral as spectral
+
+        lifts = []
+        real = spectral._lift
+
+        def counted(*args):
+            lifts.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "_lift", counted)
+        write_inputs(workdir)
+        assert main(["analyze", "mat3.alg", "d125.fn"]) == 0
+        assert lifts == []
+        assert main(["analyze", "mat3.alg", "d125.fn", "--frames"]) == 0
+        # one lift per level: seven points of one level each
+        assert len(lifts) == 7
+
     def test_determinism_same_seed_byte_identical(self, workdir):
         write_inputs(workdir)
         assert main(["analyze", "mat3.alg", "d125.fn", "--seed", "3", "--out", "a.json"]) == 0
@@ -522,6 +540,27 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         control = [f for f in doc["findings"] if any("negative control" in n for n in f["notes"])]
         assert control and not control[0]["passed"]
+
+    def test_negative_control_reduces_at_the_tol(self, workdir, capsys, monkeypatch):
+        # the control's pencil is reduced at --tol, as every suite's is
+        import algscope.verify as verify
+
+        tols = []
+        real = verify.reduce_pencil
+
+        def recording(alg, f, tol=1e-9, *args, **kwargs):
+            tols.append(tol)
+            return real(alg, f, tol, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "reduce_pencil", recording)
+        assert main(["builders", "matrix", "2", "--out", "m2.alg"]) == 0
+        capsys.readouterr()
+        args = ["verify", "m2.alg", "--suite", "alpha0", "--negative-control", "--functionals", "1"]
+        assert main(args + ["--tol", "1e-7"]) == 0
+        assert tols == [1e-7]
+        tols.clear()
+        assert main(args) == 0
+        assert tols == [1e-9]
 
     def test_verify_unknown_suite(self, workdir, capsys):
         assert main(["builders", "dual", "--out", "d.alg"]) == 0

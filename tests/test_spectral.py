@@ -48,8 +48,10 @@ from algscope.spectral import (
 )
 
 from oracles import (
+    PLANTED_JORDAN_BLOCKS,
     alpha0_independence_loop,
     decompose_loop,
+    decomposition_checks_loop,
     filtration_dims_fullspace,
     filtration_reduced_loop,
     jordan_dims_by_powers,
@@ -373,18 +375,6 @@ class TestFiltrationClimb:
             _filtration_reduced(rp, alphas[0], complex("nan"), TOL)
 
 
-#: planted pencil cores (see ``prescribed_pencil_algebra``), each with the
-#: number of levels of its longest chain
-PLANTED_JORDAN_BLOCKS = {
-    # a 2 x 2 block at alpha = -1: a chain of levels (1, 2)
-    "block2": (np.array([[1.0, 1.0], [-1.0, 0.0]]), 2),
-    # alpha = 1 of multiplicity 5 with levels (3, 4, 5)
-    "levels3": (np.array([[0.0, 0.0, 1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 0.0]]), 3),
-    # two 2 x 2 blocks at alpha = -1: levels (2, 4)
-    "two-blocks": (np.kron(np.eye(2), np.array([[1.0, 1.0], [-1.0, 0.0]])), 2),
-}
-
-
 def split_point(monkeypatch, value):
     """Doctor the spectrum of every later :func:`decompose`: the multiple
     point at ``value`` becomes two, at its value and 1e-12 above it, with
@@ -661,7 +651,7 @@ class TestDirectSumCheck:
         alg, rp, dec, frames = self.mat3_frames()
         i, j = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1][:2]
         frames[j] = frames[i].copy()  # V(alpha_j) doctored to repeat V(alpha_i)
-        checks = _decomposition_checks(rp, dec.chi, list(dec.points), frames, TOL)
+        (checks,) = _decomposition_checks([rp], [dec.chi], [list(dec.points)], [frames], TOL)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual >= 1.0
         lifted = [np.hstack([rp.quotient_frame @ w, rp.nil.frame]) for w in frames]
@@ -672,7 +662,7 @@ class TestDirectSumCheck:
     def test_extra_dependent_column_fails_even_at_full_rank(self):
         alg, rp, dec, frames = self.mat3_frames()
         frames[1] = np.hstack([frames[1], frames[0]])  # K + 1 columns of rank K
-        checks = _decomposition_checks(rp, dec.chi, list(dec.points), frames, TOL)
+        (checks,) = _decomposition_checks([rp], [dec.chi], [list(dec.points)], [frames], TOL)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual == 1.0
 
@@ -743,7 +733,9 @@ class TestSimpleFrames:
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         i = next(q for q, p in enumerate(dec.points) if p.algebraic_mult == 1)
         frames[i] = random_unit(dec.quotient_dim, np.random.default_rng(72))
-        checks = _decomposition_checks(dec.pencil, dec.chi, list(dec.points), frames, TOL)
+        (checks,) = _decomposition_checks(
+            [dec.pencil], [dec.chi], [list(dec.points)], [frames], TOL
+        )
         check = check_named(checks, "simple_frames_in_stabilizer")
         assert not check.passed and check.residual > 1e-3
         # the dimension checks cannot see the defect
@@ -756,7 +748,9 @@ class TestSimpleFrames:
         assert inf.alpha.is_infinite and inf.algebraic_mult == 1
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         frames[-1] = random_unit(dec.quotient_dim, np.random.default_rng(73))
-        checks = _decomposition_checks(dec.pencil, dec.chi, list(dec.points), frames, TOL)
+        (checks,) = _decomposition_checks(
+            [dec.pencil], [dec.chi], [list(dec.points)], [frames], TOL
+        )
         assert not check_named(checks, "simple_frames_in_stabilizer").passed
 
     def test_alpha0_suite_fails_on_a_doctored_simple_frame(self):
@@ -996,3 +990,136 @@ class TestDecomposeAll:
             "NoRegularValue",
             "SingularPencil",
         }
+
+
+class TestDecompositionChecksOracle:
+    """The checks run once over a stack agree with the per-pencil loop:
+    every check keeps its name, verdict and detail, and its residual to
+    1e-15 relative."""
+
+    @staticmethod
+    def assert_agree(checks, rp, chi, points, v_frames):
+        want = decomposition_checks_loop(rp, chi, list(points), v_frames, TOL)
+        assert [(c.name, c.passed, c.detail) for c in checks] == [
+            (c.name, c.passed, c.detail) for c in want
+        ]
+        for got, ref in zip(checks, want):
+            assert abs(got.residual - ref.residual) <= 1e-15 * abs(ref.residual), got.name
+        return want
+
+    @classmethod
+    def assert_batch_agrees(cls, decs):
+        """Compare every decomposition with K >= 1; return their checks."""
+        found = []
+        for dec in decs:
+            if dec.quotient_dim:
+                v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+                found.append(cls.assert_agree(dec.checks, dec.pencil, dec.chi, dec.points, v_frames))
+        return found
+
+    @pytest.mark.parametrize("name", list(verify_small_inputs()))
+    def test_verify_small_batches(self, name):
+        alg = verify_small_inputs()[name]
+        rng = np.random.default_rng(41)
+        decs = decompose_all(alg, [random_functional(alg.dim, rng) for _ in range(10)], seed=3)
+        assert len(self.assert_batch_agrees(decs)) == 10
+
+    def test_mixed_and_empty_quotients(self, monkeypatch):
+        # K = 10, 4 and 0 in one batch: the checks run once per K >= 1, and
+        # the empty quotient keeps its two checks
+        import algscope.spectral as spectral
+
+        stacks = []
+        real = spectral._decomposition_checks
+
+        def counted(rps, *args):
+            stacks.append([rp.K for rp in rps])
+            return real(rps, *args)
+
+        monkeypatch.setattr(spectral, "_decomposition_checks", counted)
+        alg = mat2_plus_s3()
+        rng = np.random.default_rng(42)
+        on_mat2 = np.concatenate([random_functional(4, rng).coords, np.zeros(6)])
+        fs = [random_functional(alg.dim, rng), Functional(on_mat2), Functional(np.zeros(10))]
+        decs = decompose_all(alg, fs + [random_functional(alg.dim, rng)], seed=1)
+        assert [dec.quotient_dim for dec in decs] == [10, 4, 0, 10]
+        assert sorted(stacks) == [[4], [10, 10]]
+        assert len(self.assert_batch_agrees(decs)) == 3
+        assert [c.name for c in decs[2].checks] == [
+            "multiplicities_sum_to_quotient_dim",
+            "v_spaces_direct_sum",
+        ]
+
+    def test_infinite_points(self):
+        decs = [
+            decompose(upper_triangular(2), Functional(np.array([1.0, 1.0, 2.0]))),
+            decompose(mat_algebra(3), matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))),
+        ]
+        assert all(any(p.alpha.is_infinite for p in dec.points) for dec in decs)
+        self.assert_batch_agrees(decs)
+
+    @pytest.mark.parametrize("name", list(PLANTED_JORDAN_BLOCKS))
+    def test_planted_jordan_blocks(self, name):
+        alg, f = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS[name][0])
+        rng = np.random.default_rng(43)
+        decs = decompose_all(alg, [f] + [random_functional(alg.dim, rng) for _ in range(3)])
+        assert any(len(levels) > 1 for levels in decs[0].quotient_filtrations.values())
+        self.assert_batch_agrees(decs)
+
+    @pytest.mark.parametrize(
+        "build, value, failing",
+        [
+            (
+                lambda: (mat_algebra(4), random_functional(16, np.random.default_rng(0))),
+                1.0,
+                {"v_dim_equals_nil_plus_multiplicity", "v_spaces_direct_sum"},
+            ),
+            (
+                lambda: prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["two-blocks"][0]),
+                -1.0,
+                {"v_spaces_direct_sum"},
+            ),
+        ],
+        ids=["mat4", "two-blocks"],
+    )
+    def test_split_point_spectra_fail_the_same_checks(self, monkeypatch, build, value, failing):
+        alg, f = build()
+        fs = [f, random_functional(alg.dim, np.random.default_rng(44))]
+        split_point(monkeypatch, value)
+        decs = decompose_all(alg, fs)
+        want, _ = self.assert_batch_agrees(decs)
+        assert {c.name for c in want if not c.passed} == failing
+
+    def test_doctored_frames_in_one_stack(self):
+        # one pencil four times: its own frames, a repeated column, an extra
+        # dependent column (K + 1 columns) and a random simple frame
+        alg = mat_algebra(3)
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(45)))
+        frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        simple = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1]
+        repeated, extra, randomized = list(frames), list(frames), list(frames)
+        repeated[simple[1]] = frames[simple[0]].copy()
+        extra[simple[1]] = np.hstack([frames[simple[1]], frames[simple[0]]])
+        randomized[simple[0]] = random_unit(dec.quotient_dim, np.random.default_rng(46))
+        stack = [frames, repeated, extra, randomized]
+        n = len(stack)
+        batch = _decomposition_checks(
+            [dec.pencil] * n, [dec.chi] * n, [list(dec.points)] * n, stack, TOL
+        )
+        failed = []
+        for checks, v_frames in zip(batch, stack):
+            want = self.assert_agree(checks, dec.pencil, dec.chi, dec.points, v_frames)
+            failed.append({c.name for c in want if not c.passed})
+            # a stack of one gives the same bits
+            (alone,) = _decomposition_checks(
+                [dec.pencil], [dec.chi], [list(dec.points)], [v_frames], TOL
+            )
+            assert repr(alone) == repr(checks)
+        # a column of another point lies off Stab(alpha)
+        off_stab = {"simple_frames_in_stabilizer", "v_spaces_direct_sum"}
+        assert failed == [
+            set(),
+            off_stab,
+            off_stab | {"v_dim_equals_nil_plus_multiplicity"},
+            {"simple_frames_in_stabilizer"},
+        ]

@@ -50,6 +50,7 @@ from algscope.verify import (
 )
 
 from oracles import (
+    PLANTED_JORDAN_BLOCKS,
     corollaries_loop,
     dim_symmetry_scan,
     minimize_stab_dim_loop,
@@ -615,6 +616,59 @@ class TestProductInclusionsOracle:
         assert any(len(levels) > 1 for levels in dec.filtrations.values())
         self.assert_agree(alg, dec)
 
+    @pytest.mark.parametrize("name", list(PLANTED_JORDAN_BLOCKS))
+    @pytest.mark.parametrize("with_nil", [False, True])
+    def test_planted_jordan_blocks_match(self, name, with_nil):
+        # levels of several columns, and products whose targets climb the
+        # levels of a chain; their columns outnumber N, so the projection
+        # runs in chunks.  Beside the dual numbers, on which F vanishes, nil
+        # is the dual numbers and each level holds it
+        beta, n_levels = PLANTED_JORDAN_BLOCKS[name]
+        alg, f = prescribed_pencil_algebra(beta)
+        if with_nil:
+            alg = direct_sum(alg, dual_numbers())
+            f = Functional(np.concatenate([f.coords, np.zeros(2)]))
+        for a in (alg, opposite(alg)):
+            dec = decompose(a, f)
+            assert dec.nil.dim == (2 if with_nil else 0)
+            levels = list(dec.quotient_filtrations.values())
+            assert max(len(chain) for chain in levels) == n_levels
+            assert max(w.shape[1] for chain in levels for w in chain) > 1
+            assert [f.passed for f in verify_v_mult(a, dec)] == [True, True]
+            self.assert_agree(a, dec)
+
+    def test_builds_no_subspace(self, monkeypatch):
+        # the levels stay quotient frames; only the decomposition built one
+        import algscope.linalg as linalg
+
+        alg = upper_triangular(4)
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(80)))
+        built = []
+        real = linalg.Subspace.__post_init__
+
+        def counted(self):
+            built.append(self.dim)
+            real(self)
+
+        monkeypatch.setattr(linalg.Subspace, "__post_init__", counted)
+        assert [f.passed for f in verify_v_mult(alg, dec)] == [True, True]
+        assert built == []
+
+    def test_doctored_level_with_nil(self):
+        # nil is one line; V(1), which holds the unit, put in place of V(2)
+        # sends V(2) V(2) off its target 4, a non-spectral value, so off nil
+        alg = mat_algebra(3)
+        dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
+        assert dec.nil.dim == 1
+        one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
+        two = dec.point_at(ProjectivePoint.finite(2.0)).alpha
+        assert dec.point_at(ProjectivePoint.finite(4.0)) is None
+        levels = dec.quotient_filtrations
+        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, two: levels[one]})
+        for worst, witness in self.assert_agree(alg, doctored):
+            assert worst > 0.1 and witness is not None
+        assert not any(f.passed for f in verify_v_mult(alg, doctored))
+
     def test_empty_levels_give_no_samples(self):
         alg = mat_algebra(2)
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
@@ -791,11 +845,12 @@ class TestLinearAlgebraCounts:
             # its multiple points; both kernels are 0, so the intersections
             # and the complements take no SVD
             ((10, 9, 9), "full"): 3,
-            # every pencil accepts the first shift drawn
-            ((10, 9, 9), "values"): 1,
-            # per functional: the direct-sum check, the transversality rank
-            # and the multiplicative rank
-            ((9, 9), "values"): 30,
+            # every pencil accepts the first shift drawn, and the
+            # direct-sum check of the batch: one stack of K x K frames
+            ((10, 9, 9), "values"): 2,
+            # per functional: the transversality rank and the multiplicative
+            # rank
+            ((9, 9), "values"): 20,
             # the corollary2 and corollary3 minimizers, one stack each
             ((33, 9, 9), "values"): 2,
             # the minimizers' reduced pencils, two kernels each: corollary2
@@ -984,6 +1039,18 @@ class TestRunSuites:
         run_suites(mat_algebra(3), suites, n, seed=7)
         assert batches == [(n, 7)]
         assert reductions == [n]
+
+    def test_no_level_is_lifted(self, monkeypatch):
+        # every suite reads the levels as quotient frames, so no level is
+        # lifted to a subspace of the full algebra
+        import algscope.spectral as spectral
+
+        lifts = TestLinearAlgebraCounts.count_calls(monkeypatch, spectral, "_lift")
+        jordan, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["levels3"][0])
+        for alg in (mat_algebra(3), upper_triangular(4), jordan):
+            findings = run_suites(alg, SUITE_NAMES, 3, seed=2)
+            assert {V_MULT_FINITE, V_MULT_NONZERO} <= {f.theorem_id for f in findings}
+        assert lifts == []
 
     def test_passing_findings_name_no_witness(self):
         # a passing finding's residuals are round-off, whose argmax any
