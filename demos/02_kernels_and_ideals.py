@@ -2,7 +2,10 @@
 
 The dual numbers C[eps]/(eps^2) with the projection F(a + b eps) = a give the
 smallest nontrivial picture: the pairing has rank 1, eps spans all three
-kernels, nil is an ideal, and F is multiplicative.  A direct sum with a
+kernels, nil is an ideal, and F is multiplicative.  One SVD of the pairing
+gives both kernels at one rank; the nil-ideal check compares their
+dimensions with nil's, and the multiplicative classification reads the rank
+from them.  A direct sum with a
 matrix block shows how a functional that vanishes on the nilpotent summand
 pushes those directions into nil.
 """
@@ -26,13 +29,14 @@ print("eps direction inside nil:", np.round(ker.nil.frame[:, 0], 6))
 ideal = ag.nil_ideal_check(dual, ker)
 print(f"nil is an ideal: {ideal.is_ideal} (residual {ideal.max_residual:.1e})")
 
-rep = ag.is_multiplicative(dual, f)
+rep = ag.is_multiplicative(dual, f, ker)
 print(f"multiplicative classification: {rep.verdict} "
       f"(rank {rep.rank}, F(1) = {rep.unit_value:.1f}, residual {rep.max_residual:.1e})")
 print()
 
 print("scaling breaks only the unit normalization:")
-rep2 = ag.is_multiplicative(dual, ag.Functional(np.array([2.0, 0.0])))
+f2 = ag.Functional(np.array([2.0, 0.0]))
+rep2 = ag.is_multiplicative(dual, f2, ag.kernels(dual, f2))
 print(f"  F' = 2 F: {rep2.verdict}")
 print()
 

@@ -22,14 +22,7 @@ import numpy as np
 
 from .algebra import Algebra, Element, pairwise_products
 from .errors import DimensionMismatch, NonFinite, TheoremViolation
-from .linalg import (
-    Subspace,
-    _nullspaces,
-    complement,
-    rank,
-    subspace_equal,
-    subspace_intersect,
-)
+from .linalg import Subspace, _nullspaces, complement, subspace_intersect
 
 __all__ = [
     "Functional",
@@ -145,12 +138,11 @@ def _check_pairing(a: np.ndarray, tol: float):
 
 def _stack_kernels(a: np.ndarray, tol: float) -> list[Kernels]:
     """Kernels of each finite pairing matrix of the stack ``a``: one full SVD
-    of the transposed stack gives the left kernels and one of the stack the
-    right ones; their intersection is taken per pairing."""
-    unscaled = [None] * len(a)
-    lefts = _nullspaces(a.transpose(0, 2, 1), tol, unscaled)
-    rights = _nullspaces(a, tol, unscaled)
-    return [Kernels(l, r, subspace_intersect(l, r, tol)) for l, r in zip(lefts, rights)]
+    of the stack gives both, at one rank per pairing, so the left and the
+    right kernel have the same dimension; their intersection is taken per
+    pairing."""
+    pairs = _nullspaces(a, tol, [None] * len(a))
+    return [Kernels(l, r, subspace_intersect(l, r, tol)) for l, r in pairs]
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ def _reduce_pencils(
 ) -> list[ReducedPencil | Exception]:
     """:func:`reduce_pencil` of each functional of ``fs`` (with
     ``quotient_frames[i]`` when given): the pairing matrices come from one
-    contraction and the kernels from two stacked SVDs.  A functional that
+    contraction and both kernels from one stacked SVD.  A functional that
     :func:`reduce_pencil` would refuse gets in its place the error it would
     raise, and the others are unaffected."""
     frames = [None] * len(fs) if quotient_frames is None else quotient_frames
@@ -266,22 +258,27 @@ class MultiplicativeReport:
     max_residual: float
 
 
-def is_multiplicative(alg: Algebra, f: Functional, tol: float = 1e-9) -> MultiplicativeReport:
+def is_multiplicative(
+    alg: Algebra, f: Functional, ker: Kernels, tol: float = 1e-9
+) -> MultiplicativeReport:
     """Classify F by the rank-1 criterion.
 
-    A functional with ``rank a = 1`` and ``F(1) = 1`` must satisfy
+    ``ker`` are the kernels of F on ``alg``, as returned by :func:`kernels`
+    or kept by :class:`ReducedPencil`; the rank of the pairing is
+    ``alg.dim - dim ker.right``, decided by the SVD that built them.  A
+    functional with ``rank a = 1`` and ``F(1) = 1`` must satisfy
     ``F(e_i e_j) = F(e_i) F(e_j)`` for every pair; that identity is verified
     directly and a failure raises :class:`TheoremViolation` because it can
     only come from a defect, not from the input.
     """
-    g = gram(alg, f)
-    r = rank(g.a, tol)
+    r = alg.dim - ker.right.dim
     unit_value = f(alg.unit)
     if r != 1:
         return MultiplicativeReport(NOT_RANK_ONE, r, unit_value, float("nan"))
     if abs(unit_value - 1.0) >= tol:
         return MultiplicativeReport(RANK_ONE_BUT_NOT_UNIT, r, unit_value, float("nan"))
-    residual = float(np.max(np.abs(g.a - np.outer(f.coords, f.coords))))
+    a = gram(alg, f).a
+    residual = float(np.max(np.abs(a - np.outer(f.coords, f.coords))))
     if residual >= tol * max(1.0, float(np.abs(f.coords).max()) ** 2):
         raise TheoremViolation(
             f"rank-1 functional with F(1)=1 failed the product identity (residual {residual:.3e})"
@@ -301,11 +298,10 @@ def nil_ideal_check(alg: Algebra, ker: Kernels, tol: float = 1e-9) -> NilIdealRe
     ideal by projecting basis-by-frame products onto nil's complement.
 
     ``ker`` are the kernels of a functional on ``alg``, as returned by
-    :func:`kernels` or kept by :class:`ReducedPencil`."""
-    premise = subspace_equal(ker.left, ker.nil, 100 * tol) and subspace_equal(
-        ker.right, ker.nil, 100 * tol
-    )
-    if not premise:
+    :func:`kernels` or kept by :class:`ReducedPencil`.  Both kernels come
+    from one SVD with one dimension, and nil, their intersection, lies in
+    each, so the premise is ``dim left == dim nil``."""
+    if ker.left.dim != ker.nil.dim:
         return NilIdealReport(False, None, float("nan"))
     if ker.nil.dim == 0:
         return NilIdealReport(True, True, 0.0)

@@ -206,19 +206,23 @@ def nullspace(m, tol: float, *, scale: float | None = None) -> Subspace:
         return Subspace(0, np.zeros((0, 0), dtype=complex), tol)
     if m.shape[0] == 0:
         return Subspace.full(n, tol)
-    return _nullspaces(m[None], tol, [scale])[0]
+    return _nullspaces(m[None], tol, [scale])[0][1]
 
 
-def _nullspaces(stack: np.ndarray, tol: float, scales) -> list[Subspace]:
-    """:func:`nullspace` of each matrix of the finite, nonempty stack
-    ``stack`` at its own ``scales[i]``, from one full SVD of the stack."""
-    _, s, vh = np.linalg.svd(stack)
-    n = stack.shape[-1]
-    frames = []
-    for row, v, scale in zip(s, vh, scales):
+def _nullspaces(stack: np.ndarray, tol: float, scales) -> list[tuple[Subspace, Subspace]]:
+    """The left null space {x : x^T m = 0} and the right one, that of
+    :func:`nullspace`, of each matrix m of the finite, nonempty stack
+    ``stack`` at its own ``scales[i]``, from one full SVD of the stack
+    m = U S V^H: at the rank r its singular values give, the trailing
+    columns of conj(U) span the left and the trailing rows of V^H,
+    conjugated, the right."""
+    u, s, vh = np.linalg.svd(stack)
+    m, n = stack.shape[-2:]
+    spaces = []
+    for row, left, v, scale in zip(s, u, vh, scales):
         r = int(np.sum(row >= _svd_cutoff(row, tol, scale)))
-        frames.append(Subspace(n, v[r:].conj().T, tol))
-    return frames
+        spaces.append((Subspace(m, left[:, r:].conj(), tol), Subspace(n, v[r:].conj().T, tol)))
+    return spaces
 
 
 def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.ndarray:

@@ -183,11 +183,6 @@ def char_poly(rp: ReducedPencil) -> HomogeneousPoly:
     return det_poly(rp.a_tilde, rp.at_tilde)
 
 
-def _shift_regularity(rp: ReducedPencil, alpha0: complex) -> float:
-    """sigma_min / max(sigma_max, pencil scale) of the shifted pencil."""
-    return float(_shift_regularities(*_pencil_stack([rp]), alpha0)[0])
-
-
 def _pencil_stack(rps: list[ReducedPencil]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The a~, the a~^T and the pencil scales of pencils of one size K >= 1,
     stacked."""
@@ -201,8 +196,9 @@ def _pencil_stack(rps: list[ReducedPencil]) -> tuple[np.ndarray, np.ndarray, np.
 def _shift_regularities(
     a: np.ndarray, at: np.ndarray, scales: np.ndarray, alpha0: complex
 ) -> np.ndarray:
-    """:func:`_shift_regularity` of each pencil of the stack (a, at) with
-    pencil scales ``scales``, from one values-only SVD."""
+    """sigma_min / max(sigma_max, (1 + |alpha0|) scale) of the shifted
+    pencil a - alpha0 at, for each pencil of the stack (a, at) with pencil
+    scales ``scales``, from one values-only SVD."""
     s = np.linalg.svd(a - alpha0 * at, compute_uv=False)
     return s[:, -1] / np.maximum(s[:, 0], (1.0 + abs(alpha0)) * scales)
 
@@ -268,7 +264,8 @@ def _no_shift_error(
 ) -> NoRegularValue:
     """Why no shift was found for ``rp``: :class:`SingularPencil` when
     ``a~^T - alpha a~`` has rank below K at each of the K + 1 draws
-    ``more_draws``, :class:`NoRegularValue` otherwise."""
+    ``more_draws``, decided at the pencil's own rank tolerance,
+    :class:`NoRegularValue` otherwise."""
     failure = (
         f"no regular shift found in 64 samples: the best regularity of the shifted pencil "
         f"(sigma_min / scale) was {best:.3e}, below the floor {floor:.1e}"
@@ -276,7 +273,7 @@ def _no_shift_error(
     top = 0
     for alpha in more_draws:
         m, scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha))
-        top = max(top, rank(m, DEFAULT_TOL, scale=scale))
+        top = max(top, rank(m, rp.nil.tol, scale=scale))
     if top < rp.K:
         return SingularPencil(
             f"the pencil is singular for every alpha; F is not generic: a~^T - alpha a~ has "
@@ -330,8 +327,8 @@ def _filtration_reduced(
     the whole chain, with no climb; a simple point (mult = 1) is that case.
     Without ``mult`` the chain ends where it stops growing, or at K.  Per
     level below the end: the orthonormal columns of the image under the
-    shifted operator, a values-only rank test for growth, and the next
-    level's nullspace only when the level grows."""
+    shifted operator, and the next level's nullspace, whose own SVD decides
+    whether the level grows."""
     s_mat, s_scale = _slot_one_operator(rp, alpha)
     t_mat, t_scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha0))
     if stab_frame is None:
@@ -341,11 +338,7 @@ def _filtration_reduced(
     while chain[-1].shape[1] < end:
         image = orthonormal_columns(t_mat @ chain[-1], tol, scale=t_scale)
         off_image = s_mat - image @ (image.conj().T @ s_mat)
-        if rp.K - rank(off_image, tol, scale=s_scale) <= chain[-1].shape[1]:
-            break
         nxt = nullspace(off_image, tol, scale=s_scale).frame
-        # a full SVD may round its singular values differently from the
-        # values-only one, so the level must still be seen to grow
         if nxt.shape[1] <= chain[-1].shape[1]:
             break
         chain.append(nxt)
@@ -605,8 +598,8 @@ def decompose_all(
     single call would run on it, so each decomposition equals, bit for bit,
     the one :func:`decompose` returns.
 
-    The pairing matrices come from one contraction and the two kernels from
-    one stacked SVD each; each draw of the shift is tested with one
+    The pairing matrices come from one contraction and both kernels from
+    one stacked SVD; each draw of the shift is tested with one
     values-only SVD over the pencils still waiting for one; chi takes one
     ``det`` per interpolation node, the spectrum one ``solve`` and one
     ``eig``, and the level 0 of every multiple point one nullspace SVD.  The
@@ -680,7 +673,7 @@ def _decompose_stack(
     stab_frames = {}
     if multiple:
         mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
-        for key, space in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):
+        for key, (_, space) in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):
             stab_frames[key] = space.frame
     all_points, all_levels = [], []
     for c, (rp, alpha0, raw) in enumerate(zip(rps, alpha0s, spectra)):

@@ -24,6 +24,7 @@ from .functional import (
     Functional,
     Kernels,
     ReducedPencil,
+    _pairings,
     kernels,
     random_functional,
     reduce_pencil,
@@ -463,7 +464,7 @@ def minimize_stab_dim(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     coords = _perturbed_coords(f_start, s_basis, samples, seed)
-    a = np.einsum("ijk,ck->cij", alg.structure, coords)
+    a = _pairings(alg, coords)
     combos = lambda0 * a.transpose(0, 2, 1) + mu0 * a
     scales = (abs(lambda0) + abs(mu0)) * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
     dims = alg.dim - stack_ranks(combos, tol, scales)
@@ -577,8 +578,10 @@ def run_suites(
     functional alone.  Per-functional suites then loop over the functionals
     and read each one's decomposition; ``v-mult`` checks both of its
     variants on one product tensor of it, in quotient coordinates, so no
-    suite lifts a level (``Decomposition.filtrations``); ``kernel-relations``
-    and ``nil-ideal`` read the kernels its reduced pencil keeps.  The
+    suite lifts a level (``Decomposition.filtrations``); ``kernel-relations``,
+    ``nil-ideal`` and ``multiplicative`` read the kernels its reduced pencil
+    keeps, or, when no suite needs a decomposition, the functional's
+    :func:`algscope.functional.kernels`.  The
     regular-functional suites run once at a sampled minimizer, reduced once
     at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil."""
     from .functional import is_multiplicative, nil_ideal_check
@@ -596,7 +599,7 @@ def run_suites(
         if analysed:
             dec = decs[index]
             ker = dec.pencil.kernels
-        elif {"kernel-relations", "nil-ideal"}.intersection(suites):
+        elif {"kernel-relations", "nil-ideal", "multiplicative"}.intersection(suites):
             ker = kernels(alg, f, rank_tol)
         if "kernel-relations" in suites:
             findings.append(verify_kernel_relations(alg, ker))
@@ -616,7 +619,7 @@ def run_suites(
                 Finding(NIL_IDEAL, ok, res, None, 1, () if rep.premise_holds else ("premise not met",))
             )
         if "multiplicative" in suites:
-            rep = is_multiplicative(alg, f, rank_tol)
+            rep = is_multiplicative(alg, f, ker, rank_tol)
             res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
             findings.append(
                 Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, (f"verdict: {rep.verdict}",))

@@ -39,12 +39,68 @@ def slot_one_kernel(alg, f_coords, lambda0, mu0):
     return raw_kernel(*slot_one_combination(alg, f_coords, lambda0, mu0))
 
 
-def raw_kernel(matrix, floor_scale):
+def _raw_rank_of(s, tol, floor_scale):
+    """How many of the descending singular values ``s`` reach ``tol`` times
+    the largest of them (1 when all are 0), floored by ``floor_scale``."""
+    top = float(s[0]) if s.size else 0.0
+    return int(np.sum(s >= tol * max(top if top > 0.0 else 1.0, floor_scale)))
+
+
+def raw_kernel(matrix, floor_scale, tol=1e-9):
     """Orthonormal kernel basis with an absolute singular-value floor."""
     u, s, vh = np.linalg.svd(matrix)
-    cutoff = 1e-9 * max(float(s[0]) if s.size else 0.0, floor_scale)
-    r = int(np.sum(s >= cutoff))
-    return vh[r:].conj().T
+    return vh[_raw_rank_of(s, tol, floor_scale) :].conj().T
+
+
+def raw_kernels(a, tol=1e-9):
+    """Left kernel {x : x^T a = 0} and right kernel {x : a x = 0} of the
+    square matrix ``a`` from one raw SVD a = U S V^H, at the rank its
+    singular values give with no floor: the trailing columns of conj(U) and
+    the trailing rows of V^H, conjugated."""
+    u, s, vh = np.linalg.svd(a)
+    r = _raw_rank_of(s, tol, 0.0)
+    return u[:, r:].conj(), vh[r:].conj().T
+
+
+def multiplicative_loop(alg, f_coords, tol=1e-9):
+    """The rank-1 classification from the looped pairing matrix: (verdict,
+    rank, F(1), residual), the rank from its raw singular values, and the
+    residual, max |F(e_p e_q) - F(e_p) F(e_q)| pair by pair, only for a
+    rank-1 F with F(1) = 1 (NaN otherwise)."""
+    a = pairing_matrix(alg, f_coords)
+    r = _raw_rank_of(np.linalg.svd(a, compute_uv=False), tol, 0.0)
+    unit_value = complex(sum(u * c for u, c in zip(alg.unit, f_coords)))
+    if r != 1:
+        return "NotRankOne", r, unit_value, float("nan")
+    if abs(unit_value - 1.0) >= tol:
+        return "RankOneButNotUnit", r, unit_value, float("nan")
+    residual = 0.0
+    for p in range(alg.dim):
+        for q in range(alg.dim):
+            residual = max(residual, abs(a[p, q] - f_coords[p] * f_coords[q]))
+    return "Multiplicative", r, unit_value, float(residual)
+
+
+def raw_intersection(x, y, tol=1e-9):
+    """Orthonormal frame of the intersection of the column spans of the
+    orthonormal frames ``x`` and ``y``: the kernel of the stacked projector
+    complements, at unit scale; no columns when either is zero."""
+    n = x.shape[0]
+    if x.shape[1] == 0 or y.shape[1] == 0:
+        return np.zeros((n, 0), dtype=complex)
+    eye = np.eye(n)
+    return raw_kernel(np.vstack([eye - x @ x.conj().T, eye - y @ y.conj().T]), 1.0, tol)
+
+
+def raw_slot_one_operator(a_tilde, alpha):
+    """The matrix whose kernel is Stab(alpha) in the quotient coordinates of
+    the reduced pairing ``a_tilde`` (``a_tilde`` itself at infinity, alpha
+    None), with its pre-cancellation scale."""
+    k = a_tilde.shape[0]
+    scale = 1.0 if k == 0 else max(float(np.linalg.norm(a_tilde, "fro")), 1e-300)
+    if alpha is None:
+        return a_tilde, scale
+    return a_tilde.T.copy() - alpha * a_tilde, (1.0 + abs(alpha)) * scale
 
 
 def stab_fullspace(alg, f_coords, alpha):
@@ -346,26 +402,20 @@ def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed
 
 
 def filtration_reduced_loop(rp, alpha, alpha0, tol, stab_frame=None):
-    """The quotient-coordinate filtration of one point, one SVD per call:
-    Stab(alpha), then per level the image's orthonormal columns, a rank
-    test for growth and the next level's nullspace, each through the
-    library's single-matrix primitives.  Returns the list of level
-    frames."""
-    from algscope.linalg import nullspace, orthonormal_columns, rank
-    from algscope.spectral import _slot_one_operator
-
-    s_mat, s_scale = _slot_one_operator(rp, alpha)
-    t_mat = rp.at_tilde - alpha0 * rp.a_tilde
-    t_scale = (1.0 + abs(alpha0)) * rp.pencil_scale()
+    """The quotient-coordinate filtration of one point, from raw SVDs of the
+    pencil's matrices: Stab(alpha), then per level the image's orthonormal
+    columns and the next level's kernel, until a level does not grow.
+    Returns the list of level frames."""
+    s_mat, s_scale = raw_slot_one_operator(rp.a_tilde, None if alpha.is_infinite else alpha.value)
+    t_mat, t_scale = raw_slot_one_operator(rp.a_tilde, alpha0)
     if stab_frame is None:
-        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
+        stab_frame = raw_kernel(s_mat, s_scale, tol)
     levels = [stab_frame]
     for _ in range(rp.K):
-        image = orthonormal_columns(t_mat @ levels[-1], tol, scale=t_scale)
+        u, s, _ = np.linalg.svd(t_mat @ levels[-1], full_matrices=False)
+        image = u[:, : _raw_rank_of(s, tol, t_scale)]
         off_image = s_mat - image @ (image.conj().T @ s_mat)
-        if rp.K - rank(off_image, tol, scale=s_scale) <= levels[-1].shape[1]:
-            break
-        nxt = nullspace(off_image, tol, scale=s_scale).frame
+        nxt = raw_kernel(off_image, s_scale, tol)
         if nxt.shape[1] <= levels[-1].shape[1]:
             break
         levels.append(nxt)
@@ -376,17 +426,14 @@ def alpha0_independence_loop(
     rp, alpha, alpha0_a, alpha0_b, tol, compare_tol, stab_frame=None, climb=True
 ):
     """Shift independence at one point: (independent, max residual).  Level
-    0, ``stab_frame`` or the nullspace of the slot-one operator, must lie in
+    0, ``stab_frame`` or the kernel of the slot-one operator, must lie in
     Stab(alpha), each column's |S w| / scale taken on its own below ``tol``.
     With ``climb``, two looped filtrations from that level, one per shift,
     must then agree above level 0, one projector distance per level below
     ``compare_tol``, stopping at the first level that differs."""
-    from algscope.linalg import Subspace, nullspace, projector_distance
-    from algscope.spectral import _slot_one_operator
-
-    s_mat, s_scale = _slot_one_operator(rp, alpha)
+    s_mat, s_scale = raw_slot_one_operator(rp.a_tilde, None if alpha.is_infinite else alpha.value)
     if stab_frame is None:
-        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
+        stab_frame = raw_kernel(s_mat, s_scale, tol)
     worst = 0.0
     for j in range(stab_frame.shape[1]):
         worst = max(worst, float(np.linalg.norm(s_mat @ stab_frame[:, j])) / s_scale)
@@ -398,7 +445,7 @@ def alpha0_independence_loop(
     if [w.shape[1] for w in lev_a] != [w.shape[1] for w in lev_b]:
         return False, float("inf")
     for wa, wb in zip(lev_a[1:], lev_b[1:]):
-        dist = projector_distance(Subspace(rp.K, wa, tol), Subspace(rp.K, wb, tol))
+        dist = float(np.linalg.norm(wa @ wa.conj().T - wb @ wb.conj().T, 2))
         worst = max(worst, dist)
         if not dist < compare_tol:
             return False, worst
@@ -460,25 +507,38 @@ def corollaries_loop(alg, f_min, alpha, rank_tol=1e-9):
     """The corollary identities pair by pair, one product at a time: at
     alpha = 0 the products of the left with the right kernel, then of nil
     with itself; at other finite alpha x y - alpha y x for x in Stab(alpha)
-    and y in Stab(1/alpha).  Returns (worst norm, first witness reaching it
-    or None, number of samples)."""
-    from algscope import kernels, multiply, reduce_pencil, stab
+    and y in Stab(1/alpha).  The frames come from raw SVDs of the looped
+    pairing matrix: both kernels from one SVD, nil as their intersection,
+    and each stabilizer as a kernel of the pairing compressed to the
+    orthogonal complement of nil, lifted back with all of nil.  Returns
+    (worst norm, first witness reaching it or None, number of samples)."""
+    from algscope import multiply
 
+    a = pairing_matrix(alg, f_min.coords)
+    left, right = raw_kernels(a, rank_tol)
+    nil = raw_intersection(left, right, rank_tol)
+    if alpha.value == 0:
+        pairs = [("stab0*stabinf", left, right, 0.0), ("nil*nil", nil, nil, 0.0)]
+    else:
+        if nil.shape[1] == 0:
+            q = np.eye(alg.dim, dtype=complex)
+        else:
+            q = raw_kernel(nil.conj().T, 1.0, rank_tol)
+        a_tilde = q.T @ a @ q
+
+        def stab(value):
+            m, scale = raw_slot_one_operator(a_tilde, value)
+            return np.hstack([q @ raw_kernel(m, scale, rank_tol), nil])
+
+        pairs = [(None, stab(alpha.value), stab(1.0 / alpha.value), alpha.value)]
     worst = 0.0
     witness = None
     samples = 0
-    if alpha.value == 0:
-        ker = kernels(alg, f_min, rank_tol)
-        pairs = [("stab0*stabinf", ker.left, ker.right, 0.0), ("nil*nil", ker.nil, ker.nil, 0.0)]
-    else:
-        rp = reduce_pencil(alg, f_min, rank_tol)
-        xs, ys = stab(rp, alpha, rank_tol), stab(rp, alpha.inverse(), rank_tol)
-        pairs = [(None, xs, ys, alpha.value)]
     for label, xs, ys, value in pairs:
-        for i in range(xs.dim):
-            for j in range(ys.dim):
-                x = xs.frame[:, i]
-                y = ys.frame[:, j]
+        for i in range(xs.shape[1]):
+            for j in range(ys.shape[1]):
+                x = xs[:, i]
+                y = ys[:, j]
                 d = multiply(alg, x, y).coords - value * multiply(alg, y, x).coords
                 r = float(np.linalg.norm(d))
                 samples += 1

@@ -168,7 +168,8 @@ def test_criterion_6_dimension_symmetry_suite():
 
 def test_criterion_7_rank_one_multiplicative():
     with criterion(7, "rank-1 multiplicative"):
-        rep = is_multiplicative(dual_numbers(), Functional(np.array([1.0, 0.0])), 1e-9)
+        alg, f = dual_numbers(), Functional(np.array([1.0, 0.0]))
+        rep = is_multiplicative(alg, f, kernels(alg, f), 1e-9)
         assert rep.verdict == MULTIPLICATIVE and rep.max_residual < 1e-12
         # C^n as a direct sum of n copies of Mat_1, with coordinate functionals
         n = 4
@@ -178,9 +179,11 @@ def test_criterion_7_rank_one_multiplicative():
         for k in range(n):
             coords = np.zeros(n, dtype=complex)
             coords[k] = 1.0
-            rep = is_multiplicative(diag_alg, Functional(coords), 1e-9)
+            f = Functional(coords)
+            rep = is_multiplicative(diag_alg, f, kernels(diag_alg, f), 1e-9)
             assert rep.verdict == MULTIPLICATIVE and rep.max_residual < 1e-12
-        rep = is_multiplicative(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])), 1e-9)
+        alg, f = mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0]))
+        rep = is_multiplicative(alg, f, kernels(alg, f), 1e-9)
         assert rep.verdict == NOT_RANK_ONE and rep.rank == 4
 
 

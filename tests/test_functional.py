@@ -4,8 +4,12 @@ import pytest
 from algscope import (
     Functional,
     TheoremViolation,
+    cyclic_table,
+    direct_sum,
     dual_numbers,
     gram,
+    group_algebra,
+    klein_table,
     is_multiplicative,
     kernels,
     mat_algebra,
@@ -18,9 +22,9 @@ from algscope import (
     upper_triangular,
 )
 from algscope.functional import MULTIPLICATIVE, NOT_RANK_ONE, RANK_ONE_BUT_NOT_UNIT
-from algscope.linalg import Subspace, det_poly
+from algscope.linalg import Subspace, det_poly, projector_distance
 
-from oracles import match_root_multisets
+from oracles import match_root_multisets, multiplicative_loop, pairing_matrix, raw_kernel
 
 TOL = 1e-9
 
@@ -90,6 +94,46 @@ class TestKernels:
             assert ker.left.dim == ker.right.dim
 
 
+def kernel_cases():
+    """(label, algebra, functional) with nonzero kernels: random functionals
+    on tri_3..tri_5, and functionals with nil != 0."""
+    rng = np.random.default_rng(61)
+    cases = [
+        (f"tri_{n}", upper_triangular(n), random_functional(n * (n + 1) // 2, rng))
+        for n in (3, 4, 5)
+    ]
+    cases.append(("dual", dual_numbers(), Functional(np.array([1.0, 0.0]))))
+    # F vanishes on the eps of the dual block
+    coords = np.zeros(6, dtype=complex)
+    coords[:4] = matrix_trace_functional(np.diag([1.0, 3.0])).coords
+    coords[4] = 1.0
+    cases.append(("Mat_2+dual", direct_sum(mat_algebra(2), dual_numbers()), Functional(coords)))
+    weights = matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
+    cases.append(("Mat_3 weights 1, 2, 0", mat_algebra(3), weights))
+    return cases
+
+
+class TestKernelsAgainstRawSVD:
+    """Both kernels come from one SVD of the pairing; each matches the
+    kernel of a raw SVD of the looped pairing matrix (the right kernel) or
+    of its transpose (the left kernel)."""
+
+    @pytest.mark.parametrize("case", kernel_cases(), ids=lambda case: case[0])
+    def test_matches_the_raw_kernels(self, case):
+        _, alg, f = case
+        ker = kernels(alg, f, TOL)
+        a = pairing_matrix(alg, f.coords)
+        for got, matrix in ((ker.left, a.T), (ker.right, a)):
+            want = Subspace(alg.dim, raw_kernel(matrix, 0.0), TOL)
+            assert got.dim == want.dim > 0
+            assert projector_distance(got, want) < 1e-10
+        assert ker.left.dim == ker.right.dim
+
+    def test_cases_include_nonzero_nil(self):
+        nils = [kernels(alg, f, TOL).nil.dim for _, alg, f in kernel_cases()]
+        assert sum(d > 0 for d in nils) >= 3
+
+
 class TestReducedPencil:
     def test_zero_functional_gives_empty_pencil(self):
         rp = reduce_pencil(mat_algebra(2), Functional(np.zeros(4)), TOL)
@@ -149,16 +193,19 @@ class TestReducedPencil:
 
 class TestMultiplicative:
     def test_dual_numbers_projection_is_multiplicative(self):
-        rep = is_multiplicative(dual_numbers(), Functional(np.array([1.0, 0.0])), TOL)
+        alg, f = dual_numbers(), Functional(np.array([1.0, 0.0]))
+        rep = is_multiplicative(alg, f, kernels(alg, f), TOL)
         assert rep.verdict == MULTIPLICATIVE
         assert rep.max_residual < 1e-12
 
     def test_generic_matrix_functional_is_not_rank_one(self):
-        rep = is_multiplicative(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])), TOL)
+        alg, f = mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0]))
+        rep = is_multiplicative(alg, f, kernels(alg, f), TOL)
         assert rep.verdict == NOT_RANK_ONE and rep.rank == 4
 
     def test_scaled_projection_fails_the_unit_condition(self):
-        rep = is_multiplicative(dual_numbers(), Functional(np.array([2.0, 0.0])), TOL)
+        alg, f = dual_numbers(), Functional(np.array([2.0, 0.0]))
+        rep = is_multiplicative(alg, f, kernels(alg, f), TOL)
         assert rep.verdict == RANK_ONE_BUT_NOT_UNIT
         assert abs(rep.unit_value - 2.0) < 1e-14
 
@@ -173,7 +220,73 @@ class TestMultiplicative:
         c[:, :, 0] = 1.0
         alg = Algebra(2, c, np.array([1.0, 0.0]))
         with pytest.raises(TheoremViolation):
-            is_multiplicative(alg, Functional(np.array([1.0, 0.0])), TOL)
+            f = Functional(np.array([1.0, 0.0]))
+            is_multiplicative(alg, f, kernels(alg, f), TOL)
+
+
+def character(table, values):
+    """The functional of the group algebra of ``table`` whose value on each
+    group element is ``values[g]``."""
+    return group_algebra(table), Functional(np.asarray(values, dtype=complex))
+
+
+def multiplicative_cases():
+    """(label, algebra, functional): the characters of Z_3 and of the Klein
+    group, twice a character, and random functionals."""
+    omega = np.exp(2j * np.pi / 3)
+    cases = [
+        (f"Z_3 chi_{k}", *character(cyclic_table(3), [omega ** (k * g) for g in range(3)]))
+        for k in range(3)
+    ]
+    cases += [
+        (f"Klein chi_{m}", *character(klein_table(), [(-1) ** bin(g & m).count("1") for g in range(4)]))
+        for m in range(4)
+    ]
+    cases.append(("Z_3 2 chi_1", *character(cyclic_table(3), [2 * omega**g for g in range(3)])))
+    cases.append(("Klein 2 chi_3", *character(klein_table(), [2, -2, -2, 2])))
+    rng = np.random.default_rng(67)
+    for alg in (group_algebra(cyclic_table(3)), group_algebra(klein_table()), mat_algebra(2)):
+        cases.append((f"random on dim {alg.dim}", alg, random_functional(alg.dim, rng)))
+    return cases
+
+
+class TestMultiplicativeAgainstLoop:
+    """``is_multiplicative`` reads the rank from the kernels and agrees with
+    the raw-SVD rank of the looped pairing matrix."""
+
+    @pytest.mark.parametrize("case", multiplicative_cases(), ids=lambda case: case[0])
+    def test_matches_the_loop(self, case):
+        _, alg, f = case
+        rep = is_multiplicative(alg, f, kernels(alg, f, TOL), TOL)
+        verdict, r, unit_value, residual = multiplicative_loop(alg, f.coords, TOL)
+        assert (rep.verdict, rep.rank) == (verdict, r)
+        assert abs(rep.unit_value - unit_value) < 1e-14
+        if np.isnan(residual):
+            assert np.isnan(rep.max_residual)
+        else:
+            assert abs(rep.max_residual - residual) < 1e-14
+
+    def test_cases_cover_every_verdict(self):
+        verdicts = [
+            multiplicative_loop(alg, f.coords, TOL)[0] for _, alg, f in multiplicative_cases()
+        ]
+        assert set(verdicts) == {MULTIPLICATIVE, RANK_ONE_BUT_NOT_UNIT, NOT_RANK_ONE}
+        assert verdicts.count(MULTIPLICATIVE) == 7
+
+    def test_takes_no_svd(self, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        for _, alg, f in multiplicative_cases():
+            ker = kernels(alg, f, TOL)
+            monkeypatch.setattr(np.linalg, "svd", counted)
+            is_multiplicative(alg, f, ker, TOL)
+            monkeypatch.setattr(np.linalg, "svd", original)
+        assert calls == []
 
 
 class TestNilIdeal:
@@ -191,3 +304,33 @@ class TestNilIdeal:
         alg = mat_algebra(2)
         rep = nil_ideal_check(alg, kernels(alg, matrix_trace_functional(np.diag([1.0, 2.0]))), TOL)
         assert rep.premise_holds and rep.is_ideal and rep.max_residual == 0.0
+
+    @pytest.mark.parametrize("case", kernel_cases(), ids=lambda case: case[0])
+    def test_premise_by_dimension_is_the_projector_rule(self, case):
+        # nil lies in both kernels, so equal dimensions are equal spaces
+        _, alg, f = case
+        ker = kernels(alg, f, TOL)
+        rep = nil_ideal_check(alg, ker, TOL)
+        by_distance = subspace_equal(ker.left, ker.nil, 100 * TOL) and subspace_equal(
+            ker.right, ker.nil, 100 * TOL
+        )
+        assert rep.premise_holds == by_distance
+        if rep.premise_holds and ker.nil.dim:
+            assert projector_distance(ker.left, ker.nil) < 10 * TOL
+
+    def test_premise_takes_no_projector_distance(self, monkeypatch):
+        orders = []
+        original = np.linalg.norm
+
+        def counted(x, ord=None, *args, **kwargs):
+            orders.append(ord)
+            return original(x, ord, *args, **kwargs)
+
+        premises = []
+        for _, alg, f in kernel_cases():
+            ker = kernels(alg, f, TOL)
+            monkeypatch.setattr(np.linalg, "norm", counted)
+            premises.append(nil_ideal_check(alg, ker, TOL).premise_holds)
+            monkeypatch.setattr(np.linalg, "norm", original)
+        assert True in premises and False in premises
+        assert 2 not in orders

@@ -282,10 +282,15 @@ class TestStackedPrimitives:
         ranks = [int(r) for r in rng.integers(0, k + 1, size=7)]
         mats = np.stack(random_stack(rng, 7, k, k, ranks))
         scales = [None, *rng.uniform(0.5, 2.0, size=6)]
-        for got, m, sc in zip(_nullspaces(mats, TOL, scales), mats, scales):
+        for (left, got), m, sc in zip(_nullspaces(mats, TOL, scales), mats, scales):
             want = nullspace(m, TOL, scale=sc)
             assert got.frame.shape == want.frame.shape == (k, k - rank(m, TOL, scale=sc))
             assert got.frame.tobytes() == want.frame.tobytes()
+            # the left null space from the same SVD, at the same rank
+            assert left.dim == got.dim
+            assert subspace_equal(left, nullspace(m.T, TOL, scale=sc), 1e-10)
+            if left.dim:
+                assert np.max(np.abs(left.frame.T @ m)) < 1e-12 * max(1.0, np.abs(m).max())
 
     @pytest.mark.parametrize("k", [1, 4, 9])
     def test_stacked_det_polys_are_the_single_calls(self, k):

@@ -44,7 +44,8 @@ from algscope.spectral import (
     decompose_all,
     _decomposition_checks,
     _filtration_reduced,
-    _shift_regularity,
+    _pencil_stack,
+    _shift_regularities,
 )
 
 from oracles import (
@@ -113,7 +114,7 @@ class TestChooseAlpha0:
         for seed in range(10):
             a0 = choose_alpha0(rp, seed=seed)
             assert 0.5 <= abs(a0) <= 2.0
-            assert _shift_regularity(rp, a0) >= 1e-8
+            assert _shift_regularities(*_pencil_stack([rp]), a0)[0] >= 1e-8
             assert all(abs(a0 - root) > 1e-6 for root in (1.0, 2.0, 0.5))
 
     def test_scalar_pencil_accepts_anything_but_one(self):
@@ -345,6 +346,8 @@ class TestFiltrationClimb:
         # each chain from a given Stab(alpha), under the other shifts
         for alpha in alphas:
             w = filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0]
+            # the climb hands a given level 0 back as it is
+            w.setflags(write=False)
             climbed = [_filtration_reduced(rp, alpha, s, TOL, w) for s in shifts[1:]]
             looped = [filtration_reduced_loop(rp, alpha, s, TOL, w) for s in shifts[1:]]
             self.assert_frames_equal(climbed, looped)
@@ -484,6 +487,25 @@ class TestDegeneratePencils:
         assert message.startswith("the pencil is singular for every alpha; F is not generic")
         assert f"rank at most {top} of {k} at {k + 1} distinct alpha" in message
         assert re.search(r"best regularity .* was \S+, below the floor 1\.0e-08$", message)
+
+    def test_singular_pencil_is_decided_at_the_pencil_tol(self, monkeypatch):
+        # every rank test behind SingularPencil runs at the tol the pencil
+        # was reduced at, not at the default
+        import algscope.spectral as spectral
+
+        tols = []
+        original = spectral.rank
+
+        def recorded(m, tol, **kwargs):
+            tols.append(tol)
+            return original(m, tol, **kwargs)
+
+        monkeypatch.setattr(spectral, "rank", recorded)
+        f = matrix_trace_functional(np.diag(np.ones(2), 1))
+        with pytest.raises(SingularPencil):
+            decompose(mat_algebra(3), f, tol=1e-6)
+        # K = 8, so K + 1 draws
+        assert tols == [1e-6] * 9
 
     def test_nearly_singular_regular_pencil_is_not_called_singular(self):
         # a~ = diag(1, 9e-9): every shift misses the 1e-8 regularity floor,

@@ -789,12 +789,12 @@ class TestLinearAlgebraCounts:
 
         def chain_calls(levels, from_stab):
             # Stab(alpha) unless given; per level below the multiplicity the
-            # image's thin SVD, a values-only growth test and the next
-            # level's full SVD; nothing at the level that reaches it.  A
-            # nullspace is the SVD of a stack of one
+            # image's thin SVD and the next level's full SVD, which decides
+            # its growth; nothing at the level that reaches it.  A nullspace
+            # is the SVD of a stack of one
             calls = [] if from_stab else [((1, k, k), "full")]
             for w in levels[:-1]:
-                calls += [((k, w.shape[1]), "thin"), ((k, k), "values"), ((1, k, k), "full")]
+                calls += [((k, w.shape[1]), "thin"), ((1, k, k), "full")]
             return calls
 
         calls = self.count_svd(monkeypatch)
@@ -829,7 +829,9 @@ class TestLinearAlgebraCounts:
 
     def test_lapack_calls_of_an_all_suite_run(self, monkeypatch):
         # Mat_3 with 10 random functionals: K = 9 and nil = 0 for each, and
-        # alpha = 1 is the one multiple point, with Stab(1) of dimension 3
+        # alpha = 1 is the one multiple point, with Stab(1) of dimension 3.
+        # Each rank is decided once: no SVD of a transposed pairing, and
+        # none in the multiplicative suite
         calls = self.count_svd(monkeypatch)
         eigs = self.count_calls(monkeypatch, np.linalg, "eig")
         solves = self.count_calls(monkeypatch, np.linalg, "solve")
@@ -841,24 +843,51 @@ class TestLinearAlgebraCounts:
         assert (len(eigs), len(solves), len(dets)) == (1, 1, 10)
         assert [args[0].shape for args, _ in dets] == [(10, 9, 9)] * 10
         assert collections.Counter(calls) == {
-            # the left and right kernels of the batch, then the level 0 of
-            # its multiple points; both kernels are 0, so the intersections
-            # and the complements take no SVD
-            ((10, 9, 9), "full"): 3,
+            # both kernels of the batch, then the level 0 of its multiple
+            # points; both kernels are 0, so the intersections and the
+            # complements take no SVD
+            ((10, 9, 9), "full"): 2,
             # every pencil accepts the first shift drawn, and the
             # direct-sum check of the batch: one stack of K x K frames
             ((10, 9, 9), "values"): 2,
-            # per functional: the transversality rank and the multiplicative
-            # rank
-            ((9, 9), "values"): 20,
+            # per functional: the transversality rank
+            ((9, 9), "values"): 10,
             # the corollary2 and corollary3 minimizers, one stack each
             ((33, 9, 9), "values"): 2,
-            # the minimizers' reduced pencils, two kernels each: corollary2
-            # and the perturbation suite share one, and each reads its
-            # Stab(1), which is its own inverse; corollary3 reads the
-            # kernels of the other
-            ((1, 9, 9), "full"): 6,
+            # the minimizers' reduced pencils, one kernel SVD each:
+            # corollary2 and the perturbation suite share one, and each
+            # reads its Stab(1), which is its own inverse; corollary3 reads
+            # the kernels of the other
+            ((1, 9, 9), "full"): 4,
         }
+        assert len(calls) == 20
+
+    def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
+        # tri_5 with 10 random functionals: the left and right kernels are
+        # nonzero but meet in 0, so K = 15, and each pencil has three
+        # multiple points
+        calls = self.count_svd(monkeypatch)
+        findings = run_suites(upper_triangular(5), SUITE_NAMES, 10, seed=0)
+        assert all(f.passed for f in findings)
+        assert collections.Counter(calls) == {
+            # both kernels of the batch, then the level 0 of its 30
+            # multiple points
+            ((10, 15, 15), "full"): 1,
+            ((30, 15, 15), "full"): 1,
+            # each intersection of a left and a right kernel: ten for the
+            # batch and one for each minimizer's pencil
+            ((1, 30, 15), "full"): 12,
+            # the first shift drawn, and the direct-sum check
+            ((10, 15, 15), "values"): 2,
+            # per functional: the transversality rank
+            ((15, 15), "values"): 10,
+            # the two minimizers
+            ((33, 15, 15), "values"): 2,
+            # the minimizers' kernels and Stab(1) of corollary2 and of the
+            # perturbation suite
+            ((1, 15, 15), "full"): 4,
+        }
+        assert len(calls) == 32
 
     def test_pairwise_products_once_per_decomposition(self, monkeypatch):
         import sys
