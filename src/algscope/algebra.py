@@ -293,11 +293,14 @@ def multiply(alg: Algebra, x, y) -> Element:
 def pairwise_products(alg: Algebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """All products of columns of ``xs`` with columns of ``ys``.
 
-    Returns an array of shape ``(xs.cols, ys.cols, dim)``.
+    Returns an array of shape ``(xs.cols, ys.cols, dim)``.  Stacks of
+    frames, ``(..., dim, cols)``, give ``(..., xs.cols, ys.cols, dim)``,
+    each pair of frames multiplied by the calls a pair alone gets.
     """
     n = alg.dim
-    left = (xs.T @ alg.structure.reshape(n, n * n)).reshape(xs.shape[1], n, n)
-    return ys.T @ left
+    xt = np.swapaxes(xs, -1, -2)
+    left = (xt @ alg.structure.reshape(n, n * n)).reshape(*xt.shape[:-1], n, n)
+    return np.swapaxes(ys, -1, -2)[..., None, :, :] @ left
 
 
 # --------------------------------------------------------------------------

@@ -10,22 +10,32 @@ The regular-functional identities hold only at a functional that locally
 minimizes the relevant kernel dimension, so the suite provides an empirical
 minimizer and a deliberate negative control.  Every suite reads one
 analysis: kernels, a decomposition, or a minimizer's reduced pencil.
+
+Each per-functional suite is written once, over a list of decompositions
+(or of kernels), and :func:`run_suites` runs it once per chunk of its
+functionals; the public single-decomposition function is its batch of one.
+A batch is grouped so that every stacked product runs on each member's
+matrices the routine, at the shapes, that the member gets alone, so each
+finding has the same bits in a batch of any size.  No stacked operand takes
+more than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .algebra import Algebra, pairwise_products
+from .algebra import _VALIDATE_BLOCK_BYTES, Algebra, pairwise_products
 from .functional import (
     Functional,
     Kernels,
     ReducedPencil,
+    _check_pairing,
     _pairings,
-    kernels,
+    _stack_kernels,
     random_functional,
     reduce_pencil,
 )
@@ -35,7 +45,6 @@ from .spectral import (
     DEFAULT_TOL,
     Decomposition,
     _alpha0_independence,
-    _lift_frame,
     _stab_residuals,
     choose_alpha0,
     decompose_all,
@@ -113,8 +122,85 @@ def _first_worst(res: np.ndarray, tol: float) -> tuple[float, tuple | None]:
     return worst, tuple(int(i) for i in np.unravel_index(np.argmax(res), res.shape))
 
 
+def _chunks(widths: list[int], limit: int) -> list[list[int]]:
+    """Consecutive indices into ``widths``, split greedily so that each
+    chunk's widths sum to at most ``limit``, unless one width alone
+    exceeds it."""
+    chunks = [[]]
+    total = 0
+    for i, width in enumerate(widths):
+        if chunks[-1] and total + width > limit:
+            chunks.append([])
+            total = 0
+        chunks[-1].append(i)
+        total += width
+    return chunks
+
+
+def _budget_parts(members: list[int], nbytes: int) -> list[list[int]]:
+    """``members`` split into consecutive parts of at most
+    ``_VALIDATE_BLOCK_BYTES`` at ``nbytes`` per member."""
+    parts = _chunks([nbytes] * len(members), _VALIDATE_BLOCK_BYTES)
+    return [[members[j] for j in part] for part in parts if part]
+
+
 # --------------------------------------------------------------------------
 # kernel product relations
+
+#: the seven relations: name, left factor, right factor and target, each an
+#: index into (left, right, nil), None standing for the whole algebra
+_RELATIONS = (
+    ("left*algebra<=left", 0, None, 0),
+    ("algebra*right<=right", None, 1, 1),
+    ("left*right<=nil", 0, 1, 2),
+    ("left*nil<=nil", 0, 2, 2),
+    ("nil*right<=nil", 2, 1, 2),
+    ("nil*algebra<=left", 2, None, 0),
+    ("algebra*nil<=right", None, 2, 1),
+)
+
+
+def _kernel_relations(alg: Algebra, kers: list[Kernels], tol: float) -> list[Finding]:
+    """:func:`verify_kernel_relations` of each of ``kers``: per group of
+    equal kernel dimensions and per relation, one stacked product, with the
+    whole algebra read from the structure tensor, and one stacked
+    residual."""
+    n = alg.dim
+    s = alg.structure.reshape(n, n * n)
+    out: list = [None] * len(kers)
+    groups: dict[tuple, list[int]] = {}
+    for i, ker in enumerate(kers):
+        groups.setdefault(tuple(x.dim for x in ker), []).append(i)
+    for dims, members in groups.items():
+        for part in _budget_parts(members, 16 * n * n * max(dims)):
+            frames = [np.stack([kers[i][t].frame for i in part]) for t in range(3)]
+            b = len(part)
+            worst = [0.0] * b
+            witness: list = [None] * b
+            samples = 0
+            for name, x, y, t in _RELATIONS:
+                if 0 in [dims[f] for f in (x, y) if f is not None]:
+                    continue
+                if y is None:
+                    prods = (np.swapaxes(frames[x], 1, 2) @ s).reshape(b, dims[x], n, n)
+                elif x is None:
+                    prods = np.swapaxes(frames[y], 1, 2)[:, None] @ s.reshape(n, n, n)
+                else:
+                    prods = pairwise_products(alg, frames[x], frames[y])
+                # each product a column, as Subspace.residual takes them
+                v = prods.reshape(b, -1, n).transpose(0, 2, 1)
+                w = frames[t]
+                off = v - w @ (w.conj().transpose(0, 2, 1) @ v)
+                res = np.linalg.norm(off, axis=1) / np.maximum(1.0, np.linalg.norm(v, axis=1))
+                res = res.reshape(b, *prods.shape[1:3])
+                samples += res[0].size
+                for r, local in enumerate(res.max(axis=(1, 2)).tolist()):
+                    if local > worst[r]:
+                        _, at = _first_worst(res[r], tol)
+                        worst[r], witness[r] = local, at and (name,) + at
+            for i, wst, wit in zip(part, worst, witness):
+                out[i] = Finding(KERNEL_RELATIONS, wst < tol, wst, wit, samples)
+    return out
 
 
 def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Finding:
@@ -123,30 +209,10 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Fi
 
     ``ker`` are the kernels of a functional on ``alg``, as returned by
     :func:`algscope.functional.kernels` or kept by the reduced pencil of a
-    decomposition (``dec.pencil.kernels``)."""
-    full = Subspace.full(alg.dim, ker.nil.tol)
-    relations = [
-        ("left*algebra<=left", ker.left, full, ker.left),
-        ("algebra*right<=right", full, ker.right, ker.right),
-        ("left*right<=nil", ker.left, ker.right, ker.nil),
-        ("left*nil<=nil", ker.left, ker.nil, ker.nil),
-        ("nil*right<=nil", ker.nil, ker.right, ker.nil),
-        ("nil*algebra<=left", ker.nil, full, ker.left),
-        ("algebra*nil<=right", full, ker.nil, ker.right),
-    ]
-    worst = 0.0
-    witness = None
-    samples = 0
-    for name, xs, ys, target in relations:
-        if xs.dim == 0 or ys.dim == 0:
-            continue
-        prods = pairwise_products(alg, xs.frame, ys.frame)
-        res = target.residual(prods.reshape(-1, alg.dim).T).reshape(xs.dim, ys.dim)
-        samples += res.size
-        local, at = _first_worst(res, tol)
-        if local > worst:
-            worst, witness = local, at and (name,) + at
-    return Finding(KERNEL_RELATIONS, worst < tol, worst, witness, samples)
+    decomposition (``dec.pencil.kernels``).  A failing finding names the
+    relation and the first worst pair of frame columns.  It runs the
+    stacked suite on a batch of one."""
+    return _kernel_relations(alg, [ker], tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +223,48 @@ def _suite_shifts(dec: Decomposition, seed: int) -> tuple[complex, complex]:
     """The alpha0 suite's two regular shifts, drawn with seeds ``seed + 1``
     and ``seed + 2``."""
     return choose_alpha0(dec.pencil, seed=seed + 1), choose_alpha0(dec.pencil, seed=seed + 2)
+
+
+def _alpha0_suite(decs: list[Decomposition], seeds: list[int], tol: float) -> list[Finding]:
+    """:func:`verify_alpha0_suite` of each of ``decs`` with its own seed:
+    one level-0 residual call per K-group, then each climb on its own."""
+    groups: dict[int, list[int]] = {}
+    for i, dec in enumerate(decs):
+        if dec.points:
+            groups.setdefault(dec.pencil.K, []).append(i)
+    residuals = {}
+    for members in groups.values():
+        found = _stab_residuals(
+            [decs[i].pencil for i in members],
+            [[p.alpha for p in decs[i].points] for i in members],
+            [[decs[i].quotient_filtrations[p.alpha][0] for p in decs[i].points] for i in members],
+        )
+        residuals.update(zip(members, found))
+    out = []
+    for i, (dec, seed) in enumerate(zip(decs, seeds)):
+        if not dec.points:
+            out.append(Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",)))
+            continue
+        shifts = None
+        results = []
+        for p, residual in zip(dec.points, residuals[i]):
+            equal, dist = True, 0.0
+            w = dec.quotient_filtrations[p.alpha][0]
+            if w.shape[1] < p.algebraic_mult:
+                shifts = shifts or _suite_shifts(dec, seed)
+                equal, dist = _alpha0_independence(
+                    dec.pencil, p.alpha, *shifts, dec.tol, tol, w, p.algebraic_mult
+                )
+            results.append((residual < dec.tol and equal, max(residual, dist)))
+        worst = max(residual for _, residual in results)
+        failing = [j for j, (passed, _) in enumerate(results) if not passed]
+        witness = None
+        if failing:
+            # max keeps the first of equal residuals
+            at = max(failing, key=lambda j: results[j][1])
+            witness = (dec.points[at].alpha, *(shifts or _suite_shifts(dec, seed)))
+        out.append(Finding(ALPHA0_INDEPENDENCE, not failing, worst, witness, len(results)))
+    return out
 
 
 def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) -> Finding:
@@ -177,144 +285,208 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
     only when a point climbs or a failing finding names them.  The residual
     of a point is the largest of these.  A failing finding names as witness
     (alpha, shift_a, shift_b) for the first failing point with the largest
-    residual, and a passing one, whose residuals are round-off, names none."""
-    if not dec.points:
-        return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
-    shifts = None
-    alphas = [p.alpha for p in dec.points]
-    frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
-    results = []
-    (residuals,) = _stab_residuals([dec.pencil], [alphas], [frames])
-    for p, w, residual in zip(dec.points, frames, residuals):
-        equal, dist = True, 0.0
-        if w.shape[1] < p.algebraic_mult:
-            shifts = shifts or _suite_shifts(dec, seed)
-            equal, dist = _alpha0_independence(
-                dec.pencil, p.alpha, *shifts, dec.tol, tol, w, p.algebraic_mult
-            )
-        results.append((residual < dec.tol and equal, max(residual, dist)))
-    worst = max(residual for _, residual in results)
-    failing = [i for i, (passed, _) in enumerate(results) if not passed]
-    witness = None
-    if failing:
-        # max keeps the first of equal residuals
-        at = max(failing, key=lambda i: results[i][1])
-        witness = (alphas[at], *(shifts or _suite_shifts(dec, seed)))
-    return Finding(ALPHA0_INDEPENDENCE, not failing, worst, witness, len(results))
+    residual, and a passing one, whose residuals are round-off, names none.
+    It runs the stacked suite on a batch of one."""
+    return _alpha0_suite([dec], [seed], tol)[0]
 
 
 # --------------------------------------------------------------------------
 # product inclusions between filtration levels
 
 
-def _target_indices(dec: Decomposition, values: np.ndarray) -> np.ndarray:
-    """Index into ``dec.points`` of the point each finite value falls at, or
-    -1: :meth:`Decomposition.point_at` (the first point within
-    ``cluster_tol``, relative for large values) applied elementwise."""
-    finite = np.array([not p.alpha.is_infinite for p in dec.points], dtype=bool)
-    alphas = np.array([0j if p.alpha.is_infinite else p.alpha.value for p in dec.points])
+def _point_table(decs: list[Decomposition]):
+    """The points of each of ``decs``, padded to the most points, and to
+    one at least: (values, finite, infinite, cluster_tol), the value 0 at
+    infinity and in the padding, which is neither finite nor infinite."""
+    width = max([len(dec.points) for dec in decs] + [1])
+    values = np.zeros((len(decs), width), dtype=complex)
+    finite = np.zeros((len(decs), width), dtype=bool)
+    infinite = np.zeros((len(decs), width), dtype=bool)
+    for r, dec in enumerate(decs):
+        for j, p in enumerate(dec.points):
+            if p.alpha.is_infinite:
+                infinite[r, j] = True
+            else:
+                finite[r, j] = True
+                values[r, j] = p.alpha.value
+    return values, finite, infinite, np.array([dec.cluster_tol for dec in decs])
+
+
+def _target_indices(table, values: np.ndarray) -> np.ndarray:
+    """Per decomposition r of the :func:`_point_table` ``table``, the index
+    into its points of the point each finite value of ``values[r]`` falls
+    at, or -1: :meth:`Decomposition.point_at` (the first point within
+    ``cluster_tol``, relative for large values) applied elementwise, to all
+    decompositions at once."""
+    alphas, finite, _, cluster_tol = table
+    shape = (len(alphas),) + (1,) * (values.ndim - 1) + (alphas.shape[1],)
+    alphas = alphas.reshape(shape)
     v = values[..., None]
     scale = np.maximum(np.maximum(1.0, np.abs(v)), np.abs(alphas))
-    close = (np.abs(v - alphas) <= dec.cluster_tol * scale) & finite
+    near = cluster_tol.reshape(shape[:-1] + (1,)) * scale
+    close = (np.abs(v - alphas) <= near) & finite.reshape(shape)
     return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
-def _chunks(widths: list[int], limit: int) -> list[list[int]]:
-    """Consecutive indices into ``widths``, split greedily so that each
-    chunk's widths sum to at most ``limit``, unless one width alone
-    exceeds it."""
-    chunks = [[]]
-    total = 0
-    for i, width in enumerate(widths):
-        if chunks[-1] and total + width > limit:
-            chunks.append([])
-            total = 0
-        chunks[-1].append(i)
-        total += width
-    return chunks
-
-
-def _product_inclusions(alg: Algebra, dec: Decomposition, tol: float) -> tuple[tuple, tuple]:
+def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
     """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for the pairs of spectral points
-    of ``dec``, where infinity times a nonzero point is infinity; products
-    falling at a non-spectral value must lie in nil.  Returns (worst
-    residual, witness, samples) over the pairs of finite points, then over
-    the pairs of nonzero points, infinity included.
+    of each of ``decs``, where infinity times a nonzero point is infinity;
+    products falling at a non-spectral value must lie in nil.  Returns per
+    decomposition (worst residual, witness, samples) over the pairs of
+    finite points, then over the pairs of nonzero points, infinity
+    included.
 
     The levels are read as the quotient frames W of
     ``dec.quotient_filtrations``, with no lift to :class:`Subspace`: the
-    columns ``[Q W, nil]`` of all levels of all points are stacked into one
-    matrix and multiplied in one :func:`pairwise_products` call.  Every
+    columns ``[Q W, nil]`` of all levels of all points of a decomposition
+    are stacked into one matrix, and the matrices of a group, the
+    decompositions with the same K, column count and projection chunks,
+    into one array multiplied in one :func:`pairwise_products` call.  Every
     level contains nil and ``[Q, nil]`` is unitary, so a product p lies off
     the level ``[Q W, nil]`` by exactly the part of its quotient
     coordinates c = Q^H p off W, and off nil by all of c: its residual is
     ``|c - W W^H c| / max(1, |p|)``, or ``|c| / max(1, |p|)`` for nil.
     Each product's residual is taken once, against its own target level:
-    all coordinates are projected onto the columns of all levels in one
-    product, and each keeps only its target's columns.  Products of 0 and
-    infinity belong to neither variant.  A variant whose worst
-    residual reaches ``tol`` names as witness (a, b, k, m), meaning
-    V^k(a) V^m(b), the first quadruple, in the order a, b, k, m over the
-    points in spectrum order, whose products reach that residual.  Below
-    ``tol`` the residuals are round-off, whose argmax any reordering of the
-    arithmetic moves, so a passing variant names no witness.  Every product
-    of two of its columns is one sample."""
-    if not dec.points:
-        return (0.0, None, 0), (0.0, None, 0)
-    rp = dec.pencil
-    all_levels = [w for p in dec.points for w in dec.quotient_filtrations[p.alpha]]
-    n_levels = np.array([len(dec.quotient_filtrations[p.alpha]) for p in dec.points])
-    # column c of the stack spans part of level level_of[c] at dec.points[point_of[c]]
-    widths = [w.shape[1] + rp.nil.dim for w in all_levels]
-    point_of = np.repeat(np.repeat(np.arange(len(dec.points)), n_levels), widths)
-    level_of = np.repeat(np.concatenate([np.arange(n) for n in n_levels]), widths)
-    stacked = np.hstack([_lift_frame(rp, w) for w in all_levels])
-    prods = pairwise_products(alg, stacked, stacked).reshape(-1, alg.dim)
+    all coordinates are projected onto the columns of all levels, in chunks
+    of whole levels of at most N columns, and each keeps only its target's
+    columns.  Products of 0 and infinity belong to neither variant.  A
+    variant whose worst residual reaches ``tol`` names as witness
+    (a, b, k, m), meaning V^k(a) V^m(b), the first quadruple, in the order
+    a, b, k, m over the points in spectrum order, whose products reach
+    that residual.  Below ``tol`` the residuals are round-off, whose argmax
+    any reordering of the arithmetic moves, so a passing variant names no
+    witness.  Every product of two of its columns is one sample."""
+    n = alg.dim
+    out: list = [((0.0, None, 0), (0.0, None, 0))] * len(decs)
+    groups: dict[tuple, list[int]] = {}
+    for i, dec in enumerate(decs):
+        if dec.points:
+            widths = [w.shape[1] for p in dec.points for w in dec.quotient_filtrations[p.alpha]]
+            cols = sum(widths) + len(widths) * dec.pencil.nil.dim
+            chunks = tuple(sum(widths[t] for t in chunk) for chunk in _chunks(widths, n))
+            groups.setdefault((dec.pencil.K, cols, chunks), []).append(i)
+    for (_, cols, _), members in groups.items():
+        for part in _budget_parts(members, 16 * cols * n * max(n, cols)):
+            for i, found in zip(part, _group_inclusions(alg, [decs[i] for i in part], tol)):
+                out[i] = found
+    return out
 
-    # the target of each product, as an index into all levels of all points:
-    # level min(k + m, last) at the point of alpha * beta (infinity when a
-    # factor is), or -1 for nil
-    infinite = np.array([p.alpha.is_infinite for p in dec.points], dtype=bool)
-    values = np.array([0j if p.alpha.is_infinite else p.alpha.value for p in dec.points])
-    finite_col = ~infinite[point_of]
-    nonzero_col = (infinite | (values != 0))[point_of]
-    at = _target_indices(dec, np.multiply.outer(values, values))
-    at[infinite[:, None] | infinite[None, :]] = np.argmax(infinite)
-    target_point = at[point_of[:, None], point_of[None, :]]
-    first_level = np.cumsum(n_levels) - n_levels
-    level = np.minimum(level_of[:, None] + level_of[None, :], n_levels[target_point] - 1)
-    target = np.where(target_point >= 0, first_level[target_point] + level, -1).ravel()
 
-    in_variant = [np.outer(cols, cols).ravel() for cols in (finite_col, nonzero_col)]
-    covered = in_variant[0] | in_variant[1]
-    # each product's quotient coordinates, as a row, and their projection
-    # onto its target level; a chunk holds whole levels of at most N columns
-    # in all, so no array outgrows the product tensor
-    coords = prods @ rp.quotient_frame.conj()
-    projected = np.zeros_like(coords)
-    for chunk in _chunks([w.shape[1] for w in all_levels], alg.dim):
-        cols = np.hstack([all_levels[t] for t in chunk])
-        level_of_col = np.repeat(chunk, [all_levels[t].shape[1] for t in chunk])
-        onto = coords @ cols.conj()
-        onto[target[:, None] != level_of_col] = 0.0
-        projected += onto @ cols.T
-    off = np.linalg.norm(coords - projected, axis=1)
-    res = off / np.maximum(1.0, np.linalg.norm(prods, axis=1))
+def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
+    """:func:`_product_inclusions` of one group of decompositions."""
+    n = alg.dim
+    b = len(decs)
+    levels = [[w for p in dec.points for w in dec.quotient_filtrations[p.alpha]] for dec in decs]
+    table = _point_table(decs)
+    values, finite, infinite, _ = table
+    # per decomposition: column c of its stack spans part of level
+    # level_of[c] at its point point_of[c]; n_levels per point, 0 in the
+    # padding
+    n_levels = np.zeros(values.shape, dtype=int)
+    point_of, level_of = [], []
+    for r, dec in enumerate(decs):
+        nil = dec.pencil.nil.dim
+        points, ranks = [], []
+        for j, p in enumerate(dec.points):
+            chain = dec.quotient_filtrations[p.alpha]
+            n_levels[r, j] = len(chain)
+            for k, w in enumerate(chain):
+                points += [j] * (w.shape[1] + nil)
+                ranks += [k] * (w.shape[1] + nil)
+        point_of.append(points)
+        level_of.append(ranks)
+    point_of = np.array(point_of, dtype=int).reshape(b, -1)
+    level_of = np.array(level_of, dtype=int).reshape(b, -1)
+    cols = point_of.shape[1]
 
-    def worst_of(members: np.ndarray) -> tuple[float, tuple | None, int]:
-        samples = int(members.sum())
-        worst = float(res[members].max()) if samples else 0.0
-        if worst < tol:
-            return worst, None, samples
-        rows, cols = np.divmod(np.flatnonzero(members & (res == worst)), len(point_of))
-        r, c = min(
-            zip(rows, cols),
-            key=lambda rc: (point_of[rc[0]], point_of[rc[1]], level_of[rc[0]], level_of[rc[1]]),
+    # the target of each product, as an index into all levels of all points
+    # of its decomposition: level min(k + m, last) at the point of
+    # alpha * beta (infinity when a factor is), or -1 for nil
+    rows = np.arange(b)[:, None, None]
+    at = _target_indices(table, values[:, :, None] * values[:, None, :])
+    either = infinite[:, :, None] | infinite[:, None, :]
+    at = np.where(either, infinite.argmax(axis=1)[:, None, None], at)
+    target_point = at[rows, point_of[:, :, None], point_of[:, None, :]]
+    first_level = np.cumsum(n_levels, axis=1) - n_levels
+    level = np.minimum(
+        level_of[:, :, None] + level_of[:, None, :], n_levels[rows, target_point] - 1
+    )
+    target = np.where(target_point >= 0, first_level[rows, target_point] + level, -1)
+    target = target.reshape(b, -1)
+    finite_col = np.take_along_axis(finite, point_of, axis=1)
+    nonzero_col = np.take_along_axis(infinite | (values != 0), point_of, axis=1)
+    in_variant = [(x[:, :, None] & x[:, None, :]).reshape(b, -1) for x in (finite_col, nonzero_col)]
+
+    stacked = np.empty((b, n, cols), dtype=complex)
+    for row, dec, chain in zip(stacked, decs, levels):
+        rp = dec.pencil
+        np.concatenate(
+            [x for w in chain for x in (rp.quotient_frame @ w, rp.nil.frame)], axis=1, out=row
         )
-        a, b = dec.points[point_of[r]].alpha, dec.points[point_of[c]].alpha
-        return worst, (a, b, int(level_of[r]), int(level_of[c])), samples
+    prods = pairwise_products(alg, stacked, stacked).reshape(b, cols * cols, n)
+    scale = np.maximum(1.0, np.linalg.norm(prods, axis=2))
+    # each product's quotient coordinates, as a row, less their projection
+    # onto its target level; chunk s of each decomposition holds whole
+    # levels of at most N columns in all, as many in every member, so no
+    # array outgrows the product tensor, and at most three of its size are
+    # alive at once.  A row's target lies in one chunk, and every other
+    # chunk takes exact zeros off it
+    coords = prods @ np.stack([dec.pencil.quotient_frame.conj() for dec in decs])
+    del prods
+    chunks = [_chunks([w.shape[1] for w in chain], n) for chain in levels]
+    for s in range(len(chunks[0])):
+        parts = [[chain[t] for t in ch[s]] for chain, ch in zip(levels, chunks)]
+        frames = np.stack([np.hstack(part) for part in parts])
+        level_of_col = [
+            [t for t, w in zip(ch[s], part) for _ in range(w.shape[1])]
+            for ch, part in zip(chunks, parts)
+        ]
+        level_of_col = np.array(level_of_col, dtype=int).reshape(b, -1)
+        onto = coords @ frames.conj()
+        onto[target[:, :, None] != level_of_col[:, None, :]] = 0.0
+        coords -= onto @ frames.transpose(0, 2, 1)
+        del onto
+    res = np.linalg.norm(coords, axis=2) / scale
 
-    return worst_of(in_variant[0]), worst_of(in_variant[1])
+    found = []
+    for members in in_variant:
+        samples = members.sum(axis=1).tolist()
+        worst = np.where(members, res, -np.inf).max(axis=1, initial=-np.inf).tolist()
+        variant = []
+        for r, dec in enumerate(decs):
+            if not samples[r] or worst[r] < tol:
+                variant.append((worst[r] if samples[r] else 0.0, None, samples[r]))
+                continue
+            hit = np.flatnonzero(members[r] & (res[r] == worst[r]))
+            p, q = np.divmod(hit, cols)
+            x, y = min(
+                zip(p, q),
+                key=lambda pq: (
+                    point_of[r, pq[0]], point_of[r, pq[1]], level_of[r, pq[0]], level_of[r, pq[1]]
+                ),
+            )
+            a, c = dec.points[point_of[r, x]].alpha, dec.points[point_of[r, y]].alpha
+            variant.append((worst[r], (a, c, int(level_of[r, x]), int(level_of[r, y])), samples[r]))
+        found.append(variant)
+    return list(zip(*found))
+
+
+def _v_mult(alg: Algebra, decs: list[Decomposition], tol: float) -> list[list[Finding]]:
+    """:func:`verify_v_mult` of each of ``decs``."""
+    out = []
+    for dec, (finite, nonzero) in zip(decs, _product_inclusions(alg, decs, tol)):
+        notes = ()
+        has_zero = any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
+        has_inf = any(p.alpha.is_infinite for p in dec.points)
+        if has_zero and has_inf:
+            notes = ("mixed pair (0, infinity) not covered by either variant; skipped",)
+        out.append(
+            [
+                Finding(V_MULT_FINITE, finite[0] < tol, *finite, notes),
+                Finding(V_MULT_NONZERO, nonzero[0] < tol, *nonzero, notes),
+            ]
+        )
+    return out
 
 
 def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[Finding]:
@@ -325,33 +497,56 @@ def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[F
     read one product tensor (see :func:`_product_inclusions`); the witness
     (a, b, k, m) of a failing variant names V^k(a) V^m(b) in ``dec``'s own
     points, and a passing one names none.  The pair (0, infinity) belongs
-    to neither variant."""
-    finite, nonzero = _product_inclusions(alg, dec, tol)
-    notes = ()
-    has_zero = any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
-    has_inf = any(p.alpha.is_infinite for p in dec.points)
-    if has_zero and has_inf:
-        notes = ("mixed pair (0, infinity) not covered by either variant; skipped",)
-    return [
-        Finding(V_MULT_FINITE, finite[0] < tol, *finite, notes),
-        Finding(V_MULT_NONZERO, nonzero[0] < tol, *nonzero, notes),
-    ]
+    to neither variant.  It runs the stacked suite on a batch of one."""
+    return _v_mult(alg, [dec], tol)[0]
 
 
 # --------------------------------------------------------------------------
 # dimension symmetries
 
 
-def _mirror_indices(dec: Decomposition) -> list[int]:
-    """Index into ``dec.points`` of the point at the inverse
-    (:meth:`ProjectivePoint.inverse`) of each point, or -1:
-    :meth:`Decomposition.point_at` applied to every inverse.  The finite
-    inverses are looked up at once (:func:`_target_indices`); the inverse of
-    0 is infinity, which matches the infinite point."""
-    inverses = [p.alpha.inverse() for p in dec.points]
-    found = _target_indices(dec, np.array([0j if q.is_infinite else q.value for q in inverses]))
-    at_infinity = next((i for i, p in enumerate(dec.points) if p.alpha.is_infinite), -1)
-    return [at_infinity if q.is_infinite else int(i) for q, i in zip(inverses, found)]
+def _dim_symmetry(decs: list[Decomposition]) -> list[list[Finding]]:
+    """:func:`verify_dim_symmetry` of each of ``decs``, the mirrors of all
+    their points looked up at once; the inverse of 0 is infinity, which
+    matches the infinite point."""
+    table = _point_table(decs)
+    inverses = [[p.alpha.inverse() for p in dec.points] for dec in decs]
+    at = np.zeros_like(table[0])
+    for r, row in enumerate(inverses):
+        at[r, : len(row)] = [0j if q.is_infinite else q.value for q in row]
+    found = _target_indices(table, at).tolist()
+    infinite = table[2]
+    at_infinity = np.where(infinite.any(axis=1), infinite.argmax(axis=1), -1).tolist()
+    out = []
+    for dec, row, hits, inf_at in zip(decs, inverses, found, at_infinity):
+        v_mismatch = stab_mismatch = 0
+        v_witness = stab_witness = None
+        for p, q, m in zip(dec.points, row, hits):
+            m = inf_at if q.is_infinite else m
+            mirror = dec.points[m] if m >= 0 else None
+            if mirror is None:
+                if p.algebraic_mult > v_mismatch:
+                    v_mismatch = p.algebraic_mult
+                    v_witness = (p.alpha, "no mirror point")
+                continue
+            dv = abs(p.algebraic_mult - mirror.algebraic_mult) + abs(
+                p.filtration_dims[-1] - mirror.filtration_dims[-1]
+            )
+            if dv > v_mismatch:
+                v_mismatch = dv
+                v_witness = (p.alpha, mirror.alpha)
+            ds = abs(p.stab_dim - mirror.stab_dim)
+            if ds > stab_mismatch:
+                stab_mismatch = ds
+                stab_witness = (p.alpha, mirror.alpha)
+        v, stab, n = float(v_mismatch), float(stab_mismatch), len(dec.points)
+        out.append(
+            [
+                Finding(DIM_SYMMETRY_V, not v, v, v_witness, n),
+                Finding(DIM_SYMMETRY_STAB, not stab, stab, stab_witness, n),
+            ]
+        )
+    return out
 
 
 def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
@@ -361,33 +556,36 @@ def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
     spectrum order, that reaches its largest mismatch, with its mirror or
     "no mirror point".  Each mirror is found by the rule of
     :meth:`Decomposition.point_at`, all of them at once (see
-    :func:`_mirror_indices`)."""
-    v_mismatch = 0
-    stab_mismatch = 0
-    v_witness = None
-    stab_witness = None
-    for p, m in zip(dec.points, _mirror_indices(dec)):
-        mirror = dec.points[m] if m >= 0 else None
-        if mirror is None:
-            if p.algebraic_mult > v_mismatch:
-                v_mismatch = p.algebraic_mult
-                v_witness = (p.alpha, "no mirror point")
-            continue
-        dv = abs(p.algebraic_mult - mirror.algebraic_mult) + abs(
-            p.filtration_dims[-1] - mirror.filtration_dims[-1]
-        )
-        if dv > v_mismatch:
-            v_mismatch = dv
-            v_witness = (p.alpha, mirror.alpha)
-        ds = abs(p.stab_dim - mirror.stab_dim)
-        if ds > stab_mismatch:
-            stab_mismatch = ds
-            stab_witness = (p.alpha, mirror.alpha)
-    n = len(dec.points)
-    return [
-        Finding(DIM_SYMMETRY_V, v_mismatch == 0, float(v_mismatch), v_witness, n),
-        Finding(DIM_SYMMETRY_STAB, stab_mismatch == 0, float(stab_mismatch), stab_witness, n),
-    ]
+    :func:`_target_indices`).  It runs the stacked suite on a batch of one."""
+    return _dim_symmetry([dec])[0]
+
+
+def _transversality(decs: list[Decomposition]) -> list[Finding]:
+    """:func:`verify_stab_transversality` of each of ``decs``: one stacked
+    values-only SVD per shape, and prefix ranks only at a deficit."""
+    out: list = [Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)] * len(decs)
+    stacked, groups = {}, {}
+    for i, dec in enumerate(decs):
+        if dec.points:
+            stacked[i] = np.hstack([dec.quotient_filtrations[p.alpha][0] for p in dec.points])
+            groups.setdefault((stacked[i].shape, dec.tol), []).append(i)
+    for (shape, tol), members in groups.items():
+        ranks = [0] * len(members)
+        if shape[1]:
+            ranks = stack_ranks([stacked[i] for i in members], tol, [1.0] * len(members))
+        for i, r in zip(members, ranks):
+            points = decs[i].points
+            widths = (decs[i].quotient_filtrations[p.alpha][0].shape[1] for p in points)
+            ends = list(accumulate(widths))
+            deficit = ends[-1] - int(r)
+            witness = None
+            if deficit:
+                # the first point whose stabilizer meets the sum of the earlier ones
+                prefix = (rank(stacked[i][:, :end], tol, scale=1.0) for end in ends)
+                witness = (points[next(j for j, got in enumerate(prefix) if got < ends[j])].alpha,)
+            pairs = len(points) * (len(points) - 1) // 2
+            out[i] = Finding(STAB_TRANSVERSALITY, not deficit, float(deficit), witness, pairs)
+    return out
 
 
 def verify_stab_transversality(dec: Decomposition) -> Finding:
@@ -403,21 +601,8 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
     Stab(alpha) <= V(alpha).  The residual is the rank deficit and the
     witness the first point whose stabilizer meets the earlier ones.  The
     stabilizers are not asserted to fill the quotient, which fails in
-    general."""
-    if not dec.points:
-        return Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)
-    frames = [dec.quotient_filtrations[p.alpha][0] for p in dec.points]
-    stacked = np.hstack(frames)
-    ends = np.cumsum([w.shape[1] for w in frames])
-    deficit = int(ends[-1]) - rank(stacked, dec.tol, scale=1.0)
-    n = len(frames)
-    witness = None
-    if deficit:
-        # the first point whose stabilizer meets the sum of the earlier ones
-        prefix_ranks = (rank(stacked[:, :end], dec.tol, scale=1.0) for end in ends)
-        first = next(i for i, r in enumerate(prefix_ranks) if r < ends[i])
-        witness = (dec.points[first].alpha,)
-    return Finding(STAB_TRANSVERSALITY, deficit == 0, float(deficit), witness, n * (n - 1) // 2)
+    general.  It runs the stacked suite on a batch of one."""
+    return _transversality([dec])[0]
 
 
 # --------------------------------------------------------------------------
@@ -572,16 +757,23 @@ def run_suites(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[Finding]:
     """Run the selected suites over random functionals; deterministic per
-    seed.  The drawn functionals are decomposed as one batch, with ``seed``
-    (:func:`algscope.spectral.decompose_all`), and each decomposition equals,
-    bit for bit, the one :func:`algscope.spectral.decompose` gives its
-    functional alone.  Per-functional suites then loop over the functionals
-    and read each one's decomposition; ``v-mult`` checks both of its
-    variants on one product tensor of it, in quotient coordinates, so no
-    suite lifts a level (``Decomposition.filtrations``); ``kernel-relations``,
-    ``nil-ideal`` and ``multiplicative`` read the kernels its reduced pencil
-    keeps, or, when no suite needs a decomposition, the functional's
-    :func:`algscope.functional.kernels`.  The
+    seed.  The drawn functionals are decomposed and checked in consecutive
+    chunks, each as one batch: at most ``_VALIDATE_BLOCK_BYTES`` over 16 N^3
+    functionals, the size of a product tensor of N columns, so all of them
+    at N <= 16, and only the findings of a finished chunk are kept.  A
+    chunk is decomposed with ``seed`` (:func:`algscope.spectral.decompose_all`),
+    and each decomposition equals, bit for bit, the one
+    :func:`algscope.spectral.decompose` gives its functional alone.  Each
+    per-functional suite then runs once over the chunk, written over its
+    decompositions with stacked products, and each finding equals, bit for
+    bit, the one its public single-decomposition function gives;
+    ``v-mult`` checks both of its variants on one product tensor per group,
+    in quotient coordinates, so no suite lifts a level
+    (``Decomposition.filtrations``).  ``kernel-relations``, ``nil-ideal``
+    and ``multiplicative`` read the kernels each reduced pencil keeps, or,
+    when no suite needs a decomposition, the chunk's kernels from one
+    stacked SVD of its pairings.  Findings are sorted by theorem id, stably,
+    so each theorem's findings follow the functionals' order.  The
     regular-functional suites run once at a sampled minimizer, reduced once
     at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil."""
     from .functional import is_multiplicative, nil_ideal_check
@@ -592,38 +784,40 @@ def run_suites(
     rng = np.random.default_rng(seed)
     fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
     analysed = {"alpha0", "v-mult", "dim-symmetry", "transversality"}.intersection(suites)
-    if analysed:
-        decs = decompose_all(alg, fs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
+    read_kernels = {"kernel-relations", "nil-ideal", "multiplicative"}.intersection(suites)
     findings: list[Finding] = []
-    for index, f in enumerate(fs):
+    for chunk in _budget_parts(list(range(len(fs))), 16 * alg.dim**3):
+        part = [fs[i] for i in chunk]
         if analysed:
-            dec = decs[index]
-            ker = dec.pencil.kernels
-        elif {"kernel-relations", "nil-ideal", "multiplicative"}.intersection(suites):
-            ker = kernels(alg, f, rank_tol)
+            decs = decompose_all(alg, part, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
+            kers = [dec.pencil.kernels for dec in decs]
+        elif read_kernels:
+            pairings = _pairings(alg, np.array([f.coords for f in part]))
+            _check_pairing(pairings, rank_tol)
+            kers = _stack_kernels(pairings, rank_tol)
         if "kernel-relations" in suites:
-            findings.append(verify_kernel_relations(alg, ker))
+            findings += _kernel_relations(alg, kers, 1e-8)
         if "alpha0" in suites:
-            findings.append(verify_alpha0_suite(dec, seed=seed + index))
+            findings += _alpha0_suite(decs, [seed + i for i in chunk], 1e-8)
         if "v-mult" in suites:
-            findings.extend(verify_v_mult(alg, dec))
+            findings += [f for pair in _v_mult(alg, decs, 1e-7) for f in pair]
         if "dim-symmetry" in suites:
-            findings.extend(verify_dim_symmetry(dec))
+            findings += [f for pair in _dim_symmetry(decs) for f in pair]
         if "transversality" in suites:
-            findings.append(verify_stab_transversality(dec))
+            findings += _transversality(decs)
         if "nil-ideal" in suites:
-            rep = nil_ideal_check(alg, ker, rank_tol)
-            ok = (not rep.premise_holds) or bool(rep.is_ideal)
-            res = 0.0 if not rep.premise_holds else rep.max_residual
-            findings.append(
-                Finding(NIL_IDEAL, ok, res, None, 1, () if rep.premise_holds else ("premise not met",))
-            )
+            for ker in kers:
+                rep = nil_ideal_check(alg, ker, rank_tol)
+                ok = (not rep.premise_holds) or bool(rep.is_ideal)
+                res = 0.0 if not rep.premise_holds else rep.max_residual
+                notes = () if rep.premise_holds else ("premise not met",)
+                findings.append(Finding(NIL_IDEAL, ok, res, None, 1, notes))
         if "multiplicative" in suites:
-            rep = is_multiplicative(alg, f, ker, rank_tol)
-            res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
-            findings.append(
-                Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, (f"verdict: {rep.verdict}",))
-            )
+            for f, ker in zip(part, kers):
+                rep = is_multiplicative(alg, f, ker, rank_tol)
+                res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
+                notes = (f"verdict: {rep.verdict}",)
+                findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
     full_dual = [Functional(row) for row in np.eye(alg.dim, dtype=complex)]
     f_start = fs[0] if fs else random_functional(alg.dim, rng)
     if "corollary2" in suites or "perturbation" in suites:
@@ -637,5 +831,5 @@ def run_suites(
         f_min0, _ = minimize_stab_dim(alg, 1.0, 0.0, full_dual, f_start, seed=seed, tol=rank_tol)
         rp0 = reduce_pencil(alg, f_min0, rank_tol)
         findings.append(verify_corollaries(alg, rp0, ProjectivePoint.finite(0.0)))
-    findings.sort(key=lambda fi: fi.theorem_id)  # stable: preserves input index order
+    findings.sort(key=lambda fi: fi.theorem_id)
     return findings

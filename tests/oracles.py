@@ -699,3 +699,298 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     v_frames = [chain[-1] for chain in levels.values()]
     (checks,) = _decomposition_checks([rp], [chi], [points], [v_frames], tol)
     return Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(checks))
+
+
+# --------------------------------------------------------------------------
+# per-functional suite bodies: the suites as they ran one decomposition at a
+# time, before they ran over a batch, kept as loop references for the
+# stacked suites of ``algscope.verify``
+
+
+def kernel_relations_loop(alg, ker, tol=1e-8):
+    """The kernel product relations of one set of kernels: per relation one
+    ``pairwise_products`` call, the whole algebra as the identity frame."""
+    from algscope.algebra import pairwise_products
+    from algscope.linalg import Subspace
+    from algscope.verify import KERNEL_RELATIONS, Finding, _first_worst
+
+    full = Subspace.full(alg.dim, ker.nil.tol)
+    relations = [
+        ("left*algebra<=left", ker.left, full, ker.left),
+        ("algebra*right<=right", full, ker.right, ker.right),
+        ("left*right<=nil", ker.left, ker.right, ker.nil),
+        ("left*nil<=nil", ker.left, ker.nil, ker.nil),
+        ("nil*right<=nil", ker.nil, ker.right, ker.nil),
+        ("nil*algebra<=left", ker.nil, full, ker.left),
+        ("algebra*nil<=right", full, ker.nil, ker.right),
+    ]
+    worst = 0.0
+    witness = None
+    samples = 0
+    for name, xs, ys, target in relations:
+        if xs.dim == 0 or ys.dim == 0:
+            continue
+        prods = pairwise_products(alg, xs.frame, ys.frame)
+        res = target.residual(prods.reshape(-1, alg.dim).T).reshape(xs.dim, ys.dim)
+        samples += res.size
+        local, at = _first_worst(res, tol)
+        if local > worst:
+            worst, witness = local, at and (name,) + at
+    return Finding(KERNEL_RELATIONS, worst < tol, worst, witness, samples)
+
+
+def alpha0_suite_loop(dec, seed=0, tol=1e-8):
+    """The alpha0 suite on one decomposition: its level-0 residuals from a
+    stack of one, then the climbs of the points below their multiplicity
+    under the shifts drawn with seeds ``seed + 1`` and ``seed + 2``."""
+    from algscope.spectral import _alpha0_independence, _stab_residuals, choose_alpha0
+    from algscope.verify import ALPHA0_INDEPENDENCE, Finding
+
+    def suite_shifts():
+        return choose_alpha0(dec.pencil, seed=seed + 1), choose_alpha0(dec.pencil, seed=seed + 2)
+
+    if not dec.points:
+        return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
+    shifts = None
+    alphas = [p.alpha for p in dec.points]
+    frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
+    results = []
+    (residuals,) = _stab_residuals([dec.pencil], [alphas], [frames])
+    for p, w, residual in zip(dec.points, frames, residuals):
+        equal, dist = True, 0.0
+        if w.shape[1] < p.algebraic_mult:
+            shifts = shifts or suite_shifts()
+            equal, dist = _alpha0_independence(
+                dec.pencil, p.alpha, *shifts, dec.tol, tol, w, p.algebraic_mult
+            )
+        results.append((residual < dec.tol and equal, max(residual, dist)))
+    worst = max(residual for _, residual in results)
+    failing = [i for i, (passed, _) in enumerate(results) if not passed]
+    witness = None
+    if failing:
+        at = max(failing, key=lambda i: results[i][1])
+        witness = (alphas[at], *(shifts or suite_shifts()))
+    return Finding(ALPHA0_INDEPENDENCE, not failing, worst, witness, len(results))
+
+
+def target_indices_loop(dec, values):
+    """Index into ``dec.points`` of the point each finite value falls at, or
+    -1, for one decomposition: ``dec.point_at`` applied elementwise."""
+    finite = np.array([not p.alpha.is_infinite for p in dec.points], dtype=bool)
+    alphas = np.array([0j if p.alpha.is_infinite else p.alpha.value for p in dec.points])
+    v = values[..., None]
+    scale = np.maximum(np.maximum(1.0, np.abs(v)), np.abs(alphas))
+    close = (np.abs(v - alphas) <= dec.cluster_tol * scale) & finite
+    return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
+
+
+def product_inclusions_loop(alg, dec, tol):
+    """Both v-mult variants of one decomposition, (worst, witness, samples)
+    each: its lifted levels stacked into one matrix, one product tensor,
+    and the projection onto each product's target level in chunks of whole
+    levels of at most N columns."""
+    from algscope.algebra import pairwise_products
+    from algscope.spectral import _lift_frame
+    from algscope.verify import _chunks
+
+    if not dec.points:
+        return (0.0, None, 0), (0.0, None, 0)
+    rp = dec.pencil
+    all_levels = [w for p in dec.points for w in dec.quotient_filtrations[p.alpha]]
+    n_levels = np.array([len(dec.quotient_filtrations[p.alpha]) for p in dec.points])
+    widths = [w.shape[1] + rp.nil.dim for w in all_levels]
+    point_of = np.repeat(np.repeat(np.arange(len(dec.points)), n_levels), widths)
+    level_of = np.repeat(np.concatenate([np.arange(n) for n in n_levels]), widths)
+    stacked = np.hstack([_lift_frame(rp, w) for w in all_levels])
+    prods = pairwise_products(alg, stacked, stacked).reshape(-1, alg.dim)
+
+    infinite = np.array([p.alpha.is_infinite for p in dec.points], dtype=bool)
+    values = np.array([0j if p.alpha.is_infinite else p.alpha.value for p in dec.points])
+    finite_col = ~infinite[point_of]
+    nonzero_col = (infinite | (values != 0))[point_of]
+    at = target_indices_loop(dec, np.multiply.outer(values, values))
+    at[infinite[:, None] | infinite[None, :]] = np.argmax(infinite)
+    target_point = at[point_of[:, None], point_of[None, :]]
+    first_level = np.cumsum(n_levels) - n_levels
+    level = np.minimum(level_of[:, None] + level_of[None, :], n_levels[target_point] - 1)
+    target = np.where(target_point >= 0, first_level[target_point] + level, -1).ravel()
+
+    in_variant = [np.outer(cols, cols).ravel() for cols in (finite_col, nonzero_col)]
+    coords = prods @ rp.quotient_frame.conj()
+    projected = np.zeros_like(coords)
+    for chunk in _chunks([w.shape[1] for w in all_levels], alg.dim):
+        cols = np.hstack([all_levels[t] for t in chunk])
+        level_of_col = np.repeat(chunk, [all_levels[t].shape[1] for t in chunk])
+        onto = coords @ cols.conj()
+        onto[target[:, None] != level_of_col] = 0.0
+        projected += onto @ cols.T
+    off = np.linalg.norm(coords - projected, axis=1)
+    res = off / np.maximum(1.0, np.linalg.norm(prods, axis=1))
+
+    def worst_of(members):
+        samples = int(members.sum())
+        worst = float(res[members].max()) if samples else 0.0
+        if worst < tol:
+            return worst, None, samples
+        rows, cols = np.divmod(np.flatnonzero(members & (res == worst)), len(point_of))
+        r, c = min(
+            zip(rows, cols),
+            key=lambda rc: (point_of[rc[0]], point_of[rc[1]], level_of[rc[0]], level_of[rc[1]]),
+        )
+        a, b = dec.points[point_of[r]].alpha, dec.points[point_of[c]].alpha
+        return worst, (a, b, int(level_of[r]), int(level_of[c])), samples
+
+    return worst_of(in_variant[0]), worst_of(in_variant[1])
+
+
+def v_mult_loop(alg, dec, tol=1e-7):
+    """Both v-mult findings of one decomposition, from
+    :func:`product_inclusions_loop`."""
+    from algscope.verify import V_MULT_FINITE, V_MULT_NONZERO, Finding
+
+    finite, nonzero = product_inclusions_loop(alg, dec, tol)
+    notes = ()
+    has_zero = any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
+    has_inf = any(p.alpha.is_infinite for p in dec.points)
+    if has_zero and has_inf:
+        notes = ("mixed pair (0, infinity) not covered by either variant; skipped",)
+    return [
+        Finding(V_MULT_FINITE, finite[0] < tol, *finite, notes),
+        Finding(V_MULT_NONZERO, nonzero[0] < tol, *nonzero, notes),
+    ]
+
+
+def dim_symmetry_loop(dec):
+    """Both dimension-symmetry findings of one decomposition, its mirrors
+    looked up at once by :func:`target_indices_loop`."""
+    from algscope.verify import DIM_SYMMETRY_STAB, DIM_SYMMETRY_V, Finding
+
+    inverses = [p.alpha.inverse() for p in dec.points]
+    found = target_indices_loop(
+        dec, np.array([0j if q.is_infinite else q.value for q in inverses])
+    )
+    at_infinity = next((i for i, p in enumerate(dec.points) if p.alpha.is_infinite), -1)
+    mirrors = [at_infinity if q.is_infinite else int(i) for q, i in zip(inverses, found)]
+    v_mismatch = 0
+    stab_mismatch = 0
+    v_witness = None
+    stab_witness = None
+    for p, m in zip(dec.points, mirrors):
+        mirror = dec.points[m] if m >= 0 else None
+        if mirror is None:
+            if p.algebraic_mult > v_mismatch:
+                v_mismatch = p.algebraic_mult
+                v_witness = (p.alpha, "no mirror point")
+            continue
+        dv = abs(p.algebraic_mult - mirror.algebraic_mult) + abs(
+            p.filtration_dims[-1] - mirror.filtration_dims[-1]
+        )
+        if dv > v_mismatch:
+            v_mismatch = dv
+            v_witness = (p.alpha, mirror.alpha)
+        ds = abs(p.stab_dim - mirror.stab_dim)
+        if ds > stab_mismatch:
+            stab_mismatch = ds
+            stab_witness = (p.alpha, mirror.alpha)
+    n = len(dec.points)
+    return [
+        Finding(DIM_SYMMETRY_V, v_mismatch == 0, float(v_mismatch), v_witness, n),
+        Finding(DIM_SYMMETRY_STAB, stab_mismatch == 0, float(stab_mismatch), stab_witness, n),
+    ]
+
+
+def stab_transversality_loop(dec):
+    """The transversality finding of one decomposition: one rank of its
+    stacked Stab(alpha) frames, and prefix ranks for a witness."""
+    from algscope.linalg import rank
+    from algscope.verify import STAB_TRANSVERSALITY, Finding
+
+    if not dec.points:
+        return Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)
+    frames = [dec.quotient_filtrations[p.alpha][0] for p in dec.points]
+    stacked = np.hstack(frames)
+    ends = np.cumsum([w.shape[1] for w in frames])
+    deficit = int(ends[-1]) - rank(stacked, dec.tol, scale=1.0)
+    n = len(frames)
+    witness = None
+    if deficit:
+        prefix_ranks = (rank(stacked[:, :end], dec.tol, scale=1.0) for end in ends)
+        first = next(i for i, r in enumerate(prefix_ranks) if r < ends[i])
+        witness = (dec.points[first].alpha,)
+    return Finding(STAB_TRANSVERSALITY, deficit == 0, float(deficit), witness, n * (n - 1) // 2)
+
+
+def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluster_tol=1e-6):
+    """``run_suites`` as a loop over the functionals: the batch's
+    decompositions from one ``decompose_all``, each functional's kernels
+    from its own ``kernels`` call when no suite decomposes, and the
+    per-decomposition suite bodies above, one functional at a time."""
+    import math
+
+    from algscope.functional import (
+        Functional,
+        is_multiplicative,
+        kernels,
+        nil_ideal_check,
+        random_functional,
+        reduce_pencil,
+    )
+    from algscope.linalg import ProjectivePoint
+    from algscope.spectral import decompose_all
+    from algscope.verify import (
+        NIL_IDEAL,
+        RANK_ONE_MULTIPLICATIVE,
+        Finding,
+        minimize_stab_dim,
+        verify_corollaries,
+        verify_regular_perturbation,
+    )
+
+    rng = np.random.default_rng(seed)
+    fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
+    analysed = {"alpha0", "v-mult", "dim-symmetry", "transversality"}.intersection(suites)
+    if analysed:
+        decs = decompose_all(alg, fs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
+    findings = []
+    for index, f in enumerate(fs):
+        if analysed:
+            dec = decs[index]
+            ker = dec.pencil.kernels
+        elif {"kernel-relations", "nil-ideal", "multiplicative"}.intersection(suites):
+            ker = kernels(alg, f, rank_tol)
+        if "kernel-relations" in suites:
+            findings.append(kernel_relations_loop(alg, ker))
+        if "alpha0" in suites:
+            findings.append(alpha0_suite_loop(dec, seed=seed + index))
+        if "v-mult" in suites:
+            findings.extend(v_mult_loop(alg, dec))
+        if "dim-symmetry" in suites:
+            findings.extend(dim_symmetry_loop(dec))
+        if "transversality" in suites:
+            findings.append(stab_transversality_loop(dec))
+        if "nil-ideal" in suites:
+            rep = nil_ideal_check(alg, ker, rank_tol)
+            ok = (not rep.premise_holds) or bool(rep.is_ideal)
+            res = 0.0 if not rep.premise_holds else rep.max_residual
+            notes = () if rep.premise_holds else ("premise not met",)
+            findings.append(Finding(NIL_IDEAL, ok, res, None, 1, notes))
+        if "multiplicative" in suites:
+            rep = is_multiplicative(alg, f, ker, rank_tol)
+            res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
+            notes = (f"verdict: {rep.verdict}",)
+            findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
+    full_dual = [Functional(row) for row in np.eye(alg.dim, dtype=complex)]
+    f_start = fs[0] if fs else random_functional(alg.dim, rng)
+    if "corollary2" in suites or "perturbation" in suites:
+        f_min, _ = minimize_stab_dim(alg, 1.0, -1.0, full_dual, f_start, seed=seed, tol=rank_tol)
+        rp = reduce_pencil(alg, f_min, rank_tol)
+        if "corollary2" in suites:
+            findings.append(verify_corollaries(alg, rp, ProjectivePoint.finite(1.0)))
+        if "perturbation" in suites:
+            findings.append(verify_regular_perturbation(alg, rp, 1.0, -1.0, full_dual))
+    if "corollary3" in suites:
+        f_min0, _ = minimize_stab_dim(alg, 1.0, 0.0, full_dual, f_start, seed=seed, tol=rank_tol)
+        rp0 = reduce_pencil(alg, f_min0, rank_tol)
+        findings.append(verify_corollaries(alg, rp0, ProjectivePoint.finite(0.0)))
+    findings.sort(key=lambda fi: fi.theorem_id)
+    return findings

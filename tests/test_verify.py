@@ -11,6 +11,7 @@ from algscope import (
     ProjectivePoint,
     Subspace,
     decompose,
+    decompose_all,
     direct_sum,
     dual_numbers,
     group_algebra,
@@ -45,22 +46,30 @@ from algscope.verify import (
     SUITE_NAMES,
     V_MULT_FINITE,
     V_MULT_NONZERO,
+    _point_table,
     _product_inclusions,
     _target_indices,
 )
 
 from oracles import (
     PLANTED_JORDAN_BLOCKS,
+    alpha0_suite_loop,
     corollaries_loop,
+    dim_symmetry_loop,
     dim_symmetry_scan,
+    kernel_relations_loop,
     minimize_stab_dim_loop,
     perturbation_samples_loop,
     prescribed_pencil_algebra,
     product_inclusions_pairwise,
     regular_perturbation_loop,
+    run_suites_loop,
     slot_one_kernel,
     stab_fullspace,
+    stab_transversality_loop,
     stab_transversality_pairwise,
+    target_indices_loop,
+    v_mult_loop,
 )
 
 
@@ -231,6 +240,20 @@ class TestDimSymmetry:
         dec = decompose(mat_algebra(3), diag125())
         monkeypatch.setattr(Decomposition, "point_at", None)
         assert all(f.passed for f in verify_dim_symmetry(dec))
+
+    def test_empty_spectrum_passes_alone_and_in_a_batch(self):
+        # F = 0: nil is the whole algebra and there is no point to mirror
+        import algscope.verify as verify
+
+        alg = mat_algebra(2)
+        empty = decompose(alg, Functional(np.zeros(4)))
+        assert empty.points == ()
+        findings = verify_dim_symmetry(empty)
+        assert [(f.passed, f.max_residual, f.witness, f.samples) for f in findings] == [
+            (True, 0.0, None, 0)
+        ] * 2
+        other = decompose(alg, random_functional(4, np.random.default_rng(3)))
+        assert verify._dim_symmetry([other, empty]) == [verify_dim_symmetry(other), findings]
 
     def test_triangular_spectrum_closed_under_inversion(self):
         alg = upper_triangular(3)
@@ -564,7 +587,7 @@ class TestProductInclusionsOracle:
         witness, and one below it names none."""
         found = []
         for variant, (worst, witness, samples) in zip(
-            ("finite", "nonzero"), _product_inclusions(alg, dec, tol)
+            ("finite", "nonzero"), _product_inclusions(alg, [dec], tol)[0]
         ):
             worst_ref, witness_ref, samples_ref = product_inclusions_pairwise(alg, dec, variant)
             assert abs(worst - worst_ref) <= 1e-12, variant
@@ -580,7 +603,7 @@ class TestProductInclusionsOracle:
         assert all(f.passed and 0.0 < f.max_residual < 1e-12 for f in findings)
         assert [f.witness for f in findings] == [None, None]
         # at a floor below the round-off its argmax is named
-        for worst, witness, _ in _product_inclusions(alg, dec, 1e-300):
+        for worst, witness, _ in _product_inclusions(alg, [dec], 1e-300)[0]:
             assert worst > 0.0 and witness is not None
 
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
@@ -606,7 +629,9 @@ class TestProductInclusionsOracle:
             dec = dataclasses.replace(dec, cluster_tol=cluster_tol)
         values = np.array([p.alpha.value for p in dec.points])
         grid = np.concatenate([np.outer(values, values).ravel(), [4.0, 1.0 + 1e-9, 0.0, 30.0]])
-        for value, index in zip(grid, _target_indices(dec, grid)):
+        (found,) = _target_indices(_point_table([dec]), grid[None])
+        assert np.array_equal(found, target_indices_loop(dec, grid))
+        for value, index in zip(grid, found):
             point = dec.point_at(ProjectivePoint.finite(value))
             assert index == -1 if point is None else dec.points[index] is point
 
@@ -723,7 +748,7 @@ class TestLinearAlgebraCounts:
     each chain on its own up to the multiplicity, a level's vectors are
     computed only when its chain grows, the alpha0 suite runs no
     eigendecomposition and draws no shift when nothing climbs, and v-mult
-    forms one product tensor per decomposition."""
+    forms one product tensor per group of decompositions."""
 
     @staticmethod
     def count_svd(monkeypatch):
@@ -847,11 +872,10 @@ class TestLinearAlgebraCounts:
             # points; both kernels are 0, so the intersections and the
             # complements take no SVD
             ((10, 9, 9), "full"): 2,
-            # every pencil accepts the first shift drawn, and the
-            # direct-sum check of the batch: one stack of K x K frames
-            ((10, 9, 9), "values"): 2,
-            # per functional: the transversality rank
-            ((9, 9), "values"): 10,
+            # every pencil accepts the first shift drawn, the direct-sum
+            # check of the batch and its transversality ranks: one stack of
+            # K x K frames each
+            ((10, 9, 9), "values"): 3,
             # the corollary2 and corollary3 minimizers, one stack each
             ((33, 9, 9), "values"): 2,
             # the minimizers' reduced pencils, one kernel SVD each:
@@ -860,7 +884,7 @@ class TestLinearAlgebraCounts:
             # the kernels of the other
             ((1, 9, 9), "full"): 4,
         }
-        assert len(calls) == 20
+        assert len(calls) == 11
 
     def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
         # tri_5 with 10 random functionals: the left and right kernels are
@@ -877,19 +901,29 @@ class TestLinearAlgebraCounts:
             # each intersection of a left and a right kernel: ten for the
             # batch and one for each minimizer's pencil
             ((1, 30, 15), "full"): 12,
-            # the first shift drawn, and the direct-sum check
-            ((10, 15, 15), "values"): 2,
-            # per functional: the transversality rank
-            ((15, 15), "values"): 10,
+            # the first shift drawn, the direct-sum check and the
+            # transversality ranks
+            ((10, 15, 15), "values"): 3,
             # the two minimizers
             ((33, 15, 15), "values"): 2,
             # the minimizers' kernels and Stab(1) of corollary2 and of the
             # perturbation suite
             ((1, 15, 15), "full"): 4,
         }
-        assert len(calls) == 32
+        assert len(calls) == 23
 
-    def test_pairwise_products_once_per_decomposition(self, monkeypatch):
+    def test_kernels_of_a_run_without_decompositions_take_one_svd(self, monkeypatch):
+        # no suite decomposes: the kernels of the ten pairings come from one
+        # stacked SVD, and each intersection of a left and a right kernel
+        # takes its own
+        calls = self.count_svd(monkeypatch)
+        alg = upper_triangular(5)
+        suites = ("kernel-relations", "nil-ideal", "multiplicative")
+        findings = run_suites(alg, suites, 10, seed=0)
+        assert collections.Counter(calls) == {((10, 15, 15), "full"): 1, ((1, 30, 15), "full"): 10}
+        assert len(findings) == 30 and all(f.passed for f in findings)
+
+    def test_pairwise_products_once_per_group(self, monkeypatch):
         import sys
 
         import algscope.algebra as algebra
@@ -915,23 +949,41 @@ class TestLinearAlgebraCounts:
         monkeypatch.setattr(algebra, "opposite", counted_opposite)
         # v-mult reads the algebra it is given, never the opposite algebra
         assert not hasattr(verify, "opposite")
-        n = 3
+        n = 10
+        groups = []
         for alg in (mat_algebra(3), upper_triangular(5)):
             callers.clear()
             run_suites(alg, SUITE_NAMES, n_functionals=n, seed=4)
-            assert callers.count("_product_inclusions") == n
+            rng = np.random.default_rng(4)
+            decs = decompose_all(alg, [random_functional(alg.dim, rng) for _ in range(n)], seed=4)
+            # v-mult: one product call per group of decompositions with
+            # equal K and column counts, not one per decomposition; every
+            # chain here has one level, so that fixes the projection chunks
+            chains = [list(dec.quotient_filtrations.values()) for dec in decs]
+            assert all(len(chain) == 1 for levels in chains for chain in levels)
+            columns = {
+                (dec.quotient_dim, sum(chain[0].shape[1] + dec.nil.dim for chain in levels))
+                for dec, levels in zip(decs, chains)
+            }
+            groups.append(len(columns))
+            assert callers.count("_group_inclusions") == len(columns)
             assert opposites == []
-            assert callers.count("verify_kernel_relations") <= 7 * n
+            # kernel relations: per group of equal kernel dimensions, one
+            # product per relation between two nonzero kernels
+            kernel_dims = {tuple(x.dim for x in dec.pencil.kernels) for dec in decs}
+            assert callers.count("_kernel_relations") <= 3 * len(kernel_dims)
             assert callers.count("nil_ideal_check") <= 2 * n
             # two products for each of Corollary2, Corollary3 and
             # RegularPerturbation: x y and y x, or stab0 stabinf and nil nil
             assert callers.count("verify_corollaries") == 4
             assert callers.count("verify_regular_perturbation") == 2
-            known = ("_product_inclusions", "verify_kernel_relations", "nil_ideal_check")
+            known = ("_group_inclusions", "_kernel_relations", "nil_ideal_check")
             known += ("verify_corollaries", "verify_regular_perturbation")
             assert len(callers) == sum(callers.count(c) for c in known)
+        # all ten decompositions of Mat_3 share one product call
+        assert groups[0] == 1
         # on tri_5 the left and right kernels are nonzero, so their products count too
-        assert callers.count("verify_kernel_relations") > 0
+        assert callers.count("_kernel_relations") > 0
 
 
 class TestTransversality:
@@ -1105,3 +1157,185 @@ class TestRunSuites:
         ids = {f.theorem_id for f in findings}
         assert {"Corollary2", "Corollary3", "RegularPerturbation"} <= ids
         assert all(f.passed for f in findings)
+
+
+def assert_same_findings(found, expected):
+    """Finding by finding: theorem, verdict, the bits of the residual,
+    witness, samples and notes."""
+    assert len(found) == len(expected)
+    for a, b in zip(found, expected):
+        assert (a.theorem_id, a.passed, a.witness, a.samples, a.notes) == (
+            b.theorem_id,
+            b.passed,
+            b.witness,
+            b.samples,
+            b.notes,
+        )
+        assert type(a.max_residual) is type(b.max_residual) is float, a.theorem_id
+        assert a.max_residual.hex() == b.max_residual.hex(), a.theorem_id
+
+
+def _suite_inputs():
+    s3 = group_algebra(symmetric3_table())
+    inputs = {
+        # the six verify-small inputs
+        "Mat_3": mat_algebra(3),
+        "Mat_4": mat_algebra(4),
+        "tri_5": upper_triangular(5),
+        "S3": s3,
+        "Klein": group_algebra(klein_table()),
+        "Mat_2+S3": direct_sum(mat_algebra(2), s3),
+        # nonzero kernels, the dual numbers, a direct sum of both kinds
+        "tri_4": upper_triangular(4),
+        "dual": dual_numbers(),
+        "Mat_3+tri_3": direct_sum(mat_algebra(3), upper_triangular(3)),
+    }
+    # points below their multiplicity, which climb
+    for name, (beta, _) in PLANTED_JORDAN_BLOCKS.items():
+        inputs[name] = prescribed_pencil_algebra(beta)[0]
+    return inputs
+
+
+SUITE_INPUTS = _suite_inputs()
+
+
+def stacked_suites(alg, decs, seeds):
+    """The five per-decomposition suites of ``algscope.verify`` over the
+    batch ``decs``, suite by suite."""
+    import algscope.verify as verify
+
+    return [
+        verify._kernel_relations(alg, [dec.pencil.kernels for dec in decs], 1e-8),
+        verify._alpha0_suite(decs, seeds, 1e-8),
+        [f for pair in verify._v_mult(alg, decs, 1e-7) for f in pair],
+        [f for pair in verify._dim_symmetry(decs) for f in pair],
+        verify._transversality(decs),
+    ]
+
+
+def looped_suites(alg, decs, seeds):
+    """The same five suites from the per-decomposition loop bodies."""
+    return [
+        [kernel_relations_loop(alg, dec.pencil.kernels) for dec in decs],
+        [alpha0_suite_loop(dec, seed) for dec, seed in zip(decs, seeds)],
+        [f for dec in decs for f in v_mult_loop(alg, dec)],
+        [f for dec in decs for f in dim_symmetry_loop(dec)],
+        [stab_transversality_loop(dec) for dec in decs],
+    ]
+
+
+class TestRunSuitesOracle:
+    """Each suite runs once over a chunk of the batch; every finding equals,
+    bit for bit, the one the per-functional loop over the suites' old
+    bodies gives (``tests/oracles.py:run_suites_loop``)."""
+
+    @pytest.mark.parametrize("name", list(SUITE_INPUTS))
+    def test_all_suites_match_the_loop(self, name):
+        alg = SUITE_INPUTS[name]
+        for seed in range(4):
+            expected = run_suites_loop(alg, SUITE_NAMES, 10, seed)
+            assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed), expected)
+
+    @pytest.mark.parametrize("name", ["tri_5", "Mat_3+tri_3", "Mat_3"])
+    def test_kernel_suites_without_decompositions_match_the_loop(self, name):
+        alg = SUITE_INPUTS[name]
+        suites = ("kernel-relations", "nil-ideal", "multiplicative")
+        for seed in range(2):
+            expected = run_suites_loop(alg, suites, 10, seed)
+            assert_same_findings(run_suites(alg, suites, 10, seed), expected)
+
+    @staticmethod
+    def doctored_batch():
+        """Mat_3 decompositions of several column counts: random
+        functionals (K = 9), F = tr(diag(1, 2, 0) X) (nil of dimension 1,
+        K = 8, points 0 and infinity), and three doctored ones, V(1) put in
+        place of V(2) or of V(infinity) and every level emptied."""
+        alg = mat_algebra(3)
+        rng = np.random.default_rng(11)
+        randoms = decompose_all(alg, [random_functional(9, rng) for _ in range(3)])
+        with_nil = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
+        plain = decompose(alg, diag125())
+        one, two = (plain.point_at(ProjectivePoint.finite(x)).alpha for x in (1.0, 2.0))
+        levels = plain.quotient_filtrations
+        swapped = dataclasses.replace(plain, quotient_filtrations={**levels, two: levels[one]})
+        inf, one0 = with_nil.points[-1].alpha, with_nil.point_at(ProjectivePoint.finite(1.0)).alpha
+        levels0 = with_nil.quotient_filtrations
+        at_inf = dataclasses.replace(with_nil, quotient_filtrations={**levels0, inf: levels0[one0]})
+        empty = {alpha: (np.zeros((plain.quotient_dim, 0)),) for alpha in levels}
+        emptied = dataclasses.replace(plain, quotient_filtrations=empty)
+        batch = [randoms[0], with_nil, swapped, randoms[1], plain, at_inf, emptied, randoms[2]]
+        return alg, batch, [swapped, at_inf, emptied]
+
+    def test_mixed_and_doctored_batch_matches_the_loop(self):
+        alg, batch, doctored = self.doctored_batch()
+        seeds = list(range(len(batch)))
+        assert {dec.quotient_dim for dec in batch} == {8, 9}
+        stacked = stacked_suites(alg, batch, seeds)
+        for found, expected in zip(stacked, looped_suites(alg, batch, seeds)):
+            assert_same_findings(found, expected)
+        # a doctored decomposition fails the same suites in the batch as alone
+        for dec in doctored:
+            i = next(i for i, member in enumerate(batch) if member is dec)
+            alone = stacked_suites(alg, [dec], [i])
+            for found, single, per in zip(stacked, alone, (1, 1, 2, 2, 1)):
+                assert_same_findings(found[per * i : per * (i + 1)], single)
+        failed = [f for suite in stacked for f in suite if not f.passed]
+        assert {f.theorem_id for f in failed} >= {V_MULT_FINITE, V_MULT_NONZERO}
+
+    def test_groups_split_at_the_budget(self, monkeypatch):
+        # a budget below one member's operands: every group runs in parts
+        # of one, with the findings of the whole batch
+        import algscope.verify as verify
+
+        alg, batch, _ = self.doctored_batch()
+        seeds = list(range(len(batch)))
+        whole = stacked_suites(alg, batch, seeds)
+        parts = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_group_inclusions")
+        monkeypatch.setattr(verify, "_VALIDATE_BLOCK_BYTES", 1)
+        for found, expected in zip(stacked_suites(alg, batch, seeds), whole):
+            assert_same_findings(found, expected)
+        assert [len(args[1]) for args, _ in parts] == [1] * len(batch)
+
+    @pytest.mark.parametrize("name", list(PLANTED_JORDAN_BLOCKS))
+    def test_planted_blocks_with_nil_match_the_loop(self, name):
+        # chains of several levels, in projection chunks of several levels,
+        # beside the dual numbers, which make nil nonzero, in both the
+        # algebra and its opposite
+        beta, _ = PLANTED_JORDAN_BLOCKS[name]
+        alg, f = prescribed_pencil_algebra(beta)
+        alg = direct_sum(alg, dual_numbers())
+        f = Functional(np.concatenate([f.coords, np.zeros(2)]))
+        rng = np.random.default_rng(12)
+        for a in (alg, opposite(alg)):
+            decs = decompose_all(a, [f] + [random_functional(a.dim, rng) for _ in range(3)])
+            assert decs[0].nil.dim == 2
+            seeds = [3, 4, 5, 6]
+            looped = looped_suites(a, decs, seeds)
+            for found, expected in zip(stacked_suites(a, decs, seeds), looped):
+                assert_same_findings(found, expected)
+
+    def test_chunked_batch_matches_the_loop(self, monkeypatch):
+        # a budget of three Mat_3 functionals splits ten into chunks of 3,
+        # 3, 3 and 1, and each chunk's v-mult group is one part; tri_5's
+        # kernel-only run takes ten chunks of one
+        import algscope.verify as verify
+
+        alg = mat_algebra(3)
+        batches = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "decompose_all")
+        parts = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_group_inclusions")
+        monkeypatch.setattr(verify, "_VALIDATE_BLOCK_BYTES", 3 * 16 * alg.dim**3)
+        for seed in (0, 1):
+            expected = run_suites_loop(alg, SUITE_NAMES, 10, seed)
+            assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed), expected)
+        assert [len(args[1]) for args, _ in batches] == [3, 3, 3, 1] * 2
+        assert [len(args[1]) for args, _ in parts] == [3, 3, 3, 1] * 2
+        tri = SUITE_INPUTS["tri_5"]
+        suites = ("kernel-relations", "nil-ideal", "multiplicative")
+        assert_same_findings(run_suites(tri, suites, 10, 2), run_suites_loop(tri, suites, 10, 2))
+
+    def test_small_inputs_take_one_chunk(self, monkeypatch):
+        import algscope.verify as verify
+
+        batches = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "decompose_all")
+        run_suites(mat_algebra(4), SUITE_NAMES, 10, 0)
+        assert [len(args[1]) for args, _ in batches] == [10]
