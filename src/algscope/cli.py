@@ -3,8 +3,10 @@
 Exit codes: 0 on success with all checks passing, 1 on parse or usage
 errors and when ``analyze`` is given a functional whose reduced pencil is
 singular for every alpha (F is not generic; no report), 2 when an invariant
-or a proved-theorem finding fails (the report is still emitted).  The seed
-falls back to the ALGSCOPE_SEED environment variable when --seed is not
+or a suite finding fails, or when ``verify --negative-control`` goes
+undetected on a non-commutative algebra (the report is still emitted).  On a
+commutative algebra the control is not applicable and does not gate.  The
+seed falls back to the ALGSCOPE_SEED environment variable when --seed is not
 given.
 
 Each subcommand imports the pipeline modules it runs inside its own
@@ -206,7 +208,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import OBSERVATIONS, negative_control_finding, run_suites
+    from .verify import negative_control_finding, run_suites
 
     alg = load_algebra(args.algebra)
     if not args.skip_validate:
@@ -226,24 +228,15 @@ def _cmd_verify(args) -> int:
         rank_tol=args.tol,
         cluster_tol=args.cluster_tol,
     )
-    control_detected = None
+    # every suite finding gates the exit code; the deliberately failing
+    # control gates only when it goes undetected
+    ok = all(f.passed for f in findings)
     if args.negative_control:
         control = negative_control_finding(alg, rank_tol=args.tol)
         findings = list(findings) + [control]
-        control_detected = not control.passed
+        ok = ok and "control NOT detected" not in control.notes
     report = report_from_findings(findings, seed, args.tol, args.cluster_tol)
     _emit(report, args.format, args.out)
-    # everything gates the exit code except observations and the
-    # deliberately failing control
-    gating = [
-        f
-        for f in findings
-        if f.theorem_id not in OBSERVATIONS
-        and not any("negative control" in note for note in f.notes)
-    ]
-    ok = all(f.passed for f in gating)
-    if control_detected is False:
-        ok = False
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

@@ -180,29 +180,22 @@ class ReducedPencil:
         return self._scale
 
 
-def reduce_pencil(
-    alg: Algebra, f: Functional, tol: float = 1e-9, quotient_frame: np.ndarray | None = None
-) -> ReducedPencil:
-    """Compress the pairing to a complement of its two-sided kernel.
-
-    ``quotient_frame`` may supply any orthonormal complement of ``nil``; by
-    default the canonical SVD complement is used.
-    """
-    (rp,) = _reduce_pencils(alg, [f], tol, [quotient_frame])
+def reduce_pencil(alg: Algebra, f: Functional, tol: float = 1e-9) -> ReducedPencil:
+    """Compress the pairing to the canonical SVD complement of its
+    two-sided kernel."""
+    (rp,) = _reduce_pencils(alg, [f], tol)
     if isinstance(rp, Exception):
         raise rp
     return rp
 
 
 def _reduce_pencils(
-    alg: Algebra, fs: list[Functional], tol: float, quotient_frames=None
+    alg: Algebra, fs: list[Functional], tol: float
 ) -> list[ReducedPencil | Exception]:
-    """:func:`reduce_pencil` of each functional of ``fs`` (with
-    ``quotient_frames[i]`` when given): the pairing matrices come from one
-    contraction and both kernels from one stacked SVD.  A functional that
-    :func:`reduce_pencil` would refuse gets in its place the error it would
-    raise, and the others are unaffected."""
-    frames = [None] * len(fs) if quotient_frames is None else quotient_frames
+    """:func:`reduce_pencil` of each functional of ``fs``: the pairing
+    matrices come from one contraction and both kernels from one stacked
+    SVD.  A functional that :func:`reduce_pencil` would refuse gets in its
+    place the error it would raise, and the others are unaffected."""
     out: list = [None] * len(fs)
     for i, f in enumerate(fs):
         if f.dim != alg.dim:
@@ -218,36 +211,16 @@ def _reduce_pencils(
     keep = [j for j, i in enumerate(sized) if out[i] is None]
     if keep:
         for j, ker in zip(keep, _stack_kernels(pairings[keep], tol)):
-            i = sized[j]
-            try:
-                out[i] = _compress(alg, pairings[j], ker, tol, frames[i])
-            except DimensionMismatch as exc:
-                out[i] = exc
+            out[sized[j]] = _compress(pairings[j], ker)
     return out
 
 
-def _compress(
-    alg: Algebra, a: np.ndarray, ker: Kernels, tol: float, quotient_frame: np.ndarray | None
-) -> ReducedPencil:
-    """The pairing ``a`` compressed to the complement ``quotient_frame`` of
-    the ``nil`` of its kernels ``ker``, the canonical one when it is None."""
-    nil = ker.nil
-    if quotient_frame is None:
-        q = complement(nil).frame
-    else:
-        q = np.asarray(quotient_frame, dtype=complex)
-        if q.shape != (alg.dim, alg.dim - nil.dim):
-            raise DimensionMismatch(
-                f"quotient frame shape {q.shape} does not complement nil (dim {nil.dim})"
-            )
-        ortho = q.conj().T @ q - np.eye(q.shape[1])
-        overlap = nil.frame.conj().T @ q
-        if (ortho.size and np.max(np.abs(ortho)) > 10 * tol) or (
-            overlap.size and np.max(np.abs(overlap)) > 10 * tol
-        ):
-            raise DimensionMismatch("quotient frame is not an orthonormal complement of nil")
+def _compress(a: np.ndarray, ker: Kernels) -> ReducedPencil:
+    """The pairing ``a`` compressed to the canonical complement of the
+    ``nil`` of its kernels ``ker``."""
+    q = complement(ker.nil).frame
     a_tilde = q.T @ a @ q
-    return ReducedPencil(ker, q, a_tilde, a_tilde.T.copy(), alg.dim - nil.dim)
+    return ReducedPencil(ker, q, a_tilde, a_tilde.T.copy(), q.shape[1])
 
 
 @dataclass(frozen=True)

@@ -289,12 +289,13 @@ def subspace_equal(a: Subspace, b: Subspace, tol: float) -> bool:
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
-    """Operator-norm distance of the two orthogonal projectors; 0.0, with no
-    SVD, when both subspaces are zero."""
+    """Operator-norm distance of the two orthogonal projectors, the largest
+    singular value of their difference from one values-only SVD; 0.0, with
+    no SVD, when both subspaces are zero."""
     _check_ambient(a, b)
     if a.dim == b.dim == 0:
         return 0.0
-    return float(np.linalg.norm(a.projector() - b.projector(), ord=2))
+    return float(np.linalg.svd(a.projector() - b.projector(), compute_uv=False)[0])
 
 
 def complement(a: Subspace) -> Subspace:

@@ -63,6 +63,21 @@ def _int_in(value, where: str) -> int:
     raise ParseError("expected an integer", where)
 
 
+def _count_in(value, where: str) -> int:
+    """An integer >= 0: a seed, a dimension or a sample count."""
+    if _int_in(value, where) < 0:
+        raise ParseError("expected an integer >= 0", where)
+    return value
+
+
+def _tol_in(value, where: str) -> float:
+    """A tolerance: a finite number > 0, as the command line takes it."""
+    x = _real_in(value, where)
+    if not (math.isfinite(x) and x > 0):
+        raise ParseError("expected a finite number > 0", where)
+    return x
+
+
 def _bool_in(value, where: str) -> bool:
     if isinstance(value, bool):
         return value
@@ -348,7 +363,7 @@ class ReportDocument:
                 _bool_in(_field(f, "passed", "findings"), "findings.passed"),
                 _real_in(_field(f, "max_residual", "findings"), "findings.max_residual"),
                 _witness_in(f.get("witness")),
-                _int_in(f.get("samples", 0), "findings.samples"),
+                _count_in(f.get("samples", 0), "findings.samples"),
                 tuple(
                     _str_in(note, "findings.notes")
                     for note in _list_in(f.get("notes", []), "findings.notes")
@@ -377,13 +392,16 @@ class ReportDocument:
         chi = None
         if "chi" in doc:
             chi = tuple(_unpair(z, "chi") for z in _list_in(doc["chi"], "chi"))
+        kind = _str_in(doc["kind"], "kind")
+        if kind not in ("analyze", "verify"):
+            raise ParseError("expected 'analyze' or 'verify'", "kind")
         return cls(
-            kind=_str_in(doc["kind"], "kind"),
-            tol=_real_in(tolerances.get("tol", 1e-9), "tolerances.tol"),
-            cluster_tol=_real_in(tolerances.get("cluster_tol", 1e-6), "tolerances.cluster_tol"),
-            seed=_int_in(doc.get("seed", 0), "seed"),
+            kind=kind,
+            tol=_tol_in(tolerances.get("tol", 1e-9), "tolerances.tol"),
+            cluster_tol=_tol_in(tolerances.get("cluster_tol", 1e-6), "tolerances.cluster_tol"),
+            seed=_count_in(doc.get("seed", 0), "seed"),
             alpha0=_finite_unpair(doc["alpha0"], "alpha0") if "alpha0" in doc else None,
-            nil_dim=_int_in(doc["nil_dim"], "nil_dim") if "nil_dim" in doc else None,
+            nil_dim=_count_in(doc["nil_dim"], "nil_dim") if "nil_dim" in doc else None,
             chi=chi,
             spectrum=spectrum,
             v_frames=v_frames,

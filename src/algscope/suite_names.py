@@ -9,7 +9,6 @@ SUITE_NAMES = (
     "alpha0",
     "v-mult",
     "dim-symmetry",
-    "transversality",
     "nil-ideal",
     "multiplicative",
     "corollary2",
@@ -17,4 +16,4 @@ SUITE_NAMES = (
     "perturbation",
 )
 
-DEFAULT_SUITES = ("kernel-relations", "alpha0", "v-mult", "dim-symmetry", "transversality")
+DEFAULT_SUITES = ("kernel-relations", "alpha0", "v-mult", "dim-symmetry")

@@ -9,7 +9,8 @@ and carries a witness reproducing the worst case; a passing one names none.
 The regular-functional identities hold only at a functional that locally
 minimizes the relevant kernel dimension, so the suite provides an empirical
 minimizer and a deliberate negative control.  Every suite reads one
-analysis: kernels, a decomposition, or a minimizer's reduced pencil.
+analysis: kernels, a decomposition, or a minimizer's reduced pencil, which
+is the batch's own when the minimizer is the first drawn functional.
 
 Each per-functional suite is written once, over a list of decompositions
 (or of kernels), and :func:`run_suites` runs it once per chunk of its
@@ -18,14 +19,16 @@ A batch is grouped so that every stacked product runs on each member's
 matrices the routine, at the shapes, that the member gets alone, so each
 finding has the same bits in a batch of any size.  No stacked operand takes
 more than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.
+
+:func:`verify_stab_transversality` is a check of one decomposition that no
+suite runs: it follows from the decomposition's own ``v_spaces_direct_sum``
+check, since Stab(alpha) <= V(alpha).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
-
 import numpy as np
 
 from .algebra import _VALIDATE_BLOCK_BYTES, Algebra, pairwise_products
@@ -64,7 +67,6 @@ __all__ = [
     "verify_corollaries",
     "negative_control_finding",
     "PROVED_THEOREMS",
-    "OBSERVATIONS",
     "SUITE_NAMES",
     "run_suites",
 ]
@@ -96,9 +98,6 @@ PROVED_THEOREMS = frozenset(
         NIL_IDEAL,
     }
 )
-
-#: observation-grade findings, reported but never gating an exit code
-OBSERVATIONS = frozenset({STAB_TRANSVERSALITY})
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,10 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels], tol: float) -> list[Fin
     """:func:`verify_kernel_relations` of each of ``kers``: per group of
     equal kernel dimensions and per relation, one stacked product, with the
     whole algebra read from the structure tensor, and one stacked
-    residual."""
+    residual.  A member's operands take at most 16 N^2 max(kernel dims) <=
+    16 N^3 bytes, and :func:`run_suites` passes chunks of at most
+    ``_VALIDATE_BLOCK_BYTES`` over 16 N^3 members, so that chunk bounds
+    every group."""
     n = alg.dim
     s = alg.structure.reshape(n, n * n)
     out: list = [None] * len(kers)
@@ -172,34 +174,33 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels], tol: float) -> list[Fin
     for i, ker in enumerate(kers):
         groups.setdefault(tuple(x.dim for x in ker), []).append(i)
     for dims, members in groups.items():
-        for part in _budget_parts(members, 16 * n * n * max(dims)):
-            frames = [np.stack([kers[i][t].frame for i in part]) for t in range(3)]
-            b = len(part)
-            worst = [0.0] * b
-            witness: list = [None] * b
-            samples = 0
-            for name, x, y, t in _RELATIONS:
-                if 0 in [dims[f] for f in (x, y) if f is not None]:
-                    continue
-                if y is None:
-                    prods = (np.swapaxes(frames[x], 1, 2) @ s).reshape(b, dims[x], n, n)
-                elif x is None:
-                    prods = np.swapaxes(frames[y], 1, 2)[:, None] @ s.reshape(n, n, n)
-                else:
-                    prods = pairwise_products(alg, frames[x], frames[y])
-                # each product a column, as Subspace.residual takes them
-                v = prods.reshape(b, -1, n).transpose(0, 2, 1)
-                w = frames[t]
-                off = v - w @ (w.conj().transpose(0, 2, 1) @ v)
-                res = np.linalg.norm(off, axis=1) / np.maximum(1.0, np.linalg.norm(v, axis=1))
-                res = res.reshape(b, *prods.shape[1:3])
-                samples += res[0].size
-                for r, local in enumerate(res.max(axis=(1, 2)).tolist()):
-                    if local > worst[r]:
-                        _, at = _first_worst(res[r], tol)
-                        worst[r], witness[r] = local, at and (name,) + at
-            for i, wst, wit in zip(part, worst, witness):
-                out[i] = Finding(KERNEL_RELATIONS, wst < tol, wst, wit, samples)
+        frames = [np.stack([kers[i][t].frame for i in members]) for t in range(3)]
+        b = len(members)
+        worst = [0.0] * b
+        witness: list = [None] * b
+        samples = 0
+        for name, x, y, t in _RELATIONS:
+            if 0 in [dims[f] for f in (x, y) if f is not None]:
+                continue
+            if y is None:
+                prods = (np.swapaxes(frames[x], 1, 2) @ s).reshape(b, dims[x], n, n)
+            elif x is None:
+                prods = np.swapaxes(frames[y], 1, 2)[:, None] @ s.reshape(n, n, n)
+            else:
+                prods = pairwise_products(alg, frames[x], frames[y])
+            # each product a column, as Subspace.residual takes them
+            v = prods.reshape(b, -1, n).transpose(0, 2, 1)
+            w = frames[t]
+            off = v - w @ (w.conj().transpose(0, 2, 1) @ v)
+            res = np.linalg.norm(off, axis=1) / np.maximum(1.0, np.linalg.norm(v, axis=1))
+            res = res.reshape(b, *prods.shape[1:3])
+            samples += res[0].size
+            for r, local in enumerate(res.max(axis=(1, 2)).tolist()):
+                if local > worst[r]:
+                    _, at = _first_worst(res[r], tol)
+                    worst[r], witness[r] = local, at and (name,) + at
+        for i, wst, wit in zip(members, worst, witness):
+            out[i] = Finding(KERNEL_RELATIONS, wst < tol, wst, wit, samples)
     return out
 
 
@@ -560,37 +561,9 @@ def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
     return _dim_symmetry([dec])[0]
 
 
-def _transversality(decs: list[Decomposition]) -> list[Finding]:
-    """:func:`verify_stab_transversality` of each of ``decs``: one stacked
-    values-only SVD per shape, and prefix ranks only at a deficit."""
-    out: list = [Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)] * len(decs)
-    stacked, groups = {}, {}
-    for i, dec in enumerate(decs):
-        if dec.points:
-            stacked[i] = np.hstack([dec.quotient_filtrations[p.alpha][0] for p in dec.points])
-            groups.setdefault((stacked[i].shape, dec.tol), []).append(i)
-    for (shape, tol), members in groups.items():
-        ranks = [0] * len(members)
-        if shape[1]:
-            ranks = stack_ranks([stacked[i] for i in members], tol, [1.0] * len(members))
-        for i, r in zip(members, ranks):
-            points = decs[i].points
-            widths = (decs[i].quotient_filtrations[p.alpha][0].shape[1] for p in points)
-            ends = list(accumulate(widths))
-            deficit = ends[-1] - int(r)
-            witness = None
-            if deficit:
-                # the first point whose stabilizer meets the sum of the earlier ones
-                prefix = (rank(stacked[i][:, :end], tol, scale=1.0) for end in ends)
-                witness = (points[next(j for j, got in enumerate(prefix) if got < ends[j])].alpha,)
-            pairs = len(points) * (len(points) - 1) // 2
-            out[i] = Finding(STAB_TRANSVERSALITY, not deficit, float(deficit), witness, pairs)
-    return out
-
-
 def verify_stab_transversality(dec: Decomposition) -> Finding:
-    """Observation-grade: the stabilizers of distinct spectral points of
-    ``dec`` meet only in nil.
+    """The stabilizers of distinct spectral points of ``dec`` meet only in
+    nil.
 
     One rank test covers all P(P-1)/2 pairs (``samples``): the stacked
     quotient-coordinate Stab(alpha) frames (level 0 of
@@ -601,8 +574,20 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
     Stab(alpha) <= V(alpha).  The residual is the rank deficit and the
     witness the first point whose stabilizer meets the earlier ones.  The
     stabilizers are not asserted to fill the quotient, which fails in
-    general.  It runs the stacked suite on a batch of one."""
-    return _transversality([dec])[0]
+    general.  No suite runs it."""
+    if not dec.points:
+        return Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)
+    frames = [dec.quotient_filtrations[p.alpha][0] for p in dec.points]
+    stacked = np.hstack(frames)
+    ends = np.cumsum([w.shape[1] for w in frames])
+    deficit = int(ends[-1]) - rank(stacked, dec.tol, scale=1.0)
+    witness = None
+    if deficit:
+        # the first point whose stabilizer meets the sum of the earlier ones
+        prefix = (rank(stacked[:, :end], dec.tol, scale=1.0) for end in ends)
+        witness = (dec.points[next(j for j, got in enumerate(prefix) if got < ends[j])].alpha,)
+    n = len(frames)
+    return Finding(STAB_TRANSVERSALITY, not deficit, float(deficit), witness, n * (n - 1) // 2)
 
 
 # --------------------------------------------------------------------------
@@ -736,12 +721,20 @@ def negative_control_finding(
 
     The returned finding reports the underlying check; the control *passes*
     exactly when that check fails, guarding against vacuously green suites.
+    On a commutative algebra, whose structure constants are symmetric in
+    their first two indices at the axiom tolerance ``max(rank_tol, 1e-12)``
+    of ``algscope verify``, no functional fails that check, so the control
+    is noted "not applicable" instead of detected or not.
     """
     control = reduce_pencil(alg, Functional(alg.unit.copy()), rank_tol)
     inner = verify_corollaries(alg, control, ProjectivePoint.finite(1.0), tol)
     notes = ("negative control: expected the commutativity check to fail",)
-    detected = "control NOT detected" if inner.passed else "control detected"
-    return replace(inner, notes=notes + (detected,))
+    c = alg.structure
+    if np.max(np.abs(c - c.transpose(1, 0, 2))) < max(rank_tol, 1e-12):
+        verdict = "not applicable: the algebra is commutative"
+    else:
+        verdict = "control NOT detected" if inner.passed else "control detected"
+    return replace(inner, notes=notes + (verdict,))
 
 
 # --------------------------------------------------------------------------
@@ -775,7 +768,10 @@ def run_suites(
     stacked SVD of its pairings.  Findings are sorted by theorem id, stably,
     so each theorem's findings follow the functionals' order.  The
     regular-functional suites run once at a sampled minimizer, reduced once
-    at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil."""
+    at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil.
+    A minimizer that is the first drawn functional, as it usually is, reads
+    the pencil its chunk reduced, which equals, bit for bit, the one
+    :func:`algscope.functional.reduce_pencil` gives it."""
     from .functional import is_multiplicative, nil_ideal_check
 
     unknown = [s for s in suites if s not in SUITE_NAMES]
@@ -783,14 +779,17 @@ def run_suites(
         raise ValueError(f"unknown suites: {unknown}")
     rng = np.random.default_rng(seed)
     fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
-    analysed = {"alpha0", "v-mult", "dim-symmetry", "transversality"}.intersection(suites)
+    analysed = {"alpha0", "v-mult", "dim-symmetry"}.intersection(suites)
     read_kernels = {"kernel-relations", "nil-ideal", "multiplicative"}.intersection(suites)
     findings: list[Finding] = []
+    first = None  # the reduced pencil of fs[0], when a chunk decomposed it
     for chunk in _budget_parts(list(range(len(fs))), 16 * alg.dim**3):
         part = [fs[i] for i in chunk]
         if analysed:
             decs = decompose_all(alg, part, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
             kers = [dec.pencil.kernels for dec in decs]
+            if first is None:
+                first = decs[0].pencil
         elif read_kernels:
             pairings = _pairings(alg, np.array([f.coords for f in part]))
             _check_pairing(pairings, rank_tol)
@@ -803,8 +802,6 @@ def run_suites(
             findings += [f for pair in _v_mult(alg, decs, 1e-7) for f in pair]
         if "dim-symmetry" in suites:
             findings += [f for pair in _dim_symmetry(decs) for f in pair]
-        if "transversality" in suites:
-            findings += _transversality(decs)
         if "nil-ideal" in suites:
             for ker in kers:
                 rep = nil_ideal_check(alg, ker, rank_tol)
@@ -820,16 +817,21 @@ def run_suites(
                 findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
     full_dual = [Functional(row) for row in np.eye(alg.dim, dtype=complex)]
     f_start = fs[0] if fs else random_functional(alg.dim, rng)
+
+    def minimizer_pencil(lambda0: complex, mu0: complex) -> ReducedPencil:
+        f_min, _ = minimize_stab_dim(alg, lambda0, mu0, full_dual, f_start, seed=seed, tol=rank_tol)
+        if f_min is f_start and first is not None:
+            return first
+        return reduce_pencil(alg, f_min, rank_tol)
+
     if "corollary2" in suites or "perturbation" in suites:
-        f_min, _ = minimize_stab_dim(alg, 1.0, -1.0, full_dual, f_start, seed=seed, tol=rank_tol)
-        rp = reduce_pencil(alg, f_min, rank_tol)
+        rp = minimizer_pencil(1.0, -1.0)
         if "corollary2" in suites:
             findings.append(verify_corollaries(alg, rp, ProjectivePoint.finite(1.0)))
         if "perturbation" in suites:
             findings.append(verify_regular_perturbation(alg, rp, 1.0, -1.0, full_dual))
     if "corollary3" in suites:
-        f_min0, _ = minimize_stab_dim(alg, 1.0, 0.0, full_dual, f_start, seed=seed, tol=rank_tol)
-        rp0 = reduce_pencil(alg, f_min0, rank_tol)
+        rp0 = minimizer_pencil(1.0, 0.0)
         findings.append(verify_corollaries(alg, rp0, ProjectivePoint.finite(0.0)))
     findings.sort(key=lambda fi: fi.theorem_id)
     return findings

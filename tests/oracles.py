@@ -899,27 +899,6 @@ def dim_symmetry_loop(dec):
     ]
 
 
-def stab_transversality_loop(dec):
-    """The transversality finding of one decomposition: one rank of its
-    stacked Stab(alpha) frames, and prefix ranks for a witness."""
-    from algscope.linalg import rank
-    from algscope.verify import STAB_TRANSVERSALITY, Finding
-
-    if not dec.points:
-        return Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)
-    frames = [dec.quotient_filtrations[p.alpha][0] for p in dec.points]
-    stacked = np.hstack(frames)
-    ends = np.cumsum([w.shape[1] for w in frames])
-    deficit = int(ends[-1]) - rank(stacked, dec.tol, scale=1.0)
-    n = len(frames)
-    witness = None
-    if deficit:
-        prefix_ranks = (rank(stacked[:, :end], dec.tol, scale=1.0) for end in ends)
-        first = next(i for i, r in enumerate(prefix_ranks) if r < ends[i])
-        witness = (dec.points[first].alpha,)
-    return Finding(STAB_TRANSVERSALITY, deficit == 0, float(deficit), witness, n * (n - 1) // 2)
-
-
 def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluster_tol=1e-6):
     """``run_suites`` as a loop over the functionals: the batch's
     decompositions from one ``decompose_all``, each functional's kernels
@@ -948,7 +927,7 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
 
     rng = np.random.default_rng(seed)
     fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
-    analysed = {"alpha0", "v-mult", "dim-symmetry", "transversality"}.intersection(suites)
+    analysed = {"alpha0", "v-mult", "dim-symmetry"}.intersection(suites)
     if analysed:
         decs = decompose_all(alg, fs, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
     findings = []
@@ -966,8 +945,6 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
             findings.extend(v_mult_loop(alg, dec))
         if "dim-symmetry" in suites:
             findings.extend(dim_symmetry_loop(dec))
-        if "transversality" in suites:
-            findings.append(stab_transversality_loop(dec))
         if "nil-ideal" in suites:
             rep = nil_ideal_check(alg, ker, rank_tol)
             ok = (not rep.premise_holds) or bool(rep.is_ideal)

@@ -21,7 +21,12 @@ from algscope import (
     subspace_equal,
     upper_triangular,
 )
-from algscope.functional import MULTIPLICATIVE, NOT_RANK_ONE, RANK_ONE_BUT_NOT_UNIT
+from algscope.functional import (
+    MULTIPLICATIVE,
+    NOT_RANK_ONE,
+    RANK_ONE_BUT_NOT_UNIT,
+    ReducedPencil,
+)
 from algscope.linalg import Subspace, det_poly, projector_distance
 
 from oracles import match_root_multisets, multiplicative_loop, pairing_matrix, raw_kernel
@@ -185,7 +190,13 @@ class TestReducedPencil:
         mix = np.linalg.qr(
             rng.standard_normal((rp.K, rp.K)) + 1j * rng.standard_normal((rp.K, rp.K))
         )[0]
-        rp2 = reduce_pencil(alg, f, TOL, quotient_frame=rp.quotient_frame @ mix)
+        # the pairing compressed to another orthonormal complement of nil
+        q = rp.quotient_frame @ mix
+        a_tilde = q.T @ gram(alg, f).a @ q
+        rp2 = ReducedPencil(rp.kernels, q, a_tilde, a_tilde.T.copy(), rp.K)
+        spans = (Subspace(alg.dim, x, TOL) for x in (q, rp.quotient_frame))
+        assert projector_distance(*spans) < 1e-12
+        assert not np.allclose(rp2.a_tilde, rp.a_tilde)
         roots_a = det_poly(rp.a_tilde, rp.at_tilde).finite_root_multiset()
         roots_b = det_poly(rp2.a_tilde, rp2.at_tilde).finite_root_multiset()
         assert match_root_multisets(roots_a, roots_b, 1e-8) < 1e-7

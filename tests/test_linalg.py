@@ -133,6 +133,25 @@ class TestSubspaceLattice:
         assert type(got) is float and got == want == 0.0
         assert subspace_equal(a, b, 1e-300)
 
+    def test_distance_is_one_values_only_svd(self, monkeypatch):
+        # the spectral norm is the largest singular value, taken through
+        # np.linalg.svd itself, so every SVD of the program is counted there
+        rng = np.random.default_rng(3)
+        frames = rng.standard_normal((2, 5, 2)) + 1j * rng.standard_normal((2, 5, 2))
+        a, b = (Subspace(5, np.linalg.qr(x)[0], TOL) for x in frames)
+        want = float(np.linalg.norm(a.projector() - b.projector(), 2))
+        calls = []
+        original = np.linalg.svd
+
+        def counted(x, *args, **kwargs):
+            calls.append((x.shape, kwargs.get("compute_uv", True)))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        got = projector_distance(a, b)
+        assert calls == [((5, 5), False)]
+        assert type(got) is float and got.hex() == want.hex() and got > 0
+
     def test_intersect_planes_in_common_line(self):
         plane_a = subspace_sum(line(3, 0), line(3, 1))
         plane_b = subspace_sum(line(3, 1), line(3, 2))

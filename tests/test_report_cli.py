@@ -257,6 +257,25 @@ class TestReportRoundTrip:
                 "checks.name: expected a string",
             ),
             ({"kind": 5}, "kind: expected a string"),
+            # values the writer cannot write
+            ({"kind": "analyze", "tolerances": {"tol": "nan"}}, "tolerances.tol: expected a finite"),
+            ({"kind": "analyze", "tolerances": {"tol": -1.0}}, "tolerances.tol: expected a finite"),
+            (
+                {"kind": "analyze", "tolerances": {"cluster_tol": "inf"}},
+                "tolerances.cluster_tol: expected a finite",
+            ),
+            ({"kind": "verify", "seed": -5}, "seed: expected an integer >= 0"),
+            ({"kind": "bogus"}, "kind: expected 'analyze' or 'verify'"),
+            ({"kind": "analyze", "nil_dim": -3}, "nil_dim: expected an integer >= 0"),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [
+                        {"theorem_id": "T", "passed": True, "max_residual": 0.0, "samples": -2}
+                    ],
+                },
+                "findings.samples: expected an integer >= 0",
+            ),
         ],
     )
     def test_truncated_or_mistyped_reports_raise_parse_errors(self, doc, where):
@@ -590,16 +609,60 @@ class TestCli:
         assert main(["builders", "dual", "--out", "d.alg"]) == 0
         assert main(["verify", "d.alg", "--suite", "corollary1"]) == 1
 
-    def test_verify_exit_code_ignores_failed_observations(self, workdir, capsys, monkeypatch):
+    def test_verify_exit_code_gates_every_failed_finding(self, workdir, capsys, monkeypatch):
         import algscope.verify as verify
-        from algscope.verify import KERNEL_RELATIONS, OBSERVATIONS, STAB_TRANSVERSALITY, Finding
+        from algscope.verify import KERNEL_RELATIONS, Finding
 
-        assert OBSERVATIONS == {STAB_TRANSVERSALITY}
+        assert not hasattr(verify, "OBSERVATIONS")
         assert main(["builders", "dual", "--out", "d.alg"]) == 0
-        for theorem_id, code in ((STAB_TRANSVERSALITY, 0), (KERNEL_RELATIONS, 2)):
+        for theorem_id in (KERNEL_RELATIONS, "StabTransversality", "AnyOtherTheorem"):
             failed = [Finding(theorem_id, False, 1.0)]
             monkeypatch.setattr(verify, "run_suites", lambda *args, failed=failed, **kwargs: failed)
-            assert main(["verify", "d.alg"]) == code
+            assert main(["verify", "d.alg"]) == 2
+
+    @pytest.mark.parametrize("builder", [["group", "z3"], ["group", "z2xz2"], ["dual"]])
+    def test_negative_control_on_a_commutative_algebra_does_not_gate(
+        self, workdir, capsys, builder
+    ):
+        # no functional of a commutative algebra fails the commutativity
+        # check, so the control cannot be detected there: it is marked not
+        # applicable, and the valid input exits 0
+        assert main(["builders", *builder, "--out", "c.alg"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "c.alg", "--functionals", "2", "--negative-control"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        control = [f for f in doc["findings"] if any("negative control" in n for n in f["notes"])]
+        assert len(control) == 1 and control[0]["passed"]
+        assert control[0]["notes"][1:] == ["not applicable: the algebra is commutative"]
+
+    @pytest.mark.parametrize("builder", [["matrix", "2"], ["group", "s3"]])
+    def test_negative_control_on_a_noncommutative_algebra_is_detected(
+        self, workdir, capsys, builder
+    ):
+        assert main(["builders", *builder, "--out", "n.alg"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "n.alg", "--functionals", "2", "--negative-control"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        control = [f for f in doc["findings"] if any("negative control" in n for n in f["notes"])]
+        assert len(control) == 1 and not control[0]["passed"]
+        assert control[0]["notes"][1:] == ["control detected"]
+
+    def test_undetected_control_on_a_noncommutative_algebra_exits_2(
+        self, workdir, capsys, monkeypatch
+    ):
+        import algscope.verify as verify
+        from algscope.verify import COROLLARY_2, Finding
+
+        monkeypatch.setattr(
+            verify, "verify_corollaries", lambda *args, **kwargs: Finding(COROLLARY_2, True, 0.0)
+        )
+        assert main(["builders", "matrix", "2", "--out", "m2.alg"]) == 0
+        capsys.readouterr()
+        args = ["verify", "m2.alg", "--suite", "alpha0", "--functionals", "1"]
+        assert main(args + ["--negative-control"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["findings"][-1]["notes"][1:] == ["control NOT detected"]
+        assert main(args) == 0
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from algscope import (
     Functional,
     ProjectivePoint,
     Subspace,
+    cyclic_table,
     decompose,
     decompose_all,
     direct_sum,
@@ -66,7 +67,6 @@ from oracles import (
     run_suites_loop,
     slot_one_kernel,
     stab_fullspace,
-    stab_transversality_loop,
     stab_transversality_pairwise,
     target_indices_loop,
     v_mult_loop,
@@ -390,6 +390,14 @@ class TestRegularFunctionals:
         assert not finding.passed
         assert finding.max_residual > 0.1
         assert any("control detected" in n for n in finding.notes)
+
+    def test_negative_control_is_not_applicable_on_a_commutative_algebra(self):
+        # every functional of a commutative algebra passes the commutativity
+        # check, so the control cannot be detected there
+        for alg in (group_algebra(cyclic_table(3)), group_algebra(klein_table()), dual_numbers()):
+            finding = negative_control_finding(alg)
+            assert finding.passed
+            assert finding.notes[1:] == ("not applicable: the algebra is commutative",)
 
     def test_identities_may_fail_away_from_the_minimizer(self):
         # direct check at the non-minimal functional: Stab(1) is all of Mat2
@@ -843,14 +851,18 @@ class TestLinearAlgebraCounts:
         # the shifts are drawn only when a point climbs: one regularity SVD
         # (of a stack of one) per shift, each accepted at its first draw,
         # then the chain of each climbing point from its level 0, under one
-        # shift and then the other
         climbing = [levels for levels in chains if len(levels) > 1]
         assert len(draws) == (2 if climbing else 0)
-        climbs = [c for levels in climbing for c in chain_calls(levels, True) * 2]
+        # shift and then the other, and one values-only SVD, the projector
+        # distance, per level above 0
+        climbs = [
+            c
+            for levels in climbing
+            for c in chain_calls(levels, True) * 2 + [((k, k), "values")] * (len(levels) - 1)
+        ]
         assert calls == [((1, k, k), "values")] * len(draws) + climbs
-        # one spectral-norm projector distance per level above 0
-        distances = [args for args, _ in norms if args[1:] == (2,)]
-        assert len(distances) == sum(len(levels) - 1 for levels in climbing)
+        # no spectral norm takes an SVD that np.linalg.svd does not count
+        assert [args for args, kwargs in norms if args[1:] == (2,) or kwargs.get("ord") == 2] == []
 
     def test_lapack_calls_of_an_all_suite_run(self, monkeypatch):
         # Mat_3 with 10 random functionals: K = 9 and nil = 0 for each, and
@@ -872,19 +884,18 @@ class TestLinearAlgebraCounts:
             # points; both kernels are 0, so the intersections and the
             # complements take no SVD
             ((10, 9, 9), "full"): 2,
-            # every pencil accepts the first shift drawn, the direct-sum
-            # check of the batch and its transversality ranks: one stack of
-            # K x K frames each
-            ((10, 9, 9), "values"): 3,
+            # every pencil accepts the first shift drawn, and the direct-sum
+            # check of the batch: one stack of K x K frames each
+            ((10, 9, 9), "values"): 2,
             # the corollary2 and corollary3 minimizers, one stack each
             ((33, 9, 9), "values"): 2,
-            # the minimizers' reduced pencils, one kernel SVD each:
-            # corollary2 and the perturbation suite share one, and each
-            # reads its Stab(1), which is its own inverse; corollary3 reads
-            # the kernels of the other
-            ((1, 9, 9), "full"): 4,
+            # both minimizers are the first functional, whose pencil the
+            # batch reduced: corollary2 and the perturbation suite each read
+            # its Stab(1), which is its own inverse; corollary3 reads its
+            # kernels
+            ((1, 9, 9), "full"): 2,
         }
-        assert len(calls) == 11
+        assert len(calls) == 8
 
     def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
         # tri_5 with 10 random functionals: the left and right kernels are
@@ -898,19 +909,18 @@ class TestLinearAlgebraCounts:
             # multiple points
             ((10, 15, 15), "full"): 1,
             ((30, 15, 15), "full"): 1,
-            # each intersection of a left and a right kernel: ten for the
-            # batch and one for each minimizer's pencil
-            ((1, 30, 15), "full"): 12,
-            # the first shift drawn, the direct-sum check and the
-            # transversality ranks
-            ((10, 15, 15), "values"): 3,
+            # each intersection of a left and a right kernel, one per
+            # functional of the batch; both minimizers are the first
+            # functional, whose pencil the batch reduced
+            ((1, 30, 15), "full"): 10,
+            # the first shift drawn and the direct-sum check
+            ((10, 15, 15), "values"): 2,
             # the two minimizers
             ((33, 15, 15), "values"): 2,
-            # the minimizers' kernels and Stab(1) of corollary2 and of the
-            # perturbation suite
-            ((1, 15, 15), "full"): 4,
+            # Stab(1) of corollary2 and of the perturbation suite
+            ((1, 15, 15), "full"): 2,
         }
-        assert len(calls) == 23
+        assert len(calls) == 18
 
     def test_kernels_of_a_run_without_decompositions_take_one_svd(self, monkeypatch):
         # no suite decomposes: the kernels of the ten pairings come from one
@@ -1046,6 +1056,43 @@ class TestTransversality:
         assert finding.witness == (second,) and finding.samples == pairs
 
 
+    def test_every_failure_fails_the_direct_sum_check(self):
+        # Stab(alpha) <= V(alpha), so stabilizers that are no direct sum over
+        # nil make the V(alpha) none either: the decomposition's own
+        # v_spaces_direct_sum check, recomputed on the doctored frames, fails
+        # wherever this suite does.  Doctored: one point's chain put in
+        # place of another's, for every ordered pair of points
+        from algscope.spectral import _direct_sum_ranks
+
+        rng = np.random.default_rng(41)
+        jordan, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["levels3"][0])
+        algs = [
+            mat_algebra(3),
+            upper_triangular(4),
+            group_algebra(klein_table()),
+            direct_sum(mat_algebra(2), dual_numbers()),
+            jordan,
+        ]
+        decs = [decompose(alg, random_functional(alg.dim, rng)) for alg in algs for _ in range(2)]
+        decs.append(decompose(mat_algebra(3), matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))))
+        failures = 0
+        for dec in decs:
+            levels = dec.quotient_filtrations
+            doctored = [
+                dataclasses.replace(dec, quotient_filtrations={**levels, p.alpha: levels[q.alpha]})
+                for p in dec.points
+                for q in dec.points
+                if p is not q
+            ]
+            for d in [dec] + doctored:
+                v_frames = [d.quotient_filtrations[p.alpha][-1] for p in d.points]
+                ((r, cols),) = _direct_sum_ranks([v_frames], d.quotient_dim, d.tol)
+                if not verify_stab_transversality(d).passed:
+                    failures += 1
+                    assert not r == cols == d.quotient_dim
+        assert failures > 100
+
+
 def test_doctored_quotient_frames_reach_every_reader():
     """The quotient frames are the one stored form of the levels: a
     decomposition doctored in them alone is seen doctored by its lifted
@@ -1120,6 +1167,36 @@ class TestRunSuites:
         run_suites(mat_algebra(3), suites, n, seed=7)
         assert batches == [(n, 7)]
         assert reductions == [n]
+
+    def test_an_all_suite_run_reduces_no_pencil_of_its_own(self, monkeypatch):
+        # both minimizers are the first drawn functional on these inputs, so
+        # the regular-functional suites read the pencil its batch reduced
+        import algscope.verify as verify
+
+        cases = [(SUITE_INPUTS[name], seed) for name in ("Mat_3", "tri_5", "S3") for seed in (0, 1)]
+        expected = [run_suites_loop(alg, SUITE_NAMES, 10, seed) for alg, seed in cases]
+        calls = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "reduce_pencil")
+        for (alg, seed), want in zip(cases, expected):
+            assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed), want)
+        assert calls == []
+
+    def test_a_minimizer_that_is_not_the_first_functional_is_reduced(self, monkeypatch):
+        # a copy of the first functional is another object: its pencil is
+        # reduced, once per minimizer, with the same findings
+        import algscope.verify as verify
+
+        alg = SUITE_INPUTS["Mat_3"]
+        expected = run_suites_loop(alg, SUITE_NAMES, 10, 0)
+        real = verify.minimize_stab_dim
+
+        def copied(*args, **kwargs):
+            f, dim = real(*args, **kwargs)
+            return Functional(f.coords.copy()), dim
+
+        monkeypatch.setattr(verify, "minimize_stab_dim", copied)
+        calls = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "reduce_pencil")
+        assert_same_findings(run_suites(alg, SUITE_NAMES, 10, 0), expected)
+        assert len(calls) == 2
 
     def test_no_level_is_lifted(self, monkeypatch):
         # every suite reads the levels as quotient frames, so no level is
@@ -1200,7 +1277,7 @@ SUITE_INPUTS = _suite_inputs()
 
 
 def stacked_suites(alg, decs, seeds):
-    """The five per-decomposition suites of ``algscope.verify`` over the
+    """The four per-decomposition suites of ``algscope.verify`` over the
     batch ``decs``, suite by suite."""
     import algscope.verify as verify
 
@@ -1209,18 +1286,16 @@ def stacked_suites(alg, decs, seeds):
         verify._alpha0_suite(decs, seeds, 1e-8),
         [f for pair in verify._v_mult(alg, decs, 1e-7) for f in pair],
         [f for pair in verify._dim_symmetry(decs) for f in pair],
-        verify._transversality(decs),
     ]
 
 
 def looped_suites(alg, decs, seeds):
-    """The same five suites from the per-decomposition loop bodies."""
+    """The same four suites from the per-decomposition loop bodies."""
     return [
         [kernel_relations_loop(alg, dec.pencil.kernels) for dec in decs],
         [alpha0_suite_loop(dec, seed) for dec, seed in zip(decs, seeds)],
         [f for dec in decs for f in v_mult_loop(alg, dec)],
         [f for dec in decs for f in dim_symmetry_loop(dec)],
-        [stab_transversality_loop(dec) for dec in decs],
     ]
 
 
@@ -1277,7 +1352,7 @@ class TestRunSuitesOracle:
         for dec in doctored:
             i = next(i for i, member in enumerate(batch) if member is dec)
             alone = stacked_suites(alg, [dec], [i])
-            for found, single, per in zip(stacked, alone, (1, 1, 2, 2, 1)):
+            for found, single, per in zip(stacked, alone, (1, 1, 2, 2)):
                 assert_same_findings(found[per * i : per * (i + 1)], single)
         failed = [f for suite in stacked for f in suite if not f.passed]
         assert {f.theorem_id for f in failed} >= {V_MULT_FINITE, V_MULT_NONZERO}
