@@ -15,11 +15,13 @@ all-noise matrix.
 :func:`stack_ranks` makes the rank decision of :func:`rank` for a list of
 equal-shape matrices with one LAPACK call: numpy runs the routine of a
 single call on each matrix of the stack, so every rank is that of the
-single call.  The nullspaces, determinant polynomials and pencil
-eigen-analyses are written the same way, over a stack (``_nullspaces``,
-``_det_polys``, ``_shifted_eigens``); :func:`nullspace`, :func:`det_poly` and
-:func:`pencil_eigen` call them with a stack of one, so a batch of pencils
-gets, bit for bit, the answers of one call per pencil.
+single call.  The nullspaces and pencil eigen-analyses are written the same
+way, over a stack (``_nullspaces``, ``_shifted_eigens``); :func:`nullspace`
+and :func:`pencil_eigen` call them with a stack of one, so a batch of
+pencils gets, bit for bit, the answers of one call per pencil.
+:func:`det_poly` interpolates one pencil's determinant from one ``det`` per
+node; :mod:`algscope.spectral` takes its batches' characteristic
+polynomials from the eigenvalues ``_shifted_eigens`` returns instead.
 """
 
 from __future__ import annotations
@@ -377,19 +379,20 @@ def pencil_eigen(
     )
     if s[-1] < 1e-12 * max(s[0], problem_scale):
         raise SingularShift(f"shift alpha0={alpha0} leaves the pencil singular")
-    return _shifted_eigens(shifted[None], b[None], [alpha0], cluster_tol)[0]
+    return _shifted_eigens(shifted[None], b[None], [alpha0], cluster_tol)[1][0]
 
 
 def _shifted_eigens(
     shifted: np.ndarray, b: np.ndarray, alpha0s, cluster_tol: float
-) -> list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]:
-    """The points of :func:`pencil_eigen` for each pencil of a stack, given
+) -> tuple[np.ndarray, list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]]:
+    """The eigenvalues of ``shifted[i]^{-1} b[i]``, one row per pencil, and
+    the points of :func:`pencil_eigen` for each pencil of a stack, given
     ``shifted[i] = a[i] - alpha0s[i] * b[i]`` at a shift already known to be
     regular: one ``solve`` and one ``eig`` over the whole stack, then the
     clustering of each pencil's eigenvalues."""
     lams, vectors = np.linalg.eig(np.linalg.solve(shifted, b))
     vectors.setflags(write=False)
-    return [
+    return lams, [
         _eigen_points(lam, vec, alpha0, cluster_tol)
         for lam, vec, alpha0 in zip(lams, vectors, alpha0s)
     ]
@@ -450,7 +453,15 @@ class HomogeneousPoly:
         return float(np.linalg.norm(self.coeffs))
 
     def infinity_multiplicity(self, rel_tol: float = 1e-6) -> int:
-        """Order of vanishing at (lam, mu) = (0, 1): trailing near-zero coeffs."""
+        """Order of vanishing at (lam, mu) = (0, 1), read as the number of
+        trailing coefficients below ``rel_tol`` times the coefficient norm.
+
+        A coefficient threshold, not a decision: the middle coefficients of
+        a degree-K determinant can exceed its end ones by about 2^K, and
+        interpolation leaves an absolute error of about eps times the norm,
+        so at large K it counts roundoff as vanishing and overstates the
+        order (on most random Mat_8 functionals, K = 64, where the truth is
+        0).  No invariant check reads it."""
         norm = self.coefficient_norm()
         if norm == 0.0:
             return self.degree
@@ -493,17 +504,9 @@ def det_poly(a, b) -> HomogeneousPoly:
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"det_poly needs equal square matrices, got {a.shape} and {b.shape}")
-    if a.shape[0] == 0:
+    k = a.shape[0]
+    if k == 0:
         return HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-    return _det_polys(a[None], b[None])[0]
-
-
-def _det_polys(a: np.ndarray, b: np.ndarray) -> list[HomogeneousPoly]:
-    """:func:`det_poly` of each pair of a stack of nonempty K x K pencils:
-    one ``np.linalg.det`` call per node over the whole stack.  The K+1
-    nodes are never stacked as well: the ``(K+1) x stack`` call is slower
-    at large K."""
-    k = a.shape[-1]
     nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    values = np.stack([np.linalg.det(a + t * b) for t in nodes], axis=1)
-    return [HomogeneousPoly(k, np.fft.fft(row) / (k + 1)) for row in values]
+    values = np.array([np.linalg.det(a + t * b) for t in nodes])
+    return HomogeneousPoly(k, np.fft.fft(values) / (k + 1))

@@ -42,9 +42,10 @@ residual in Stab(alpha) and compares the levels above it under two shifts.
 
 :func:`decompose_all` decomposes a batch of functionals with one seed, each
 stage once over the batch, grouped by the quotient dimension K: the
-reduction, the shift draws, chi, the spectrum and the level 0 of the
-multiple points each run stacked LAPACK calls.  Each stage has one
-implementation, written over a stack; the single-pencil functions
+reduction, the shift draws, the spectrum with chi (from the spectrum's
+eigenvalues) and the level 0 of the multiple points each run stacked LAPACK
+calls.  Each stage has one implementation, written over a stack; the
+single-pencil functions
 (:func:`algscope.functional.reduce_pencil`, :func:`choose_alpha0`,
 :func:`char_poly`, :func:`spectrum`, :func:`algscope.linalg.nullspace`)
 call it with a stack of one, and :func:`decompose` is the batch of one.
@@ -68,7 +69,6 @@ from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
-    _det_polys,
     _nullspaces,
     _shifted_eigens,
     det_poly,
@@ -95,6 +95,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-6
+LOG_DET_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,10 @@ class Decomposition:
 
 
 def char_poly(rp: ReducedPencil) -> HomogeneousPoly:
-    """Homogeneous characteristic polynomial det(lam a~ + mu a~^T)."""
+    """Homogeneous characteristic polynomial det(lam a~ + mu a~^T),
+    interpolated from K + 1 determinants (:func:`algscope.linalg.det_poly`):
+    independent of the spectrum, whose eigenvalues give :func:`decompose`
+    its chi."""
     return det_poly(rp.a_tilde, rp.at_tilde)
 
 
@@ -295,7 +299,8 @@ def spectrum(
     ``a~ - alpha a~^T``, its transpose, and its eigenvectors span the
     kernels of ``a~^T - alpha a~``, the stabilizers.  At a simple point
     1 <= dim Stab(alpha) <= dim V(alpha) = 1, so the eigenvector is the
-    whole filtration, with no rank decision."""
+    whole filtration, with no rank decision.  :func:`decompose` reads chi
+    from the eigenvalues of the same eigendecomposition."""
     return pencil_eigen(rp.at_tilde, rp.a_tilde, alpha0, cluster_tol=cluster_tol)
 
 
@@ -442,38 +447,56 @@ def _direct_sum_ranks(
     return list(zip(ranks, counts))
 
 
-def _chi_residuals(chis: list[HomogeneousPoly], points: list[list[SpectrumPoint]]) -> list[float]:
-    """Per pencil, the largest ``|chi(1, -alpha)|`` over the evaluation
-    magnitude ``sum_d |c_d| |alpha|^d`` (floored by the coefficient norm)
-    over its finite points, 0.0 when it has none.  Every chi has the same
-    degree, so all finite points of the stack are evaluated at once, each
-    row by the arithmetic of :meth:`HomogeneousPoly.evaluate`; moduli are
-    ``np.hypot``, which equals Python's ``abs`` of a complex."""
-    finite = [
-        (c, p.alpha.value) for c, ps in enumerate(points) for p in ps if not p.alpha.is_infinite
-    ]
-    if not finite:
-        return [0.0] * len(chis)
-    owner, alphas = zip(*finite)
-    owner, alphas = list(owner), np.array(alphas, dtype=complex)
-    d = np.arange(chis[0].degree + 1)
-    coeffs = np.stack([chi.coeffs for chi in chis])[owner]
-    norms = np.array([chi.coefficient_norm() for chi in chis])[owner]
-    magnitudes = np.sum(np.abs(coeffs) * np.abs(alphas)[:, None] ** d, axis=1)
-    values = np.sum(coeffs * (-alphas)[:, None] ** d, axis=1)
-    rel = np.hypot(values.real, values.imag) / np.maximum(np.maximum(magnitudes, norms), 1e-300)
-    # fmax ignores a NaN ratio, as the running Python max of the loop did
-    worst = np.zeros(len(chis))
-    np.fmax.at(worst, owner, rel)
-    return worst.tolist()
+def _log_det_residuals(
+    rps: list[ReducedPencil], points: list[list[SpectrumPoint]], seed: int
+) -> list[float]:
+    """Per pencil of one size K, how far
+    r(t) = log|det(a~ - t a~^T)| - sum_i m_i log|t - alpha_i|, the sum over
+    its finite points alpha_i of multiplicity m_i, is from a constant:
+    max r - min r over ``LOG_DET_NODES`` nodes t.
+
+    det(a~ - t a~^T) = det(a~^T - t a~) = c prod_i (t - alpha_i)^m_i, of
+    degree K - m_inf in t, so r is the constant log|c| when the points and
+    their multiplicities are right: a wrong count at infinity leaves a trend
+    in log|t|, and a wrong finite point or multiplicity a jump.  log|t| is
+    uniform over the log moduli of the pencil's nonzero finite points
+    widened by 1 on each side ([-1, 1] when it has none), and the phase of
+    t uniform; the draws come from a child of ``seed``'s sequence, apart
+    from the shift draws, and are shared by the stack.  The determinants
+    come from one stacked ``slogdet``, which cannot overflow, and each
+    pencil's sum from its own row, so a residual has the same bits in a
+    stack of any size."""
+    a, at, _ = _pencil_stack(rps)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    u = rng.uniform(size=LOG_DET_NODES)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=LOG_DET_NODES)
+    finite = [[p for p in ps if not p.alpha.is_infinite] for ps in points]
+    nodes = []
+    for ps in finite:
+        moduli = [abs(p.alpha.value) for p in ps if p.alpha.value != 0]
+        lo, hi = (np.log(min(moduli)) - 1.0, np.log(max(moduli)) + 1.0) if moduli else (-1.0, 1.0)
+        nodes.append(np.exp(lo + u * (hi - lo) + 1j * phase))
+    t = np.array(nodes)
+    # one node at a time: numpy's broadcast over all nodes at once is slower
+    mats = np.empty((len(rps), LOG_DET_NODES) + a.shape[1:], dtype=complex)
+    for j in range(LOG_DET_NODES):
+        mats[:, j] = a - t[:, j, None, None] * at
+    _, log_dets = np.linalg.slogdet(mats)
+    out = []
+    for row, ts, ps in zip(log_dets, t, finite):
+        alphas = np.array([p.alpha.value for p in ps], dtype=complex)
+        mults = np.array([p.algebraic_mult for p in ps], dtype=float)
+        r = row - np.sum(mults * np.log(np.abs(ts[:, None] - alphas)), axis=1)
+        out.append(float(r.max() - r.min()))
+    return out
 
 
 def _decomposition_checks(
     rps: list[ReducedPencil],
-    chis: list[HomogeneousPoly],
     points: list[list[SpectrumPoint]],
     v_frames: list[list[np.ndarray]],
     tol: float,
+    seed: int,
 ) -> list[list[InvariantCheck]]:
     """Invariant checks of the decompositions of the reduced pencils
     ``rps``, all of one size K >= 1, run once over the stack; a single
@@ -488,8 +511,16 @@ def _decomposition_checks(
     cannot for three or more spaces.  The ranks take one values-only SVD per
     column count (:func:`_direct_sum_ranks`), the simple points' residuals
     in Stab(alpha) one product over the stack (:func:`_stab_residuals`),
-    and chi is evaluated at every finite point of the stack at once
-    (:func:`_chi_residuals`).
+    and the log-determinant test one ``slogdet`` of the stack at
+    ``LOG_DET_NODES`` nodes drawn from ``seed`` (:func:`_log_det_residuals`).
+    That test reads the pencil and the points, not chi's coefficients,
+    whose end ones no threshold separates from roundoff at large K.  Its
+    threshold is K sqrt(``tol``): a point off by a relative delta moves r
+    by about m delta |alpha| / |t - alpha|, and the points are only as
+    accurate as the pencil's eigenvalue conditioning allows, far less
+    accurate than ``tol`` on some valid inputs (1e-7, with r moving by
+    1.5e-6, on an exact Mat_6 case), while a wrong point or multiplicity
+    moves r by order 1.
     """
     k = rps[0].K
     # at a simple point the dimension check holds by construction, so test
@@ -502,15 +533,12 @@ def _decomposition_checks(
     )
     off_simple = [max(row, default=0.0) for row in residuals]
     direct_sum = _direct_sum_ranks(v_frames, k, tol)
-    chi_residuals = _chi_residuals(chis, points)
+    drifts = _log_det_residuals(rps, points, seed)
     out = []
-    for chi, ps, frames, off, (r, cols), worst_rel in zip(
-        chis, points, v_frames, off_simple, direct_sum, chi_residuals
-    ):
+    rows = zip(points, v_frames, off_simple, direct_sum, drifts)
+    for ps, frames, off, (r, cols), drift in rows:
         total = sum(p.algebraic_mult for p in ps)
         worst = max((abs(w.shape[1] - p.algebraic_mult) for p, w in zip(ps, frames)), default=0)
-        inf_mult = next((p.algebraic_mult for p in ps if p.alpha.is_infinite), 0)
-        chi_inf = chi.infinity_multiplicity()
         out.append(
             [
                 InvariantCheck(
@@ -538,22 +566,12 @@ def _decomposition_checks(
                     float(max(cols - r, k - r)),
                     f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
                 ),
-                # backward-error normalization: divide by the evaluation
-                # magnitude, since |alpha|^K dwarfs the coefficient norm for
-                # large roots even when alpha is a perfect root; floor it by
-                # the coefficient norm, since at alpha = 0 it collapses to
-                # |c_0|, exactly the quantity under test
                 InvariantCheck(
-                    "char_poly_vanishes_on_spectrum",
-                    worst_rel < 1e-6,
-                    worst_rel,
-                    "max |chi(1, -alpha)| over the evaluation magnitude",
-                ),
-                InvariantCheck(
-                    "char_poly_infinity_multiplicity",
-                    chi_inf == inf_mult,
-                    float(abs(chi_inf - inf_mult)),
-                    f"trailing coefficient vanishing order {chi_inf} vs multiplicity {inf_mult}",
+                    "log_det_matches_spectrum",
+                    drift < k * tol**0.5,
+                    drift,
+                    f"max - min over {LOG_DET_NODES} nodes t of log|det(a~ - t a~^T)| "
+                    "- sum m log|t - alpha|, vs K sqrt(tol)",
                 ),
             ]
         )
@@ -579,9 +597,12 @@ def decompose(
     residual of each simple point's frame in Stab(alpha)
     (``simple_frames_in_stabilizer``), one rank test on the stacked quotient
     frames of all V(alpha) proving that they form a direct sum spanning the
-    algebra over nil (``v_spaces_direct_sum``), and vanishing of the
-    characteristic polynomial.  It is :func:`decompose_all` of the one
-    functional ``f``."""
+    algebra over nil (``v_spaces_direct_sum``), and one test that the points
+    and multiplicities account for det(a~ - t a~^T) up to a constant factor
+    at nodes t drawn from ``seed`` (``log_det_matches_spectrum``).  chi
+    comes from the eigenvalues of the spectrum's eigendecomposition; it is
+    reported, and no check reads its coefficients.  It is
+    :func:`decompose_all` of the one functional ``f``."""
     return decompose_all(alg, [f], seed, tol, cluster_tol)[0]
 
 
@@ -600,14 +621,15 @@ def decompose_all(
 
     The pairing matrices come from one contraction and both kernels from
     one stacked SVD; each draw of the shift is tested with one
-    values-only SVD over the pencils still waiting for one; chi takes one
-    ``det`` per interpolation node, the spectrum one ``solve`` and one
-    ``eig``, and the level 0 of every multiple point one nullspace SVD.  The
-    shift that :func:`choose_alpha0` accepts leaves the pencil far from
-    singular, so the spectrum takes it without the singular-shift test of
-    :func:`algscope.linalg.pencil_eigen`.  When functionals fail, the error
-    that the first of them in ``fs`` raises from :func:`decompose` is
-    raised."""
+    values-only SVD over the pencils still waiting for one; the spectrum
+    takes one ``solve`` and one ``eig``, chi one ``det`` of the shifted
+    stack on top of the same eigenvalues, the level 0 of every multiple
+    point one nullspace SVD, and the log-determinant check one ``slogdet``
+    of the stack at its nodes.  The shift that :func:`choose_alpha0`
+    accepts leaves the pencil far from singular, so the spectrum takes it
+    without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
+    When functionals fail, the error that the first of them in ``fs``
+    raises from :func:`decompose` is raised."""
     rps = _reduce_pencils(alg, list(fs), tol)
     out: list = list(rps)
     groups: dict[int, list[int]] = {}
@@ -625,7 +647,7 @@ def decompose_all(
         raise failed
     for members in groups.values():
         decs = _decompose_stack(
-            [rps[i] for i in members], [out[i] for i in members], tol, cluster_tol
+            [rps[i] for i in members], [out[i] for i in members], tol, cluster_tol, seed
         )
         for i, dec in zip(members, decs):
             out[i] = dec
@@ -648,24 +670,36 @@ def _empty_decomposition(
 
 def _spectra(
     a: np.ndarray, at: np.ndarray, alpha0s: list[complex], cluster_tol: float
-) -> list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]:
-    """:func:`spectrum` of each pencil of the stack (a, at) at its regular
-    shift ``alpha0s[i]``, without the singular-shift test."""
-    shifted = at - np.array(alpha0s)[:, None, None] * a
-    return _shifted_eigens(shifted, a, alpha0s, cluster_tol)
+) -> tuple[list[HomogeneousPoly], list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]]:
+    """chi and :func:`spectrum` of each pencil of the stack (a, at) at its
+    regular shift ``alpha0s[i]``, without the singular-shift test.
+
+    Both come from one ``solve`` and one ``eig``: with S = a~^T - alpha0 a~
+    and L the eigenvalues of S^-1 a~, a~ + w a~^T = S (w + (1 + alpha0 w)
+    S^-1 a~), so chi(1, w) = det(S) prod_i (w + (1 + alpha0 w) L_i).  That
+    takes one ``det`` of the shifted stack and one product per node at the
+    K + 1 unit-circle nodes of :func:`algscope.linalg.det_poly`, and the
+    same inverse DFT gives the coefficients."""
+    shifts = np.array(alpha0s)
+    shifted = at - shifts[:, None, None] * a
+    lams, spectra = _shifted_eigens(shifted, a, alpha0s, cluster_tol)
+    k = a.shape[-1]
+    nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
+    factors = nodes + (1.0 + shifts[:, None, None] * nodes) * lams[:, None, :]
+    values = np.linalg.det(shifted)[:, None] * np.prod(factors, axis=-1)
+    return [HomogeneousPoly(k, np.fft.fft(row) / (k + 1)) for row in values], spectra
 
 
 def _decompose_stack(
-    rps: list[ReducedPencil], alpha0s: list[complex], tol: float, cluster_tol: float
+    rps: list[ReducedPencil], alpha0s: list[complex], tol: float, cluster_tol: float, seed: int
 ) -> list[Decomposition]:
     """The decompositions of pencils of one size K >= 1 at their regular
     shifts ``alpha0s``: chi and the spectrum over the stack, then the level
     0 of every multiple point from one stacked nullspace SVD, each chain
     climbed from it up to the point's multiplicity, and the checks, once
-    over the stack."""
+    over the stack, with ``seed``."""
     a, at, _ = _pencil_stack(rps)
-    chis = _det_polys(a, at)
-    spectra = _spectra(a, at, alpha0s, cluster_tol)
+    chis, spectra = _spectra(a, at, alpha0s, cluster_tol)
     # (pencil, item) of each multiple point, and its Stab(alpha) frame
     multiple = [
         (c, j) for c, raw in enumerate(spectra) for j, item in enumerate(raw) if item[2] is None
@@ -692,7 +726,7 @@ def _decompose_stack(
         all_points.append(points)
         all_levels.append(quotient_filtrations)
     v_frames = [[levels[-1] for levels in q.values()] for q in all_levels]
-    checks = _decomposition_checks(rps, chis, all_points, v_frames, tol)
+    checks = _decomposition_checks(rps, all_points, v_frames, tol, seed)
     return [
         Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(found))
         for rp, chi, points, levels, alpha0, found in zip(

@@ -630,17 +630,39 @@ def minimize_stab_dim(
     and scales are formed as arrays, and their ranks come from one stacked
     values-only SVD (:func:`algscope.linalg.stack_ranks`).  The candidates
     are ranked, never reduced: the suites read the winner's reduced pencil.
+    It is :func:`_minimize_stab_dims` of the one combination.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    return _minimize_stab_dims(alg, [(lambda0, mu0)], s_basis, f_start, samples, seed, tol)[0]
+
+
+def _minimize_stab_dims(
+    alg: Algebra,
+    combos: list[tuple[complex, complex]],
+    s_basis: list[Functional],
+    f_start: Functional,
+    samples: int,
+    seed: int,
+    tol: float,
+) -> list[tuple[Functional, int]]:
+    """:func:`minimize_stab_dim` at each pencil combination (lambda0, mu0)
+    of ``combos``, over one draw of the samples and one contraction of their
+    pairings; the ranks of every combination come from one stacked
+    values-only SVD, so each result equals, bit for bit, that of its own
+    call."""
     coords = _perturbed_coords(f_start, s_basis, samples, seed)
     a = _pairings(alg, coords)
-    combos = lambda0 * a.transpose(0, 2, 1) + mu0 * a
-    scales = (abs(lambda0) + abs(mu0)) * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
-    dims = alg.dim - stack_ranks(combos, tol, scales)
-    # the first minimum: a later candidate must be strictly lower to win
-    best = int(np.argmin(dims))
-    return (Functional(coords[best].copy()) if best else f_start), int(dims[best])
+    at = a.transpose(0, 2, 1)
+    norms = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
+    mats = np.concatenate([lambda0 * at + mu0 * a for lambda0, mu0 in combos])
+    scales = np.concatenate([(abs(lambda0) + abs(mu0)) * norms for lambda0, mu0 in combos])
+    out = []
+    for dims in (alg.dim - stack_ranks(mats, tol, scales)).reshape(len(combos), -1):
+        # the first minimum: a later candidate must be strictly lower to win
+        best = int(np.argmin(dims))
+        out.append(((Functional(coords[best].copy()) if best else f_start), int(dims[best])))
+    return out
 
 
 def _stab_pair(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[Subspace, Subspace]:
@@ -769,6 +791,9 @@ def run_suites(
     so each theorem's findings follow the functionals' order.  The
     regular-functional suites run once at a sampled minimizer, reduced once
     at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil.
+    The minimizers of both pencil combinations come from one draw of the
+    samples, one contraction of their pairings and one stacked SVD
+    (:func:`_minimize_stab_dims`).
     A minimizer that is the first drawn functional, as it usually is, reads
     the pencil its chunk reduced, which equals, bit for bit, the one
     :func:`algscope.functional.reduce_pencil` gives it."""
@@ -817,21 +842,27 @@ def run_suites(
                 findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
     full_dual = [Functional(row) for row in np.eye(alg.dim, dtype=complex)]
     f_start = fs[0] if fs else random_functional(alg.dim, rng)
+    readers = {(1.0, -1.0): {"corollary2", "perturbation"}, (1.0, 0.0): {"corollary3"}}
+    combos = [combo for combo, names in readers.items() if names.intersection(suites)]
+    minimizers = {}
+    if combos:
+        found = _minimize_stab_dims(alg, combos, full_dual, f_start, 32, seed, rank_tol)
+        minimizers = dict(zip(combos, found))
 
-    def minimizer_pencil(lambda0: complex, mu0: complex) -> ReducedPencil:
-        f_min, _ = minimize_stab_dim(alg, lambda0, mu0, full_dual, f_start, seed=seed, tol=rank_tol)
+    def minimizer_pencil(combo: tuple[complex, complex]) -> ReducedPencil:
+        f_min, _ = minimizers[combo]
         if f_min is f_start and first is not None:
             return first
         return reduce_pencil(alg, f_min, rank_tol)
 
     if "corollary2" in suites or "perturbation" in suites:
-        rp = minimizer_pencil(1.0, -1.0)
+        rp = minimizer_pencil((1.0, -1.0))
         if "corollary2" in suites:
             findings.append(verify_corollaries(alg, rp, ProjectivePoint.finite(1.0)))
         if "perturbation" in suites:
             findings.append(verify_regular_perturbation(alg, rp, 1.0, -1.0, full_dual))
     if "corollary3" in suites:
-        rp0 = minimizer_pencil(1.0, 0.0)
+        rp0 = minimizer_pencil((1.0, 0.0))
         findings.append(verify_corollaries(alg, rp0, ProjectivePoint.finite(0.0)))
     findings.sort(key=lambda fi: fi.theorem_id)
     return findings

@@ -205,6 +205,26 @@ def prescribed_pencil_algebra(beta):
     return alg, algscope.Functional(coords)
 
 
+def conjugated_diagonal_functional(n, seed):
+    """F = tr(Q X) on Mat_n with Q = S diag(q) S^-1 exactly integer: q holds
+    n distinct nonzero integers in -9..9, and S is unimodular, 3n row
+    operations with multipliers in -2..2.  The pencil's spectrum is then
+    exactly the ratios q_i / q_j, each with the number of pairs (i, j) that
+    give it as its multiplicity.  Returns (q, F)."""
+    import algscope
+
+    rng = np.random.default_rng(seed)
+    q = rng.choice([v for v in range(-9, 10) if v], size=n, replace=False).astype(float)
+    s = np.eye(n)
+    for _ in range(3 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        s[i] += rng.integers(-2, 3) * s[j]
+    s_inv = np.round(np.linalg.inv(s))
+    if not np.array_equal(s @ s_inv, np.eye(n)):
+        raise ValueError("the integer inverse is not exact")
+    return q, algscope.matrix_trace_functional(s @ np.diag(q) @ s_inv)
+
+
 #: planted pencil cores (see ``prescribed_pencil_algebra``), each with the
 #: number of levels of its longest chain
 PLANTED_JORDAN_BLOCKS = {
@@ -565,13 +585,14 @@ def cluster_values_loop(values, cluster_tol):
     return list(groups.values())
 
 
-def decomposition_checks_loop(rp, chi, points, v_frames, tol):
+def decomposition_checks_loop(rp, points, v_frames, tol, seed=0):
     """The invariant checks of one decomposition, as the library ran them
     per pencil before it ran them over a stack: the simple points' columns
     in one product with the pencil, one rank of the stacked V(alpha)
-    frames, and one evaluation of chi per finite point.  Returns the checks
-    in the library's order, as ``InvariantCheck`` records."""
-    from algscope.spectral import InvariantCheck
+    frames, and one ``slogdet`` per node of the log-determinant test with
+    ``seed``.  Returns the checks in the library's order, as
+    ``InvariantCheck`` records."""
+    from algscope.spectral import LOG_DET_NODES, InvariantCheck
 
     k = rp.K
     checks = []
@@ -626,42 +647,59 @@ def decomposition_checks_loop(rp, chi, points, v_frames, tol):
             f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
         )
     )
-    worst_rel = 0.0
-    d = np.arange(chi.degree + 1)
-    coeff_norm = chi.coefficient_norm()
-    for p in points:
-        if p.alpha.is_infinite:
-            continue
-        magnitude = float(np.sum(np.abs(chi.coeffs) * np.abs(p.alpha.value) ** d))
-        value = abs(chi.evaluate(1.0, -p.alpha.value))
-        worst_rel = max(worst_rel, value / max(magnitude, coeff_norm, 1e-300))
+    # the log-determinant test, one node at a time: log|t| uniform over
+    # the nonzero finite points' log moduli widened by 1, a random phase
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    u = rng.uniform(size=LOG_DET_NODES)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=LOG_DET_NODES)
+    finite = [p for p in points if not p.alpha.is_infinite]
+    moduli = [abs(p.alpha.value) for p in finite if p.alpha.value != 0]
+    lo, hi = (np.log(min(moduli)) - 1.0, np.log(max(moduli)) + 1.0) if moduli else (-1.0, 1.0)
+    alphas = np.array([p.alpha.value for p in finite], dtype=complex)
+    mults = np.array([p.algebraic_mult for p in finite], dtype=float)
+    r = []
+    for t in np.exp(lo + u * (hi - lo) + 1j * phase):
+        _, log_det = np.linalg.slogdet(rp.a_tilde - t * rp.at_tilde)
+        r.append(log_det - np.sum(mults * np.log(np.abs(t - alphas))))
+    drift = float(max(r) - min(r))
     checks.append(
         InvariantCheck(
-            "char_poly_vanishes_on_spectrum",
-            worst_rel < 1e-6,
-            worst_rel,
-            "max |chi(1, -alpha)| over the evaluation magnitude",
-        )
-    )
-    inf_mult = next((p.algebraic_mult for p in points if p.alpha.is_infinite), 0)
-    chi_inf = chi.infinity_multiplicity()
-    checks.append(
-        InvariantCheck(
-            "char_poly_infinity_multiplicity",
-            chi_inf == inf_mult,
-            float(abs(chi_inf - inf_mult)),
-            f"trailing coefficient vanishing order {chi_inf} vs multiplicity {inf_mult}",
+            "log_det_matches_spectrum",
+            drift < k * tol**0.5,
+            drift,
+            f"max - min over {LOG_DET_NODES} nodes t of log|det(a~ - t a~^T)| "
+            "- sum m log|t - alpha|, vs K sqrt(tol)",
         )
     )
     return checks
 
 
+def eigen_char_poly(rp, alpha0):
+    """chi = det(lam a~ + mu a~^T) of one pencil from the eigenvalues L of
+    S^-1 a~, S = a~^T - alpha0 a~, one interpolation node at a time:
+    chi(1, w) = det(S) prod_i (w + (1 + alpha0 w) L_i) at the K + 1
+    unit-circle nodes, then their inverse DFT."""
+    from algscope.linalg import HomogeneousPoly
+
+    k = rp.K
+    s_mat = rp.at_tilde - alpha0 * rp.a_tilde
+    lams = np.linalg.eig(np.linalg.solve(s_mat, rp.a_tilde))[0]
+    det_s = np.linalg.det(s_mat)
+    nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
+    # the complex products as array operations: a product of two scalars
+    # can round differently from numpy's array loop
+    weights = 1.0 + alpha0 * nodes
+    values = det_s * np.array([np.prod(w + c * lams) for w, c in zip(nodes, weights)])
+    return HomogeneousPoly(k, np.fft.fft(values) / (k + 1))
+
+
 def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     """One functional's decomposition from the public single-pencil steps,
     in the order of the pipeline: ``reduce_pencil``, ``choose_alpha0``,
-    ``char_poly``, ``spectrum`` (with its singular-shift test), one chain per
-    multiple point up to its multiplicity from its own nullspace, and the
-    library's invariant checks of a stack of one."""
+    chi from the shifted pencil's eigenvalues (:func:`eigen_char_poly`),
+    ``spectrum`` (with its singular-shift test), one chain per multiple
+    point up to its multiplicity from its own nullspace, and the library's
+    invariant checks of a stack of one."""
     from algscope.linalg import HomogeneousPoly
     from algscope.functional import reduce_pencil
     from algscope.spectral import (
@@ -670,7 +708,6 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         SpectrumPoint,
         _decomposition_checks,
         _filtration_reduced,
-        char_poly,
         choose_alpha0,
         spectrum,
     )
@@ -686,7 +723,7 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
         return Decomposition(rp, chi, (), {}, None, tol, cluster_tol, checks)
     alpha0 = choose_alpha0(rp, seed)
-    chi = char_poly(rp)
+    chi = eigen_char_poly(rp, alpha0)
     points, levels = [], {}
     for alpha, mult, vector in spectrum(rp, alpha0, cluster_tol):
         if vector is None:
@@ -697,7 +734,7 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         levels[alpha] = tuple(frames)
     v_frames = [chain[-1] for chain in levels.values()]
-    (checks,) = _decomposition_checks([rp], [chi], [points], [v_frames], tol)
+    (checks,) = _decomposition_checks([rp], [points], [v_frames], tol, seed)
     return Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(checks))
 
 

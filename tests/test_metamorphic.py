@@ -12,6 +12,9 @@ products of the variant over pairs of nonzero points of the other.
 The direct sum A + B with the functional (F1, F2) pairs block-diagonally,
 so its spectrum is the union of those of (A, F1) and (B, F2): at a point of
 both, multiplicities and stabilizer dimensions add, and nil is nil_A + nil_B.
+
+F -> s F scales the pencil by s, which changes neither its spectrum nor
+its filtrations, only chi, by s^K.
 """
 
 from itertools import combinations_with_replacement
@@ -183,3 +186,23 @@ class TestDirectSum:
             assert all(dec.point_at(q.alpha) for q in part.points)
         # the unit lies in Stab(1), so alpha = 1 is a point of both parts
         assert all(part.point_at(ProjectivePoint.finite(1.0)) for part in parts)
+
+
+class TestScaling:
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+    def test_scaled_functional_passes_every_check(self, scale):
+        # a decision read from chi's coefficients, whose ends scale by s^K
+        # (1e-200 to 1e200 here), fails at 1e-8 and 1e8; the spectrum and
+        # the checks do not depend on s
+        alg = mat_algebra(5)
+        rng = np.random.default_rng(74)
+        for _ in range(3):
+            f = random_functional(alg.dim, rng)
+            dec = decompose(alg, f)
+            scaled = decompose(alg, Functional(scale * f.coords))
+            assert [c.name for c in scaled.checks if not c.passed] == []
+            assert [(p.algebraic_mult, p.filtration_dims) for p in scaled.points] == [
+                (p.algebraic_mult, p.filtration_dims) for p in dec.points
+            ]
+            for p, q in zip(dec.points, scaled.points):
+                assert abs(p.alpha.value - q.alpha.value) < 1e-9 * max(1.0, abs(p.alpha.value))

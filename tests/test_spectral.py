@@ -51,6 +51,8 @@ from algscope.spectral import (
 from oracles import (
     PLANTED_JORDAN_BLOCKS,
     alpha0_independence_loop,
+    conjugated_diagonal_functional,
+    det_poly_exact,
     decompose_loop,
     decomposition_checks_loop,
     filtration_dims_fullspace,
@@ -101,6 +103,48 @@ class TestCharPoly:
             assert abs(p.evaluate(1.0, -alpha)) < 1e-6 * p.coefficient_norm() * max(1.0, alpha) ** 9
         # and is comfortably nonzero away from the ratios
         assert abs(p.evaluate(1.0, -3.0)) > 1e-3 * p.coefficient_norm()
+
+
+    @pytest.mark.parametrize(
+        "alg",
+        [mat_algebra(3), upper_triangular(5), mat_algebra(5), mat_algebra(7)],
+        ids=["Mat_3", "tri_5", "Mat_5", "Mat_7"],
+    )
+    def test_decomposition_chi_is_the_interpolated_one(self, alg):
+        # dec.chi from the spectrum's eigenvalues, char_poly from K + 1
+        # determinants: measured at most 1.3e-14 of the coefficient norm
+        rng = np.random.default_rng(76)
+        for _ in range(2):
+            dec = decompose(alg, random_functional(alg.dim, rng))
+            want = char_poly(dec.pencil).coeffs
+            assert dec.chi.degree == dec.quotient_dim
+            assert np.max(np.abs(dec.chi.coeffs - want)) <= 1e-12 * np.linalg.norm(want)
+
+    def test_decomposition_chi_matches_the_exact_determinant(self):
+        # integer algebras at integer functionals with nil = 0, where the
+        # reduced pencil is the integer pairing; measured at most 1.8e-14 of
+        # the coefficient norm
+        pytest.importorskip("sympy")
+        algs = [
+            mat_algebra(2),
+            mat_algebra(3),
+            upper_triangular(3),
+            upper_triangular(4),
+            group_algebra(symmetric3_table()),
+            group_algebra(cyclic_table(3)),
+        ]
+        rng = np.random.default_rng(61)
+        compared = 0
+        for alg in algs:
+            for _ in range(3):
+                dec = decompose(alg, Functional(rng.integers(-3, 4, alg.dim).astype(float)))
+                if dec.nil.dim:
+                    continue
+                a = dec.pencil.a_tilde
+                exact = np.array([complex(c) for c in det_poly_exact(a, dec.pencil.at_tilde)])
+                assert np.max(np.abs(dec.chi.coeffs - exact)) <= 1e-12 * np.linalg.norm(exact)
+                compared += 1
+        assert compared == 16
 
 
 class TestChooseAlpha0:
@@ -396,8 +440,12 @@ def split_point(monkeypatch, value):
                 points.append((alpha, mult, vector))
         return points
 
+    def doctored(*args):
+        chis, spectra = original(*args)
+        return chis, [split(r) for r in spectra]
+
     # the spectra of a batch, which decompose takes with a batch of one
-    monkeypatch.setattr(spectral, "_spectra", lambda *args: [split(r) for r in original(*args)])
+    monkeypatch.setattr(spectral, "_spectra", doctored)
 
 
 class TestChainEndsAtMultiplicity:
@@ -654,8 +702,7 @@ class TestDirectSumCheck:
             "v_dim_equals_nil_plus_multiplicity",
             "simple_frames_in_stabilizer",
             "v_spaces_direct_sum",
-            "char_poly_vanishes_on_spectrum",
-            "char_poly_infinity_multiplicity",
+            "log_det_matches_spectrum",
         ]
 
     @staticmethod
@@ -673,7 +720,7 @@ class TestDirectSumCheck:
         alg, rp, dec, frames = self.mat3_frames()
         i, j = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1][:2]
         frames[j] = frames[i].copy()  # V(alpha_j) doctored to repeat V(alpha_i)
-        (checks,) = _decomposition_checks([rp], [dec.chi], [list(dec.points)], [frames], TOL)
+        (checks,) = _decomposition_checks([rp], [list(dec.points)], [frames], TOL, 0)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual >= 1.0
         lifted = [np.hstack([rp.quotient_frame @ w, rp.nil.frame]) for w in frames]
@@ -684,7 +731,7 @@ class TestDirectSumCheck:
     def test_extra_dependent_column_fails_even_at_full_rank(self):
         alg, rp, dec, frames = self.mat3_frames()
         frames[1] = np.hstack([frames[1], frames[0]])  # K + 1 columns of rank K
-        (checks,) = _decomposition_checks([rp], [dec.chi], [list(dec.points)], [frames], TOL)
+        (checks,) = _decomposition_checks([rp], [list(dec.points)], [frames], TOL, 0)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual == 1.0
 
@@ -695,6 +742,104 @@ class TestDirectSumCheck:
             "v_spaces_direct_sum",
         ]
         assert dec.ok
+
+
+class TestLogDetCheck:
+    """log|det(a~ - t a~^T)| - sum m log|t - alpha| over the finite points is
+    constant in t exactly when the points and their multiplicities are
+    those of the pencil; the check's threshold is K sqrt(tol)."""
+
+    @staticmethod
+    def log_det_check(dec, points):
+        v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        (checks,) = _decomposition_checks([dec.pencil], [points], [v_frames], TOL, 0)
+        return check_named(checks, "log_det_matches_spectrum")
+
+    @classmethod
+    def assert_fails(cls, dec, doctored):
+        assert check_named(dec.checks, "log_det_matches_spectrum").passed
+        check = cls.log_det_check(dec, list(dec.points))
+        assert check.passed and check.residual < 1e-3 * dec.quotient_dim * TOL
+        check = cls.log_det_check(dec, doctored)
+        # doctored points leave a jump or a trend of order 1 in r
+        assert not check.passed and check.residual > 0.1
+        return check
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(75)
+        return {
+            "Mat_3": decompose(mat_algebra(3), random_functional(9, rng)),
+            "Mat_3 diag(1, 2, 5)": decompose(mat_algebra(3), diag125()),
+            "tri_4": decompose(upper_triangular(4), random_functional(10, rng)),
+            "Mat_3 diag(1, 2, 0)": decompose(
+                mat_algebra(3), matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
+            ),
+            "tri_2": decompose(upper_triangular(2), Functional(np.array([1.0, 1.0, 2.0]))),
+            "Mat_2+S3": decompose(mat2_plus_s3(), random_functional(10, rng)),
+        }
+
+    def test_one_unit_of_multiplicity_moved_between_two_points_fails(self):
+        for dec in self.cases().values():
+            finite = [i for i, p in enumerate(dec.points) if not p.alpha.is_infinite]
+            i, j = finite[0], finite[-1]
+            doctored = list(dec.points)
+            for q, step in ((i, 1), (j, -1)):
+                mult = doctored[q].algebraic_mult + step
+                doctored[q] = dataclasses.replace(doctored[q], algebraic_mult=mult)
+            self.assert_fails(dec, doctored)
+
+    def test_finite_point_moved_to_infinity_fails(self):
+        for dec in self.cases().values():
+            finite = [i for i, p in enumerate(dec.points) if not p.alpha.is_infinite]
+            for i in (finite[0], finite[-1]):
+                doctored = list(dec.points)
+                doctored[i] = dataclasses.replace(doctored[i], alpha=INFINITY)
+                self.assert_fails(dec, doctored)
+
+    def test_infinite_point_moved_to_a_small_finite_one_fails(self):
+        cases = self.cases()
+        with_infinity = [dec for dec in cases.values() if dec.points[-1].alpha.is_infinite]
+        assert len(with_infinity) == 3
+        for dec in with_infinity:
+            doctored = list(dec.points)
+            doctored[-1] = dataclasses.replace(doctored[-1], alpha=ProjectivePoint.finite(1e-3))
+            self.assert_fails(dec, doctored)
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(8, 0), (8, 1), (8, 2), (8, 3), (4, 32), (5, 14), (5, 21), (6, 23), (8, 9)],
+    )
+    def test_exact_spectra_pass_every_check(self, n, seed):
+        # F = tr(S diag(q) S^-1 X) with S integer unimodular: the spectrum is
+        # exactly {q_i / q_j}.  On Mat_8, chi's end coefficients are 1e-15 to
+        # 1e-14 of its largest one, so a coefficient threshold counts 10 to
+        # 12 of them as vanishing at infinity, where none does.  The last
+        # five cases have an ill-conditioned eigenbasis: their points are
+        # off by up to 1.1e-7 and r moves by up to 1.5e-6, above K tol and
+        # far below K sqrt(tol)
+        q, f = conjugated_diagonal_functional(n, seed)
+        dec = decompose(mat_algebra(n), f)
+        assert [c.name for c in dec.checks if not c.passed] == []
+        want: dict[float, int] = {}
+        for ratio in (x / y for x in q for y in q):
+            key = next((r for r in want if abs(r - ratio) < 1e-12 * abs(r)), ratio)
+            want[key] = want.get(key, 0) + 1
+        got = sorted((p.alpha.value.real, p.algebraic_mult) for p in dec.points)
+        assert [m for _, m in got] == [want[r] for r in sorted(want)]
+        for (value, _), ratio in zip(got, sorted(want)):
+            assert abs(value - ratio) < 1e-6 * abs(ratio)
+        assert max(abs(p.alpha.value.imag) for p in dec.points) < 1e-6
+
+    @pytest.mark.parametrize("n, count", [(8, 4), (10, 2)])
+    def test_random_functionals_on_large_matrix_algebras_pass(self, n, count):
+        alg = mat_algebra(n)
+        rng = np.random.default_rng(0)
+        for _ in range(count):
+            dec = decompose(alg, random_functional(alg.dim, rng))
+            assert [c.name for c in dec.checks if not c.passed] == []
+            check = check_named(dec.checks, "log_det_matches_spectrum")
+            assert check.residual < 1e-3 * dec.quotient_dim * TOL
 
 
 def random_unit(k, rng):
@@ -755,9 +900,7 @@ class TestSimpleFrames:
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         i = next(q for q, p in enumerate(dec.points) if p.algebraic_mult == 1)
         frames[i] = random_unit(dec.quotient_dim, np.random.default_rng(72))
-        (checks,) = _decomposition_checks(
-            [dec.pencil], [dec.chi], [list(dec.points)], [frames], TOL
-        )
+        (checks,) = _decomposition_checks([dec.pencil], [list(dec.points)], [frames], TOL, 0)
         check = check_named(checks, "simple_frames_in_stabilizer")
         assert not check.passed and check.residual > 1e-3
         # the dimension checks cannot see the defect
@@ -770,9 +913,7 @@ class TestSimpleFrames:
         assert inf.alpha.is_infinite and inf.algebraic_mult == 1
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         frames[-1] = random_unit(dec.quotient_dim, np.random.default_rng(73))
-        (checks,) = _decomposition_checks(
-            [dec.pencil], [dec.chi], [list(dec.points)], [frames], TOL
-        )
+        (checks,) = _decomposition_checks([dec.pencil], [list(dec.points)], [frames], TOL, 0)
         assert not check_named(checks, "simple_frames_in_stabilizer").passed
 
     def test_alpha0_suite_fails_on_a_doctored_simple_frame(self):
@@ -1020,8 +1161,8 @@ class TestDecompositionChecksOracle:
     1e-15 relative."""
 
     @staticmethod
-    def assert_agree(checks, rp, chi, points, v_frames):
-        want = decomposition_checks_loop(rp, chi, list(points), v_frames, TOL)
+    def assert_agree(checks, rp, points, v_frames, seed=0):
+        want = decomposition_checks_loop(rp, list(points), v_frames, TOL, seed)
         assert [(c.name, c.passed, c.detail) for c in checks] == [
             (c.name, c.passed, c.detail) for c in want
         ]
@@ -1030,13 +1171,14 @@ class TestDecompositionChecksOracle:
         return want
 
     @classmethod
-    def assert_batch_agrees(cls, decs):
-        """Compare every decomposition with K >= 1; return their checks."""
+    def assert_batch_agrees(cls, decs, seed=0):
+        """Compare every decomposition with K >= 1, decomposed with
+        ``seed``; return their checks."""
         found = []
         for dec in decs:
             if dec.quotient_dim:
                 v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
-                found.append(cls.assert_agree(dec.checks, dec.pencil, dec.chi, dec.points, v_frames))
+                found.append(cls.assert_agree(dec.checks, dec.pencil, dec.points, v_frames, seed))
         return found
 
     @pytest.mark.parametrize("name", list(verify_small_inputs()))
@@ -1044,7 +1186,7 @@ class TestDecompositionChecksOracle:
         alg = verify_small_inputs()[name]
         rng = np.random.default_rng(41)
         decs = decompose_all(alg, [random_functional(alg.dim, rng) for _ in range(10)], seed=3)
-        assert len(self.assert_batch_agrees(decs)) == 10
+        assert len(self.assert_batch_agrees(decs, seed=3)) == 10
 
     def test_mixed_and_empty_quotients(self, monkeypatch):
         # K = 10, 4 and 0 in one batch: the checks run once per K >= 1, and
@@ -1066,7 +1208,7 @@ class TestDecompositionChecksOracle:
         decs = decompose_all(alg, fs + [random_functional(alg.dim, rng)], seed=1)
         assert [dec.quotient_dim for dec in decs] == [10, 4, 0, 10]
         assert sorted(stacks) == [[4], [10, 10]]
-        assert len(self.assert_batch_agrees(decs)) == 3
+        assert len(self.assert_batch_agrees(decs, seed=1)) == 3
         assert [c.name for c in decs[2].checks] == [
             "multiplicities_sum_to_quotient_dim",
             "v_spaces_direct_sum",
@@ -1125,17 +1267,13 @@ class TestDecompositionChecksOracle:
         randomized[simple[0]] = random_unit(dec.quotient_dim, np.random.default_rng(46))
         stack = [frames, repeated, extra, randomized]
         n = len(stack)
-        batch = _decomposition_checks(
-            [dec.pencil] * n, [dec.chi] * n, [list(dec.points)] * n, stack, TOL
-        )
+        batch = _decomposition_checks([dec.pencil] * n, [list(dec.points)] * n, stack, TOL, 0)
         failed = []
         for checks, v_frames in zip(batch, stack):
-            want = self.assert_agree(checks, dec.pencil, dec.chi, dec.points, v_frames)
+            want = self.assert_agree(checks, dec.pencil, dec.points, v_frames)
             failed.append({c.name for c in want if not c.passed})
             # a stack of one gives the same bits
-            (alone,) = _decomposition_checks(
-                [dec.pencil], [dec.chi], [list(dec.points)], [v_frames], TOL
-            )
+            (alone,) = _decomposition_checks([dec.pencil], [list(dec.points)], [v_frames], TOL, 0)
             assert repr(alone) == repr(checks)
         # a column of another point lies off Stab(alpha)
         off_stab = {"simple_frames_in_stabilizer", "v_spaces_direct_sum"}

@@ -324,6 +324,45 @@ class TestMinimize:
                 assert dim == dim_ref
                 assert f_min.coords.tobytes() == f_ref.coords.tobytes()
 
+    @pytest.mark.parametrize("name", ["Mat_3", "tri_3", "S3", "Mat_2+S3"])
+    def test_both_combinations_at_once_are_the_separate_calls(self, name, monkeypatch):
+        # one draw, one contraction and one stacked SVD give each
+        # combination the minimizer and dimension of its own call, bit for
+        # bit
+        import algscope.verify as verify
+
+        alg = {
+            "Mat_3": mat_algebra(3),
+            "tri_3": upper_triangular(3),
+            "S3": group_algebra(symmetric3_table()),
+            "Mat_2+S3": direct_sum(mat_algebra(2), group_algebra(symmetric3_table())),
+        }[name]
+        rng = np.random.default_rng(12)
+        combos = [(1.0, -1.0), (1.0, 0.0)]
+        starts = [Functional(np.zeros(alg.dim, dtype=complex)), random_functional(alg.dim, rng)]
+        for seed, f0 in enumerate(starts):
+            alone = [
+                minimize_stab_dim(alg, lambda0, mu0, full_dual(alg.dim), f0, seed=seed)
+                for lambda0, mu0 in combos
+            ]
+            pairings = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_pairings")
+            both = verify._minimize_stab_dims(alg, combos, full_dual(alg.dim), f0, 32, seed, 1e-9)
+            assert len(pairings) == 1
+            monkeypatch.undo()
+            for (f_both, dim_both), (f_alone, dim_alone) in zip(both, alone):
+                assert dim_both == dim_alone
+                assert (f_both is f0) == (f_alone is f0)
+                assert f_both.coords.tobytes() == f_alone.coords.tobytes()
+
+    def test_regular_suites_contract_the_samples_once(self, monkeypatch):
+        import algscope.verify as verify
+
+        pairings = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_pairings")
+        suites = ("corollary2", "corollary3", "perturbation")
+        findings = run_suites(mat_algebra(3), suites, 2, seed=1)
+        assert len(findings) == 3 and all(f.passed for f in findings)
+        assert [args[1].shape for args, _ in pairings] == [(33, 9)]
+
     def test_a_prefix_of_the_samples_is_the_shorter_stream(self):
         from algscope.verify import _perturbed_coords
 
@@ -873,12 +912,15 @@ class TestLinearAlgebraCounts:
         eigs = self.count_calls(monkeypatch, np.linalg, "eig")
         solves = self.count_calls(monkeypatch, np.linalg, "solve")
         dets = self.count_calls(monkeypatch, np.linalg, "det")
+        slogdets = self.count_calls(monkeypatch, np.linalg, "slogdet")
         findings = run_suites(mat_algebra(3), SUITE_NAMES, 10, seed=0)
         assert all(f.passed for f in findings)
         # the spectrum: one solve and one eig over the batch; chi: one det
-        # per node over the batch, K + 1 = 10 nodes
-        assert (len(eigs), len(solves), len(dets)) == (1, 1, 10)
-        assert [args[0].shape for args, _ in dets] == [(10, 9, 9)] * 10
+        # of the shifted batch, with no det per interpolation node; the
+        # log-determinant check: one slogdet of the batch at its 12 nodes
+        assert (len(eigs), len(solves), len(dets), len(slogdets)) == (1, 1, 1, 1)
+        assert [args[0].shape for args, _ in dets] == [(10, 9, 9)]
+        assert [args[0].shape for args, _ in slogdets] == [(10, 12, 9, 9)]
         assert collections.Counter(calls) == {
             # both kernels of the batch, then the level 0 of its multiple
             # points; both kernels are 0, so the intersections and the
@@ -887,15 +929,15 @@ class TestLinearAlgebraCounts:
             # every pencil accepts the first shift drawn, and the direct-sum
             # check of the batch: one stack of K x K frames each
             ((10, 9, 9), "values"): 2,
-            # the corollary2 and corollary3 minimizers, one stack each
-            ((33, 9, 9), "values"): 2,
+            # the corollary2 and corollary3 minimizers, one stack of both
+            ((66, 9, 9), "values"): 1,
             # both minimizers are the first functional, whose pencil the
             # batch reduced: corollary2 and the perturbation suite each read
             # its Stab(1), which is its own inverse; corollary3 reads its
             # kernels
             ((1, 9, 9), "full"): 2,
         }
-        assert len(calls) == 8
+        assert len(calls) == 7
 
     def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
         # tri_5 with 10 random functionals: the left and right kernels are
@@ -915,12 +957,12 @@ class TestLinearAlgebraCounts:
             ((1, 30, 15), "full"): 10,
             # the first shift drawn and the direct-sum check
             ((10, 15, 15), "values"): 2,
-            # the two minimizers
-            ((33, 15, 15), "values"): 2,
+            # the two minimizers, one stack of both
+            ((66, 15, 15), "values"): 1,
             # Stab(1) of corollary2 and of the perturbation suite
             ((1, 15, 15), "full"): 2,
         }
-        assert len(calls) == 18
+        assert len(calls) == 17
 
     def test_kernels_of_a_run_without_decompositions_take_one_svd(self, monkeypatch):
         # no suite decomposes: the kernels of the ten pairings come from one
@@ -1187,13 +1229,12 @@ class TestRunSuites:
 
         alg = SUITE_INPUTS["Mat_3"]
         expected = run_suites_loop(alg, SUITE_NAMES, 10, 0)
-        real = verify.minimize_stab_dim
+        real = verify._minimize_stab_dims
 
         def copied(*args, **kwargs):
-            f, dim = real(*args, **kwargs)
-            return Functional(f.coords.copy()), dim
+            return [(Functional(f.coords.copy()), dim) for f, dim in real(*args, **kwargs)]
 
-        monkeypatch.setattr(verify, "minimize_stab_dim", copied)
+        monkeypatch.setattr(verify, "_minimize_stab_dims", copied)
         calls = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "reduce_pencil")
         assert_same_findings(run_suites(alg, SUITE_NAMES, 10, 0), expected)
         assert len(calls) == 2
