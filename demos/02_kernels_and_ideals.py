@@ -20,7 +20,7 @@ f = ag.Functional(np.array([1.0, 0.0]))
 print("dual numbers, F(a + b eps) = a")
 g = ag.gram(dual, f)
 print("pairing matrix:")
-print(np.real_if_close(g.a))
+print(np.real_if_close(g))
 
 ker = ag.kernels(dual, f)
 print(f"dim left kernel = {ker.left.dim}, right = {ker.right.dim}, nil = {ker.nil.dim}")

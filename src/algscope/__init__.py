@@ -55,7 +55,6 @@ _EXPORTS = {
         ),
         "functional": (
             "Functional",
-            "GramData",
             "Kernels",
             "MultiplicativeReport",
             "NilIdealReport",
@@ -91,10 +90,8 @@ _EXPORTS = {
             "choose_alpha0",
             "decompose",
             "decompose_all",
-            "jordan_filtration",
             "spectrum",
             "stab",
-            "verify_alpha0_independence",
         ),
         "verify": (
             "Finding",

@@ -26,7 +26,6 @@ from .linalg import Subspace, _nullspaces, complement, subspace_intersect
 
 __all__ = [
     "Functional",
-    "GramData",
     "ReducedPencil",
     "Kernels",
     "random_functional",
@@ -85,32 +84,20 @@ def matrix_trace_functional(weight: np.ndarray) -> Functional:
     return Functional(w.T.reshape(-1))
 
 
-@dataclass(frozen=True)
-class GramData:
-    """The pairing matrix a[i, j] = F(e_i e_j) with its transpose cached."""
-
-    a: np.ndarray
-    at: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "at"):
-            m = np.asarray(getattr(self, name), dtype=complex)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-
-
 def _pairings(alg: Algebra, coords: np.ndarray) -> np.ndarray:
     """Pairing matrices F(e_i e_j) of the functionals whose coordinates are
     the rows of ``coords``, from one contraction."""
     return np.einsum("ijk,ck->cij", alg.structure, coords)
 
 
-def gram(alg: Algebra, f: Functional) -> GramData:
-    """Pairing matrix of the multiplication table through F."""
+def gram(alg: Algebra, f: Functional) -> np.ndarray:
+    """Pairing matrix a[i, j] = F(e_i e_j) of the multiplication table
+    through F, read-only."""
     if f.dim != alg.dim:
         raise DimensionMismatch("functional does not match the algebra dimension")
     a = _pairings(alg, f.coords[None])[0]
-    return GramData(a, a.T.copy())
+    a.setflags(write=False)
+    return a
 
 
 class Kernels(NamedTuple):
@@ -122,7 +109,7 @@ class Kernels(NamedTuple):
 def kernels(alg: Algebra, f: Functional, tol: float = 1e-9) -> Kernels:
     """Left kernel {x : F(x y) = 0 for all y}, right kernel
     {x : F(y x) = 0 for all y}, and their intersection ``nil``."""
-    a = gram(alg, f).a
+    a = gram(alg, f)
     _check_pairing(a, tol)
     return _stack_kernels(a[None], tol)[0]
 
@@ -250,7 +237,7 @@ def is_multiplicative(
         return MultiplicativeReport(NOT_RANK_ONE, r, unit_value, float("nan"))
     if abs(unit_value - 1.0) >= tol:
         return MultiplicativeReport(RANK_ONE_BUT_NOT_UNIT, r, unit_value, float("nan"))
-    a = gram(alg, f).a
+    a = gram(alg, f)
     residual = float(np.max(np.abs(a - np.outer(f.coords, f.coords))))
     if residual >= tol * max(1.0, float(np.abs(f.coords).max()) ** 2):
         raise TheoremViolation(

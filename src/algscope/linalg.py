@@ -22,6 +22,8 @@ pencils gets, bit for bit, the answers of one call per pencil.
 :func:`det_poly` interpolates one pencil's determinant from one ``det`` per
 node; :mod:`algscope.spectral` takes its batches' characteristic
 polynomials from the eigenvalues ``_shifted_eigens`` returns instead.
+Nothing reads roots or an order at infinity back from the coefficients:
+the eigen-analysis decides the spectrum and its count at infinity.
 """
 
 from __future__ import annotations
@@ -431,7 +433,8 @@ def _eigen_points(
 
 @dataclass(frozen=True)
 class HomogeneousPoly:
-    """Homogeneous polynomial ``sum_d coeffs[d] * lam^(degree-d) * mu^d``."""
+    """Homogeneous polynomial ``sum_d coeffs[d] * lam^(degree-d) * mu^d``,
+    the checked (degree, coeffs) pair of chi and of :func:`det_poly`."""
 
     degree: int
     coeffs: np.ndarray = field(repr=False)
@@ -444,49 +447,6 @@ class HomogeneousPoly:
             )
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def evaluate(self, lam: complex, mu: complex) -> complex:
-        d = np.arange(self.degree + 1)
-        return complex(np.sum(self.coeffs * lam ** (self.degree - d) * mu**d))
-
-    def coefficient_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def infinity_multiplicity(self, rel_tol: float = 1e-6) -> int:
-        """Order of vanishing at (lam, mu) = (0, 1), read as the number of
-        trailing coefficients below ``rel_tol`` times the coefficient norm.
-
-        A coefficient threshold, not a decision: the middle coefficients of
-        a degree-K determinant can exceed its end ones by about 2^K, and
-        interpolation leaves an absolute error of about eps times the norm,
-        so at large K it counts roundoff as vanishing and overstates the
-        order (on most random Mat_8 functionals, K = 64, where the truth is
-        0).  No invariant check reads it."""
-        norm = self.coefficient_norm()
-        if norm == 0.0:
-            return self.degree
-        count = 0
-        for c in self.coeffs[::-1]:
-            if abs(c) <= rel_tol * norm:
-                count += 1
-            else:
-                break
-        return count
-
-    def finite_root_multiset(self, rel_tol: float = 1e-6) -> np.ndarray:
-        """Roots alpha of ``poly(1, -alpha)``, with multiplicity, unsorted.
-
-        Leading coefficients below ``rel_tol`` times the coefficient norm are
-        trimmed first; those degrees correspond to roots at infinity, which
-        would otherwise surface as huge spurious values.
-        """
-        d = np.arange(self.degree + 1)
-        p = self.coeffs * (-1.0) ** d  # coefficients of alpha^d
-        keep = self.degree + 1 - self.infinity_multiplicity(rel_tol)
-        p = p[:keep]
-        if p.size <= 1:
-            return np.zeros(0, dtype=complex)
-        return np.roots(p[::-1])
 
 
 def det_poly(a, b) -> HomogeneousPoly:

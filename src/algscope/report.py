@@ -24,7 +24,7 @@ from .errors import ParseError
 if TYPE_CHECKING:  # the pipeline modules load only where a function needs them
     from .functional import Functional
     from .linalg import ProjectivePoint
-    from .spectral import Decomposition
+    from .spectral import Decomposition, SpectrumPoint
     from .verify import Finding
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "load_functional",
     "save_algebra",
     "save_functional",
-    "SpectrumRow",
     "ReportDocument",
     "report_from_decomposition",
     "report_from_findings",
@@ -256,14 +255,6 @@ def save_functional(f: Functional, path: str):
 
 
 @dataclass(frozen=True)
-class SpectrumRow:
-    alpha: ProjectivePoint
-    algebraic_mult: int
-    stab_dim: int
-    filtration_dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ReportDocument:
     """Machine-readable analysis or verification report.
 
@@ -277,7 +268,7 @@ class ReportDocument:
     alpha0: complex | None = None
     nil_dim: int | None = None
     chi: tuple[complex, ...] | None = None
-    spectrum: tuple[SpectrumRow, ...] = ()
+    spectrum: tuple[SpectrumPoint, ...] = ()
     v_frames: tuple[tuple[tuple[complex, ...], ...], ...] | None = None
     findings: tuple[Finding, ...] = ()
     checks: tuple[tuple[str, bool, float, str], ...] = ()
@@ -336,6 +327,7 @@ class ReportDocument:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ReportDocument":
+        from .spectral import SpectrumPoint
         from .verify import Finding
 
         if not isinstance(doc, dict) or "kind" not in doc:
@@ -344,7 +336,7 @@ class ReportDocument:
         if not isinstance(tolerances, dict):
             raise ParseError("expected an object", "tolerances")
         spectrum = tuple(
-            SpectrumRow(
+            SpectrumPoint(
                 _alpha_in(_field(row, "alpha", "spectrum"), "spectrum.alpha"),
                 _int_in(_field(row, "algebraic_mult", "spectrum"), "spectrum.algebraic_mult"),
                 _int_in(_field(row, "stab_dim", "spectrum"), "spectrum.stab_dim"),
@@ -421,9 +413,6 @@ class ReportDocument:
 def report_from_decomposition(
     dec: Decomposition, seed: int, include_frames: bool = False
 ) -> ReportDocument:
-    spectrum = tuple(
-        SpectrumRow(p.alpha, p.algebraic_mult, p.stab_dim, p.filtration_dims) for p in dec.points
-    )
     v_frames = None
     if include_frames:
         v_frames = tuple(
@@ -438,7 +427,7 @@ def report_from_decomposition(
         alpha0=dec.alpha0_used,
         nil_dim=dec.nil.dim,
         chi=tuple(complex(z) for z in dec.chi.coeffs),
-        spectrum=spectrum,
+        spectrum=dec.points,
         v_frames=v_frames,
         findings=(),
         checks=tuple((c.name, c.passed, c.residual, c.detail) for c in dec.checks),

@@ -20,10 +20,12 @@ the stabilized spaces are independent of the regular shift alpha0 and satisfy
 dim V(alpha) = dim nil + algebraic multiplicity of alpha.
 
 One eigendecomposition of the shifted operator gives the spectrum with the
-multiplicity of every point, and the dimension identity fixes where each
-chain ends: a chain ends at its multiplicity, with no test that it has
-stopped growing.  A point whose Stab(alpha) already has that dimension is
-complete at level 0.  Simple points are the case mult = 1: there
+multiplicity of every point, chi and the count at infinity; no second rule
+(a coefficient threshold, or a climb until a level stops growing) decides
+any of them.  The dimension identity fixes where each chain ends: a chain
+ends at its multiplicity, with no test that it has stopped growing.  A
+point whose Stab(alpha) already has that dimension is complete at level
+0.  Simple points are the case mult = 1: there
 1 <= dim Stab(alpha) <= dim V(alpha) - dim nil = 1, so V(alpha) = Stab(alpha)
 is spanned by the eigenvector, with no rank decision at all.  The other
 points climb their chains, each on its own, up to the multiplicity.  A
@@ -37,8 +39,9 @@ each product in quotient coordinates: every level contains nil and
 algebra on first access, for the report's frames and the public API.
 
 Level 0 does not involve the shift, so shift independence has content only
-above it: :func:`verify_alpha0_independence` checks a level 0 by its
-residual in Stab(alpha) and compares the levels above it under two shifts.
+above it: :func:`algscope.verify.verify_alpha0_suite` checks each level 0
+by its residual in Stab(alpha) and compares the levels above it under two
+shifts (:func:`_alpha0_independence`).
 
 :func:`decompose_all` decomposes a batch of functionals with one seed, each
 stage once over the batch, grouped by the quotient dimension K: the
@@ -87,10 +90,8 @@ __all__ = [
     "choose_alpha0",
     "spectrum",
     "stab",
-    "jordan_filtration",
     "decompose",
     "decompose_all",
-    "verify_alpha0_independence",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -318,29 +319,26 @@ def _filtration_reduced(
     alpha: ProjectivePoint,
     alpha0: complex,
     tol: float,
-    stab_frame: np.ndarray | None = None,
-    mult: int | None = None,
+    stab_frame: np.ndarray,
+    mult: int,
 ) -> list[np.ndarray]:
     """Quotient-coordinate frames of V^0 <= V^1 <= ... at ``alpha`` under
-    the shift ``alpha0``, until the dimension stabilizes (at most K steps).
+    the shift ``alpha0``, climbed from ``stab_frame``, the V^0 =
+    Stab(alpha) frame, up to the algebraic multiplicity ``mult`` of
+    ``alpha``.
 
-    ``stab_frame``, when given, is the V^0 = Stab(alpha) frame, and the
-    chain climbs from it instead of computing it.  ``mult``, when given, is
-    the algebraic multiplicity of ``alpha``; since dim V(alpha) - dim nil
-    equals it, the chain ends at the first level of that dimension, with no
-    test that it has stopped growing.  A level 0 of full dimension is then
-    the whole chain, with no climb; a simple point (mult = 1) is that case.
-    Without ``mult`` the chain ends where it stops growing, or at K.  Per
-    level below the end: the orthonormal columns of the image under the
-    shifted operator, and the next level's nullspace, whose own SVD decides
-    whether the level grows."""
+    dim V(alpha) - dim nil equals ``mult``, so the chain ends at the first
+    level of that dimension, with no test that it has stopped growing.  A
+    level 0 of full dimension is then the whole chain, with no climb; a
+    simple point (mult = 1) is that case.  A level that does not grow ends
+    the chain below its multiplicity, which the dimension check of
+    :func:`decompose` then reports.  Per level below the end: the
+    orthonormal columns of the image under the shifted operator, and the
+    next level's nullspace, whose own SVD decides whether the level grows."""
     s_mat, s_scale = _slot_one_operator(rp, alpha)
     t_mat, t_scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha0))
-    if stab_frame is None:
-        stab_frame = nullspace(s_mat, tol, scale=s_scale).frame
     chain = [stab_frame]
-    end = rp.K if mult is None else mult
-    while chain[-1].shape[1] < end:
+    while chain[-1].shape[1] < mult:
         image = orthonormal_columns(t_mat @ chain[-1], tol, scale=t_scale)
         off_image = s_mat - image @ (image.conj().T @ s_mat)
         nxt = nullspace(off_image, tol, scale=s_scale).frame
@@ -373,17 +371,6 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
     m, scale = _slot_one_operator(rp, alpha)
     frame = _lift_frame(rp, nullspace(m, tol, scale=scale).frame)
     return Subspace(rp.nil.ambient_dim, frame, tol)
-
-
-def jordan_filtration(
-    rp: ReducedPencil, alpha: ProjectivePoint, alpha0: complex, tol: float = DEFAULT_TOL
-) -> list[Subspace]:
-    """Increasing filtration V^0 <= V^1 <= ... <= V(alpha) of the reduced
-    pencil ``rp``, as subspaces of the full algebra, each containing nil.
-    Requires a regular shift ``alpha0 != alpha``."""
-    if not alpha.is_infinite and alpha.value == alpha0:
-        raise NoRegularValue("the shift must differ from the point under study")
-    return [_lift(rp, w, tol) for w in _filtration_reduced(rp, alpha, alpha0, tol)]
 
 
 def _stab_residuals(
@@ -735,33 +722,6 @@ def _decompose_stack(
     ]
 
 
-def verify_alpha0_independence(
-    rp: ReducedPencil,
-    alpha: ProjectivePoint,
-    alpha0_a: complex,
-    alpha0_b: complex,
-    tol: float = DEFAULT_TOL,
-    compare_tol: float = 1e-8,
-    stab_frame: np.ndarray | None = None,
-) -> tuple[bool, float]:
-    """Shift independence of the filtration of the reduced pencil ``rp`` at
-    ``alpha``; returns (independent, max residual).
-
-    Level 0, Stab(alpha), does not involve the shift: its quotient frame,
-    ``stab_frame`` when given and the nullspace at ``tol`` otherwise, must
-    lie in Stab(alpha) (see :func:`_stab_residuals`), with a residual below
-    ``tol``.  The filtration then climbs from it under each shift, and every
-    higher level must agree, with projector distance below ``compare_tol``.
-    The levels are compared in quotient coordinates, where their lifts'
-    common nil drops out."""
-    if stab_frame is None:
-        m, scale = _slot_one_operator(rp, alpha)
-        stab_frame = nullspace(m, tol, scale=scale).frame
-    ((residual,),) = _stab_residuals([rp], [[alpha]], [[stab_frame]])
-    equal, dist = _alpha0_independence(rp, alpha, alpha0_a, alpha0_b, tol, compare_tol, stab_frame)
-    return residual < tol and equal, max(residual, dist)
-
-
 def _alpha0_independence(
     rp: ReducedPencil,
     alpha: ProjectivePoint,
@@ -770,12 +730,12 @@ def _alpha0_independence(
     tol: float,
     compare_tol: float,
     stab_frame: np.ndarray,
-    mult: int | None = None,
+    mult: int,
 ) -> tuple[bool, float]:
     """The levels above 0 of the filtration at ``alpha``, climbed from
     ``stab_frame`` under ``alpha0_a`` and under ``alpha0_b``, each ending at
-    the multiplicity ``mult`` when it is given, compared: (all equal, max
-    projector distance).
+    the multiplicity ``mult``, compared: (all equal, max projector
+    distance).
 
     Both chains share level 0, so it is not compared.  The comparison stops
     at the first level that differs; chains of different dimensions give

@@ -237,21 +237,6 @@ PLANTED_JORDAN_BLOCKS = {
 }
 
 
-def match_root_multisets(a, b, tol):
-    """Greedy nearest matching of two complex multisets; max matched distance,
-    or inf when the sizes differ."""
-    a = list(a)
-    b = list(b)
-    if len(a) != len(b):
-        return float("inf")
-    worst = 0.0
-    for x in a:
-        j = min(range(len(b)), key=lambda i: abs(b[i] - x))
-        worst = max(worst, abs(b[j] - x) / max(1.0, abs(x)))
-        b.pop(j)
-    return worst
-
-
 def validate_naive(alg, axiom_tol):
     """Associativity check over full N^4 tensors: (passed, max residual,
     first worst triple or None).  Unit axioms are not part of this oracle."""
@@ -698,9 +683,9 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     in the order of the pipeline: ``reduce_pencil``, ``choose_alpha0``,
     chi from the shifted pencil's eigenvalues (:func:`eigen_char_poly`),
     ``spectrum`` (with its singular-shift test), one chain per multiple
-    point up to its multiplicity from its own nullspace, and the library's
-    invariant checks of a stack of one."""
-    from algscope.linalg import HomogeneousPoly
+    point up to its multiplicity from its own level-0 nullspace, and the
+    library's invariant checks of a stack of one."""
+    from algscope.linalg import HomogeneousPoly, nullspace
     from algscope.functional import reduce_pencil
     from algscope.spectral import (
         Decomposition,
@@ -708,6 +693,7 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         SpectrumPoint,
         _decomposition_checks,
         _filtration_reduced,
+        _slot_one_operator,
         choose_alpha0,
         spectrum,
     )
@@ -727,7 +713,9 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     points, levels = [], {}
     for alpha, mult, vector in spectrum(rp, alpha0, cluster_tol):
         if vector is None:
-            frames = _filtration_reduced(rp, alpha, alpha0, tol, mult=mult)
+            m, scale = _slot_one_operator(rp, alpha)
+            stab_frame = nullspace(m, tol, scale=scale).frame
+            frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frame, mult)
         else:
             frames = [vector]
         dims = tuple(w.shape[1] + rp.nil.dim for w in frames)

@@ -26,7 +26,6 @@ from algscope import (
     random_functional,
     reduce_pencil,
     upper_triangular,
-    verify_alpha0_independence,
     verify_corollaries,
     verify_dim_symmetry,
     verify_kernel_relations,
@@ -36,9 +35,7 @@ from algscope.cli import main
 from algscope.functional import MULTIPLICATIVE, NOT_RANK_ONE, is_multiplicative
 from algscope.linalg import Subspace
 from algscope.report import save_algebra, save_functional
-from algscope.spectral import char_poly, choose_alpha0
-
-from oracles import match_root_multisets
+from algscope.spectral import _alpha0_independence, _stab_residuals, char_poly, choose_alpha0
 
 
 @contextmanager
@@ -105,11 +102,11 @@ def test_criterion_1_matrix_algebra_oracle():
 def test_criterion_2_characteristic_polynomial_oracle():
     with criterion(2, "characteristic polynomial oracle"):
         rp = reduce_pencil(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])), 1e-9)
-        chi = char_poly(rp)
-        # reference roots of -2 (l+m)^2 (l+2m) (2l+m) at (1, -alpha)
-        reference = np.array([1.0, 1.0, 2.0, 0.5], dtype=complex)
-        got = chi.finite_root_multiset()
-        assert match_root_multisets(got, reference, 1e-8) < 1e-6
+        # the coefficients of -2 (l+m)^2 (l+2m) (2l+m), lam^4 first
+        reference = np.array([-2.0])
+        for factor in ([1.0, 1.0], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0]):
+            reference = np.convolve(reference, factor)
+        np.testing.assert_allclose(char_poly(rp).coeffs, reference, rtol=0, atol=1e-9)
 
 
 def test_criterion_3_kernel_relations_suite():
@@ -134,15 +131,19 @@ def test_criterion_4_shift_independence_suite():
             if not dec.points:
                 continue
             p = dec.points[int(rng.integers(0, len(dec.points)))]
-            rp = reduce_pencil(alg, f, 1e-9)
+            rp = dec.pencil
             shift_a = choose_alpha0(rp, seed=int(rng.integers(0, 2**31)))
             shift_b = choose_alpha0(rp, seed=int(rng.integers(0, 2**31)))
             if abs(shift_a - shift_b) < 1e-9:
                 continue
-            equal, dist = verify_alpha0_independence(
-                rp, p.alpha, shift_a, shift_b, 1e-9, compare_tol=1e-8
+            # the alpha0 suite's rule: level 0 lies in Stab(alpha), and the
+            # levels above it, climbed to the multiplicity, agree
+            w = dec.quotient_filtrations[p.alpha][0]
+            ((residual,),) = _stab_residuals([rp], [[p.alpha]], [[w]])
+            equal, dist = _alpha0_independence(
+                rp, p.alpha, shift_a, shift_b, 1e-9, 1e-8, w, p.algebraic_mult
             )
-            assert equal and dist < 1e-8, (name, p.alpha, shift_a, shift_b, dist)
+            assert residual < 1e-9 and equal and dist < 1e-8, (name, p.alpha, shift_a, shift_b)
             done += 1
 
 

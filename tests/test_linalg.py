@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from algscope import (
     INFINITY,
-    HomogeneousPoly,
     NonFinite,
     ProjectivePoint,
     ShapeError,
@@ -407,19 +406,13 @@ class TestDetPoly:
             a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             chi = det_poly(a, b)
+            norm = np.linalg.norm(chi.coeffs)
             d = np.arange(k + 1)
             for alpha, _, _ in pencil_eigen(a, b, 0.3 + 0.1j):
-                if alpha.is_infinite:
-                    assert chi.infinity_multiplicity() >= 1
-                    continue
-                magnitude = float(np.sum(np.abs(chi.coeffs) * np.abs(alpha.value) ** d))
-                value = abs(chi.evaluate(1.0, -alpha.value))
-                assert value <= 1e-6 * max(magnitude, chi.coefficient_norm())
-
-    def test_infinity_multiplicity_of_known_polynomial(self):
-        # -3*lam^2*mu - 3*lam*mu^2 vanishes once at infinity and once at zero
-        p = HomogeneousPoly(3, np.array([0.0, -3.0, -3.0, 0.0], dtype=complex))
-        assert p.infinity_multiplicity() == 1
+                # the terms of chi(1, -alpha), or of chi(0, 1) at infinity
+                lam, mu = (0.0, 1.0) if alpha.is_infinite else (1.0, -alpha.value)
+                terms = chi.coeffs * lam ** (k - d) * mu**d
+                assert abs(np.sum(terms)) <= 1e-6 * max(np.sum(np.abs(terms)), norm)
 
 
 class TestProjectivePoint:

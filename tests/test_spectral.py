@@ -20,7 +20,6 @@ from algscope import (
     dual_numbers,
     group_algebra,
     cyclic_table,
-    jordan_filtration,
     kernels,
     klein_table,
     mat_algebra,
@@ -35,10 +34,9 @@ from algscope import (
     subspace_equal,
     symmetric3_table,
     upper_triangular,
-    verify_alpha0_independence,
     verify_alpha0_suite,
 )
-from algscope.linalg import Subspace
+from algscope.linalg import Subspace, nullspace
 from algscope.spectral import (
     _alpha0_independence,
     decompose_all,
@@ -46,6 +44,8 @@ from algscope.spectral import (
     _filtration_reduced,
     _pencil_stack,
     _shift_regularities,
+    _slot_one_operator,
+    _stab_residuals,
 )
 
 from oracles import (
@@ -84,6 +84,39 @@ def find_point(dec, value):
     return p
 
 
+def level0(rp, alpha):
+    """The quotient frame of Stab(alpha), from one library nullspace."""
+    m, scale = _slot_one_operator(rp, alpha)
+    return nullspace(m, TOL, scale=scale).frame
+
+
+def climb(rp, p, shift, stab_frame=None):
+    """The filtration at the spectrum point ``p`` under ``shift``, climbed
+    from ``stab_frame`` (by default :func:`level0`) up to its
+    multiplicity."""
+    w = level0(rp, p.alpha) if stab_frame is None else stab_frame
+    return _filtration_reduced(rp, p.alpha, shift, TOL, w, p.algebraic_mult)
+
+
+def shift_independence(dec, value, alpha0_a, alpha0_b):
+    """The alpha0 suite's rule at the point ``value`` of ``dec`` under two
+    given shifts: (level 0 lies in Stab(alpha) and the levels above it
+    agree, max residual)."""
+    p = find_point(dec, value)
+    w = dec.quotient_filtrations[p.alpha][0]
+    ((residual,),) = _stab_residuals([dec.pencil], [[p.alpha]], [[w]])
+    equal, dist = _alpha0_independence(
+        dec.pencil, p.alpha, alpha0_a, alpha0_b, TOL, 1e-8, w, p.algebraic_mult
+    )
+    return residual < TOL and equal, max(residual, dist)
+
+
+def chi_at(p, lam, mu):
+    """The homogeneous polynomial ``p`` at (lam, mu)."""
+    d = np.arange(p.degree + 1)
+    return complex(np.sum(p.coeffs * lam ** (p.degree - d) * mu**d))
+
+
 class TestCharPoly:
     def test_empty_pencil_is_constant_one(self):
         rp = reduce_pencil(mat_algebra(2), Functional(np.zeros(4)), TOL)
@@ -99,10 +132,11 @@ class TestCharPoly:
         rp = reduce_pencil(mat_algebra(3), diag125(), TOL)
         p = char_poly(rp)
         assert p.degree == 9
+        norm = np.linalg.norm(p.coeffs)
         for alpha in (1.0, 2.0, 5.0, 2.5, 0.5, 0.2, 0.4):
-            assert abs(p.evaluate(1.0, -alpha)) < 1e-6 * p.coefficient_norm() * max(1.0, alpha) ** 9
+            assert abs(chi_at(p, 1.0, -alpha)) < 1e-6 * norm * max(1.0, alpha) ** 9
         # and is comfortably nonzero away from the ratios
-        assert abs(p.evaluate(1.0, -3.0)) > 1e-3 * p.coefficient_norm()
+        assert abs(chi_at(p, 1.0, -3.0)) > 1e-3 * norm
 
 
     @pytest.mark.parametrize(
@@ -244,16 +278,13 @@ class TestStab:
 
 class TestJordanFiltration:
     def test_semisimple_point_stabilizes_immediately(self):
-        alg = mat_algebra(3)
-        rp = reduce_pencil(alg, diag125(), TOL)
-        a0 = choose_alpha0(rp)
-        levels = jordan_filtration(rp, ProjectivePoint.finite(2.0), a0, TOL)
+        dec = decompose(mat_algebra(3), diag125())
+        levels = dec.filtrations[find_point(dec, 2.0).alpha]
         assert len(levels) == 1 and levels[0].dim == 1
 
     def test_dual_numbers_everything_at_one(self):
-        alg = dual_numbers()
-        rp = reduce_pencil(alg, Functional(np.array([1.0, 0.0])), TOL)
-        levels = jordan_filtration(rp, ProjectivePoint.finite(1.0), 0.3 + 0.1j, TOL)
+        dec = decompose(dual_numbers(), Functional(np.array([1.0, 0.0])))
+        levels = dec.filtrations[find_point(dec, 1.0).alpha]
         assert levels[0].dim == 2  # eps lies in nil, the unit spans the quotient part
         assert levels[-1].dim == 2
 
@@ -299,8 +330,9 @@ class TestJordanFiltration:
     def test_shift_equal_to_point_is_rejected(self):
         alg = dual_numbers()
         rp = reduce_pencil(alg, Functional(np.array([1.0, 0.0])), TOL)
+        alpha = ProjectivePoint.finite(0.5)
         with pytest.raises(NoRegularValue):
-            jordan_filtration(rp, ProjectivePoint.finite(0.5), 0.5, TOL)
+            _alpha0_independence(rp, alpha, 0.5, 0.3, TOL, 1e-8, level0(rp, alpha), 1)
 
     def test_alternative_recursion_gives_the_same_spaces(self):
         # for finite alpha the chain can be climbed against the transposed
@@ -340,7 +372,7 @@ class TestJordanFiltration:
 
 
 def batch_cases():
-    """(name, reduced pencil, its points, shifts, decomposition): the
+    """(name, reduced pencil, shifts, decomposition): the
     verify-small algebras at three random functionals each, and the
     defective pencil that grows a level; the shifts are the decomposition's
     own and two more draws."""
@@ -361,7 +393,7 @@ def batch_cases():
     for name, alg, f in pairs:
         dec = decompose(alg, f)
         shifts = [dec.alpha0_used] + [choose_alpha0(dec.pencil, seed=s) for s in (5, 6)]
-        cases.append((name, dec.pencil, [p.alpha for p in dec.points], shifts, dec))
+        cases.append((name, dec.pencil, shifts, dec))
     return cases
 
 
@@ -382,44 +414,49 @@ class TestFiltrationClimb:
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
     def test_matches_the_per_point_loop(self, case):
-        _, rp, alphas, shifts, _ = case
+        # the loop climbs until a level stops growing; the library climbs
+        # to the multiplicity and ends at the same level
+        _, rp, shifts, dec = case
         for shift in shifts:
-            climbed = [_filtration_reduced(rp, alpha, shift, TOL) for alpha in alphas]
-            looped = [filtration_reduced_loop(rp, alpha, shift, TOL) for alpha in alphas]
+            climbed = [climb(rp, p, shift) for p in dec.points]
+            looped = [filtration_reduced_loop(rp, p.alpha, shift, TOL) for p in dec.points]
             self.assert_frames_equal(climbed, looped)
         # each chain from a given Stab(alpha), under the other shifts
-        for alpha in alphas:
-            w = filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0]
+        for p in dec.points:
+            w = filtration_reduced_loop(rp, p.alpha, shifts[0], TOL)[0]
             # the climb hands a given level 0 back as it is
             w.setflags(write=False)
-            climbed = [_filtration_reduced(rp, alpha, s, TOL, w) for s in shifts[1:]]
-            looped = [filtration_reduced_loop(rp, alpha, s, TOL, w) for s in shifts[1:]]
+            climbed = [climb(rp, p, s, w) for s in shifts[1:]]
+            looped = [filtration_reduced_loop(rp, p.alpha, s, TOL, w) for s in shifts[1:]]
             self.assert_frames_equal(climbed, looped)
 
     def test_defective_case_grows_a_level(self):
-        _, rp, alphas, shifts, _ = BATCH_CASES[-1]
-        assert max(len(_filtration_reduced(rp, alpha, shifts[0], TOL)) for alpha in alphas) == 2
+        _, rp, shifts, dec = BATCH_CASES[-1]
+        assert max(len(climb(rp, p, shifts[0])) for p in dec.points) == 2
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
     def test_shift_independence_matches_the_loop(self, case):
-        _, rp, alphas, shifts, _ = case
-        stabs = [filtration_reduced_loop(rp, alpha, shifts[0], TOL)[0] for alpha in alphas]
-        for alpha, w in zip(alphas, stabs):
-            for stab_frame in (None, w):
-                got = verify_alpha0_independence(rp, alpha, *shifts[1:], TOL, 1e-8, stab_frame)
-                want = alpha0_independence_loop(rp, alpha, *shifts[1:], TOL, 1e-8, stab_frame)
-                assert got[0] == want[0] is True
-                assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-15)
-            # the levels above 0, compared without the level-0 residual
-            equal, dist = _alpha0_independence(rp, alpha, *shifts[1:], TOL, 1e-8, w)
-            assert equal and dist < 1e-8
+        _, rp, shifts, dec = case
+        for p in dec.points:
+            w = filtration_reduced_loop(rp, p.alpha, shifts[0], TOL)[0]
+            for stab_frame in (level0(rp, p.alpha), w):
+                ((residual,),) = _stab_residuals([rp], [[p.alpha]], [[stab_frame]])
+                equal, dist = _alpha0_independence(
+                    rp, p.alpha, *shifts[1:], TOL, 1e-8, stab_frame, p.algebraic_mult
+                )
+                want = alpha0_independence_loop(rp, p.alpha, *shifts[1:], TOL, 1e-8, stab_frame)
+                assert (residual < TOL and equal) == want[0] is True
+                assert max(residual, dist) == pytest.approx(want[1], rel=1e-9, abs=1e-15)
+                # the levels above 0, compared without the level-0 residual
+                assert dist < 1e-8
 
     def test_nonfinite_operator_is_rejected(self):
         from algscope.errors import NonFinite
 
-        _, rp, alphas, shifts, _ = BATCH_CASES[0]
+        _, rp, _, dec = BATCH_CASES[-1]
+        p = next(p for p in dec.points if p.stab_dim < p.algebraic_mult)
         with pytest.raises(NonFinite):
-            _filtration_reduced(rp, alphas[0], complex("nan"), TOL)
+            climb(rp, p, complex("nan"))
 
 
 def split_point(monkeypatch, value):
@@ -459,10 +496,7 @@ class TestChainEndsAtMultiplicity:
         rp = dec.pencil
         assert max(len(levels) for levels in dec.quotient_filtrations.values()) == want_levels
         for shift in [dec.alpha0_used] + [choose_alpha0(rp, seed=s) for s in (5, 6)]:
-            capped = [
-                _filtration_reduced(rp, p.alpha, shift, TOL, mult=p.algebraic_mult)
-                for p in dec.points
-            ]
+            capped = [climb(rp, p, shift) for p in dec.points]
             looped = [filtration_reduced_loop(rp, p.alpha, shift, TOL) for p in dec.points]
             TestFiltrationClimb.assert_frames_equal(capped, looped)
             assert [levels[-1].shape[1] for levels in capped] == [
@@ -582,28 +616,20 @@ class TestDegeneratePencils:
         assert oracle == [1, 2]
 
     def test_defective_point_respects_shift_independence(self):
-        alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
-        ok, dist = verify_alpha0_independence(
-            reduce_pencil(alg, f, TOL), ProjectivePoint.finite(-1.0), 0.4 + 0.7j, -1.2 + 0.3j, TOL
-        )
+        dec = decompose(*prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]])))
+        ok, dist = shift_independence(dec, -1.0, 0.4 + 0.7j, -1.2 + 0.3j)
         assert ok and dist < 1e-8
 
 
 class TestAlpha0Independence:
     def test_mat2_two_explicit_shifts(self):
-        alg = mat_algebra(2)
-        f = matrix_trace_functional(np.diag([1.0, 2.0]))
-        ok, dist = verify_alpha0_independence(
-            reduce_pencil(alg, f, TOL), ProjectivePoint.finite(1.0), 3.0 + 0.0j, -2.0j, TOL
-        )
+        dec = decompose(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])))
+        ok, dist = shift_independence(dec, 1.0, 3.0 + 0.0j, -2.0j)
         assert ok and dist < 1e-8
 
     def test_dual_numbers_any_pair(self):
-        alg = dual_numbers()
-        f = Functional(np.array([1.0, 0.0]))
-        ok, dist = verify_alpha0_independence(
-            reduce_pencil(alg, f, TOL), ProjectivePoint.finite(1.0), 0.7 + 0.2j, -1.3 + 0.4j, TOL
-        )
+        dec = decompose(dual_numbers(), Functional(np.array([1.0, 0.0])))
+        ok, dist = shift_independence(dec, 1.0, 0.7 + 0.2j, -1.3 + 0.4j)
         assert ok and dist < 1e-10
 
 
@@ -712,8 +738,7 @@ class TestDirectSumCheck:
         alg = mat_algebra(3)
         dec = decompose(alg, diag125())
         rp = reduce_pencil(alg, diag125(), TOL)
-        alphas = [p.alpha for p in dec.points]
-        frames = [_filtration_reduced(rp, alpha, dec.alpha0_used, TOL)[-1] for alpha in alphas]
+        frames = [climb(rp, p, dec.alpha0_used)[-1] for p in dec.points]
         return alg, rp, dec, frames
 
     def test_repeated_column_fails_with_positive_residual(self):
@@ -875,16 +900,21 @@ class TestSimpleFrames:
         dec = decompose(alg, f)
         assert dec.ok, [c for c in dec.checks if not c.passed]
         simple = [p for p in dec.points if p.algebraic_mult == 1]
-        multiple = [p.alpha for p in dec.points if p.algebraic_mult > 1]
+        multiple = [p for p in dec.points if p.algebraic_mult > 1]
         assert simple and multiple
+        k = dec.quotient_dim
         for p in simple:
-            climbed = jordan_filtration(dec.pencil, p.alpha, dec.alpha0_used, TOL)
-            assert [s.dim for s in climbed] == list(p.filtration_dims) == [1 + dec.nil.dim]
-            assert projector_distance(climbed[0], dec.filtrations[p.alpha][0]) < 1e-10
+            # the loop climbs until a level stops growing: one level here
+            climbed = filtration_reduced_loop(dec.pencil, p.alpha, dec.alpha0_used, TOL)
+            dims = [w.shape[1] + dec.nil.dim for w in climbed]
+            assert dims == list(p.filtration_dims) == [1 + dec.nil.dim]
+            eigenvector = dec.quotient_filtrations[p.alpha][0]
+            dist = projector_distance(Subspace(k, climbed[0], TOL), Subspace(k, eigenvector, TOL))
+            assert dist < 1e-10
         # the multiple points keep bitwise the frames of the climb
-        for alpha in multiple:
-            chain = _filtration_reduced(dec.pencil, alpha, dec.alpha0_used, TOL)
-            stored = dec.quotient_filtrations[alpha]
+        for p in multiple:
+            chain = climb(dec.pencil, p, dec.alpha0_used)
+            stored = dec.quotient_filtrations[p.alpha]
             assert len(chain) == len(stored)
             assert all(np.array_equal(w, v) for w, v in zip(chain, stored))
 

@@ -859,12 +859,12 @@ class TestLinearAlgebraCounts:
         assert [len(levels) for levels in chains] == ([1, 2] if defective else [1])
         assert all(levels[-1].shape[1] == p.algebraic_mult for p, levels in zip(multiple, chains))
 
-        def chain_calls(levels, from_stab):
-            # Stab(alpha) unless given; per level below the multiplicity the
+        def chain_calls(levels):
+            # from a given Stab(alpha), per level below the multiplicity the
             # image's thin SVD and the next level's full SVD, which decides
             # its growth; nothing at the level that reaches it.  A nullspace
             # is the SVD of a stack of one
-            calls = [] if from_stab else [((1, k, k), "full")]
+            calls = []
             for w in levels[:-1]:
                 calls += [((k, w.shape[1]), "thin"), ((1, k, k), "full")]
             return calls
@@ -872,15 +872,15 @@ class TestLinearAlgebraCounts:
         calls = self.count_svd(monkeypatch)
         frames = [
             spectral._filtration_reduced(
-                dec.pencil, p.alpha, dec.alpha0_used, dec.tol, mult=p.algebraic_mult
+                dec.pencil, p.alpha, dec.alpha0_used, dec.tol, levels[0], p.algebraic_mult
             )
-            for p in multiple
+            for p, levels in zip(multiple, chains)
         ]
         assert [[w.shape for w in levels] for levels in frames] == [
             [w.shape for w in levels] for levels in chains
         ]
-        # a full-dimension level 0 takes its one nullspace SVD
-        assert calls == [c for levels in chains for c in chain_calls(levels, False)]
+        # a full-dimension level 0 takes no SVD
+        assert calls == [c for levels in chains for c in chain_calls(levels)]
         calls.clear()
         eigs = self.count_calls(monkeypatch, np.linalg, "eig")
         norms = self.count_calls(monkeypatch, np.linalg, "norm")
@@ -897,7 +897,7 @@ class TestLinearAlgebraCounts:
         climbs = [
             c
             for levels in climbing
-            for c in chain_calls(levels, True) * 2 + [((k, k), "values")] * (len(levels) - 1)
+            for c in chain_calls(levels) * 2 + [((k, k), "values")] * (len(levels) - 1)
         ]
         assert calls == [((1, k, k), "values")] * len(draws) + climbs
         # no spectral norm takes an SVD that np.linalg.svd does not count
