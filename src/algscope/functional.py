@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Algebra, Element, pairwise_products
 from .errors import DimensionMismatch, NonFinite, TheoremViolation
-from .linalg import Subspace, _nullspaces, complement, subspace_intersect
+from .linalg import Subspace, _intersection_operator, _nullspaces, complement
 
 __all__ = [
     "Functional",
@@ -126,10 +126,18 @@ def _check_pairing(a: np.ndarray, tol: float):
 def _stack_kernels(a: np.ndarray, tol: float) -> list[Kernels]:
     """Kernels of each finite pairing matrix of the stack ``a``: one full SVD
     of the stack gives both, at one rank per pairing, so the left and the
-    right kernel have the same dimension; their intersection is taken per
-    pairing."""
-    pairs = _nullspaces(a, tol, [None] * len(a))
-    return [Kernels(l, r, subspace_intersect(l, r, tol)) for l, r in pairs]
+    right kernel have the same dimension.  Their intersections, those of
+    :func:`algscope.linalg.subspace_intersect`, take one more full SVD, of
+    the stack of ``[I - P_left; I - P_right]`` of the pairings whose kernels
+    are both nonzero; the others meet in 0."""
+    pairs = _nullspaces(a, tol, [None] * len(a), left=True)
+    both = [i for i, (left, right) in enumerate(pairs) if left.dim and right.dim]
+    nils = [Subspace.zero(a.shape[-1], tol) for _ in pairs]
+    if both:
+        ops = np.stack([_intersection_operator(*pairs[i]) for i in both])
+        for i, nil in zip(both, _nullspaces(ops, tol, [1.0] * len(both))):
+            nils[i] = nil
+    return [Kernels(left, right, nil) for (left, right), nil in zip(pairs, nils)]
 
 
 @dataclass(frozen=True)

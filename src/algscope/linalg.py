@@ -18,7 +18,9 @@ single call on each matrix of the stack, so every rank is that of the
 single call.  The nullspaces and pencil eigen-analyses are written the same
 way, over a stack (``_nullspaces``, ``_shifted_eigens``); :func:`nullspace`
 and :func:`pencil_eigen` call them with a stack of one, so a batch of
-pencils gets, bit for bit, the answers of one call per pencil.
+pencils gets, bit for bit, the answers of one call per pencil.  Between
+their LAPACK calls no loop runs per matrix or per point: ranks, frame
+checks and the clustering of eigenvalues are array passes over the stack.
 :func:`det_poly` interpolates one pencil's determinant from one ``det`` per
 node; :mod:`algscope.spectral` takes its batches' characteristic
 polynomials from the eigenvalues ``_shifted_eigens`` returns instead.
@@ -65,17 +67,15 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def _svd_cutoff(s: np.ndarray, tol: float, scale: float | None) -> float:
-    """Threshold below which singular values count as zero.
-
-    Relative to the largest singular value (or 1 for an exactly zero matrix),
-    and never below ``tol * scale`` when a problem scale is supplied.
-    """
-    smax = float(s[0]) if s.size else 0.0
-    base = smax if smax > 0.0 else 1.0
-    if scale is not None:
-        base = max(base, float(scale))
-    return tol * base
+def _svd_cutoffs(s: np.ndarray, tol: float, scales) -> np.ndarray:
+    """Threshold below which singular values count as zero, per row of the
+    stack ``s`` of singular values: relative to the row's largest value (or
+    1 for an exactly zero matrix), and never below ``tol * scales[i]`` when
+    that problem scale is supplied (not None)."""
+    smax = s[:, 0] if s.shape[-1] else np.zeros(len(s))
+    # a missing scale becomes NaN, which fmax ignores
+    floor = np.array(scales, dtype=float)
+    return tol * np.fmax(np.where(smax > 0.0, smax, 1.0), floor)
 
 
 def rank(m, tol: float, *, scale: float | None = None) -> int:
@@ -84,7 +84,7 @@ def rank(m, tol: float, *, scale: float | None = None) -> int:
     if 0 in m.shape:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s >= _svd_cutoff(s, tol, scale)))
+    return int(np.sum(s >= _svd_cutoffs(s[None], tol, [scale])[0]))
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +143,9 @@ class Subspace:
     """A subspace of C^n carried by an orthonormal column frame.
 
     ``frame`` has shape ``(ambient_dim, dim)`` and satisfies
-    ``frame^H frame = I`` within ``10 * tol``.
+    ``frame^H frame = I`` within ``10 * tol``.  The constructor checks that
+    bound; the stacked nullspaces behind :func:`nullspace` check their
+    frames once per stack instead, with the same bound and error.
     """
 
     ambient_dim: int
@@ -163,6 +165,15 @@ class Subspace:
             raise ShapeError("frame columns are not orthonormal at the stated tolerance")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
+
+    @classmethod
+    def _checked(cls, ambient_dim: int, frame: np.ndarray, tol: float) -> "Subspace":
+        """The subspace of ``frame``, a complex (ambient_dim, dim) array whose
+        orthonormality the caller has checked, made read-only."""
+        space = object.__new__(cls)
+        frame.setflags(write=False)
+        space.__dict__.update(ambient_dim=ambient_dim, frame=frame, tol=tol)
+        return space
 
     @property
     def dim(self) -> int:
@@ -210,23 +221,38 @@ def nullspace(m, tol: float, *, scale: float | None = None) -> Subspace:
         return Subspace(0, np.zeros((0, 0), dtype=complex), tol)
     if m.shape[0] == 0:
         return Subspace.full(n, tol)
-    return _nullspaces(m[None], tol, [scale])[0][1]
+    return _nullspaces(m[None], tol, [scale])[0]
 
 
-def _nullspaces(stack: np.ndarray, tol: float, scales) -> list[tuple[Subspace, Subspace]]:
-    """The left null space {x : x^T m = 0} and the right one, that of
-    :func:`nullspace`, of each matrix m of the finite, nonempty stack
-    ``stack`` at its own ``scales[i]``, from one full SVD of the stack
-    m = U S V^H: at the rank r its singular values give, the trailing
-    columns of conj(U) span the left and the trailing rows of V^H,
-    conjugated, the right."""
+def _nullspaces(stack: np.ndarray, tol: float, scales, *, left: bool = False) -> list:
+    """The right null space, that of :func:`nullspace`, of each matrix m of
+    the finite, nonempty stack ``stack`` at its own ``scales[i]``, from one
+    full SVD of the stack m = U S V^H: at the rank r its singular values
+    give, the trailing rows of V^H, conjugated, span it.  With ``left``,
+    (left, right) pairs, the left null space {x : x^T m = 0} spanned by the
+    trailing columns of conj(U)."""
     u, s, vh = np.linalg.svd(stack)
     m, n = stack.shape[-2:]
-    spaces = []
-    for row, left, v, scale in zip(s, u, vh, scales):
-        r = int(np.sum(row >= _svd_cutoff(row, tol, scale)))
-        spaces.append((Subspace(m, left[:, r:].conj(), tol), Subspace(n, v[r:].conj().T, tol)))
-    return spaces
+    ranks = np.sum(s >= _svd_cutoffs(s, tol, scales)[:, None], axis=1)
+    rights = _checked_frames(vh.transpose(0, 2, 1), n - ranks, tol)
+    if not left:
+        return rights
+    return list(zip(_checked_frames(u, m - ranks, tol), rights))
+
+
+def _checked_frames(cols: np.ndarray, dims: np.ndarray, tol: float) -> list[Subspace]:
+    """The subspaces spanned by the conjugated last ``dims[i]`` columns of
+    each ``cols[i]``; raises :class:`ShapeError`, as :class:`Subspace`
+    does, unless they are orthonormal within ``10 * tol``, from one Gram
+    residual per dimension."""
+    n, width = cols.shape[-2:]
+    for d in sorted(set(dims.tolist()) - {0}):
+        block = cols[dims == d, :, width - d :]
+        gram = block.conj().transpose(0, 2, 1) @ block
+        if np.max(np.abs(gram - np.eye(d))) > 10.0 * tol:
+            raise ShapeError("frame columns are not orthonormal at the stated tolerance")
+    frames = [c[:, width - d :].conj() for c, d in zip(cols, dims.tolist())]
+    return [Subspace._checked(n, w, tol) for w in frames]
 
 
 def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.ndarray:
@@ -235,7 +261,7 @@ def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.n
     if cols.shape[1] == 0:
         return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    r = int(np.sum(s >= _svd_cutoff(s, tol, scale)))
+    r = int(np.sum(s >= _svd_cutoffs(s[None], tol, [scale])[0]))
     return u[:, :r]
 
 
@@ -253,8 +279,7 @@ def stack_ranks(mats, tol: float, scales) -> np.ndarray:
     if stack.size and not np.all(np.isfinite(stack)):
         raise NonFinite("matrix contains NaN or Inf entries")
     s = np.linalg.svd(stack, compute_uv=False)
-    cutoffs = [_svd_cutoff(row, tol, scale) for row, scale in zip(s, scales)]
-    return np.sum(s >= np.array(cutoffs).reshape(-1, 1), axis=1)
+    return np.sum(s >= _svd_cutoffs(s, tol, scales)[:, None], axis=1)
 
 
 def _check_ambient(a: Subspace, b: Subspace):
@@ -278,10 +303,15 @@ def subspace_intersect(a: Subspace, b: Subspace, tol: float) -> Subspace:
     _check_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim, tol)
-    eye = np.eye(a.ambient_dim)
-    stacked = np.vstack([eye - a.projector(), eye - b.projector()])
     # projectors have unit scale, so an all-roundoff stack means full overlap
-    return nullspace(stacked, tol, scale=1.0)
+    return nullspace(_intersection_operator(a, b), tol, scale=1.0)
+
+
+def _intersection_operator(a: Subspace, b: Subspace) -> np.ndarray:
+    """``[I - P_a; I - P_b]``, whose nullspace at unit scale is the
+    intersection of ``a`` and ``b``."""
+    eye = np.eye(a.ambient_dim)
+    return np.vstack([eye - a.projector(), eye - b.projector()])
 
 
 def subspace_equal(a: Subspace, b: Subspace, tol: float) -> bool:
@@ -311,36 +341,6 @@ def complement(a: Subspace) -> Subspace:
 
 # --------------------------------------------------------------------------
 # pencil eigen-analysis
-
-
-def _cluster_values(values: np.ndarray, cluster_tol: float) -> list[list[int]]:
-    """Single-linkage clustering of complex values; relative for large
-    moduli.  Returns the indices of each cluster's members, the clusters in
-    the order of their first members."""
-    n = len(values)
-    modulus = np.maximum(1.0, np.abs(values))
-    close = np.abs(values[:, None] - values) <= cluster_tol * np.maximum(modulus[:, None], modulus)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(*np.nonzero(np.triu(close, 1))):
-        parent[find(int(i))] = find(int(j))
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _point_sort_key(item: tuple[ProjectivePoint, int, np.ndarray | None]):
-    p = item[0]
-    if p.is_infinite:
-        return (1, 0.0, 0.0)
-    return (0, abs(p.value), float(np.angle(p.value)))
 
 
 def pencil_eigen(
@@ -390,41 +390,72 @@ def _shifted_eigens(
     """The eigenvalues of ``shifted[i]^{-1} b[i]``, one row per pencil, and
     the points of :func:`pencil_eigen` for each pencil of a stack, given
     ``shifted[i] = a[i] - alpha0s[i] * b[i]`` at a shift already known to be
-    regular: one ``solve`` and one ``eig`` over the whole stack, then the
-    clustering of each pencil's eigenvalues."""
+    regular: one ``solve`` and one ``eig`` over the whole stack, then
+    :func:`_stack_points` over the stack of eigenvalues."""
     lams, vectors = np.linalg.eig(np.linalg.solve(shifted, b))
     vectors.setflags(write=False)
-    return lams, [
-        _eigen_points(lam, vec, alpha0, cluster_tol)
-        for lam, vec, alpha0 in zip(lams, vectors, alpha0s)
+    return lams, _stack_points(lams, vectors, alpha0s, cluster_tol)
+
+
+def _stack_points(
+    lams: np.ndarray, vectors: np.ndarray, alpha0s, cluster_tol: float
+) -> list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]:
+    """The points of :func:`pencil_eigen` of each pencil, from the
+    eigenvalues ``lams[i]`` of ``(a - alpha0s[i] b)^{-1} b`` and their unit
+    eigenvectors ``vectors[i]``, in one pass over the (B, K) stack.  The
+    points are the components of the graph linking the infinite values and
+    the finite ones within ``cluster_tol``, each labelled by its first
+    member: each value takes the least label linked to it until none
+    changes.  A finite point is the mean of its members, snapped to 0 at
+    modulus ``cluster_tol`` or less; infinity comes last, and the finite
+    points by modulus, phase and first member."""
+    b, k = lams.shape
+    shifts = np.asarray(alpha0s, dtype=complex).reshape(b, 1)
+    # moduli of points and shifts as Python's abs takes them, hypot, which
+    # numpy's abs of a complex array does not match bit for bit
+    shift_size = np.hypot(shifts.real, shifts.imag)
+    at_inf = np.abs(lams) <= cluster_tol / (1.0 + cluster_tol * shift_size)
+    alphas = shifts + 1.0 / np.where(at_inf, 1.0, lams)
+    finite = ~at_inf
+    modulus = np.maximum(1.0, np.abs(alphas))
+    near = np.abs(alphas[:, :, None] - alphas[:, None, :]) <= cluster_tol * np.maximum(
+        modulus[:, :, None], modulus[:, None, :]
+    )
+    index = np.arange(k)
+    # every value links itself, a NaN too, which then fails the finite check
+    linked = near & finite[:, :, None] & finite[:, None, :] | (index[:, None] == index)
+    linked |= at_inf[:, :, None] & at_inf[:, None, :]
+    labels = np.broadcast_to(index, (b, k))
+    while True:
+        least = np.where(linked, labels[:, None, :], k).min(axis=2)
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    first = labels == index
+    mults = np.sum(labels[:, None, :] == index[:, None], axis=2)
+    # the points of c members: their values in index order, summed as one
+    # point's values alone are, and divided by c
+    centroids = np.zeros((b, k), dtype=complex)
+    for c in set(mults[first & finite].tolist()):
+        rows, cols = np.nonzero(first & finite & (mults == c))
+        members = np.nonzero(labels[rows] == cols[:, None])[1].reshape(-1, c)
+        centroids[rows, cols] = alphas[rows[:, None], members].sum(axis=1) / c
+    size = np.hypot(centroids.real, centroids.imag)
+    snap = size <= cluster_tol
+    centroids[snap], size[snap] = 0.0, 0.0
+    if not np.all(np.isfinite(centroids)):
+        raise NonFinite("finite projective point built from non-finite value")
+    # stable: equal keys keep the order of the first members
+    order = np.lexsort((np.angle(centroids), size, np.where(first, at_inf, 2)), axis=-1)
+    points = [np.take_along_axis(x, order, axis=1).tolist() for x in (mults, centroids, at_inf)]
+    counts = first.sum(axis=1).tolist()
+    return [
+        [
+            (INFINITY if inf else ProjectivePoint(z), m, vec[:, j : j + 1] if m == 1 else None)
+            for j, m, z, inf in zip(firsts[:count], ms, zs, infs)
+        ]
+        for vec, count, firsts, ms, zs, infs in zip(vectors, counts, order.tolist(), *points)
     ]
-
-
-def _eigen_points(
-    lams: np.ndarray, vectors: np.ndarray, alpha0: complex, cluster_tol: float
-) -> list[tuple[ProjectivePoint, int, np.ndarray | None]]:
-    """Map the eigenvalues ``lams`` of ``(a - alpha0*b)^{-1} b`` to points
-    alpha, cluster them and pair each simple one with its column of
-    ``vectors`` (see :func:`pencil_eigen`)."""
-    at_inf = np.abs(lams) <= cluster_tol / (1.0 + cluster_tol * abs(alpha0))
-    alphas = alpha0 + 1.0 / np.where(at_inf, 1.0, lams)
-
-    def vector(members: list[int]) -> np.ndarray | None:
-        # a slice, so the column stays a read-only view
-        return vectors[:, members[0] : members[0] + 1] if len(members) == 1 else None
-
-    finite = np.flatnonzero(~at_inf)
-    points = []
-    for members in _cluster_values(alphas[finite], cluster_tol):
-        # np.mean's sum and division, without its per-call overhead
-        z = complex(alphas[finite[members]].sum() / len(members))
-        point = ProjectivePoint.finite(0.0 if abs(z) <= cluster_tol else z)
-        points.append((point, len(members), vector(finite[members].tolist())))
-    if at_inf.any():
-        inf_members = np.flatnonzero(at_inf).tolist()
-        points.append((INFINITY, len(inf_members), vector(inf_members)))
-    points.sort(key=_point_sort_key)
-    return points
 
 
 # --------------------------------------------------------------------------

@@ -609,10 +609,11 @@ def decompose_all(
     The pairing matrices come from one contraction and both kernels from
     one stacked SVD; each draw of the shift is tested with one
     values-only SVD over the pencils still waiting for one; the spectrum
-    takes one ``solve`` and one ``eig``, chi one ``det`` of the shifted
-    stack on top of the same eigenvalues, the level 0 of every multiple
-    point one nullspace SVD, and the log-determinant check one ``slogdet``
-    of the stack at its nodes.  The shift that :func:`choose_alpha0`
+    takes one ``solve``, one ``eig`` and one array pass that clusters the
+    eigenvalues of the stack, chi one ``det`` of the shifted stack on top
+    of the same eigenvalues, the level 0 of every multiple point one
+    nullspace SVD, and the log-determinant check one ``slogdet`` of the
+    stack at its nodes.  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
     When functionals fail, the error that the first of them in ``fs``
@@ -694,7 +695,7 @@ def _decompose_stack(
     stab_frames = {}
     if multiple:
         mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
-        for key, (_, space) in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):
+        for key, space in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):
             stab_frames[key] = space.frame
     all_points, all_levels = [], []
     for c, (rp, alpha0, raw) in enumerate(zip(rps, alpha0s, spectra)):

@@ -628,9 +628,11 @@ def minimize_stab_dim(
     prefix, so more samples can only lower the result.  The pairing matrices
     of all candidates come from one contraction, their pencil combinations
     and scales are formed as arrays, and their ranks come from one stacked
-    values-only SVD (:func:`algscope.linalg.stack_ranks`).  The candidates
-    are ranked, never reduced: the suites read the winner's reduced pencil.
-    It is :func:`_minimize_stab_dims` of the one combination.
+    values-only SVD (:func:`algscope.linalg.stack_ranks`): ``f_start``
+    first, then the samples only when its kernel is nonzero.  The
+    candidates are ranked, never reduced: the suites read the winner's
+    reduced pencil.  It is :func:`_minimize_stab_dims` of the one
+    combination.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -648,20 +650,30 @@ def _minimize_stab_dims(
 ) -> list[tuple[Functional, int]]:
     """:func:`minimize_stab_dim` at each pencil combination (lambda0, mu0)
     of ``combos``, over one draw of the samples and one contraction of their
-    pairings; the ranks of every combination come from one stacked
-    values-only SVD, so each result equals, bit for bit, that of its own
-    call."""
+    pairings.  One stacked values-only SVD ranks ``f_start`` at every
+    combination, and one more the samples at those where its kernel is
+    nonzero: elsewhere no sample can be strictly lower.  Each result
+    equals, bit for bit, that of its own call."""
     coords = _perturbed_coords(f_start, s_basis, samples, seed)
     a = _pairings(alg, coords)
     at = a.transpose(0, 2, 1)
     norms = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
-    mats = np.concatenate([lambda0 * at + mu0 * a for lambda0, mu0 in combos])
-    scales = np.concatenate([(abs(lambda0) + abs(mu0)) * norms for lambda0, mu0 in combos])
+
+    def kernel_dims(rows: slice, chosen: list[tuple[complex, complex]]) -> np.ndarray:
+        mats = np.concatenate([l0 * at[rows] + m0 * a[rows] for l0, m0 in chosen])
+        scales = np.concatenate([(abs(l0) + abs(m0)) * norms[rows] for l0, m0 in chosen])
+        return (alg.dim - stack_ranks(mats, tol, scales)).reshape(len(chosen), -1)
+
+    dims = np.zeros((len(combos), len(coords)), dtype=int)
+    dims[:, :1] = kernel_dims(slice(0, 1), combos)
+    nonzero = np.flatnonzero(dims[:, 0])
+    if nonzero.size:
+        dims[nonzero, 1:] = kernel_dims(slice(1, None), [combos[c] for c in nonzero])
     out = []
-    for dims in (alg.dim - stack_ranks(mats, tol, scales)).reshape(len(combos), -1):
+    for row in dims:
         # the first minimum: a later candidate must be strictly lower to win
-        best = int(np.argmin(dims))
-        out.append(((Functional(coords[best].copy()) if best else f_start), int(dims[best])))
+        best = int(np.argmin(row))
+        out.append(((Functional(coords[best].copy()) if best else f_start), int(row[best])))
     return out
 
 
@@ -792,8 +804,9 @@ def run_suites(
     regular-functional suites run once at a sampled minimizer, reduced once
     at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil.
     The minimizers of both pencil combinations come from one draw of the
-    samples, one contraction of their pairings and one stacked SVD
-    (:func:`_minimize_stab_dims`).
+    samples, one contraction of their pairings, one stacked SVD of the
+    first functional at both and one of the samples at the combinations
+    where its kernel is nonzero (:func:`_minimize_stab_dims`).
     A minimizer that is the first drawn functional, as it usually is, reads
     the pencil its chunk reduced, which equals, bit for bit, the one
     :func:`algscope.functional.reduce_pencil` gives it."""

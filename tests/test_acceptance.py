@@ -37,6 +37,8 @@ from algscope.linalg import Subspace
 from algscope.report import save_algebra, save_functional
 from algscope.spectral import _alpha0_independence, _stab_residuals, char_poly, choose_alpha0
 
+from oracles import prescribed_pencil_algebra
+
 
 @contextmanager
 def criterion(number, title):
@@ -122,20 +124,15 @@ def test_criterion_3_kernel_relations_suite():
 def test_criterion_4_shift_independence_suite():
     with criterion(4, "shift-independence suite"):
         rng = np.random.default_rng(2002)
-        algs = corpus()
-        done = 0
-        while done < 10:
-            name, alg = algs[int(rng.integers(0, len(algs)))]
-            f = random_functional(alg.dim, rng)
-            dec = decompose(alg, f)
-            if not dec.points:
-                continue
-            p = dec.points[int(rng.integers(0, len(dec.points)))]
+
+        def compared(name, dec, p):
+            """Whether the point ``p`` of ``dec`` was compared under two
+            drawn shifts (not when they coincide)."""
             rp = dec.pencil
             shift_a = choose_alpha0(rp, seed=int(rng.integers(0, 2**31)))
             shift_b = choose_alpha0(rp, seed=int(rng.integers(0, 2**31)))
             if abs(shift_a - shift_b) < 1e-9:
-                continue
+                return False
             # the alpha0 suite's rule: level 0 lies in Stab(alpha), and the
             # levels above it, climbed to the multiplicity, agree
             w = dec.quotient_filtrations[p.alpha][0]
@@ -144,7 +141,22 @@ def test_criterion_4_shift_independence_suite():
                 rp, p.alpha, shift_a, shift_b, 1e-9, 1e-8, w, p.algebraic_mult
             )
             assert residual < 1e-9 and equal and dist < 1e-8, (name, p.alpha, shift_a, shift_b)
-            done += 1
+            return True
+
+        algs = corpus()
+        done = 0
+        while done < 10:
+            name, alg = algs[int(rng.integers(0, len(algs)))]
+            dec = decompose(alg, random_functional(alg.dim, rng))
+            if dec.points:
+                done += compared(name, dec, dec.points[int(rng.integers(0, len(dec.points)))])
+        # a planted Jordan block, whose alpha = -1 climbs one level above
+        # Stab(-1): random functionals on the corpus leave every level 0
+        # complete, so without it no level above 0 would be compared
+        planted = decompose(*prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]])))
+        climbed = [p for p in planted.points if p.stab_dim < p.algebraic_mult]
+        assert len(climbed) == 1 and abs(climbed[0].alpha.value + 1.0) < 1e-9
+        assert all(compared("planted", planted, p) for p in planted.points)
 
 
 def test_criterion_5_product_inclusion_suite():

@@ -11,19 +11,22 @@ from algscope import (
     SingularShift,
     Subspace,
     complement,
+    decompose,
     det_poly,
+    mat_algebra,
     nullspace,
     pencil_eigen,
     projective_close,
     projector_distance,
+    random_functional,
     subspace_equal,
     subspace_intersect,
     subspace_sum,
 )
 from algscope.linalg import (
-    _cluster_values,
     _nullspaces,
     _shifted_eigens,
+    _stack_points,
     rank,
     stack_ranks,
 )
@@ -229,16 +232,51 @@ class TestPencilEigen:
             assert np.linalg.norm(op @ vector) < 1e-12 * (1.0 + abs(alpha.value or 0.0)) * scale
 
     def test_clusters_match_the_pairwise_loop(self):
-        # near-duplicates within and just outside the tolerance, chains that
-        # link through a middle value, and large moduli
+        # a stack of pencils whose eigenvalues map to near-duplicates within
+        # and just outside the tolerance, a chain that links through a
+        # middle value, large moduli, a value that snaps to 0, a point of 10
+        # members and, in every other pencil, an infinite eigenvalue (L = 0)
         rng = np.random.default_rng(19)
-        for _ in range(20):
-            base = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            base *= 10.0 ** rng.integers(-2, 8, size=8)
-            step = 1e-6 * np.maximum(1.0, np.abs(base))
-            extra = [base[0] + 0.6 * step[0], base[0] + 1.2 * step[0], base[1] + 1.5 * step[1]]
-            values = rng.permutation(np.concatenate([base, extra]))
-            assert _cluster_values(values, 1e-6) == cluster_values_loop(values, 1e-6)
+        tol = 1e-6
+        lams, alpha0s = [], []
+        for c in range(6):
+            base = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            base *= 10.0 ** rng.integers(-2, 5, size=9)
+            step = tol * np.maximum(1.0, np.abs(base))
+            chain = [base[0] + 0.6 * step[0], base[0] + 1.2 * step[0], base[1] + 1.5 * step[1]]
+            crowd = base[2] + 1e-9 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
+            values = np.concatenate([base, chain, crowd, [3e-7j]])
+            alpha0 = complex(rng.standard_normal(), rng.standard_normal())
+            lam = 1.0 / (values - alpha0)
+            if c % 2:
+                lam[3] = 0.0
+            lams.append(rng.permutation(lam))
+            alpha0s.append(alpha0)
+        lams = np.array(lams)
+        k = lams.shape[1]
+        vectors = np.broadcast_to(np.eye(k, dtype=complex), (len(lams), k, k))
+        got = _stack_points(lams, vectors, alpha0s, tol)
+        largest = 0
+        for lam, alpha0, points in zip(lams, alpha0s, got):
+            finite = np.flatnonzero(lam != 0)
+            alphas = alpha0 + 1.0 / lam[finite]
+            want = []
+            for members in cluster_values_loop(alphas, tol):
+                z = alphas[members].sum() / len(members)
+                z = 0.0 if abs(z) <= tol else complex(z)
+                first = int(finite[members[0]]) if len(members) == 1 else None
+                want.append((ProjectivePoint(z), len(members), first))
+                largest = max(largest, len(members))
+            if len(finite) < k:
+                want.append((INFINITY, k - len(finite), int(np.flatnonzero(lam == 0)[0])))
+            want.sort(key=lambda w: (1, 0.0, 0.0) if w[0].is_infinite else
+                      (0, abs(w[0].value), float(np.angle(w[0].value))))
+            assert [
+                (point, mult, None if v is None else int(np.argmax(np.abs(v[:, 0]))))
+                for point, mult, v in points
+            ] == want
+            assert [p.value for p, _, _ in points if not p.is_infinite][0] == 0.0
+        assert largest == 10
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularShift):
@@ -299,7 +337,7 @@ class TestStackedPrimitives:
         ranks = [int(r) for r in rng.integers(0, k + 1, size=7)]
         mats = np.stack(random_stack(rng, 7, k, k, ranks))
         scales = [None, *rng.uniform(0.5, 2.0, size=6)]
-        for (left, got), m, sc in zip(_nullspaces(mats, TOL, scales), mats, scales):
+        for (left, got), m, sc in zip(_nullspaces(mats, TOL, scales, left=True), mats, scales):
             want = nullspace(m, TOL, scale=sc)
             assert got.frame.shape == want.frame.shape == (k, k - rank(m, TOL, scale=sc))
             assert got.frame.tobytes() == want.frame.tobytes()
@@ -331,6 +369,41 @@ class TestStackedPrimitives:
         mats[1][2, 0] = np.inf
         with pytest.raises(NonFinite):
             stack_ranks(mats, TOL, [1.0, 1.0])
+
+    def test_stacked_frames_are_checked_subspace_frames(self):
+        rng = np.random.default_rng(4)
+        mats = np.stack(random_stack(rng, 5, 6, 6, [2, 3, 6, 3, 0]))
+        for pair in _nullspaces(mats, TOL, [None] * 5, left=True):
+            for space in pair:
+                assert not space.frame.flags.writeable
+                again = Subspace(space.ambient_dim, space.frame, TOL)
+                assert again.frame.tobytes() == space.frame.tobytes()
+
+    def test_orthonormality_guard_of_stacked_frames(self, monkeypatch):
+        # V^H with its trailing row, which every nonzero null space keeps,
+        # off unit length by 1e-6: the check over the stack raises, as the
+        # Subspace constructor does
+        svd = np.linalg.svd
+
+        def skewed(a, *args, **kwargs):
+            found = svd(a, *args, **kwargs)
+            if not kwargs.get("compute_uv", True):
+                return found
+            u, s, vh = found
+            vh = vh.copy()
+            vh[..., -1, :] *= 1.0 + 1e-6
+            return u, s, vh
+
+        rng = np.random.default_rng(5)
+        alg = mat_algebra(2)
+        f = random_functional(alg.dim, rng)
+        assert decompose(alg, f).ok
+        monkeypatch.setattr(np.linalg, "svd", skewed)
+        with pytest.raises(ShapeError):
+            nullspace(random_stack(rng, 1, 6, 6, [3])[0], TOL)
+        # Mat_2's alpha = 1 is a double point, whose Stab(1) takes a nullspace
+        with pytest.raises(ShapeError):
+            decompose(alg, f)
 
     def test_orthonormality_is_checked_like_a_subspace(self):
         # a cutoff above every singular value keeps all of vh, whose

@@ -929,15 +929,18 @@ class TestLinearAlgebraCounts:
             # every pencil accepts the first shift drawn, and the direct-sum
             # check of the batch: one stack of K x K frames each
             ((10, 9, 9), "values"): 2,
-            # the corollary2 and corollary3 minimizers, one stack of both
-            ((66, 9, 9), "values"): 1,
+            # the corollary2 and corollary3 minimizers: f_start at both,
+            # then the samples at corollary2's alone, since f_start's
+            # kernel at corollary3's is already 0
+            ((2, 9, 9), "values"): 1,
+            ((32, 9, 9), "values"): 1,
             # both minimizers are the first functional, whose pencil the
             # batch reduced: corollary2 and the perturbation suite each read
             # its Stab(1), which is its own inverse; corollary3 reads its
             # kernels
             ((1, 9, 9), "full"): 2,
         }
-        assert len(calls) == 7
+        assert len(calls) == 8
 
     def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
         # tri_5 with 10 random functionals: the left and right kernels are
@@ -951,28 +954,30 @@ class TestLinearAlgebraCounts:
             # multiple points
             ((10, 15, 15), "full"): 1,
             ((30, 15, 15), "full"): 1,
-            # each intersection of a left and a right kernel, one per
-            # functional of the batch; both minimizers are the first
+            # the intersections of the left and the right kernels, one
+            # stack of the batch; both minimizers are the first
             # functional, whose pencil the batch reduced
-            ((1, 30, 15), "full"): 10,
+            ((10, 30, 15), "full"): 1,
             # the first shift drawn and the direct-sum check
             ((10, 15, 15), "values"): 2,
-            # the two minimizers, one stack of both
-            ((66, 15, 15), "values"): 1,
+            # the two minimizers: f_start at both, then the samples at both,
+            # since f_start's kernel is nonzero at both
+            ((2, 15, 15), "values"): 1,
+            ((64, 15, 15), "values"): 1,
             # Stab(1) of corollary2 and of the perturbation suite
             ((1, 15, 15), "full"): 2,
         }
-        assert len(calls) == 17
+        assert len(calls) == 9
 
     def test_kernels_of_a_run_without_decompositions_take_one_svd(self, monkeypatch):
         # no suite decomposes: the kernels of the ten pairings come from one
-        # stacked SVD, and each intersection of a left and a right kernel
-        # takes its own
+        # stacked SVD, and the intersections of their left and right
+        # kernels from one more
         calls = self.count_svd(monkeypatch)
         alg = upper_triangular(5)
         suites = ("kernel-relations", "nil-ideal", "multiplicative")
         findings = run_suites(alg, suites, 10, seed=0)
-        assert collections.Counter(calls) == {((10, 15, 15), "full"): 1, ((1, 30, 15), "full"): 10}
+        assert collections.Counter(calls) == {((10, 15, 15), "full"): 1, ((10, 30, 15), "full"): 1}
         assert len(findings) == 30 and all(f.passed for f in findings)
 
     def test_pairwise_products_once_per_group(self, monkeypatch):
