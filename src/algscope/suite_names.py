@@ -13,7 +13,6 @@ SUITE_NAMES = (
     "multiplicative",
     "corollary2",
     "corollary3",
-    "perturbation",
 )
 
 DEFAULT_SUITES = ("kernel-relations", "alpha0", "v-mult", "dim-symmetry")

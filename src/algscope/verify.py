@@ -6,11 +6,11 @@ filtration, product inclusions between filtration levels over pairs of
 finite and of nonzero points, the dimension symmetries) must pass on any
 valid input; a failure always indicates a defect or a conditioning problem
 and carries a witness reproducing the worst case; a passing one names none.
-The regular-functional identities hold only at a functional that locally
-minimizes the relevant kernel dimension, so the suite provides an empirical
-minimizer and a deliberate negative control.  Every suite reads one
-analysis: kernels, a decomposition, or a minimizer's reduced pencil, which
-is the batch's own when the minimizer is the first drawn functional.
+The regular-functional identities hold at a functional that minimizes the
+relevant kernel dimension, as a generic one does; the module provides an
+empirical minimizer and a deliberate negative control.  Every suite reads
+one analysis: kernels, a decomposition, or the reduced pencil of the first
+drawn functional, which is the batch's own.
 
 Each per-functional suite is written once, over a list of decompositions
 (or of kernels), and :func:`run_suites` runs it once per chunk of its
@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import _VALIDATE_BLOCK_BYTES, Algebra, pairwise_products
+from .errors import DimensionMismatch
 from .functional import (
     Functional,
     Kernels,
@@ -66,7 +67,6 @@ __all__ = [
     "verify_regular_perturbation",
     "verify_corollaries",
     "negative_control_finding",
-    "PROVED_THEOREMS",
     "SUITE_NAMES",
     "run_suites",
 ]
@@ -84,20 +84,6 @@ COROLLARY_1 = "Corollary1"
 COROLLARY_2 = "Corollary2"
 COROLLARY_3 = "Corollary3"
 STAB_TRANSVERSALITY = "StabTransversality"
-
-#: findings whose failure can only mean a defect, never a property of the data
-PROVED_THEOREMS = frozenset(
-    {
-        KERNEL_RELATIONS,
-        ALPHA0_INDEPENDENCE,
-        V_MULT_FINITE,
-        V_MULT_NONZERO,
-        DIM_SYMMETRY_V,
-        DIM_SYMMETRY_STAB,
-        RANK_ONE_MULTIPLICATIVE,
-        NIL_IDEAL,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -508,22 +494,20 @@ def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[F
 
 def _dim_symmetry(decs: list[Decomposition]) -> list[list[Finding]]:
     """:func:`verify_dim_symmetry` of each of ``decs``, the mirrors of all
-    their points looked up at once; the inverse of 0 is infinity, which
-    matches the infinite point."""
+    their points looked up at once in their :func:`_point_table`: a nonzero
+    finite point's is 1/alpha, infinity's is 0, and 0's is the infinite
+    point."""
     table = _point_table(decs)
-    inverses = [[p.alpha.inverse() for p in dec.points] for dec in decs]
-    at = np.zeros_like(table[0])
-    for r, row in enumerate(inverses):
-        at[r, : len(row)] = [0j if q.is_infinite else q.value for q in row]
-    found = _target_indices(table, at).tolist()
-    infinite = table[2]
-    at_infinity = np.where(infinite.any(axis=1), infinite.argmax(axis=1), -1).tolist()
+    values, finite, infinite, _ = table
+    zero = finite & (values == 0)
+    mirrors = np.divide(1.0, values, out=np.zeros_like(values), where=finite & ~zero)
+    at_infinity = np.where(infinite.any(axis=1), infinite.argmax(axis=1), -1)
+    found = np.where(zero, at_infinity[:, None], _target_indices(table, mirrors)).tolist()
     out = []
-    for dec, row, hits, inf_at in zip(decs, inverses, found, at_infinity):
+    for dec, hits in zip(decs, found):
         v_mismatch = stab_mismatch = 0
         v_witness = stab_witness = None
-        for p, q, m in zip(dec.points, row, hits):
-            m = inf_at if q.is_infinite else m
+        for p, m in zip(dec.points, hits):
             mirror = dec.points[m] if m >= 0 else None
             if mirror is None:
                 if p.algebraic_mult > v_mismatch:
@@ -623,58 +607,28 @@ def minimize_stab_dim(
     minimal kernel dimension of ``lambda0 a + mu0 a^T``.
 
     Rank is lower-semicontinuous, so the minimum over the neighbourhood is the
-    generic value and random sampling finds it with overwhelming probability.
-    The sample stream is a deterministic function of the seed, evaluated as a
-    prefix, so more samples can only lower the result.  The pairing matrices
-    of all candidates come from one contraction, their pencil combinations
-    and scales are formed as arrays, and their ranks come from one stacked
-    values-only SVD (:func:`algscope.linalg.stack_ranks`): ``f_start``
-    first, then the samples only when its kernel is nonzero.  The
-    candidates are ranked, never reduced: the suites read the winner's
-    reduced pencil.  It is :func:`_minimize_stab_dims` of the one
-    combination.
+    generic value, which a generic ``f_start`` already attains.  The sample
+    stream is a deterministic function of the seed, evaluated as a prefix, so
+    more samples can only lower the result.  The pairings of all candidates
+    come from one contraction, and their ranks from stacked values-only SVDs
+    (:func:`algscope.linalg.stack_ranks`): ``f_start`` first, then the
+    samples only when its kernel is nonzero.  A functional whose dimension
+    is not ``alg.dim`` raises :class:`DimensionMismatch`.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return _minimize_stab_dims(alg, [(lambda0, mu0)], s_basis, f_start, samples, seed, tol)[0]
-
-
-def _minimize_stab_dims(
-    alg: Algebra,
-    combos: list[tuple[complex, complex]],
-    s_basis: list[Functional],
-    f_start: Functional,
-    samples: int,
-    seed: int,
-    tol: float,
-) -> list[tuple[Functional, int]]:
-    """:func:`minimize_stab_dim` at each pencil combination (lambda0, mu0)
-    of ``combos``, over one draw of the samples and one contraction of their
-    pairings.  One stacked values-only SVD ranks ``f_start`` at every
-    combination, and one more the samples at those where its kernel is
-    nonzero: elsewhere no sample can be strictly lower.  Each result
-    equals, bit for bit, that of its own call."""
+    if any(f.dim != alg.dim for f in [f_start, *s_basis]):
+        raise DimensionMismatch("functional does not match the algebra dimension")
     coords = _perturbed_coords(f_start, s_basis, samples, seed)
     a = _pairings(alg, coords)
-    at = a.transpose(0, 2, 1)
-    norms = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
-
-    def kernel_dims(rows: slice, chosen: list[tuple[complex, complex]]) -> np.ndarray:
-        mats = np.concatenate([l0 * at[rows] + m0 * a[rows] for l0, m0 in chosen])
-        scales = np.concatenate([(abs(l0) + abs(m0)) * norms[rows] for l0, m0 in chosen])
-        return (alg.dim - stack_ranks(mats, tol, scales)).reshape(len(chosen), -1)
-
-    dims = np.zeros((len(combos), len(coords)), dtype=int)
-    dims[:, :1] = kernel_dims(slice(0, 1), combos)
-    nonzero = np.flatnonzero(dims[:, 0])
-    if nonzero.size:
-        dims[nonzero, 1:] = kernel_dims(slice(1, None), [combos[c] for c in nonzero])
-    out = []
-    for row in dims:
-        # the first minimum: a later candidate must be strictly lower to win
-        best = int(np.argmin(row))
-        out.append(((Functional(coords[best].copy()) if best else f_start), int(row[best])))
-    return out
+    mats = lambda0 * a.transpose(0, 2, 1) + mu0 * a
+    scales = (abs(lambda0) + abs(mu0)) * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
+    dims = alg.dim - stack_ranks(mats[:1], tol, scales[:1])
+    if dims[0]:
+        dims = np.concatenate([dims, alg.dim - stack_ranks(mats[1:], tol, scales[1:])])
+    # the first minimum: a later candidate must be strictly lower to win
+    best = int(np.argmin(dims))
+    return (Functional(coords[best].copy()) if best else f_start), int(dims[best])
 
 
 def _stab_pair(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[Subspace, Subspace]:
@@ -698,9 +652,12 @@ def verify_regular_perturbation(
     ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination.
     These are Stab(alpha) and Stab(1/alpha) of the minimizer's reduced
     pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0);
-    (0, 0) raises :class:`ValueError`."""
+    (0, 0) raises :class:`ValueError`, and a direction whose dimension is
+    not ``alg.dim`` :class:`DimensionMismatch`."""
     if lambda0 == 0 and mu0 == 0:
         raise ValueError("lambda0 and mu0 must not both be 0")
+    if any(g.dim != alg.dim for g in s_basis):
+        raise DimensionMismatch("functional does not match the algebra dimension")
     alpha = INFINITY if lambda0 == 0 else ProjectivePoint.finite(-mu0 / lambda0)
     xs, ys = _stab_pair(rp, alpha)
     xy = pairwise_products(alg, xs.frame, ys.frame)
@@ -800,16 +757,14 @@ def run_suites(
     and ``multiplicative`` read the kernels each reduced pencil keeps, or,
     when no suite needs a decomposition, the chunk's kernels from one
     stacked SVD of its pairings.  Findings are sorted by theorem id, stably,
-    so each theorem's findings follow the functionals' order.  The
-    regular-functional suites run once at a sampled minimizer, reduced once
-    at ``rank_tol``; ``corollary2`` and ``perturbation`` share its pencil.
-    The minimizers of both pencil combinations come from one draw of the
-    samples, one contraction of their pairings, one stacked SVD of the
-    first functional at both and one of the samples at the combinations
-    where its kernel is nonzero (:func:`_minimize_stab_dims`).
-    A minimizer that is the first drawn functional, as it usually is, reads
+    so each theorem's findings follow the functionals' order.
+    ``corollary2`` and ``corollary3`` run once, on the first drawn
+    functional: a complex-Gaussian functional misses, with probability 1,
+    the algebraic set where a combination's kernel exceeds its generic
+    dimension, so :func:`minimize_stab_dim` returns it itself.  They read
     the pencil its chunk reduced, which equals, bit for bit, the one
-    :func:`algscope.functional.reduce_pencil` gives it."""
+    :func:`algscope.functional.reduce_pencil` gives it, or, when no suite
+    decomposes, that call's."""
     from .functional import is_multiplicative, nil_ideal_check
 
     unknown = [s for s in suites if s not in SUITE_NAMES]
@@ -853,29 +808,12 @@ def run_suites(
                 res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
                 notes = (f"verdict: {rep.verdict}",)
                 findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
-    full_dual = [Functional(row) for row in np.eye(alg.dim, dtype=complex)]
-    f_start = fs[0] if fs else random_functional(alg.dim, rng)
-    readers = {(1.0, -1.0): {"corollary2", "perturbation"}, (1.0, 0.0): {"corollary3"}}
-    combos = [combo for combo, names in readers.items() if names.intersection(suites)]
-    minimizers = {}
-    if combos:
-        found = _minimize_stab_dims(alg, combos, full_dual, f_start, 32, seed, rank_tol)
-        minimizers = dict(zip(combos, found))
-
-    def minimizer_pencil(combo: tuple[complex, complex]) -> ReducedPencil:
-        f_min, _ = minimizers[combo]
-        if f_min is f_start and first is not None:
-            return first
-        return reduce_pencil(alg, f_min, rank_tol)
-
-    if "corollary2" in suites or "perturbation" in suites:
-        rp = minimizer_pencil((1.0, -1.0))
+    if {"corollary2", "corollary3"}.intersection(suites):
+        if first is None:
+            first = reduce_pencil(alg, fs[0] if fs else random_functional(alg.dim, rng), rank_tol)
         if "corollary2" in suites:
-            findings.append(verify_corollaries(alg, rp, ProjectivePoint.finite(1.0)))
-        if "perturbation" in suites:
-            findings.append(verify_regular_perturbation(alg, rp, 1.0, -1.0, full_dual))
-    if "corollary3" in suites:
-        rp0 = minimizer_pencil((1.0, 0.0))
-        findings.append(verify_corollaries(alg, rp0, ProjectivePoint.finite(0.0)))
+            findings.append(verify_corollaries(alg, first, ProjectivePoint.finite(1.0)))
+        if "corollary3" in suites:
+            findings.append(verify_corollaries(alg, first, ProjectivePoint.finite(0.0)))
     findings.sort(key=lambda fi: fi.theorem_id)
     return findings

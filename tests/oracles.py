@@ -928,7 +928,9 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
     """``run_suites`` as a loop over the functionals: the batch's
     decompositions from one ``decompose_all``, each functional's kernels
     from its own ``kernels`` call when no suite decomposes, and the
-    per-decomposition suite bodies above, one functional at a time."""
+    per-decomposition suite bodies above, one functional at a time.  The
+    regular-functional suites read the pencil of the first functional's
+    sampled minimizer, each reduced on its own."""
     import math
 
     from algscope.functional import (
@@ -947,7 +949,6 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
         Finding,
         minimize_stab_dim,
         verify_corollaries,
-        verify_regular_perturbation,
     )
 
     rng = np.random.default_rng(seed)
@@ -983,13 +984,10 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
             findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
     full_dual = [Functional(row) for row in np.eye(alg.dim, dtype=complex)]
     f_start = fs[0] if fs else random_functional(alg.dim, rng)
-    if "corollary2" in suites or "perturbation" in suites:
+    if "corollary2" in suites:
         f_min, _ = minimize_stab_dim(alg, 1.0, -1.0, full_dual, f_start, seed=seed, tol=rank_tol)
         rp = reduce_pencil(alg, f_min, rank_tol)
-        if "corollary2" in suites:
-            findings.append(verify_corollaries(alg, rp, ProjectivePoint.finite(1.0)))
-        if "perturbation" in suites:
-            findings.append(verify_regular_perturbation(alg, rp, 1.0, -1.0, full_dual))
+        findings.append(verify_corollaries(alg, rp, ProjectivePoint.finite(1.0)))
     if "corollary3" in suites:
         f_min0, _ = minimize_stab_dim(alg, 1.0, 0.0, full_dual, f_start, seed=seed, tol=rank_tol)
         rp0 = reduce_pencil(alg, f_min0, rank_tol)

@@ -41,7 +41,8 @@ def test_tracer_target_resolves_to_a_callable(layer):
 
 
 #: names removed from the package: a second rule for a decision that the
-#: spectrum's eigendecomposition makes, or a type that repeated another one
+#: spectrum's eigendecomposition makes, a type that repeated another one, or
+#: a set and a search that no program path needs
 REMOVED = (
     "jordan_filtration",
     "verify_alpha0_independence",
@@ -50,6 +51,8 @@ REMOVED = (
     "coefficient_norm",
     "SpectrumRow",
     "GramData",
+    "PROVED_THEOREMS",
+    "_minimize_stab_dims",
 )
 
 

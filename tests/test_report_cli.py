@@ -605,9 +605,10 @@ class TestCli:
         args = _build_parser().parse_args(["verify", "a.alg"])
         assert tuple(args.suite.split(",")) == DEFAULT_SUITES
 
-    def test_verify_rejects_the_removed_corollary1_suite(self, workdir, capsys):
+    @pytest.mark.parametrize("suite", ["corollary1", "perturbation"])
+    def test_verify_rejects_the_removed_corollary1_suite(self, workdir, capsys, suite):
         assert main(["builders", "dual", "--out", "d.alg"]) == 0
-        assert main(["verify", "d.alg", "--suite", "corollary1"]) == 1
+        assert main(["verify", "d.alg", "--suite", suite]) == 1
 
     def test_verify_exit_code_gates_every_failed_finding(self, workdir, capsys, monkeypatch):
         import algscope.verify as verify

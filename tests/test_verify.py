@@ -7,6 +7,7 @@ import pytest
 
 from algscope import (
     INFINITY,
+    DimensionMismatch,
     Functional,
     ProjectivePoint,
     Subspace,
@@ -324,44 +325,29 @@ class TestMinimize:
                 assert dim == dim_ref
                 assert f_min.coords.tobytes() == f_ref.coords.tobytes()
 
-    @pytest.mark.parametrize("name", ["Mat_3", "tri_3", "S3", "Mat_2+S3"])
-    def test_both_combinations_at_once_are_the_separate_calls(self, name, monkeypatch):
-        # one draw, one contraction and one stacked SVD give each
-        # combination the minimizer and dimension of its own call, bit for
-        # bit
+    def test_regular_suites_draw_and_contract_no_samples(self, monkeypatch):
+        # the regular-functional suites read the first functional's pencil,
+        # so no minimizer sample is drawn, contracted or ranked
         import algscope.verify as verify
 
-        alg = {
-            "Mat_3": mat_algebra(3),
-            "tri_3": upper_triangular(3),
-            "S3": group_algebra(symmetric3_table()),
-            "Mat_2+S3": direct_sum(mat_algebra(2), group_algebra(symmetric3_table())),
-        }[name]
-        rng = np.random.default_rng(12)
-        combos = [(1.0, -1.0), (1.0, 0.0)]
-        starts = [Functional(np.zeros(alg.dim, dtype=complex)), random_functional(alg.dim, rng)]
-        for seed, f0 in enumerate(starts):
-            alone = [
-                minimize_stab_dim(alg, lambda0, mu0, full_dual(alg.dim), f0, seed=seed)
-                for lambda0, mu0 in combos
-            ]
-            pairings = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_pairings")
-            both = verify._minimize_stab_dims(alg, combos, full_dual(alg.dim), f0, 32, seed, 1e-9)
-            assert len(pairings) == 1
-            monkeypatch.undo()
-            for (f_both, dim_both), (f_alone, dim_alone) in zip(both, alone):
-                assert dim_both == dim_alone
-                assert (f_both is f0) == (f_alone is f0)
-                assert f_both.coords.tobytes() == f_alone.coords.tobytes()
-
-    def test_regular_suites_contract_the_samples_once(self, monkeypatch):
-        import algscope.verify as verify
-
+        draws = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_perturbed_coords")
         pairings = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_pairings")
-        suites = ("corollary2", "corollary3", "perturbation")
-        findings = run_suites(mat_algebra(3), suites, 2, seed=1)
-        assert len(findings) == 3 and all(f.passed for f in findings)
-        assert [args[1].shape for args, _ in pairings] == [(33, 9)]
+        findings = run_suites(mat_algebra(3), ("corollary2", "corollary3"), 2, seed=1)
+        assert len(findings) == 2 and all(f.passed for f in findings)
+        assert draws == [] and pairings == []
+
+    def test_a_functional_of_another_dimension_is_named(self):
+        # every functional is checked against the algebra's dimension once,
+        # with the error reduce_pencil, gram and kernels raise
+        alg = mat_algebra(2)
+        f0 = random_functional(4, np.random.default_rng(0))
+        short = Functional(np.ones(3))
+        with pytest.raises(DimensionMismatch, match="algebra dimension"):
+            minimize_stab_dim(alg, 1.0, -1.0, full_dual(4), short)
+        with pytest.raises(DimensionMismatch, match="algebra dimension"):
+            minimize_stab_dim(alg, 1.0, -1.0, full_dual(4) + [short], f0)
+        with pytest.raises(DimensionMismatch, match="algebra dimension"):
+            verify_regular_perturbation(alg, reduce_pencil(alg, f0), 1.0, -1.0, [short])
 
     def test_a_prefix_of_the_samples_is_the_shorter_stream(self):
         from algscope.verify import _perturbed_coords
@@ -929,18 +915,12 @@ class TestLinearAlgebraCounts:
             # every pencil accepts the first shift drawn, and the direct-sum
             # check of the batch: one stack of K x K frames each
             ((10, 9, 9), "values"): 2,
-            # the corollary2 and corollary3 minimizers: f_start at both,
-            # then the samples at corollary2's alone, since f_start's
-            # kernel at corollary3's is already 0
-            ((2, 9, 9), "values"): 1,
-            ((32, 9, 9), "values"): 1,
-            # both minimizers are the first functional, whose pencil the
-            # batch reduced: corollary2 and the perturbation suite each read
-            # its Stab(1), which is its own inverse; corollary3 reads its
-            # kernels
-            ((1, 9, 9), "full"): 2,
+            # the regular-functional suites read the first functional's
+            # pencil, which the batch reduced: corollary2 its Stab(1),
+            # which is its own inverse, and corollary3 its kernels
+            ((1, 9, 9), "full"): 1,
         }
-        assert len(calls) == 8
+        assert len(calls) == 5
 
     def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
         # tri_5 with 10 random functionals: the left and right kernels are
@@ -955,19 +935,15 @@ class TestLinearAlgebraCounts:
             ((10, 15, 15), "full"): 1,
             ((30, 15, 15), "full"): 1,
             # the intersections of the left and the right kernels, one
-            # stack of the batch; both minimizers are the first
-            # functional, whose pencil the batch reduced
+            # stack of the batch
             ((10, 30, 15), "full"): 1,
             # the first shift drawn and the direct-sum check
             ((10, 15, 15), "values"): 2,
-            # the two minimizers: f_start at both, then the samples at both,
-            # since f_start's kernel is nonzero at both
-            ((2, 15, 15), "values"): 1,
-            ((64, 15, 15), "values"): 1,
-            # Stab(1) of corollary2 and of the perturbation suite
-            ((1, 15, 15), "full"): 2,
+            # Stab(1) of corollary2, in the first functional's pencil,
+            # which the batch reduced
+            ((1, 15, 15), "full"): 1,
         }
-        assert len(calls) == 9
+        assert len(calls) == 6
 
     def test_kernels_of_a_run_without_decompositions_take_one_svd(self, monkeypatch):
         # no suite decomposes: the kernels of the ten pairings come from one
@@ -1030,10 +1006,10 @@ class TestLinearAlgebraCounts:
             kernel_dims = {tuple(x.dim for x in dec.pencil.kernels) for dec in decs}
             assert callers.count("_kernel_relations") <= 3 * len(kernel_dims)
             assert callers.count("nil_ideal_check") <= 2 * n
-            # two products for each of Corollary2, Corollary3 and
-            # RegularPerturbation: x y and y x, or stab0 stabinf and nil nil
+            # two products for each of Corollary2 and Corollary3: x y and
+            # y x, or stab0 stabinf and nil nil
             assert callers.count("verify_corollaries") == 4
-            assert callers.count("verify_regular_perturbation") == 2
+            assert callers.count("verify_regular_perturbation") == 0
             known = ("_group_inclusions", "_kernel_relations", "nil_ideal_check")
             known += ("verify_corollaries", "verify_regular_perturbation")
             assert len(callers) == sum(callers.count(c) for c in known)
@@ -1216,8 +1192,8 @@ class TestRunSuites:
         assert reductions == [n]
 
     def test_an_all_suite_run_reduces_no_pencil_of_its_own(self, monkeypatch):
-        # both minimizers are the first drawn functional on these inputs, so
-        # the regular-functional suites read the pencil its batch reduced
+        # the regular-functional suites read the pencil the batch reduced
+        # for the first drawn functional
         import algscope.verify as verify
 
         cases = [(SUITE_INPUTS[name], seed) for name in ("Mat_3", "tri_5", "S3") for seed in (0, 1)]
@@ -1226,23 +1202,6 @@ class TestRunSuites:
         for (alg, seed), want in zip(cases, expected):
             assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed), want)
         assert calls == []
-
-    def test_a_minimizer_that_is_not_the_first_functional_is_reduced(self, monkeypatch):
-        # a copy of the first functional is another object: its pencil is
-        # reduced, once per minimizer, with the same findings
-        import algscope.verify as verify
-
-        alg = SUITE_INPUTS["Mat_3"]
-        expected = run_suites_loop(alg, SUITE_NAMES, 10, 0)
-        real = verify._minimize_stab_dims
-
-        def copied(*args, **kwargs):
-            return [(Functional(f.coords.copy()), dim) for f, dim in real(*args, **kwargs)]
-
-        monkeypatch.setattr(verify, "_minimize_stab_dims", copied)
-        calls = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "reduce_pencil")
-        assert_same_findings(run_suites(alg, SUITE_NAMES, 10, 0), expected)
-        assert len(calls) == 2
 
     def test_no_level_is_lifted(self, monkeypatch):
         # every suite reads the levels as quotient frames, so no level is
@@ -1265,7 +1224,6 @@ class TestRunSuites:
             "KernelRelations",
             COROLLARY_2,
             COROLLARY_3,
-            "RegularPerturbation",
         }
         assert all(f.passed for f in findings)
         assert [f for f in findings if f.witness is not None] == []
@@ -1273,12 +1231,12 @@ class TestRunSuites:
     def test_corollary_suites_run(self):
         findings = run_suites(
             mat_algebra(2),
-            suites=("corollary2", "corollary3", "perturbation"),
+            suites=("corollary2", "corollary3"),
             n_functionals=2,
             seed=0,
         )
         ids = {f.theorem_id for f in findings}
-        assert {"Corollary2", "Corollary3", "RegularPerturbation"} <= ids
+        assert {"Corollary2", "Corollary3"} <= ids
         assert all(f.passed for f in findings)
 
 
@@ -1356,6 +1314,18 @@ class TestRunSuitesOracle:
         for seed in range(4):
             expected = run_suites_loop(alg, SUITE_NAMES, 10, seed)
             assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed), expected)
+
+    @pytest.mark.parametrize("name", list(SUITE_INPUTS))
+    def test_a_random_start_is_its_own_minimizer(self, name):
+        # a complex-Gaussian functional misses the algebraic set where a
+        # combination's kernel exceeds its generic dimension, so no sample
+        # beats it: run_suites' first functional is the minimizer it skips
+        alg = SUITE_INPUTS[name]
+        for seed in range(5):
+            f_start = random_functional(alg.dim, np.random.default_rng(seed))
+            for lambda0, mu0 in ((1.0, -1.0), (1.0, 0.0)):
+                found = minimize_stab_dim(alg, lambda0, mu0, full_dual(alg.dim), f_start, seed=seed)
+                assert found[0] is f_start
 
     @pytest.mark.parametrize("name", ["tri_5", "Mat_3+tri_3", "Mat_3"])
     def test_kernel_suites_without_decompositions_match_the_loop(self, name):
