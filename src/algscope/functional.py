@@ -84,6 +84,22 @@ def matrix_trace_functional(weight: np.ndarray) -> Functional:
     return Functional(w.T.reshape(-1))
 
 
+def _check_dim(alg: Algebra, dim: int, what: str):
+    """Raise :class:`DimensionMismatch`, naming both dimensions, unless
+    ``what``, whose space has dimension ``dim``, belongs to an algebra of
+    ``alg``'s dimension."""
+    if dim != alg.dim:
+        raise DimensionMismatch(
+            f"{what}: dimension {dim} does not match the algebra dimension {alg.dim}"
+        )
+
+
+def _check_kernels(alg: Algebra, ker: Kernels):
+    """:func:`_check_dim` of each of the kernels ``ker``."""
+    for space in ker:
+        _check_dim(alg, space.ambient_dim, "kernels")
+
+
 def _pairings(alg: Algebra, coords: np.ndarray) -> np.ndarray:
     """Pairing matrices F(e_i e_j) of the functionals whose coordinates are
     the rows of ``coords``, from one contraction."""
@@ -212,7 +228,11 @@ def _reduce_pencils(
 
 def _compress(a: np.ndarray, ker: Kernels) -> ReducedPencil:
     """The pairing ``a`` compressed to the canonical complement of the
-    ``nil`` of its kernels ``ker``."""
+    ``nil`` of its kernels ``ker``.  A pairing whose nil is 0 is its own
+    pencil: Q is the identity, and a~ a copy of ``a``."""
+    if ker.nil.dim == 0:
+        n = a.shape[0]
+        return ReducedPencil(ker, np.eye(n, dtype=complex), a.copy(), a.T.copy(), n)
     q = complement(ker.nil).frame
     a_tilde = q.T @ a @ q
     return ReducedPencil(ker, q, a_tilde, a_tilde.T.copy(), q.shape[1])
@@ -237,8 +257,11 @@ def is_multiplicative(
     functional with ``rank a = 1`` and ``F(1) = 1`` must satisfy
     ``F(e_i e_j) = F(e_i) F(e_j)`` for every pair; that identity is verified
     directly and a failure raises :class:`TheoremViolation` because it can
-    only come from a defect, not from the input.
+    only come from a defect, not from the input.  A functional or kernels
+    of another dimension raise :class:`DimensionMismatch`.
     """
+    _check_dim(alg, f.dim, "functional coordinates")
+    _check_kernels(alg, ker)
     r = alg.dim - ker.right.dim
     unit_value = f(alg.unit)
     if r != 1:
@@ -268,7 +291,9 @@ def nil_ideal_check(alg: Algebra, ker: Kernels, tol: float = 1e-9) -> NilIdealRe
     ``ker`` are the kernels of a functional on ``alg``, as returned by
     :func:`kernels` or kept by :class:`ReducedPencil`.  Both kernels come
     from one SVD with one dimension, and nil, their intersection, lies in
-    each, so the premise is ``dim left == dim nil``."""
+    each, so the premise is ``dim left == dim nil``.  Kernels of another
+    dimension raise :class:`DimensionMismatch`."""
+    _check_kernels(alg, ker)
     if ker.left.dim != ker.nil.dim:
         return NilIdealReport(False, None, float("nan"))
     if ker.nil.dim == 0:

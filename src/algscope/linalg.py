@@ -199,11 +199,14 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int, tol: float = 1e-9) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), tol)
+        """The zero subspace, whose empty frame needs no check."""
+        return cls._checked(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), tol)
 
     @classmethod
     def full(cls, ambient_dim: int, tol: float = 1e-9) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
+        """The whole space, framed by the exact identity, which needs no
+        check."""
+        return cls._checked(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
 
 
 def nullspace(m, tol: float, *, scale: float | None = None) -> Subspace:

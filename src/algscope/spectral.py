@@ -188,9 +188,14 @@ def char_poly(rp: ReducedPencil) -> HomogeneousPoly:
     return det_poly(rp.a_tilde, rp.at_tilde)
 
 
-def _pencil_stack(rps: list[ReducedPencil]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: (a~, a~^T, pencil scales) of pencils of one size K >= 1, stacked
+PencilStack = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pencil_stack(rps: list[ReducedPencil]) -> PencilStack:
     """The a~, the a~^T and the pencil scales of pencils of one size K >= 1,
-    stacked."""
+    stacked.  :func:`decompose_all` builds it once per K-group and hands it
+    to every stage of that group."""
     return (
         np.stack([rp.a_tilde for rp in rps]),
         np.stack([rp.at_tilde for rp in rps]),
@@ -235,15 +240,19 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
 
 
 def _choose_alpha0s(
-    rps: list[ReducedPencil], seed: int = 0, floor: float = 1e-8
+    rps: list[ReducedPencil],
+    seed: int = 0,
+    floor: float = 1e-8,
+    stack: PencilStack | None = None,
 ) -> list[complex | NoRegularValue]:
     """:func:`choose_alpha0` of each of the pencils ``rps``, all of one size
     K >= 1 and all with ``seed``, so every pencil sees the same draws.  Each
     draw is tested with one values-only SVD over the pencils still waiting;
     a pencil that finds no shift gets in its place the error
-    :func:`choose_alpha0` would raise."""
+    :func:`choose_alpha0` would raise.  ``stack`` is the
+    :func:`_pencil_stack` of ``rps``, stacked here when not given."""
     rng = np.random.default_rng(seed)
-    a, at, scales = _pencil_stack(rps)
+    a, at, scales = _pencil_stack(rps) if stack is None else stack
     out: list = [None] * len(rps)
     best = [0.0] * len(rps)
     waiting = np.arange(len(rps))
@@ -334,10 +343,13 @@ def _filtration_reduced(
     the chain below its multiplicity, which the dimension check of
     :func:`decompose` then reports.  Per level below the end: the
     orthonormal columns of the image under the shifted operator, and the
-    next level's nullspace, whose own SVD decides whether the level grows."""
+    next level's nullspace, whose own SVD decides whether the level grows.
+    A complete level 0 builds neither operator."""
+    chain = [stab_frame]
+    if stab_frame.shape[1] >= mult:
+        return chain
     s_mat, s_scale = _slot_one_operator(rp, alpha)
     t_mat, t_scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha0))
-    chain = [stab_frame]
     while chain[-1].shape[1] < mult:
         image = orthonormal_columns(t_mat @ chain[-1], tol, scale=t_scale)
         off_image = s_mat - image @ (image.conj().T @ s_mat)
@@ -374,7 +386,10 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
 
 
 def _stab_residuals(
-    rps: list[ReducedPencil], alphas: list[list[ProjectivePoint]], frames: list[list[np.ndarray]]
+    rps: list[ReducedPencil],
+    alphas: list[list[ProjectivePoint]],
+    frames: list[list[np.ndarray]],
+    stack: PencilStack | None = None,
 ) -> list[list[float]]:
     """How far each quotient frame ``frames[c][i]`` lies from
     Stab(alphas[c][i]) of the pencil ``rps[c]``, all of one size K: the
@@ -386,35 +401,40 @@ def _stab_residuals(
     have the same number of columns in all go through two stacked products
     with their columns side by side, which hand each pencil's matrices to
     the routine a pencil alone gets, so a pencil's residuals have the same
-    bits in a stack of any size."""
-    a, at, scales = _pencil_stack(rps)
-    widths = [[w.shape[1] for w in f] for f in frames]
-    # per pencil and column: whether its point is infinity, and its value
-    infinite = [np.repeat([x.is_infinite for x in row], n) for row, n in zip(alphas, widths)]
-    values = [
-        np.repeat([0j if x.is_infinite else x.value for x in row], n)
-        for row, n in zip(alphas, widths)
-    ]
-    counts = [sum(n) for n in widths]
-    out = [[0.0] * len(f) for f in frames]
+    bits in a stack of any size; with no columns at all, no product runs.
+    ``stack`` is the :func:`_pencil_stack` of ``rps``, stacked here when
+    not given."""
+    widths = [w.shape[1] for row in frames for w in row]
+    counts = [sum(w.shape[1] for w in row) for row in frames]
+    if not any(counts):
+        return [[0.0] * len(row) for row in frames]
+    a, at, scales = _pencil_stack(rps) if stack is None else stack
+    # per column of all pencils, in order: whether its point is infinity,
+    # its value, and its residual
+    points = [x for row in alphas for x in row]
+    infinite = np.repeat([x.is_infinite for x in points], widths)
+    values = np.repeat([0j if x.is_infinite else x.value for x in points], widths)
+    res = np.empty(len(infinite))
+    first = np.cumsum(counts) - counts
     for count in sorted(set(counts) - {0}):
         members = [c for c, n in enumerate(counts) if n == count]
-        w = np.stack([np.hstack(frames[c]) for c in members])
-        inf = np.array([infinite[c] for c in members], dtype=bool)
-        val = np.array([values[c] for c in members])
+        # the members' frames side by side, one (K, count) matrix each
+        side = np.hstack([w for c in members for w in frames[c]])
+        w = np.ascontiguousarray(side.reshape(-1, len(members), count).swapaxes(0, 1))
+        cols = first[members, None] + np.arange(count)
+        inf, val = infinite[cols], values[cols]
         a_w = a[members] @ w
         images = np.where(inf[:, None, :], a_w, at[members] @ w - val[:, None, :] * a_w)
-        res = np.linalg.norm(images, axis=1) / (
+        res[cols] = np.linalg.norm(images, axis=1) / (
             np.where(inf, 1.0, 1.0 + np.abs(val)) * scales[members, None]
         )
-        for c, row in zip(members, res):
-            # the largest of each frame's columns, from its first column to
-            # the next frame's; the appended 0 gives a trailing empty frame
-            # an index
-            starts = np.cumsum(widths[c]) - widths[c]
-            worst = np.maximum.reduceat(np.append(row, 0.0), starts)
-            out[c] = np.where(np.array(widths[c]) > 0, worst, 0.0).tolist()
-    return out
+    # the largest of each frame's columns, from its first column to the next
+    # frame's; the appended 0 gives a trailing empty frame an index
+    widths = np.array(widths, dtype=int)
+    worst = np.maximum.reduceat(np.append(res, 0.0), np.cumsum(widths) - widths)
+    worst = np.where(widths > 0, worst, 0.0).tolist()
+    ends = np.cumsum([len(row) for row in frames]).tolist()
+    return [worst[end - len(row) : end] for row, end in zip(frames, ends)]
 
 
 def _direct_sum_ranks(
@@ -435,9 +455,9 @@ def _direct_sum_ranks(
 
 
 def _log_det_residuals(
-    rps: list[ReducedPencil], points: list[list[SpectrumPoint]], seed: int
+    stack: PencilStack, points: list[list[SpectrumPoint]], seed: int
 ) -> list[float]:
-    """Per pencil of one size K, how far
+    """Per pencil of the :func:`_pencil_stack` ``stack``, how far
     r(t) = log|det(a~ - t a~^T)| - sum_i m_i log|t - alpha_i|, the sum over
     its finite points alpha_i of multiplicity m_i, is from a constant:
     max r - min r over ``LOG_DET_NODES`` nodes t.
@@ -453,7 +473,7 @@ def _log_det_residuals(
     come from one stacked ``slogdet``, which cannot overflow, and each
     pencil's sum from its own row, so a residual has the same bits in a
     stack of any size."""
-    a, at, _ = _pencil_stack(rps)
+    a, at, _ = stack
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     u = rng.uniform(size=LOG_DET_NODES)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=LOG_DET_NODES)
@@ -465,7 +485,7 @@ def _log_det_residuals(
         nodes.append(np.exp(lo + u * (hi - lo) + 1j * phase))
     t = np.array(nodes)
     # one node at a time: numpy's broadcast over all nodes at once is slower
-    mats = np.empty((len(rps), LOG_DET_NODES) + a.shape[1:], dtype=complex)
+    mats = np.empty((len(a), LOG_DET_NODES) + a.shape[1:], dtype=complex)
     for j in range(LOG_DET_NODES):
         mats[:, j] = a - t[:, j, None, None] * at
     _, log_dets = np.linalg.slogdet(mats)
@@ -484,11 +504,13 @@ def _decomposition_checks(
     v_frames: list[list[np.ndarray]],
     tol: float,
     seed: int,
+    stack: PencilStack | None = None,
 ) -> list[list[InvariantCheck]]:
     """Invariant checks of the decompositions of the reduced pencils
     ``rps``, all of one size K >= 1, run once over the stack; a single
     decomposition is the stack of one, and gets the same bits in a stack of
-    any size.
+    any size.  ``stack`` is the :func:`_pencil_stack` of ``rps``, stacked
+    here when not given.
 
     ``v_frames[c][i]`` is the quotient-coordinate frame of V(alpha) for
     ``points[c][i]``.  The V(alpha) split the algebra over nil exactly when
@@ -509,6 +531,8 @@ def _decomposition_checks(
     1.5e-6, on an exact Mat_6 case), while a wrong point or multiplicity
     moves r by order 1.
     """
+    if stack is None:
+        stack = _pencil_stack(rps)
     k = rps[0].K
     # at a simple point the dimension check holds by construction, so test
     # that the frame lies in Stab(alpha)
@@ -517,10 +541,11 @@ def _decomposition_checks(
         rps,
         [[p.alpha for p, keep in zip(ps, row) if keep] for ps, row in zip(points, simple)],
         [[w for w, keep in zip(ws, row) if keep] for ws, row in zip(v_frames, simple)],
+        stack,
     )
     off_simple = [max(row, default=0.0) for row in residuals]
     direct_sum = _direct_sum_ranks(v_frames, k, tol)
-    drifts = _log_det_residuals(rps, points, seed)
+    drifts = _log_det_residuals(stack, points, seed)
     out = []
     rows = zip(points, v_frames, off_simple, direct_sum, drifts)
     for ps, frames, off, (r, cols), drift in rows:
@@ -616,8 +641,10 @@ def decompose_all(
     stack at its nodes.  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
-    When functionals fail, the error that the first of them in ``fs``
-    raises from :func:`decompose` is raised."""
+    Each K-group's pencils are stacked once (:func:`_pencil_stack`), and
+    every stage of the group reads that one stack.  When functionals fail,
+    the error that the first of them in ``fs`` raises from
+    :func:`decompose` is raised."""
     rps = _reduce_pencils(alg, list(fs), tol)
     out: list = list(rps)
     groups: dict[int, list[int]] = {}
@@ -627,16 +654,18 @@ def decompose_all(
                 out[i] = _empty_decomposition(alg, rp, tol, cluster_tol)
             else:
                 groups.setdefault(rp.K, []).append(i)
-    for members in groups.values():
-        for i, alpha0 in zip(members, _choose_alpha0s([rps[i] for i in members], seed)):
+    stacks = {}
+    for k, members in groups.items():
+        group = [rps[i] for i in members]
+        stacks[k] = _pencil_stack(group)
+        for i, alpha0 in zip(members, _choose_alpha0s(group, seed, stack=stacks[k])):
             out[i] = alpha0
     failed = next((r for r in out if isinstance(r, Exception)), None)
     if failed is not None:
         raise failed
-    for members in groups.values():
-        decs = _decompose_stack(
-            [rps[i] for i in members], [out[i] for i in members], tol, cluster_tol, seed
-        )
+    for k, members in groups.items():
+        group, alpha0s = [rps[i] for i in members], [out[i] for i in members]
+        decs = _decompose_stack(group, stacks.pop(k), alpha0s, tol, cluster_tol, seed)
         for i, dec in zip(members, decs):
             out[i] = dec
     return out
@@ -667,7 +696,7 @@ def _spectra(
     S^-1 a~), so chi(1, w) = det(S) prod_i (w + (1 + alpha0 w) L_i).  That
     takes one ``det`` of the shifted stack and one product per node at the
     K + 1 unit-circle nodes of :func:`algscope.linalg.det_poly`, and the
-    same inverse DFT gives the coefficients."""
+    same inverse DFT, one ``fft`` over the stack, gives the coefficients."""
     shifts = np.array(alpha0s)
     shifted = at - shifts[:, None, None] * a
     lams, spectra = _shifted_eigens(shifted, a, alpha0s, cluster_tol)
@@ -675,19 +704,23 @@ def _spectra(
     nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
     factors = nodes + (1.0 + shifts[:, None, None] * nodes) * lams[:, None, :]
     values = np.linalg.det(shifted)[:, None] * np.prod(factors, axis=-1)
-    return [HomogeneousPoly(k, np.fft.fft(row) / (k + 1)) for row in values], spectra
+    return [HomogeneousPoly(k, row) for row in np.fft.fft(values) / (k + 1)], spectra
 
 
 def _decompose_stack(
-    rps: list[ReducedPencil], alpha0s: list[complex], tol: float, cluster_tol: float, seed: int
+    rps: list[ReducedPencil],
+    stack: PencilStack,
+    alpha0s: list[complex],
+    tol: float,
+    cluster_tol: float,
+    seed: int,
 ) -> list[Decomposition]:
-    """The decompositions of pencils of one size K >= 1 at their regular
-    shifts ``alpha0s``: chi and the spectrum over the stack, then the level
-    0 of every multiple point from one stacked nullspace SVD, each chain
-    climbed from it up to the point's multiplicity, and the checks, once
-    over the stack, with ``seed``."""
-    a, at, _ = _pencil_stack(rps)
-    chis, spectra = _spectra(a, at, alpha0s, cluster_tol)
+    """The decompositions of pencils of one size K >= 1, stacked in
+    ``stack``, at their regular shifts ``alpha0s``: chi and the spectrum
+    over the stack, then the level 0 of every multiple point from one
+    stacked nullspace SVD, each chain climbed from it up to the point's
+    multiplicity, and the checks, once over the stack, with ``seed``."""
+    chis, spectra = _spectra(stack[0], stack[1], alpha0s, cluster_tol)
     # (pencil, item) of each multiple point, and its Stab(alpha) frame
     multiple = [
         (c, j) for c, raw in enumerate(spectra) for j, item in enumerate(raw) if item[2] is None
@@ -714,7 +747,7 @@ def _decompose_stack(
         all_points.append(points)
         all_levels.append(quotient_filtrations)
     v_frames = [[levels[-1] for levels in q.values()] for q in all_levels]
-    checks = _decomposition_checks(rps, all_points, v_frames, tol, seed)
+    checks = _decomposition_checks(rps, all_points, v_frames, tol, seed, stack)
     return [
         Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(found))
         for rp, chi, points, levels, alpha0, found in zip(

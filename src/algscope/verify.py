@@ -37,6 +37,8 @@ from .functional import (
     Functional,
     Kernels,
     ReducedPencil,
+    _check_dim,
+    _check_kernels,
     _check_pairing,
     _pairings,
     _stack_kernels,
@@ -198,7 +200,9 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Fi
     :func:`algscope.functional.kernels` or kept by the reduced pencil of a
     decomposition (``dec.pencil.kernels``).  A failing finding names the
     relation and the first worst pair of frame columns.  It runs the
-    stacked suite on a batch of one."""
+    stacked suite on a batch of one.  Kernels of another dimension raise
+    :class:`DimensionMismatch`."""
+    _check_kernels(alg, ker)
     return _kernel_relations(alg, [ker], tol)[0]
 
 
@@ -359,32 +363,40 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> 
     return out
 
 
+def _positions(counts) -> np.ndarray:
+    """The index of each item within its run, for consecutive runs of
+    ``counts[i]`` items."""
+    counts = np.asarray(counts, dtype=int)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
     """:func:`_product_inclusions` of one group of decompositions."""
     n = alg.dim
     b = len(decs)
-    levels = [[w for p in dec.points for w in dec.quotient_filtrations[p.alpha]] for dec in decs]
+    # the group shares K, so nil has one dimension in all of it
+    nil = decs[0].pencil.nil.dim
+    chains = [dec.quotient_filtrations[p.alpha] for dec in decs for p in dec.points]
+    flat = [w for chain in chains for w in chain]
     table = _point_table(decs)
     values, finite, infinite, _ = table
-    # per decomposition: column c of its stack spans part of level
-    # level_of[c] at its point point_of[c]; n_levels per point, 0 in the
-    # padding
+    # per point of the group, in order: its index in its decomposition and
+    # its number of levels (n_levels, 0 in the padding); per column c of a
+    # decomposition's stack: the point point_of[c] and the level level_of[c]
+    # it spans part of, the level's W columns then nil's
+    n_points = [len(dec.points) for dec in decs]
+    chain_len = [len(chain) for chain in chains]
+    point_index = _positions(n_points)
     n_levels = np.zeros(values.shape, dtype=int)
-    point_of, level_of = [], []
-    for r, dec in enumerate(decs):
-        nil = dec.pencil.nil.dim
-        points, ranks = [], []
-        for j, p in enumerate(dec.points):
-            chain = dec.quotient_filtrations[p.alpha]
-            n_levels[r, j] = len(chain)
-            for k, w in enumerate(chain):
-                points += [j] * (w.shape[1] + nil)
-                ranks += [k] * (w.shape[1] + nil)
-        point_of.append(points)
-        level_of.append(ranks)
-    point_of = np.array(point_of, dtype=int).reshape(b, -1)
-    level_of = np.array(level_of, dtype=int).reshape(b, -1)
+    n_levels[np.repeat(np.arange(b), n_points), point_index] = chain_len
+    width = np.array([w.shape[1] for w in flat], dtype=int)
+    span = width + nil
+    point_of = np.repeat(np.repeat(point_index, chain_len), span).reshape(b, -1)
+    level_of = np.repeat(_positions(chain_len), span).reshape(b, -1)
     cols = point_of.shape[1]
+    # per level of the group: its decomposition
+    per_dec = n_levels.sum(axis=1)
+    level_dec = np.repeat(np.arange(b), per_dec)
 
     # the target of each product, as an index into all levels of all points
     # of its decomposition: level min(k + m, last) at the point of
@@ -404,12 +416,23 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> li
     nonzero_col = np.take_along_axis(infinite | (values != 0), point_of, axis=1)
     in_variant = [(x[:, :, None] & x[:, None, :]).reshape(b, -1) for x in (finite_col, nonzero_col)]
 
+    # the columns [Q W, nil] of every level, from one stacked product Q W
+    # per width, which runs on each level the routine that Q @ W alone
+    # does; no temporary outlives this step
+    q = np.stack([dec.pencil.quotient_frame for dec in decs])
+    start = np.cumsum(span) - span - level_dec * cols
     stacked = np.empty((b, n, cols), dtype=complex)
-    for row, dec, chain in zip(stacked, decs, levels):
-        rp = dec.pencil
-        np.concatenate(
-            [x for w in chain for x in (rp.quotient_frame @ w, rp.nil.frame)], axis=1, out=row
-        )
+    for d in sorted(set(width.tolist())):
+        sel = np.flatnonzero(width == d)
+        at_cols = start[sel, None] + np.arange(d)
+        lifted = q[level_dec[sel]] @ np.stack([flat[t] for t in sel])
+        stacked[level_dec[sel, None], :, at_cols] = lifted.swapaxes(1, 2)
+    if nil:
+        at_cols = (start + width)[:, None] + np.arange(nil)
+        nil_frames = np.stack([dec.pencil.nil.frame for dec in decs])[level_dec]
+        stacked[level_dec[:, None], :, at_cols] = nil_frames.swapaxes(1, 2)
+        del nil_frames
+    del q, lifted
     prods = pairwise_products(alg, stacked, stacked).reshape(b, cols * cols, n)
     scale = np.maximum(1.0, np.linalg.norm(prods, axis=2))
     # each product's quotient coordinates, as a row, less their projection
@@ -420,15 +443,17 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> li
     # chunk takes exact zeros off it
     coords = prods @ np.stack([dec.pencil.quotient_frame.conj() for dec in decs])
     del prods
-    chunks = [_chunks([w.shape[1] for w in chain], n) for chain in levels]
+    # per level of the group: its index among its decomposition's levels,
+    # and its chunk there
+    level_at = _positions(per_dec)
+    chunks = [_chunks(ws.tolist(), n) for ws in np.split(width, np.cumsum(per_dec)[:-1])]
+    chunk_of = np.concatenate([np.repeat(np.arange(len(ch)), list(map(len, ch))) for ch in chunks])
     for s in range(len(chunks[0])):
-        parts = [[chain[t] for t in ch[s]] for chain, ch in zip(levels, chunks)]
-        frames = np.stack([np.hstack(part) for part in parts])
-        level_of_col = [
-            [t for t, w in zip(ch[s], part) for _ in range(w.shape[1])]
-            for ch, part in zip(chunks, parts)
-        ]
-        level_of_col = np.array(level_of_col, dtype=int).reshape(b, -1)
+        sel = np.flatnonzero(chunk_of == s)
+        # the members' levels of chunk s side by side, one matrix each
+        frames = np.hstack([flat[t] for t in sel]).reshape(decs[0].pencil.K, b, -1)
+        frames = np.ascontiguousarray(frames.swapaxes(0, 1))
+        level_of_col = np.repeat(level_at[sel], width[sel]).reshape(b, -1)
         onto = coords @ frames.conj()
         onto[target[:, :, None] != level_of_col[:, None, :]] = 0.0
         coords -= onto @ frames.transpose(0, 2, 1)
@@ -484,7 +509,9 @@ def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[F
     read one product tensor (see :func:`_product_inclusions`); the witness
     (a, b, k, m) of a failing variant names V^k(a) V^m(b) in ``dec``'s own
     points, and a passing one names none.  The pair (0, infinity) belongs
-    to neither variant.  It runs the stacked suite on a batch of one."""
+    to neither variant.  It runs the stacked suite on a batch of one.  A
+    decomposition of another dimension raises :class:`DimensionMismatch`."""
+    _check_dim(alg, dec.pencil.nil.ambient_dim, "decomposition")
     return _v_mult(alg, [dec], tol)[0]
 
 
@@ -652,10 +679,11 @@ def verify_regular_perturbation(
     ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination.
     These are Stab(alpha) and Stab(1/alpha) of the minimizer's reduced
     pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0);
-    (0, 0) raises :class:`ValueError`, and a direction whose dimension is
-    not ``alg.dim`` :class:`DimensionMismatch`."""
+    (0, 0) raises :class:`ValueError`, and a pencil or a direction whose
+    dimension is not ``alg.dim`` :class:`DimensionMismatch`."""
     if lambda0 == 0 and mu0 == 0:
         raise ValueError("lambda0 and mu0 must not both be 0")
+    _check_dim(alg, rp.nil.ambient_dim, "reduced pencil")
     if any(g.dim != alg.dim for g in s_basis):
         raise DimensionMismatch("functional does not match the algebra dimension")
     alpha = INFINITY if lambda0 == 0 else ProjectivePoint.finite(-mu0 / lambda0)
@@ -679,9 +707,11 @@ def verify_corollaries(
     vanish).  alpha = 0: products of Stab(0) with Stab(infinity), the left
     and right kernels ``rp.kernels``, vanish and nil squares to zero.  Other
     finite alpha: x y = alpha y x for x in Stab(alpha), y in Stab(1/alpha).
+    A pencil of another dimension raises :class:`DimensionMismatch`.
     """
     if alpha.is_infinite:
         raise ValueError("corollaries are stated for finite alpha")
+    _check_dim(alg, rp.nil.ambient_dim, "reduced pencil")
     if alpha.value == 0:
         ker = rp.kernels
         stab_res = np.linalg.norm(pairwise_products(alg, ker.left.frame, ker.right.frame), axis=-1)

@@ -19,6 +19,7 @@ from algscope import (
     random_functional,
     reduce_pencil,
     subspace_equal,
+    symmetric3_table,
     upper_triangular,
 )
 from algscope.functional import (
@@ -27,7 +28,7 @@ from algscope.functional import (
     RANK_ONE_BUT_NOT_UNIT,
     ReducedPencil,
 )
-from algscope.linalg import Subspace, det_poly, projective_close, projector_distance
+from algscope.linalg import Subspace, complement, det_poly, projective_close, projector_distance
 from algscope.spectral import choose_alpha0, spectrum
 
 from oracles import multiplicative_loop, pairing_matrix, raw_kernel
@@ -156,6 +157,57 @@ class TestReducedPencil:
         rp = reduce_pencil(alg, f, TOL)
         assert rp.K == 4
         np.testing.assert_allclose(rp.a_tilde, gram(alg, f), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            mat_algebra(3),
+            group_algebra(symmetric3_table()),
+            direct_sum(mat_algebra(2), group_algebra(symmetric3_table())),
+        ],
+        ids=["Mat_3", "S3", "Mat_2+S3"],
+    )
+    def test_a_pairing_with_nil_zero_is_its_own_pencil(self, monkeypatch, alg):
+        import algscope.functional as functional
+        import algscope.linalg as linalg
+
+        # the compression the general path makes, with Q = complement(0) = I
+        rng = np.random.default_rng(17)
+        fs = [random_functional(alg.dim, rng) for _ in range(5)]
+        q = complement(Subspace.zero(alg.dim, TOL)).frame
+        want = [q.T @ gram(alg, f) @ q for f in fs]
+        calls = []
+        monkeypatch.setattr(functional, "complement", lambda *a: calls.append("complement"))
+        checks = linalg.Subspace.__post_init__
+        monkeypatch.setattr(
+            linalg.Subspace, "__post_init__", lambda self: calls.append("gram") or checks(self)
+        )
+        for f, a_tilde in zip(fs, want):
+            rp = reduce_pencil(alg, f, TOL)
+            assert rp.nil.dim == 0 and rp.K == alg.dim
+            assert rp.quotient_frame.tobytes() == q.tobytes()
+            # equal entry for entry: the product may write -0.0 where the
+            # pairing holds 0.0
+            assert np.array_equal(rp.a_tilde, a_tilde)
+            assert np.array_equal(rp.at_tilde, a_tilde.T)
+            assert not any(m.flags.writeable for m in (rp.quotient_frame, rp.a_tilde, rp.at_tilde))
+        # no complement, and no Gram check of an exact frame
+        assert calls == []
+
+    def test_a_nonzero_nil_keeps_the_general_path(self, monkeypatch):
+        import algscope.functional as functional
+
+        # F = tr(diag(1, 2, 0) X) on Mat_3: nil is spanned by e_33
+        alg = mat_algebra(3)
+        f = matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
+        calls = []
+        real = functional.complement
+        monkeypatch.setattr(functional, "complement", lambda a: calls.append(a) or real(a))
+        rp = reduce_pencil(alg, f, TOL)
+        assert rp.nil.dim == 1 and rp.K == 8 and len(calls) == 1
+        q = real(rp.nil).frame
+        assert rp.quotient_frame.tobytes() == q.tobytes()
+        assert rp.a_tilde.tobytes() == (q.T @ gram(alg, f) @ q).tobytes()
 
     def test_compression_annihilates_nil_rows_and_columns(self):
         alg = upper_triangular(3)

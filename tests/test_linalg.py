@@ -405,6 +405,20 @@ class TestStackedPrimitives:
         with pytest.raises(ShapeError):
             decompose(alg, f)
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_zero_and_full_frames_are_exact_and_read_only(self, n):
+        for space, frame in ((Subspace.zero(n), np.zeros((n, 0))), (Subspace.full(n), np.eye(n))):
+            assert space.ambient_dim == n and space.tol == 1e-9
+            assert space.frame.dtype == complex
+            assert space.frame.tobytes() == frame.astype(complex).tobytes()
+            assert not space.frame.flags.writeable
+        # the constructor still checks the frames it is given
+        skewed = np.eye(n, dtype=complex)
+        if n:
+            skewed[0, 0] = 1.0 + 1e-6
+            with pytest.raises(ShapeError, match="not orthonormal"):
+                Subspace(n, skewed, TOL)
+
     def test_orthonormality_is_checked_like_a_subspace(self):
         # a cutoff above every singular value keeps all of vh, whose
         # roundoff exceeds 10 * tol at this tol

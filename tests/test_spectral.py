@@ -507,6 +507,57 @@ class TestChainEndsAtMultiplicity:
                     capped, [dec.quotient_filtrations[p.alpha] for p in dec.points]
                 )
 
+    @staticmethod
+    def count_operators(monkeypatch):
+        """Record the point of every later :func:`_slot_one_operator`."""
+        import algscope.spectral as spectral
+
+        built = []
+
+        def counted(rp, alpha):
+            built.append(alpha)
+            return _slot_one_operator(rp, alpha)
+
+        monkeypatch.setattr(spectral, "_slot_one_operator", counted)
+        return built
+
+    def test_a_complete_level_0_builds_no_operator(self, monkeypatch):
+        # Mat_3 at a random functional: alpha = 1 has multiplicity 3 and a
+        # Stab(1) of dimension 3; its level 0 takes the one operator
+        alg = mat_algebra(3)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        built = self.count_operators(monkeypatch)
+        dec = decompose(alg, f)
+        multiple = [p for p in dec.points if p.algebraic_mult > 1]
+        assert multiple and all(p.stab_dim == p.algebraic_mult for p in multiple)
+        assert built == [p.alpha for p in multiple]
+        built.clear()
+        for p in dec.points:
+            w = dec.quotient_filtrations[p.alpha][0]
+            chain = _filtration_reduced(
+                dec.pencil, p.alpha, dec.alpha0_used, TOL, w, p.algebraic_mult
+            )
+            assert len(chain) == 1 and chain[0] is w
+        assert built == []
+
+    @pytest.mark.parametrize("name", list(PLANTED_JORDAN_BLOCKS))
+    def test_a_short_level_0_still_climbs(self, monkeypatch, name):
+        beta, want_levels = PLANTED_JORDAN_BLOCKS[name]
+        dec = decompose(*prescribed_pencil_algebra(beta))
+        built = self.count_operators(monkeypatch)
+        short = [p for p in dec.points if p.stab_dim < p.algebraic_mult]
+        assert short
+        for p in short:
+            w = dec.quotient_filtrations[p.alpha][0]
+            chain = _filtration_reduced(
+                dec.pencil, p.alpha, dec.alpha0_used, TOL, w, p.algebraic_mult
+            )
+            assert [u.shape[1] for u in chain] == [d - dec.nil.dim for d in p.filtration_dims]
+        # the operators at alpha and at the shift, once per climbing point
+        shift = ProjectivePoint.finite(dec.alpha0_used)
+        assert built == [x for p in short for x in (p.alpha, shift)]
+        assert max(len(p.filtration_dims) for p in short) == want_levels
+
     def test_split_semisimple_point_fails_both_checks(self, monkeypatch):
         # Mat_4's alpha = 1 has multiplicity 4 and Stab(1) of dimension 4:
         # each half counts 2 but its level 0 already has dimension 4
@@ -1153,6 +1204,29 @@ class TestDecomposeAll:
         with pytest.raises(NoRegularValue, match="empty pencil") as empty:
             choose_alpha0(reduce_pencil(alg, Functional(np.zeros(alg.dim))))
         assert not isinstance(empty.value, SingularPencil)
+
+    def test_one_pencil_stack_per_k_group(self, monkeypatch):
+        # K = 10, 4 and 0 in one batch: one stack per K >= 1, read by every
+        # stage of its group
+        import algscope.spectral as spectral
+
+        stacked = []
+
+        def counted(rps):
+            stacked.append([rp.K for rp in rps])
+            return _pencil_stack(rps)
+
+        monkeypatch.setattr(spectral, "_pencil_stack", counted)
+        alg = mat2_plus_s3()
+        rng = np.random.default_rng(42)
+        on_mat2 = np.concatenate([random_functional(4, rng).coords, np.zeros(6)])
+        fs = [random_functional(alg.dim, rng), Functional(on_mat2), Functional(np.zeros(10))]
+        decs = decompose_all(alg, fs + [random_functional(alg.dim, rng)], seed=1)
+        assert [dec.quotient_dim for dec in decs] == [10, 4, 0, 10]
+        assert sorted(stacked) == [[4], [10, 10]]
+        stacked.clear()
+        decompose_all(mat_algebra(3), [random_functional(9, rng) for _ in range(10)])
+        assert stacked == [[9] * 10]
 
     def test_batched_shift_draws_match_each_pencil_alone(self):
         # K = 9 pencils accepted at different draws (at floor 0.05 the first

@@ -17,12 +17,14 @@ from algscope import (
     direct_sum,
     dual_numbers,
     group_algebra,
+    is_multiplicative,
     kernels,
     klein_table,
     mat_algebra,
     matrix_trace_functional,
     minimize_stab_dim,
     negative_control_finding,
+    nil_ideal_check,
     opposite,
     projector_distance,
     random_functional,
@@ -80,6 +82,45 @@ def full_dual(dim):
 
 def diag125():
     return matrix_trace_functional(np.diag([1.0, 2.0, 5.0]))
+
+
+def _mat2_inputs():
+    """A Mat_2 functional with its kernels and decomposition."""
+    f = random_functional(4, np.random.default_rng(25))
+    return f, kernels(mat_algebra(2), f), decompose(mat_algebra(2), f)
+
+
+#: the public entry points that read an analysis, each called on Mat_3 with
+#: the Mat_2 inputs of :func:`_mat2_inputs`
+_CROSS_ALGEBRA_CALLS = {
+    "verify_kernel_relations": lambda alg, f, ker, dec: verify_kernel_relations(alg, ker),
+    "nil_ideal_check": lambda alg, f, ker, dec: nil_ideal_check(alg, ker),
+    "is_multiplicative": lambda alg, f, ker, dec: is_multiplicative(alg, f, ker),
+    "is_multiplicative_kernels": lambda alg, f, ker, dec: is_multiplicative(
+        alg, random_functional(alg.dim, np.random.default_rng(0)), ker
+    ),
+    "verify_v_mult": lambda alg, f, ker, dec: verify_v_mult(alg, dec),
+    "verify_corollaries_1": lambda alg, f, ker, dec: verify_corollaries(
+        alg, dec.pencil, ProjectivePoint.finite(1.0)
+    ),
+    "verify_corollaries_0": lambda alg, f, ker, dec: verify_corollaries(
+        alg, dec.pencil, ProjectivePoint.finite(0.0)
+    ),
+    "verify_regular_perturbation": lambda alg, f, ker, dec: verify_regular_perturbation(
+        alg, dec.pencil, 1.0, -1.0, []
+    ),
+}
+
+
+class TestAnotherAlgebra:
+    """An analysis of one algebra handed to a suite of another raises
+    :class:`DimensionMismatch` naming both dimensions."""
+
+    @pytest.mark.parametrize("name", list(_CROSS_ALGEBRA_CALLS))
+    def test_names_both_dimensions(self, name):
+        with pytest.raises(DimensionMismatch) as err:
+            _CROSS_ALGEBRA_CALLS[name](mat_algebra(3), *_mat2_inputs())
+        assert "4" in str(err.value) and "9" in str(err.value)
 
 
 class TestKernelRelations:

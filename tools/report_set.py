@@ -1,6 +1,7 @@
 """Write one fixed set of algscope reports into OUTDIR.
 
     PYTHONPATH=src python tools/report_set.py OUTDIR
+    python tools/report_set.py OUTDIR --against REF
 
 For each input it writes the algebra file and, through ``algscope.cli.main``
 with explicit seeds:
@@ -12,33 +13,25 @@ with explicit seeds:
   functionals each, at seeds 1 and 2.
 
 ``exit_codes.txt`` lists the exit code of each command.  Two runs into two
-directories must agree under ``diff -r``.  To compare two versions of the
-program, run this script once with each one's ``src`` on PYTHONPATH.
+directories must agree under ``diff -r``.
+
+``--against REF`` compares two versions of the program on this set: it
+writes the set of this checkout's ``src`` into OUTDIR/checkout and that of
+the commit REF's ``src``, checked out by ``git worktree`` into a temporary
+directory and removed afterwards, into OUTDIR/ref, then prints
+``diff -rq`` of the two.  Both sides take their inputs from this checkout.
+The exit code is 0 whether or not the sets differ, and non-zero when a
+side cannot be written.
 """
 
+import argparse
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-
-from oracles import PLANTED_JORDAN_BLOCKS, prescribed_pencil_algebra  # noqa: E402
-
-from algscope import (  # noqa: E402
-    direct_sum,
-    dual_numbers,
-    group_algebra,
-    klein_table,
-    mat_algebra,
-    matrix_trace_functional,
-    random_functional,
-    symmetric3_table,
-    upper_triangular,
-)
-from algscope.cli import main  # noqa: E402
-from algscope.report import save_algebra, save_functional  # noqa: E402
-from algscope.suite_names import SUITE_NAMES  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
 
 VERIFY_SEEDS = (1, 2)
 
@@ -46,6 +39,22 @@ VERIFY_SEEDS = (1, 2)
 def inputs():
     """(name, algebra, extra functionals to analyze) of every input: the six
     inputs of the benchmark's verify-small workload first."""
+    import numpy as np
+
+    from algscope import (
+        direct_sum,
+        dual_numbers,
+        group_algebra,
+        klein_table,
+        mat_algebra,
+        matrix_trace_functional,
+        symmetric3_table,
+        upper_triangular,
+    )
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from oracles import PLANTED_JORDAN_BLOCKS, prescribed_pencil_algebra
+
     s3 = group_algebra(symmetric3_table())
     found = [
         ("Mat_3", mat_algebra(3), [matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))]),
@@ -66,6 +75,13 @@ def inputs():
 
 
 def write_set(out: Path):
+    import numpy as np
+
+    from algscope import random_functional
+    from algscope.cli import main
+    from algscope.report import save_algebra, save_functional
+    from algscope.suite_names import SUITE_NAMES
+
     out.mkdir(parents=True, exist_ok=True)
     codes = []
     for index, (name, alg, extra) in enumerate(inputs()):
@@ -87,7 +103,54 @@ def write_set(out: Path):
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
+def write_set_of(src: Path, out: Path):
+    """The set of the algscope sources ``src``, written by this script in a
+    child process whose only import path for algscope is ``src``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(src)
+    found = subprocess.run(
+        [sys.executable, "-c", "import algscope; print(algscope.__file__)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    if not Path(found).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"error: algscope imports from {found}, not from {src}")
+    script = Path(__file__).resolve()
+    subprocess.run([sys.executable, str(script), str(out.resolve())], env=env, check=True)
+
+
+def against(out: Path, ref: str) -> int:
+    """Write the sets of this checkout and of ``ref`` and print their
+    ``diff -rq``."""
+    write_set_of(ROOT / "src", out / "checkout")
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "ref"
+        subprocess.run(git + ["add", "--detach", str(tree), ref], check=True)
+        try:
+            write_set_of(tree / "src", out / "ref")
+        finally:
+            subprocess.run(git + ["remove", "--force", str(tree)], check=True)
+    diff = subprocess.run(
+        ["diff", "-rq", str(out / "ref"), str(out / "checkout")], capture_output=True, text=True
+    )
+    print(diff.stdout, end="")
+    if diff.returncode > 1:
+        sys.stderr.write(diff.stderr)
+        return diff.returncode
+    differ = len(diff.stdout.splitlines())
+    verdict = "byte-identical" if not differ else f"{differ} differences"
+    print(f"report sets of {ref} and of this checkout: {verdict}")
+    return 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tools/report_set.py OUTDIR")
-    write_set(Path(sys.argv[1]))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--against", metavar="REF", help="a commit to compare with")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.outdir, args.against))
+    write_set(args.outdir)
