@@ -52,7 +52,7 @@ single-pencil functions
 (:func:`algscope.functional.reduce_pencil`, :func:`choose_alpha0`,
 :func:`char_poly`, :func:`spectrum`, :func:`algscope.linalg.nullspace`)
 call it with a stack of one, and :func:`decompose` is the batch of one.
-The invariant checks, too, run once over each stack.
+The invariant checks run on first read (:attr:`Decomposition.checks`).
 numpy runs on each matrix of a stack the routine a single call runs on it,
 so the rule is bitwise equality: each decomposition of a batch equals the
 one its functional gets alone, bit for bit.
@@ -133,7 +133,8 @@ class Decomposition:
     point as quotient-coordinate frames, each fixing its level with nil;
     ``filtrations`` and ``v_spaces`` lift them to the full algebra on first
     access.  Level 0 is Stab(alpha), which does not depend on the shift, so
-    the shift-independence suite starts its filtrations from it."""
+    the shift-independence suite starts its filtrations from it.  ``seed``
+    draws the log-determinant nodes of :attr:`checks`."""
 
     pencil: ReducedPencil
     chi: HomogeneousPoly
@@ -142,7 +143,7 @@ class Decomposition:
     alpha0_used: complex | None
     tol: float
     cluster_tol: float
-    checks: tuple[InvariantCheck, ...]
+    seed: int
 
     @cached_property
     def filtrations(self) -> dict[ProjectivePoint, tuple[Subspace, ...]]:
@@ -152,6 +153,20 @@ class Decomposition:
             alpha: tuple(_lift(self.pencil, w, self.tol) for w in frames)
             for alpha, frames in self.quotient_filtrations.items()
         }
+
+    @cached_property
+    def checks(self) -> tuple[InvariantCheck, ...]:
+        """The invariant checks (:func:`_decomposition_checks`), run on first
+        read; with K = 0, where nil must be the whole algebra, two fixed ones."""
+        if not self.pencil.K:
+            whole = self.nil.dim == self.nil.ambient_dim
+            return (
+                InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
+                InvariantCheck("v_spaces_direct_sum", whole, 0.0, "nil is the whole algebra"),
+            )
+        v_frames = [levels[-1] for levels in self.quotient_filtrations.values()]
+        args = [self.pencil], [list(self.points)], [v_frames], self.tol, self.seed
+        return tuple(_decomposition_checks(*args)[0])
 
     @property
     def v_spaces(self) -> dict[ProjectivePoint, Subspace]:
@@ -504,13 +519,11 @@ def _decomposition_checks(
     v_frames: list[list[np.ndarray]],
     tol: float,
     seed: int,
-    stack: PencilStack | None = None,
 ) -> list[list[InvariantCheck]]:
     """Invariant checks of the decompositions of the reduced pencils
     ``rps``, all of one size K >= 1, run once over the stack; a single
     decomposition is the stack of one, and gets the same bits in a stack of
-    any size.  ``stack`` is the :func:`_pencil_stack` of ``rps``, stacked
-    here when not given.
+    any size.  :attr:`Decomposition.checks` runs it on its own pencil.
 
     ``v_frames[c][i]`` is the quotient-coordinate frame of V(alpha) for
     ``points[c][i]``.  The V(alpha) split the algebra over nil exactly when
@@ -531,8 +544,7 @@ def _decomposition_checks(
     1.5e-6, on an exact Mat_6 case), while a wrong point or multiplicity
     moves r by order 1.
     """
-    if stack is None:
-        stack = _pencil_stack(rps)
+    stack = _pencil_stack(rps)
     k = rps[0].K
     # at a simple point the dimension check holds by construction, so test
     # that the frame lies in Stab(alpha)
@@ -605,7 +617,8 @@ def decompose(
     eigenvector; every other point climbs (:func:`_filtration_reduced`) and
     its chain ends at its multiplicity.  The result
     keeps the reduced pencil (``pencil``) and records the shift used, all
-    dimensions, and a list of invariant checks: multiplicity counts, the
+    dimensions and ``seed``; its ``checks``, run on first read, are the
+    invariant checks: multiplicity counts, the
     residual of each simple point's frame in Stab(alpha)
     (``simple_frames_in_stabilizer``), one rank test on the stacked quotient
     frames of all V(alpha) proving that they form a direct sum spanning the
@@ -637,8 +650,8 @@ def decompose_all(
     takes one ``solve``, one ``eig`` and one array pass that clusters the
     eigenvalues of the stack, chi one ``det`` of the shifted stack on top
     of the same eigenvalues, the level 0 of every multiple point one
-    nullspace SVD, and the log-determinant check one ``slogdet`` of the
-    stack at its nodes.  The shift that :func:`choose_alpha0`
+    nullspace SVD.  Each decomposition runs its checks on first read
+    (:attr:`Decomposition.checks`).  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
     Each K-group's pencils are stacked once (:func:`_pencil_stack`), and
@@ -650,8 +663,9 @@ def decompose_all(
     groups: dict[int, list[int]] = {}
     for i, rp in enumerate(rps):
         if isinstance(rp, ReducedPencil):
-            if rp.K == 0:
-                out[i] = _empty_decomposition(alg, rp, tol, cluster_tol)
+            if rp.K == 0:  # nil is the whole algebra, and chi = 1
+                chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
+                out[i] = Decomposition(rp, chi, (), {}, None, tol, cluster_tol, seed)
             else:
                 groups.setdefault(rp.K, []).append(i)
     stacks = {}
@@ -669,20 +683,6 @@ def decompose_all(
         for i, dec in zip(members, decs):
             out[i] = dec
     return out
-
-
-def _empty_decomposition(
-    alg: Algebra, rp: ReducedPencil, tol: float, cluster_tol: float
-) -> Decomposition:
-    """The decomposition of a pencil with K = 0: nil is the whole algebra."""
-    chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-    checks = (
-        InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
-        InvariantCheck(
-            "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
-        ),
-    )
-    return Decomposition(rp, chi, (), {}, None, tol, cluster_tol, checks)
 
 
 def _spectra(
@@ -718,8 +718,8 @@ def _decompose_stack(
     """The decompositions of pencils of one size K >= 1, stacked in
     ``stack``, at their regular shifts ``alpha0s``: chi and the spectrum
     over the stack, then the level 0 of every multiple point from one
-    stacked nullspace SVD, each chain climbed from it up to the point's
-    multiplicity, and the checks, once over the stack, with ``seed``."""
+    stacked nullspace SVD, and each chain climbed from it up to the point's
+    multiplicity; each decomposition keeps ``seed`` for its checks."""
     chis, spectra = _spectra(stack[0], stack[1], alpha0s, cluster_tol)
     # (pencil, item) of each multiple point, and its Stab(alpha) frame
     multiple = [
@@ -746,13 +746,9 @@ def _decompose_stack(
             quotient_filtrations[alpha] = tuple(frames)
         all_points.append(points)
         all_levels.append(quotient_filtrations)
-    v_frames = [[levels[-1] for levels in q.values()] for q in all_levels]
-    checks = _decomposition_checks(rps, all_points, v_frames, tol, seed, stack)
     return [
-        Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(found))
-        for rp, chi, points, levels, alpha0, found in zip(
-            rps, chis, all_points, all_levels, alpha0s, checks
-        )
+        Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, seed)
+        for rp, chi, points, levels, alpha0 in zip(rps, chis, all_points, all_levels, alpha0s)
     ]
 
 

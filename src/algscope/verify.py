@@ -777,7 +777,8 @@ def run_suites(
     at N <= 16, and only the findings of a finished chunk are kept.  A
     chunk is decomposed with ``seed`` (:func:`algscope.spectral.decompose_all`),
     and each decomposition equals, bit for bit, the one
-    :func:`algscope.spectral.decompose` gives its functional alone.  Each
+    :func:`algscope.spectral.decompose` gives its functional alone; no
+    suite reads its checks, so none run.  Each
     per-functional suite then runs once over the chunk, written over its
     decompositions with stacked products, and each finding equals, bit for
     bit, the one its public single-decomposition function gives;

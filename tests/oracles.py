@@ -684,7 +684,8 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     chi from the shifted pencil's eigenvalues (:func:`eigen_char_poly`),
     ``spectrum`` (with its singular-shift test), one chain per multiple
     point up to its multiplicity from its own level-0 nullspace, and the
-    library's invariant checks of a stack of one."""
+    library's invariant checks of a stack of one, which the returned
+    decomposition's lazily computed ``checks`` must equal bit for bit."""
     from algscope.linalg import HomogeneousPoly, nullspace
     from algscope.functional import reduce_pencil
     from algscope.spectral import (
@@ -707,7 +708,9 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
             ),
         )
         chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-        return Decomposition(rp, chi, (), {}, None, tol, cluster_tol, checks)
+        dec = Decomposition(rp, chi, (), {}, None, tol, cluster_tol, seed)
+        assert repr(dec.checks) == repr(checks)
+        return dec
     alpha0 = choose_alpha0(rp, seed)
     chi = eigen_char_poly(rp, alpha0)
     points, levels = [], {}
@@ -723,7 +726,36 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         levels[alpha] = tuple(frames)
     v_frames = [chain[-1] for chain in levels.values()]
     (checks,) = _decomposition_checks([rp], [points], [v_frames], tol, seed)
-    return Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, tuple(checks))
+    dec = Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, seed)
+    assert repr(dec.checks) == repr(tuple(checks))
+    return dec
+
+
+def split_point(monkeypatch, value):
+    """Doctor the spectrum of every later ``decompose``: the multiple point
+    at ``value`` becomes two, at its value and 1e-12 above it, with half its
+    multiplicity each.  The multiplicities still sum to K."""
+    import algscope.spectral as spectral
+    from algscope.linalg import ProjectivePoint
+
+    original = spectral._spectra
+
+    def split(raw):
+        points = []
+        for alpha, mult, vector in raw:
+            if vector is None and not alpha.is_infinite and abs(alpha.value - value) < 1e-6:
+                copy = ProjectivePoint.finite(alpha.value + 1e-12)
+                points += [(alpha, mult // 2, None), (copy, mult - mult // 2, None)]
+            else:
+                points.append((alpha, mult, vector))
+        return points
+
+    def doctored(*args):
+        chis, spectra = original(*args)
+        return chis, [split(r) for r in spectra]
+
+    # the spectra of a batch, which decompose takes with a batch of one
+    monkeypatch.setattr(spectral, "_spectra", doctored)
 
 
 # --------------------------------------------------------------------------

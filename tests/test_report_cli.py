@@ -14,6 +14,7 @@ from algscope import (
     group_algebra,
     mat_algebra,
     matrix_trace_functional,
+    random_functional,
     symmetric3_table,
     upper_triangular,
 )
@@ -31,7 +32,7 @@ from algscope.report import (
     save_functional,
 )
 
-from oracles import algebra_doc_by_loops
+from oracles import algebra_doc_by_loops, split_point
 
 
 def strict_json(text):
@@ -339,6 +340,31 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["nil_dim"] == 0
         assert len(doc["spectrum"]) == 7
+
+    @pytest.mark.parametrize("split", [False, True], ids=["as-is", "split"])
+    def test_analyze_exit_code_reads_the_checks(self, workdir, capsys, monkeypatch, split):
+        # Mat_4's alpha = 1, multiplicity 4, split into two halves of 2
+        # fails the direct sum; the checks run when the report reads them
+        # and still gate the exit code
+        alg = mat_algebra(4)
+        save_algebra(alg, "mat4.alg")
+        save_functional(random_functional(alg.dim, np.random.default_rng(0)), "f.fn")
+        if split:
+            split_point(monkeypatch, 1.0)
+        code = main(["analyze", "mat4.alg", "f.fn", "--seed", "0"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = {c["name"] for c in checks if not c["passed"]}
+        if split:
+            assert code == 2 and "v_spaces_direct_sum" in failed
+        else:
+            assert code == 0 and failed == set()
+            assert [c["name"] for c in checks] == [
+                "multiplicities_sum_to_quotient_dim",
+                "v_dim_equals_nil_plus_multiplicity",
+                "simple_frames_in_stabilizer",
+                "v_spaces_direct_sum",
+                "log_det_matches_spectrum",
+            ]
 
     def test_analyze_missing_file_is_usage_error(self, workdir, capsys):
         assert main(["analyze", "nothere.alg", "nofile.fn"]) == 1

@@ -59,6 +59,7 @@ from oracles import (
     filtration_reduced_loop,
     jordan_dims_by_powers,
     prescribed_pencil_algebra,
+    split_point,
     stab_fullspace,
     v_split_pairwise_and_span,
 )
@@ -459,32 +460,6 @@ class TestFiltrationClimb:
             climb(rp, p, complex("nan"))
 
 
-def split_point(monkeypatch, value):
-    """Doctor the spectrum of every later :func:`decompose`: the multiple
-    point at ``value`` becomes two, at its value and 1e-12 above it, with
-    half its multiplicity each.  The multiplicities still sum to K."""
-    import algscope.spectral as spectral
-
-    original = spectral._spectra
-
-    def split(raw):
-        points = []
-        for alpha, mult, vector in raw:
-            if vector is None and not alpha.is_infinite and abs(alpha.value - value) < 1e-6:
-                copy = ProjectivePoint.finite(alpha.value + 1e-12)
-                points += [(alpha, mult // 2, None), (copy, mult - mult // 2, None)]
-            else:
-                points.append((alpha, mult, vector))
-        return points
-
-    def doctored(*args):
-        chis, spectra = original(*args)
-        return chis, [split(r) for r in spectra]
-
-    # the spectra of a batch, which decompose takes with a batch of one
-    monkeypatch.setattr(spectral, "_spectra", doctored)
-
-
 class TestChainEndsAtMultiplicity:
     """A chain ends at the first level whose dimension is the algebraic
     multiplicity that the spectrum counted."""
@@ -582,6 +557,20 @@ class TestChainEndsAtMultiplicity:
         assert check_named(dec.checks, "multiplicities_sum_to_quotient_dim").passed
         check = check_named(dec.checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual >= 2.0
+
+    def test_split_checks_read_after_the_patch_is_undone(self, monkeypatch):
+        # the checks run on first read, from the decomposition's own points
+        # and frames, so a read after the doctored spectrum is gone fails
+        # the same checks as a read under it
+        alg = mat_algebra(4)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        split_point(monkeypatch, 1.0)
+        dec, under = decompose(alg, f), decompose(alg, f)
+        failed = {c.name for c in under.checks if not c.passed}
+        monkeypatch.undo()
+        assert failed == {"v_dim_equals_nil_plus_multiplicity", "v_spaces_direct_sum"}
+        assert repr(dec.checks) == repr(under.checks)
+        assert decompose(alg, f).ok
 
 
 class TestDegeneratePencils:
@@ -691,6 +680,39 @@ class TestDecompose:
         assert dec.points == ()
         assert dec.chi.degree == 0 and dec.chi.coeffs[0] == 1.0
         assert dec.ok
+
+    @pytest.mark.parametrize("read", ["checks", "ok"])
+    def test_checks_run_once_on_first_read(self, monkeypatch, read):
+        import algscope.spectral as spectral
+
+        calls = []
+        real = spectral._decomposition_checks
+
+        def counted(rps, *args):
+            calls.append(len(rps))
+            return real(rps, *args)
+
+        monkeypatch.setattr(spectral, "_decomposition_checks", counted)
+        alg = mat_algebra(3)
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(3)), seed=4)
+        assert calls == [] and dec.seed == 4
+        assert "checks" not in {field.name for field in dataclasses.fields(dec)}
+        getattr(dec, read)
+        assert calls == [1]
+        for _ in range(3):
+            assert dec.ok and dec.checks is dec.checks
+        assert calls == [1]
+        # the stack of one of the decomposition's own frames, at its seed
+        v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        (want,) = real([dec.pencil], [list(dec.points)], [v_frames], dec.tol, 4)
+        assert repr(dec.checks) == repr(tuple(want))
+        # K = 0 takes its two checks from nil, with no call
+        empty = decompose(alg, Functional(np.zeros(alg.dim)))
+        assert [c.name for c in empty.checks] == [
+            "multiplicities_sum_to_quotient_dim",
+            "v_spaces_direct_sum",
+        ]
+        assert empty.ok and calls == [1]
 
     def test_mat3_shape(self):
         dec = decompose(mat_algebra(3), diag125())
@@ -1293,8 +1315,9 @@ class TestDecompositionChecksOracle:
         assert len(self.assert_batch_agrees(decs, seed=3)) == 10
 
     def test_mixed_and_empty_quotients(self, monkeypatch):
-        # K = 10, 4 and 0 in one batch: the checks run once per K >= 1, and
-        # the empty quotient keeps its two checks
+        # K = 10, 4 and 0 in one batch: no check runs until a decomposition's
+        # checks are read, then once per decomposition with K >= 1, as a
+        # stack of one; the empty quotient keeps its two checks
         import algscope.spectral as spectral
 
         stacks = []
@@ -1311,12 +1334,14 @@ class TestDecompositionChecksOracle:
         fs = [random_functional(alg.dim, rng), Functional(on_mat2), Functional(np.zeros(10))]
         decs = decompose_all(alg, fs + [random_functional(alg.dim, rng)], seed=1)
         assert [dec.quotient_dim for dec in decs] == [10, 4, 0, 10]
-        assert sorted(stacks) == [[4], [10, 10]]
+        assert stacks == []
         assert len(self.assert_batch_agrees(decs, seed=1)) == 3
+        assert sorted(stacks) == [[4], [10], [10]]
         assert [c.name for c in decs[2].checks] == [
             "multiplicities_sum_to_quotient_dim",
             "v_spaces_direct_sum",
         ]
+        assert sorted(stacks) == [[4], [10], [10]]
 
     def test_infinite_points(self):
         decs = [

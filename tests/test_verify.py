@@ -943,25 +943,24 @@ class TestLinearAlgebraCounts:
         findings = run_suites(mat_algebra(3), SUITE_NAMES, 10, seed=0)
         assert all(f.passed for f in findings)
         # the spectrum: one solve and one eig over the batch; chi: one det
-        # of the shifted batch, with no det per interpolation node; the
-        # log-determinant check: one slogdet of the batch at its 12 nodes
-        assert (len(eigs), len(solves), len(dets), len(slogdets)) == (1, 1, 1, 1)
+        # of the shifted batch, with no det per interpolation node; no
+        # suite reads the invariant checks, so no log-determinant runs
+        assert (len(eigs), len(solves), len(dets), len(slogdets)) == (1, 1, 1, 0)
         assert [args[0].shape for args, _ in dets] == [(10, 9, 9)]
-        assert [args[0].shape for args, _ in slogdets] == [(10, 12, 9, 9)]
         assert collections.Counter(calls) == {
             # both kernels of the batch, then the level 0 of its multiple
             # points; both kernels are 0, so the intersections and the
             # complements take no SVD
             ((10, 9, 9), "full"): 2,
-            # every pencil accepts the first shift drawn, and the direct-sum
-            # check of the batch: one stack of K x K frames each
-            ((10, 9, 9), "values"): 2,
+            # every pencil accepts the first shift drawn; the direct-sum
+            # check, which no suite reads, takes none
+            ((10, 9, 9), "values"): 1,
             # the regular-functional suites read the first functional's
             # pencil, which the batch reduced: corollary2 its Stab(1),
             # which is its own inverse, and corollary3 its kernels
             ((1, 9, 9), "full"): 1,
         }
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
         # tri_5 with 10 random functionals: the left and right kernels are
@@ -978,13 +977,13 @@ class TestLinearAlgebraCounts:
             # the intersections of the left and the right kernels, one
             # stack of the batch
             ((10, 30, 15), "full"): 1,
-            # the first shift drawn and the direct-sum check
-            ((10, 15, 15), "values"): 2,
+            # the first shift drawn; no direct-sum check, which no suite reads
+            ((10, 15, 15), "values"): 1,
             # Stab(1) of corollary2, in the first functional's pencil,
             # which the batch reduced
             ((1, 15, 15), "full"): 1,
         }
-        assert len(calls) == 6
+        assert len(calls) == 5
 
     def test_kernels_of_a_run_without_decompositions_take_one_svd(self, monkeypatch):
         # no suite decomposes: the kernels of the ten pairings come from one
@@ -1242,6 +1241,30 @@ class TestRunSuites:
         calls = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "reduce_pencil")
         for (alg, seed), want in zip(cases, expected):
             assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed), want)
+        assert calls == []
+
+    def test_an_all_suite_run_computes_no_invariant_check(self, monkeypatch):
+        # no suite reads a decomposition's checks, so none run, and the
+        # findings are those of a run that computes every check
+        import algscope.spectral as spectral
+        import algscope.verify as verify
+
+        algs = [SUITE_INPUTS[name] for name in ("Mat_3", "tri_5", "Mat_2+S3")]
+        calls = TestLinearAlgebraCounts.count_calls(monkeypatch, spectral, "_decomposition_checks")
+        lazy = verify.decompose_all
+
+        def eager(*args, **kwargs):
+            decs = lazy(*args, **kwargs)
+            assert all(dec.ok for dec in decs)
+            return decs
+
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "decompose_all", eager)
+            expected = [run_suites(alg, SUITE_NAMES, 10, seed=0) for alg in algs]
+        assert len(calls) == 30
+        calls.clear()
+        for alg, want in zip(algs, expected):
+            assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed=0), want)
         assert calls == []
 
     def test_no_level_is_lifted(self, monkeypatch):
