@@ -2,20 +2,25 @@
 
 An algebra of dimension N is stored as the dense tensor ``c`` with
 ``e_i * e_j = sum_k c[i, j, k] e_k`` together with the coordinates of the
-unit element.  Builders construct the reference algebras used throughout the
-test corpus: full matrix algebras, upper-triangular matrices, dual numbers,
-group algebras, direct sums, and the opposite algebra.
+unit element.  Its coordinate form, :attr:`Algebra.coordinates` (the
+nonzero entries and their indices, O(nnz)), is found on the first read and
+held beside the tensor, so the tensor is scanned once per algebra.
+Builders construct the reference algebras used throughout the test corpus:
+full matrix algebras, upper-triangular matrices, dual numbers, group
+algebras, direct sums, and the opposite algebra.
 
 :func:`validate` checks the axioms exactly.  Its associativity check runs a
-sparse kernel over the nonzero structure constants when they are few (the
-reference algebras: Mat_n has n^3 of n^6) and a blocked dense kernel
-otherwise (for example after a change of basis); the nonzero counts choose,
-and both keep their memory within a fixed block budget.
+sparse kernel over the coordinate form when the nonzero structure constants
+are few (the reference algebras: Mat_n has n^3 of n^6) and a blocked dense
+kernel over the tensor otherwise (for example after a change of basis); the
+nonzero counts choose, and both keep their memory within a fixed block
+budget.  The unit check reads the coordinate form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +45,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algebra:
-    """Structure-constant model of an associative unital algebra."""
+    """Structure-constant model of an associative unital algebra.
+
+    The tensor and the unit are read-only; ``==`` is identity, since the
+    fields hold arrays."""
 
     dim: int
     structure: np.ndarray
@@ -67,6 +75,20 @@ class Algebra:
         u.setflags(write=False)
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "unit", u)
+
+    @cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(i, j, k, values)``: the indices of the nonzero ``c[i, j, k]`` in
+        C order, as ``np.nonzero`` gives them, and the entries there, real
+        when every one is real.  Found on the first read and held read-only;
+        no dense copy is kept."""
+        index = np.nonzero(self.structure)
+        values = self.structure[index]
+        if not values.imag.any():
+            values = values.real.copy()
+        for array in (*index, values):
+            array.setflags(write=False)
+        return (*index, values)
 
     def basis_element(self, i: int) -> "Element":
         coords = np.zeros(self.dim, dtype=complex)
@@ -142,38 +164,55 @@ def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
 
     The input chooses the kernel: sparse when ``T = sum_m nnz(c[:, :, m]) *
     (nnz(c[m, :, :]) + nnz(c[:, m, :]))`` is below ``N^5 /
-    _SPARSE_MIN_RATIO``, dense otherwise.  The unit check also runs in real
-    arithmetic when both the structure constants and the unit are real.
+    _SPARSE_MIN_RATIO``, dense otherwise.  The sparse kernel, the realness
+    test and the unit residuals read :attr:`Algebra.coordinates`, so only
+    the first call on an algebra scans its tensor, and only the dense kernel
+    reads it again.  The unit residuals sum ``u[j] c[j, i, k]`` and ``u[j]
+    c[i, j, k]`` over the nonzero entries in increasing ``j`` with the
+    products as ``np.einsum`` forms them, in real arithmetic when both the
+    structure constants and the unit are real, so they equal the residuals
+    of the dense contractions bit for bit.  Both residuals are computed on
+    every call; nothing of the result is cached.
     """
-    c = alg.structure
-    u = alg.unit
-    if not c.imag.any():
-        c = np.ascontiguousarray(c.real)
-        if not u.imag.any():
-            # a complex unit would promote the real tensor in the unit check
-            u = u.real
     n = alg.dim
-    nonzeros = np.nonzero(c)
-    blocks = _assoc_sparse(c, nonzeros) if _sparse_pays(n, *nonzeros) else _assoc_dense(c)
+    first, second, third, values = alg.coordinates
+    real = not np.iscomplexobj(values)
+    u = alg.unit
+    if real and not u.imag.any():
+        # a complex unit would make the unit sums complex
+        u = u.real
+    if _sparse_pays(n, first, second, third):
+        blocks = _assoc_sparse(n, alg.coordinates)
+    else:
+        blocks = _assoc_dense(np.ascontiguousarray(alg.structure.real) if real else alg.structure)
     max_assoc = 0.0
     witness_at = (0, 0, 0)
     for start, block_max, at in blocks:
         if start == 0 or block_max > max_assoc:
             max_assoc, witness_at = block_max, at
 
-    left_unit = np.einsum("j,jik->ik", u, c)
-    right_unit = np.einsum("j,ijk->ik", u, c)
-    eye = np.eye(n)
-    max_unit = float(
-        max(
-            np.max(np.abs(left_unit - eye)) if left_unit.size else 0.0,
-            np.max(np.abs(right_unit - eye)) if right_unit.size else 0.0,
-        )
+    max_unit = max(
+        _unit_residual(n, second * n + third, u[first], values),
+        _unit_residual(n, first * n + third, u[second], values),
     )
 
     passed = max_assoc < axiom_tol and max_unit < axiom_tol
     witness = witness_at if max_assoc >= axiom_tol else None
     return ValidationReport(passed, max_assoc, max_unit, witness)
+
+
+def _unit_residual(n: int, keys: np.ndarray, u: np.ndarray, values: np.ndarray) -> float:
+    """``max |s - I|`` for the N x N sums ``s`` of ``u * values`` at the flat
+    ``keys``, each summed in the order of the entries.  A complex product
+    takes einsum's form, ``(ac - bd) + (ad + bc) i``, with each part summed
+    on its own."""
+    if np.iscomplexobj(u):
+        re = np.bincount(keys, u.real * values.real - u.imag * values.imag, n * n)
+        im = np.bincount(keys, u.real * values.imag + u.imag * values.real, n * n)
+        sums = re + 1j * im
+    else:
+        sums = np.bincount(keys, u * values, n * n)
+    return float(np.abs(sums - np.eye(n).ravel()).max(initial=0.0))
 
 
 def _sparse_pays(n: int, first: np.ndarray, second: np.ndarray, third: np.ndarray) -> bool:
@@ -204,22 +243,21 @@ def _assoc_dense(c: np.ndarray):
         yield start, float(worst.max()), (start + int(i), int(j), int(k))
 
 
-def _assoc_sparse(c: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray, np.ndarray]):
+def _assoc_sparse(n: int, coordinates: tuple[np.ndarray, ...]):
     """Yield ``(start, worst residual, first worst triple)`` per block of
     pairs ``(i, j)``, flattened to ``i * N + j``, from the nonzero products
     alone.
 
-    ``nonzeros`` are the coordinates of the nonzero ``c[i, j, m]`` in C
-    order.  On the left side each entry ``(i, j, m)`` meets every
-    ``(m, k, l)``; on the right side each entry ``(i, m, l)`` meets every
-    ``(j, k, m)`` whose ``(i, j)`` lies in the block.  The products are keyed
+    ``coordinates`` are :attr:`Algebra.coordinates`: the indices of the
+    nonzero ``c[i, j, m]`` in C order and their values.  On the left side
+    each entry ``(i, j, m)`` meets every ``(m, k, l)``; on the right side
+    each entry ``(i, m, l)`` meets every ``(j, k, m)`` whose ``(i, j)`` lies
+    in the block.  The products are keyed
     by the flat index of ``(i, j, k, l)``, sorted and summed per key.  A block
     takes consecutive pairs up to ``_VALIDATE_BLOCK_BYTES`` of products, or a
     single pair (at most 2 N^3 products) that exceeds it alone.
     """
-    n = c.shape[0]
-    first, second, third = nonzeros
-    vals = c[nonzeros]
+    first, second, third, vals = coordinates
     pair = first * n + second
     count_first = np.bincount(first, minlength=n)
     begin_first = np.cumsum(count_first) - count_first
@@ -232,7 +270,7 @@ def _assoc_sparse(c: np.ndarray, nonzeros: tuple[np.ndarray, np.ndarray, np.ndar
     per_im = np.bincount(pair, minlength=n * n).reshape(n, n).astype(float)
     per_jm = np.bincount(first * n + third, minlength=n * n).reshape(n, n).astype(float)
     done = np.concatenate(([0.0], np.cumsum(left + (per_im @ per_jm.T).ravel())))
-    cap = _VALIDATE_BLOCK_BYTES // (8 + c.itemsize)
+    cap = _VALIDATE_BLOCK_BYTES // (8 + vals.itemsize)
     start = 0
     while start < n * n:
         stop = max(start + 1, int(np.searchsorted(done, done[start] + cap, side="right")) - 1)

@@ -17,7 +17,6 @@ function, so ``builders`` loads none of them and ``analyze`` does not load
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -45,6 +44,7 @@ from .errors import (
 )
 from .report import (
     ReportDocument,
+    _json_text,
     algebra_to_doc,
     load_algebra,
     load_functional,
@@ -285,7 +285,7 @@ def _cmd_builders(args) -> int:
     if not check.passed:
         raise AlgscopeError("builder output failed validation; this is a bug")
     if args.out is None:
-        sys.stdout.write(json.dumps(algebra_to_doc(alg), indent=2) + "\n")
+        sys.stdout.write(_json_text(algebra_to_doc(alg)))
     else:
         save_algebra(alg, args.out)
     return EXIT_OK

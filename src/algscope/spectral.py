@@ -123,7 +123,7 @@ class InvariantCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Full output of :func:`decompose` for one (algebra, functional) pair.
 
@@ -134,7 +134,7 @@ class Decomposition:
     ``filtrations`` and ``v_spaces`` lift them to the full algebra on first
     access.  Level 0 is Stab(alpha), which does not depend on the shift, so
     the shift-independence suite starts its filtrations from it.  ``seed``
-    draws the log-determinant nodes of :attr:`checks`."""
+    draws the log-determinant nodes of :attr:`checks`.  ``==`` is identity."""
 
     pencil: ReducedPencil
     chi: HomogeneousPoly

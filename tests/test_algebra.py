@@ -48,6 +48,14 @@ def test_every_builder_passes_validation(alg):
     assert report.passed, report
 
 
+def test_equality_is_identity():
+    # the generated field comparison would take the truth value of arrays
+    first, second = mat_algebra(2), mat_algebra(2)
+    assert first == first
+    assert not first == second
+    assert first != second
+
+
 def test_mat_algebra_shape_and_unit():
     alg = mat_algebra(1)
     assert alg.dim == 1 and alg.structure[0, 0, 0] == 1.0
@@ -391,3 +399,74 @@ def test_unit_check_keeps_a_complex_unit(alg):
 )
 def test_unit_residual_equals_the_complex_arithmetic_one(alg):
     assert validate(alg).max_unit_residual == unit_residual_in_complex_arithmetic(alg)
+
+
+def complex_structure_algebra():
+    """Mat_2 with two imaginary structure constants added: not an algebra,
+    but well-formed data."""
+    return perturbed(mat_algebra(2), {(0, 1, 3): 2e-3j, (3, 3, 0): -1e-3j})
+
+
+def assert_coordinates_match_the_tensor(alg):
+    index = np.nonzero(alg.structure)
+    *coords, values = alg.coordinates
+    for got, want in zip(coords, index):
+        np.testing.assert_array_equal(got, want)
+    expected = alg.structure[index]
+    if expected.imag.any():
+        assert values.dtype == complex
+    else:
+        assert values.dtype == float
+        expected = expected.real
+    np.testing.assert_array_equal(values, expected)
+    assert not any(array.flags.writeable for array in alg.coordinates)
+
+
+@pytest.mark.parametrize("alg", ALL_BUILDERS, ids=lambda a: f"dim{a.dim}")
+def test_coordinates_are_the_nonzero_entries(alg):
+    assert_coordinates_match_the_tensor(alg)
+
+
+def test_coordinates_of_complex_structure_constants():
+    alg = complex_structure_algebra()
+    assert_coordinates_match_the_tensor(alg)
+    assert alg.coordinates[3].dtype == complex
+
+
+def test_coordinates_of_a_loaded_algebra(tmp_path):
+    from algscope.report import load_algebra, save_algebra
+
+    path = str(tmp_path / "sum.alg")
+    save_algebra(direct_sum(upper_triangular(3), group_algebra(symmetric3_table())), path)
+    assert_coordinates_match_the_tensor(load_algebra(path))
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        mat_algebra(3),
+        pytest.param(in_unimodular_basis(mat_algebra(2), 0), id="dense"),
+        pytest.param(complex_structure_algebra(), id="complex"),
+    ],
+    ids=lambda a: f"dim{a.dim}",
+)
+def test_a_second_validate_scans_no_tensor(alg, monkeypatch):
+    first = validate(alg)
+    scans = []
+    real_nonzero = np.nonzero
+
+    def spy(a):
+        # the sparse kernel's np.flatnonzero finds its 1-D sums' heads here
+        scans.extend([a.shape] if np.ndim(a) == 3 else [])
+        return real_nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", spy)
+    validate(mat_algebra(2))
+    assert scans == [(4, 4, 4)]
+    scans.clear()
+    second = validate(alg)
+    assert scans == []
+    assert second.passed == first.passed and second.witness == first.witness
+    for name in ("max_assoc_residual", "max_unit_residual"):
+        bits = [np.float64(getattr(report, name)).tobytes() for report in (first, second)]
+        assert bits[0] == bits[1], name

@@ -21,6 +21,7 @@ from algscope import (
 from algscope.cli import main
 from algscope.report import (
     ReportDocument,
+    _json_text,
     algebra_from_doc,
     algebra_to_doc,
     functional_from_doc,
@@ -93,6 +94,31 @@ class TestFileRoundTrips:
             doc["basis"] = list(alg.basis_labels)
         assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
+    def test_negative_zero_imaginary_parts_are_kept(self, tmp_path):
+        # every entry is real, so the coordinate form holds real values; the
+        # file still writes each -0.0 the tensor holds
+        base = mat_algebra(2)
+        c = base.structure.copy()
+        c.imag[c != 0] = -0.0
+        unit = base.unit.copy()
+        unit.imag[:] = -0.0
+        alg = Algebra(4, c, unit, base.basis_labels)
+        assert alg.coordinates[3].dtype == float
+        path = tmp_path / "a.alg"
+        save_algebra(alg, str(path))
+        doc = {
+            "dim": 4,
+            "unit": [[z.real, z.imag] for z in alg.unit],
+            "structure": algebra_doc_by_loops(alg),
+            "basis": list(alg.basis_labels),
+        }
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert text.count("-0.0") == 8 + 4
+        back = load_algebra(str(path))
+        save_algebra(back, str(tmp_path / "b.alg"))
+        assert (tmp_path / "b.alg").read_text(encoding="utf-8") == text
+
     def test_duplicate_structure_entries_rejected(self):
         doc = {
             "dim": 2,
@@ -118,6 +144,92 @@ class TestFileRoundTrips:
         with pytest.raises(ParseError) as caught:
             algebra_from_doc(doc)
         assert str(caught.value).startswith("basis[1]: expected a string")
+
+
+def json_reference(doc):
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1]
+)
+NUMBERS = FINITE_FLOATS | st.integers() | st.integers(-(10**60), 10**60)
+STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028é\U0001f600", "a\nb\tc", ""]
+)
+SCALARS = st.none() | st.booleans() | NUMBERS | STRINGS
+KEYS = STRINGS | st.integers() | FINITE_FLOATS | st.booleans() | st.none()
+#: lists of equal-length rows of numbers, as the writer's one-format path takes
+ROWS = st.integers(1, 5).flatmap(
+    lambda width: st.lists(st.lists(NUMBERS, min_size=width, max_size=width), max_size=6)
+)
+DOCS = st.recursive(
+    SCALARS | ROWS | st.lists(NUMBERS),
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=5),
+    max_leaves=30,
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestJsonWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(DOCS)
+    def test_bytes_equal_json_dumps(self, doc):
+        assert _json_text(doc) == json_reference(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [[]], "d": [[], []]},
+            [[1, 2.5], [3, -0.0]],
+            [[1, 2], [3]],
+            [[True, 1.0], [False, 0]],
+            [np.float64(0.1), np.float64(-0.0), 2],
+            [[np.float64(0.1), 1.0], [2.0, 3.0]],
+            ((1.0, 2.0), (3.0, 4.0)),
+            {1: "a", 2.5: "b", True: "c", None: "d"},
+        ],
+    )
+    def test_edge_documents_equal_json_dumps(self, doc):
+        assert _json_text(doc) == json_reference(doc)
+
+    @settings(deadline=None, max_examples=100)
+    @given(DOCS, NON_FINITE, st.integers(0, 4))
+    def test_non_finite_floats_raise_value_error(self, doc, bad, where):
+        doc = [
+            [doc, bad],
+            {"k": [1.0, bad]},
+            [[1.0, 2], [bad, 3.0]],
+            {bad: doc},
+            [1, 2, bad],
+        ][where]
+        with pytest.raises(ValueError):
+            json_reference(doc)
+        with pytest.raises(ValueError, match="Out of range float values"):
+            _json_text(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            object(),
+            [1.0, 1j],
+            {"a": {1, 2}},
+            [[1.0, np.int64(3)], [2.0, 3.0]],
+            [np.float32(1.0)],
+            {(1, 2): 3},
+            b"bytes",
+        ],
+        ids=["object", "complex", "set", "numpy-int-in-row", "float32", "tuple-key", "bytes"],
+    )
+    def test_unsupported_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json_reference(doc)
+        with pytest.raises(TypeError):
+            _json_text(doc)
 
 
 class TestReportRoundTrip:
@@ -313,6 +425,14 @@ class TestCli:
         assert main(["builders", "matrix", "3", "--out", "m.alg"]) == 0
         alg = load_algebra("m.alg")
         assert alg.dim == 9
+
+    @pytest.mark.parametrize("args", [["matrix", "3"], ["group", "s3"], ["dual"]])
+    def test_builders_stdout_equals_the_file(self, workdir, capsys, args):
+        assert main(["builders", *args, "--out", "a.alg"]) == 0
+        capsys.readouterr()
+        assert main(["builders", *args]) == 0
+        with open("a.alg", encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read()
 
     def test_builders_group_and_compose(self, workdir):
         assert main(["builders", "group", "z2", "--out", "z2.alg"]) == 0

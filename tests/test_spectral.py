@@ -674,6 +674,18 @@ class TestAlpha0Independence:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize(
+        "f", [random_functional(4, np.random.default_rng(1)), Functional(np.zeros(4))],
+        ids=["random", "zero"],
+    )
+    def test_equality_is_identity(self, f):
+        # the generated field comparison would take the truth value of arrays
+        alg = mat_algebra(2)
+        first, second = decompose(alg, f, seed=2), decompose(alg, f, seed=2)
+        assert first == first
+        assert not first == second
+        assert first != second
+
     def test_zero_functional(self):
         dec = decompose(mat_algebra(2), Functional(np.zeros(4)))
         assert dec.nil.dim == 4
