@@ -1,8 +1,10 @@
 """Command-line surface: analyze, verify, builders.
 
 Exit codes: 0 on success with all checks passing, 1 on parse or usage
-errors and when ``analyze`` is given a functional whose reduced pencil is
-singular for every alpha (F is not generic; no report), 2 when an invariant
+errors, when an input algebra file fails the axioms (``analyze``,
+``verify`` and the ``direct-sum`` and ``opposite`` builders) and when
+``analyze`` is given a functional whose reduced pencil is singular for
+every alpha (F is not generic; no report), 2 when an invariant
 or a suite finding fails, or when ``verify --negative-control`` goes
 undetected on a non-commutative algebra (the report is still emitted).  On a
 commutative algebra the control is not applicable and does not gate.  The
@@ -281,8 +283,11 @@ def _cmd_builders(args) -> int:
     else:
         raise UnknownBuilder(f"unknown builder {name!r}")
 
-    check = validate(alg)
-    if not check.passed:
+    if name in ("direct-sum", "opposite"):
+        # these satisfy the axioms exactly when their input files do, so a
+        # failure is an input error; 1e-9 is validate's default tolerance
+        _require_axioms(alg, 1e-9)
+    elif not validate(alg).passed:
         raise AlgscopeError("builder output failed validation; this is a bug")
     if args.out is None:
         sys.stdout.write(_json_text(algebra_to_doc(alg)))

@@ -47,19 +47,20 @@ shifts (:func:`_alpha0_independence`).
 stage once over the batch, grouped by the quotient dimension K: the
 reduction, the shift draws, the spectrum with chi (from the spectrum's
 eigenvalues) and the level 0 of the multiple points each run stacked LAPACK
-calls.  Each stage has one implementation, written over a stack; the
-single-pencil functions
-(:func:`algscope.functional.reduce_pencil`, :func:`choose_alpha0`,
-:func:`char_poly`, :func:`spectrum`, :func:`algscope.linalg.nullspace`)
+calls.  Each of these stages has one implementation, written over a stack;
+the single-pencil functions (:func:`algscope.functional.reduce_pencil`,
+:func:`choose_alpha0`, :func:`spectrum`, :func:`algscope.linalg.nullspace`)
 call it with a stack of one, and :func:`decompose` is the batch of one.
-The invariant checks run on first read (:attr:`Decomposition.checks`).
 numpy runs on each matrix of a stack the routine a single call runs on it,
 so the rule is bitwise equality: each decomposition of a batch equals the
-one its functional gets alone, bit for bit.
+one its functional gets alone, bit for bit.  The invariant checks are no
+stage of the batch: each decomposition runs its own, on its one pencil,
+when they are first read (:attr:`Decomposition.checks`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,7 +80,6 @@ from .linalg import (
     orthonormal_columns,
     pencil_eigen,
     rank,
-    stack_ranks,
 )
 
 __all__ = [
@@ -156,8 +156,10 @@ class Decomposition:
 
     @cached_property
     def checks(self) -> tuple[InvariantCheck, ...]:
-        """The invariant checks (:func:`_decomposition_checks`), run on first
-        read; with K = 0, where nil must be the whole algebra, two fixed ones."""
+        """The invariant checks of this decomposition
+        (:func:`_decomposition_checks` of its pencil, points and V(alpha)
+        frames at its ``seed``), run on first read; with K = 0, where nil
+        must be the whole algebra, two fixed ones."""
         if not self.pencil.K:
             whole = self.nil.dim == self.nil.ambient_dim
             return (
@@ -165,8 +167,7 @@ class Decomposition:
                 InvariantCheck("v_spaces_direct_sum", whole, 0.0, "nil is the whole algebra"),
             )
         v_frames = [levels[-1] for levels in self.quotient_filtrations.values()]
-        args = [self.pencil], [list(self.points)], [v_frames], self.tol, self.seed
-        return tuple(_decomposition_checks(*args)[0])
+        return tuple(_decomposition_checks(self.pencil, self.points, v_frames, self.tol, self.seed))
 
     @property
     def v_spaces(self) -> dict[ProjectivePoint, Subspace]:
@@ -248,26 +249,23 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
     """
     if rp.K < 1:
         raise NoRegularValue("empty pencil has no spectrum to shift into")
-    (alpha0,) = _choose_alpha0s([rp], seed, floor)
+    (alpha0,) = _choose_alpha0s([rp], _pencil_stack([rp]), seed, floor)
     if isinstance(alpha0, Exception):
         raise alpha0
     return alpha0
 
 
 def _choose_alpha0s(
-    rps: list[ReducedPencil],
-    seed: int = 0,
-    floor: float = 1e-8,
-    stack: PencilStack | None = None,
+    rps: list[ReducedPencil], stack: PencilStack, seed: int = 0, floor: float = 1e-8
 ) -> list[complex | NoRegularValue]:
     """:func:`choose_alpha0` of each of the pencils ``rps``, all of one size
-    K >= 1 and all with ``seed``, so every pencil sees the same draws.  Each
-    draw is tested with one values-only SVD over the pencils still waiting;
-    a pencil that finds no shift gets in its place the error
-    :func:`choose_alpha0` would raise.  ``stack`` is the
-    :func:`_pencil_stack` of ``rps``, stacked here when not given."""
+    K >= 1 and all with ``seed``, so every pencil sees the same draws; its
+    caller hands it their :func:`_pencil_stack` ``stack``.  Each draw is
+    tested with one values-only SVD over the pencils still waiting; a
+    pencil that finds no shift gets in its place the error
+    :func:`choose_alpha0` would raise."""
     rng = np.random.default_rng(seed)
-    a, at, scales = _pencil_stack(rps) if stack is None else stack
+    a, at, scales = stack
     out: list = [None] * len(rps)
     best = [0.0] * len(rps)
     waiting = np.arange(len(rps))
@@ -404,7 +402,6 @@ def _stab_residuals(
     rps: list[ReducedPencil],
     alphas: list[list[ProjectivePoint]],
     frames: list[list[np.ndarray]],
-    stack: PencilStack | None = None,
 ) -> list[list[float]]:
     """How far each quotient frame ``frames[c][i]`` lies from
     Stab(alphas[c][i]) of the pencil ``rps[c]``, all of one size K: the
@@ -412,18 +409,18 @@ def _stab_residuals(
     columns w, ``|a~ w| / scale`` at infinity, with ``scale`` the pencil
     scale, and 0.0 for a frame with no columns.  Since sigma_min <= |S w|
     for a unit w, a residual below ``tol`` means the rank decision at the
-    same cutoff would find dim Stab(alpha) >= 1.  The pencils whose frames
-    have the same number of columns in all go through two stacked products
-    with their columns side by side, which hand each pencil's matrices to
-    the routine a pencil alone gets, so a pencil's residuals have the same
-    bits in a stack of any size; with no columns at all, no product runs.
-    ``stack`` is the :func:`_pencil_stack` of ``rps``, stacked here when
-    not given."""
+    same cutoff would find dim Stab(alpha) >= 1.  The alpha0 suite hands it
+    the pencils of one K-group, the invariant checks one pencil.  The
+    pencils whose frames have the same number of columns in all go through
+    two stacked products with their columns side by side, which hand each
+    pencil's matrices to the routine a pencil alone gets, so a pencil's
+    residuals have the same bits in a group of any size; with no columns at
+    all, nothing is stacked and no product runs."""
     widths = [w.shape[1] for row in frames for w in row]
     counts = [sum(w.shape[1] for w in row) for row in frames]
     if not any(counts):
         return [[0.0] * len(row) for row in frames]
-    a, at, scales = _pencil_stack(rps) if stack is None else stack
+    a, at, scales = _pencil_stack(rps)
     # per column of all pencils, in order: whether its point is infinity,
     # its value, and its residual
     points = [x for row in alphas for x in row]
@@ -452,154 +449,115 @@ def _stab_residuals(
     return [worst[end - len(row) : end] for row, end in zip(frames, ends)]
 
 
-def _direct_sum_ranks(
-    v_frames: list[list[np.ndarray]], k: int, tol: float
-) -> list[tuple[int, int]]:
-    """(rank, column count) of each pencil's stacked V(alpha) frames, K rows
-    each, at unit scale: one values-only SVD per column count, normally the
-    one stack of K x K matrices."""
-    stacked = [np.hstack(frames + [np.zeros((k, 0))]) for frames in v_frames]
-    counts = [w.shape[1] for w in stacked]
-    ranks = [0] * len(stacked)
-    for count in sorted(set(counts) - {0}):
-        members = [c for c, n in enumerate(counts) if n == count]
-        found = stack_ranks([stacked[c] for c in members], tol, [1.0] * len(members))
-        for c, r in zip(members, found.tolist()):
-            ranks[c] = r
-    return list(zip(ranks, counts))
-
-
-def _log_det_residuals(
-    stack: PencilStack, points: list[list[SpectrumPoint]], seed: int
-) -> list[float]:
-    """Per pencil of the :func:`_pencil_stack` ``stack``, how far
-    r(t) = log|det(a~ - t a~^T)| - sum_i m_i log|t - alpha_i|, the sum over
-    its finite points alpha_i of multiplicity m_i, is from a constant:
-    max r - min r over ``LOG_DET_NODES`` nodes t.
+def _log_det_residual(rp: ReducedPencil, points: Sequence[SpectrumPoint], seed: int) -> float:
+    """How far r(t) = log|det(a~ - t a~^T)| - sum_i m_i log|t - alpha_i|,
+    the sum over the finite ``points`` alpha_i of the pencil ``rp``, of
+    multiplicity m_i, is from a constant: max r - min r over
+    ``LOG_DET_NODES`` nodes t.
 
     det(a~ - t a~^T) = det(a~^T - t a~) = c prod_i (t - alpha_i)^m_i, of
     degree K - m_inf in t, so r is the constant log|c| when the points and
     their multiplicities are right: a wrong count at infinity leaves a trend
     in log|t|, and a wrong finite point or multiplicity a jump.  log|t| is
-    uniform over the log moduli of the pencil's nonzero finite points
-    widened by 1 on each side ([-1, 1] when it has none), and the phase of
-    t uniform; the draws come from a child of ``seed``'s sequence, apart
-    from the shift draws, and are shared by the stack.  The determinants
-    come from one stacked ``slogdet``, which cannot overflow, and each
-    pencil's sum from its own row, so a residual has the same bits in a
-    stack of any size."""
-    a, at, _ = stack
+    uniform over the log moduli of the nonzero finite points widened by 1
+    on each side ([-1, 1] when there are none), and the phase of t uniform;
+    the draws come from a child of ``seed``'s sequence, apart from the shift
+    draws.  The determinants come from one ``slogdet`` of the stack of the
+    nodes' matrices, which cannot overflow."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     u = rng.uniform(size=LOG_DET_NODES)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=LOG_DET_NODES)
-    finite = [[p for p in ps if not p.alpha.is_infinite] for ps in points]
-    nodes = []
-    for ps in finite:
-        moduli = [abs(p.alpha.value) for p in ps if p.alpha.value != 0]
-        lo, hi = (np.log(min(moduli)) - 1.0, np.log(max(moduli)) + 1.0) if moduli else (-1.0, 1.0)
-        nodes.append(np.exp(lo + u * (hi - lo) + 1j * phase))
-    t = np.array(nodes)
+    finite = [p for p in points if not p.alpha.is_infinite]
+    moduli = [abs(p.alpha.value) for p in finite if p.alpha.value != 0]
+    lo, hi = (np.log(min(moduli)) - 1.0, np.log(max(moduli)) + 1.0) if moduli else (-1.0, 1.0)
+    t = np.exp(lo + u * (hi - lo) + 1j * phase)
     # one node at a time: numpy's broadcast over all nodes at once is slower
-    mats = np.empty((len(a), LOG_DET_NODES) + a.shape[1:], dtype=complex)
+    mats = np.empty((LOG_DET_NODES,) + rp.a_tilde.shape, dtype=complex)
     for j in range(LOG_DET_NODES):
-        mats[:, j] = a - t[:, j, None, None] * at
+        mats[j] = rp.a_tilde - t[j] * rp.at_tilde
     _, log_dets = np.linalg.slogdet(mats)
-    out = []
-    for row, ts, ps in zip(log_dets, t, finite):
-        alphas = np.array([p.alpha.value for p in ps], dtype=complex)
-        mults = np.array([p.algebraic_mult for p in ps], dtype=float)
-        r = row - np.sum(mults * np.log(np.abs(ts[:, None] - alphas)), axis=1)
-        out.append(float(r.max() - r.min()))
-    return out
+    alphas = np.array([p.alpha.value for p in finite], dtype=complex)
+    mults = np.array([p.algebraic_mult for p in finite], dtype=float)
+    r = log_dets - np.sum(mults * np.log(np.abs(t[:, None] - alphas)), axis=1)
+    return float(r.max() - r.min())
 
 
 def _decomposition_checks(
-    rps: list[ReducedPencil],
-    points: list[list[SpectrumPoint]],
-    v_frames: list[list[np.ndarray]],
+    rp: ReducedPencil,
+    points: Sequence[SpectrumPoint],
+    v_frames: Sequence[np.ndarray],
     tol: float,
     seed: int,
-) -> list[list[InvariantCheck]]:
-    """Invariant checks of the decompositions of the reduced pencils
-    ``rps``, all of one size K >= 1, run once over the stack; a single
-    decomposition is the stack of one, and gets the same bits in a stack of
-    any size.  :attr:`Decomposition.checks` runs it on its own pencil.
+) -> list[InvariantCheck]:
+    """Invariant checks of one decomposition of the reduced pencil ``rp``,
+    of size K >= 1, into ``points``; :attr:`Decomposition.checks` runs it on
+    its own pencil, points and frames.
 
-    ``v_frames[c][i]`` is the quotient-coordinate frame of V(alpha) for
-    ``points[c][i]``.  The V(alpha) split the algebra over nil exactly when
+    ``v_frames[i]`` is the quotient-coordinate frame of V(alpha) for
+    ``points[i]``.  The V(alpha) split the algebra over nil exactly when
     the stacked frames have rank equal to both their column count and K;
     once the dimension checks fix the column count at K, this single rank
     test proves the sum is direct and spans, which pairwise intersections
-    cannot for three or more spaces.  The ranks take one values-only SVD per
-    column count (:func:`_direct_sum_ranks`), the simple points' residuals
-    in Stab(alpha) one product over the stack (:func:`_stab_residuals`),
-    and the log-determinant test one ``slogdet`` of the stack at
-    ``LOG_DET_NODES`` nodes drawn from ``seed`` (:func:`_log_det_residuals`).
-    That test reads the pencil and the points, not chi's coefficients,
-    whose end ones no threshold separates from roundoff at large K.  Its
-    threshold is K sqrt(``tol``): a point off by a relative delta moves r
-    by about m delta |alpha| / |t - alpha|, and the points are only as
-    accurate as the pencil's eigenvalue conditioning allows, far less
-    accurate than ``tol`` on some valid inputs (1e-7, with r moving by
-    1.5e-6, on an exact Mat_6 case), while a wrong point or multiplicity
-    moves r by order 1.
+    cannot for three or more spaces.  The rank takes one values-only SVD at
+    unit scale, the simple points' residuals in Stab(alpha) one product
+    (:func:`_stab_residuals`), and the log-determinant test one ``slogdet``
+    at ``LOG_DET_NODES`` nodes drawn from ``seed``
+    (:func:`_log_det_residual`).  That test reads the pencil and the
+    points, not chi's coefficients, whose end ones no threshold separates
+    from roundoff at large K.  Its threshold is K sqrt(``tol``): a point
+    off by a relative delta moves r by about m delta |alpha| / |t - alpha|,
+    and the points are only as accurate as the pencil's eigenvalue
+    conditioning allows, far less accurate than ``tol`` on some valid
+    inputs (1e-7, with r moving by 1.5e-6, on an exact Mat_6 case), while a
+    wrong point or multiplicity moves r by order 1.
     """
-    stack = _pencil_stack(rps)
-    k = rps[0].K
+    k = rp.K
+    total = sum(p.algebraic_mult for p in points)
+    worst = max((abs(w.shape[1] - p.algebraic_mult) for p, w in zip(points, v_frames)), default=0)
     # at a simple point the dimension check holds by construction, so test
     # that the frame lies in Stab(alpha)
-    simple = [[p.algebraic_mult == 1 for p in ps] for ps in points]
-    residuals = _stab_residuals(
-        rps,
-        [[p.alpha for p, keep in zip(ps, row) if keep] for ps, row in zip(points, simple)],
-        [[w for w, keep in zip(ws, row) if keep] for ws, row in zip(v_frames, simple)],
-        stack,
+    simple = [i for i, p in enumerate(points) if p.algebraic_mult == 1]
+    (residuals,) = _stab_residuals(
+        [rp], [[points[i].alpha for i in simple]], [[v_frames[i] for i in simple]]
     )
-    off_simple = [max(row, default=0.0) for row in residuals]
-    direct_sum = _direct_sum_ranks(v_frames, k, tol)
-    drifts = _log_det_residuals(stack, points, seed)
-    out = []
-    rows = zip(points, v_frames, off_simple, direct_sum, drifts)
-    for ps, frames, off, (r, cols), drift in rows:
-        total = sum(p.algebraic_mult for p in ps)
-        worst = max((abs(w.shape[1] - p.algebraic_mult) for p, w in zip(ps, frames)), default=0)
-        out.append(
-            [
-                InvariantCheck(
-                    "multiplicities_sum_to_quotient_dim",
-                    total == k,
-                    float(abs(total - k)),
-                    f"sum {total} vs K {k}",
-                ),
-                InvariantCheck(
-                    "v_dim_equals_nil_plus_multiplicity",
-                    worst == 0,
-                    float(worst),
-                    "dim V(alpha) - dim nil vs algebraic multiplicity",
-                ),
-                InvariantCheck(
-                    "simple_frames_in_stabilizer",
-                    off < tol,
-                    off,
-                    "max |(a~^T - alpha a~) v| / ((1 + |alpha|) scale) over simple points, "
-                    "|a~ v| / scale at infinity",
-                ),
-                InvariantCheck(
-                    "v_spaces_direct_sum",
-                    r == cols == k,
-                    float(max(cols - r, k - r)),
-                    f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
-                ),
-                InvariantCheck(
-                    "log_det_matches_spectrum",
-                    drift < k * tol**0.5,
-                    drift,
-                    f"max - min over {LOG_DET_NODES} nodes t of log|det(a~ - t a~^T)| "
-                    "- sum m log|t - alpha|, vs K sqrt(tol)",
-                ),
-            ]
-        )
-    return out
+    off = max(residuals, default=0.0)
+    stacked = np.hstack([*v_frames, np.zeros((k, 0))])
+    r, cols = rank(stacked, tol, scale=1.0), stacked.shape[1]
+    drift = _log_det_residual(rp, points, seed)
+    return [
+        InvariantCheck(
+            "multiplicities_sum_to_quotient_dim",
+            total == k,
+            float(abs(total - k)),
+            f"sum {total} vs K {k}",
+        ),
+        InvariantCheck(
+            "v_dim_equals_nil_plus_multiplicity",
+            worst == 0,
+            float(worst),
+            "dim V(alpha) - dim nil vs algebraic multiplicity",
+        ),
+        InvariantCheck(
+            "simple_frames_in_stabilizer",
+            off < tol,
+            off,
+            "max |(a~^T - alpha a~) v| / ((1 + |alpha|) scale) over simple points, "
+            "|a~ v| / scale at infinity",
+        ),
+        InvariantCheck(
+            "v_spaces_direct_sum",
+            r == cols == k,
+            float(max(cols - r, k - r)),
+            f"rank {r} of {cols} stacked V(alpha) columns vs K {k}",
+        ),
+        InvariantCheck(
+            "log_det_matches_spectrum",
+            drift < k * tol**0.5,
+            drift,
+            f"max - min over {LOG_DET_NODES} nodes t of log|det(a~ - t a~^T)| "
+            "- sum m log|t - alpha|, vs K sqrt(tol)",
+        ),
+    ]
 
 
 def decompose(
@@ -672,7 +630,7 @@ def decompose_all(
     for k, members in groups.items():
         group = [rps[i] for i in members]
         stacks[k] = _pencil_stack(group)
-        for i, alpha0 in zip(members, _choose_alpha0s(group, seed, stack=stacks[k])):
+        for i, alpha0 in zip(members, _choose_alpha0s(group, stacks[k], seed)):
             out[i] = alpha0
     failed = next((r for r in out if isinstance(r, Exception)), None)
     if failed is not None:

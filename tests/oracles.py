@@ -684,8 +684,9 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     chi from the shifted pencil's eigenvalues (:func:`eigen_char_poly`),
     ``spectrum`` (with its singular-shift test), one chain per multiple
     point up to its multiplicity from its own level-0 nullspace, and the
-    library's invariant checks of a stack of one, which the returned
-    decomposition's lazily computed ``checks`` must equal bit for bit."""
+    library's invariant checks of the one pencil, points and frames, which
+    the returned decomposition's lazily computed ``checks`` must equal bit
+    for bit."""
     from algscope.linalg import HomogeneousPoly, nullspace
     from algscope.functional import reduce_pencil
     from algscope.spectral import (
@@ -725,7 +726,7 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         levels[alpha] = tuple(frames)
     v_frames = [chain[-1] for chain in levels.values()]
-    (checks,) = _decomposition_checks([rp], [points], [v_frames], tol, seed)
+    checks = _decomposition_checks(rp, points, v_frames, tol, seed)
     dec = Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, seed)
     assert repr(dec.checks) == repr(tuple(checks))
     return dec

@@ -53,6 +53,8 @@ REMOVED = (
     "GramData",
     "PROVED_THEOREMS",
     "_minimize_stab_dims",
+    "_direct_sum_ranks",
+    "_log_det_residuals",
 )
 
 

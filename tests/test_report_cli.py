@@ -594,6 +594,36 @@ class TestCli:
         assert f"unit residual {rep.max_unit_residual:.3e}" in err
         assert f"witness {rep.witness}" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["opposite", "bad.alg"],
+            ["direct-sum", "bad.alg", "bad.alg"],
+            ["direct-sum", "bad.alg", "m3.alg"],
+        ],
+    )
+    def test_builders_on_a_file_failing_the_axioms_exit_one(self, workdir, capsys, args):
+        # an input error, as in analyze and verify: the message names the
+        # failure, and no algebra is written
+        from algscope import direct_sum, opposite, validate
+
+        base = mat_algebra(2)
+        c = base.structure.copy()
+        c[0, 1, 3] += 1e-3  # breaks the (E11 E12) E22 chain
+        save_algebra(Algebra(4, c, base.unit), "bad.alg")
+        save_algebra(mat_algebra(3), "m3.alg")
+        loaded = [load_algebra(path) for path in args[1:]]
+        built = opposite(*loaded) if args[0] == "opposite" else direct_sum(*loaded)
+        rep = validate(built, 1e-9)
+        assert main(["builders", *args, "--out", "out.alg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: algebra fails the axioms: ")
+        assert f"associativity residual {rep.max_assoc_residual:.3e}" in err
+        assert f"witness {rep.witness}" in err
+        assert not (workdir / "out.alg").exists()
+        assert main(["builders", *args]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_analyze_singular_pencil_exits_one(self, workdir, capsys):
         inputs = [
             # F(X) = tr(N X) with N the nilpotent shift

@@ -700,9 +700,9 @@ class TestDecompose:
         calls = []
         real = spectral._decomposition_checks
 
-        def counted(rps, *args):
-            calls.append(len(rps))
-            return real(rps, *args)
+        def counted(rp, *args):
+            calls.append(rp)
+            return real(rp, *args)
 
         monkeypatch.setattr(spectral, "_decomposition_checks", counted)
         alg = mat_algebra(3)
@@ -710,13 +710,14 @@ class TestDecompose:
         assert calls == [] and dec.seed == 4
         assert "checks" not in {field.name for field in dataclasses.fields(dec)}
         getattr(dec, read)
-        assert calls == [1]
+        assert len(calls) == 1 and calls[0] is dec.pencil
         for _ in range(3):
             assert dec.ok and dec.checks is dec.checks
-        assert calls == [1]
-        # the stack of one of the decomposition's own frames, at its seed
+        assert len(calls) == 1
+        # the checks of the decomposition's own pencil, points and frames,
+        # at its seed
         v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
-        (want,) = real([dec.pencil], [list(dec.points)], [v_frames], dec.tol, 4)
+        want = real(dec.pencil, dec.points, v_frames, dec.tol, 4)
         assert repr(dec.checks) == repr(tuple(want))
         # K = 0 takes its two checks from nil, with no call
         empty = decompose(alg, Functional(np.zeros(alg.dim)))
@@ -724,7 +725,7 @@ class TestDecompose:
             "multiplicities_sum_to_quotient_dim",
             "v_spaces_direct_sum",
         ]
-        assert empty.ok and calls == [1]
+        assert empty.ok and len(calls) == 1
 
     def test_mat3_shape(self):
         dec = decompose(mat_algebra(3), diag125())
@@ -830,7 +831,7 @@ class TestDirectSumCheck:
         alg, rp, dec, frames = self.mat3_frames()
         i, j = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1][:2]
         frames[j] = frames[i].copy()  # V(alpha_j) doctored to repeat V(alpha_i)
-        (checks,) = _decomposition_checks([rp], [list(dec.points)], [frames], TOL, 0)
+        checks = _decomposition_checks(rp, dec.points, frames, TOL, 0)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual >= 1.0
         lifted = [np.hstack([rp.quotient_frame @ w, rp.nil.frame]) for w in frames]
@@ -841,7 +842,7 @@ class TestDirectSumCheck:
     def test_extra_dependent_column_fails_even_at_full_rank(self):
         alg, rp, dec, frames = self.mat3_frames()
         frames[1] = np.hstack([frames[1], frames[0]])  # K + 1 columns of rank K
-        (checks,) = _decomposition_checks([rp], [list(dec.points)], [frames], TOL, 0)
+        checks = _decomposition_checks(rp, dec.points, frames, TOL, 0)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual == 1.0
 
@@ -862,7 +863,7 @@ class TestLogDetCheck:
     @staticmethod
     def log_det_check(dec, points):
         v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
-        (checks,) = _decomposition_checks([dec.pencil], [points], [v_frames], TOL, 0)
+        checks = _decomposition_checks(dec.pencil, points, v_frames, TOL, 0)
         return check_named(checks, "log_det_matches_spectrum")
 
     @classmethod
@@ -1015,7 +1016,7 @@ class TestSimpleFrames:
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         i = next(q for q, p in enumerate(dec.points) if p.algebraic_mult == 1)
         frames[i] = random_unit(dec.quotient_dim, np.random.default_rng(72))
-        (checks,) = _decomposition_checks([dec.pencil], [list(dec.points)], [frames], TOL, 0)
+        checks = _decomposition_checks(dec.pencil, dec.points, frames, TOL, 0)
         check = check_named(checks, "simple_frames_in_stabilizer")
         assert not check.passed and check.residual > 1e-3
         # the dimension checks cannot see the defect
@@ -1028,7 +1029,7 @@ class TestSimpleFrames:
         assert inf.alpha.is_infinite and inf.algebraic_mult == 1
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         frames[-1] = random_unit(dec.quotient_dim, np.random.default_rng(73))
-        (checks,) = _decomposition_checks([dec.pencil], [list(dec.points)], [frames], TOL, 0)
+        checks = _decomposition_checks(dec.pencil, dec.points, frames, TOL, 0)
         assert not check_named(checks, "simple_frames_in_stabilizer").passed
 
     def test_alpha0_suite_fails_on_a_doctored_simple_frame(self):
@@ -1277,7 +1278,7 @@ class TestDecomposeAll:
         kinds = []
         for floor in (1e-8, 0.05, 0.075, 1.0):
             for rps in stacks:
-                batch = _choose_alpha0s(rps, seed=7, floor=floor)
+                batch = _choose_alpha0s(rps, _pencil_stack(rps), seed=7, floor=floor)
                 for rp, got in zip(rps, batch):
                     kinds.append((floor, type(got).__name__))
                     try:
@@ -1294,9 +1295,9 @@ class TestDecomposeAll:
 
 
 class TestDecompositionChecksOracle:
-    """The checks run once over a stack agree with the per-pencil loop:
-    every check keeps its name, verdict and detail, and its residual to
-    1e-15 relative."""
+    """Each decomposition's checks agree with the per-pencil loop: every
+    check keeps its name, verdict and detail, and its residual to 1e-15
+    relative."""
 
     @staticmethod
     def assert_agree(checks, rp, points, v_frames, seed=0):
@@ -1328,16 +1329,16 @@ class TestDecompositionChecksOracle:
 
     def test_mixed_and_empty_quotients(self, monkeypatch):
         # K = 10, 4 and 0 in one batch: no check runs until a decomposition's
-        # checks are read, then once per decomposition with K >= 1, as a
-        # stack of one; the empty quotient keeps its two checks
+        # checks are read, then once per decomposition with K >= 1, on its
+        # own pencil; the empty quotient keeps its two checks
         import algscope.spectral as spectral
 
-        stacks = []
+        ks = []
         real = spectral._decomposition_checks
 
-        def counted(rps, *args):
-            stacks.append([rp.K for rp in rps])
-            return real(rps, *args)
+        def counted(rp, *args):
+            ks.append(rp.K)
+            return real(rp, *args)
 
         monkeypatch.setattr(spectral, "_decomposition_checks", counted)
         alg = mat2_plus_s3()
@@ -1346,14 +1347,14 @@ class TestDecompositionChecksOracle:
         fs = [random_functional(alg.dim, rng), Functional(on_mat2), Functional(np.zeros(10))]
         decs = decompose_all(alg, fs + [random_functional(alg.dim, rng)], seed=1)
         assert [dec.quotient_dim for dec in decs] == [10, 4, 0, 10]
-        assert stacks == []
+        assert ks == []
         assert len(self.assert_batch_agrees(decs, seed=1)) == 3
-        assert sorted(stacks) == [[4], [10], [10]]
+        assert sorted(ks) == [4, 10, 10]
         assert [c.name for c in decs[2].checks] == [
             "multiplicities_sum_to_quotient_dim",
             "v_spaces_direct_sum",
         ]
-        assert sorted(stacks) == [[4], [10], [10]]
+        assert sorted(ks) == [4, 10, 10]
 
     def test_infinite_points(self):
         decs = [
@@ -1395,9 +1396,9 @@ class TestDecompositionChecksOracle:
         want, _ = self.assert_batch_agrees(decs)
         assert {c.name for c in want if not c.passed} == failing
 
-    def test_doctored_frames_in_one_stack(self):
-        # one pencil four times: its own frames, a repeated column, an extra
-        # dependent column (K + 1 columns) and a random simple frame
+    def test_doctored_frames(self):
+        # one pencil with four sets of frames: its own, a repeated column, an
+        # extra dependent column (K + 1 columns) and a random simple frame
         alg = mat_algebra(3)
         dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(45)))
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
@@ -1406,16 +1407,13 @@ class TestDecompositionChecksOracle:
         repeated[simple[1]] = frames[simple[0]].copy()
         extra[simple[1]] = np.hstack([frames[simple[1]], frames[simple[0]]])
         randomized[simple[0]] = random_unit(dec.quotient_dim, np.random.default_rng(46))
-        stack = [frames, repeated, extra, randomized]
-        n = len(stack)
-        batch = _decomposition_checks([dec.pencil] * n, [list(dec.points)] * n, stack, TOL, 0)
-        failed = []
-        for checks, v_frames in zip(batch, stack):
-            want = self.assert_agree(checks, dec.pencil, dec.points, v_frames)
+        found, failed = [], []
+        for v_frames in [frames, repeated, extra, randomized]:
+            found.append(_decomposition_checks(dec.pencil, dec.points, v_frames, TOL, 0))
+            want = self.assert_agree(found[-1], dec.pencil, dec.points, v_frames)
             failed.append({c.name for c in want if not c.passed})
-            # a stack of one gives the same bits
-            (alone,) = _decomposition_checks([dec.pencil], [list(dec.points)], [v_frames], TOL, 0)
-            assert repr(alone) == repr(checks)
+        # the decomposition's own frames give its own checks
+        assert repr(tuple(found[0])) == repr(dec.checks)
         # a column of another point lies off Stab(alpha)
         off_stab = {"simple_frames_in_stabilizer", "v_spaces_direct_sum"}
         assert failed == [

@@ -465,6 +465,46 @@ class TestRegularFunctionals:
             assert finding.passed
             assert finding.notes[1:] == ("not applicable: the algebra is commutative",)
 
+    def test_negative_control_verdict_follows_the_dense_asymmetry(self):
+        # the verdict reads only the nonzero structure constants; it equals
+        # the rule on the dense max |c - c^T| on every builder, and on Z3
+        # given one asymmetric entry about the threshold 1e-9: one-sided
+        # (c[0, 1, 2] set, c[1, 0, 2] = 0) or two-sided (c[0, 1, 1] moved
+        # off c[1, 0, 1] = 1), and on the opposite of each
+        from algscope import Algebra
+
+        def dense_commutative(alg):
+            c = alg.structure
+            return np.max(np.abs(c - c.transpose(1, 0, 2))) < 1e-9
+
+        z3 = group_algebra(cyclic_table(3))
+        algs = [
+            mat_algebra(2),
+            mat_algebra(3),
+            upper_triangular(3),
+            dual_numbers(),
+            z3,
+            group_algebra(klein_table()),
+            group_algebra(symmetric3_table()),
+            direct_sum(mat_algebra(2), dual_numbers()),
+            opposite(upper_triangular(3)),
+        ]
+        assert z3.structure[0, 1, 2] == 0 == z3.structure[1, 0, 2]
+        for entry in ((0, 1, 2), (0, 1, 1)):
+            for size in (1e-3, 2e-9, 1e-9, 5e-10):
+                c = z3.structure.copy()
+                c[entry] += size
+                one = Algebra(z3.dim, c, z3.unit)
+                algs += [one, opposite(one)]
+        verdicts = []
+        for alg in algs:
+            verdict = negative_control_finding(alg).notes[-1]
+            verdicts.append(verdict)
+            commutative = verdict == "not applicable: the algebra is commutative"
+            assert commutative == dense_commutative(alg)
+        # a tiny asymmetry may leave the control undetected
+        assert {"control detected", "not applicable: the algebra is commutative"} <= set(verdicts)
+
     def test_identities_may_fail_away_from_the_minimizer(self):
         # direct check at the non-minimal functional: Stab(1) is all of Mat2
         alg = mat_algebra(2)
@@ -1125,8 +1165,6 @@ class TestTransversality:
         # v_spaces_direct_sum check, recomputed on the doctored frames, fails
         # wherever this suite does.  Doctored: one point's chain put in
         # place of another's, for every ordered pair of points
-        from algscope.spectral import _direct_sum_ranks
-
         rng = np.random.default_rng(41)
         jordan, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["levels3"][0])
         algs = [
@@ -1148,11 +1186,10 @@ class TestTransversality:
                 if p is not q
             ]
             for d in [dec] + doctored:
-                v_frames = [d.quotient_filtrations[p.alpha][-1] for p in d.points]
-                ((r, cols),) = _direct_sum_ranks([v_frames], d.quotient_dim, d.tol)
                 if not verify_stab_transversality(d).passed:
                     failures += 1
-                    assert not r == cols == d.quotient_dim
+                    check = next(c for c in d.checks if c.name == "v_spaces_direct_sum")
+                    assert not check.passed
         assert failures > 100
 
 
