@@ -398,55 +398,52 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
     return Subspace(rp.nil.ambient_dim, frame, tol)
 
 
+def _side_by_side(rows: list[list[np.ndarray]]) -> np.ndarray:
+    """The matrices of each row side by side, one matrix per row, stacked;
+    every row's matrices have one row count, and every row as many columns
+    in all."""
+    side = np.hstack([w for row in rows for w in row])
+    cols = sum(w.shape[1] for w in rows[0])
+    return np.ascontiguousarray(side.reshape(len(side), len(rows), cols).swapaxes(0, 1))
+
+
 def _stab_residuals(
     rps: list[ReducedPencil],
     alphas: list[list[ProjectivePoint]],
     frames: list[list[np.ndarray]],
 ) -> list[list[float]]:
     """How far each quotient frame ``frames[c][i]`` lies from
-    Stab(alphas[c][i]) of the pencil ``rps[c]``, all of one size K: the
-    largest ``|(a~^T - alpha a~) w| / ((1 + |alpha|) scale)`` over its
-    columns w, ``|a~ w| / scale`` at infinity, with ``scale`` the pencil
-    scale, and 0.0 for a frame with no columns.  Since sigma_min <= |S w|
-    for a unit w, a residual below ``tol`` means the rank decision at the
-    same cutoff would find dim Stab(alpha) >= 1.  The alpha0 suite hands it
-    the pencils of one K-group, the invariant checks one pencil.  The
-    pencils whose frames have the same number of columns in all go through
-    two stacked products with their columns side by side, which hand each
-    pencil's matrices to the routine a pencil alone gets, so a pencil's
-    residuals have the same bits in a group of any size; with no columns at
-    all, nothing is stacked and no product runs."""
-    widths = [w.shape[1] for row in frames for w in row]
-    counts = [sum(w.shape[1] for w in row) for row in frames]
-    if not any(counts):
+    Stab(alphas[c][i]) of the pencil ``rps[c]``, all of one size K, and
+    each row of frames of the same widths: the largest
+    ``|(a~^T - alpha a~) w| / ((1 + |alpha|) scale)`` over its columns w,
+    ``|a~ w| / scale`` at infinity, with ``scale`` the pencil scale, and
+    0.0 for a frame with no columns.  Since sigma_min <= |S w| for a unit
+    w, a residual below ``tol`` means the rank decision at the same cutoff
+    would find dim Stab(alpha) >= 1.  The alpha0 suite hands it the
+    pencils of one decomposition shape, the invariant checks one pencil.
+    Each row's frames go side by side into one matrix, and the rows through
+    two stacked products, which hand each pencil's matrices to the routine
+    a pencil alone gets, so a pencil's residuals have the same bits in a
+    group of any size; with no columns at all, nothing is stacked and no
+    product runs."""
+    widths = np.array([w.shape[1] for w in frames[0]], dtype=int)
+    if not widths.sum():
         return [[0.0] * len(row) for row in frames]
     a, at, scales = _pencil_stack(rps)
-    # per column of all pencils, in order: whether its point is infinity,
-    # its value, and its residual
-    points = [x for row in alphas for x in row]
-    infinite = np.repeat([x.is_infinite for x in points], widths)
-    values = np.repeat([0j if x.is_infinite else x.value for x in points], widths)
-    res = np.empty(len(infinite))
-    first = np.cumsum(counts) - counts
-    for count in sorted(set(counts) - {0}):
-        members = [c for c, n in enumerate(counts) if n == count]
-        # the members' frames side by side, one (K, count) matrix each
-        side = np.hstack([w for c in members for w in frames[c]])
-        w = np.ascontiguousarray(side.reshape(-1, len(members), count).swapaxes(0, 1))
-        cols = first[members, None] + np.arange(count)
-        inf, val = infinite[cols], values[cols]
-        a_w = a[members] @ w
-        images = np.where(inf[:, None, :], a_w, at[members] @ w - val[:, None, :] * a_w)
-        res[cols] = np.linalg.norm(images, axis=1) / (
-            np.where(inf, 1.0, 1.0 + np.abs(val)) * scales[members, None]
-        )
+    # per row and column: whether its point is infinity, and its value
+    infinite = np.array([[x.is_infinite for x in row] for row in alphas]).repeat(widths, axis=1)
+    values = np.array([[0j if x.is_infinite else x.value for x in row] for row in alphas])
+    values = values.repeat(widths, axis=1)
+    w = _side_by_side(frames)
+    a_w = a @ w
+    images = np.where(infinite[:, None, :], a_w, at @ w - values[:, None, :] * a_w)
+    norms = np.linalg.norm(images, axis=1)
+    res = norms / (np.where(infinite, 1.0, 1.0 + np.abs(values)) * scales[:, None])
     # the largest of each frame's columns, from its first column to the next
     # frame's; the appended 0 gives a trailing empty frame an index
-    widths = np.array(widths, dtype=int)
-    worst = np.maximum.reduceat(np.append(res, 0.0), np.cumsum(widths) - widths)
-    worst = np.where(widths > 0, worst, 0.0).tolist()
-    ends = np.cumsum([len(row) for row in frames]).tolist()
-    return [worst[end - len(row) : end] for row, end in zip(frames, ends)]
+    res = np.hstack([res, np.zeros((len(res), 1))])
+    worst = np.maximum.reduceat(res, np.cumsum(widths) - widths, axis=1)
+    return np.where(widths > 0, worst, 0.0).tolist()
 
 
 def _log_det_residual(rp: ReducedPencil, points: Sequence[SpectrumPoint], seed: int) -> float:

@@ -17,8 +17,11 @@ Each per-functional suite is written once, over a list of decompositions
 functionals; the public single-decomposition function is its batch of one.
 A batch is grouped so that every stacked product runs on each member's
 matrices the routine, at the shapes, that the member gets alone, so each
-finding has the same bits in a batch of any size.  No stacked operand takes
-more than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.
+finding has the same bits in a batch of any size: v-mult and the alpha0
+suite group decompositions by their shape (K and the widths of every
+point's levels, :func:`_shape`), whose members share one column layout,
+and dim-symmetry by their number of points.  No stacked operand takes more
+than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.
 
 :func:`verify_stab_transversality` is a check of one decomposition that no
 suite runs: it follows from the decomposition's own ``v_spaces_direct_sum``
@@ -51,6 +54,7 @@ from .spectral import (
     DEFAULT_TOL,
     Decomposition,
     _alpha0_independence,
+    _side_by_side,
     _stab_residuals,
     choose_alpha0,
     decompose_all,
@@ -131,6 +135,51 @@ def _budget_parts(members: list[int], nbytes: int) -> list[list[int]]:
     return [[members[j] for j in part] for part in parts if part]
 
 
+def _groups(keys) -> dict:
+    """The indices of ``keys`` per distinct key, in order of first
+    appearance; a key of None joins no group."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _shape(dec: Decomposition) -> tuple:
+    """The batch key of ``dec``: K and, per point in spectrum order, the
+    widths of its levels.  Decompositions of one shape share nil's
+    dimension and the column layout of their levels."""
+    levels = dec.quotient_filtrations
+    return dec.pencil.K, tuple(tuple(w.shape[1] for w in levels[p.alpha]) for p in dec.points)
+
+
+def _alphas(decs: list[Decomposition]) -> tuple[np.ndarray, np.ndarray]:
+    """The points of each of ``decs``, all with as many: (values,
+    infinite), the value 0 at infinity."""
+    rows = [[p.alpha for p in dec.points] for dec in decs]
+    infinite = np.array([[x.is_infinite for x in row] for row in rows], dtype=bool)
+    values = [[0j if x.is_infinite else x.value for x in row] for row in rows]
+    return np.array(values, dtype=complex), infinite
+
+
+def _point_indices(
+    decs: list[Decomposition], alphas: tuple[np.ndarray, np.ndarray], values: np.ndarray
+) -> np.ndarray:
+    """Per decomposition r of ``decs``, whose :func:`_alphas` are
+    ``alphas``, the index into its points of the point each finite value of
+    ``values[r]`` falls at, or -1: :meth:`Decomposition.point_at` (the
+    first point within ``cluster_tol``, relative for large values) applied
+    elementwise, to all decompositions at once."""
+    points, infinite = alphas
+    shape = (len(decs),) + (1,) * (values.ndim - 1) + (points.shape[1],)
+    points = points.reshape(shape)
+    v = values[..., None]
+    scale = np.maximum(np.maximum(1.0, np.abs(v)), np.abs(points))
+    near = np.array([dec.cluster_tol for dec in decs]).reshape(shape[:-1] + (1,)) * scale
+    close = (np.abs(v - points) <= near) & ~infinite.reshape(shape)
+    return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
+
+
 # --------------------------------------------------------------------------
 # kernel product relations
 
@@ -158,10 +207,7 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels], tol: float) -> list[Fin
     n = alg.dim
     s = alg.structure.reshape(n, n * n)
     out: list = [None] * len(kers)
-    groups: dict[tuple, list[int]] = {}
-    for i, ker in enumerate(kers):
-        groups.setdefault(tuple(x.dim for x in ker), []).append(i)
-    for dims, members in groups.items():
+    for dims, members in _groups(tuple(x.dim for x in ker) for ker in kers).items():
         frames = [np.stack([kers[i][t].frame for i in members]) for t in range(3)]
         b = len(members)
         worst = [0.0] * b
@@ -218,13 +264,10 @@ def _suite_shifts(dec: Decomposition, seed: int) -> tuple[complex, complex]:
 
 def _alpha0_suite(decs: list[Decomposition], seeds: list[int], tol: float) -> list[Finding]:
     """:func:`verify_alpha0_suite` of each of ``decs`` with its own seed:
-    one level-0 residual call per K-group, then each climb on its own."""
-    groups: dict[int, list[int]] = {}
-    for i, dec in enumerate(decs):
-        if dec.points:
-            groups.setdefault(dec.pencil.K, []).append(i)
+    one level-0 residual call per :func:`_shape`, then each climb on its
+    own."""
     residuals = {}
-    for members in groups.values():
+    for members in _groups(_shape(dec) if dec.points else None for dec in decs).values():
         found = _stab_residuals(
             [decs[i].pencil for i in members],
             [[p.alpha for p in decs[i].points] for i in members],
@@ -285,40 +328,6 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) ->
 # product inclusions between filtration levels
 
 
-def _point_table(decs: list[Decomposition]):
-    """The points of each of ``decs``, padded to the most points, and to
-    one at least: (values, finite, infinite, cluster_tol), the value 0 at
-    infinity and in the padding, which is neither finite nor infinite."""
-    width = max([len(dec.points) for dec in decs] + [1])
-    values = np.zeros((len(decs), width), dtype=complex)
-    finite = np.zeros((len(decs), width), dtype=bool)
-    infinite = np.zeros((len(decs), width), dtype=bool)
-    for r, dec in enumerate(decs):
-        for j, p in enumerate(dec.points):
-            if p.alpha.is_infinite:
-                infinite[r, j] = True
-            else:
-                finite[r, j] = True
-                values[r, j] = p.alpha.value
-    return values, finite, infinite, np.array([dec.cluster_tol for dec in decs])
-
-
-def _target_indices(table, values: np.ndarray) -> np.ndarray:
-    """Per decomposition r of the :func:`_point_table` ``table``, the index
-    into its points of the point each finite value of ``values[r]`` falls
-    at, or -1: :meth:`Decomposition.point_at` (the first point within
-    ``cluster_tol``, relative for large values) applied elementwise, to all
-    decompositions at once."""
-    alphas, finite, _, cluster_tol = table
-    shape = (len(alphas),) + (1,) * (values.ndim - 1) + (alphas.shape[1],)
-    alphas = alphas.reshape(shape)
-    v = values[..., None]
-    scale = np.maximum(np.maximum(1.0, np.abs(v)), np.abs(alphas))
-    near = cluster_tol.reshape(shape[:-1] + (1,)) * scale
-    close = (np.abs(v - alphas) <= near) & finite.reshape(shape)
-    return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
-
-
 def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
     """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for the pairs of spectral points
     of each of ``decs``, where infinity times a nonzero point is infinity;
@@ -331,11 +340,11 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> 
     ``dec.quotient_filtrations``, with no lift to :class:`Subspace`: the
     columns ``[Q W, nil]`` of all levels of all points of a decomposition
     are stacked into one matrix, and the matrices of a group, the
-    decompositions with the same K, column count and projection chunks,
-    into one array multiplied in one :func:`pairwise_products` call.  Every
-    level contains nil and ``[Q, nil]`` is unitary, so a product p lies off
-    the level ``[Q W, nil]`` by exactly the part of its quotient
-    coordinates c = Q^H p off W, and off nil by all of c: its residual is
+    decompositions of one :func:`_shape`, into one array multiplied in one
+    :func:`pairwise_products` call.  Every level contains nil and
+    ``[Q, nil]`` is unitary, so a product p lies off the level
+    ``[Q W, nil]`` by exactly the part of its quotient coordinates
+    c = Q^H p off W, and off nil by all of c: its residual is
     ``|c - W W^H c| / max(1, |p|)``, or ``|c| / max(1, |p|)`` for nil.
     Each product's residual is taken once, against its own target level:
     all coordinates are projected onto the columns of all levels, in chunks
@@ -349,113 +358,78 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> 
     witness.  Every product of two of its columns is one sample."""
     n = alg.dim
     out: list = [((0.0, None, 0), (0.0, None, 0))] * len(decs)
-    groups: dict[tuple, list[int]] = {}
-    for i, dec in enumerate(decs):
-        if dec.points:
-            widths = [w.shape[1] for p in dec.points for w in dec.quotient_filtrations[p.alpha]]
-            cols = sum(widths) + len(widths) * dec.pencil.nil.dim
-            chunks = tuple(sum(widths[t] for t in chunk) for chunk in _chunks(widths, n))
-            groups.setdefault((dec.pencil.K, cols, chunks), []).append(i)
-    for (_, cols, _), members in groups.items():
+    groups = _groups(_shape(dec) if dec.points else None for dec in decs)
+    for (k, chains), members in groups.items():
+        cols = sum(map(sum, chains)) + sum(map(len, chains)) * (n - k)
         for part in _budget_parts(members, 16 * cols * n * max(n, cols)):
             for i, found in zip(part, _group_inclusions(alg, [decs[i] for i in part], tol)):
                 out[i] = found
     return out
 
 
-def _positions(counts) -> np.ndarray:
-    """The index of each item within its run, for consecutive runs of
-    ``counts[i]`` items."""
-    counts = np.asarray(counts, dtype=int)
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
-    """:func:`_product_inclusions` of one group of decompositions."""
+    """:func:`_product_inclusions` of decompositions of one :func:`_shape`."""
     n = alg.dim
     b = len(decs)
-    # the group shares K, so nil has one dimension in all of it
     nil = decs[0].pencil.nil.dim
-    chains = [dec.quotient_filtrations[p.alpha] for dec in decs for p in dec.points]
-    flat = [w for chain in chains for w in chain]
-    table = _point_table(decs)
-    values, finite, infinite, _ = table
-    # per point of the group, in order: its index in its decomposition and
-    # its number of levels (n_levels, 0 in the padding); per column c of a
-    # decomposition's stack: the point point_of[c] and the level level_of[c]
-    # it spans part of, the level's W columns then nil's
-    n_points = [len(dec.points) for dec in decs]
-    chain_len = [len(chain) for chain in chains]
-    point_index = _positions(n_points)
-    n_levels = np.zeros(values.shape, dtype=int)
-    n_levels[np.repeat(np.arange(b), n_points), point_index] = chain_len
-    width = np.array([w.shape[1] for w in flat], dtype=int)
-    span = width + nil
-    point_of = np.repeat(np.repeat(point_index, chain_len), span).reshape(b, -1)
-    level_of = np.repeat(_positions(chain_len), span).reshape(b, -1)
-    cols = point_of.shape[1]
-    # per level of the group: its decomposition
-    per_dec = n_levels.sum(axis=1)
-    level_dec = np.repeat(np.arange(b), per_dec)
+    # the layout all members share: per point, its number of levels and its
+    # first level among all levels; per level, its width; per column c of a
+    # member's stack, the level level_at[c] among all levels it spans part
+    # of, the level's W columns then nil's, that level's point point_of[c]
+    # and its index level_of[c] in the point's chain
+    _, chains = _shape(decs[0])
+    n_levels = np.array([len(chain) for chain in chains], dtype=int)
+    first_level = np.cumsum(n_levels) - n_levels
+    width = np.array([w for chain in chains for w in chain], dtype=int)
+    level_at = np.repeat(np.arange(len(width)), width + nil)
+    point_of = np.repeat(np.arange(len(chains)), n_levels)[level_at]
+    level_of = level_at - first_level[point_of]
+    cols = len(level_at)
 
     # the target of each product, as an index into all levels of all points
     # of its decomposition: level min(k + m, last) at the point of
     # alpha * beta (infinity when a factor is), or -1 for nil
-    rows = np.arange(b)[:, None, None]
-    at = _target_indices(table, values[:, :, None] * values[:, None, :])
+    alphas = _alphas(decs)
+    values, infinite = alphas
+    at = _point_indices(decs, alphas, values[:, :, None] * values[:, None, :])
     either = infinite[:, :, None] | infinite[:, None, :]
     at = np.where(either, infinite.argmax(axis=1)[:, None, None], at)
-    target_point = at[rows, point_of[:, :, None], point_of[:, None, :]]
-    first_level = np.cumsum(n_levels, axis=1) - n_levels
-    level = np.minimum(
-        level_of[:, :, None] + level_of[:, None, :], n_levels[rows, target_point] - 1
-    )
-    target = np.where(target_point >= 0, first_level[rows, target_point] + level, -1)
-    target = target.reshape(b, -1)
-    finite_col = np.take_along_axis(finite, point_of, axis=1)
-    nonzero_col = np.take_along_axis(infinite | (values != 0), point_of, axis=1)
+    target_point = at[:, point_of[:, None], point_of[None, :]]
+    level = np.minimum(level_of[:, None] + level_of[None, :], n_levels[target_point] - 1)
+    target = np.where(target_point >= 0, first_level[target_point] + level, -1).reshape(b, -1)
+    finite_col = ~infinite[:, point_of]
+    nonzero_col = (infinite | (values != 0))[:, point_of]
     in_variant = [(x[:, :, None] & x[:, None, :]).reshape(b, -1) for x in (finite_col, nonzero_col)]
 
-    # the columns [Q W, nil] of every level, from one stacked product Q W
-    # per width, which runs on each level the routine that Q @ W alone
-    # does; no temporary outlives this step
+    # the columns [Q W, nil] of every level, from one stacked product Q W;
+    # at nil != 0 one index array puts nil's columns after each level's.  No
+    # temporary outlives this step
     q = np.stack([dec.pencil.quotient_frame for dec in decs])
-    start = np.cumsum(span) - span - level_dec * cols
-    stacked = np.empty((b, n, cols), dtype=complex)
-    for d in sorted(set(width.tolist())):
-        sel = np.flatnonzero(width == d)
-        at_cols = start[sel, None] + np.arange(d)
-        lifted = q[level_dec[sel]] @ np.stack([flat[t] for t in sel])
-        stacked[level_dec[sel, None], :, at_cols] = lifted.swapaxes(1, 2)
+    levels = [[w for p in dec.points for w in dec.quotient_filtrations[p.alpha]] for dec in decs]
+    stacked = q @ _side_by_side(levels)
+    del q
     if nil:
-        at_cols = (start + width)[:, None] + np.arange(nil)
-        nil_frames = np.stack([dec.pencil.nil.frame for dec in decs])[level_dec]
-        stacked[level_dec[:, None], :, at_cols] = nil_frames.swapaxes(1, 2)
+        total = width.sum()
+        starts = np.cumsum(width) - width
+        order = [np.r_[s : s + d, total : total + nil] for s, d in zip(starts, width)]
+        order = np.concatenate(order)
+        nil_frames = np.stack([dec.pencil.nil.frame for dec in decs])
+        stacked = np.concatenate([stacked, nil_frames], axis=2)[:, :, order]
         del nil_frames
-    del q, lifted
     prods = pairwise_products(alg, stacked, stacked).reshape(b, cols * cols, n)
+    del stacked
     scale = np.maximum(1.0, np.linalg.norm(prods, axis=2))
     # each product's quotient coordinates, as a row, less their projection
-    # onto its target level; chunk s of each decomposition holds whole
-    # levels of at most N columns in all, as many in every member, so no
-    # array outgrows the product tensor, and at most three of its size are
-    # alive at once.  A row's target lies in one chunk, and every other
-    # chunk takes exact zeros off it
+    # onto its target level; each chunk holds whole levels of at most N
+    # columns in all, so no array outgrows the product tensor, and at most
+    # three of its size are alive at once.  A row's target lies in one
+    # chunk, and every other chunk takes exact zeros off it
     coords = prods @ np.stack([dec.pencil.quotient_frame.conj() for dec in decs])
     del prods
-    # per level of the group: its index among its decomposition's levels,
-    # and its chunk there
-    level_at = _positions(per_dec)
-    chunks = [_chunks(ws.tolist(), n) for ws in np.split(width, np.cumsum(per_dec)[:-1])]
-    chunk_of = np.concatenate([np.repeat(np.arange(len(ch)), list(map(len, ch))) for ch in chunks])
-    for s in range(len(chunks[0])):
-        sel = np.flatnonzero(chunk_of == s)
-        # the members' levels of chunk s side by side, one matrix each
-        frames = np.hstack([flat[t] for t in sel]).reshape(decs[0].pencil.K, b, -1)
-        frames = np.ascontiguousarray(frames.swapaxes(0, 1))
-        level_of_col = np.repeat(level_at[sel], width[sel]).reshape(b, -1)
+    for chunk in _chunks(width.tolist(), n):
+        frames = _side_by_side([row[chunk[0] : chunk[-1] + 1] for row in levels])
         onto = coords @ frames.conj()
-        onto[target[:, :, None] != level_of_col[:, None, :]] = 0.0
+        onto[target[:, :, None] != np.repeat(chunk, width[chunk])] = 0.0
         coords -= onto @ frames.transpose(0, 2, 1)
         del onto
     res = np.linalg.norm(coords, axis=2) / scale
@@ -469,16 +443,11 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> li
             if not samples[r] or worst[r] < tol:
                 variant.append((worst[r] if samples[r] else 0.0, None, samples[r]))
                 continue
-            hit = np.flatnonzero(members[r] & (res[r] == worst[r]))
-            p, q = np.divmod(hit, cols)
-            x, y = min(
-                zip(p, q),
-                key=lambda pq: (
-                    point_of[r, pq[0]], point_of[r, pq[1]], level_of[r, pq[0]], level_of[r, pq[1]]
-                ),
-            )
-            a, c = dec.points[point_of[r, x]].alpha, dec.points[point_of[r, y]].alpha
-            variant.append((worst[r], (a, c, int(level_of[r, x]), int(level_of[r, y])), samples[r]))
+            x, y = np.divmod(np.flatnonzero(members[r] & (res[r] == worst[r])), cols)
+            first = np.lexsort((level_of[y], level_of[x], point_of[y], point_of[x]))[0]
+            x, y = x[first], y[first]
+            a, c = dec.points[point_of[x]].alpha, dec.points[point_of[y]].alpha
+            variant.append((worst[r], (a, c, int(level_of[x]), int(level_of[y])), samples[r]))
         found.append(variant)
     return list(zip(*found))
 
@@ -521,15 +490,20 @@ def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[F
 
 def _dim_symmetry(decs: list[Decomposition]) -> list[list[Finding]]:
     """:func:`verify_dim_symmetry` of each of ``decs``, the mirrors of all
-    their points looked up at once in their :func:`_point_table`: a nonzero
-    finite point's is 1/alpha, infinity's is 0, and 0's is the infinite
-    point."""
-    table = _point_table(decs)
-    values, finite, infinite, _ = table
-    zero = finite & (values == 0)
-    mirrors = np.divide(1.0, values, out=np.zeros_like(values), where=finite & ~zero)
-    at_infinity = np.where(infinite.any(axis=1), infinite.argmax(axis=1), -1)
-    found = np.where(zero, at_infinity[:, None], _target_indices(table, mirrors)).tolist()
+    points of a group of equal point counts looked up at once
+    (:func:`_point_indices`): a nonzero finite point's is 1/alpha,
+    infinity's is 0, and 0's is the infinite point."""
+    found: list = [[]] * len(decs)
+    for members in _groups(len(dec.points) or None for dec in decs).values():
+        group = [decs[i] for i in members]
+        alphas = _alphas(group)
+        values, infinite = alphas
+        mirrors = np.divide(1.0, values, out=np.zeros_like(values), where=values != 0)
+        at_infinity = np.where(infinite.any(axis=1), infinite.argmax(axis=1), -1)
+        zero = ~infinite & (values == 0)
+        at = np.where(zero, at_infinity[:, None], _point_indices(group, alphas, mirrors))
+        for i, row in zip(members, at.tolist()):
+            found[i] = row
     out = []
     for dec, hits in zip(decs, found):
         v_mismatch = stab_mismatch = 0
@@ -568,7 +542,7 @@ def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
     spectrum order, that reaches its largest mismatch, with its mirror or
     "no mirror point".  Each mirror is found by the rule of
     :meth:`Decomposition.point_at`, all of them at once (see
-    :func:`_target_indices`).  It runs the stacked suite on a batch of one."""
+    :func:`_point_indices`).  It runs the stacked suite on a batch of one."""
     return _dim_symmetry([dec])[0]
 
 
@@ -639,9 +613,12 @@ def minimize_stab_dim(
     more samples can only lower the result.  The pairings of all candidates
     come from one contraction, and their ranks from stacked values-only SVDs
     (:func:`algscope.linalg.stack_ranks`): ``f_start`` first, then the
-    samples only when its kernel is nonzero.  A functional whose dimension
-    is not ``alg.dim`` raises :class:`DimensionMismatch`.
+    samples only when its kernel is nonzero.  (0, 0) raises
+    :class:`ValueError`, and a functional whose dimension is not
+    ``alg.dim`` :class:`DimensionMismatch`.
     """
+    if lambda0 == 0 and mu0 == 0:
+        raise ValueError("lambda0 and mu0 must not both be 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if any(f.dim != alg.dim for f in [f_start, *s_basis]):
@@ -773,8 +750,9 @@ def run_suites(
     rank_tol: float = DEFAULT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[Finding]:
-    """Run the selected suites over random functionals; deterministic per
-    seed.  The drawn functionals are decomposed and checked in consecutive
+    """Run the selected suites over ``n_functionals`` >= 1 random
+    functionals (fewer raise :class:`ValueError`); deterministic per seed.
+    The drawn functionals are decomposed and checked in consecutive
     chunks, each as one batch: at most ``_VALIDATE_BLOCK_BYTES`` over 16 N^3
     functionals, the size of a product tensor of N columns, so all of them
     at N <= 16, and only the findings of a finished chunk are kept.  A
@@ -785,8 +763,8 @@ def run_suites(
     per-functional suite then runs once over the chunk, written over its
     decompositions with stacked products, and each finding equals, bit for
     bit, the one its public single-decomposition function gives;
-    ``v-mult`` checks both of its variants on one product tensor per group,
-    in quotient coordinates, so no suite lifts a level
+    ``v-mult`` checks both of its variants on one product tensor per
+    decomposition shape, in quotient coordinates, so no suite lifts a level
     (``Decomposition.filtrations``).  ``kernel-relations``, ``nil-ideal``
     and ``multiplicative`` read the kernels each reduced pencil keeps, or,
     when no suite needs a decomposition, the chunk's kernels from one
@@ -804,6 +782,8 @@ def run_suites(
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
+    if n_functionals < 1:
+        raise ValueError("n_functionals must be >= 1")
     rng = np.random.default_rng(seed)
     fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
     analysed = {"alpha0", "v-mult", "dim-symmetry"}.intersection(suites)
@@ -844,7 +824,7 @@ def run_suites(
                 findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
     if {"corollary2", "corollary3"}.intersection(suites):
         if first is None:
-            first = reduce_pencil(alg, fs[0] if fs else random_functional(alg.dim, rng), rank_tol)
+            first = reduce_pencil(alg, fs[0], rank_tol)
         if "corollary2" in suites:
             findings.append(verify_corollaries(alg, first, ProjectivePoint.finite(1.0)))
         if "corollary3" in suites:

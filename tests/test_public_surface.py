@@ -55,6 +55,9 @@ REMOVED = (
     "_minimize_stab_dims",
     "_direct_sum_ranks",
     "_log_det_residuals",
+    "_point_table",
+    "_positions",
+    "_target_indices",
 )
 
 

@@ -50,9 +50,10 @@ from algscope.verify import (
     SUITE_NAMES,
     V_MULT_FINITE,
     V_MULT_NONZERO,
-    _point_table,
+    _alphas,
+    _point_indices,
     _product_inclusions,
-    _target_indices,
+    _shape,
 )
 
 from oracles import (
@@ -333,6 +334,14 @@ class TestMinimize:
             alg, 1.0, -1.0, full_dual(2), Functional(np.array([1.0, 0.3])), seed=2
         )
         assert dim == 2
+
+    def test_rejects_the_zero_combination(self):
+        # 0 a^T + 0 a is no point of the pencil: every kernel is the whole
+        # algebra, which says nothing about a minimizer
+        alg = mat_algebra(2)
+        f0 = matrix_trace_functional(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="lambda0 and mu0"):
+            minimize_stab_dim(alg, 0, 0, full_dual(4), f0)
 
     def test_monotone_in_sample_count(self):
         alg = upper_triangular(3)
@@ -743,7 +752,7 @@ class TestProductInclusionsOracle:
             dec = dataclasses.replace(dec, cluster_tol=cluster_tol)
         values = np.array([p.alpha.value for p in dec.points])
         grid = np.concatenate([np.outer(values, values).ravel(), [4.0, 1.0 + 1e-9, 0.0, 30.0]])
-        (found,) = _target_indices(_point_table([dec]), grid[None])
+        (found,) = _point_indices([dec], _alphas([dec]), grid[None])
         assert np.array_equal(found, target_indices_loop(dec, grid))
         for value, index in zip(grid, found):
             point = dec.point_at(ProjectivePoint.finite(value))
@@ -1069,17 +1078,11 @@ class TestLinearAlgebraCounts:
             run_suites(alg, SUITE_NAMES, n_functionals=n, seed=4)
             rng = np.random.default_rng(4)
             decs = decompose_all(alg, [random_functional(alg.dim, rng) for _ in range(n)], seed=4)
-            # v-mult: one product call per group of decompositions with
-            # equal K and column counts, not one per decomposition; every
-            # chain here has one level, so that fixes the projection chunks
-            chains = [list(dec.quotient_filtrations.values()) for dec in decs]
-            assert all(len(chain) == 1 for levels in chains for chain in levels)
-            columns = {
-                (dec.quotient_dim, sum(chain[0].shape[1] + dec.nil.dim for chain in levels))
-                for dec, levels in zip(decs, chains)
-            }
-            groups.append(len(columns))
-            assert callers.count("_group_inclusions") == len(columns)
+            # v-mult: one product call per decomposition shape, not one per
+            # decomposition
+            shapes = {_shape(dec) for dec in decs}
+            groups.append(len(shapes))
+            assert callers.count("_group_inclusions") == len(shapes)
             assert opposites == []
             # kernel relations: per group of equal kernel dimensions, one
             # product per relation between two nonzero kernels
@@ -1226,6 +1229,12 @@ class TestRunSuites:
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suites(mat_algebra(2), suites=("nope",), n_functionals=1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_no_functionals(self, n):
+        # a run over no functionals would check nothing and pass
+        with pytest.raises(ValueError, match="n_functionals"):
+            run_suites(mat_algebra(2), n_functionals=n)
 
     def test_corollary1_suite_is_gone(self):
         with pytest.raises(ValueError):
@@ -1473,6 +1482,34 @@ class TestRunSuitesOracle:
                 assert_same_findings(found[per * i : per * (i + 1)], single)
         failed = [f for suite in stacked for f in suite if not f.passed]
         assert {f.theorem_id for f in failed} >= {V_MULT_FINITE, V_MULT_NONZERO}
+
+    def test_shapes_of_one_column_count_match_alone(self, monkeypatch):
+        # Mat_3 at F = tr(diag(q) X): q = (1, 2, 5) and random functionals
+        # give seven one-level points, 1 of multiplicity 3 fourth; q = (1,
+        # -1, 2) gives six, 1 of multiplicity 3 third and -1 of multiplicity
+        # 2 fourth.  Both have K = 9 and nine columns, but two shapes
+        import algscope.verify as verify
+
+        alg = mat_algebra(3)
+        rng = np.random.default_rng(7)
+        fs = [diag125(), matrix_trace_functional(np.diag([1.0, -1.0, 2.0]))]
+        batch = decompose_all(alg, fs + [random_functional(9, rng) for _ in range(2)])
+        shapes = [_shape(dec) for dec in batch]
+        assert shapes[0] == shapes[2] == shapes[3] != shapes[1]
+        assert {(k, sum(map(sum, chains))) for k, chains in shapes} == {(9, 9)}
+        products = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_group_inclusions")
+        residuals = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_stab_residuals")
+        seeds = list(range(len(batch)))
+        stacked = stacked_suites(alg, batch, seeds)
+        # one call per shape, in order of first appearance
+        assert [len(args[1]) for args, _ in products] == [3, 1]
+        assert [len(args[0]) for args, _ in residuals] == [3, 1]
+        for found, expected in zip(stacked, looped_suites(alg, batch, seeds)):
+            assert_same_findings(found, expected)
+        for i, dec in enumerate(batch):
+            alone = stacked_suites(alg, [dec], [i])
+            for found, single, per in zip(stacked, alone, (1, 1, 2, 2)):
+                assert_same_findings(found[per * i : per * (i + 1)], single)
 
     def test_groups_split_at_the_budget(self, monkeypatch):
         # a budget below one member's operands: every group runs in parts
