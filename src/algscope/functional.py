@@ -144,16 +144,46 @@ def _stack_kernels(a: np.ndarray, tol: float) -> list[Kernels]:
     of the stack gives both, at one rank per pairing, so the left and the
     right kernel have the same dimension.  Their intersections, those of
     :func:`algscope.linalg.subspace_intersect`, take one more full SVD, of
-    the stack of ``[I - P_left; I - P_right]`` of the pairings whose kernels
-    are both nonzero; the others meet in 0."""
+    the stack of ``[I - P_left; I - P_right]``, for the pairings whose
+    kernels :func:`_may_meet` cannot keep apart; the others meet in 0, and
+    their nil is 0 with no such SVD."""
     pairs = _nullspaces(a, tol, [None] * len(a), left=True)
-    both = [i for i, (left, right) in enumerate(pairs) if left.dim and right.dim]
+    meet = _may_meet(pairs, tol)
     nils = [Subspace.zero(a.shape[-1], tol) for _ in pairs]
-    if both:
-        ops = np.stack([_intersection_operator(*pairs[i]) for i in both])
-        for i, nil in zip(both, _nullspaces(ops, tol, [1.0] * len(both))):
+    if meet:
+        ops = np.stack([_intersection_operator(*pairs[i]) for i in meet])
+        for i, nil in zip(meet, _nullspaces(ops, tol, [1.0] * len(meet))):
             nils[i] = nil
     return [Kernels(left, right, nil) for (left, right), nil in zip(pairs, nils)]
+
+
+def _may_meet(pairs: list[tuple[Subspace, Subspace]], tol: float) -> list[int]:
+    """The indices, in order, of the (left, right) kernel pairs ``pairs``
+    whose intersection at ``tol`` may be nonzero, decided by their principal
+    angles (Bjorck and Golub, Math. Comp. 27, 1973).
+
+    The singular values of ``(I - P_left) R``, R the right kernel's frame,
+    are the sines of the principal angles theta between the kernels, and
+    one values-only SVD per kernel dimension gives them.  The intersection
+    SVD sees ``[I - P_left; I - P_right]``, whose small singular values are
+    sqrt(2) sin(theta / 2), against a cutoff of at most sqrt(2) tol, so it
+    finds an intersection only where sin(theta) = 2 sin(theta / 2)
+    cos(theta / 2) is below 2 tol.  A pair whose sines are all at least
+    4 tol, twice that bound, meets in 0: the margin absorbs the rounding of
+    both SVDs.  The others take the intersection SVD, which decides their
+    nil exactly as :func:`subspace_intersect` does."""
+    groups: dict[int, list[int]] = {}
+    for i, (_, right) in enumerate(pairs):
+        if right.dim:
+            groups.setdefault(right.dim, []).append(i)
+    meet = []
+    for members in groups.values():
+        left = np.stack([pairs[i][0].frame for i in members])
+        right = np.stack([pairs[i][1].frame for i in members])
+        off = right - left @ (left.conj().transpose(0, 2, 1) @ right)
+        sines = np.linalg.svd(off, compute_uv=False)
+        meet += [i for i, s in zip(members, sines[:, -1].tolist()) if not s >= 4.0 * tol]
+    return sorted(meet)
 
 
 @dataclass(frozen=True)

@@ -353,7 +353,8 @@ def pencil_eigen(
     ``alpha0``, with the eigenvector of each simple one.
 
     One ``np.linalg.eig`` gives the eigenvalues ``L`` and unit eigenvectors
-    of ``M = (a - alpha0*b)^{-1} b``.  An eigenvalue within the infinity
+    of ``M = (a - alpha0*b)^{-1} b``, its entries below eps ||M||_F first
+    set to 0 (:func:`_shifted_eigens`).  An eigenvalue within the infinity
     cutoff (``b x = 0`` for its vector x) maps to alpha = infinity, and every
     other one to ``alpha = alpha0 + 1/L`` (``(a - alpha*b) x = 0``).  Mapped
     values closer than ``cluster_tol`` (relative for large moduli) are
@@ -394,8 +395,20 @@ def _shifted_eigens(
     the points of :func:`pencil_eigen` for each pencil of a stack, given
     ``shifted[i] = a[i] - alpha0s[i] * b[i]`` at a shift already known to be
     regular: one ``solve`` and one ``eig`` over the whole stack, then
-    :func:`_stack_points` over the stack of eigenvalues."""
-    lams, vectors = np.linalg.eig(np.linalg.solve(shifted, b))
+    :func:`_stack_points` over the stack of eigenvalues.
+
+    ``eig`` balances its input, and entries of M = shifted^{-1} b at
+    roundoff level (down to 1e-33 and below where the quotient frame
+    carries roundoff) break its backward stability: on tri_4 at a
+    functional zero on half the coordinates, ||M X - X L|| / ||M|| reached
+    5e-2.  Every entry of each M below eps ||M||_F is set to 0 first, a
+    perturbation inside ``eig``'s own backward error.  The threshold is
+    each matrix's own, so a pencil gets the same bits in a stack of any
+    size."""
+    m = np.linalg.solve(shifted, b)
+    floor = np.finfo(float).eps * np.linalg.norm(m, axis=(1, 2))
+    m[np.abs(m) < floor[:, None, None]] = 0.0
+    lams, vectors = np.linalg.eig(m)
     vectors.setflags(write=False)
     return lams, _stack_points(lams, vectors, alpha0s, cluster_tol)
 

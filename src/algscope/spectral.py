@@ -38,6 +38,15 @@ each product in quotient coordinates: every level contains nil and
 :attr:`Decomposition.filtrations` lifts the levels to subspaces of the full
 algebra on first access, for the report's frames and the public API.
 
+At the two points where the pencil degenerates to one matrix, level 0 is
+already known.  Stab(infinity) = {x : F(z x) = 0 for all z} is the
+pairing's right kernel and Stab(0) = {x : F(x z) = 0 for all z} its left
+kernel, which the reduced pencil holds; in quotient coordinates each is the
+kernel seen through Q, Q^H kernel, of dimension dim kernel - dim nil.  A
+multiple point at 0 or infinity reads its level 0 from there
+(:func:`_kernel_stab_frame`), so its dimension is decided once, by the
+pairing's SVD, and only the other multiple points take a level-0 SVD.
+
 Level 0 does not involve the shift, so shift independence has content only
 above it: :func:`algscope.verify.verify_alpha0_suite` checks each level 0
 by its residual in Stab(alpha) and compares the levels above it under two
@@ -46,11 +55,12 @@ shifts (:func:`_alpha0_independence`).
 :func:`decompose_all` decomposes a batch of functionals with one seed, each
 stage once over the batch, grouped by the quotient dimension K: the
 reduction, the shift draws, the spectrum with chi (from the spectrum's
-eigenvalues) and the level 0 of the multiple points each run stacked LAPACK
-calls.  Each of these stages has one implementation, written over a stack;
-the single-pencil functions (:func:`algscope.functional.reduce_pencil`,
-:func:`choose_alpha0`, :func:`spectrum`, :func:`algscope.linalg.nullspace`)
-call it with a stack of one, and :func:`decompose` is the batch of one.
+eigenvalues) and the level 0 of the multiple points other than 0 and
+infinity each run stacked LAPACK calls.  Each of these stages has one
+implementation, written over a stack; the single-pencil functions
+(:func:`algscope.functional.reduce_pencil`, :func:`choose_alpha0`,
+:func:`spectrum`, :func:`algscope.linalg.nullspace`) call it with a stack
+of one, and :func:`decompose` is the batch of one.
 numpy runs on each matrix of a stack the routine a single call runs on it,
 so the rule is bitwise equality: each decomposition of a batch equals the
 one its functional gets alone, bit for bit.  The invariant checks are no
@@ -386,13 +396,41 @@ def _lift(rp: ReducedPencil, quotient_frame_cols: np.ndarray, tol: float) -> Sub
     return Subspace(rp.nil.ambient_dim, _lift_frame(rp, quotient_frame_cols), tol)
 
 
+def _is_kernel_point(alpha: ProjectivePoint) -> bool:
+    """Whether Stab(alpha) is a kernel of the pairing: alpha = infinity or 0."""
+    return alpha.is_infinite or alpha.value == 0
+
+
+def _kernel_stab_frame(rp: ReducedPencil, alpha: ProjectivePoint) -> np.ndarray:
+    """The quotient frame of Stab(alpha) at alpha = infinity or 0, read from
+    the right or the left kernel of the pairing that ``rp`` holds: Q^H
+    kernel, of dimension dim kernel - dim nil.  At nil = 0, where Q = I,
+    that is the kernel's own frame; otherwise the leading dim kernel -
+    dim nil left singular vectors of the K x dim kernel matrix Q^H kernel,
+    whose other singular values are roundoff since nil lies in the kernel:
+    a count, with no cutoff."""
+    ker = rp.kernels.right if alpha.is_infinite else rp.kernels.left
+    if not rp.nil.dim:
+        return ker.frame
+    u = np.linalg.svd(rp.quotient_frame.conj().T @ ker.frame, full_matrices=False)[0]
+    frame = u[:, : ker.dim - rp.nil.dim]
+    frame.setflags(write=False)
+    return frame
+
+
 def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) -> Subspace:
     """Stabilizer subspace of the full algebra at ``alpha`` (contains nil),
     read from the reduced pencil ``rp`` of (algebra, F).
 
     Equals {x : F(x z) = alpha F(z x) for all z} for finite alpha and
-    {x : F(z x) = 0 for all z} at infinity.
+    {x : F(z x) = 0 for all z} at infinity: Stab(infinity) is the
+    pairing's right kernel, and Stab(0) = {x : F(x z) = 0 for all z} its
+    left kernel.  ``rp`` holds both, decided at its own tolerance, and they
+    are returned as they are, with no SVD; ``tol`` is not used there.
+    Every other alpha takes the nullspace of a~^T - alpha a~ at ``tol``.
     """
+    if _is_kernel_point(alpha):
+        return rp.kernels.right if alpha.is_infinite else rp.kernels.left
     m, scale = _slot_one_operator(rp, alpha)
     frame = _lift_frame(rp, nullspace(m, tol, scale=scale).frame)
     return Subspace(rp.nil.ambient_dim, frame, tol)
@@ -600,12 +638,18 @@ def decompose_all(
     the one :func:`decompose` returns.
 
     The pairing matrices come from one contraction and both kernels from
-    one stacked SVD; each draw of the shift is tested with one
-    values-only SVD over the pencils still waiting for one; the spectrum
-    takes one ``solve``, one ``eig`` and one array pass that clusters the
-    eigenvalues of the stack, chi one ``det`` of the shifted stack on top
-    of the same eigenvalues, the level 0 of every multiple point one
-    nullspace SVD.  Each decomposition runs its checks on first read
+    one stacked SVD; their principal angles, one values-only SVD per kernel
+    dimension, rule out nil where the kernels are apart, and the pairings
+    whose kernels may meet take one more stacked SVD for it
+    (:func:`algscope.functional._stack_kernels`); each draw of the shift is
+    tested with one values-only SVD over the pencils still waiting for one;
+    the spectrum takes one ``solve``, one ``eig`` and one array pass that
+    clusters the eigenvalues of the stack, chi one ``det`` of the shifted
+    stack on top of the same eigenvalues, the level 0 of every multiple
+    point other than 0 and infinity one nullspace SVD.  At 0 and infinity
+    level 0 is read from the kernels: Stab(0) and Stab(infinity) are the
+    left and right kernels seen in quotient coordinates.  Each
+    decomposition runs its checks on first read
     (:attr:`Decomposition.checks`).  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
@@ -672,15 +716,24 @@ def _decompose_stack(
 ) -> list[Decomposition]:
     """The decompositions of pencils of one size K >= 1, stacked in
     ``stack``, at their regular shifts ``alpha0s``: chi and the spectrum
-    over the stack, then the level 0 of every multiple point from one
-    stacked nullspace SVD, and each chain climbed from it up to the point's
-    multiplicity; each decomposition keeps ``seed`` for its checks."""
+    over the stack, then the level 0 of every multiple point, and each
+    chain climbed from it up to the point's multiplicity; each
+    decomposition keeps ``seed`` for its checks.  At 0 and infinity level 0
+    is the pencil's left or right kernel in quotient coordinates
+    (:func:`_kernel_stab_frame`), with no SVD at nil = 0; the other
+    multiple points take one stacked nullspace SVD."""
     chis, spectra = _spectra(stack[0], stack[1], alpha0s, cluster_tol)
-    # (pencil, item) of each multiple point, and its Stab(alpha) frame
-    multiple = [
-        (c, j) for c, raw in enumerate(spectra) for j, item in enumerate(raw) if item[2] is None
-    ]
-    stab_frames = {}
+    # (pencil, item) of each multiple point, and its Stab(alpha) frame: the
+    # kernels give it at infinity and 0, one stacked SVD at the others
+    stab_frames, multiple = {}, []
+    for c, raw in enumerate(spectra):
+        for j, (alpha, _, vector) in enumerate(raw):
+            if vector is not None:
+                continue
+            if _is_kernel_point(alpha):
+                stab_frames[c, j] = _kernel_stab_frame(rps[c], alpha)
+            else:
+                multiple.append((c, j))
     if multiple:
         mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
         for key, space in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):

@@ -408,12 +408,15 @@ def minimize_stab_dim_loop(alg, lambda0, mu0, s_basis, f_start, samples=32, seed
 
 def filtration_reduced_loop(rp, alpha, alpha0, tol, stab_frame=None):
     """The quotient-coordinate filtration of one point, from raw SVDs of the
-    pencil's matrices: Stab(alpha), then per level the image's orthonormal
-    columns and the next level's kernel, until a level does not grow.
-    Returns the list of level frames."""
+    pencil's matrices: Stab(alpha) (at infinity and 0 from the kernels,
+    :func:`kernel_level0`), then per level the image's orthonormal columns
+    and the next level's kernel, until a level does not grow.  Returns the
+    list of level frames."""
     s_mat, s_scale = raw_slot_one_operator(rp.a_tilde, None if alpha.is_infinite else alpha.value)
     t_mat, t_scale = raw_slot_one_operator(rp.a_tilde, alpha0)
-    if stab_frame is None:
+    if stab_frame is None and (alpha.is_infinite or alpha.value == 0):
+        stab_frame = kernel_level0(rp, alpha)
+    elif stab_frame is None:
         stab_frame = raw_kernel(s_mat, s_scale, tol)
     levels = [stab_frame]
     for _ in range(rp.K):
@@ -661,14 +664,18 @@ def decomposition_checks_loop(rp, points, v_frames, tol, seed=0):
 
 def eigen_char_poly(rp, alpha0):
     """chi = det(lam a~ + mu a~^T) of one pencil from the eigenvalues L of
-    S^-1 a~, S = a~^T - alpha0 a~, one interpolation node at a time:
+    S^-1 a~, S = a~^T - alpha0 a~, its entries below eps ||S^-1 a~||_F set
+    to 0, one interpolation node at a time:
     chi(1, w) = det(S) prod_i (w + (1 + alpha0 w) L_i) at the K + 1
     unit-circle nodes, then their inverse DFT."""
     from algscope.linalg import HomogeneousPoly
 
     k = rp.K
     s_mat = rp.at_tilde - alpha0 * rp.a_tilde
-    lams = np.linalg.eig(np.linalg.solve(s_mat, rp.a_tilde))[0]
+    m = np.linalg.solve(s_mat, rp.a_tilde)
+    # the entries at roundoff level, below eps ||M||_F, dropped first
+    m[np.abs(m) < np.finfo(float).eps * np.linalg.norm(m)] = 0.0
+    lams = np.linalg.eig(m)[0]
     det_s = np.linalg.det(s_mat)
     nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
     # the complex products as array operations: a product of two scalars
@@ -678,12 +685,25 @@ def eigen_char_poly(rp, alpha0):
     return HomogeneousPoly(k, np.fft.fft(values) / (k + 1))
 
 
+def kernel_level0(rp, alpha):
+    """The quotient frame of Stab(alpha) at alpha = infinity or 0, from the
+    right or the left kernel that ``rp`` holds: the kernel's frame at
+    nil = 0, where Q = I, and otherwise the leading dim kernel - dim nil
+    left singular vectors of Q^H kernel."""
+    kernel = rp.kernels.right if alpha.is_infinite else rp.kernels.left
+    if rp.nil.dim == 0:
+        return kernel.frame
+    u, _, _ = np.linalg.svd(rp.quotient_frame.conj().T @ kernel.frame, full_matrices=False)
+    return u[:, : kernel.dim - rp.nil.dim]
+
+
 def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     """One functional's decomposition from the public single-pencil steps,
     in the order of the pipeline: ``reduce_pencil``, ``choose_alpha0``,
     chi from the shifted pencil's eigenvalues (:func:`eigen_char_poly`),
     ``spectrum`` (with its singular-shift test), one chain per multiple
-    point up to its multiplicity from its own level-0 nullspace, and the
+    point up to its multiplicity from its level 0 (:func:`kernel_level0` at
+    infinity and 0, its own nullspace elsewhere), and the
     library's invariant checks of the one pencil, points and frames, which
     the returned decomposition's lazily computed ``checks`` must equal bit
     for bit."""
@@ -716,7 +736,10 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     chi = eigen_char_poly(rp, alpha0)
     points, levels = [], {}
     for alpha, mult, vector in spectrum(rp, alpha0, cluster_tol):
-        if vector is None:
+        if vector is None and (alpha.is_infinite or alpha.value == 0):
+            stab_frame = kernel_level0(rp, alpha)
+            frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frame, mult)
+        elif vector is None:
             m, scale = _slot_one_operator(rp, alpha)
             stab_frame = nullspace(m, tol, scale=scale).frame
             frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frame, mult)

@@ -27,8 +27,17 @@ from algscope.functional import (
     NOT_RANK_ONE,
     RANK_ONE_BUT_NOT_UNIT,
     ReducedPencil,
+    _may_meet,
+    _stack_kernels,
 )
-from algscope.linalg import Subspace, complement, det_poly, projective_close, projector_distance
+from algscope.linalg import (
+    Subspace,
+    complement,
+    det_poly,
+    projective_close,
+    projector_distance,
+    subspace_intersect,
+)
 from algscope.spectral import choose_alpha0, spectrum
 
 from oracles import multiplicative_loop, pairing_matrix, raw_kernel
@@ -139,6 +148,65 @@ class TestKernelsAgainstRawSVD:
     def test_cases_include_nonzero_nil(self):
         nils = [kernels(alg, f, TOL).nil.dim for _, alg, f in kernel_cases()]
         assert sum(d > 0 for d in nils) >= 3
+
+
+def pairing_with_kernels(theta, n=8, d=3, seed=0):
+    """A pairing on C^n whose left and right kernels have dimension ``d``
+    and a smallest principal angle ``theta``: R = span(u_0 .. u_{d-1}) and
+    L = span(cos(theta) u_0 + sin(theta) u_d, u_{d+1} .. u_{2d-1}) for a
+    random orthonormal basis u, whose other principal angles are pi / 2.
+    ``a = X G Y^H`` with Y spanning R's complement, X that of conj(L), and
+    G random, so a R = 0 and L^T a = 0."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    right = u[:, :d]
+    tilted = np.cos(theta) * u[:, :1] + np.sin(theta) * u[:, d : d + 1]
+    left = np.hstack([tilted, u[:, d + 1 : 2 * d]])
+    y = complement(Subspace(n, right, TOL)).frame
+    x = complement(Subspace(n, np.linalg.qr(left.conj())[0], TOL)).frame
+    g = rng.standard_normal((n - d, n - d)) + 1j * rng.standard_normal((n - d, n - d))
+    return x @ g @ y.conj().T
+
+
+class TestPrincipalAngles:
+    """The principal-angle test skips the intersection SVD only where that
+    SVD finds nil = 0: the nil of ``_stack_kernels`` is, bit for bit,
+    ``subspace_intersect`` of the two kernels."""
+
+    @pytest.mark.parametrize("multiple", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_nil_is_the_intersection(self, multiple):
+        a = pairing_with_kernels(multiple * TOL)
+        (ker,) = _stack_kernels(a[None], TOL)
+        assert ker.left.dim == ker.right.dim == 3
+        want = subspace_intersect(ker.left, ker.right, TOL)
+        assert ker.nil.frame.shape == want.frame.shape
+        assert ker.nil.frame.tobytes() == want.frame.tobytes()
+        off = ker.right.frame - ker.left.projector() @ ker.right.frame
+        sines = np.linalg.svd(off, compute_uv=False)
+        assert sines[-1] == pytest.approx(multiple * TOL, rel=1e-4, abs=1e-14)
+        # up to tol the intersection SVD runs and finds a line, and at 2 tol,
+        # at its cutoff, it runs and decides; at 4 tol the sine is at the
+        # angle test's own cutoff, and at 8 tol above it, so no SVD runs
+        meet = _may_meet([(ker.left, ker.right)], TOL)
+        if multiple <= 1.0:
+            assert meet == [0] and ker.nil.dim == 1
+        elif multiple == 2.0:
+            assert meet == [0]
+        elif multiple == 8.0:
+            assert meet == [] and ker.nil.dim == 0
+
+    def test_a_stack_keeps_each_pairing_s_nil(self):
+        # one stack of the six pairings and two of other kernel dimensions:
+        # each nil has the bits of its pairing alone
+        pairings = [pairing_with_kernels(m * TOL, seed=1) for m in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        pairings += [pairing_with_kernels(theta, d=2, seed=s) for theta, s in ((0.0, 2), (0.3, 3))]
+        batch = _stack_kernels(np.stack(pairings), TOL)
+        for a, ker in zip(pairings, batch):
+            (alone,) = _stack_kernels(a[None], TOL)
+            for got, want in zip(ker, alone):
+                assert got.frame.tobytes() == want.frame.tobytes()
+        nil_dims = [ker.nil.dim for ker in batch]
+        assert nil_dims[0] == nil_dims[-2] == 1 and nil_dims[5] == nil_dims[-1] == 0
 
 
 class TestReducedPencil:

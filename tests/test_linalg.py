@@ -364,6 +364,28 @@ class TestStackedPrimitives:
                 assert (v is None) == (w is None)
                 assert v is None or v.tobytes() == w.tobytes()
 
+    def test_roundoff_entries_are_dropped_per_matrix(self):
+        # with shifted = I, M = b: upper triangular matrices plus one entry
+        # 1e-30 below the diagonal, at scales 1, 1e-40 and 1e40.  Each
+        # matrix drops the entry below eps ||M||_F of its own, so its
+        # eigenvalues are its diagonal, bit for bit, and a threshold shared
+        # by the stack would have zeroed all of the second matrix
+        rng = np.random.default_rng(41)
+        k = 6
+        m = np.triu(rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k)))
+        m[:, -1, 0] = 1e-30
+        m *= np.array([1.0, 1e-40, 1e40])[:, None, None]
+        eye = np.broadcast_to(np.eye(k, dtype=complex), m.shape).copy()
+        lams, batch = _shifted_eigens(eye, m, [0.5] * 3, 1e-6)
+        for i in range(3):
+            alone, (points,) = _shifted_eigens(eye[i : i + 1], m[i : i + 1], [0.5], 1e-6)
+            assert lams[i].tobytes() == alone[0].tobytes()
+            assert [(p, n) for p, n, _ in batch[i]] == [(p, n) for p, n, _ in points]
+            assert sorted(lams[i].tolist(), key=abs) == sorted(np.diag(m[i]).tolist(), key=abs)
+            # eig of the matrix as it is does not return its diagonal
+            raw = np.linalg.eigvals(m[i]).tolist()
+            assert sorted(raw, key=abs) != sorted(np.diag(m[i]).tolist(), key=abs)
+
     def test_nonfinite_entry_is_rejected(self):
         mats = [np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
         mats[1][2, 0] = np.inf

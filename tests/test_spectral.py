@@ -58,6 +58,7 @@ from oracles import (
     filtration_dims_fullspace,
     filtration_reduced_loop,
     jordan_dims_by_powers,
+    kernel_level0,
     prescribed_pencil_algebra,
     split_point,
     stab_fullspace,
@@ -86,7 +87,10 @@ def find_point(dec, value):
 
 
 def level0(rp, alpha):
-    """The quotient frame of Stab(alpha), from one library nullspace."""
+    """The quotient frame of Stab(alpha): from the kernels at infinity and
+    0, from one library nullspace elsewhere."""
+    if alpha.is_infinite or alpha.value == 0:
+        return kernel_level0(rp, alpha)
     m, scale = _slot_one_operator(rp, alpha)
     return nullspace(m, TOL, scale=scale).frame
 
@@ -1045,6 +1049,37 @@ class TestSimpleFrames:
         assert finding.witness[0] == p.alpha
 
 
+class TestRoundoffEntries:
+    """numpy's ``eig`` balances its input, and entries of M = S^-1 a~ at
+    roundoff level (down to 1e-33 here, where Q carries roundoff) break its
+    backward stability: the spectrum sets every entry of M below
+    eps ||M||_F to 0 before ``eig`` sees it."""
+
+    @pytest.mark.parametrize("seed", [160, 177])
+    def test_masked_functional_on_tri4_passes_every_check(self, seed):
+        # F zero on about half the coordinates of tri_4: nil = 1 and the
+        # points 0 and infinity of multiplicity 4 beside a simple 1
+        rng = np.random.default_rng(seed)
+        c = random_functional(10, rng).coords * (rng.random(10) < 0.5)
+        dec = decompose(upper_triangular(4), Functional(c))
+        assert dec.nil.dim == 1
+        assert [p.algebraic_mult for p in dec.points] == [4, 1, 4]
+        assert dec.ok, [ch for ch in dec.checks if not ch.passed]
+        check = check_named(dec.checks, "simple_frames_in_stabilizer")
+        assert check.residual < 1e-4 * TOL
+
+    def test_planted_block_of_size_3_stays_one_point(self):
+        # alpha = 1 of multiplicity 5 with levels (3, 4, 5) at the planted
+        # F: with eig on M as it is, 9 of these 20 random functionals split
+        # the point into simple points about 1e-5 apart
+        alg, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["levels3"][0])
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            dec = decompose(alg, random_functional(alg.dim, rng), seed=5)
+            assert dec.ok, [c.name for c in dec.checks if not c.passed]
+            assert [p.algebraic_mult for p in dec.points] == [5]
+
+
 def doctored_level0(dec, alpha, frame):
     """``dec`` with the one level of ``alpha`` replaced by ``frame``."""
     frame.setflags(write=False)
@@ -1422,3 +1457,80 @@ class TestDecompositionChecksOracle:
             off_stab | {"v_dim_equals_nil_plus_multiplicity"},
             {"simple_frames_in_stabilizer"},
         ]
+
+
+def zero_on(alg, start, stop, seed):
+    """A random functional on ``alg`` with the coordinates start..stop - 1
+    set to 0."""
+    coords = random_functional(alg.dim, np.random.default_rng(seed)).coords.copy()
+    coords[start:stop] = 0.0
+    return Functional(coords)
+
+
+def kernel_stabilizer_cases():
+    """(name, algebra, functional, dim nil): random functionals on tri_4 to
+    tri_6, the dual numbers and Mat_2 + S3, and direct sums with F zero on
+    one summand, so nil != 0."""
+    tri5_mat2 = direct_sum(upper_triangular(5), mat_algebra(2))
+    mat3_tri5 = direct_sum(mat_algebra(3), upper_triangular(5))
+    tri4_dual = direct_sum(upper_triangular(4), dual_numbers())
+    rng = np.random.default_rng(81)
+    cases = [
+        (f"tri_{n}", upper_triangular(n), random_functional(n * (n + 1) // 2, rng), 0)
+        for n in (4, 5, 6)
+    ]
+    cases += [
+        ("dual", dual_numbers(), random_functional(2, rng), 0),
+        ("Mat_2+S3", mat2_plus_s3(), random_functional(10, rng), 0),
+        ("Mat_2+S3 zero on S3", mat2_plus_s3(), zero_on(mat2_plus_s3(), 4, 10, 82), 6),
+        # nil 4, with the points 0 and infinity in the quotient
+        ("tri_5+Mat_2 zero on Mat_2", tri5_mat2, zero_on(tri5_mat2, 15, 19, 83), 4),
+        ("Mat_3+tri_5 zero on tri_5", mat3_tri5, zero_on(mat3_tri5, 9, 24, 84), 15),
+        ("tri_4+dual zero on dual", tri4_dual, zero_on(tri4_dual, 10, 12, 85), 2),
+    ]
+    return cases
+
+
+class TestKernelStabilizers:
+    """Stab(infinity) is the pairing's right kernel and Stab(0) its left
+    kernel: ``stab`` returns the kernels the pencil holds, and the level 0
+    of a multiple point at infinity or 0 is the kernel in quotient
+    coordinates, Q^H kernel, of dimension dim kernel - dim nil."""
+
+    @pytest.mark.parametrize(
+        "case", kernel_stabilizer_cases(), ids=[c[0] for c in kernel_stabilizer_cases()]
+    )
+    def test_kernels_are_the_stabilizers(self, case):
+        _, alg, f, nil_dim = case
+        dec = decompose(alg, f)
+        assert dec.ok, [c for c in dec.checks if not c.passed]
+        rp, ker = dec.pencil, dec.pencil.kernels
+        assert dec.nil.dim == nil_dim
+        q = rp.quotient_frame
+        for alpha, kernel in ((INFINITY, ker.right), (ProjectivePoint.finite(0.0), ker.left)):
+            got = stab(rp, alpha, TOL)
+            assert subspace_equal(got, kernel, 1e-12)
+            # the kernel spans the stabilizer of the defining conditions
+            value = None if alpha.is_infinite else 0.0
+            oracle = Subspace(alg.dim, stab_fullspace(alg, f.coords, value), TOL)
+            assert got.dim == oracle.dim and projector_distance(got, oracle) < 1e-8
+            p = dec.point_at(alpha)
+            if p is None:
+                # no point there: the kernel is nil
+                assert kernel.dim == rp.nil.dim
+                continue
+            w = dec.quotient_filtrations[p.alpha][0]
+            assert p.stab_dim == w.shape[1] == kernel.dim - rp.nil.dim
+            # the lifted columns lie in the kernel, and Q w is orthogonal to
+            # nil, so w spans Q^H kernel
+            assert np.max(kernel.residual(q @ w), initial=0.0) < 1e-12
+            assert np.allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-12)
+
+    def test_quotient_with_nil_holds_both_kernel_points(self):
+        name, alg, f, _ = kernel_stabilizer_cases()[6]
+        assert name == "tri_5+Mat_2 zero on Mat_2"
+        dec = decompose(alg, f)
+        assert dec.pencil.kernels.left.dim == dec.pencil.kernels.right.dim == 10
+        ends = [dec.points[0], dec.points[-1]]
+        assert [p.alpha for p in ends] == [ProjectivePoint.finite(0.0), INFINITY]
+        assert [(p.algebraic_mult, p.stab_dim) for p in ends] == [(6, 6), (6, 6)]

@@ -1012,20 +1012,21 @@ class TestLinearAlgebraCounts:
         assert len(calls) == 4
 
     def test_svd_calls_of_an_all_suite_run_on_tri5(self, monkeypatch):
-        # tri_5 with 10 random functionals: the left and right kernels are
-        # nonzero but meet in 0, so K = 15, and each pencil has three
-        # multiple points
+        # tri_5 with 10 random functionals: the left and right kernels, of
+        # dimension 6, are nonzero but meet in 0, so K = 15, and each
+        # pencil has three multiple points, 0, 1 and infinity
         calls = self.count_svd(monkeypatch)
         findings = run_suites(upper_triangular(5), SUITE_NAMES, 10, seed=0)
         assert all(f.passed for f in findings)
         assert collections.Counter(calls) == {
-            # both kernels of the batch, then the level 0 of its 30
-            # multiple points
-            ((10, 15, 15), "full"): 1,
-            ((30, 15, 15), "full"): 1,
-            # the intersections of the left and the right kernels, one
-            # stack of the batch
-            ((10, 30, 15), "full"): 1,
+            # both kernels of the batch, then the level 0 of its 10
+            # multiple points at alpha = 1; at 0 and infinity the kernels
+            # are level 0, with no SVD
+            ((10, 15, 15), "full"): 2,
+            # the principal angles between the left and the right kernels,
+            # one stack of the batch; no sine is small, so no intersection
+            # SVD runs
+            ((10, 15, 6), "values"): 1,
             # the first shift drawn; no direct-sum check, which no suite reads
             ((10, 15, 15), "values"): 1,
             # Stab(1) of corollary2, in the first functional's pencil,
@@ -1036,14 +1037,43 @@ class TestLinearAlgebraCounts:
 
     def test_kernels_of_a_run_without_decompositions_take_one_svd(self, monkeypatch):
         # no suite decomposes: the kernels of the ten pairings come from one
-        # stacked SVD, and the intersections of their left and right
-        # kernels from one more
+        # stacked SVD, and the principal angles between their left and
+        # right kernels from one values-only SVD, which rules out an
+        # intersection with no intersection SVD
         calls = self.count_svd(monkeypatch)
         alg = upper_triangular(5)
         suites = ("kernel-relations", "nil-ideal", "multiplicative")
         findings = run_suites(alg, suites, 10, seed=0)
-        assert collections.Counter(calls) == {((10, 15, 15), "full"): 1, ((10, 30, 15), "full"): 1}
+        assert collections.Counter(calls) == {
+            ((10, 15, 15), "full"): 1,
+            ((10, 15, 6), "values"): 1,
+        }
         assert len(findings) == 30 and all(f.passed for f in findings)
+
+    def test_svd_calls_of_decompose_on_tri8(self, monkeypatch):
+        # tri_8 at a random functional: kernels of dimension 16 that meet in
+        # 0, so K = 36, and the points 0 and infinity of multiplicity 16
+        # beside alpha = 1 of multiplicity 4, each complete at level 0
+        import algscope.spectral as spectral
+
+        alg = upper_triangular(8)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        calls = self.count_svd(monkeypatch)
+        built = self.count_calls(monkeypatch, spectral, "_slot_one_operator")
+        dec = decompose(alg, f)
+        assert [(p.algebraic_mult, p.stab_dim) for p in dec.points] == [(16, 16), (4, 4), (16, 16)]
+        assert dec.nil.dim == 0
+        assert collections.Counter(calls) == {
+            # the kernels, then the level 0 of alpha = 1 alone: at 0 and
+            # infinity the kernels are level 0
+            ((1, 36, 36), "full"): 2,
+            # the principal angles between the kernels, which rule out an
+            # intersection, so the (72, 36) intersection SVD does not run
+            ((1, 36, 16), "values"): 1,
+            # the first shift drawn
+            ((1, 36, 36), "values"): 1,
+        }
+        assert [args[1] for args, _ in built] == [dec.points[1].alpha]
 
     def test_pairwise_products_once_per_group(self, monkeypatch):
         import sys
