@@ -5,7 +5,8 @@ multiplication table through F gives the pairing matrix a[i, j] = F(e_i e_j),
 a bilinear form on the algebra.  Its left kernel, right kernel and their
 intersection (the two-sided degenerate directions, ``nil``) drive the whole
 decomposition: compressing the form to an orthonormal complement of ``nil``
-yields the reduced pencil (a~, a~^T).  For a generic F the pencil is regular:
+yields the reduced pencil (a~, a~^T), of which :class:`ReducedPencil` stores
+a~ alone.  For a generic F the pencil is regular:
 some combination a~ - alpha0 a~^T is invertible.  It need not be for a
 special F: on Mat_4 with F(X) = tr(N X), N the nilpotent shift, every
 combination is singular, and :func:`algscope.spectral.decompose` raises
@@ -15,6 +16,7 @@ that names this cause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -124,19 +126,25 @@ class Kernels(NamedTuple):
 
 def kernels(alg: Algebra, f: Functional, tol: float = 1e-9) -> Kernels:
     """Left kernel {x : F(x y) = 0 for all y}, right kernel
-    {x : F(y x) = 0 for all y}, and their intersection ``nil``."""
-    a = gram(alg, f)
-    _check_pairing(a, tol)
-    return _stack_kernels(a[None], tol)[0]
+    {x : F(y x) = 0 for all y}, and their intersection ``nil``: those that
+    :func:`reduce_pencil` keeps."""
+    return reduce_pencil(alg, f, tol).kernels
 
 
-def _check_pairing(a: np.ndarray, tol: float):
-    """The errors that the kernels of the pairing ``a`` raise: a tolerance
-    that is not positive, or a non-finite entry."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("matrix contains NaN or Inf entries")
+def _check_tolerance(name: str, value: float):
+    """Raise :class:`ValueError` unless the tolerance ``value`` is a finite
+    number > 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0")
+
+
+def _raise_first(results: list) -> list:
+    """``results``, unless one of them is an error: then the first is
+    raised."""
+    failed = next((r for r in results if isinstance(r, Exception)), None)
+    if failed is not None:
+        raise failed
+    return results
 
 
 def _stack_kernels(a: np.ndarray, tol: float) -> list[Kernels]:
@@ -192,25 +200,33 @@ class ReducedPencil:
 
     ``kernels`` are the left and right kernels of the pairing and their
     intersection ``nil``.  ``a_tilde = Q^T a Q`` where the columns of
-    ``Q = quotient_frame`` complete ``nil`` to a basis; ``at_tilde`` is its
-    transpose.  ``K`` is the quotient dimension.  Downstream results must not
-    depend on the choice of Q.
+    ``Q = quotient_frame`` complete ``nil`` to a basis.  The pencil stores
+    only these; ``at_tilde``, the transpose of a~, and ``K``, the quotient
+    dimension, are read from a~.  Downstream results must not depend on the
+    choice of Q.
     """
 
     kernels: Kernels
     quotient_frame: np.ndarray
     a_tilde: np.ndarray
-    at_tilde: np.ndarray
-    K: int
     _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("quotient_frame", "a_tilde", "at_tilde"):
+        for name in ("quotient_frame", "a_tilde"):
             m = np.asarray(getattr(self, name), dtype=complex)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
         scale = 1.0 if self.K == 0 else max(float(np.linalg.norm(self.a_tilde, "fro")), 1e-300)
         object.__setattr__(self, "_scale", scale)
+
+    @property
+    def at_tilde(self) -> np.ndarray:
+        """a~^T, a read-only view of a~."""
+        return self.a_tilde.T
+
+    @property
+    def K(self) -> int:
+        return self.a_tilde.shape[0]
 
     @property
     def nil(self) -> Subspace:
@@ -223,11 +239,9 @@ class ReducedPencil:
 
 def reduce_pencil(alg: Algebra, f: Functional, tol: float = 1e-9) -> ReducedPencil:
     """Compress the pairing to the canonical SVD complement of its
-    two-sided kernel."""
-    (rp,) = _reduce_pencils(alg, [f], tol)
-    if isinstance(rp, Exception):
-        raise rp
-    return rp
+    two-sided kernel.  A ``tol`` that is not a finite number > 0 raises
+    :class:`ValueError`."""
+    return _raise_first(_reduce_pencils(alg, [f], tol))[0]
 
 
 def _reduce_pencils(
@@ -235,20 +249,20 @@ def _reduce_pencils(
 ) -> list[ReducedPencil | Exception]:
     """:func:`reduce_pencil` of each functional of ``fs``: the pairing
     matrices come from one contraction and both kernels from one stacked
-    SVD.  A functional that :func:`reduce_pencil` would refuse gets in its
-    place the error it would raise, and the others are unaffected."""
-    out: list = [None] * len(fs)
-    for i, f in enumerate(fs):
-        if f.dim != alg.dim:
-            out[i] = DimensionMismatch("functional does not match the algebra dimension")
+    SVD (:func:`_stack_kernels`).  A functional of another dimension gets
+    in its place the :class:`DimensionMismatch` and one whose pairing has a
+    non-finite entry the :class:`NonFinite` that :func:`reduce_pencil`
+    would raise, and the others are unaffected.  A ``tol`` that is not a
+    finite number > 0 raises :class:`ValueError` for all of them."""
+    _check_tolerance("tol", tol)
+    mismatch = "functional does not match the algebra dimension"
+    out: list = [None if f.dim == alg.dim else DimensionMismatch(mismatch) for f in fs]
     sized = [i for i, rp in enumerate(out) if rp is None]
     coords = np.array([fs[i].coords for i in sized], dtype=complex).reshape(-1, alg.dim)
     pairings = _pairings(alg, coords)
     for i, a in zip(sized, pairings):
-        try:
-            _check_pairing(a, tol)
-        except (ValueError, NonFinite) as exc:
-            out[i] = exc
+        if not np.all(np.isfinite(a)):
+            out[i] = NonFinite("matrix contains NaN or Inf entries")
     keep = [j for j, i in enumerate(sized) if out[i] is None]
     if keep:
         for j, ker in zip(keep, _stack_kernels(pairings[keep], tol)):
@@ -261,11 +275,9 @@ def _compress(a: np.ndarray, ker: Kernels) -> ReducedPencil:
     ``nil`` of its kernels ``ker``.  A pairing whose nil is 0 is its own
     pencil: Q is the identity, and a~ a copy of ``a``."""
     if ker.nil.dim == 0:
-        n = a.shape[0]
-        return ReducedPencil(ker, np.eye(n, dtype=complex), a.copy(), a.T.copy(), n)
+        return ReducedPencil(ker, np.eye(a.shape[0], dtype=complex), a.copy())
     q = complement(ker.nil).frame
-    a_tilde = q.T @ a @ q
-    return ReducedPencil(ker, q, a_tilde, a_tilde.T.copy(), q.shape[1])
+    return ReducedPencil(ker, q, q.T @ a @ q)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import NoRegularValue, SingularPencil
-from .functional import Functional, ReducedPencil, _reduce_pencils
+from .functional import Functional, ReducedPencil, _check_tolerance, _raise_first, _reduce_pencils
 from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
@@ -220,7 +220,7 @@ PencilStack = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _pencil_stack(rps: list[ReducedPencil]) -> PencilStack:
     """The a~, the a~^T and the pencil scales of pencils of one size K >= 1,
-    stacked.  :func:`decompose_all` builds it once per K-group and hands it
+    stacked.  :func:`_decompose_pencils` builds it once per K-group and hands it
     to every stage of that group."""
     return (
         np.stack([rp.a_tilde for rp in rps]),
@@ -259,10 +259,7 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
     """
     if rp.K < 1:
         raise NoRegularValue("empty pencil has no spectrum to shift into")
-    (alpha0,) = _choose_alpha0s([rp], _pencil_stack([rp]), seed, floor)
-    if isinstance(alpha0, Exception):
-        raise alpha0
-    return alpha0
+    return _raise_first(_choose_alpha0s([rp], _pencil_stack([rp]), seed, floor))[0]
 
 
 def _choose_alpha0s(
@@ -637,27 +634,40 @@ def decompose_all(
     single call would run on it, so each decomposition equals, bit for bit,
     the one :func:`decompose` returns.
 
-    The pairing matrices come from one contraction and both kernels from
-    one stacked SVD; their principal angles, one values-only SVD per kernel
-    dimension, rule out nil where the kernels are apart, and the pairings
-    whose kernels may meet take one more stacked SVD for it
-    (:func:`algscope.functional._stack_kernels`); each draw of the shift is
-    tested with one values-only SVD over the pencils still waiting for one;
-    the spectrum takes one ``solve``, one ``eig`` and one array pass that
-    clusters the eigenvalues of the stack, chi one ``det`` of the shifted
-    stack on top of the same eigenvalues, the level 0 of every multiple
-    point other than 0 and infinity one nullspace SVD.  At 0 and infinity
-    level 0 is read from the kernels: Stab(0) and Stab(infinity) are the
-    left and right kernels seen in quotient coordinates.  Each
-    decomposition runs its checks on first read
+    The reduction (:func:`algscope.functional._reduce_pencils`) takes the
+    pairing matrices from one contraction and both kernels from one stacked
+    SVD; their principal angles, one values-only SVD per kernel dimension,
+    rule out nil where the kernels are apart, and the pairings whose
+    kernels may meet take one more stacked SVD for it.
+    :func:`_decompose_pencils` then decomposes the reduced pencils.  A
+    ``tol`` or ``cluster_tol`` that is not a finite number > 0 raises
+    :class:`ValueError`."""
+    _check_tolerance("cluster_tol", cluster_tol)
+    return _decompose_pencils(_reduce_pencils(alg, list(fs), tol), seed, tol, cluster_tol)
+
+
+def _decompose_pencils(
+    rps: list[ReducedPencil | Exception], seed: int, tol: float, cluster_tol: float
+) -> list[Decomposition]:
+    """The decompositions of the reduced pencils ``rps``, each as
+    :func:`decompose_all` describes it, where an error stands for a
+    functional whose reduction failed.
+
+    Each draw of the shift is tested with one values-only SVD over the
+    pencils still waiting for one; the spectrum takes one ``solve``, one
+    ``eig`` and one array pass that clusters the eigenvalues of the stack,
+    chi one ``det`` of the shifted stack on top of the same eigenvalues, the
+    level 0 of every multiple point other than 0 and infinity one nullspace
+    SVD.  At 0 and infinity level 0 is read from the kernels: Stab(0) and
+    Stab(infinity) are the left and right kernels seen in quotient
+    coordinates.  Each decomposition runs its checks on first read
     (:attr:`Decomposition.checks`).  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
     Each K-group's pencils are stacked once (:func:`_pencil_stack`), and
-    every stage of the group reads that one stack.  When functionals fail,
-    the error that the first of them in ``fs`` raises from
-    :func:`decompose` is raised."""
-    rps = _reduce_pencils(alg, list(fs), tol)
+    every stage of the group reads that one stack.  When a reduction or a
+    shift draw fails, the first error in the order of ``rps`` is raised:
+    the one :func:`decompose` raises for that functional."""
     out: list = list(rps)
     groups: dict[int, list[int]] = {}
     for i, rp in enumerate(rps):
@@ -673,9 +683,7 @@ def decompose_all(
         stacks[k] = _pencil_stack(group)
         for i, alpha0 in zip(members, _choose_alpha0s(group, stacks[k], seed)):
             out[i] = alpha0
-    failed = next((r for r in out if isinstance(r, Exception)), None)
-    if failed is not None:
-        raise failed
+    _raise_first(out)
     for k, members in groups.items():
         group, alpha0s = [rps[i] for i in members], [out[i] for i in members]
         decs = _decompose_stack(group, stacks.pop(k), alpha0s, tol, cluster_tol, seed)

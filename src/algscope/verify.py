@@ -9,8 +9,9 @@ and carries a witness reproducing the worst case; a passing one names none.
 The regular-functional identities hold at a functional that minimizes the
 relevant kernel dimension, as a generic one does; the module provides an
 empirical minimizer and a deliberate negative control.  Every suite reads
-one analysis: kernels, a decomposition, or the reduced pencil of the first
-drawn functional, which is the batch's own.
+one analysis, the reduction of each functional: its kernels, its pencil
+(the regular-functional suites read the first drawn functional's), or the
+decomposition of that pencil.
 
 Each per-functional suite is written once, over a list of decompositions
 (or of kernels), and :func:`run_suites` runs it once per chunk of its
@@ -42,9 +43,10 @@ from .functional import (
     ReducedPencil,
     _check_dim,
     _check_kernels,
-    _check_pairing,
+    _check_tolerance,
     _pairings,
-    _stack_kernels,
+    _raise_first,
+    _reduce_pencils,
     random_functional,
     reduce_pencil,
 )
@@ -54,10 +56,10 @@ from .spectral import (
     DEFAULT_TOL,
     Decomposition,
     _alpha0_independence,
+    _decompose_pencils,
     _side_by_side,
     _stab_residuals,
     choose_alpha0,
-    decompose_all,
     stab,
 )
 from .suite_names import DEFAULT_SUITES, SUITE_NAMES
@@ -90,6 +92,15 @@ COROLLARY_1 = "Corollary1"
 COROLLARY_2 = "Corollary2"
 COROLLARY_3 = "Corollary3"
 STAB_TRANSVERSALITY = "StabTransversality"
+
+#: the residual thresholds of the suites, which :func:`run_suites` passes
+#: and the public functions take as their defaults, so that a batched
+#: finding equals the one its public function gives; the negative control
+#: runs the commutativity corollary at ``COROLLARY_TOL`` too
+KERNEL_RELATIONS_TOL = 1e-8
+ALPHA0_TOL = 1e-8
+V_MULT_TOL = 1e-7
+COROLLARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -238,7 +249,9 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels], tol: float) -> list[Fin
     return out
 
 
-def verify_kernel_relations(alg: Algebra, ker: Kernels, tol: float = 1e-8) -> Finding:
+def verify_kernel_relations(
+    alg: Algebra, ker: Kernels, tol: float = KERNEL_RELATIONS_TOL
+) -> Finding:
     """All seven product inclusions between the left kernel, right kernel,
     their intersection, and the full algebra.
 
@@ -301,7 +314,7 @@ def _alpha0_suite(decs: list[Decomposition], seeds: list[int], tol: float) -> li
     return out
 
 
-def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = 1e-8) -> Finding:
+def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = ALPHA0_TOL) -> Finding:
     """Shift-independence of the filtration at every spectral point of
     ``dec``, under two random regular shifts drawn with seeds ``seed + 1``
     and ``seed + 2``.
@@ -470,7 +483,7 @@ def _v_mult(alg: Algebra, decs: list[Decomposition], tol: float) -> list[list[Fi
     return out
 
 
-def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = 1e-7) -> list[Finding]:
+def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = V_MULT_TOL) -> list[Finding]:
     """Product inclusions V^k(a) V^m(b) <= V^{k+m}(a b) between the
     filtration levels of ``dec``, one finding per variant: ``VMultFinite``
     over the pairs of finite points and ``VMultNonzero`` over the pairs of
@@ -675,7 +688,7 @@ def verify_regular_perturbation(
 
 
 def verify_corollaries(
-    alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint, tol: float = 1e-6
+    alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint, tol: float = COROLLARY_TOL
 ) -> Finding:
     """Element-level identities at a stabilizer-dimension minimizer, read
     from its reduced pencil ``rp``.
@@ -710,7 +723,7 @@ def verify_corollaries(
 
 
 def negative_control_finding(
-    alg: Algebra, tol: float = 1e-6, rank_tol: float = DEFAULT_TOL
+    alg: Algebra, tol: float = COROLLARY_TOL, rank_tol: float = DEFAULT_TOL
 ) -> Finding:
     """Run the commutativity corollary at a deliberately non-minimizing
     functional (the unit-coordinate functional, whose pairing is symmetric on
@@ -750,84 +763,87 @@ def run_suites(
     rank_tol: float = DEFAULT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[Finding]:
-    """Run the selected suites over ``n_functionals`` >= 1 random
-    functionals (fewer raise :class:`ValueError`); deterministic per seed.
-    The drawn functionals are decomposed and checked in consecutive
-    chunks, each as one batch: at most ``_VALIDATE_BLOCK_BYTES`` over 16 N^3
-    functionals, the size of a product tensor of N columns, so all of them
-    at N <= 16, and only the findings of a finished chunk are kept.  A
-    chunk is decomposed with ``seed`` (:func:`algscope.spectral.decompose_all`),
-    and each decomposition equals, bit for bit, the one
+    """Run the selected suites, at least one (none raise
+    :class:`ValueError`), over ``n_functionals`` >= 1 random functionals
+    (fewer raise :class:`ValueError`); deterministic per seed.  A
+    ``rank_tol`` or ``cluster_tol`` that is not a finite number > 0 raises
+    :class:`ValueError`.
+
+    Every suite reads one reduction per functional.  The drawn functionals
+    are reduced and checked in consecutive chunks, each as one batch: at
+    most ``_VALIDATE_BLOCK_BYTES`` over 16 N^3 functionals, the size of a
+    product tensor of N columns, so all of them at N <= 16, and only the
+    findings of a finished chunk are kept.  A chunk's pencils come from one
+    reduction (:func:`algscope.functional._reduce_pencils`), and each
+    equals, bit for bit, the one :func:`algscope.functional.reduce_pencil`
+    gives its functional alone.  When ``alpha0``, ``v-mult`` or
+    ``dim-symmetry`` is selected, those pencils are decomposed with
+    ``seed`` (:func:`algscope.spectral._decompose_pencils`), and each
+    decomposition equals, bit for bit, the one
     :func:`algscope.spectral.decompose` gives its functional alone; no
-    suite reads its checks, so none run.  Each
-    per-functional suite then runs once over the chunk, written over its
-    decompositions with stacked products, and each finding equals, bit for
-    bit, the one its public single-decomposition function gives;
+    suite reads its checks, so none run.  Each per-functional suite then
+    runs once over the chunk, written over its decompositions with stacked
+    products, and each finding equals, bit for bit, the one its public
+    single-decomposition function gives at the same threshold
+    (``KERNEL_RELATIONS_TOL``, ``ALPHA0_TOL``, ``V_MULT_TOL``);
     ``v-mult`` checks both of its variants on one product tensor per
     decomposition shape, in quotient coordinates, so no suite lifts a level
     (``Decomposition.filtrations``).  ``kernel-relations``, ``nil-ideal``
-    and ``multiplicative`` read the kernels each reduced pencil keeps, or,
-    when no suite needs a decomposition, the chunk's kernels from one
-    stacked SVD of its pairings.  Findings are sorted by theorem id, stably,
-    so each theorem's findings follow the functionals' order.
-    ``corollary2`` and ``corollary3`` run once, on the first drawn
-    functional: a complex-Gaussian functional misses, with probability 1,
-    the algebraic set where a combination's kernel exceeds its generic
-    dimension, so :func:`minimize_stab_dim` returns it itself.  They read
-    the pencil its chunk reduced, which equals, bit for bit, the one
-    :func:`algscope.functional.reduce_pencil` gives it, or, when no suite
-    decomposes, that call's."""
+    and ``multiplicative`` read the kernels each pencil keeps.  Findings
+    are sorted by theorem id, stably, so each theorem's findings follow the
+    functionals' order.  ``corollary2`` and ``corollary3`` run once, on the
+    first drawn functional: a complex-Gaussian functional misses, with
+    probability 1, the algebraic set where a combination's kernel exceeds
+    its generic dimension, so :func:`minimize_stab_dim` returns it itself.
+    They read the pencil its chunk reduced; when no other suite is
+    selected, only that functional is reduced."""
     from .functional import is_multiplicative, nil_ideal_check
 
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
+    if not suites:
+        raise ValueError("suites must name at least one suite")
     if n_functionals < 1:
         raise ValueError("n_functionals must be >= 1")
+    _check_tolerance("cluster_tol", cluster_tol)
     rng = np.random.default_rng(seed)
     fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
-    analysed = {"alpha0", "v-mult", "dim-symmetry"}.intersection(suites)
-    read_kernels = {"kernel-relations", "nil-ideal", "multiplicative"}.intersection(suites)
+    decomposing = {"alpha0", "v-mult", "dim-symmetry"}.intersection(suites)
+    # the points of the selected corollaries, which read fs[0]'s pencil
+    corollaries = {"corollary2": 1.0, "corollary3": 0.0}
+    points = [ProjectivePoint.finite(x) for s, x in corollaries.items() if s in suites]
+    chunks = _budget_parts(list(range(len(fs))), 16 * alg.dim**3)
+    if set(suites) <= corollaries.keys():
+        chunks = [[0]]
     findings: list[Finding] = []
-    first = None  # the reduced pencil of fs[0], when a chunk decomposed it
-    for chunk in _budget_parts(list(range(len(fs))), 16 * alg.dim**3):
+    for chunk in chunks:
         part = [fs[i] for i in chunk]
-        if analysed:
-            decs = decompose_all(alg, part, seed=seed, tol=rank_tol, cluster_tol=cluster_tol)
-            kers = [dec.pencil.kernels for dec in decs]
-            if first is None:
-                first = decs[0].pencil
-        elif read_kernels:
-            pairings = _pairings(alg, np.array([f.coords for f in part]))
-            _check_pairing(pairings, rank_tol)
-            kers = _stack_kernels(pairings, rank_tol)
+        rps = _reduce_pencils(alg, part, rank_tol)
+        if decomposing:
+            decs = _decompose_pencils(rps, seed, rank_tol, cluster_tol)
+        kers = [rp.kernels for rp in _raise_first(rps)]
+        if chunk[0] == 0:
+            findings += [verify_corollaries(alg, rps[0], p, COROLLARY_TOL) for p in points]
         if "kernel-relations" in suites:
-            findings += _kernel_relations(alg, kers, 1e-8)
+            findings += _kernel_relations(alg, kers, KERNEL_RELATIONS_TOL)
         if "alpha0" in suites:
-            findings += _alpha0_suite(decs, [seed + i for i in chunk], 1e-8)
+            findings += _alpha0_suite(decs, [seed + i for i in chunk], ALPHA0_TOL)
         if "v-mult" in suites:
-            findings += [f for pair in _v_mult(alg, decs, 1e-7) for f in pair]
+            findings += [f for pair in _v_mult(alg, decs, V_MULT_TOL) for f in pair]
         if "dim-symmetry" in suites:
             findings += [f for pair in _dim_symmetry(decs) for f in pair]
         if "nil-ideal" in suites:
-            for ker in kers:
-                rep = nil_ideal_check(alg, ker, rank_tol)
-                ok = (not rep.premise_holds) or bool(rep.is_ideal)
-                res = 0.0 if not rep.premise_holds else rep.max_residual
-                notes = () if rep.premise_holds else ("premise not met",)
-                findings.append(Finding(NIL_IDEAL, ok, res, None, 1, notes))
+            for rep in (nil_ideal_check(alg, ker, rank_tol) for ker in kers):
+                if rep.premise_holds:
+                    findings.append(Finding(NIL_IDEAL, rep.is_ideal, rep.max_residual, None, 1))
+                else:
+                    findings.append(Finding(NIL_IDEAL, True, 0.0, None, 1, ("premise not met",)))
         if "multiplicative" in suites:
             for f, ker in zip(part, kers):
                 rep = is_multiplicative(alg, f, ker, rank_tol)
                 res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
                 notes = (f"verdict: {rep.verdict}",)
                 findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
-    if {"corollary2", "corollary3"}.intersection(suites):
-        if first is None:
-            first = reduce_pencil(alg, fs[0], rank_tol)
-        if "corollary2" in suites:
-            findings.append(verify_corollaries(alg, first, ProjectivePoint.finite(1.0)))
-        if "corollary3" in suites:
-            findings.append(verify_corollaries(alg, first, ProjectivePoint.finite(0.0)))
     findings.sort(key=lambda fi: fi.theorem_id)
     return findings

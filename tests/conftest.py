@@ -3,7 +3,6 @@
 import pytest
 
 import algscope.functional as functional
-import algscope.verify as verify
 from algscope.linalg import subspace_intersect
 
 
@@ -26,11 +25,11 @@ def nil_is_the_intersection():
         seen.extend((ker, tol) for ker in kers)
         return kers
 
-    functional._stack_kernels = verify._stack_kernels = recorded
+    functional._stack_kernels = recorded
     try:
         yield
     finally:
-        functional._stack_kernels = verify._stack_kernels = original
+        functional._stack_kernels = original
     for ker, tol in seen:
         want = subspace_intersect(ker.left, ker.right, tol)
         assert ker.nil.frame.shape == want.frame.shape

@@ -109,6 +109,14 @@ class TestKernels:
             ker = kernels(alg, random_functional(alg.dim, rng), TOL)
             assert ker.left.dim == ker.right.dim
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, tol):
+        alg = mat_algebra(3)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        for call in (kernels, reduce_pencil):
+            with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+                call(alg, f, tol)
+
 
 def kernel_cases():
     """(label, algebra, functional) with nonzero kernels: random functionals
@@ -314,7 +322,7 @@ class TestReducedPencil:
         # the pairing compressed to another orthonormal complement of nil
         q = rp.quotient_frame @ mix
         a_tilde = q.T @ gram(alg, f) @ q
-        rp2 = ReducedPencil(rp.kernels, q, a_tilde, a_tilde.T.copy(), rp.K)
+        rp2 = ReducedPencil(rp.kernels, q, a_tilde)
         spans = (Subspace(alg.dim, x, TOL) for x in (q, rp.quotient_frame))
         assert projector_distance(*spans) < 1e-12
         assert not np.allclose(rp2.a_tilde, rp.a_tilde)

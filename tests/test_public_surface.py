@@ -58,6 +58,7 @@ REMOVED = (
     "_point_table",
     "_positions",
     "_target_indices",
+    "_check_pairing",
 )
 
 

@@ -215,7 +215,7 @@ class TestChooseAlpha0:
         # a~ - alpha0 a~^T is singular, so the pencil determinant is zero
         a = np.diag([1.0, 1.0], 1).astype(complex)
         zero = Subspace.zero(3)
-        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(3), a, a.T.copy(), 3)
+        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(3), a)
         with pytest.raises(NoRegularValue) as info:
             choose_alpha0(rp, seed=3)
         message = str(info.value)
@@ -639,7 +639,7 @@ class TestDegeneratePencils:
         # alpha lies near 1
         a = np.diag([1.0, 9e-9]).astype(complex)
         zero = Subspace.zero(2)
-        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(2), a, a.T.copy(), 2)
+        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(2), a)
         with pytest.raises(NoRegularValue) as info:
             choose_alpha0(rp, seed=0)
         assert not isinstance(info.value, SingularPencil)
@@ -689,6 +689,33 @@ class TestDecompose:
         assert first == first
         assert not first == second
         assert first != second
+
+    @pytest.mark.parametrize(
+        "tols",
+        [
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": 0.0},
+            {"cluster_tol": -1.0},
+            {"cluster_tol": float("nan")},
+            {"cluster_tol": float("inf")},
+        ],
+        ids=["tol-nan", "tol-inf", "tol-0", "cluster-neg", "cluster-nan", "cluster-inf"],
+    )
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, tols):
+        # each of these used to return a decomposition that fails checks on
+        # Mat_3: tol = nan four of five, tol = inf two, and cluster_tol = -1
+        # merged all nine eigenvalues into one point and failed three
+        alg = mat_algebra(3)
+        f = random_functional(9, np.random.default_rng(0))
+        (name,) = tols
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0$"):
+            decompose(alg, f, **tols)
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0$"):
+            decompose_all(alg, [f, f], **tols)
+        # the tolerances are refused before any functional is read
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0$"):
+            decompose_all(alg, [], **tols)
 
     def test_zero_functional(self):
         dec = decompose(mat_algebra(2), Functional(np.zeros(4)))

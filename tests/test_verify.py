@@ -1050,6 +1050,23 @@ class TestLinearAlgebraCounts:
         }
         assert len(findings) == 30 and all(f.passed for f in findings)
 
+    def test_svd_calls_of_a_kernel_and_corollary_run(self, monkeypatch):
+        # tri_5 with 10 random functionals, nil = 0: one reduction of the
+        # batch gives the kernels and the first functional's pencil, which
+        # the corollaries read, so no functional is reduced twice
+        calls = self.count_svd(monkeypatch)
+        suites = ("kernel-relations", "corollary2", "corollary3")
+        findings = run_suites(upper_triangular(5), suites, 10, seed=0)
+        assert collections.Counter(calls) == {
+            # both kernels of the batch, and the principal angles between
+            # them, which rule out an intersection
+            ((10, 15, 15), "full"): 1,
+            ((10, 15, 6), "values"): 1,
+            # Stab(1) of corollary2; corollary3 reads the kernels
+            ((1, 15, 15), "full"): 1,
+        }
+        assert len(findings) == 12 and all(f.passed for f in findings)
+
     def test_svd_calls_of_decompose_on_tri8(self, monkeypatch):
         # tri_8 at a random functional: kernels of dimension 16 that meet in
         # 0, so K = 36, and the points 0 and infinity of multiplicity 16
@@ -1266,6 +1283,38 @@ class TestRunSuites:
         with pytest.raises(ValueError, match="n_functionals"):
             run_suites(mat_algebra(2), n_functionals=n)
 
+    def test_rejects_no_suites(self):
+        # a run of no suite would check nothing and pass
+        with pytest.raises(ValueError, match="at least one suite"):
+            run_suites(mat_algebra(2), suites=(), n_functionals=1)
+
+    @pytest.mark.parametrize(
+        "tols",
+        [{"rank_tol": float("nan")}, {"rank_tol": -1.0}, {"cluster_tol": float("inf")}],
+        ids=["rank-nan", "rank-neg", "cluster-inf"],
+    )
+    @pytest.mark.parametrize(
+        "suites", [SUITE_NAMES, ("kernel-relations",), ("corollary2",)], ids=["all", "kernel", "cor"]
+    )
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tols, suites):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            run_suites(mat_algebra(2), suites, 2, 0, **tols)
+
+    def test_the_suites_read_their_public_functions_thresholds(self):
+        # the threshold run_suites passes is the public function's default,
+        # so a batched finding equals the one that function gives
+        import algscope.verify as verify
+
+        defaults = {
+            verify_kernel_relations: verify.KERNEL_RELATIONS_TOL,
+            verify_alpha0_suite: verify.ALPHA0_TOL,
+            verify_v_mult: verify.V_MULT_TOL,
+            verify_corollaries: verify.COROLLARY_TOL,
+            negative_control_finding: verify.COROLLARY_TOL,
+        }
+        for function, tol in defaults.items():
+            assert inspect.signature(function).parameters["tol"].default == tol
+
     def test_corollary1_suite_is_gone(self):
         with pytest.raises(ValueError):
             run_suites(mat_algebra(2), suites=("corollary1",), n_functionals=1)
@@ -1276,16 +1325,16 @@ class TestRunSuites:
         import algscope.spectral
         import algscope.verify
 
-        real_decompose_all = algscope.verify.decompose_all
+        real_decompose = algscope.verify._decompose_pencils
         real_reduce = algscope.functional._reduce_pencils
         batches = []
         reductions = []
 
-        def counting_decompose_all(*args, **kwargs):
-            bound = inspect.signature(real_decompose_all).bind(*args, **kwargs)
+        def counting_decompose(*args, **kwargs):
+            bound = inspect.signature(real_decompose).bind(*args, **kwargs)
             bound.apply_defaults()
-            batches.append((len(bound.arguments["fs"]), bound.arguments["seed"]))
-            return real_decompose_all(*args, **kwargs)
+            batches.append((len(bound.arguments["rps"]), bound.arguments["seed"]))
+            return real_decompose(*args, **kwargs)
 
         def counting_reduce(alg, fs, *args, **kwargs):
             reductions.append(len(fs))
@@ -1294,9 +1343,9 @@ class TestRunSuites:
         def single(*args, **kwargs):
             raise AssertionError("run_suites decomposes its functionals as one batch")
 
-        monkeypatch.setattr(algscope.verify, "decompose_all", counting_decompose_all)
+        monkeypatch.setattr(algscope.verify, "_decompose_pencils", counting_decompose)
         # every module that bound the names at import time
-        for module in (algscope.functional, algscope.spectral):
+        for module in (algscope.functional, algscope.spectral, algscope.verify):
             monkeypatch.setattr(module, "_reduce_pencils", counting_reduce)
         for module in (algscope.functional, algscope.verify):
             monkeypatch.setattr(module, "reduce_pencil", single)
@@ -1327,7 +1376,7 @@ class TestRunSuites:
 
         algs = [SUITE_INPUTS[name] for name in ("Mat_3", "tri_5", "Mat_2+S3")]
         calls = TestLinearAlgebraCounts.count_calls(monkeypatch, spectral, "_decomposition_checks")
-        lazy = verify.decompose_all
+        lazy = verify._decompose_pencils
 
         def eager(*args, **kwargs):
             decs = lazy(*args, **kwargs)
@@ -1335,7 +1384,7 @@ class TestRunSuites:
             return decs
 
         with monkeypatch.context() as patched:
-            patched.setattr(verify, "decompose_all", eager)
+            patched.setattr(verify, "_decompose_pencils", eager)
             expected = [run_suites(alg, SUITE_NAMES, 10, seed=0) for alg in algs]
         assert len(calls) == 30
         calls.clear()
@@ -1580,13 +1629,13 @@ class TestRunSuitesOracle:
         import algscope.verify as verify
 
         alg = mat_algebra(3)
-        batches = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "decompose_all")
+        batches = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_decompose_pencils")
         parts = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_group_inclusions")
         monkeypatch.setattr(verify, "_VALIDATE_BLOCK_BYTES", 3 * 16 * alg.dim**3)
         for seed in (0, 1):
             expected = run_suites_loop(alg, SUITE_NAMES, 10, seed)
             assert_same_findings(run_suites(alg, SUITE_NAMES, 10, seed), expected)
-        assert [len(args[1]) for args, _ in batches] == [3, 3, 3, 1] * 2
+        assert [len(args[0]) for args, _ in batches] == [3, 3, 3, 1] * 2
         assert [len(args[1]) for args, _ in parts] == [3, 3, 3, 1] * 2
         tri = SUITE_INPUTS["tri_5"]
         suites = ("kernel-relations", "nil-ideal", "multiplicative")
@@ -1595,6 +1644,6 @@ class TestRunSuitesOracle:
     def test_small_inputs_take_one_chunk(self, monkeypatch):
         import algscope.verify as verify
 
-        batches = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "decompose_all")
+        batches = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_decompose_pencils")
         run_suites(mat_algebra(4), SUITE_NAMES, 10, 0)
-        assert [len(args[1]) for args, _ in batches] == [10]
+        assert [len(args[0]) for args, _ in batches] == [10]
