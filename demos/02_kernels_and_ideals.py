@@ -3,9 +3,10 @@
 The dual numbers C[eps]/(eps^2) with the projection F(a + b eps) = a give the
 smallest nontrivial picture: the pairing has rank 1, eps spans all three
 kernels, nil is an ideal, and F is multiplicative.  One SVD of the pairing
-gives both kernels at one rank; the nil-ideal check compares their
-dimensions with nil's, and the multiplicative classification reads the rank
-from them.  A direct sum with a
+gives both kernels at one rank; since left = right = nil, two of the kernel
+relations (nil * algebra <= left, algebra * nil <= right) say that nil is
+an ideal, and the multiplicative classification reads the rank from the
+kernels.  A direct sum with a
 matrix block shows how a functional that vanishes on the nilpotent summand
 pushes those directions into nil.
 """
@@ -26,8 +27,9 @@ ker = ag.kernels(dual, f)
 print(f"dim left kernel = {ker.left.dim}, right = {ker.right.dim}, nil = {ker.nil.dim}")
 print("eps direction inside nil:", np.round(ker.nil.frame[:, 0], 6))
 
-ideal = ag.nil_ideal_check(dual, ker)
-print(f"nil is an ideal: {ideal.is_ideal} (residual {ideal.max_residual:.1e})")
+relations = ag.verify_kernel_relations(dual, ker)
+print(f"kernel relations, nil an ideal among them: {relations.passed} "
+      f"(residual {relations.max_residual:.1e})")
 
 rep = ag.is_multiplicative(dual, f, ker)
 print(f"multiplicative classification: {rep.verdict} "

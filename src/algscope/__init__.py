@@ -57,13 +57,11 @@ _EXPORTS = {
             "Functional",
             "Kernels",
             "MultiplicativeReport",
-            "NilIdealReport",
             "ReducedPencil",
             "gram",
             "is_multiplicative",
             "kernels",
             "matrix_trace_functional",
-            "nil_ideal_check",
             "random_functional",
             "reduce_pencil",
         ),

@@ -12,19 +12,23 @@ special F: on Mat_4 with F(X) = tr(N X), N the nilpotent shift, every
 combination is singular, and :func:`algscope.spectral.decompose` raises
 :class:`algscope.errors.SingularPencil`, a :class:`~algscope.errors.NoRegularValue`
 that names this cause.
+
+The kernels' product relations, among them that nil is a two-sided ideal
+when left = right = nil, are checked by
+:func:`algscope.verify.verify_kernel_relations`; this module classifies a
+functional by the rank-1 criterion (:func:`is_multiplicative`) alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Algebra, Element, pairwise_products
+from .algebra import Algebra, Element
 from .errors import DimensionMismatch, NonFinite, TheoremViolation
-from .linalg import Subspace, _intersection_operator, _nullspaces, complement
+from .linalg import Subspace, _check_tolerance, _intersection_operator, _nullspaces, complement
 
 __all__ = [
     "Functional",
@@ -37,8 +41,6 @@ __all__ = [
     "reduce_pencil",
     "MultiplicativeReport",
     "is_multiplicative",
-    "NilIdealReport",
-    "nil_ideal_check",
 ]
 
 #: verdicts of :func:`is_multiplicative`
@@ -129,13 +131,6 @@ def kernels(alg: Algebra, f: Functional, tol: float = 1e-9) -> Kernels:
     {x : F(y x) = 0 for all y}, and their intersection ``nil``: those that
     :func:`reduce_pencil` keeps."""
     return reduce_pencil(alg, f, tol).kernels
-
-
-def _check_tolerance(name: str, value: float):
-    """Raise :class:`ValueError` unless the tolerance ``value`` is a finite
-    number > 0."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite number > 0")
 
 
 def _raise_first(results: list) -> list:
@@ -318,34 +313,3 @@ def is_multiplicative(
         )
     return MultiplicativeReport(MULTIPLICATIVE, r, unit_value, residual)
 
-
-@dataclass(frozen=True)
-class NilIdealReport:
-    premise_holds: bool
-    is_ideal: bool | None
-    max_residual: float
-
-
-def nil_ideal_check(alg: Algebra, ker: Kernels, tol: float = 1e-9) -> NilIdealReport:
-    """When left kernel = right kernel = nil, verify that nil is a two-sided
-    ideal by projecting basis-by-frame products onto nil's complement.
-
-    ``ker`` are the kernels of a functional on ``alg``, as returned by
-    :func:`kernels` or kept by :class:`ReducedPencil`.  Both kernels come
-    from one SVD with one dimension, and nil, their intersection, lies in
-    each, so the premise is ``dim left == dim nil``.  Kernels of another
-    dimension raise :class:`DimensionMismatch`."""
-    _check_kernels(alg, ker)
-    if ker.left.dim != ker.nil.dim:
-        return NilIdealReport(False, None, float("nan"))
-    if ker.nil.dim == 0:
-        return NilIdealReport(True, True, 0.0)
-    basis = np.eye(alg.dim, dtype=complex)
-    worst = 0.0
-    for prods in (
-        pairwise_products(alg, basis, ker.nil.frame),
-        pairwise_products(alg, ker.nil.frame, basis),
-    ):
-        flat = prods.reshape(-1, alg.dim).T
-        worst = max(worst, float(np.max(ker.nil.residual(flat))))
-    return NilIdealReport(True, worst < tol, worst)

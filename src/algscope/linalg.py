@@ -6,7 +6,10 @@ intersection, equality), eigen-analysis of a matrix pencil through a regular
 shift, and extraction of the homogeneous determinant polynomial
 ``det(lam*a + mu*b)``.
 
-Rank decisions use a relative singular-value threshold ``tol * sigma_max``.
+Rank decisions use a relative singular-value threshold ``tol * sigma_max``;
+:func:`rank`, :func:`nullspace`, :func:`orthonormal_columns` and
+:func:`stack_ranks` raise :class:`ValueError` for a ``tol`` that is not a
+finite number > 0.
 Operators of the form ``a - alpha*b`` can cancel to a matrix that is zero up
 to roundoff; for those the caller passes ``scale`` (the pre-cancellation
 magnitude) so the cutoff never collapses to the noise floor of an
@@ -30,6 +33,7 @@ the eigen-analysis decides the spectrum and its count at infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +71,13 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
+def _check_tolerance(name: str, value: float):
+    """Raise :class:`ValueError` unless the tolerance ``value`` is a finite
+    number > 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0")
+
+
 def _svd_cutoffs(s: np.ndarray, tol: float, scales) -> np.ndarray:
     """Threshold below which singular values count as zero, per row of the
     stack ``s`` of singular values: relative to the row's largest value (or
@@ -80,6 +91,7 @@ def _svd_cutoffs(s: np.ndarray, tol: float, scales) -> np.ndarray:
 
 def rank(m, tol: float, *, scale: float | None = None) -> int:
     """Numerical rank with the cutoff convention of :func:`nullspace`."""
+    _check_tolerance("tol", tol)
     m = as_matrix(m)
     if 0 in m.shape:
         return 0
@@ -216,8 +228,7 @@ def nullspace(m, tol: float, *, scale: float | None = None) -> Subspace:
 
     Satisfies ``rank(m) + dim(nullspace(m)) = cols(m)``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tolerance("tol", tol)
     m = as_matrix(m)
     n = m.shape[1]
     if n == 0:
@@ -260,6 +271,7 @@ def _checked_frames(cols: np.ndarray, dims: np.ndarray, tol: float) -> list[Subs
 
 def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column span of ``cols`` (SVD based)."""
+    _check_tolerance("tol", tol)
     cols = as_matrix(cols)
     if cols.shape[1] == 0:
         return cols
@@ -276,6 +288,7 @@ def stack_ranks(mats, tol: float, scales) -> np.ndarray:
     """:func:`rank` of each of the equal-shape matrices ``mats`` at its own
     ``scales[i]``, from one values-only SVD of their stack; raises on NaN/Inf
     as :func:`as_matrix` does."""
+    _check_tolerance("tol", tol)
     stack = np.stack(mats).astype(complex, copy=False)
     if stack.ndim != 3:
         raise ShapeError(f"expected a stack of 2-d arrays, got shape {stack.shape}")

@@ -78,17 +78,19 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import NoRegularValue, SingularPencil
-from .functional import Functional, ReducedPencil, _check_tolerance, _raise_first, _reduce_pencils
+from .functional import Functional, ReducedPencil, _raise_first, _reduce_pencils
 from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
+    _check_tolerance,
     _nullspaces,
     _shifted_eigens,
     det_poly,
     nullspace,
     orthonormal_columns,
     pencil_eigen,
+    projective_close,
     rank,
 )
 
@@ -196,12 +198,11 @@ class Decomposition:
     def quotient_dim(self) -> int:
         return self.pencil.K
 
-    def point_at(self, alpha: ProjectivePoint, tol: float | None = None) -> SpectrumPoint | None:
-        from .linalg import projective_close
-
-        t = self.cluster_tol if tol is None else tol
+    def point_at(self, alpha: ProjectivePoint) -> SpectrumPoint | None:
+        """The first point within ``cluster_tol`` of ``alpha`` (relative
+        for large values), or None."""
         for p in self.points:
-            if projective_close(p.alpha, alpha, t):
+            if projective_close(p.alpha, alpha, self.cluster_tol):
                 return p
         return None
 
@@ -423,9 +424,11 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) ->
     {x : F(z x) = 0 for all z} at infinity: Stab(infinity) is the
     pairing's right kernel, and Stab(0) = {x : F(x z) = 0 for all z} its
     left kernel.  ``rp`` holds both, decided at its own tolerance, and they
-    are returned as they are, with no SVD; ``tol`` is not used there.
-    Every other alpha takes the nullspace of a~^T - alpha a~ at ``tol``.
+    are returned as they are, with no SVD.  Every other alpha takes the
+    nullspace of a~^T - alpha a~ at ``tol``.  A ``tol`` that is not a
+    finite number > 0 raises :class:`ValueError` at every alpha.
     """
+    _check_tolerance("tol", tol)
     if _is_kernel_point(alpha):
         return rp.kernels.right if alpha.is_infinite else rp.kernels.left
     m, scale = _slot_one_operator(rp, alpha)

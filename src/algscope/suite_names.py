@@ -9,7 +9,6 @@ SUITE_NAMES = (
     "alpha0",
     "v-mult",
     "dim-symmetry",
-    "nil-ideal",
     "multiplicative",
     "corollary2",
     "corollary3",

@@ -6,6 +6,8 @@ filtration, product inclusions between filtration levels over pairs of
 finite and of nonzero points, the dimension symmetries) must pass on any
 valid input; a failure always indicates a defect or a conditioning problem
 and carries a witness reproducing the worst case; a passing one names none.
+That nil is a two-sided ideal when left = right = nil is two of the kernel
+product relations, so the kernel-relations suite checks it.
 The regular-functional identities hold at a functional that minimizes the
 relevant kernel dimension, as a generic one does; the module provides an
 empirical minimizer and a deliberate negative control.  Every suite reads
@@ -16,6 +18,10 @@ decomposition of that pencil.
 Each per-functional suite is written once, over a list of decompositions
 (or of kernels), and :func:`run_suites` runs it once per chunk of its
 functionals; the public single-decomposition function is its batch of one.
+Both read the suite's residual threshold from one constant of this module
+(``KERNEL_RELATIONS_TOL``, ``ALPHA0_TOL``, ``V_MULT_TOL``), as the
+regular-functional checks do theirs (``COROLLARY_TOL``,
+``REGULAR_PERTURBATION_TOL``).
 A batch is grouped so that every stacked product runs on each member's
 matrices the routine, at the shapes, that the member gets alone, so each
 finding has the same bits in a batch of any size: v-mult and the alpha0
@@ -43,14 +49,13 @@ from .functional import (
     ReducedPencil,
     _check_dim,
     _check_kernels,
-    _check_tolerance,
     _pairings,
     _raise_first,
     _reduce_pencils,
     random_functional,
     reduce_pencil,
 )
-from .linalg import INFINITY, ProjectivePoint, Subspace, rank, stack_ranks
+from .linalg import INFINITY, ProjectivePoint, Subspace, _check_tolerance, rank, stack_ranks
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
@@ -86,21 +91,21 @@ V_MULT_NONZERO = "VMultNonzero"
 DIM_SYMMETRY_V = "DimSymmetryV"
 DIM_SYMMETRY_STAB = "DimSymmetryStab"
 RANK_ONE_MULTIPLICATIVE = "RankOneMultiplicative"
-NIL_IDEAL = "NilIdeal"
 REGULAR_PERTURBATION = "RegularPerturbation"
 COROLLARY_1 = "Corollary1"
 COROLLARY_2 = "Corollary2"
 COROLLARY_3 = "Corollary3"
 STAB_TRANSVERSALITY = "StabTransversality"
 
-#: the residual thresholds of the suites, which :func:`run_suites` passes
-#: and the public functions take as their defaults, so that a batched
-#: finding equals the one its public function gives; the negative control
-#: runs the commutativity corollary at ``COROLLARY_TOL`` too
+#: the residual thresholds of the suites, which :func:`run_suites` and the
+#: public functions both use, so that a batched finding equals the one its
+#: public function gives; the negative control runs the commutativity
+#: corollary at ``COROLLARY_TOL`` too
 KERNEL_RELATIONS_TOL = 1e-8
 ALPHA0_TOL = 1e-8
 V_MULT_TOL = 1e-7
 COROLLARY_TOL = 1e-6
+REGULAR_PERTURBATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -249,20 +254,20 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels], tol: float) -> list[Fin
     return out
 
 
-def verify_kernel_relations(
-    alg: Algebra, ker: Kernels, tol: float = KERNEL_RELATIONS_TOL
-) -> Finding:
+def verify_kernel_relations(alg: Algebra, ker: Kernels) -> Finding:
     """All seven product inclusions between the left kernel, right kernel,
-    their intersection, and the full algebra.
+    their intersection, and the full algebra, at ``KERNEL_RELATIONS_TOL``.
 
     ``ker`` are the kernels of a functional on ``alg``, as returned by
     :func:`algscope.functional.kernels` or kept by the reduced pencil of a
-    decomposition (``dec.pencil.kernels``).  A failing finding names the
-    relation and the first worst pair of frame columns.  It runs the
-    stacked suite on a batch of one.  Kernels of another dimension raise
+    decomposition (``dec.pencil.kernels``).  When left = right = nil,
+    relations 6 and 7 (``nil*algebra<=left``, ``algebra*nil<=right``) say
+    that nil is a two-sided ideal.  A failing finding names the relation
+    and the first worst pair of frame columns.  It runs the stacked suite
+    on a batch of one.  Kernels of another dimension raise
     :class:`DimensionMismatch`."""
     _check_kernels(alg, ker)
-    return _kernel_relations(alg, [ker], tol)[0]
+    return _kernel_relations(alg, [ker], KERNEL_RELATIONS_TOL)[0]
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +319,7 @@ def _alpha0_suite(decs: list[Decomposition], seeds: list[int], tol: float) -> li
     return out
 
 
-def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = ALPHA0_TOL) -> Finding:
+def verify_alpha0_suite(dec: Decomposition, seed: int = 0) -> Finding:
     """Shift-independence of the filtration at every spectral point of
     ``dec``, under two random regular shifts drawn with seeds ``seed + 1``
     and ``seed + 2``.
@@ -327,14 +332,14 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0, tol: float = ALPHA0_T
     whole filtration; a simple point is the case mult = 1.  A point whose
     level 0 is below its multiplicity climbs its filtration from that level
     under each shift, up to the multiplicity, and the levels above 0 must
-    agree, with projector distance below ``tol``; levels of different
+    agree, with projector distance below ``ALPHA0_TOL``; levels of different
     dimensions count as unequal, with distance inf.  The shifts are drawn
     only when a point climbs or a failing finding names them.  The residual
     of a point is the largest of these.  A failing finding names as witness
     (alpha, shift_a, shift_b) for the first failing point with the largest
     residual, and a passing one, whose residuals are round-off, names none.
     It runs the stacked suite on a batch of one."""
-    return _alpha0_suite([dec], [seed], tol)[0]
+    return _alpha0_suite([dec], [seed], ALPHA0_TOL)[0]
 
 
 # --------------------------------------------------------------------------
@@ -483,18 +488,19 @@ def _v_mult(alg: Algebra, decs: list[Decomposition], tol: float) -> list[list[Fi
     return out
 
 
-def verify_v_mult(alg: Algebra, dec: Decomposition, tol: float = V_MULT_TOL) -> list[Finding]:
+def verify_v_mult(alg: Algebra, dec: Decomposition) -> list[Finding]:
     """Product inclusions V^k(a) V^m(b) <= V^{k+m}(a b) between the
-    filtration levels of ``dec``, one finding per variant: ``VMultFinite``
-    over the pairs of finite points and ``VMultNonzero`` over the pairs of
-    nonzero points, where infinity times a nonzero point is infinity.  Both
-    read one product tensor (see :func:`_product_inclusions`); the witness
-    (a, b, k, m) of a failing variant names V^k(a) V^m(b) in ``dec``'s own
-    points, and a passing one names none.  The pair (0, infinity) belongs
-    to neither variant.  It runs the stacked suite on a batch of one.  A
-    decomposition of another dimension raises :class:`DimensionMismatch`."""
+    filtration levels of ``dec`` at ``V_MULT_TOL``, one finding per variant:
+    ``VMultFinite`` over the pairs of finite points and ``VMultNonzero``
+    over the pairs of nonzero points, where infinity times a nonzero point
+    is infinity.  Both read one product tensor (see
+    :func:`_product_inclusions`); the witness (a, b, k, m) of a failing
+    variant names V^k(a) V^m(b) in ``dec``'s own points, and a passing one
+    names none.  The pair (0, infinity) belongs to neither variant.  It
+    runs the stacked suite on a batch of one.  A decomposition of another
+    dimension raises :class:`DimensionMismatch`."""
     _check_dim(alg, dec.pencil.nil.ambient_dim, "decomposition")
-    return _v_mult(alg, [dec], tol)[0]
+    return _v_mult(alg, [dec], V_MULT_TOL)[0]
 
 
 # --------------------------------------------------------------------------
@@ -662,11 +668,11 @@ def verify_regular_perturbation(
     lambda0: complex,
     mu0: complex,
     s_basis: list[Functional],
-    tol: float = 1e-6,
 ) -> Finding:
     """At a kernel-dimension minimizer, every direction G of the perturbation
     space annihilates ``lambda0 x y + mu0 y x`` for x in the kernel of
-    ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination.
+    ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination,
+    up to ``REGULAR_PERTURBATION_TOL``.
     These are Stab(alpha) and Stab(1/alpha) of the minimizer's reduced
     pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0);
     (0, 0) raises :class:`ValueError`, and a pencil or a direction whose
@@ -683,15 +689,14 @@ def verify_regular_perturbation(
     directions = np.array([g.coords for g in s_basis], dtype=complex).reshape(-1, alg.dim)
     w = lambda0 * xy + mu0 * yx
     res = np.abs(w @ directions.T) / (1.0 + np.linalg.norm(directions, axis=1))
+    tol = REGULAR_PERTURBATION_TOL
     worst, witness = _first_worst(res, tol)
     return Finding(REGULAR_PERTURBATION, worst < tol, worst, witness, res.size)
 
 
-def verify_corollaries(
-    alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint, tol: float = COROLLARY_TOL
-) -> Finding:
+def verify_corollaries(alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint) -> Finding:
     """Element-level identities at a stabilizer-dimension minimizer, read
-    from its reduced pencil ``rp``.
+    from its reduced pencil ``rp``, at ``COROLLARY_TOL``.
 
     alpha = 1: the stabilizer is a commutative subalgebra (commutators
     vanish).  alpha = 0: products of Stab(0) with Stab(infinity), the left
@@ -702,6 +707,7 @@ def verify_corollaries(
     if alpha.is_infinite:
         raise ValueError("corollaries are stated for finite alpha")
     _check_dim(alg, rp.nil.ambient_dim, "reduced pencil")
+    tol = COROLLARY_TOL
     if alpha.value == 0:
         ker = rp.kernels
         stab_res = np.linalg.norm(pairwise_products(alg, ker.left.frame, ker.right.frame), axis=-1)
@@ -722,9 +728,7 @@ def verify_corollaries(
     return Finding(theorem_id, worst < tol, worst, witness, xs.dim * ys.dim)
 
 
-def negative_control_finding(
-    alg: Algebra, tol: float = COROLLARY_TOL, rank_tol: float = DEFAULT_TOL
-) -> Finding:
+def negative_control_finding(alg: Algebra, rank_tol: float = DEFAULT_TOL) -> Finding:
     """Run the commutativity corollary at a deliberately non-minimizing
     functional (the unit-coordinate functional, whose pairing is symmetric on
     the reference algebras, making Stab(1) the whole algebra), reduced at
@@ -741,7 +745,7 @@ def negative_control_finding(
     adds 0, and one that is zero on one side only is met from the other.
     """
     control = reduce_pencil(alg, Functional(alg.unit.copy()), rank_tol)
-    inner = verify_corollaries(alg, control, ProjectivePoint.finite(1.0), tol)
+    inner = verify_corollaries(alg, control, ProjectivePoint.finite(1.0))
     notes = ("negative control: expected the commutativity check to fail",)
     i, j, k, values = alg.coordinates
     if np.max(np.abs(values - alg.structure[j, i, k]), initial=0.0) < max(rank_tol, 1e-12):
@@ -788,8 +792,9 @@ def run_suites(
     (``KERNEL_RELATIONS_TOL``, ``ALPHA0_TOL``, ``V_MULT_TOL``);
     ``v-mult`` checks both of its variants on one product tensor per
     decomposition shape, in quotient coordinates, so no suite lifts a level
-    (``Decomposition.filtrations``).  ``kernel-relations``, ``nil-ideal``
-    and ``multiplicative`` read the kernels each pencil keeps.  Findings
+    (``Decomposition.filtrations``).  ``kernel-relations`` and
+    ``multiplicative`` read the kernels each pencil keeps; there is no
+    nil-ideal suite, since kernel-relations checks that property.  Findings
     are sorted by theorem id, stably, so each theorem's findings follow the
     functionals' order.  ``corollary2`` and ``corollary3`` run once, on the
     first drawn functional: a complex-Gaussian functional misses, with
@@ -797,7 +802,7 @@ def run_suites(
     its generic dimension, so :func:`minimize_stab_dim` returns it itself.
     They read the pencil its chunk reduced; when no other suite is
     selected, only that functional is reduced."""
-    from .functional import is_multiplicative, nil_ideal_check
+    from .functional import is_multiplicative
 
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
@@ -824,7 +829,7 @@ def run_suites(
             decs = _decompose_pencils(rps, seed, rank_tol, cluster_tol)
         kers = [rp.kernels for rp in _raise_first(rps)]
         if chunk[0] == 0:
-            findings += [verify_corollaries(alg, rps[0], p, COROLLARY_TOL) for p in points]
+            findings += [verify_corollaries(alg, rps[0], p) for p in points]
         if "kernel-relations" in suites:
             findings += _kernel_relations(alg, kers, KERNEL_RELATIONS_TOL)
         if "alpha0" in suites:
@@ -833,12 +838,6 @@ def run_suites(
             findings += [f for pair in _v_mult(alg, decs, V_MULT_TOL) for f in pair]
         if "dim-symmetry" in suites:
             findings += [f for pair in _dim_symmetry(decs) for f in pair]
-        if "nil-ideal" in suites:
-            for rep in (nil_ideal_check(alg, ker, rank_tol) for ker in kers):
-                if rep.premise_holds:
-                    findings.append(Finding(NIL_IDEAL, rep.is_ideal, rep.max_residual, None, 1))
-                else:
-                    findings.append(Finding(NIL_IDEAL, True, 0.0, None, 1, ("premise not met",)))
         if "multiplicative" in suites:
             for f, ker in zip(part, kers):
                 rep = is_multiplicative(alg, f, ker, rank_tol)

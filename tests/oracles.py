@@ -205,6 +205,16 @@ def prescribed_pencil_algebra(beta):
     return alg, algscope.Functional(coords)
 
 
+def zero_on(alg, start, stop, seed):
+    """A random functional on ``alg`` with the coordinates start..stop - 1
+    set to 0."""
+    from algscope.functional import Functional, random_functional
+
+    coords = random_functional(alg.dim, np.random.default_rng(seed)).coords.copy()
+    coords[start:stop] = 0.0
+    return Functional(coords)
+
+
 def conjugated_diagonal_functional(n, seed):
     """F = tr(Q X) on Mat_n with Q = S diag(q) S^-1 exactly integer: q holds
     n distinct nonzero integers in -9..9, and S is unimodular, 3n row
@@ -993,14 +1003,12 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
         Functional,
         is_multiplicative,
         kernels,
-        nil_ideal_check,
         random_functional,
         reduce_pencil,
     )
     from algscope.linalg import ProjectivePoint
     from algscope.spectral import decompose_all
     from algscope.verify import (
-        NIL_IDEAL,
         RANK_ONE_MULTIPLICATIVE,
         Finding,
         minimize_stab_dim,
@@ -1017,7 +1025,7 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
         if analysed:
             dec = decs[index]
             ker = dec.pencil.kernels
-        elif {"kernel-relations", "nil-ideal", "multiplicative"}.intersection(suites):
+        elif {"kernel-relations", "multiplicative"}.intersection(suites):
             ker = kernels(alg, f, rank_tol)
         if "kernel-relations" in suites:
             findings.append(kernel_relations_loop(alg, ker))
@@ -1027,12 +1035,6 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
             findings.extend(v_mult_loop(alg, dec))
         if "dim-symmetry" in suites:
             findings.extend(dim_symmetry_loop(dec))
-        if "nil-ideal" in suites:
-            rep = nil_ideal_check(alg, ker, rank_tol)
-            ok = (not rep.premise_holds) or bool(rep.is_ideal)
-            res = 0.0 if not rep.premise_holds else rep.max_residual
-            notes = () if rep.premise_holds else ("premise not met",)
-            findings.append(Finding(NIL_IDEAL, ok, res, None, 1, notes))
         if "multiplicative" in suites:
             rep = is_multiplicative(alg, f, ker, rank_tol)
             res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual

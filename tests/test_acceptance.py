@@ -117,7 +117,7 @@ def test_criterion_3_kernel_relations_suite():
         for name, alg in corpus():
             for _ in range(50):
                 f = random_functional(alg.dim, rng)
-                finding = verify_kernel_relations(alg, kernels(alg, f), tol=1e-8)
+                finding = verify_kernel_relations(alg, kernels(alg, f))
                 assert finding.passed, (name, finding)
 
 
@@ -165,7 +165,7 @@ def test_criterion_5_product_inclusion_suite():
         for name, alg in corpus():
             for _ in range(50):
                 f = random_functional(alg.dim, rng)
-                for finding in verify_v_mult(alg, decompose(alg, f), tol=1e-7):
+                for finding in verify_v_mult(alg, decompose(alg, f)):
                     assert finding.passed, (name, finding)
 
 
@@ -211,12 +211,12 @@ def test_criterion_8_regular_functionals():
             )
             assert dim == n  # the commutant of a generic matrix
             rp = reduce_pencil(alg, f_min)
-            cor2 = verify_corollaries(alg, rp, ProjectivePoint.finite(1.0), tol=1e-6)
+            cor2 = verify_corollaries(alg, rp, ProjectivePoint.finite(1.0))
             assert cor2.passed and cor2.max_residual < 1e-6
             # corollary 1 at alpha = 1 is the same element identity ||xy - yx||
-            cor1 = verify_corollaries(alg, rp, ProjectivePoint.finite(1.0), tol=1e-6)
+            cor1 = verify_corollaries(alg, rp, ProjectivePoint.finite(1.0))
             assert cor1.max_residual < 1e-6
-        control = negative_control_finding(mat_algebra(2), tol=1e-6)
+        control = negative_control_finding(mat_algebra(2))
         assert not control.passed  # Stab(1) = all of Mat2 is not commutative
 
 

@@ -14,7 +14,6 @@ from algscope import (
     kernels,
     mat_algebra,
     matrix_trace_functional,
-    nil_ideal_check,
     opposite,
     random_functional,
     reduce_pencil,
@@ -88,6 +87,25 @@ class TestGram:
         np.testing.assert_allclose(g, direct, atol=1e-12)
 
 
+def kernel_cases():
+    """(label, algebra, functional) with nonzero kernels: random functionals
+    on tri_3..tri_5, and functionals with nil != 0."""
+    rng = np.random.default_rng(61)
+    cases = [
+        (f"tri_{n}", upper_triangular(n), random_functional(n * (n + 1) // 2, rng))
+        for n in (3, 4, 5)
+    ]
+    cases.append(("dual", dual_numbers(), Functional(np.array([1.0, 0.0]))))
+    # F vanishes on the eps of the dual block
+    coords = np.zeros(6, dtype=complex)
+    coords[:4] = matrix_trace_functional(np.diag([1.0, 3.0])).coords
+    coords[4] = 1.0
+    cases.append(("Mat_2+dual", direct_sum(mat_algebra(2), dual_numbers()), Functional(coords)))
+    weights = matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
+    cases.append(("Mat_3 weights 1, 2, 0", mat_algebra(3), weights))
+    return cases
+
+
 class TestKernels:
     def test_zero_functional_everything_annihilates(self):
         ker = kernels(mat_algebra(2), Functional(np.zeros(4)), TOL)
@@ -117,24 +135,18 @@ class TestKernels:
             with pytest.raises(ValueError, match="tol must be a finite number > 0"):
                 call(alg, f, tol)
 
-
-def kernel_cases():
-    """(label, algebra, functional) with nonzero kernels: random functionals
-    on tri_3..tri_5, and functionals with nil != 0."""
-    rng = np.random.default_rng(61)
-    cases = [
-        (f"tri_{n}", upper_triangular(n), random_functional(n * (n + 1) // 2, rng))
-        for n in (3, 4, 5)
-    ]
-    cases.append(("dual", dual_numbers(), Functional(np.array([1.0, 0.0]))))
-    # F vanishes on the eps of the dual block
-    coords = np.zeros(6, dtype=complex)
-    coords[:4] = matrix_trace_functional(np.diag([1.0, 3.0])).coords
-    coords[4] = 1.0
-    cases.append(("Mat_2+dual", direct_sum(mat_algebra(2), dual_numbers()), Functional(coords)))
-    weights = matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
-    cases.append(("Mat_3 weights 1, 2, 0", mat_algebra(3), weights))
-    return cases
+    @pytest.mark.parametrize("case", kernel_cases(), ids=lambda case: case[0])
+    def test_equal_dimensions_are_equal_spaces(self, case):
+        # nil lies in both kernels, and both kernels come from one SVD with
+        # one dimension, so dim left == dim nil means left = right = nil
+        _, alg, f = case
+        ker = kernels(alg, f, TOL)
+        by_distance = subspace_equal(ker.left, ker.nil, 100 * TOL) and subspace_equal(
+            ker.right, ker.nil, 100 * TOL
+        )
+        assert (ker.left.dim == ker.nil.dim) == by_distance
+        if by_distance and ker.nil.dim:
+            assert projector_distance(ker.left, ker.nil) < 10 * TOL
 
 
 class TestKernelsAgainstRawSVD:
@@ -437,49 +449,3 @@ class TestMultiplicativeAgainstLoop:
             monkeypatch.setattr(np.linalg, "svd", original)
         assert calls == []
 
-
-class TestNilIdeal:
-    def test_dual_numbers_nil_is_an_ideal(self):
-        alg = dual_numbers()
-        rep = nil_ideal_check(alg, kernels(alg, Functional(np.array([1.0, 0.0]))), TOL)
-        assert rep.premise_holds and rep.is_ideal and rep.max_residual < 1e-12
-
-    def test_zero_functional_trivially_ideal(self):
-        alg = mat_algebra(2)
-        rep = nil_ideal_check(alg, kernels(alg, Functional(np.zeros(4))), TOL)
-        assert rep.premise_holds and rep.is_ideal
-
-    def test_trivial_nil_is_vacuously_ideal(self):
-        alg = mat_algebra(2)
-        rep = nil_ideal_check(alg, kernels(alg, matrix_trace_functional(np.diag([1.0, 2.0]))), TOL)
-        assert rep.premise_holds and rep.is_ideal and rep.max_residual == 0.0
-
-    @pytest.mark.parametrize("case", kernel_cases(), ids=lambda case: case[0])
-    def test_premise_by_dimension_is_the_projector_rule(self, case):
-        # nil lies in both kernels, so equal dimensions are equal spaces
-        _, alg, f = case
-        ker = kernels(alg, f, TOL)
-        rep = nil_ideal_check(alg, ker, TOL)
-        by_distance = subspace_equal(ker.left, ker.nil, 100 * TOL) and subspace_equal(
-            ker.right, ker.nil, 100 * TOL
-        )
-        assert rep.premise_holds == by_distance
-        if rep.premise_holds and ker.nil.dim:
-            assert projector_distance(ker.left, ker.nil) < 10 * TOL
-
-    def test_premise_takes_no_projector_distance(self, monkeypatch):
-        orders = []
-        original = np.linalg.norm
-
-        def counted(x, ord=None, *args, **kwargs):
-            orders.append(ord)
-            return original(x, ord, *args, **kwargs)
-
-        premises = []
-        for _, alg, f in kernel_cases():
-            ker = kernels(alg, f, TOL)
-            monkeypatch.setattr(np.linalg, "norm", counted)
-            premises.append(nil_ideal_check(alg, ker, TOL).premise_holds)
-            monkeypatch.setattr(np.linalg, "norm", original)
-        assert True in premises and False in premises
-        assert 2 not in orders

@@ -27,6 +27,7 @@ from algscope.linalg import (
     _nullspaces,
     _shifted_eigens,
     _stack_points,
+    orthonormal_columns,
     rank,
     stack_ranks,
 )
@@ -77,6 +78,23 @@ class TestNullspace:
             m = np.zeros((rows, cols), dtype=complex)
         assert rank(m, TOL) + nullspace(m, TOL).dim == cols
         assert rank(m, TOL) == r
+
+
+#: a rank primitive called at a tolerance on the 3 x 3 identity
+_RANK_PRIMITIVES = {
+    "nullspace": lambda tol: nullspace(np.eye(3), tol),
+    "rank": lambda tol: rank(np.eye(3), tol),
+    "orthonormal_columns": lambda tol: orthonormal_columns(np.eye(3), tol),
+    "stack_ranks": lambda tol: stack_ranks([np.eye(3)], tol, [None]),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name", list(_RANK_PRIMITIVES))
+def test_rank_primitives_refuse_a_tolerance_that_is_not_finite_and_positive(name, tol):
+    # at tol = nan nullspace gave the whole space and the others rank 0
+    with pytest.raises(ValueError, match="^tol must be a finite number > 0$"):
+        _RANK_PRIMITIVES[name](tol)
 
 
 class TestSubspaceLattice:

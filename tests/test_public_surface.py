@@ -59,6 +59,8 @@ REMOVED = (
     "_positions",
     "_target_indices",
     "_check_pairing",
+    "nil_ideal_check",
+    "NilIdealReport",
 )
 
 

@@ -63,6 +63,7 @@ from oracles import (
     split_point,
     stab_fullspace,
     v_split_pairwise_and_span,
+    zero_on,
 )
 
 TOL = 1e-9
@@ -279,6 +280,22 @@ class TestStab:
                 got = stab(dec.pencil, p.alpha, TOL)
                 assert got.dim == oracle.dim
                 assert projector_distance(got, oracle) < 1e-8
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "alpha",
+        [ProjectivePoint.finite(1.0), ProjectivePoint.finite(0.0), INFINITY],
+        ids=["one", "zero", "infinity"],
+    )
+    def test_refuses_a_tolerance_that_is_not_finite_and_positive(self, alpha, tol):
+        # Stab(1) of Mat_3 at a random functional has dimension 3; at
+        # tol = nan or inf it came back as all 9 dimensions.  At 0 and
+        # infinity the kernels are read with no rank decision, so the
+        # tolerance is checked on entry
+        rp = reduce_pencil(mat_algebra(3), random_functional(9, np.random.default_rng(0)))
+        assert stab(rp, ProjectivePoint.finite(1.0)).dim == 3
+        with pytest.raises(ValueError, match="^tol must be a finite number > 0$"):
+            stab(rp, alpha, tol)
 
 
 class TestJordanFiltration:
@@ -1484,14 +1501,6 @@ class TestDecompositionChecksOracle:
             off_stab | {"v_dim_equals_nil_plus_multiplicity"},
             {"simple_frames_in_stabilizer"},
         ]
-
-
-def zero_on(alg, start, stop, seed):
-    """A random functional on ``alg`` with the coordinates start..stop - 1
-    set to 0."""
-    coords = random_functional(alg.dim, np.random.default_rng(seed)).coords.copy()
-    coords[start:stop] = 0.0
-    return Functional(coords)
 
 
 def kernel_stabilizer_cases():

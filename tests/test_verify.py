@@ -9,6 +9,7 @@ from algscope import (
     INFINITY,
     DimensionMismatch,
     Functional,
+    Kernels,
     ProjectivePoint,
     Subspace,
     cyclic_table,
@@ -24,7 +25,6 @@ from algscope import (
     matrix_trace_functional,
     minimize_stab_dim,
     negative_control_finding,
-    nil_ideal_check,
     opposite,
     projector_distance,
     random_functional,
@@ -74,6 +74,7 @@ from oracles import (
     stab_transversality_pairwise,
     target_indices_loop,
     v_mult_loop,
+    zero_on,
 )
 
 
@@ -95,7 +96,6 @@ def _mat2_inputs():
 #: the Mat_2 inputs of :func:`_mat2_inputs`
 _CROSS_ALGEBRA_CALLS = {
     "verify_kernel_relations": lambda alg, f, ker, dec: verify_kernel_relations(alg, ker),
-    "nil_ideal_check": lambda alg, f, ker, dec: nil_ideal_check(alg, ker),
     "is_multiplicative": lambda alg, f, ker, dec: is_multiplicative(alg, f, ker),
     "is_multiplicative_kernels": lambda alg, f, ker, dec: is_multiplicative(
         alg, random_functional(alg.dim, np.random.default_rng(0)), ker
@@ -111,6 +111,19 @@ _CROSS_ALGEBRA_CALLS = {
         alg, dec.pencil, 1.0, -1.0, []
     ),
 }
+
+
+def nil_ideal_inputs():
+    """name -> (algebra, functional) whose left and right kernels equal a
+    nonzero nil: the dual numbers at F(1) = 1, F(eps) = 0, and direct sums
+    with F zero on one summand, whose nil is that summand."""
+    mat3_tri5 = direct_sum(mat_algebra(3), upper_triangular(5))
+    mat2_dual = direct_sum(mat_algebra(2), dual_numbers())
+    return {
+        "dual": (dual_numbers(), Functional(np.array([1.0, 0.0]))),
+        "Mat_3+tri_5 zero on tri_5": (mat3_tri5, zero_on(mat3_tri5, 9, 24, 84)),
+        "Mat_2+dual zero on dual": (mat2_dual, zero_on(mat2_dual, 4, 6, 85)),
+    }
 
 
 class TestAnotherAlgebra:
@@ -154,6 +167,29 @@ class TestKernelRelations:
         finding = verify_kernel_relations(alg, kernels(alg, f))
         if not finding.passed:
             assert finding.witness is not None
+
+    @pytest.mark.parametrize("name", list(nil_ideal_inputs()))
+    def test_nil_is_an_ideal_when_both_kernels_are_nil(self, name):
+        # when left = right = nil, relations 6 and 7 (nil*algebra<=left,
+        # algebra*nil<=right) say that nil is a two-sided ideal.  Every
+        # relation is sampled: d N products for each of 1, 2, 6 and 7, d^2
+        # for each of 3-5, at nil of dimension d
+        alg, f = nil_ideal_inputs()[name]
+        ker = kernels(alg, f)
+        d, n = ker.nil.dim, alg.dim
+        assert d and ker.left.dim == ker.right.dim == d
+        finding = verify_kernel_relations(alg, ker)
+        assert finding.passed and finding.max_residual == 0.0
+        assert finding.samples == 4 * d * n + 3 * d * d
+
+    def test_a_nil_that_is_no_ideal_fails(self):
+        # x = span(E12) in Mat_2 planted as left, right and nil kernel:
+        # E12 E21 = E11 lies off x, as does E21 E12 = E22
+        alg = mat_algebra(2)
+        x = Subspace(4, np.eye(4, dtype=complex)[:, [1]], 1e-9)
+        finding = verify_kernel_relations(alg, Kernels(x, x, x))
+        assert not finding.passed and finding.max_residual == 1.0
+        assert finding.witness == ("left*algebra<=left", 0, 2)
 
 
 class TestVMult:
@@ -342,6 +378,16 @@ class TestMinimize:
         f0 = matrix_trace_functional(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError, match="lambda0 and mu0"):
             minimize_stab_dim(alg, 0, 0, full_dual(4), f0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_refuses_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        # on Mat_3 the minimal kernel dimension is 3; at tol = nan every
+        # rank came out 0, a kernel of dimension 9
+        alg = mat_algebra(3)
+        f0 = random_functional(9, np.random.default_rng(0))
+        assert minimize_stab_dim(alg, 1.0, -1.0, full_dual(9), f0)[1] == 3
+        with pytest.raises(ValueError, match="^tol must be a finite number > 0$"):
+            minimize_stab_dim(alg, 1.0, -1.0, full_dual(9), f0, tol=tol)
 
     def test_monotone_in_sample_count(self):
         alg = upper_triangular(3)
@@ -1042,13 +1088,13 @@ class TestLinearAlgebraCounts:
         # intersection with no intersection SVD
         calls = self.count_svd(monkeypatch)
         alg = upper_triangular(5)
-        suites = ("kernel-relations", "nil-ideal", "multiplicative")
+        suites = ("kernel-relations", "multiplicative")
         findings = run_suites(alg, suites, 10, seed=0)
         assert collections.Counter(calls) == {
             ((10, 15, 15), "full"): 1,
             ((10, 15, 6), "values"): 1,
         }
-        assert len(findings) == 30 and all(f.passed for f in findings)
+        assert len(findings) == 20 and all(f.passed for f in findings)
 
     def test_svd_calls_of_a_kernel_and_corollary_run(self, monkeypatch):
         # tri_5 with 10 random functionals, nil = 0: one reduction of the
@@ -1096,7 +1142,6 @@ class TestLinearAlgebraCounts:
         import sys
 
         import algscope.algebra as algebra
-        import algscope.functional as functional
         import algscope.verify as verify
 
         callers = []
@@ -1114,7 +1159,6 @@ class TestLinearAlgebraCounts:
             return original_opposite(alg)
 
         monkeypatch.setattr(verify, "pairwise_products", counted)
-        monkeypatch.setattr(functional, "pairwise_products", counted)
         monkeypatch.setattr(algebra, "opposite", counted_opposite)
         # v-mult reads the algebra it is given, never the opposite algebra
         assert not hasattr(verify, "opposite")
@@ -1135,13 +1179,12 @@ class TestLinearAlgebraCounts:
             # product per relation between two nonzero kernels
             kernel_dims = {tuple(x.dim for x in dec.pencil.kernels) for dec in decs}
             assert callers.count("_kernel_relations") <= 3 * len(kernel_dims)
-            assert callers.count("nil_ideal_check") <= 2 * n
             # two products for each of Corollary2 and Corollary3: x y and
             # y x, or stab0 stabinf and nil nil
             assert callers.count("verify_corollaries") == 4
             assert callers.count("verify_regular_perturbation") == 0
-            known = ("_group_inclusions", "_kernel_relations", "nil_ideal_check")
-            known += ("verify_corollaries", "verify_regular_perturbation")
+            known = ("_group_inclusions", "_kernel_relations", "verify_corollaries")
+            known += ("verify_regular_perturbation",)
             assert len(callers) == sum(callers.count(c) for c in known)
         # all ten decompositions of Mat_3 share one product call
         assert groups[0] == 1
@@ -1300,24 +1343,39 @@ class TestRunSuites:
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             run_suites(mat_algebra(2), suites, 2, 0, **tols)
 
-    def test_the_suites_read_their_public_functions_thresholds(self):
-        # the threshold run_suites passes is the public function's default,
-        # so a batched finding equals the one that function gives
-        import algscope.verify as verify
+    def test_the_public_suite_functions_take_no_threshold(self):
+        # each reads its module constant, as run_suites does, so a batched
+        # finding equals the one the public function gives; at tol = nan
+        # verify_v_mult and verify_kernel_relations failed passing inputs
+        from algscope import Decomposition
 
-        defaults = {
-            verify_kernel_relations: verify.KERNEL_RELATIONS_TOL,
-            verify_alpha0_suite: verify.ALPHA0_TOL,
-            verify_v_mult: verify.V_MULT_TOL,
-            verify_corollaries: verify.COROLLARY_TOL,
-            negative_control_finding: verify.COROLLARY_TOL,
-        }
-        for function, tol in defaults.items():
-            assert inspect.signature(function).parameters["tol"].default == tol
+        for function in (
+            verify_kernel_relations,
+            verify_alpha0_suite,
+            verify_v_mult,
+            verify_corollaries,
+            negative_control_finding,
+            verify_regular_perturbation,
+            Decomposition.point_at,
+        ):
+            assert "tol" not in inspect.signature(function).parameters, function.__name__
 
     def test_corollary1_suite_is_gone(self):
         with pytest.raises(ValueError):
             run_suites(mat_algebra(2), suites=("corollary1",), n_functionals=1)
+
+    def test_nil_ideal_suite_is_gone(self, tmp_path, monkeypatch, capsys):
+        # kernel-relations checks nil*algebra<=left and algebra*nil<=right,
+        # the same products against the same spaces
+        from algscope.cli import main
+
+        with pytest.raises(ValueError):
+            run_suites(mat_algebra(2), suites=("nil-ideal",), n_functionals=1)
+        monkeypatch.chdir(tmp_path)
+        assert main(["builders", "dual", "--out", "d.alg"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "d.alg", "--suite", "nil-ideal"]) == 1
+        assert "unknown suite names: nil-ideal" in capsys.readouterr().err
 
     @pytest.mark.parametrize("with_v_mult", [True, False])
     def test_one_batched_decomposition_per_call(self, monkeypatch, with_v_mult):
@@ -1519,7 +1577,7 @@ class TestRunSuitesOracle:
     @pytest.mark.parametrize("name", ["tri_5", "Mat_3+tri_3", "Mat_3"])
     def test_kernel_suites_without_decompositions_match_the_loop(self, name):
         alg = SUITE_INPUTS[name]
-        suites = ("kernel-relations", "nil-ideal", "multiplicative")
+        suites = ("kernel-relations", "multiplicative")
         for seed in range(2):
             expected = run_suites_loop(alg, suites, 10, seed)
             assert_same_findings(run_suites(alg, suites, 10, seed), expected)
@@ -1638,7 +1696,7 @@ class TestRunSuitesOracle:
         assert [len(args[0]) for args, _ in batches] == [3, 3, 3, 1] * 2
         assert [len(args[1]) for args, _ in parts] == [3, 3, 3, 1] * 2
         tri = SUITE_INPUTS["tri_5"]
-        suites = ("kernel-relations", "nil-ideal", "multiplicative")
+        suites = ("kernel-relations", "multiplicative")
         assert_same_findings(run_suites(tri, suites, 10, 2), run_suites_loop(tri, suites, 10, 2))
 
     def test_small_inputs_take_one_chunk(self, monkeypatch):
