@@ -295,8 +295,10 @@ def is_multiplicative(
     ``F(e_i e_j) = F(e_i) F(e_j)`` for every pair; that identity is verified
     directly and a failure raises :class:`TheoremViolation` because it can
     only come from a defect, not from the input.  A functional or kernels
-    of another dimension raise :class:`DimensionMismatch`.
+    of another dimension raise :class:`DimensionMismatch`, and a ``tol``
+    that is not a finite number > 0 raises :class:`ValueError`.
     """
+    _check_tolerance("tol", tol)
     _check_dim(alg, f.dim, "functional coordinates")
     _check_kernels(alg, ker)
     r = alg.dim - ker.right.dim

@@ -157,7 +157,9 @@ class Subspace:
     ``frame`` has shape ``(ambient_dim, dim)`` and satisfies
     ``frame^H frame = I`` within ``10 * tol``.  The constructor checks that
     bound; the stacked nullspaces behind :func:`nullspace` check their
-    frames once per stack instead, with the same bound and error.
+    frames once per stack instead, with the same bound and error.  The
+    constructor, :meth:`zero` and :meth:`full` raise :class:`ValueError`
+    unless ``tol`` is a finite number > 0.
     """
 
     ambient_dim: int
@@ -165,6 +167,7 @@ class Subspace:
     tol: float
 
     def __post_init__(self):
+        _check_tolerance("tol", self.tol)
         frame = np.asarray(self.frame, dtype=complex)
         if frame.ndim != 2 or frame.shape[0] != self.ambient_dim:
             raise ShapeError(
@@ -212,12 +215,14 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int, tol: float = 1e-9) -> "Subspace":
         """The zero subspace, whose empty frame needs no check."""
+        _check_tolerance("tol", tol)
         return cls._checked(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), tol)
 
     @classmethod
     def full(cls, ambient_dim: int, tol: float = 1e-9) -> "Subspace":
         """The whole space, framed by the exact identity, which needs no
         check."""
+        _check_tolerance("tol", tol)
         return cls._checked(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
 
 

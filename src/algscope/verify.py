@@ -28,7 +28,10 @@ finding has the same bits in a batch of any size: v-mult and the alpha0
 suite group decompositions by their shape (K and the widths of every
 point's levels, :func:`_shape`), whose members share one column layout,
 and dim-symmetry by their number of points.  No stacked operand takes more
-than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.
+than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.  v-mult
+stacks a group's layout (its levels, targets and point lookup) but forms
+the product tensor of one member at a time, so it never holds more than
+one decomposition's product tensor.
 
 :func:`verify_stab_transversality` is a check of one decomposition that no
 suite runs: it follows from the decomposition's own ``v_spaces_direct_sum``
@@ -358,17 +361,24 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> 
     ``dec.quotient_filtrations``, with no lift to :class:`Subspace`: the
     columns ``[Q W, nil]`` of all levels of all points of a decomposition
     are stacked into one matrix, and the matrices of a group, the
-    decompositions of one :func:`_shape`, into one array multiplied in one
-    :func:`pairwise_products` call.  Every level contains nil and
-    ``[Q, nil]`` is unitary, so a product p lies off the level
+    decompositions of one :func:`_shape`, into one array.  At nil = 0, Q
+    is the identity, and neither product with it is formed.  The targets
+    and the point lookup are taken for the whole group at once; the product
+    tensor, one :func:`pairwise_products` call, is formed for one member at
+    a time, and only its row of residuals is kept.  Every level contains
+    nil and ``[Q, nil]`` is unitary, so a product p lies off the level
     ``[Q W, nil]`` by exactly the part of its quotient coordinates
     c = Q^H p off W, and off nil by all of c: its residual is
     ``|c - W W^H c| / max(1, |p|)``, or ``|c| / max(1, |p|)`` for nil.
     Each product's residual is taken once, against its own target level:
     all coordinates are projected onto the columns of all levels, in chunks
     of whole levels of at most N columns, and each keeps only its target's
-    columns.  Products of 0 and infinity belong to neither variant.  A
-    variant whose worst residual reaches ``tol`` names as witness
+    columns.  A group is split into parts by what it holds per member: the
+    lookup's p^3 complex temporaries, for p points, and a max(N, cols)
+    square of complex entries, which bounds its frames and its per-product
+    arrays.  One member's cols^2 N product tensor does not count, since
+    only one is alive.  Products of 0 and infinity belong to neither
+    variant.  A variant whose worst residual reaches ``tol`` names as witness
     (a, b, k, m), meaning V^k(a) V^m(b), the first quadruple, in the order
     a, b, k, m over the points in spectrum order, whose products reach
     that residual.  Below ``tol`` the residuals are round-off, whose argmax
@@ -379,14 +389,17 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> 
     groups = _groups(_shape(dec) if dec.points else None for dec in decs)
     for (k, chains), members in groups.items():
         cols = sum(map(sum, chains)) + sum(map(len, chains)) * (n - k)
-        for part in _budget_parts(members, 16 * cols * n * max(n, cols)):
+        for part in _budget_parts(members, 16 * (len(chains) ** 3 + max(n, cols) ** 2)):
             for i, found in zip(part, _group_inclusions(alg, [decs[i] for i in part], tol)):
                 out[i] = found
     return out
 
 
 def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
-    """:func:`_product_inclusions` of decompositions of one :func:`_shape`."""
+    """:func:`_product_inclusions` of decompositions of one :func:`_shape`:
+    the layout, targets and lookup of all of them at once, then one
+    member's product tensor, quotient coordinates and projections at a
+    time."""
     n = alg.dim
     b = len(decs)
     nil = decs[0].pencil.nil.dim
@@ -420,13 +433,13 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> li
     in_variant = [(x[:, :, None] & x[:, None, :]).reshape(b, -1) for x in (finite_col, nonzero_col)]
 
     # the columns [Q W, nil] of every level, from one stacked product Q W;
-    # at nil != 0 one index array puts nil's columns after each level's.  No
-    # temporary outlives this step
-    q = np.stack([dec.pencil.quotient_frame for dec in decs])
+    # at nil = 0, Q is the identity and the columns are W.  At nil != 0 one
+    # index array puts nil's columns after each level's
     levels = [[w for p in dec.points for w in dec.quotient_filtrations[p.alpha]] for dec in decs]
-    stacked = q @ _side_by_side(levels)
-    del q
+    stacked = _side_by_side(levels)
     if nil:
+        q = np.stack([dec.pencil.quotient_frame for dec in decs])
+        stacked = q @ stacked
         total = width.sum()
         starts = np.cumsum(width) - width
         order = [np.r_[s : s + d, total : total + nil] for s, d in zip(starts, width)]
@@ -434,23 +447,28 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> li
         nil_frames = np.stack([dec.pencil.nil.frame for dec in decs])
         stacked = np.concatenate([stacked, nil_frames], axis=2)[:, :, order]
         del nil_frames
-    prods = pairwise_products(alg, stacked, stacked).reshape(b, cols * cols, n)
-    del stacked
-    scale = np.maximum(1.0, np.linalg.norm(prods, axis=2))
-    # each product's quotient coordinates, as a row, less their projection
-    # onto its target level; each chunk holds whole levels of at most N
-    # columns in all, so no array outgrows the product tensor, and at most
-    # three of its size are alive at once.  A row's target lies in one
-    # chunk, and every other chunk takes exact zeros off it
-    coords = prods @ np.stack([dec.pencil.quotient_frame.conj() for dec in decs])
-    del prods
-    for chunk in _chunks(width.tolist(), n):
-        frames = _side_by_side([row[chunk[0] : chunk[-1] + 1] for row in levels])
-        onto = coords @ frames.conj()
-        onto[target[:, :, None] != np.repeat(chunk, width[chunk])] = 0.0
-        coords -= onto @ frames.transpose(0, 2, 1)
-        del onto
-    res = np.linalg.norm(coords, axis=2) / scale
+        q = q.conj()
+    # the projection chunks, each whole levels of at most N columns: their
+    # frames, conjugated, and per column its level
+    chunks = []
+    for c in _chunks(width.tolist(), n):
+        frames = _side_by_side([row[c[0] : c[-1] + 1] for row in levels])
+        chunks.append((frames.conj(), frames, np.repeat(c, width[c])))
+    # one decomposition's product tensor at a time: each product's quotient
+    # coordinates, as a row, less their projection onto its target level.
+    # A row's target lies in one chunk, and every other chunk takes exact
+    # zeros off it
+    res = np.empty((b, cols * cols))
+    for r in range(b):
+        prods = pairwise_products(alg, stacked[r], stacked[r]).reshape(cols * cols, n)
+        scale = np.maximum(1.0, np.linalg.norm(prods, axis=1))
+        coords = prods @ q[r] if nil else prods
+        del prods
+        for conj, frames, level_cols in chunks:
+            onto = coords @ conj[r]
+            onto[target[r][:, None] != level_cols] = 0.0
+            coords -= onto @ frames[r].T
+        res[r] = np.linalg.norm(coords, axis=1) / scale
 
     found = []
     for members in in_variant:

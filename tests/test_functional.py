@@ -370,6 +370,14 @@ class TestMultiplicative:
         assert rep.verdict == RANK_ONE_BUT_NOT_UNIT
         assert abs(rep.unit_value - 2.0) < 1e-14
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_refuses_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        # at tol = nan or inf, F = 2 x on the dual numbers (F(1) = 2) was
+        # called Multiplicative with residual 2.0; at 0 and -1 it got a verdict
+        alg, f = dual_numbers(), Functional(np.array([2.0, 0.0]))
+        with pytest.raises(ValueError, match="^tol must be a finite number > 0$"):
+            is_multiplicative(alg, f, kernels(alg, f), tol)
+
     def test_violation_is_raised_not_absorbed(self):
         # on a genuine unital algebra the rank-1 criterion cannot fail, so the
         # guard is exercised with a broken structure whose declared unit is

@@ -97,6 +97,23 @@ def test_rank_primitives_refuse_a_tolerance_that_is_not_finite_and_positive(name
         _RANK_PRIMITIVES[name](tol)
 
 
+#: a Subspace constructor called at a tolerance
+_SUBSPACE_CONSTRUCTORS = {
+    "Subspace": lambda tol: Subspace(2, np.array([[2.0], [0.0]]), tol),
+    "zero": lambda tol: Subspace.zero(3, tol),
+    "full": lambda tol: Subspace.full(3, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name", list(_SUBSPACE_CONSTRUCTORS))
+def test_subspace_constructors_refuse_a_tolerance_that_is_not_finite_and_positive(name, tol):
+    # at tol = nan or inf the orthonormality check passed, so the frame of
+    # norm 2 built a dim-1 "subspace"; zero and full checked nothing
+    with pytest.raises(ValueError, match="^tol must be a finite number > 0$"):
+        _SUBSPACE_CONSTRUCTORS[name](tol)
+
+
 class TestSubspaceLattice:
     def test_sum_of_coordinate_lines(self):
         s = subspace_sum(line(3, 0), line(3, 1))
