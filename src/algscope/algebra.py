@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGroupTable, NonFinite, ShapeError
+from .errors import DimensionMismatch, InvalidGroupTable, NonFinite, ShapeError, _check_tolerance
 
 __all__ = [
     "Algebra",
@@ -172,8 +172,10 @@ def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
     products as ``np.einsum`` forms them, in real arithmetic when both the
     structure constants and the unit are real, so they equal the residuals
     of the dense contractions bit for bit.  Both residuals are computed on
-    every call; nothing of the result is cached.
+    every call; nothing of the result is cached.  An ``axiom_tol`` that is
+    not a finite number > 0 raises :class:`ValueError`.
     """
+    _check_tolerance("axiom_tol", axiom_tol)
     n = alg.dim
     first, second, third, values = alg.coordinates
     real = not np.iscomplexobj(values)

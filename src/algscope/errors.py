@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+tolerance argument."""
+
+import math
 
 
 class AlgscopeError(Exception):
@@ -60,3 +63,10 @@ class ParseError(AlgscopeError):
     def __init__(self, message, field=None):
         self.field = field
         super().__init__(message if field is None else f"{field}: {message}")
+
+
+def _check_tolerance(name: str, value: float):
+    """Raise :class:`ValueError` unless the tolerance ``value`` is a finite
+    number > 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0")

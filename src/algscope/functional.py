@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import Algebra, Element
-from .errors import DimensionMismatch, NonFinite, TheoremViolation
-from .linalg import Subspace, _check_tolerance, _intersection_operator, _nullspaces, complement
+from .errors import DimensionMismatch, NonFinite, TheoremViolation, _check_tolerance
+from .linalg import Subspace, _intersection_operator, _nullspaces, complement
 
 __all__ = [
     "Functional",

@@ -33,12 +33,11 @@ the eigen-analysis decides the spectrum and its count at infinity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, ShapeError, SingularShift
+from .errors import DimensionMismatch, NonFinite, ShapeError, SingularShift, _check_tolerance
 
 __all__ = [
     "ProjectivePoint",
@@ -69,13 +68,6 @@ def as_matrix(m) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
-
-
-def _check_tolerance(name: str, value: float):
-    """Raise :class:`ValueError` unless the tolerance ``value`` is a finite
-    number > 0."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite number > 0")
 
 
 def _svd_cutoffs(s: np.ndarray, tol: float, scales) -> np.ndarray:
@@ -336,7 +328,9 @@ def _intersection_operator(a: Subspace, b: Subspace) -> np.ndarray:
 
 
 def subspace_equal(a: Subspace, b: Subspace, tol: float) -> bool:
-    """Equal dimension and operator-norm projector distance below ``tol``."""
+    """Equal dimension and operator-norm projector distance below ``tol``, a
+    finite number > 0."""
+    _check_tolerance("tol", tol)
     _check_ambient(a, b)
     if a.dim != b.dim:
         return False
@@ -388,8 +382,10 @@ def pencil_eigen(
     unit column x, with ``(a - alpha*b) x = 0`` (``b x = 0`` at infinity);
     at a multiple point it is None.  Raises :class:`SingularShift` when
     ``a - alpha0*b`` is numerically singular, which signals a bad shift
-    rather than bad data.
+    rather than bad data, and :class:`ValueError` when ``cluster_tol`` is
+    not a finite number > 0.
     """
+    _check_tolerance("cluster_tol", cluster_tol)
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:

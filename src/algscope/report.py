@@ -5,7 +5,9 @@ pairs, the infinite spectral point as the string ``"inf"``, and non-finite
 floats (a residual with no finite value) as the strings ``"inf"``, ``"-inf"``
 and ``"nan"``, avoiding any locale or formatting ambiguity.  Structure
 constants are stored sparsely as ``[i, j, k, re, im]`` rows because the
-reference tensors are overwhelmingly zero.  Serialization is deterministic:
+reference tensors are overwhelmingly zero.  Every file is one line of JSON
+and a newline, written by :func:`_json_text` through json's C encoder; use
+``python -m json.tool FILE`` to indent one.  Serialization is deterministic:
 identical inputs produce byte-identical documents.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -236,90 +237,10 @@ def load_functional(path: str) -> Functional:
 
 
 def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte.
-
-    CPython's json writes through its pure-Python encoder whenever
-    ``indent`` is set.  This writer joins strings instead, and writes a list
-    of plain numbers, or a list of equal-length lists of them (the ``[re,
-    im]`` pairs, the structure rows), with one join or one ``%`` format.  It
-    raises as json does: ``ValueError`` for NaN or infinity, ``TypeError``
-    for a value or key of another type.  Unlike json it does not look for
-    circular references, which no document of this module holds.
-    """
-    return _json_value(doc, "\n") + "\n"
-
-
-def _json_value(value, newline: str) -> str:
-    """The JSON text of ``value``, whose closing bracket follows ``newline``
-    (a newline and the indent of the line that opens it)."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        return "[" + inner + _json_items(value, inner) + newline + "]" if value else "[]"
-    if isinstance(value, dict):
-        items = [_json_key(k) + ": " + _json_value(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    for kind in (str, int, float):  # their subclasses, as json takes them
-        if isinstance(value, kind):
-            return _JSON_SCALARS[kind](value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_items(items, inner: str) -> str:
-    """The items of a non-empty list, each on its own line after ``inner``."""
-    kinds = set(map(type, items))
-    if kinds <= _PLAIN_NUMBERS:
-        # repr is int's and float's own
-        return _json_numbers(("," + inner).join(map(repr, items)), items)
-    widths = set(map(len, items)) if kinds <= _SEQUENCES else ()
-    if len(widths) == 1 and 0 not in widths:
-        flat = [x for row in items for x in row]
-        if set(map(type, flat)) <= _PLAIN_NUMBERS:
-            cell = inner + "  "
-            row = "[" + cell + ("," + cell).join(["%r"] * widths.pop()) + inner + "]"
-            return _json_numbers(("," + inner).join([row] * len(items)) % tuple(flat), flat)
-    return ("," + inner).join([_json_value(x, inner) for x in items])
-
-
-def _json_numbers(text: str, numbers) -> str:
-    """``text``, the written ``numbers``, unless one is NaN or infinite: only
-    those print an "n"."""
-    if "n" in text:
-        for x in numbers:
-            if type(x) is float:
-                _json_float(x)
-    return text
-
-
-def _json_float(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return '"' + _json_value(key, "") + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-#: the types whose lists, and lists of equal-length lists, :func:`_json_items`
-#: writes in one pass
-_PLAIN_NUMBERS = frozenset((int, float))
-_SEQUENCES = frozenset((list, tuple))
-
-#: the writers of the exact scalar types
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
+    """``doc`` as one line of strict JSON and a newline, written by json's C
+    encoder.  It raises as json does: ``ValueError`` for NaN or infinity,
+    ``TypeError`` for a value or key of another type."""
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def _dump_json(doc: dict, path: str):

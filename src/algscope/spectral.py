@@ -77,13 +77,12 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra
-from .errors import NoRegularValue, SingularPencil
+from .errors import NoRegularValue, SingularPencil, _check_tolerance
 from .functional import Functional, ReducedPencil, _raise_first, _reduce_pencils
 from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
-    _check_tolerance,
     _nullspaces,
     _shifted_eigens,
     det_poly,
@@ -256,8 +255,10 @@ def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> comp
     regularity reached.  It raises the subclass :class:`SingularPencil` when
     ``a~^T - alpha a~`` then has rank below K at K + 1 further distinct draws
     of alpha: a regular pencil is singular at no more than K points, so this
-    one is singular for every alpha.
+    one is singular for every alpha.  A ``floor`` that is not a finite
+    number > 0 raises :class:`ValueError`.
     """
+    _check_tolerance("floor", floor)
     if rp.K < 1:
         raise NoRegularValue("empty pencil has no spectrum to shift into")
     return _raise_first(_choose_alpha0s([rp], _pencil_stack([rp]), seed, floor))[0]
@@ -331,7 +332,8 @@ def spectrum(
     kernels of ``a~^T - alpha a~``, the stabilizers.  At a simple point
     1 <= dim Stab(alpha) <= dim V(alpha) = 1, so the eigenvector is the
     whole filtration, with no rank decision.  :func:`decompose` reads chi
-    from the eigenvalues of the same eigendecomposition."""
+    from the eigenvalues of the same eigendecomposition.  A ``cluster_tol``
+    that is not a finite number > 0 raises :class:`ValueError`."""
     return pencil_eigen(rp.at_tilde, rp.a_tilde, alpha0, cluster_tol=cluster_tol)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import _VALIDATE_BLOCK_BYTES, Algebra, pairwise_products
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, _check_tolerance
 from .functional import (
     Functional,
     Kernels,
@@ -58,7 +58,7 @@ from .functional import (
     random_functional,
     reduce_pencil,
 )
-from .linalg import INFINITY, ProjectivePoint, Subspace, _check_tolerance, rank, stack_ranks
+from .linalg import INFINITY, ProjectivePoint, Subspace, rank, stack_ranks
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,

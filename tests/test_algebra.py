@@ -103,6 +103,18 @@ def test_perturbed_structure_fails_validation_with_witness():
     assert report.max_assoc_residual >= 1e-3 / 2
 
 
+@pytest.mark.parametrize("axiom_tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_validate_refuses_a_tolerance_that_is_not_finite_and_positive(axiom_tol):
+    # Mat_2 with c[0, 1, 3] off by 1e-3 passed at axiom_tol = inf and failed
+    # with no witness at nan; Mat_2 itself failed at nan, 0 and -1
+    alg = mat_algebra(2)
+    c = alg.structure.copy()
+    c[0, 1, 3] += 1e-3
+    for a in (alg, Algebra(alg.dim, c, alg.unit)):
+        with pytest.raises(ValueError, match="^axiom_tol must be a finite number > 0$"):
+            validate(a, axiom_tol)
+
+
 def test_opposite_is_an_involution_exactly():
     alg = upper_triangular(3)
     np.testing.assert_array_equal(opposite(opposite(alg)).structure, alg.structure)

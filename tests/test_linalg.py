@@ -114,6 +114,26 @@ def test_subspace_constructors_refuse_a_tolerance_that_is_not_finite_and_positiv
         _SUBSPACE_CONSTRUCTORS[name](tol)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_subspace_equal_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # at tol = inf span(e1) equalled span(e2); at nan, 0 or -1 a line was
+    # not equal to itself
+    assert subspace_equal(line(2, 0), line(2, 0), TOL)
+    assert not subspace_equal(line(2, 0), line(2, 1), TOL)
+    with pytest.raises(ValueError, match="^tol must be a finite number > 0$"):
+        subspace_equal(line(2, 0), line(2, 1), tol)
+
+
+@pytest.mark.parametrize("cluster_tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_pencil_eigen_refuses_a_cluster_tolerance_that_is_not_finite_and_positive(cluster_tol):
+    # the eigenvalues 1, 1 and 2 make two points; at cluster_tol = inf or -1
+    # they merged into one, and at nan or 0 they made three
+    a, b = np.diag([1.0, 1.0, 2.0]), np.eye(3)
+    assert [m for _, m, _ in pencil_eigen(a, b, 0.5)] == [2, 1]
+    with pytest.raises(ValueError, match="^cluster_tol must be a finite number > 0$"):
+        pencil_eigen(a, b, 0.5, cluster_tol=cluster_tol)
+
+
 class TestSubspaceLattice:
     def test_sum_of_coordinate_lines(self):
         s = subspace_sum(line(3, 0), line(3, 1))

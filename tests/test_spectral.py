@@ -223,6 +223,15 @@ class TestChooseAlpha0:
         best = re.search(r"best regularity .* was (\S+), below the floor 1\.0e-08$", message)
         assert "64 samples" in message and best and float(best.group(1)) < 1e-8
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_refuses_a_floor_that_is_not_finite_and_positive(self, floor):
+        # at floor = 0 or -1 the first draw was accepted whatever its
+        # regularity; at nan or inf every draw was refused and NoRegularValue
+        # named that floor
+        rp = reduce_pencil(mat_algebra(3), random_functional(9, np.random.default_rng(0)), TOL)
+        with pytest.raises(ValueError, match="^floor must be a finite number > 0$"):
+            choose_alpha0(rp, floor=floor)
+
 
 class TestSpectrum:
     def test_mat2_diag12(self):
@@ -249,6 +258,17 @@ class TestSpectrum:
         for alpha, mult, _ in pts:
             match = min(expected, key=lambda v: abs(alpha.value - v))
             assert abs(alpha.value - match) < 1e-8 and expected[match] == mult
+
+    @pytest.mark.parametrize("cluster_tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_refuses_a_cluster_tolerance_that_is_not_finite_and_positive(self, cluster_tol):
+        # Mat_3 at a random functional has 7 points, 1 of multiplicity 3; at
+        # cluster_tol = inf or -1 it had one point of multiplicity 9, and at
+        # nan or 0 nine simple points
+        rp = reduce_pencil(mat_algebra(3), random_functional(9, np.random.default_rng(0)), TOL)
+        alpha0 = choose_alpha0(rp)
+        assert sorted(m for _, m, _ in spectrum(rp, alpha0)) == [1] * 6 + [3]
+        with pytest.raises(ValueError, match="^cluster_tol must be a finite number > 0$"):
+            spectrum(rp, alpha0, cluster_tol)
 
 
 class TestStab:
