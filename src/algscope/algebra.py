@@ -24,7 +24,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidGroupTable, NonFinite, ShapeError, _check_tolerance
+from .errors import (
+    DEFAULT_TOL,
+    DimensionMismatch,
+    InvalidGroupTable,
+    NonFinite,
+    ShapeError,
+    _check_tolerance,
+)
 
 __all__ = [
     "Algebra",
@@ -138,7 +145,16 @@ _VALIDATE_BLOCK_BYTES = 16 * 2**20
 _SPARSE_MIN_RATIO = 256
 
 
-def validate(alg: Algebra, axiom_tol: float = 1e-9) -> ValidationReport:
+def _axiom_tol(tol: float) -> float:
+    """The tolerance at which ``algscope`` checks the axioms of an input
+    algebra read at the rank tolerance ``tol``: ``tol``, but never below
+    1e-12, so that a tiny ``--tol`` does not fail exact axioms on the
+    round-off of their sums.  The negative control decides commutativity
+    at the same tolerance."""
+    return max(tol, 1e-12)
+
+
+def validate(alg: Algebra, axiom_tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check associativity and the two-sided unit axiom.
 
     The associativity residual compares the coordinates of ``(e_i e_j) e_k``

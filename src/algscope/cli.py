@@ -25,6 +25,7 @@ import sys
 
 from . import __version__
 from .algebra import (
+    _axiom_tol,
     cyclic_table,
     direct_sum,
     dual_numbers,
@@ -37,6 +38,8 @@ from .algebra import (
     validate,
 )
 from .errors import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_TOL,
     AlgscopeError,
     BadParams,
     NoRegularValue,
@@ -110,9 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_positive_float, default=1e-9, help="rank decision tolerance")
     common.add_argument(
-        "--cluster-tol", type=_positive_float, default=1e-6, help="spectral point clustering tolerance"
+        "--tol", type=_positive_float, default=DEFAULT_TOL, help="rank decision tolerance"
+    )
+    common.add_argument(
+        "--cluster-tol",
+        type=_positive_float,
+        default=DEFAULT_CLUSTER_TOL,
+        help="spectral point clustering tolerance",
     )
     common.add_argument(
         "--seed", type=_nonnegative_int, default=None, help="random seed (env ALGSCOPE_SEED)"
@@ -169,8 +177,8 @@ def _emit(report: ReportDocument, fmt: str, out: str | None):
 
 def _require_axioms(alg, tol: float):
     """Raise :class:`ParseError` with both residuals and the witness when
-    ``alg`` fails the axioms at ``tol``."""
-    rep = validate(alg, max(tol, 1e-12))
+    ``alg`` fails the axioms at the axiom tolerance of ``tol``."""
+    rep = validate(alg, _axiom_tol(tol))
     if not rep.passed:
         raise ParseError(
             f"algebra fails the axioms: associativity residual {rep.max_assoc_residual:.3e}, "
@@ -285,8 +293,8 @@ def _cmd_builders(args) -> int:
 
     if name in ("direct-sum", "opposite"):
         # these satisfy the axioms exactly when their input files do, so a
-        # failure is an input error; 1e-9 is validate's default tolerance
-        _require_axioms(alg, 1e-9)
+        # failure is an input error
+        _require_axioms(alg, DEFAULT_TOL)
     elif not validate(alg).passed:
         raise AlgscopeError("builder output failed validation; this is a bug")
     if args.out is None:

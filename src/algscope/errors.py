@@ -1,5 +1,11 @@
-"""Exception types shared across the package, and the one check of a
-tolerance argument."""
+"""Exception types shared across the package, the default tolerances, and
+the one check of a tolerance argument.
+
+``DEFAULT_TOL`` is the default of every tolerance argument (``tol``,
+``rank_tol``, ``axiom_tol``) and of ``algscope --tol``;
+``DEFAULT_CLUSTER_TOL`` the default radius within which spectral points
+merge, of every ``cluster_tol`` and of ``algscope --cluster-tol``.  Every
+module reads them from here."""
 
 import math
 
@@ -31,17 +37,20 @@ class SingularShift(AlgscopeError):
 
 class NoRegularValue(AlgscopeError):
     """No regular shift could be found: every sampled shift left the shifted
-    pencil's regularity (sigma_min over its scale) below the floor.  The
-    message states the best regularity reached and the floor.  Also raised
-    when a shift equals the spectral point under study."""
+    pencil's regularity (sigma_min over its scale) below the shift floor.
+    The message states the number of draws, the best regularity reached and
+    the floor.  Also raised when a shift equals the spectral point under
+    study."""
 
 
 class SingularPencil(NoRegularValue):
-    """The reduced pencil is singular for every alpha: after every sampled
-    shift failed, ``a~^T - alpha a~`` was still rank-deficient at K + 1 more
-    distinct alpha, which a regular pencil of size K cannot be, so F is not
-    generic.  The message leads with that cause and ends with the best
-    regularity the shift search reached."""
+    """The reduced pencil is singular for every alpha: every one of the
+    max(64, K + 1) shifts the search drew left ``a~ - alpha a~^T`` with a
+    regularity below the pencil's own rank tolerance, so ``a~^T - alpha a~``
+    was rank-deficient at each of those distinct alpha.  A regular pencil of
+    size K is singular at no more than K points, so F is not generic.  The
+    message leads with that cause, names the number of draws and ends with
+    the best regularity the shift search reached."""
 
 
 class TheoremViolation(AlgscopeError):
@@ -63,6 +72,10 @@ class ParseError(AlgscopeError):
     def __init__(self, message, field=None):
         self.field = field
         super().__init__(message if field is None else f"{field}: {message}")
+
+
+DEFAULT_TOL = 1e-9
+DEFAULT_CLUSTER_TOL = 1e-6
 
 
 def _check_tolerance(name: str, value: float):

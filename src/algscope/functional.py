@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import Algebra, Element
-from .errors import DimensionMismatch, NonFinite, TheoremViolation, _check_tolerance
+from .errors import DEFAULT_TOL, DimensionMismatch, NonFinite, TheoremViolation, _check_tolerance
 from .linalg import Subspace, _intersection_operator, _nullspaces, complement
 
 __all__ = [
@@ -51,7 +51,9 @@ NOT_RANK_ONE = "NotRankOne"
 
 @dataclass(frozen=True)
 class Functional:
-    """Linear functional with coordinates f_i = F(e_i)."""
+    """Linear functional with coordinates f_i = F(e_i), a finite vector: NaN
+    or Inf coordinates raise :class:`NonFinite`, as they do in an
+    :class:`Algebra`."""
 
     coords: np.ndarray
 
@@ -59,6 +61,8 @@ class Functional:
         v = np.asarray(self.coords, dtype=complex)
         if v.ndim != 1:
             raise DimensionMismatch("functional coordinates must be a vector")
+        if v.size and not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+            raise NonFinite("functional coordinates contain NaN or Inf")
         v.setflags(write=False)
         object.__setattr__(self, "coords", v)
 
@@ -126,7 +130,7 @@ class Kernels(NamedTuple):
     nil: Subspace
 
 
-def kernels(alg: Algebra, f: Functional, tol: float = 1e-9) -> Kernels:
+def kernels(alg: Algebra, f: Functional, tol: float = DEFAULT_TOL) -> Kernels:
     """Left kernel {x : F(x y) = 0 for all y}, right kernel
     {x : F(y x) = 0 for all y}, and their intersection ``nil``: those that
     :func:`reduce_pencil` keeps."""
@@ -232,7 +236,7 @@ class ReducedPencil:
         return self._scale
 
 
-def reduce_pencil(alg: Algebra, f: Functional, tol: float = 1e-9) -> ReducedPencil:
+def reduce_pencil(alg: Algebra, f: Functional, tol: float = DEFAULT_TOL) -> ReducedPencil:
     """Compress the pairing to the canonical SVD complement of its
     two-sided kernel.  A ``tol`` that is not a finite number > 0 raises
     :class:`ValueError`."""
@@ -246,9 +250,10 @@ def _reduce_pencils(
     matrices come from one contraction and both kernels from one stacked
     SVD (:func:`_stack_kernels`).  A functional of another dimension gets
     in its place the :class:`DimensionMismatch` and one whose pairing has a
-    non-finite entry the :class:`NonFinite` that :func:`reduce_pencil`
-    would raise, and the others are unaffected.  A ``tol`` that is not a
-    finite number > 0 raises :class:`ValueError` for all of them."""
+    non-finite entry (finite coordinates can still overflow) the
+    :class:`NonFinite` that :func:`reduce_pencil` would raise, and the
+    others are unaffected.  A ``tol`` that is not a finite number > 0
+    raises :class:`ValueError` for all of them."""
     _check_tolerance("tol", tol)
     mismatch = "functional does not match the algebra dimension"
     out: list = [None if f.dim == alg.dim else DimensionMismatch(mismatch) for f in fs]
@@ -284,7 +289,7 @@ class MultiplicativeReport:
 
 
 def is_multiplicative(
-    alg: Algebra, f: Functional, ker: Kernels, tol: float = 1e-9
+    alg: Algebra, f: Functional, ker: Kernels, tol: float = DEFAULT_TOL
 ) -> MultiplicativeReport:
     """Classify F by the rank-1 criterion.
 

@@ -37,7 +37,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, ShapeError, SingularShift, _check_tolerance
+from .errors import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_TOL,
+    DimensionMismatch,
+    NonFinite,
+    ShapeError,
+    SingularShift,
+    _check_tolerance,
+)
 
 __all__ = [
     "ProjectivePoint",
@@ -130,12 +138,22 @@ class ProjectivePoint:
 INFINITY = ProjectivePoint(None)
 
 
+def _close(a, b, tol):
+    """``|a - b| <= tol * max(1, |a|, |b|)``, elementwise over complex values
+    or arrays that broadcast: the one closeness test of spectral values,
+    absolute below modulus 1 and relative above it.  Clustering the
+    eigenvalues (:func:`_stack_points`), :func:`projective_close` and the
+    point lookup of the suites all decide with it."""
+    return np.abs(a - b) <= tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
 def projective_close(p: ProjectivePoint, q: ProjectivePoint, tol: float) -> bool:
-    """Closeness test used to match spectrum points; relative for large values."""
+    """Closeness test used to match spectrum points (:func:`_close`); two
+    infinite points are close, and an infinite point is close to no finite
+    one."""
     if p.is_infinite or q.is_infinite:
         return p.is_infinite and q.is_infinite
-    a, b = p.value, q.value
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return bool(_close(p.value, q.value, tol))
 
 
 # --------------------------------------------------------------------------
@@ -205,13 +223,13 @@ class Subspace:
         return np.linalg.norm(out, axis=0) / np.maximum(1.0, np.linalg.norm(v, axis=0))
 
     @classmethod
-    def zero(cls, ambient_dim: int, tol: float = 1e-9) -> "Subspace":
+    def zero(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
         """The zero subspace, whose empty frame needs no check."""
         _check_tolerance("tol", tol)
         return cls._checked(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), tol)
 
     @classmethod
-    def full(cls, ambient_dim: int, tol: float = 1e-9) -> "Subspace":
+    def full(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
         """The whole space, framed by the exact identity, which needs no
         check."""
         _check_tolerance("tol", tol)
@@ -358,8 +376,13 @@ def complement(a: Subspace) -> Subspace:
 # pencil eigen-analysis
 
 
+#: :func:`pencil_eigen` refuses a shift alpha0 at which sigma_min of
+#: ``a - alpha0*b`` is below this fraction of max(sigma_max, problem scale)
+SINGULAR_SHIFT_TOL = 1e-12
+
+
 def pencil_eigen(
-    a, b, alpha0: complex, *, cluster_tol: float = 1e-6
+    a, b, alpha0: complex, *, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> list[tuple[ProjectivePoint, int, np.ndarray | None]]:
     """Eigenvalues of the pencil ``a - alpha*b`` through the regular shift
     ``alpha0``, with the eigenvector of each simple one.
@@ -397,7 +420,7 @@ def pencil_eigen(
     problem_scale = max(
         float(np.linalg.norm(a, "fro")), abs(alpha0) * float(np.linalg.norm(b, "fro")), 1e-300
     )
-    if s[-1] < 1e-12 * max(s[0], problem_scale):
+    if s[-1] < SINGULAR_SHIFT_TOL * max(s[0], problem_scale):
         raise SingularShift(f"shift alpha0={alpha0} leaves the pencil singular")
     return _shifted_eigens(shifted[None], b[None], [alpha0], cluster_tol)[1][0]
 
@@ -434,9 +457,9 @@ def _stack_points(
     eigenvalues ``lams[i]`` of ``(a - alpha0s[i] b)^{-1} b`` and their unit
     eigenvectors ``vectors[i]``, in one pass over the (B, K) stack.  The
     points are the components of the graph linking the infinite values and
-    the finite ones within ``cluster_tol``, each labelled by its first
-    member: each value takes the least label linked to it until none
-    changes.  A finite point is the mean of its members, snapped to 0 at
+    the finite ones within ``cluster_tol`` (:func:`_close`), each labelled
+    by its first member: each value takes the least label linked to it
+    until none changes.  A finite point is the mean of its members, snapped to 0 at
     modulus ``cluster_tol`` or less; infinity comes last, and the finite
     points by modulus, phase and first member."""
     b, k = lams.shape
@@ -447,10 +470,7 @@ def _stack_points(
     at_inf = np.abs(lams) <= cluster_tol / (1.0 + cluster_tol * shift_size)
     alphas = shifts + 1.0 / np.where(at_inf, 1.0, lams)
     finite = ~at_inf
-    modulus = np.maximum(1.0, np.abs(alphas))
-    near = np.abs(alphas[:, :, None] - alphas[:, None, :]) <= cluster_tol * np.maximum(
-        modulus[:, :, None], modulus[:, None, :]
-    )
+    near = _close(alphas[:, :, None], alphas[:, None, :], cluster_tol)
     index = np.arange(k)
     # every value links itself, a NaN too, which then fails the finite check
     linked = near & finite[:, :, None] & finite[:, None, :] | (index[:, None] == index)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .algebra import Algebra
-from .errors import ParseError
+from .errors import DEFAULT_CLUSTER_TOL, DEFAULT_TOL, ParseError
 
 if TYPE_CHECKING:  # the pipeline modules load only where a function needs them
     from .functional import Functional
@@ -395,8 +395,10 @@ class ReportDocument:
             raise ParseError("expected 'analyze' or 'verify'", "kind")
         return cls(
             kind=kind,
-            tol=_tol_in(tolerances.get("tol", 1e-9), "tolerances.tol"),
-            cluster_tol=_tol_in(tolerances.get("cluster_tol", 1e-6), "tolerances.cluster_tol"),
+            tol=_tol_in(tolerances.get("tol", DEFAULT_TOL), "tolerances.tol"),
+            cluster_tol=_tol_in(
+                tolerances.get("cluster_tol", DEFAULT_CLUSTER_TOL), "tolerances.cluster_tol"
+            ),
             seed=_count_in(doc.get("seed", 0), "seed"),
             alpha0=_finite_unpair(doc["alpha0"], "alpha0") if "alpha0" in doc else None,
             nil_dim=_count_in(doc["nil_dim"], "nil_dim") if "nil_dim" in doc else None,

@@ -77,7 +77,13 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra
-from .errors import NoRegularValue, SingularPencil, _check_tolerance
+from .errors import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_TOL,
+    NoRegularValue,
+    SingularPencil,
+    _check_tolerance,
+)
 from .functional import Functional, ReducedPencil, _raise_first, _reduce_pencils
 from .linalg import (
     HomogeneousPoly,
@@ -105,9 +111,10 @@ __all__ = [
     "decompose_all",
 ]
 
-DEFAULT_TOL = 1e-9
-DEFAULT_CLUSTER_TOL = 1e-6
 LOG_DET_NODES = 12
+#: the least regularity (sigma_min over the pencil scale) at which the
+#: shift search accepts a draw
+SHIFT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -246,74 +253,75 @@ def _draw_shift(rng: np.random.Generator) -> complex:
     return complex(modulus * np.cos(phase), modulus * np.sin(phase))
 
 
-def choose_alpha0(rp: ReducedPencil, seed: int = 0, floor: float = 1e-8) -> complex:
+def choose_alpha0(rp: ReducedPencil, seed: int = 0) -> complex:
     """Draw a regular shift: random modulus in [0.5, 2], random phase,
-    accepted when the shifted pencil is comfortably nonsingular.
+    accepted when the shifted pencil's regularity reaches ``SHIFT_FLOOR``.
 
-    Deterministic for a fixed seed; tries up to 64 samples and raises
-    :class:`NoRegularValue` if all fall below ``floor``, reporting the best
-    regularity reached.  It raises the subclass :class:`SingularPencil` when
-    ``a~^T - alpha a~`` then has rank below K at K + 1 further distinct draws
-    of alpha: a regular pencil is singular at no more than K points, so this
-    one is singular for every alpha.  A ``floor`` that is not a finite
-    number > 0 raises :class:`ValueError`.
+    Deterministic for a fixed seed; tries up to max(64, K + 1) draws and
+    raises :class:`NoRegularValue` if all fall below the floor, reporting
+    the best regularity reached.  It raises the subclass
+    :class:`SingularPencil` when that best regularity is also below the
+    pencil's own rank tolerance ``rp.nil.tol``: then ``a~^T - alpha a~`` has
+    rank below K at each of more than K distinct draws of alpha, and a
+    regular pencil is singular at no more than K points, so this one is
+    singular for every alpha.
     """
-    _check_tolerance("floor", floor)
     if rp.K < 1:
         raise NoRegularValue("empty pencil has no spectrum to shift into")
-    return _raise_first(_choose_alpha0s([rp], _pencil_stack([rp]), seed, floor))[0]
+    return _raise_first(_choose_alpha0s([rp], _pencil_stack([rp]), seed))[0]
 
 
 def _choose_alpha0s(
-    rps: list[ReducedPencil], stack: PencilStack, seed: int = 0, floor: float = 1e-8
+    rps: list[ReducedPencil], stack: PencilStack, seed: int = 0
 ) -> list[complex | NoRegularValue]:
     """:func:`choose_alpha0` of each of the pencils ``rps``, all of one size
     K >= 1 and all with ``seed``, so every pencil sees the same draws; its
     caller hands it their :func:`_pencil_stack` ``stack``.  Each draw is
     tested with one values-only SVD over the pencils still waiting; a
-    pencil that finds no shift gets in its place the error
-    :func:`choose_alpha0` would raise."""
+    pencil that finds no shift in max(64, K + 1) draws gets in its place
+    the error :func:`choose_alpha0` would raise."""
     rng = np.random.default_rng(seed)
     a, at, scales = stack
+    draws = max(64, rps[0].K + 1)
     out: list = [None] * len(rps)
     best = [0.0] * len(rps)
     waiting = np.arange(len(rps))
-    for _ in range(64):
+    for _ in range(draws):
         alpha0 = _draw_shift(rng)
         regularity = _shift_regularities(a[waiting], at[waiting], scales[waiting], alpha0)
         for j, r in zip(waiting.tolist(), regularity.tolist()):
-            if r >= floor:
+            if r >= SHIFT_FLOOR:
                 out[j] = alpha0
             else:
                 best[j] = max(best[j], r)
-        waiting = waiting[~(regularity >= floor)]
+        waiting = waiting[~(regularity >= SHIFT_FLOOR)]
         if not waiting.size:
             return out
-    more_draws = [_draw_shift(rng) for _ in range(rps[0].K + 1)]
     for j in waiting.tolist():
-        out[j] = _no_shift_error(rps[j], best[j], floor, more_draws)
+        out[j] = _no_shift_error(rps[j], best[j], draws)
     return out
 
 
-def _no_shift_error(
-    rp: ReducedPencil, best: float, floor: float, more_draws: list[complex]
-) -> NoRegularValue:
-    """Why no shift was found for ``rp``: :class:`SingularPencil` when
-    ``a~^T - alpha a~`` has rank below K at each of the K + 1 draws
-    ``more_draws``, decided at the pencil's own rank tolerance,
-    :class:`NoRegularValue` otherwise."""
+def _no_shift_error(rp: ReducedPencil, best: float, draws: int) -> NoRegularValue:
+    """Why ``rp`` found no shift in ``draws`` > K draws whose best
+    regularity was ``best``: :class:`SingularPencil` when ``best`` is below
+    the pencil's own rank tolerance, :class:`NoRegularValue` otherwise.
+
+    The regularity of a draw alpha is sigma_min / max(sigma_max,
+    (1 + |alpha|) scale) of ``a~ - alpha a~^T``, the transpose of
+    ``a~^T - alpha a~``, which has the same singular values; so a
+    regularity below ``tol`` is exactly the verdict rank < K that the rank
+    test at ``tol``, floored by that scale, gives ``a~^T - alpha a~``.  No
+    draw is tested again."""
     failure = (
-        f"no regular shift found in 64 samples: the best regularity of the shifted pencil "
-        f"(sigma_min / scale) was {best:.3e}, below the floor {floor:.1e}"
+        f"no regular shift found in {draws} samples: the best regularity of the shifted pencil "
+        f"(sigma_min / scale) was {best:.3e}, below the floor {SHIFT_FLOOR:.1e}"
     )
-    top = 0
-    for alpha in more_draws:
-        m, scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha))
-        top = max(top, rank(m, rp.nil.tol, scale=scale))
-    if top < rp.K:
+    if best < rp.nil.tol:
         return SingularPencil(
             f"the pencil is singular for every alpha; F is not generic: a~^T - alpha a~ has "
-            f"rank at most {top} of {rp.K} at {rp.K + 1} distinct alpha; {failure}"
+            f"rank below {rp.K} at tolerance {rp.nil.tol:.1e} at each of {draws} distinct "
+            f"alpha; {failure}"
         )
     return NoRegularValue(failure)
 

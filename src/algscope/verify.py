@@ -44,8 +44,8 @@ import math
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .algebra import _VALIDATE_BLOCK_BYTES, Algebra, pairwise_products
-from .errors import DimensionMismatch, _check_tolerance
+from .algebra import _VALIDATE_BLOCK_BYTES, Algebra, _axiom_tol, pairwise_products
+from .errors import DEFAULT_CLUSTER_TOL, DEFAULT_TOL, DimensionMismatch, _check_tolerance
 from .functional import (
     Functional,
     Kernels,
@@ -58,10 +58,8 @@ from .functional import (
     random_functional,
     reduce_pencil,
 )
-from .linalg import INFINITY, ProjectivePoint, Subspace, rank, stack_ranks
+from .linalg import INFINITY, ProjectivePoint, Subspace, _close, rank, stack_ranks
 from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_TOL,
     Decomposition,
     _alpha0_independence,
     _decompose_pencils,
@@ -100,10 +98,10 @@ COROLLARY_2 = "Corollary2"
 COROLLARY_3 = "Corollary3"
 STAB_TRANSVERSALITY = "StabTransversality"
 
-#: the residual thresholds of the suites, which :func:`run_suites` and the
-#: public functions both use, so that a batched finding equals the one its
-#: public function gives; the negative control runs the commutativity
-#: corollary at ``COROLLARY_TOL`` too
+#: the residual thresholds of the suites, which each suite reads itself, so
+#: that a batched finding equals the one its public function gives; the
+#: negative control runs the commutativity corollary at ``COROLLARY_TOL``
+#: too
 KERNEL_RELATIONS_TOL = 1e-8
 ALPHA0_TOL = 1e-8
 V_MULT_TOL = 1e-7
@@ -187,15 +185,12 @@ def _point_indices(
     """Per decomposition r of ``decs``, whose :func:`_alphas` are
     ``alphas``, the index into its points of the point each finite value of
     ``values[r]`` falls at, or -1: :meth:`Decomposition.point_at` (the
-    first point within ``cluster_tol``, relative for large values) applied
-    elementwise, to all decompositions at once."""
+    first point within ``cluster_tol``, by :func:`algscope.linalg._close`)
+    applied elementwise, to all decompositions at once."""
     points, infinite = alphas
     shape = (len(decs),) + (1,) * (values.ndim - 1) + (points.shape[1],)
-    points = points.reshape(shape)
-    v = values[..., None]
-    scale = np.maximum(np.maximum(1.0, np.abs(v)), np.abs(points))
-    near = np.array([dec.cluster_tol for dec in decs]).reshape(shape[:-1] + (1,)) * scale
-    close = (np.abs(v - points) <= near) & ~infinite.reshape(shape)
+    tols = np.array([dec.cluster_tol for dec in decs]).reshape(shape[:-1] + (1,))
+    close = _close(values[..., None], points.reshape(shape), tols) & ~infinite.reshape(shape)
     return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
@@ -215,14 +210,15 @@ _RELATIONS = (
 )
 
 
-def _kernel_relations(alg: Algebra, kers: list[Kernels], tol: float) -> list[Finding]:
-    """:func:`verify_kernel_relations` of each of ``kers``: per group of
-    equal kernel dimensions and per relation, one stacked product, with the
-    whole algebra read from the structure tensor, and one stacked
-    residual.  A member's operands take at most 16 N^2 max(kernel dims) <=
+def _kernel_relations(alg: Algebra, kers: list[Kernels]) -> list[Finding]:
+    """:func:`verify_kernel_relations` of each of ``kers``, at
+    ``KERNEL_RELATIONS_TOL``: per group of equal kernel dimensions and per
+    relation, one stacked product, with the whole algebra read from the
+    structure tensor, and one stacked residual.  A member's operands take at most 16 N^2 max(kernel dims) <=
     16 N^3 bytes, and :func:`run_suites` passes chunks of at most
     ``_VALIDATE_BLOCK_BYTES`` over 16 N^3 members, so that chunk bounds
     every group."""
+    tol = KERNEL_RELATIONS_TOL
     n = alg.dim
     s = alg.structure.reshape(n, n * n)
     out: list = [None] * len(kers)
@@ -270,7 +266,7 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels) -> Finding:
     on a batch of one.  Kernels of another dimension raise
     :class:`DimensionMismatch`."""
     _check_kernels(alg, ker)
-    return _kernel_relations(alg, [ker], KERNEL_RELATIONS_TOL)[0]
+    return _kernel_relations(alg, [ker])[0]
 
 
 # --------------------------------------------------------------------------
@@ -283,10 +279,10 @@ def _suite_shifts(dec: Decomposition, seed: int) -> tuple[complex, complex]:
     return choose_alpha0(dec.pencil, seed=seed + 1), choose_alpha0(dec.pencil, seed=seed + 2)
 
 
-def _alpha0_suite(decs: list[Decomposition], seeds: list[int], tol: float) -> list[Finding]:
-    """:func:`verify_alpha0_suite` of each of ``decs`` with its own seed:
-    one level-0 residual call per :func:`_shape`, then each climb on its
-    own."""
+def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
+    """:func:`verify_alpha0_suite` of each of ``decs`` with its own seed, at
+    ``ALPHA0_TOL``: one level-0 residual call per :func:`_shape`, then each
+    climb on its own."""
     residuals = {}
     for members in _groups(_shape(dec) if dec.points else None for dec in decs).values():
         found = _stab_residuals(
@@ -308,7 +304,7 @@ def _alpha0_suite(decs: list[Decomposition], seeds: list[int], tol: float) -> li
             if w.shape[1] < p.algebraic_mult:
                 shifts = shifts or _suite_shifts(dec, seed)
                 equal, dist = _alpha0_independence(
-                    dec.pencil, p.alpha, *shifts, dec.tol, tol, w, p.algebraic_mult
+                    dec.pencil, p.alpha, *shifts, dec.tol, ALPHA0_TOL, w, p.algebraic_mult
                 )
             results.append((residual < dec.tol and equal, max(residual, dist)))
         worst = max(residual for _, residual in results)
@@ -342,14 +338,14 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0) -> Finding:
     (alpha, shift_a, shift_b) for the first failing point with the largest
     residual, and a passing one, whose residuals are round-off, names none.
     It runs the stacked suite on a batch of one."""
-    return _alpha0_suite([dec], [seed], ALPHA0_TOL)[0]
+    return _alpha0_suite([dec], [seed])[0]
 
 
 # --------------------------------------------------------------------------
 # product inclusions between filtration levels
 
 
-def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
+def _product_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for the pairs of spectral points
     of each of ``decs``, where infinity times a nonzero point is infinity;
     products falling at a non-spectral value must lie in nil.  Returns per
@@ -378,10 +374,10 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> 
     square of complex entries, which bounds its frames and its per-product
     arrays.  One member's cols^2 N product tensor does not count, since
     only one is alive.  Products of 0 and infinity belong to neither
-    variant.  A variant whose worst residual reaches ``tol`` names as witness
-    (a, b, k, m), meaning V^k(a) V^m(b), the first quadruple, in the order
-    a, b, k, m over the points in spectrum order, whose products reach
-    that residual.  Below ``tol`` the residuals are round-off, whose argmax
+    variant.  A variant whose worst residual reaches ``V_MULT_TOL`` names
+    as witness (a, b, k, m), meaning V^k(a) V^m(b), the first quadruple, in
+    the order a, b, k, m over the points in spectrum order, whose products
+    reach that residual.  Below it the residuals are round-off, whose argmax
     any reordering of the arithmetic moves, so a passing variant names no
     witness.  Every product of two of its columns is one sample."""
     n = alg.dim
@@ -390,12 +386,12 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> 
     for (k, chains), members in groups.items():
         cols = sum(map(sum, chains)) + sum(map(len, chains)) * (n - k)
         for part in _budget_parts(members, 16 * (len(chains) ** 3 + max(n, cols) ** 2)):
-            for i, found in zip(part, _group_inclusions(alg, [decs[i] for i in part], tol)):
+            for i, found in zip(part, _group_inclusions(alg, [decs[i] for i in part])):
                 out[i] = found
     return out
 
 
-def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> list[tuple]:
+def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     """:func:`_product_inclusions` of decompositions of one :func:`_shape`:
     the layout, targets and lookup of all of them at once, then one
     member's product tensor, quotient coordinates and projections at a
@@ -476,7 +472,7 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> li
         worst = np.where(members, res, -np.inf).max(axis=1, initial=-np.inf).tolist()
         variant = []
         for r, dec in enumerate(decs):
-            if not samples[r] or worst[r] < tol:
+            if not samples[r] or worst[r] < V_MULT_TOL:
                 variant.append((worst[r] if samples[r] else 0.0, None, samples[r]))
                 continue
             x, y = np.divmod(np.flatnonzero(members[r] & (res[r] == worst[r])), cols)
@@ -488,10 +484,11 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition], tol: float) -> li
     return list(zip(*found))
 
 
-def _v_mult(alg: Algebra, decs: list[Decomposition], tol: float) -> list[list[Finding]]:
-    """:func:`verify_v_mult` of each of ``decs``."""
+def _v_mult(alg: Algebra, decs: list[Decomposition]) -> list[list[Finding]]:
+    """:func:`verify_v_mult` of each of ``decs``, at ``V_MULT_TOL``."""
+    tol = V_MULT_TOL
     out = []
-    for dec, (finite, nonzero) in zip(decs, _product_inclusions(alg, decs, tol)):
+    for dec, (finite, nonzero) in zip(decs, _product_inclusions(alg, decs)):
         notes = ()
         has_zero = any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
         has_inf = any(p.alpha.is_infinite for p in dec.points)
@@ -518,7 +515,7 @@ def verify_v_mult(alg: Algebra, dec: Decomposition) -> list[Finding]:
     runs the stacked suite on a batch of one.  A decomposition of another
     dimension raises :class:`DimensionMismatch`."""
     _check_dim(alg, dec.pencil.nil.ambient_dim, "decomposition")
-    return _v_mult(alg, [dec], V_MULT_TOL)[0]
+    return _v_mult(alg, [dec])[0]
 
 
 # --------------------------------------------------------------------------
@@ -755,8 +752,9 @@ def negative_control_finding(alg: Algebra, rank_tol: float = DEFAULT_TOL) -> Fin
     The returned finding reports the underlying check; the control *passes*
     exactly when that check fails, guarding against vacuously green suites.
     On a commutative algebra, whose structure constants are symmetric in
-    their first two indices at the axiom tolerance ``max(rank_tol, 1e-12)``
-    of ``algscope verify``, no functional fails that check, so the control
+    their first two indices at the axiom tolerance
+    (:func:`algscope.algebra._axiom_tol` of ``rank_tol``) of
+    ``algscope verify``, no functional fails that check, so the control
     is noted "not applicable" instead of detected or not.  The asymmetry
     ``max |c[i, j, k] - c[j, i, k]|`` is taken over the nonzero entries
     (:attr:`Algebra.coordinates`): a position that is zero on both sides
@@ -766,7 +764,7 @@ def negative_control_finding(alg: Algebra, rank_tol: float = DEFAULT_TOL) -> Fin
     inner = verify_corollaries(alg, control, ProjectivePoint.finite(1.0))
     notes = ("negative control: expected the commutativity check to fail",)
     i, j, k, values = alg.coordinates
-    if np.max(np.abs(values - alg.structure[j, i, k]), initial=0.0) < max(rank_tol, 1e-12):
+    if np.max(np.abs(values - alg.structure[j, i, k]), initial=0.0) < _axiom_tol(rank_tol):
         verdict = "not applicable: the algebra is commutative"
     else:
         verdict = "control NOT detected" if inner.passed else "control detected"
@@ -785,9 +783,10 @@ def run_suites(
     rank_tol: float = DEFAULT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[Finding]:
-    """Run the selected suites, at least one (none raise
-    :class:`ValueError`), over ``n_functionals`` >= 1 random functionals
-    (fewer raise :class:`ValueError`); deterministic per seed.  A
+    """Run the selected suites, at least one (none, or a string in place
+    of the sequence of names, raise :class:`ValueError`), over
+    ``n_functionals`` >= 1 random functionals (fewer raise
+    :class:`ValueError`); deterministic per seed.  A
     ``rank_tol`` or ``cluster_tol`` that is not a finite number > 0 raises
     :class:`ValueError`.
 
@@ -822,6 +821,11 @@ def run_suites(
     selected, only that functional is reduced."""
     from .functional import is_multiplicative
 
+    if isinstance(suites, str):
+        raise ValueError(
+            f"suites must be a sequence of suite names, not the string {suites!r}; "
+            f"pass ({suites!r},)"
+        )
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
@@ -849,11 +853,11 @@ def run_suites(
         if chunk[0] == 0:
             findings += [verify_corollaries(alg, rps[0], p) for p in points]
         if "kernel-relations" in suites:
-            findings += _kernel_relations(alg, kers, KERNEL_RELATIONS_TOL)
+            findings += _kernel_relations(alg, kers)
         if "alpha0" in suites:
-            findings += _alpha0_suite(decs, [seed + i for i in chunk], ALPHA0_TOL)
+            findings += _alpha0_suite(decs, [seed + i for i in chunk])
         if "v-mult" in suites:
-            findings += [f for pair in _v_mult(alg, decs, V_MULT_TOL) for f in pair]
+            findings += [f for pair in _v_mult(alg, decs) for f in pair]
         if "dim-symmetry" in suites:
             findings += [f for pair in _dim_symmetry(decs) for f in pair]
         if "multiplicative" in suites:

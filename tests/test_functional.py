@@ -3,6 +3,7 @@ import pytest
 
 from algscope import (
     Functional,
+    NonFinite,
     TheoremViolation,
     cyclic_table,
     direct_sum,
@@ -46,6 +47,23 @@ TOL = 1e-9
 
 def eps_line():
     return Subspace(2, np.array([[0.0], [1.0]], dtype=complex), TOL)
+
+
+class TestFunctional:
+    @pytest.mark.parametrize(
+        "coords",
+        [[np.nan, 0.0, 0.0, 0.0], [np.inf, 1.0, 0.0, 0.0], [0.0, complex(1.0, -np.inf), 0.0, 0.0]],
+        ids=["nan", "inf", "imag-inf"],
+    )
+    def test_refuses_coordinates_that_are_not_finite(self, coords):
+        # they were accepted, and on Mat_2 decompose then blamed a matrix,
+        # gram returned NaN and is_multiplicative a nan unit value
+        with pytest.raises(NonFinite, match="^functional coordinates contain NaN or Inf$"):
+            Functional(np.array(coords))
+
+    def test_matrix_trace_functional_of_a_nan_weight_is_refused(self):
+        with pytest.raises(NonFinite, match="^functional coordinates contain NaN or Inf$"):
+            matrix_trace_functional(np.array([[1.0, np.nan], [0.0, 2.0]]))
 
 
 class TestGram:

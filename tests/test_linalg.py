@@ -598,3 +598,59 @@ class TestProjectivePoint:
     def test_subspace_frame_validation(self):
         with pytest.raises(ShapeError):
             Subspace(2, np.array([[1.0], [1.0]]), 1e-10)  # not normalized
+
+
+class TestOneClosenessTest:
+    """Clustering (``_stack_points``), the suites' point lookup
+    (``verify._point_indices``) and ``projective_close`` all decide with
+    ``_close``, ``|a - b| <= tol * max(1, |a|, |b|)``: they agree at, just
+    inside and just outside that radius, at moduli below 1 and far above."""
+
+    TOL = 1e-6
+
+    @staticmethod
+    def partner(a, factor, phase, tol):
+        """b = a + r e^(i phase) with r = factor * tol * max(1, |a|, |b|),
+        solved by fixed-point steps, each of which shrinks the error by
+        about ``factor * tol``."""
+        u = np.exp(1j * phase)
+        r = factor * tol * max(1.0, abs(a))
+        for _ in range(4):
+            r = factor * tol * max(1.0, abs(a), abs(a + r * u))
+        return a + r * u
+
+    @pytest.mark.parametrize(
+        "a", [0.3, -0.8j, 1.0, 7.5 * np.exp(0.4j), 1e3, 4e4 * np.exp(2.1j), -2e5]
+    )
+    def test_every_user_agrees_around_the_radius(self, a):
+        from types import SimpleNamespace
+
+        from algscope.linalg import _close
+        from algscope.verify import _point_indices
+
+        tol = self.TOL
+        verdicts = set()
+        for factor in (0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0):
+            for phase in (0.0, 1.3, np.pi, 4.4):
+                # the values the clustering sees at shift 0 are 1 / lam
+                lams = 1.0 / np.array([[a, self.partner(a, factor, phase, tol)]], dtype=complex)
+                x, y = (1.0 / lams)[0]
+                close = bool(_close(x, y, tol))
+                verdicts.add((factor, close))
+                if factor != 1.0:
+                    assert close is (factor < 1.0)
+                    assert close is bool(abs(x - y) <= tol * max(1.0, abs(x), abs(y)))
+                assert bool(_close(y, x, tol)) is close
+                p, q = ProjectivePoint.finite(x), ProjectivePoint.finite(y)
+                assert projective_close(p, q, tol) is close
+                assert projective_close(q, p, tol) is close
+                vectors = np.eye(2, dtype=complex)[None]
+                (points,) = _stack_points(lams, vectors, [0j], tol)
+                assert len(points) == (1 if close else 2)
+                decs = [SimpleNamespace(cluster_tol=tol)]
+                for u, v in ((x, y), (y, x)):
+                    alphas = (np.array([[u]]), np.array([[False]]))
+                    (found,) = _point_indices(decs, alphas, np.array([[v]]))
+                    assert found.tolist() == [0 if close else -1]
+        # both sides of the radius were reached
+        assert {(0.5, True), (2.0, False)} <= verdicts

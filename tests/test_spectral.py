@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from algscope import (
+    Algebra,
     Functional,
     INFINITY,
     Kernels,
@@ -222,15 +223,6 @@ class TestChooseAlpha0:
         message = str(info.value)
         best = re.search(r"best regularity .* was (\S+), below the floor 1\.0e-08$", message)
         assert "64 samples" in message and best and float(best.group(1)) < 1e-8
-
-    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_refuses_a_floor_that_is_not_finite_and_positive(self, floor):
-        # at floor = 0 or -1 the first draw was accepted whatever its
-        # regularity; at nan or inf every draw was refused and NoRegularValue
-        # named that floor
-        rp = reduce_pencil(mat_algebra(3), random_functional(9, np.random.default_rng(0)), TOL)
-        with pytest.raises(ValueError, match="^floor must be a finite number > 0$"):
-            choose_alpha0(rp, floor=floor)
 
 
 class TestSpectrum:
@@ -631,44 +623,84 @@ class TestDegeneratePencils:
             decompose(upper_triangular(2), Functional(np.array([1.0, 1.0, -1.0])))
 
     @pytest.mark.parametrize(
-        "alg, f, top, k",
+        "alg, f, k",
         [
             # F(X) = tr(N X) with N the nilpotent shift
             pytest.param(
-                mat_algebra(3), matrix_trace_functional(np.diag(np.ones(2), 1)), 6, 8, id="mat3"
+                mat_algebra(3), matrix_trace_functional(np.diag(np.ones(2), 1)), 8, id="mat3"
             ),
             pytest.param(
-                mat_algebra(4), matrix_trace_functional(np.diag(np.ones(3), 1)), 12, 15, id="mat4"
+                mat_algebra(4), matrix_trace_functional(np.diag(np.ones(3), 1)), 15, id="mat4"
             ),
-            pytest.param(upper_triangular(2), Functional(np.array([0.0, 1.0, 0.0])), 2, 3, id="tri2"),
+            pytest.param(upper_triangular(2), Functional(np.array([0.0, 1.0, 0.0])), 3, id="tri2"),
         ],
     )
-    def test_singular_pencil_names_the_cause(self, alg, f, top, k):
+    def test_singular_pencil_names_the_cause(self, alg, f, k):
         with pytest.raises(SingularPencil) as info:
             decompose(alg, f)
         message = str(info.value)
         assert message.startswith("the pencil is singular for every alpha; F is not generic")
-        assert f"rank at most {top} of {k} at {k + 1} distinct alpha" in message
-        assert re.search(r"best regularity .* was \S+, below the floor 1\.0e-08$", message)
+        assert f"rank below {k} at tolerance 1.0e-09 at each of 64 distinct alpha" in message
+        assert re.search(
+            r"no regular shift found in 64 samples: .* was \S+, below the floor 1\.0e-08$", message
+        )
 
-    def test_singular_pencil_is_decided_at_the_pencil_tol(self, monkeypatch):
-        # every rank test behind SingularPencil runs at the tol the pencil
-        # was reduced at, not at the default
-        import algscope.spectral as spectral
+    @pytest.mark.parametrize("tol, singular", [(1e-9, False), (8e-9, False), (1e-8, True)])
+    def test_singular_pencil_is_decided_at_the_pencil_tol(self, tol, singular):
+        # a~ = diag(1, 9e-9): every draw's regularity is 9e-9, below the
+        # shift floor 1e-8.  The verdict compares it with the tolerance the
+        # pencil's kernels were decided at: a pencil reduced at 1e-8 is
+        # singular, one reduced at the default 1e-9, or at 8e-9, is not
+        a = np.diag([1.0, 9e-9]).astype(complex)
+        zero = Subspace.zero(2, tol)
+        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(2), a)
+        with pytest.raises(NoRegularValue) as info:
+            choose_alpha0(rp, seed=0)
+        assert isinstance(info.value, SingularPencil) is singular
+        assert ("at tolerance 1.0e-08" in str(info.value)) is singular
 
-        tols = []
-        original = spectral.rank
-
-        def recorded(m, tol, **kwargs):
-            tols.append(tol)
-            return original(m, tol, **kwargs)
-
-        monkeypatch.setattr(spectral, "rank", recorded)
+    def test_singular_pencil_at_a_command_line_tol(self):
+        # the reduction's tol reaches the verdict through the pencil
         f = matrix_trace_functional(np.diag(np.ones(2), 1))
-        with pytest.raises(SingularPencil):
+        with pytest.raises(SingularPencil, match="rank below 8 at tolerance 1.0e-06 at each of 64"):
             decompose(mat_algebra(3), f, tol=1e-6)
-        # K = 8, so K + 1 draws
-        assert tols == [1e-6] * 9
+
+    def test_singular_pencil_above_k_63_takes_k_plus_1_draws(self):
+        # Mat_9 at F = tr(N X): K = 80, so the search takes 81 draws, more
+        # than the K points at which a regular pencil can be singular
+        f = matrix_trace_functional(np.diag(np.ones(8), 1))
+        with pytest.raises(SingularPencil) as info:
+            decompose(mat_algebra(9), f)
+        message = str(info.value)
+        assert "rank below 80 at tolerance 1.0e-09 at each of 81 distinct alpha" in message
+        assert "no regular shift found in 81 samples" in message
+
+    #: decompose's outcome at masked functionals (the random F of rng seed s
+    #: with each coordinate zeroed with probability 1/2), s = 0..99: D a
+    #: decomposition, S SingularPencil
+    MASKED_OUTCOMES = {
+        4: "DDDDDDDDDDDDDDSDDSSDDDDSDDDSDDDDDDDDDSDDDSDDDDDSDDDDDDDDSSDDD"
+        "SSDDDDDDSDDDDDDSDSDDDDDDSDDSDDDDDDDDDDD",
+        5: "DDSDDDSDDDDDSSSDSDDDDSSDSDDDSSDDSDDDDDDSDSDDDSDDDDDDDSDDDDDDS"
+        "DDDDDDDSSDDDDDDDDDSSDSSSDSDDDDDDSSDDSDD",
+    }
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_masked_functionals_keep_their_outcomes(self, n):
+        alg = upper_triangular(n)
+        found = []
+        for s in range(100):
+            rng = np.random.default_rng(s)
+            c = random_functional(alg.dim, rng).coords * (rng.random(alg.dim) < 0.5)
+            try:
+                decompose(alg, Functional(c))
+            except SingularPencil:
+                found.append("S")
+            except NoRegularValue:
+                found.append("N")
+            else:
+                found.append("D")
+        assert "".join(found) == self.MASKED_OUTCOMES[n]
 
     def test_nearly_singular_regular_pencil_is_not_called_singular(self):
         # a~ = diag(1, 9e-9): every shift misses the 1e-8 regularity floor,
@@ -1323,18 +1355,21 @@ class TestDecomposeAll:
 
     def test_first_failing_functional_in_input_order_raises(self):
         # a wrong dimension and a non-finite pairing fail at the reduction,
-        # before the shift draw at which the singular functional fails
-        alg = mat_algebra(3)
+        # before the shift draw at which the singular functional fails.
+        # Mat_3 in the basis 4 e_ij has structure constants 4, so finite
+        # coordinates of 1e308 overflow in the pairing
+        mat3 = mat_algebra(3)
+        alg = Algebra(9, 4.0 * mat3.structure, mat3.unit / 4.0)
         good = random_functional(alg.dim, np.random.default_rng(35))
         singular = nilpotent_shift_functional()
         short = Functional(np.ones(4))
-        nan = Functional(np.full(alg.dim, np.nan))
+        huge = Functional(np.full(alg.dim, 1e308))
         with pytest.raises(SingularPencil):
-            decompose_all(alg, [good, singular, short, nan])
+            decompose_all(alg, [good, singular, short, huge])
         with pytest.raises(DimensionMismatch):
             decompose_all(alg, [good, short, singular])
-        with pytest.raises(NonFinite):
-            decompose_all(alg, [nan, singular, short])
+        with pytest.raises(NonFinite, match="^matrix contains NaN or Inf entries$"):
+            decompose_all(alg, [huge, singular, short])
         with pytest.raises(NoRegularValue, match="empty pencil") as empty:
             choose_alpha0(reduce_pencil(alg, Functional(np.zeros(alg.dim))))
         assert not isinstance(empty.value, SingularPencil)
@@ -1362,10 +1397,11 @@ class TestDecomposeAll:
         decompose_all(mat_algebra(3), [random_functional(9, rng) for _ in range(10)])
         assert stacked == [[9] * 10]
 
-    def test_batched_shift_draws_match_each_pencil_alone(self):
+    def test_batched_shift_draws_match_each_pencil_alone(self, monkeypatch):
         # K = 9 pencils accepted at different draws (at floor 0.05 the first
         # takes 7, the second 1) and one singular for every alpha, whose
         # K = 8 stack finds no shift; at floor 1 no pencil finds one
+        import algscope.spectral as spectral
         from algscope.spectral import _choose_alpha0s
 
         rng = np.random.default_rng(36)
@@ -1376,12 +1412,13 @@ class TestDecomposeAll:
         ]
         kinds = []
         for floor in (1e-8, 0.05, 0.075, 1.0):
+            monkeypatch.setattr(spectral, "SHIFT_FLOOR", floor)
             for rps in stacks:
-                batch = _choose_alpha0s(rps, _pencil_stack(rps), seed=7, floor=floor)
+                batch = _choose_alpha0s(rps, _pencil_stack(rps), seed=7)
                 for rp, got in zip(rps, batch):
                     kinds.append((floor, type(got).__name__))
                     try:
-                        want = choose_alpha0(rp, seed=7, floor=floor)
+                        want = choose_alpha0(rp, seed=7)
                     except NoRegularValue as exc:
                         assert type(got) is type(exc) and str(got) == str(exc)
                     else:

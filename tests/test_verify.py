@@ -770,13 +770,16 @@ class TestProductInclusionsOracle:
     points."""
 
     @staticmethod
-    def assert_agree(alg, dec, tol=1e-7):
+    def assert_agree(alg, dec):
         """(worst, witness) of the finite variant, then of the nonzero one.
-        A variant whose worst residual reaches ``tol`` names the loop's
-        witness, and one below it names none."""
+        A variant whose worst residual reaches ``V_MULT_TOL`` names the
+        loop's witness, and one below it names none."""
+        import algscope.verify as verify
+
+        tol = verify.V_MULT_TOL
         found = []
         for variant, (worst, witness, samples) in zip(
-            ("finite", "nonzero"), _product_inclusions(alg, [dec], tol)[0]
+            ("finite", "nonzero"), _product_inclusions(alg, [dec])[0]
         ):
             worst_ref, witness_ref, samples_ref = product_inclusions_pairwise(alg, dec, variant)
             assert abs(worst - worst_ref) <= 1e-12, variant
@@ -785,14 +788,17 @@ class TestProductInclusionsOracle:
             found.append((worst, witness))
         return found
 
-    def test_passing_variants_name_no_witness(self):
+    def test_passing_variants_name_no_witness(self, monkeypatch):
+        import algscope.verify as verify
+
         alg = mat_algebra(3)
         dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(79)))
         findings = verify_v_mult(alg, dec)
         assert all(f.passed and 0.0 < f.max_residual < 1e-12 for f in findings)
         assert [f.witness for f in findings] == [None, None]
-        # at a floor below the round-off its argmax is named
-        for worst, witness, _ in _product_inclusions(alg, [dec], 1e-300)[0]:
+        # at a threshold below the round-off its argmax is named
+        monkeypatch.setattr(verify, "V_MULT_TOL", 1e-300)
+        for worst, witness, _ in _product_inclusions(alg, [dec])[0]:
             assert worst > 0.0 and witness is not None
 
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
@@ -1351,6 +1357,12 @@ class TestRunSuites:
         with pytest.raises(ValueError, match="at least one suite"):
             run_suites(mat_algebra(2), suites=(), n_functionals=1)
 
+    def test_rejects_a_string_of_one_suite_name(self):
+        # a string was iterated as its characters, and the error named them
+        # as unknown suites: ['v', '-', 'm', 'u', 'l', 't']
+        with pytest.raises(ValueError, match=r"not the string 'v-mult'; pass \('v-mult',\)$"):
+            run_suites(mat_algebra(2), "v-mult", n_functionals=1)
+
     @pytest.mark.parametrize(
         "tols",
         [{"rank_tol": float("nan")}, {"rank_tol": -1.0}, {"cluster_tol": float("inf")}],
@@ -1553,9 +1565,9 @@ def stacked_suites(alg, decs, seeds):
     import algscope.verify as verify
 
     return [
-        verify._kernel_relations(alg, [dec.pencil.kernels for dec in decs], 1e-8),
-        verify._alpha0_suite(decs, seeds, 1e-8),
-        [f for pair in verify._v_mult(alg, decs, 1e-7) for f in pair],
+        verify._kernel_relations(alg, [dec.pencil.kernels for dec in decs]),
+        verify._alpha0_suite(decs, seeds),
+        [f for pair in verify._v_mult(alg, decs) for f in pair],
         [f for pair in verify._dim_symmetry(decs) for f in pair],
     ]
 
