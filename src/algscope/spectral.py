@@ -49,8 +49,13 @@ pairing's SVD, and only the other multiple points take a level-0 SVD.
 
 Level 0 does not involve the shift, so shift independence has content only
 above it: :func:`algscope.verify.verify_alpha0_suite` checks each level 0
-by its residual in Stab(alpha) and compares the levels above it under two
-shifts (:func:`_alpha0_independence`).
+by its residual in Stab(alpha) and compares the reported levels above it
+with the ones :func:`_filtration_reduced` climbs under a new shift.
+
+The rank tolerance is decided once, by the reduction: every rank decision
+after it (the level 0 of a multiple point, a climb, :func:`stab`, the lift
+of a level and the invariant checks) reads the pencil's own ``rp.nil.tol``,
+which :attr:`Decomposition.tol` returns.
 
 :func:`decompose_all` decomposes a batch of functionals with one seed, each
 stage once over the batch, grouped by the quotient dimension K: the
@@ -151,7 +156,7 @@ class Decomposition:
     point as quotient-coordinate frames, each fixing its level with nil;
     ``filtrations`` and ``v_spaces`` lift them to the full algebra on first
     access.  Level 0 is Stab(alpha), which does not depend on the shift, so
-    the shift-independence suite starts its filtrations from it.  ``seed``
+    the shift-independence suite climbs a second chain from it.  ``seed``
     draws the log-determinant nodes of :attr:`checks`.  ``==`` is identity."""
 
     pencil: ReducedPencil
@@ -159,16 +164,21 @@ class Decomposition:
     points: tuple[SpectrumPoint, ...]
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]]
     alpha0_used: complex | None
-    tol: float
     cluster_tol: float
     seed: int
+
+    @property
+    def tol(self) -> float:
+        """The rank tolerance of the reduction, ``pencil.nil.tol``, at which
+        every rank decision of the decomposition was taken."""
+        return self.pencil.nil.tol
 
     @cached_property
     def filtrations(self) -> dict[ProjectivePoint, tuple[Subspace, ...]]:
         """The levels of each point as subspaces of the full algebra, each
         containing nil."""
         return {
-            alpha: tuple(_lift(self.pencil, w, self.tol) for w in frames)
+            alpha: tuple(_lift(self.pencil, w) for w in frames)
             for alpha, frames in self.quotient_filtrations.items()
         }
 
@@ -185,7 +195,7 @@ class Decomposition:
                 InvariantCheck("v_spaces_direct_sum", whole, 0.0, "nil is the whole algebra"),
             )
         v_frames = [levels[-1] for levels in self.quotient_filtrations.values()]
-        return tuple(_decomposition_checks(self.pencil, self.points, v_frames, self.tol, self.seed))
+        return tuple(_decomposition_checks(self.pencil, self.points, v_frames, self.seed))
 
     @property
     def v_spaces(self) -> dict[ProjectivePoint, Subspace]:
@@ -358,14 +368,13 @@ def _filtration_reduced(
     rp: ReducedPencil,
     alpha: ProjectivePoint,
     alpha0: complex,
-    tol: float,
     stab_frame: np.ndarray,
     mult: int,
 ) -> list[np.ndarray]:
     """Quotient-coordinate frames of V^0 <= V^1 <= ... at ``alpha`` under
     the shift ``alpha0``, climbed from ``stab_frame``, the V^0 =
     Stab(alpha) frame, up to the algebraic multiplicity ``mult`` of
-    ``alpha``.
+    ``alpha``, each rank decided at the pencil's tolerance.
 
     dim V(alpha) - dim nil equals ``mult``, so the chain ends at the first
     level of that dimension, with no test that it has stopped growing.  A
@@ -379,6 +388,7 @@ def _filtration_reduced(
     chain = [stab_frame]
     if stab_frame.shape[1] >= mult:
         return chain
+    tol = rp.nil.tol
     s_mat, s_scale = _slot_one_operator(rp, alpha)
     t_mat, t_scale = _slot_one_operator(rp, ProjectivePoint.finite(alpha0))
     while chain[-1].shape[1] < mult:
@@ -398,10 +408,10 @@ def _lift_frame(rp: ReducedPencil, quotient_frame_cols: np.ndarray) -> np.ndarra
     return np.hstack([rp.quotient_frame @ quotient_frame_cols, rp.nil.frame])
 
 
-def _lift(rp: ReducedPencil, quotient_frame_cols: np.ndarray, tol: float) -> Subspace:
-    """A filtration level as a subspace of the full algebra: quotient
-    directions plus all of nil."""
-    return Subspace(rp.nil.ambient_dim, _lift_frame(rp, quotient_frame_cols), tol)
+def _lift(rp: ReducedPencil, quotient_frame_cols: np.ndarray) -> Subspace:
+    """A filtration level as a subspace of the full algebra, at the pencil's
+    tolerance: quotient directions plus all of nil."""
+    return Subspace(rp.nil.ambient_dim, _lift_frame(rp, quotient_frame_cols), rp.nil.tol)
 
 
 def _is_kernel_point(alpha: ProjectivePoint) -> bool:
@@ -426,24 +436,22 @@ def _kernel_stab_frame(rp: ReducedPencil, alpha: ProjectivePoint) -> np.ndarray:
     return frame
 
 
-def stab(rp: ReducedPencil, alpha: ProjectivePoint, tol: float = DEFAULT_TOL) -> Subspace:
+def stab(rp: ReducedPencil, alpha: ProjectivePoint) -> Subspace:
     """Stabilizer subspace of the full algebra at ``alpha`` (contains nil),
-    read from the reduced pencil ``rp`` of (algebra, F).
+    read from the reduced pencil ``rp`` of (algebra, F) and decided at its
+    tolerance ``rp.nil.tol``.
 
     Equals {x : F(x z) = alpha F(z x) for all z} for finite alpha and
     {x : F(z x) = 0 for all z} at infinity: Stab(infinity) is the
     pairing's right kernel, and Stab(0) = {x : F(x z) = 0 for all z} its
-    left kernel.  ``rp`` holds both, decided at its own tolerance, and they
-    are returned as they are, with no SVD.  Every other alpha takes the
-    nullspace of a~^T - alpha a~ at ``tol``.  A ``tol`` that is not a
-    finite number > 0 raises :class:`ValueError` at every alpha.
+    left kernel.  ``rp`` holds both and they are returned as they are, with
+    no SVD.  Every other alpha takes the nullspace of a~^T - alpha a~.
     """
-    _check_tolerance("tol", tol)
     if _is_kernel_point(alpha):
         return rp.kernels.right if alpha.is_infinite else rp.kernels.left
     m, scale = _slot_one_operator(rp, alpha)
-    frame = _lift_frame(rp, nullspace(m, tol, scale=scale).frame)
-    return Subspace(rp.nil.ambient_dim, frame, tol)
+    frame = _lift_frame(rp, nullspace(m, rp.nil.tol, scale=scale).frame)
+    return Subspace(rp.nil.ambient_dim, frame, rp.nil.tol)
 
 
 def _side_by_side(rows: list[list[np.ndarray]]) -> np.ndarray:
@@ -531,12 +539,12 @@ def _decomposition_checks(
     rp: ReducedPencil,
     points: Sequence[SpectrumPoint],
     v_frames: Sequence[np.ndarray],
-    tol: float,
     seed: int,
 ) -> list[InvariantCheck]:
     """Invariant checks of one decomposition of the reduced pencil ``rp``,
-    of size K >= 1, into ``points``; :attr:`Decomposition.checks` runs it on
-    its own pencil, points and frames.
+    of size K >= 1, into ``points``, at the pencil's tolerance ``tol =
+    rp.nil.tol``; :attr:`Decomposition.checks` runs it on its own pencil,
+    points and frames.
 
     ``v_frames[i]`` is the quotient-coordinate frame of V(alpha) for
     ``points[i]``.  The V(alpha) split the algebra over nil exactly when
@@ -556,7 +564,7 @@ def _decomposition_checks(
     inputs (1e-7, with r moving by 1.5e-6, on an exact Mat_6 case), while a
     wrong point or multiplicity moves r by order 1.
     """
-    k = rp.K
+    k, tol = rp.K, rp.nil.tol
     total = sum(p.algebraic_mult for p in points)
     worst = max((abs(w.shape[1] - p.algebraic_mult) for p, w in zip(points, v_frames)), default=0)
     # at a simple point the dimension check holds by construction, so test
@@ -656,11 +664,11 @@ def decompose_all(
     ``tol`` or ``cluster_tol`` that is not a finite number > 0 raises
     :class:`ValueError`."""
     _check_tolerance("cluster_tol", cluster_tol)
-    return _decompose_pencils(_reduce_pencils(alg, list(fs), tol), seed, tol, cluster_tol)
+    return _decompose_pencils(_reduce_pencils(alg, list(fs), tol), seed, cluster_tol)
 
 
 def _decompose_pencils(
-    rps: list[ReducedPencil | Exception], seed: int, tol: float, cluster_tol: float
+    rps: list[ReducedPencil | Exception], seed: int, cluster_tol: float
 ) -> list[Decomposition]:
     """The decompositions of the reduced pencils ``rps``, each as
     :func:`decompose_all` describes it, where an error stands for a
@@ -677,29 +685,30 @@ def _decompose_pencils(
     (:attr:`Decomposition.checks`).  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
-    Each K-group's pencils are stacked once (:func:`_pencil_stack`), and
-    every stage of the group reads that one stack.  When a reduction or a
-    shift draw fails, the first error in the order of ``rps`` is raised:
-    the one :func:`decompose` raises for that functional."""
+    The pencils are grouped by K and their tolerance, each group's pencils
+    are stacked once (:func:`_pencil_stack`), and every stage of the group
+    reads that one stack.  When a reduction or a shift draw fails, the
+    first error in the order of ``rps`` is raised: the one
+    :func:`decompose` raises for that functional."""
     out: list = list(rps)
-    groups: dict[int, list[int]] = {}
+    groups: dict[tuple[int, float], list[int]] = {}
     for i, rp in enumerate(rps):
         if isinstance(rp, ReducedPencil):
             if rp.K == 0:  # nil is the whole algebra, and chi = 1
                 chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-                out[i] = Decomposition(rp, chi, (), {}, None, tol, cluster_tol, seed)
+                out[i] = Decomposition(rp, chi, (), {}, None, cluster_tol, seed)
             else:
-                groups.setdefault(rp.K, []).append(i)
+                groups.setdefault((rp.K, rp.nil.tol), []).append(i)
     stacks = {}
-    for k, members in groups.items():
+    for key, members in groups.items():
         group = [rps[i] for i in members]
-        stacks[k] = _pencil_stack(group)
-        for i, alpha0 in zip(members, _choose_alpha0s(group, stacks[k], seed)):
+        stacks[key] = _pencil_stack(group)
+        for i, alpha0 in zip(members, _choose_alpha0s(group, stacks[key], seed)):
             out[i] = alpha0
     _raise_first(out)
-    for k, members in groups.items():
+    for key, members in groups.items():
         group, alpha0s = [rps[i] for i in members], [out[i] for i in members]
-        decs = _decompose_stack(group, stacks.pop(k), alpha0s, tol, cluster_tol, seed)
+        decs = _decompose_stack(group, stacks.pop(key), alpha0s, cluster_tol, seed)
         for i, dec in zip(members, decs):
             out[i] = dec
     return out
@@ -731,14 +740,13 @@ def _decompose_stack(
     rps: list[ReducedPencil],
     stack: PencilStack,
     alpha0s: list[complex],
-    tol: float,
     cluster_tol: float,
     seed: int,
 ) -> list[Decomposition]:
-    """The decompositions of pencils of one size K >= 1, stacked in
-    ``stack``, at their regular shifts ``alpha0s``: chi and the spectrum
-    over the stack, then the level 0 of every multiple point, and each
-    chain climbed from it up to the point's multiplicity; each
+    """The decompositions of pencils of one size K >= 1 and one tolerance,
+    stacked in ``stack``, at their regular shifts ``alpha0s``: chi and the
+    spectrum over the stack, then the level 0 of every multiple point, and
+    each chain climbed from it up to the point's multiplicity; each
     decomposition keeps ``seed`` for its checks.  At 0 and infinity level 0
     is the pencil's left or right kernel in quotient coordinates
     (:func:`_kernel_stab_frame`), with no SVD at nil = 0; the other
@@ -757,7 +765,7 @@ def _decompose_stack(
                 multiple.append((c, j))
     if multiple:
         mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
-        for key, space in zip(multiple, _nullspaces(np.stack(mats), tol, scales)):
+        for key, space in zip(multiple, _nullspaces(np.stack(mats), rps[0].nil.tol, scales)):
             stab_frames[key] = space.frame
     all_points, all_levels = [], []
     for c, (rp, alpha0, raw) in enumerate(zip(rps, alpha0s, spectra)):
@@ -767,7 +775,7 @@ def _decompose_stack(
             # a simple point's eigenvector is its one level; the others climb
             # from their Stab(alpha) up to their multiplicity
             if vector is None:
-                frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frames[c, j], mult)
+                frames = _filtration_reduced(rp, alpha, alpha0, stab_frames[c, j], mult)
             else:
                 frames = [vector]
             dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
@@ -776,40 +784,7 @@ def _decompose_stack(
         all_points.append(points)
         all_levels.append(quotient_filtrations)
     return [
-        Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, seed)
+        Decomposition(rp, chi, tuple(points), levels, alpha0, cluster_tol, seed)
         for rp, chi, points, levels, alpha0 in zip(rps, chis, all_points, all_levels, alpha0s)
     ]
 
-
-def _alpha0_independence(
-    rp: ReducedPencil,
-    alpha: ProjectivePoint,
-    alpha0_a: complex,
-    alpha0_b: complex,
-    tol: float,
-    compare_tol: float,
-    stab_frame: np.ndarray,
-    mult: int,
-) -> tuple[bool, float]:
-    """The levels above 0 of the filtration at ``alpha``, climbed from
-    ``stab_frame`` under ``alpha0_a`` and under ``alpha0_b``, each ending at
-    the multiplicity ``mult``, compared: (all equal, max projector
-    distance).
-
-    Both chains share level 0, so it is not compared.  The comparison stops
-    at the first level that differs; chains of different dimensions give
-    (False, inf)."""
-    if not alpha.is_infinite and alpha.value in (alpha0_a, alpha0_b):
-        raise NoRegularValue("the shift must differ from the point under study")
-    a = _filtration_reduced(rp, alpha, alpha0_a, tol, stab_frame, mult)
-    b = _filtration_reduced(rp, alpha, alpha0_b, tol, stab_frame, mult)
-    if [w.shape[1] for w in a] != [w.shape[1] for w in b]:
-        return False, float("inf")
-    worst = 0.0
-    for wa, wb in zip(a[1:], b[1:]):
-        # the spectral norm, as a values-only SVD that np.linalg.svd counts
-        dist = float(np.linalg.svd(wa @ wa.conj().T - wb @ wb.conj().T, compute_uv=False)[0])
-        worst = max(worst, dist)
-        if not dist < compare_tol:
-            return False, worst
-    return True, worst

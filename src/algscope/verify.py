@@ -13,7 +13,9 @@ relevant kernel dimension, as a generic one does; the module provides an
 empirical minimizer and a deliberate negative control.  Every suite reads
 one analysis, the reduction of each functional: its kernels, its pencil
 (the regular-functional suites read the first drawn functional's), or the
-decomposition of that pencil.
+decomposition of that pencil.  The alpha0 suite checks the chain each
+decomposition reports, comparing it with one chain climbed under a new
+shift.
 
 Each per-functional suite is written once, over a list of decompositions
 (or of kernels), and :func:`run_suites` runs it once per chunk of its
@@ -41,6 +43,7 @@ check, since Stab(alpha) <= V(alpha).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 import numpy as np
 
@@ -61,8 +64,8 @@ from .functional import (
 from .linalg import INFINITY, ProjectivePoint, Subspace, _close, rank, stack_ranks
 from .spectral import (
     Decomposition,
-    _alpha0_independence,
     _decompose_pencils,
+    _filtration_reduced,
     _side_by_side,
     _stab_residuals,
     choose_alpha0,
@@ -273,10 +276,26 @@ def verify_kernel_relations(alg: Algebra, ker: Kernels) -> Finding:
 # shift independence
 
 
-def _suite_shifts(dec: Decomposition, seed: int) -> tuple[complex, complex]:
-    """The alpha0 suite's two regular shifts, drawn with seeds ``seed + 1``
-    and ``seed + 2``."""
-    return choose_alpha0(dec.pencil, seed=seed + 1), choose_alpha0(dec.pencil, seed=seed + 2)
+def _new_shift(dec: Decomposition, seed: int) -> complex:
+    """The alpha0 suite's regular shift: drawn with seed ``seed + 1``, or
+    with ``seed + 2`` when the first draw is the decomposition's own
+    shift."""
+    shift = choose_alpha0(dec.pencil, seed=seed + 1)
+    return shift if shift != dec.alpha0_used else choose_alpha0(dec.pencil, seed=seed + 2)
+
+
+def _chain_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
+    """The largest projector distance between the levels above 0 of two
+    chains of quotient frames that share level 0, or inf when their level
+    widths differ."""
+    if [w.shape[1] for w in a] != [w.shape[1] for w in b]:
+        return float("inf")
+    # the spectral norm, as a values-only SVD that np.linalg.svd counts
+    dists = [
+        np.linalg.svd(wa @ wa.conj().T - wb @ wb.conj().T, compute_uv=False)[0]
+        for wa, wb in zip(a[1:], b[1:])
+    ]
+    return float(np.max(dists, initial=0.0))
 
 
 def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
@@ -296,32 +315,34 @@ def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
         if not dec.points:
             out.append(Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",)))
             continue
-        shifts = None
+        shift = None
         results = []
         for p, residual in zip(dec.points, residuals[i]):
-            equal, dist = True, 0.0
-            w = dec.quotient_filtrations[p.alpha][0]
-            if w.shape[1] < p.algebraic_mult:
-                shifts = shifts or _suite_shifts(dec, seed)
-                equal, dist = _alpha0_independence(
-                    dec.pencil, p.alpha, *shifts, dec.tol, ALPHA0_TOL, w, p.algebraic_mult
+            dist = 0.0
+            levels = dec.quotient_filtrations[p.alpha]
+            if levels[0].shape[1] < p.algebraic_mult:
+                shift = shift or _new_shift(dec, seed)
+                climbed = _filtration_reduced(
+                    dec.pencil, p.alpha, shift, levels[0], p.algebraic_mult
                 )
-            results.append((residual < dec.tol and equal, max(residual, dist)))
+                dist = _chain_distance(levels, climbed)
+            results.append((residual < dec.tol and dist < ALPHA0_TOL, max(residual, dist)))
         worst = max(residual for _, residual in results)
         failing = [j for j, (passed, _) in enumerate(results) if not passed]
         witness = None
         if failing:
             # max keeps the first of equal residuals
             at = max(failing, key=lambda j: results[j][1])
-            witness = (dec.points[at].alpha, *(shifts or _suite_shifts(dec, seed)))
+            witness = (dec.points[at].alpha, dec.alpha0_used, shift or _new_shift(dec, seed))
         out.append(Finding(ALPHA0_INDEPENDENCE, not failing, worst, witness, len(results)))
     return out
 
 
 def verify_alpha0_suite(dec: Decomposition, seed: int = 0) -> Finding:
-    """Shift-independence of the filtration at every spectral point of
-    ``dec``, under two random regular shifts drawn with seeds ``seed + 1``
-    and ``seed + 2``.
+    """Shift-independence of the filtration that ``dec`` reports at every
+    spectral point, against a chain climbed under a new random regular
+    shift, drawn with seed ``seed + 1`` (``seed + 2`` when that draw is
+    ``dec.alpha0_used``).
 
     One rule covers every point.  Level 0, Stab(alpha), does not involve
     the shift, so the decomposition's own frame of it
@@ -329,15 +350,16 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0) -> Finding:
     below ``dec.tol`` (see :func:`algscope.spectral._stab_residuals`).  A
     chain ends at its multiplicity, so a level 0 of that dimension is the
     whole filtration; a simple point is the case mult = 1.  A point whose
-    level 0 is below its multiplicity climbs its filtration from that level
-    under each shift, up to the multiplicity, and the levels above 0 must
-    agree, with projector distance below ``ALPHA0_TOL``; levels of different
-    dimensions count as unequal, with distance inf.  The shifts are drawn
-    only when a point climbs or a failing finding names them.  The residual
+    level 0 is below its multiplicity climbs a chain from that level under
+    the new shift, up to the multiplicity, and its levels above 0 must
+    agree with the reported ones, climbed under ``dec.alpha0_used``, with
+    projector distance below ``ALPHA0_TOL``; levels of different
+    dimensions count as unequal, with distance inf.  The shift is drawn
+    only when a point climbs or a failing finding names it.  The residual
     of a point is the largest of these.  A failing finding names as witness
-    (alpha, shift_a, shift_b) for the first failing point with the largest
-    residual, and a passing one, whose residuals are round-off, names none.
-    It runs the stacked suite on a batch of one."""
+    (alpha, ``dec.alpha0_used``, new shift) for the first failing point
+    with the largest residual, and a passing one, whose residuals are
+    round-off, names none.  It runs the stacked suite on a batch of one."""
     return _alpha0_suite([dec], [seed])[0]
 
 
@@ -672,9 +694,9 @@ def minimize_stab_dim(
 def _stab_pair(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[Subspace, Subspace]:
     """Stab(alpha) and Stab(1/alpha) of ``rp`` at its own rank tolerance,
     with one nullspace when 1/alpha == alpha."""
-    xs = stab(rp, alpha, rp.nil.tol)
+    xs = stab(rp, alpha)
     inverse = alpha.inverse()
-    return xs, (xs if inverse == alpha else stab(rp, inverse, rp.nil.tol))
+    return xs, (xs if inverse == alpha else stab(rp, inverse))
 
 
 def verify_regular_perturbation(
@@ -848,7 +870,7 @@ def run_suites(
         part = [fs[i] for i in chunk]
         rps = _reduce_pencils(alg, part, rank_tol)
         if decomposing:
-            decs = _decompose_pencils(rps, seed, rank_tol, cluster_tol)
+            decs = _decompose_pencils(rps, seed, cluster_tol)
         kers = [rp.kernels for rp in _raise_first(rps)]
         if chunk[0] == 0:
             findings += [verify_corollaries(alg, rps[0], p) for p in points]

@@ -739,7 +739,7 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
             ),
         )
         chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-        dec = Decomposition(rp, chi, (), {}, None, tol, cluster_tol, seed)
+        dec = Decomposition(rp, chi, (), {}, None, cluster_tol, seed)
         assert repr(dec.checks) == repr(checks)
         return dec
     alpha0 = choose_alpha0(rp, seed)
@@ -748,19 +748,19 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     for alpha, mult, vector in spectrum(rp, alpha0, cluster_tol):
         if vector is None and (alpha.is_infinite or alpha.value == 0):
             stab_frame = kernel_level0(rp, alpha)
-            frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frame, mult)
+            frames = _filtration_reduced(rp, alpha, alpha0, stab_frame, mult)
         elif vector is None:
             m, scale = _slot_one_operator(rp, alpha)
             stab_frame = nullspace(m, tol, scale=scale).frame
-            frames = _filtration_reduced(rp, alpha, alpha0, tol, stab_frame, mult)
+            frames = _filtration_reduced(rp, alpha, alpha0, stab_frame, mult)
         else:
             frames = [vector]
         dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
         levels[alpha] = tuple(frames)
     v_frames = [chain[-1] for chain in levels.values()]
-    checks = _decomposition_checks(rp, points, v_frames, tol, seed)
-    dec = Decomposition(rp, chi, tuple(points), levels, alpha0, tol, cluster_tol, seed)
+    checks = _decomposition_checks(rp, points, v_frames, seed)
+    dec = Decomposition(rp, chi, tuple(points), levels, alpha0, cluster_tol, seed)
     assert repr(dec.checks) == repr(tuple(checks))
     return dec
 
@@ -832,35 +832,48 @@ def kernel_relations_loop(alg, ker, tol=1e-8):
 
 def alpha0_suite_loop(dec, seed=0, tol=1e-8):
     """The alpha0 suite on one decomposition: its level-0 residuals from a
-    stack of one, then the climbs of the points below their multiplicity
-    under the shifts drawn with seeds ``seed + 1`` and ``seed + 2``."""
-    from algscope.spectral import _alpha0_independence, _stab_residuals, choose_alpha0
+    stack of one, then, for each point below its multiplicity, one chain
+    climbed under the shift drawn with seed ``seed + 1`` (``seed + 2`` when
+    that is the decomposition's own shift), compared level by level above
+    0 with the chain the decomposition reports."""
+    from algscope.spectral import _filtration_reduced, _stab_residuals, choose_alpha0
     from algscope.verify import ALPHA0_INDEPENDENCE, Finding
 
-    def suite_shifts():
-        return choose_alpha0(dec.pencil, seed=seed + 1), choose_alpha0(dec.pencil, seed=seed + 2)
+    def new_shift():
+        shift = choose_alpha0(dec.pencil, seed=seed + 1)
+        if shift == dec.alpha0_used:
+            shift = choose_alpha0(dec.pencil, seed=seed + 2)
+        return shift
 
     if not dec.points:
         return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
-    shifts = None
+    shift = None
     alphas = [p.alpha for p in dec.points]
     frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
     results = []
     (residuals,) = _stab_residuals([dec.pencil], [alphas], [frames])
     for p, w, residual in zip(dec.points, frames, residuals):
-        equal, dist = True, 0.0
+        worst = residual
+        passed = residual < dec.tol
         if w.shape[1] < p.algebraic_mult:
-            shifts = shifts or suite_shifts()
-            equal, dist = _alpha0_independence(
-                dec.pencil, p.alpha, *shifts, dec.tol, tol, w, p.algebraic_mult
-            )
-        results.append((residual < dec.tol and equal, max(residual, dist)))
+            if shift is None:
+                shift = new_shift()
+            reported = dec.quotient_filtrations[p.alpha]
+            climbed = _filtration_reduced(dec.pencil, p.alpha, shift, w, p.algebraic_mult)
+            if [v.shape[1] for v in reported] != [v.shape[1] for v in climbed]:
+                passed, worst = False, float("inf")
+            else:
+                for wa, wb in zip(reported[1:], climbed[1:]):
+                    dist = float(np.linalg.norm(wa @ wa.conj().T - wb @ wb.conj().T, 2))
+                    passed &= dist < tol
+                    worst = max(worst, dist)
+        results.append((passed, worst))
     worst = max(residual for _, residual in results)
     failing = [i for i, (passed, _) in enumerate(results) if not passed]
     witness = None
     if failing:
         at = max(failing, key=lambda i: results[i][1])
-        witness = (alphas[at], *(shifts or suite_shifts()))
+        witness = (alphas[at], dec.alpha0_used, new_shift() if shift is None else shift)
     return Finding(ALPHA0_INDEPENDENCE, not failing, worst, witness, len(results))
 
 

@@ -35,7 +35,8 @@ from algscope.cli import main
 from algscope.functional import MULTIPLICATIVE, NOT_RANK_ONE, is_multiplicative
 from algscope.linalg import Subspace
 from algscope.report import save_algebra, save_functional
-from algscope.spectral import _alpha0_independence, _stab_residuals, char_poly, choose_alpha0
+from algscope.spectral import _filtration_reduced, _stab_residuals, char_poly, choose_alpha0
+from algscope.verify import _chain_distance
 
 from oracles import prescribed_pencil_algebra
 
@@ -137,10 +138,11 @@ def test_criterion_4_shift_independence_suite():
             # levels above it, climbed to the multiplicity, agree
             w = dec.quotient_filtrations[p.alpha][0]
             ((residual,),) = _stab_residuals([rp], [[p.alpha]], [[w]])
-            equal, dist = _alpha0_independence(
-                rp, p.alpha, shift_a, shift_b, 1e-9, 1e-8, w, p.algebraic_mult
+            a, b = (
+                _filtration_reduced(rp, p.alpha, s, w, p.algebraic_mult) for s in (shift_a, shift_b)
             )
-            assert residual < 1e-9 and equal and dist < 1e-8, (name, p.alpha, shift_a, shift_b)
+            dist = _chain_distance(a, b)
+            assert residual < 1e-9 and dist < 1e-8, (name, p.alpha, shift_a, shift_b)
             return True
 
         algs = corpus()

@@ -41,8 +41,9 @@ def test_tracer_target_resolves_to_a_callable(layer):
 
 
 #: names removed from the package: a second rule for a decision that the
-#: spectrum's eigendecomposition makes, a type that repeated another one, or
-#: a set and a search that no program path needs
+#: spectrum's eigendecomposition makes, a type that repeated another one, a
+#: set and a search that no program path needs, or the second shift and the
+#: second climb of the alpha0 suite, which reads the reported chain instead
 REMOVED = (
     "jordan_filtration",
     "verify_alpha0_independence",
@@ -61,6 +62,8 @@ REMOVED = (
     "_check_pairing",
     "nil_ideal_check",
     "NilIdealReport",
+    "_suite_shifts",
+    "_alpha0_independence",
 )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from algscope import (
     Algebra,
+    Decomposition,
     Functional,
     INFINITY,
     Kernels,
@@ -39,7 +40,7 @@ from algscope import (
 )
 from algscope.linalg import Subspace, nullspace
 from algscope.spectral import (
-    _alpha0_independence,
+    DEFAULT_CLUSTER_TOL,
     decompose_all,
     _decomposition_checks,
     _filtration_reduced,
@@ -48,6 +49,7 @@ from algscope.spectral import (
     _slot_one_operator,
     _stab_residuals,
 )
+from algscope.verify import _chain_distance
 
 from oracles import (
     PLANTED_JORDAN_BLOCKS,
@@ -102,20 +104,18 @@ def climb(rp, p, shift, stab_frame=None):
     from ``stab_frame`` (by default :func:`level0`) up to its
     multiplicity."""
     w = level0(rp, p.alpha) if stab_frame is None else stab_frame
-    return _filtration_reduced(rp, p.alpha, shift, TOL, w, p.algebraic_mult)
+    return _filtration_reduced(rp, p.alpha, shift, w, p.algebraic_mult)
 
 
 def shift_independence(dec, value, alpha0_a, alpha0_b):
-    """The alpha0 suite's rule at the point ``value`` of ``dec`` under two
-    given shifts: (level 0 lies in Stab(alpha) and the levels above it
-    agree, max residual)."""
+    """The alpha0 suite's rule at the point ``value`` of ``dec``, with the
+    chains climbed here from its level 0 under two given shifts: (level 0
+    lies in Stab(alpha) and the levels above it agree, max residual)."""
     p = find_point(dec, value)
     w = dec.quotient_filtrations[p.alpha][0]
     ((residual,),) = _stab_residuals([dec.pencil], [[p.alpha]], [[w]])
-    equal, dist = _alpha0_independence(
-        dec.pencil, p.alpha, alpha0_a, alpha0_b, TOL, 1e-8, w, p.algebraic_mult
-    )
-    return residual < TOL and equal, max(residual, dist)
+    dist = _chain_distance(climb(dec.pencil, p, alpha0_a, w), climb(dec.pencil, p, alpha0_b, w))
+    return residual < TOL and dist < 1e-8, max(residual, dist)
 
 
 def chi_at(p, lam, mu):
@@ -268,16 +268,16 @@ class TestStab:
         rng = np.random.default_rng(0)
         for alg in (mat_algebra(2), upper_triangular(3), dual_numbers()):
             f = random_functional(alg.dim, rng)
-            s = stab(reduce_pencil(alg, f, TOL), ProjectivePoint.finite(1.0), TOL)
+            s = stab(reduce_pencil(alg, f, TOL), ProjectivePoint.finite(1.0))
             unit = alg.unit / np.linalg.norm(alg.unit)
             assert s.residual(unit.reshape(-1, 1))[0] < 1e-9
 
     def test_mat3_stab_at_one_is_the_diagonal(self):
-        s = stab(reduce_pencil(mat_algebra(3), diag125(), TOL), ProjectivePoint.finite(1.0), TOL)
+        s = stab(reduce_pencil(mat_algebra(3), diag125(), TOL), ProjectivePoint.finite(1.0))
         assert subspace_equal(s, coordinate_span(9, [0, 4, 8]), 1e-8)
 
     def test_mat3_stab_at_two_is_the_e21_line(self):
-        s = stab(reduce_pencil(mat_algebra(3), diag125(), TOL), ProjectivePoint.finite(2.0), TOL)
+        s = stab(reduce_pencil(mat_algebra(3), diag125(), TOL), ProjectivePoint.finite(2.0))
         assert subspace_equal(s, coordinate_span(9, [3]), 1e-8)
 
     def test_matches_the_fullspace_condition_oracle(self):
@@ -289,25 +289,50 @@ class TestStab:
                 value = None if p.alpha.is_infinite else p.alpha.value
                 frame = stab_fullspace(alg, f.coords, value)
                 oracle = Subspace(alg.dim, frame, TOL)
-                got = stab(dec.pencil, p.alpha, TOL)
+                got = stab(dec.pencil, p.alpha)
                 assert got.dim == oracle.dim
                 assert projector_distance(got, oracle) < 1e-8
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_decides_at_the_pencil_tolerance(self):
+        # Mat_3 at a random functional, reduced at 1e-6: 1e-7 away from a
+        # simple point, a~^T - alpha a~ is singular at the pencil's
+        # tolerance, and at the default 1e-9 it is not
+        alg = mat_algebra(3)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        rp = reduce_pencil(alg, f, 1e-6)
+        simple = [
+            p.alpha
+            for p in decompose(alg, f, tol=1e-6).points
+            if p.algebraic_mult == 1 and not p.alpha.is_infinite and p.alpha.value != 0
+        ]
+        assert len(simple) == 6
+        for alpha in simple:
+            near = ProjectivePoint.finite(alpha.value * (1 + 1e-7))
+            got = stab(rp, near)
+            assert got.dim == 1 and got.tol == 1e-6
+            assert stab(reduce_pencil(alg, f), near).dim == 0
+
     @pytest.mark.parametrize(
         "alpha",
         [ProjectivePoint.finite(1.0), ProjectivePoint.finite(0.0), INFINITY],
         ids=["one", "zero", "infinity"],
     )
-    def test_refuses_a_tolerance_that_is_not_finite_and_positive(self, alpha, tol):
-        # Stab(1) of Mat_3 at a random functional has dimension 3; at
-        # tol = nan or inf it came back as all 9 dimensions.  At 0 and
-        # infinity the kernels are read with no rank decision, so the
-        # tolerance is checked on entry
-        rp = reduce_pencil(mat_algebra(3), random_functional(9, np.random.default_rng(0)))
-        assert stab(rp, ProjectivePoint.finite(1.0)).dim == 3
-        with pytest.raises(ValueError, match="^tol must be a finite number > 0$"):
-            stab(rp, alpha, tol)
+    def test_every_point_reads_the_pencil_tolerance(self, alpha):
+        # tri_3 at a random functional has the double points 0, 1 and
+        # infinity: Stab at 0 and infinity is a kernel of the pencil, at 1 a
+        # nullspace, and each is decided at the tolerance of the reduction
+        alg = upper_triangular(3)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        value = None if alpha.is_infinite else alpha.value
+        for tol in (1e-9, 1e-6):
+            rp = reduce_pencil(alg, f, tol)
+            got = stab(rp, alpha)
+            assert got.tol == rp.nil.tol == tol and got.dim == 2
+            oracle = Subspace(alg.dim, stab_fullspace(alg, f.coords, value), tol)
+            assert projector_distance(got, oracle) < 1e-8
+            # the decomposition's level 0 at the point, lifted
+            level = decompose(alg, f, tol=tol).filtrations[alpha][0]
+            assert level.tol == tol and projector_distance(got, level) < 1e-8
 
 
 class TestJordanFiltration:
@@ -360,13 +385,6 @@ class TestJordanFiltration:
             dims = jordan_dims_by_powers(m, lam, rp.K)
             quotient_dims = [d - dec.nil.dim for d in p.filtration_dims]
             assert quotient_dims == dims, (p.alpha, quotient_dims, dims)
-
-    def test_shift_equal_to_point_is_rejected(self):
-        alg = dual_numbers()
-        rp = reduce_pencil(alg, Functional(np.array([1.0, 0.0])), TOL)
-        alpha = ProjectivePoint.finite(0.5)
-        with pytest.raises(NoRegularValue):
-            _alpha0_independence(rp, alpha, 0.5, 0.3, TOL, 1e-8, level0(rp, alpha), 1)
 
     def test_alternative_recursion_gives_the_same_spaces(self):
         # for finite alpha the chain can be climbed against the transposed
@@ -475,11 +493,9 @@ class TestFiltrationClimb:
             w = filtration_reduced_loop(rp, p.alpha, shifts[0], TOL)[0]
             for stab_frame in (level0(rp, p.alpha), w):
                 ((residual,),) = _stab_residuals([rp], [[p.alpha]], [[stab_frame]])
-                equal, dist = _alpha0_independence(
-                    rp, p.alpha, *shifts[1:], TOL, 1e-8, stab_frame, p.algebraic_mult
-                )
+                dist = _chain_distance(*(climb(rp, p, s, stab_frame) for s in shifts[1:]))
                 want = alpha0_independence_loop(rp, p.alpha, *shifts[1:], TOL, 1e-8, stab_frame)
-                assert (residual < TOL and equal) == want[0] is True
+                assert (residual < TOL and dist < 1e-8) == want[0] is True
                 assert max(residual, dist) == pytest.approx(want[1], rel=1e-9, abs=1e-15)
                 # the levels above 0, compared without the level-0 residual
                 assert dist < 1e-8
@@ -542,9 +558,7 @@ class TestChainEndsAtMultiplicity:
         built.clear()
         for p in dec.points:
             w = dec.quotient_filtrations[p.alpha][0]
-            chain = _filtration_reduced(
-                dec.pencil, p.alpha, dec.alpha0_used, TOL, w, p.algebraic_mult
-            )
+            chain = _filtration_reduced(dec.pencil, p.alpha, dec.alpha0_used, w, p.algebraic_mult)
             assert len(chain) == 1 and chain[0] is w
         assert built == []
 
@@ -557,9 +571,7 @@ class TestChainEndsAtMultiplicity:
         assert short
         for p in short:
             w = dec.quotient_filtrations[p.alpha][0]
-            chain = _filtration_reduced(
-                dec.pencil, p.alpha, dec.alpha0_used, TOL, w, p.algebraic_mult
-            )
+            chain = _filtration_reduced(dec.pencil, p.alpha, dec.alpha0_used, w, p.algebraic_mult)
             assert [u.shape[1] for u in chain] == [d - dec.nil.dim for d in p.filtration_dims]
         # the operators at alpha and at the shift, once per climbing point
         shift = ProjectivePoint.finite(dec.alpha0_used)
@@ -786,6 +798,19 @@ class TestDecompose:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0$"):
             decompose_all(alg, [], **tols)
 
+    def test_tol_is_the_pencil_tolerance(self):
+        # the reduction decides the tolerance once; the decomposition keeps
+        # no copy of it, and every lifted level carries it
+        alg = upper_triangular(3)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        assert "tol" not in {field.name for field in dataclasses.fields(Decomposition)}
+        for tol in (1e-9, 1e-6):
+            dec = decompose(alg, f, tol=tol)
+            assert dec.tol == dec.pencil.nil.tol == tol
+            assert {level.tol for levels in dec.filtrations.values() for level in levels} == {tol}
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                dec.tol = 1e-3
+
     def test_zero_functional(self):
         dec = decompose(mat_algebra(2), Functional(np.zeros(4)))
         assert dec.nil.dim == 4
@@ -817,7 +842,7 @@ class TestDecompose:
         # the checks of the decomposition's own pencil, points and frames,
         # at its seed
         v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
-        want = real(dec.pencil, dec.points, v_frames, dec.tol, 4)
+        want = real(dec.pencil, dec.points, v_frames, 4)
         assert repr(dec.checks) == repr(tuple(want))
         # K = 0 takes its two checks from nil, with no call
         empty = decompose(alg, Functional(np.zeros(alg.dim)))
@@ -931,7 +956,7 @@ class TestDirectSumCheck:
         alg, rp, dec, frames = self.mat3_frames()
         i, j = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1][:2]
         frames[j] = frames[i].copy()  # V(alpha_j) doctored to repeat V(alpha_i)
-        checks = _decomposition_checks(rp, dec.points, frames, TOL, 0)
+        checks = _decomposition_checks(rp, dec.points, frames, 0)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual >= 1.0
         lifted = [np.hstack([rp.quotient_frame @ w, rp.nil.frame]) for w in frames]
@@ -942,7 +967,7 @@ class TestDirectSumCheck:
     def test_extra_dependent_column_fails_even_at_full_rank(self):
         alg, rp, dec, frames = self.mat3_frames()
         frames[1] = np.hstack([frames[1], frames[0]])  # K + 1 columns of rank K
-        checks = _decomposition_checks(rp, dec.points, frames, TOL, 0)
+        checks = _decomposition_checks(rp, dec.points, frames, 0)
         check = check_named(checks, "v_spaces_direct_sum")
         assert not check.passed and check.residual == 1.0
 
@@ -963,7 +988,7 @@ class TestLogDetCheck:
     @staticmethod
     def log_det_check(dec, points):
         v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
-        checks = _decomposition_checks(dec.pencil, points, v_frames, TOL, 0)
+        checks = _decomposition_checks(dec.pencil, points, v_frames, 0)
         return check_named(checks, "log_det_matches_spectrum")
 
     @classmethod
@@ -1116,7 +1141,7 @@ class TestSimpleFrames:
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         i = next(q for q, p in enumerate(dec.points) if p.algebraic_mult == 1)
         frames[i] = random_unit(dec.quotient_dim, np.random.default_rng(72))
-        checks = _decomposition_checks(dec.pencil, dec.points, frames, TOL, 0)
+        checks = _decomposition_checks(dec.pencil, dec.points, frames, 0)
         check = check_named(checks, "simple_frames_in_stabilizer")
         assert not check.passed and check.residual > 1e-3
         # the dimension checks cannot see the defect
@@ -1129,7 +1154,7 @@ class TestSimpleFrames:
         assert inf.alpha.is_infinite and inf.algebraic_mult == 1
         frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
         frames[-1] = random_unit(dec.quotient_dim, np.random.default_rng(73))
-        checks = _decomposition_checks(dec.pencil, dec.points, frames, TOL, 0)
+        checks = _decomposition_checks(dec.pencil, dec.points, frames, 0)
         assert not check_named(checks, "simple_frames_in_stabilizer").passed
 
     def test_alpha0_suite_fails_on_a_doctored_simple_frame(self):
@@ -1190,18 +1215,20 @@ def random_frame(k, width, rng):
 
 class TestAlpha0SuiteRule:
     """The alpha0 suite checks every point's level 0 against Stab(alpha)
-    and climbs only the multiple points, under both shifts, from that
-    level."""
+    and climbs only the points below their multiplicity, under a new shift,
+    from that level, comparing each chain with the reported one."""
 
     @staticmethod
     def loop(dec, seed=0):
-        """The oracle at every point of ``dec`` with the suite's shifts."""
-        shifts = [choose_alpha0(dec.pencil, seed=seed + s) for s in (1, 2)]
+        """The oracle at every point of ``dec``, under its own shift and the
+        suite's new one, which differs from it at these seeds."""
+        shift = choose_alpha0(dec.pencil, seed=seed + 1)
         return [
             alpha0_independence_loop(
                 dec.pencil,
                 p.alpha,
-                *shifts,
+                dec.alpha0_used,
+                shift,
                 dec.tol,
                 1e-8,
                 dec.quotient_filtrations[p.alpha][0],
@@ -1230,8 +1257,8 @@ class TestAlpha0SuiteRule:
         finding = verify_alpha0_suite(doctored)
         assert not finding.passed and finding.max_residual > 1e-3
         assert finding.witness[0] == p.alpha
-        # no point climbs, but the witness still names the suite's shifts
-        assert finding.witness[1:] == tuple(choose_alpha0(dec.pencil, seed=s) for s in (1, 2))
+        # no point climbs, but the witness still names the suite's shift
+        assert finding.witness[1:] == (dec.alpha0_used, choose_alpha0(dec.pencil, seed=1))
         want = self.loop(doctored)
         assert [equal for equal, _ in want].count(False) == 1
         worst = max(residual for _, residual in want)
@@ -1397,6 +1424,31 @@ class TestDecomposeAll:
         decompose_all(mat_algebra(3), [random_functional(9, rng) for _ in range(10)])
         assert stacked == [[9] * 10]
 
+    def test_pencils_of_two_tolerances_are_stacked_apart(self, monkeypatch):
+        # one size K, two tolerances: each tolerance is its own group, so a
+        # stacked nullspace never decides one pencil at another's tolerance
+        import algscope.spectral as spectral
+        from algscope.spectral import _decompose_pencils
+
+        stacked = []
+
+        def counted(rps):
+            stacked.append([rp.nil.tol for rp in rps])
+            return _pencil_stack(rps)
+
+        monkeypatch.setattr(spectral, "_pencil_stack", counted)
+        alg = upper_triangular(3)
+        rng = np.random.default_rng(37)
+        fs = [random_functional(alg.dim, rng) for _ in range(3)]
+        tols = [1e-9, 1e-6, 1e-9]
+        decs = _decompose_pencils(
+            [reduce_pencil(alg, f, tol) for f, tol in zip(fs, tols)], 5, DEFAULT_CLUSTER_TOL
+        )
+        assert sorted(stacked) == [[1e-9, 1e-9], [1e-6]]
+        assert [dec.tol for dec in decs] == tols
+        for f, tol, dec in zip(fs, tols, decs):
+            assert_bitwise_equal(dec, decompose(alg, f, tol=tol, seed=5))
+
     def test_batched_shift_draws_match_each_pencil_alone(self, monkeypatch):
         # K = 9 pencils accepted at different draws (at floor 0.05 the first
         # takes 7, the second 1) and one singular for every alpha, whose
@@ -1545,7 +1597,7 @@ class TestDecompositionChecksOracle:
         randomized[simple[0]] = random_unit(dec.quotient_dim, np.random.default_rng(46))
         found, failed = [], []
         for v_frames in [frames, repeated, extra, randomized]:
-            found.append(_decomposition_checks(dec.pencil, dec.points, v_frames, TOL, 0))
+            found.append(_decomposition_checks(dec.pencil, dec.points, v_frames, 0))
             want = self.assert_agree(found[-1], dec.pencil, dec.points, v_frames)
             failed.append({c.name for c in want if not c.passed})
         # the decomposition's own frames give its own checks
@@ -1601,7 +1653,7 @@ class TestKernelStabilizers:
         assert dec.nil.dim == nil_dim
         q = rp.quotient_frame
         for alpha, kernel in ((INFINITY, ker.right), (ProjectivePoint.finite(0.0), ker.left)):
-            got = stab(rp, alpha, TOL)
+            got = stab(rp, alpha)
             assert subspace_equal(got, kernel, 1e-12)
             # the kernel spans the stabilizer of the defining conditions
             value = None if alpha.is_infinite else 0.0

@@ -11,7 +11,9 @@ from algscope import (
     Functional,
     Kernels,
     ProjectivePoint,
+    SingularPencil,
     Subspace,
+    choose_alpha0,
     cyclic_table,
     decompose,
     decompose_all,
@@ -51,6 +53,7 @@ from algscope.verify import (
     V_MULT_FINITE,
     V_MULT_NONZERO,
     _alphas,
+    _chain_distance,
     _point_indices,
     _product_inclusions,
     _shape,
@@ -370,6 +373,106 @@ class TestAlpha0Suite:
         # the distances are round-off, so no point is named
         assert finding.max_residual < 1e-12 and finding.witness is None
 
+    def test_fails_on_a_doctored_reported_chain(self):
+        import algscope.verify as verify
+
+        # planted block2: the point -1 has levels of widths (1, 2).  Its
+        # reported level 1 is replaced by another width-2 frame that
+        # contains level 0, so the chain other suites read is wrong while
+        # any chain climbed from level 0 is right
+        alg, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["block2"][0])
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(0)))
+        p = next(p for p in dec.points if abs(p.alpha.value + 1.0) < 1e-6)
+        w0, w1 = dec.quotient_filtrations[p.alpha]
+        assert (w0.shape[1], w1.shape[1]) == (1, 2)
+        # a direction orthogonal to the whole of the reported level 1
+        u = np.linalg.svd(w1, full_matrices=True)[0][:, 2:3]
+        level1 = np.hstack([w0, u])
+        level1.setflags(write=False)
+        levels = {**dec.quotient_filtrations, p.alpha: (w0, level1)}
+        doctored = dataclasses.replace(dec, quotient_filtrations=levels)
+        assert verify_alpha0_suite(dec).passed
+        finding = verify_alpha0_suite(doctored)
+        assert not finding.passed and finding.max_residual > 0.5
+        assert finding.witness == (p.alpha, dec.alpha0_used, choose_alpha0(dec.pencil, seed=1))
+        batched = verify._alpha0_suite([doctored, dec], [0, 0])
+        assert_same_findings(batched, [finding, verify_alpha0_suite(dec)])
+
+    def test_chain_distance_compares_the_levels_above_0(self):
+        # level 0 is shared, so a different level 0 is not read; levels
+        # above it give their projector distance, and a width that differs
+        # gives inf
+        e = np.eye(3, dtype=complex)
+        w0, w1 = e[:, :1], e[:, :2]
+        assert _chain_distance([w0], [e[:, 1:2]]) == 0.0
+        assert _chain_distance([w0, w1], [w0, w1[:, ::-1] * 1j]) < 1e-15
+        turned = np.hstack([w0, (e[:, 1:2] + e[:, 2:3]) / np.sqrt(2)])
+        assert _chain_distance([w0, w1], [w0, turned]) == pytest.approx(np.sqrt(0.5))
+        assert _chain_distance([w0, w1, e], [w0, turned, e]) == pytest.approx(np.sqrt(0.5))
+        assert _chain_distance([w0, w1], [w0, e]) == float("inf")
+        assert _chain_distance([w0, w1], [w0]) == float("inf")
+
+    def test_a_new_shift_replaces_the_decomposition_own(self, monkeypatch):
+        import algscope.verify as verify
+
+        # the decomposition drew its shift with seed 1, the suite's first
+        # draw at seed 0: that draw is the decomposition's own shift, so the
+        # suite draws again with seed 2
+        alg, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["block2"][0])
+        dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(0)), seed=1)
+        draws = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "choose_alpha0")
+        climbs = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_filtration_reduced")
+        assert verify_alpha0_suite(dec, seed=0).passed
+        assert [kwargs["seed"] for _, kwargs in draws] == [1, 2]
+        assert [args[2] for args, _ in climbs] == [choose_alpha0(dec.pencil, seed=2)]
+
+    #: the alpha0 suite's verdict at each seed s, pinned from the rule that
+    #: compared two chains climbed under two new shifts: P passed, F failed,
+    #: - no decomposition (SingularPencil).  The planted blocks take the
+    #: random functional of rng seed s, tri_4 and tri_5 the masked one (each
+    #: coordinate zeroed with probability 1/2); the decomposition and the
+    #: suite both take seed s.  No input fails, so no witness is pinned
+    PINNED_VERDICTS = {
+        "block2": "PPPPPPPPPP",
+        "levels3": "PPPPPPPPPP",
+        "two-blocks": "PPPPPPPPPP",
+        "tri_4": "PPPPPPPPPPPPPP-PP--PPPP-PPP-PPPPPPPPP-PPP-PPPPP-PP",
+        "tri_5": "PP-PPP-PPPPP---P-PPPP--P-PPP--PP-PPPPPP-P-PPP-PPPP",
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED_VERDICTS))
+    def test_verdicts_match_the_two_shift_rule(self, name):
+        if name in PLANTED_JORDAN_BLOCKS:
+            alg, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS[name][0])
+        else:
+            alg = upper_triangular(int(name[-1]))
+        found = []
+        for s in range(len(self.PINNED_VERDICTS[name])):
+            rng = np.random.default_rng(s)
+            coords = random_functional(alg.dim, rng).coords
+            if name not in PLANTED_JORDAN_BLOCKS:
+                coords = coords * (rng.random(alg.dim) < 0.5)
+            try:
+                dec = decompose(alg, Functional(coords), seed=s)
+            except SingularPencil:
+                found.append("-")
+                continue
+            finding = verify_alpha0_suite(dec, s)
+            found.append("P" if finding.passed else "F")
+            assert (finding.witness is None) == finding.passed
+        assert "".join(found) == self.PINNED_VERDICTS[name]
+
+    def test_the_one_failing_masked_tri_4_keeps_its_witness_point(self):
+        # the eighth masked functional of rng seed 17 on tri_4: the level 0
+        # of the point 1 fails, as it did under the two-shift rule
+        alg = upper_triangular(4)
+        rng = np.random.default_rng(17)
+        for _ in range(9):
+            coords = random_functional(alg.dim, rng).coords * (rng.random(alg.dim) < 0.5)
+        finding = verify_alpha0_suite(decompose(alg, Functional(coords), seed=17), 17 + 8)
+        assert not finding.passed
+        assert abs(finding.witness[0].value - 1.0) < 1e-9
+
 
 class TestMinimize:
     def test_empty_perturbation_space_returns_start(self):
@@ -644,7 +747,7 @@ class TestStabilizerRoute:
         rp = reduce_pencil(alg, f)
         for lambda0, mu0 in perturbation_pairs(alpha):
             point = perturbation_point(lambda0, mu0)
-            got = stab(rp, point, rp.nil.tol)
+            got = stab(rp, point)
             value = None if point.is_infinite else point.value
             for frame in (
                 stab_fullspace(alg, f.coords, value),
@@ -666,9 +769,9 @@ class TestStabilizerRoute:
         calls = []
         real = verify.stab
 
-        def counted(rp, alpha, tol):
+        def counted(rp, alpha):
             calls.append(alpha)
-            return real(rp, alpha, tol)
+            return real(rp, alpha)
 
         monkeypatch.setattr(verify, "stab", counted)
         alg = mat_algebra(3)
@@ -942,7 +1045,8 @@ class TestLinearAlgebraCounts:
     """Only the points whose level 0 is below their multiplicity climb,
     each chain on its own up to the multiplicity, a level's vectors are
     computed only when its chain grows, the alpha0 suite runs no
-    eigendecomposition and draws no shift when nothing climbs, and v-mult
+    eigendecomposition, draws no shift when nothing climbs and one when a
+    point climbs, and v-mult
     forms one product tensor per group of decompositions."""
 
     @staticmethod
@@ -1020,7 +1124,7 @@ class TestLinearAlgebraCounts:
         calls = self.count_svd(monkeypatch)
         frames = [
             spectral._filtration_reduced(
-                dec.pencil, p.alpha, dec.alpha0_used, dec.tol, levels[0], p.algebraic_mult
+                dec.pencil, p.alpha, dec.alpha0_used, levels[0], p.algebraic_mult
             )
             for p, levels in zip(multiple, chains)
         ]
@@ -1035,17 +1139,17 @@ class TestLinearAlgebraCounts:
         draws = self.count_calls(monkeypatch, verify, "choose_alpha0")
         assert verify_alpha0_suite(dec).passed
         assert eigs == []
-        # the shifts are drawn only when a point climbs: one regularity SVD
-        # (of a stack of one) per shift, each accepted at its first draw,
-        # then the chain of each climbing point from its level 0, under one
+        # the shift is drawn only when a point climbs: one regularity SVD
+        # (of a stack of one), accepted at its first draw, then one chain of
+        # each climbing point from its level 0, under the new shift, and one
+        # values-only SVD, the projector distance to the reported chain, per
+        # level above 0
         climbing = [levels for levels in chains if len(levels) > 1]
-        assert len(draws) == (2 if climbing else 0)
-        # shift and then the other, and one values-only SVD, the projector
-        # distance, per level above 0
+        assert len(draws) == (1 if climbing else 0)
         climbs = [
             c
             for levels in climbing
-            for c in chain_calls(levels) * 2 + [((k, k), "values")] * (len(levels) - 1)
+            for c in chain_calls(levels) + [((k, k), "values")] * (len(levels) - 1)
         ]
         assert calls == [((1, k, k), "values")] * len(draws) + climbs
         # no spectral norm takes an SVD that np.linalg.svd does not count
