@@ -39,8 +39,8 @@ class NoRegularValue(AlgscopeError):
     """No regular shift could be found: every sampled shift left the shifted
     pencil's regularity (sigma_min over its scale) below the shift floor.
     The message states the number of draws, the best regularity reached and
-    the floor.  Also raised when a shift equals the spectral point under
-    study."""
+    the floor.  :func:`~algscope.spectral.choose_alpha0` also raises it for
+    an empty pencil (K = 0), which has no spectrum to shift into."""
 
 
 class SingularPencil(NoRegularValue):

@@ -395,9 +395,9 @@ def pencil_eigen(
     values closer than ``cluster_tol`` (relative for large moduli) are
     merged into a single point with summed multiplicity; multiplicities add
     up to the pencil size.  The two poles of the projective line are treated
-    symmetrically at the same resolution: values of modulus at most
-    ``cluster_tol`` snap to exactly 0, mirroring the cutoff that sends
-    values of modulus beyond ``1/cluster_tol`` to infinity, so the
+    symmetrically at the same resolution: every value of modulus at most
+    ``cluster_tol`` joins one point at exactly 0, as every value of modulus
+    beyond ``1/cluster_tol`` joins the one point at infinity, so the
     involution alpha -> 1/alpha maps returned points to returned points.
 
     Each item is (point, multiplicity, vector).  At a point of multiplicity
@@ -456,11 +456,12 @@ def _stack_points(
     """The points of :func:`pencil_eigen` of each pencil, from the
     eigenvalues ``lams[i]`` of ``(a - alpha0s[i] b)^{-1} b`` and their unit
     eigenvectors ``vectors[i]``, in one pass over the (B, K) stack.  The
-    points are the components of the graph linking the infinite values and
-    the finite ones within ``cluster_tol`` (:func:`_close`), each labelled
-    by its first member: each value takes the least label linked to it
-    until none changes.  A finite point is the mean of its members, snapped to 0 at
-    modulus ``cluster_tol`` or less; infinity comes last, and the finite
+    points are the components of the graph linking the infinite values, the
+    finite values of modulus ``cluster_tol`` or less, and the finite ones
+    within ``cluster_tol`` of each other (:func:`_close`), each labelled by
+    its first member: each value takes the least label linked to it until
+    none changes.  A finite point is the mean of its members, snapped to 0
+    at modulus ``cluster_tol`` or less; infinity comes last, and the finite
     points by modulus, phase and first member."""
     b, k = lams.shape
     shifts = np.asarray(alpha0s, dtype=complex).reshape(b, 1)
@@ -475,6 +476,8 @@ def _stack_points(
     # every value links itself, a NaN too, which then fails the finite check
     linked = near & finite[:, :, None] & finite[:, None, :] | (index[:, None] == index)
     linked |= at_inf[:, :, None] & at_inf[:, None, :]
+    near_zero = finite & (np.hypot(alphas.real, alphas.imag) <= cluster_tol)
+    linked |= near_zero[:, :, None] & near_zero[:, None, :]
     labels = np.broadcast_to(index, (b, k))
     while True:
         least = np.where(linked, labels[:, None, :], k).min(axis=2)

@@ -568,13 +568,16 @@ def corollaries_loop(alg, f_min, alpha, rank_tol=1e-9):
 
 def cluster_values_loop(values, cluster_tol):
     """Single-linkage clusters of complex values from a test of every pair
-    (i < j) in turn, closeness relative for large moduli: the member indices
-    of each cluster, the clusters in the order of their first members."""
+    (i < j) in turn, closeness relative for large moduli, with every two
+    values of modulus at most ``cluster_tol`` linked: the member indices of
+    each cluster, the clusters in the order of their first members."""
     n = len(values)
     label = list(range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= cluster_tol * max(1.0, abs(values[i]), abs(values[j])):
+            u, v = values[i], values[j]
+            small = max(abs(u), abs(v)) <= cluster_tol
+            if small or abs(u - v) <= cluster_tol * max(1.0, abs(u), abs(v)):
                 old, new = label[i], label[j]
                 label = [new if x == old else x for x in label]
     groups = {}

@@ -289,7 +289,8 @@ class TestPencilEigen:
     def test_clusters_match_the_pairwise_loop(self):
         # a stack of pencils whose eigenvalues map to near-duplicates within
         # and just outside the tolerance, a chain that links through a
-        # middle value, large moduli, a value that snaps to 0, a point of 10
+        # middle value, large moduli, four values within the tolerance of 0
+        # of which only two lie within it of each other, a point of 10
         # members and, in every other pencil, an infinite eigenvalue (L = 0)
         rng = np.random.default_rng(19)
         tol = 1e-6
@@ -300,7 +301,9 @@ class TestPencilEigen:
             step = tol * np.maximum(1.0, np.abs(base))
             chain = [base[0] + 0.6 * step[0], base[0] + 1.2 * step[0], base[1] + 1.5 * step[1]]
             crowd = base[2] + 1e-9 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
-            values = np.concatenate([base, chain, crowd, [3e-7j]])
+            turn = np.exp(2j * np.pi * rng.random())
+            ring = tol * turn * np.append(0.95 * np.exp(2j * np.pi * np.arange(3) / 3), 0.6)
+            values = np.concatenate([base, chain, crowd, ring])
             alpha0 = complex(rng.standard_normal(), rng.standard_normal())
             lam = 1.0 / (values - alpha0)
             if c % 2:
@@ -332,6 +335,22 @@ class TestPencilEigen:
             ] == want
             assert [p.value for p, _, _ in points if not p.is_infinite][0] == 0.0
         assert largest == 10
+
+    @pytest.mark.parametrize("alpha0", [0.5, -0.3 + 0.4j])
+    def test_values_near_0_form_one_point(self, alpha0):
+        # three values 0.6 cluster_tol from 0, 120 degrees apart: each pair
+        # lies about 1.04 cluster_tol apart, yet all three join one point
+        # at exactly 0, as the values beyond the infinity cutoff join one
+        # point at infinity
+        tol = 1e-5
+        ring = 0.6 * tol * np.exp(2j * np.pi * np.arange(3) / 3)
+        assert min(abs(ring[i] - ring[i - 1]) for i in range(3)) > tol
+        a = np.diag(np.concatenate([ring, [1.0, 1.0]]))
+        b = np.diag([1.0, 1.0, 1.0, 1.0, 0.0]).astype(complex)
+        pts = pencil_eigen(a, b, alpha0, cluster_tol=tol)
+        assert [m for _, m, _ in pts] == [3, 1, 1]
+        assert pts[0][0].value == 0.0 and pts[2][0].is_infinite
+        assert projective_close(pts[1][0], ProjectivePoint(1.0), 1e-12)
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularShift):

@@ -1170,6 +1170,35 @@ class TestSimpleFrames:
         assert finding.witness[0] == p.alpha
 
 
+class TestPointsAtZero:
+    """Every value within ``cluster_tol`` of 0 joins one point 0, as every
+    value beyond the infinity cutoff joins the one point infinity.  At
+    ``cluster_tol`` 1e-5 these masked functionals split a block of size 3
+    at 0 into three values about 6e-6 from 0, 120 degrees apart and
+    pairwise more than 1e-5 apart; each used to become its own point 0, and
+    the checks, which key the frames by the point, raised ``IndexError``
+    or failed."""
+
+    @pytest.mark.parametrize(
+        "alg, seed, mults",
+        [
+            (upper_triangular(4), 289, [3, 1, 3]),
+            (upper_triangular(4), 354, [3, 1, 3]),
+            (direct_sum(dual_numbers(), upper_triangular(4)), 84, [3, 3, 3]),
+        ],
+        ids=["tri_4-289", "tri_4-354", "dual+tri_4-84"],
+    )
+    def test_masked_functional_has_one_point_0(self, alg, seed, mults):
+        rng = np.random.default_rng(seed)
+        c = random_functional(alg.dim, rng).coords * (rng.random(alg.dim) < 0.5)
+        dec = decompose(alg, Functional(c), cluster_tol=1e-5)
+        points = [p.alpha for p in dec.points]
+        assert points[0].value == 0.0 and points[2].is_infinite
+        assert projective_close(points[1], ProjectivePoint(1.0), 1e-9)
+        assert [p.algebraic_mult for p in dec.points] == mults
+        assert dec.ok, [ch.name for ch in dec.checks if not ch.passed]
+
+
 class TestRoundoffEntries:
     """numpy's ``eig`` balances its input, and entries of M = S^-1 a~ at
     roundoff level (down to 1e-33 here, where Q carries roundoff) break its
