@@ -118,7 +118,8 @@ __all__ = [
 
 LOG_DET_NODES = 12
 #: the least regularity (sigma_min over the pencil scale) at which the
-#: shift search accepts a draw
+#: shift search accepts a draw, raised to the pencil's rank tolerance when
+#: that is larger (:func:`_shift_floor`)
 SHIFT_FLOOR = 1e-8
 
 
@@ -265,7 +266,9 @@ def _draw_shift(rng: np.random.Generator) -> complex:
 
 def choose_alpha0(rp: ReducedPencil, seed: int = 0) -> complex:
     """Draw a regular shift: random modulus in [0.5, 2], random phase,
-    accepted when the shifted pencil's regularity reaches ``SHIFT_FLOOR``.
+    accepted when the shifted pencil's regularity reaches the larger of
+    ``SHIFT_FLOOR`` and the pencil's own rank tolerance ``rp.nil.tol``, so
+    no accepted shift is one that the pencil's rank test calls singular.
 
     Deterministic for a fixed seed; tries up to max(64, K + 1) draws and
     raises :class:`NoRegularValue` if all fall below the floor, reporting
@@ -285,14 +288,16 @@ def _choose_alpha0s(
     rps: list[ReducedPencil], stack: PencilStack, seed: int = 0
 ) -> list[complex | NoRegularValue]:
     """:func:`choose_alpha0` of each of the pencils ``rps``, all of one size
-    K >= 1 and all with ``seed``, so every pencil sees the same draws; its
-    caller hands it their :func:`_pencil_stack` ``stack``.  Each draw is
-    tested with one values-only SVD over the pencils still waiting; a
-    pencil that finds no shift in max(64, K + 1) draws gets in its place
-    the error :func:`choose_alpha0` would raise."""
+    K >= 1 and one tolerance, all with ``seed``, so every pencil sees the
+    same draws and the same floor; its caller hands it their
+    :func:`_pencil_stack` ``stack``.  Each draw is tested with one
+    values-only SVD over the pencils still waiting; a pencil that finds no
+    shift in max(64, K + 1) draws gets in its place the error
+    :func:`choose_alpha0` would raise."""
     rng = np.random.default_rng(seed)
     a, at, scales = stack
     draws = max(64, rps[0].K + 1)
+    floor = _shift_floor(rps[0])
     out: list = [None] * len(rps)
     best = [0.0] * len(rps)
     waiting = np.arange(len(rps))
@@ -300,16 +305,23 @@ def _choose_alpha0s(
         alpha0 = _draw_shift(rng)
         regularity = _shift_regularities(a[waiting], at[waiting], scales[waiting], alpha0)
         for j, r in zip(waiting.tolist(), regularity.tolist()):
-            if r >= SHIFT_FLOOR:
+            if r >= floor:
                 out[j] = alpha0
             else:
                 best[j] = max(best[j], r)
-        waiting = waiting[~(regularity >= SHIFT_FLOOR)]
+        waiting = waiting[~(regularity >= floor)]
         if not waiting.size:
             return out
     for j in waiting.tolist():
         out[j] = _no_shift_error(rps[j], best[j], draws)
     return out
+
+
+def _shift_floor(rp: ReducedPencil) -> float:
+    """The least regularity at which the shift search accepts a draw for
+    ``rp``: ``SHIFT_FLOOR``, raised to the pencil's rank tolerance when
+    that is larger."""
+    return max(SHIFT_FLOOR, rp.nil.tol)
 
 
 def _no_shift_error(rp: ReducedPencil, best: float, draws: int) -> NoRegularValue:
@@ -325,7 +337,7 @@ def _no_shift_error(rp: ReducedPencil, best: float, draws: int) -> NoRegularValu
     draw is tested again."""
     failure = (
         f"no regular shift found in {draws} samples: the best regularity of the shifted pencil "
-        f"(sigma_min / scale) was {best:.3e}, below the floor {SHIFT_FLOOR:.1e}"
+        f"(sigma_min / scale) was {best:.3e}, below the floor {_shift_floor(rp):.1e}"
     )
     if best < rp.nil.tol:
         return SingularPencil(
@@ -524,10 +536,7 @@ def _log_det_residual(rp: ReducedPencil, points: Sequence[SpectrumPoint], seed: 
     moduli = [abs(p.alpha.value) for p in finite if p.alpha.value != 0]
     lo, hi = (np.log(min(moduli)) - 1.0, np.log(max(moduli)) + 1.0) if moduli else (-1.0, 1.0)
     t = np.exp(lo + u * (hi - lo) + 1j * phase)
-    # one node at a time: numpy's broadcast over all nodes at once is slower
-    mats = np.empty((LOG_DET_NODES,) + rp.a_tilde.shape, dtype=complex)
-    for j in range(LOG_DET_NODES):
-        mats[j] = rp.a_tilde - t[j] * rp.at_tilde
+    mats = rp.a_tilde[None] - t[:, None, None] * np.ascontiguousarray(rp.at_tilde)[None]
     _, log_dets = np.linalg.slogdet(mats)
     alphas = np.array([p.alpha.value for p in finite], dtype=complex)
     mults = np.array([p.algebraic_mult for p in finite], dtype=float)

@@ -671,6 +671,20 @@ class TestDegeneratePencils:
         assert isinstance(info.value, SingularPencil) is singular
         assert ("at tolerance 1.0e-08" in str(info.value)) is singular
 
+    def test_no_shift_is_accepted_below_the_pencil_tol(self):
+        # a~ = diag(1, 1e-7) reduced at 1e-6: every draw's regularity is
+        # about 1e-7, above the shift floor 1e-8 but below the tolerance at
+        # which the pencil's rank tests call a~^T - alpha a~ singular, so
+        # no draw is a regular shift and the pencil is singular
+        a = np.diag([1.0, 1e-7]).astype(complex)
+        zero = Subspace.zero(2, 1e-6)
+        rp = ReducedPencil(Kernels(zero, zero, zero), np.eye(2), a)
+        with pytest.raises(SingularPencil) as info:
+            choose_alpha0(rp, seed=0)
+        message = str(info.value)
+        assert "rank below 2 at tolerance 1.0e-06 at each of 64 distinct alpha" in message
+        assert message.endswith("below the floor 1.0e-06")
+
     def test_singular_pencil_at_a_command_line_tol(self):
         # the reduction's tol reaches the verdict through the pencil
         f = matrix_trace_functional(np.diag(np.ones(2), 1))

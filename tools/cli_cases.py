@@ -5,8 +5,9 @@ runner, ``run(invoke)``.
 
 runs the table through the ``algscope`` executable found on PATH, in the
 current directory, where it writes about 70 files: run it from a scratch
-directory.  ``tests/test_cli_cases.py`` runs the same table in process,
-through ``algscope.cli.main``.
+directory.  ``run(module)`` runs it through ``python -m algscope.cli``, and
+``tests/test_cli_cases.py`` runs it in process, through
+``algscope.cli.main``.
 
 A row is a :class:`Cmd`, one ``algscope`` command with the exit code and
 stderr texts it must give, or a ``functools.partial`` of a function below
@@ -357,14 +358,25 @@ def run(invoke):
             raise AssertionError(f"row {index}, {_label(row)}: {problem}")
 
 
+def _unseeded(command: list[str]) -> tuple[int, str, str]:
+    """``command`` run with ALGSCOPE_SEED unset."""
+    env = {k: v for k, v in os.environ.items() if k != "ALGSCOPE_SEED"}
+    done = subprocess.run(command, capture_output=True, text=True, encoding="utf-8", env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
 def installed(argv: list[str]) -> tuple[int, str, str]:
     """The ``algscope`` executable on PATH, run with ALGSCOPE_SEED unset."""
     exe = shutil.which("algscope")
     if exe is None:
         raise SystemExit("error: no algscope executable on PATH")
-    env = {k: v for k, v in os.environ.items() if k != "ALGSCOPE_SEED"}
-    done = subprocess.run([exe, *argv], capture_output=True, text=True, encoding="utf-8", env=env)
-    return done.returncode, done.stdout, done.stderr
+    return _unseeded([exe, *argv])
+
+
+def module(argv: list[str]) -> tuple[int, str, str]:
+    """``python -m algscope.cli`` under this interpreter, run with
+    ALGSCOPE_SEED unset."""
+    return _unseeded([sys.executable, "-m", "algscope.cli", *argv])
 
 
 if __name__ == "__main__":
