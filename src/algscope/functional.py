@@ -79,7 +79,15 @@ class Functional:
 
 def random_functional(dim: int, rng: np.random.Generator) -> Functional:
     """Independent complex-Gaussian coordinates, unit variance per entry."""
-    return Functional((rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2))
+    return _random_functionals(dim, rng, 1)[0]
+
+
+def _random_functionals(dim: int, rng: np.random.Generator, n: int) -> list[Functional]:
+    """``n`` functionals of :func:`random_functional`, from one draw of the
+    stream that ``n`` calls of it would take: per functional, the real
+    parts, then the imaginary parts."""
+    z = rng.standard_normal((n, 2, dim))
+    return [Functional(c) for c in (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)]
 
 
 def matrix_trace_functional(weight: np.ndarray) -> Functional:

@@ -59,9 +59,12 @@ which :attr:`Decomposition.tol` returns.
 
 :func:`decompose_all` decomposes a batch of functionals with one seed, each
 stage once over the batch, grouped by the quotient dimension K: the
-reduction, the shift draws, the spectrum with chi (from the spectrum's
-eigenvalues) and the level 0 of the multiple points other than 0 and
-infinity each run stacked LAPACK calls.  Each of these stages has one
+reduction, the shift draws, the spectrum and the level 0 of the multiple
+points other than 0 and infinity each run stacked LAPACK calls.  Each
+decomposition keeps its row of the spectrum's eigenvalues, and forms chi
+from them when chi is first read (:attr:`Decomposition.chi`), so a caller
+that never reads chi, as :func:`algscope.verify.run_suites` does not,
+never forms it.  Each of these stages has one
 implementation, written over a stack; the single-pencil functions
 (:func:`algscope.functional.reduce_pencil`, :func:`choose_alpha0`,
 :func:`spectrum`, :func:`algscope.linalg.nullspace`) call it with a stack
@@ -70,7 +73,10 @@ numpy runs on each matrix of a stack the routine a single call runs on it,
 so the rule is bitwise equality: each decomposition of a batch equals the
 one its functional gets alone, bit for bit.  The invariant checks are no
 stage of the batch: each decomposition runs its own, on its one pencil,
-when they are first read (:attr:`Decomposition.checks`).
+when they are first read (:attr:`Decomposition.checks`).  The suites read
+each decomposition's points as arrays and its levels in spectrum order;
+both are derived once per decomposition, on first read, and a copy made
+with :func:`dataclasses.replace` derives its own.
 """
 
 from __future__ import annotations
@@ -157,11 +163,14 @@ class Decomposition:
     point as quotient-coordinate frames, each fixing its level with nil;
     ``filtrations`` and ``v_spaces`` lift them to the full algebra on first
     access.  Level 0 is Stab(alpha), which does not depend on the shift, so
-    the shift-independence suite climbs a second chain from it.  ``seed``
-    draws the log-determinant nodes of :attr:`checks`.  ``==`` is identity."""
+    the shift-independence suite climbs a second chain from it.
+    ``eigenvalues`` are those of S^-1 a~, S = a~^T - ``alpha0_used`` a~,
+    from the eigendecomposition that gave the spectrum (none at K = 0);
+    :attr:`chi` is formed from them on first read.  ``seed`` draws the
+    log-determinant nodes of :attr:`checks`.  ``==`` is identity."""
 
     pencil: ReducedPencil
-    chi: HomogeneousPoly
+    eigenvalues: np.ndarray
     points: tuple[SpectrumPoint, ...]
     quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]]
     alpha0_used: complex | None
@@ -173,6 +182,42 @@ class Decomposition:
         """The rank tolerance of the reduction, ``pencil.nil.tol``, at which
         every rank decision of the decomposition was taken."""
         return self.pencil.nil.tol
+
+    @cached_property
+    def chi(self) -> HomogeneousPoly:
+        """The characteristic polynomial det(lam a~ + mu a~^T), formed on
+        first read from ``eigenvalues`` L: with S = a~^T - alpha0 a~,
+        a~ + w a~^T = S (w + (1 + alpha0 w) S^-1 a~), so chi(1, w) = det(S)
+        prod_i (w + (1 + alpha0 w) L_i).  That takes one ``det`` and one
+        product per node at the K + 1 unit-circle nodes of
+        :func:`algscope.linalg.det_poly`, and the same inverse DFT gives the
+        coefficients.  At K = 0 chi is 1."""
+        k = self.pencil.K
+        if not k:
+            return HomogeneousPoly(0, np.array([1.0 + 0.0j]))
+        alpha0 = self.alpha0_used
+        shifted = self.pencil.at_tilde - alpha0 * self.pencil.a_tilde
+        nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
+        factors = nodes + (1.0 + alpha0 * nodes) * self.eigenvalues
+        values = np.linalg.det(shifted) * np.prod(factors, axis=-1)
+        return HomogeneousPoly(k, np.fft.fft(values) / (k + 1))
+
+    @cached_property
+    def _point_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, infinite): the points in spectrum order as arrays, the
+        value 0 at infinity, as the suites read them."""
+        infinite = [p.alpha.is_infinite for p in self.points]
+        values = [0j if x else p.alpha.value for p, x in zip(self.points, infinite)]
+        return np.array(values, dtype=complex), np.array(infinite, dtype=bool)
+
+    @cached_property
+    def _levels(self) -> tuple[tuple, tuple[tuple[np.ndarray, ...], ...]]:
+        """(shape, chains): the levels of each point in spectrum order
+        (``chains``), and the batch key of the suites (``shape``), K and
+        the widths of each chain's levels.  Decompositions of one shape
+        share nil's dimension and the column layout of their levels."""
+        chains = tuple(self.quotient_filtrations[p.alpha] for p in self.points)
+        return (self.pencil.K, tuple(tuple(w.shape[1] for w in c) for c in chains)), chains
 
     @cached_property
     def filtrations(self) -> dict[ProjectivePoint, tuple[Subspace, ...]]:
@@ -361,9 +406,10 @@ def spectrum(
     ``a~ - alpha a~^T``, its transpose, and its eigenvectors span the
     kernels of ``a~^T - alpha a~``, the stabilizers.  At a simple point
     1 <= dim Stab(alpha) <= dim V(alpha) = 1, so the eigenvector is the
-    whole filtration, with no rank decision.  :func:`decompose` reads chi
-    from the eigenvalues of the same eigendecomposition.  A ``cluster_tol``
-    that is not a finite number > 0 raises :class:`ValueError`."""
+    whole filtration, with no rank decision.  :func:`decompose` keeps the
+    eigenvalues of the same eigendecomposition, which give chi.  A
+    ``cluster_tol`` that is not a finite number > 0 raises
+    :class:`ValueError`."""
     return pencil_eigen(rp.at_tilde, rp.a_tilde, alpha0, cluster_tol=cluster_tol)
 
 
@@ -536,8 +582,11 @@ def _log_det_residual(rp: ReducedPencil, points: Sequence[SpectrumPoint], seed: 
     moduli = [abs(p.alpha.value) for p in finite if p.alpha.value != 0]
     lo, hi = (np.log(min(moduli)) - 1.0, np.log(max(moduli)) + 1.0) if moduli else (-1.0, 1.0)
     t = np.exp(lo + u * (hi - lo) + 1j * phase)
-    mats = rp.a_tilde[None] - t[:, None, None] * np.ascontiguousarray(rp.at_tilde)[None]
-    _, log_dets = np.linalg.slogdet(mats)
+    # the node matrices a~ - t a~^T in one buffer, with no temporary of
+    # their size
+    mats = np.empty((t.size, rp.K, rp.K), dtype=complex)
+    np.multiply(t[:, None, None], np.ascontiguousarray(rp.at_tilde), out=mats)
+    _, log_dets = np.linalg.slogdet(np.subtract(rp.a_tilde, mats, out=mats))
     alphas = np.array([p.alpha.value for p in finite], dtype=complex)
     mults = np.array([p.algebraic_mult for p in finite], dtype=float)
     r = log_dets - np.sum(mults * np.log(np.abs(t[:, None] - alphas)), axis=1)
@@ -645,8 +694,8 @@ def decompose(
     algebra over nil (``v_spaces_direct_sum``), and one test that the points
     and multiplicities account for det(a~ - t a~^T) up to a constant factor
     at nodes t drawn from ``seed`` (``log_det_matches_spectrum``).  chi
-    comes from the eigenvalues of the spectrum's eigendecomposition; it is
-    reported, and no check reads its coefficients.  It is
+    comes from the eigenvalues of the spectrum's eigendecomposition, on
+    first read; it is reported, and no check reads its coefficients.  It is
     :func:`decompose_all` of the one functional ``f``."""
     return decompose_all(alg, [f], seed, tol, cluster_tol)[0]
 
@@ -686,11 +735,11 @@ def _decompose_pencils(
     Each draw of the shift is tested with one values-only SVD over the
     pencils still waiting for one; the spectrum takes one ``solve``, one
     ``eig`` and one array pass that clusters the eigenvalues of the stack,
-    chi one ``det`` of the shifted stack on top of the same eigenvalues, the
-    level 0 of every multiple point other than 0 and infinity one nullspace
-    SVD.  At 0 and infinity level 0 is read from the kernels: Stab(0) and
-    Stab(infinity) are the left and right kernels seen in quotient
-    coordinates.  Each decomposition runs its checks on first read
+    whose rows the decompositions keep for chi, the level 0 of every
+    multiple point other than 0 and infinity one nullspace SVD.  At 0 and
+    infinity level 0 is read from the kernels: Stab(0) and Stab(infinity)
+    are the left and right kernels seen in quotient coordinates.  Each
+    decomposition runs its checks on first read
     (:attr:`Decomposition.checks`).  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
@@ -704,8 +753,7 @@ def _decompose_pencils(
     for i, rp in enumerate(rps):
         if isinstance(rp, ReducedPencil):
             if rp.K == 0:  # nil is the whole algebra, and chi = 1
-                chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-                out[i] = Decomposition(rp, chi, (), {}, None, cluster_tol, seed)
+                out[i] = Decomposition(rp, np.empty(0, complex), (), {}, None, cluster_tol, seed)
             else:
                 groups.setdefault((rp.K, rp.nil.tol), []).append(i)
     stacks = {}
@@ -723,28 +771,6 @@ def _decompose_pencils(
     return out
 
 
-def _spectra(
-    a: np.ndarray, at: np.ndarray, alpha0s: list[complex], cluster_tol: float
-) -> tuple[list[HomogeneousPoly], list[list[tuple[ProjectivePoint, int, np.ndarray | None]]]]:
-    """chi and :func:`spectrum` of each pencil of the stack (a, at) at its
-    regular shift ``alpha0s[i]``, without the singular-shift test.
-
-    Both come from one ``solve`` and one ``eig``: with S = a~^T - alpha0 a~
-    and L the eigenvalues of S^-1 a~, a~ + w a~^T = S (w + (1 + alpha0 w)
-    S^-1 a~), so chi(1, w) = det(S) prod_i (w + (1 + alpha0 w) L_i).  That
-    takes one ``det`` of the shifted stack and one product per node at the
-    K + 1 unit-circle nodes of :func:`algscope.linalg.det_poly`, and the
-    same inverse DFT, one ``fft`` over the stack, gives the coefficients."""
-    shifts = np.array(alpha0s)
-    shifted = at - shifts[:, None, None] * a
-    lams, spectra = _shifted_eigens(shifted, a, alpha0s, cluster_tol)
-    k = a.shape[-1]
-    nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
-    factors = nodes + (1.0 + shifts[:, None, None] * nodes) * lams[:, None, :]
-    values = np.linalg.det(shifted)[:, None] * np.prod(factors, axis=-1)
-    return [HomogeneousPoly(k, row) for row in np.fft.fft(values) / (k + 1)], spectra
-
-
 def _decompose_stack(
     rps: list[ReducedPencil],
     stack: PencilStack,
@@ -753,14 +779,20 @@ def _decompose_stack(
     seed: int,
 ) -> list[Decomposition]:
     """The decompositions of pencils of one size K >= 1 and one tolerance,
-    stacked in ``stack``, at their regular shifts ``alpha0s``: chi and the
+    stacked in ``stack``, at their regular shifts ``alpha0s``: the
     spectrum over the stack, then the level 0 of every multiple point, and
     each chain climbed from it up to the point's multiplicity; each
-    decomposition keeps ``seed`` for its checks.  At 0 and infinity level 0
+    decomposition keeps its eigenvalues for chi and ``seed`` for its
+    checks.  The spectrum takes one ``solve`` and one ``eig`` of the
+    shifted stack a~^T - alpha0 a~, with no singular-shift test
+    (:func:`algscope.linalg._shifted_eigens`).  At 0 and infinity level 0
     is the pencil's left or right kernel in quotient coordinates
     (:func:`_kernel_stab_frame`), with no SVD at nil = 0; the other
     multiple points take one stacked nullspace SVD."""
-    chis, spectra = _spectra(stack[0], stack[1], alpha0s, cluster_tol)
+    a, at, _ = stack
+    shifted = at - np.array(alpha0s)[:, None, None] * a
+    lams, spectra = _shifted_eigens(shifted, a, alpha0s, cluster_tol)
+    lams.setflags(write=False)
     # (pencil, item) of each multiple point, and its Stab(alpha) frame: the
     # kernels give it at infinity and 0, one stacked SVD at the others
     stab_frames, multiple = {}, []
@@ -780,6 +812,7 @@ def _decompose_stack(
     for c, (rp, alpha0, raw) in enumerate(zip(rps, alpha0s, spectra)):
         points: list[SpectrumPoint] = []
         quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
+        nil = rp.nil.dim
         for j, (alpha, mult, vector) in enumerate(raw):
             # a simple point's eigenvector is its one level; the others climb
             # from their Stab(alpha) up to their multiplicity
@@ -787,13 +820,13 @@ def _decompose_stack(
                 frames = _filtration_reduced(rp, alpha, alpha0, stab_frames[c, j], mult)
             else:
                 frames = [vector]
-            dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
+            dims = tuple(w.shape[1] + nil for w in frames)
             points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
             quotient_filtrations[alpha] = tuple(frames)
         all_points.append(points)
         all_levels.append(quotient_filtrations)
     return [
-        Decomposition(rp, chi, tuple(points), levels, alpha0, cluster_tol, seed)
-        for rp, chi, points, levels, alpha0 in zip(rps, chis, all_points, all_levels, alpha0s)
+        Decomposition(rp, lam, tuple(points), levels, alpha0, cluster_tol, seed)
+        for rp, lam, points, levels, alpha0 in zip(rps, lams, all_points, all_levels, alpha0s)
     ]
 

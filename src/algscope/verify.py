@@ -29,7 +29,10 @@ matrices the routine, at the shapes, that the member gets alone, so each
 finding has the same bits in a batch of any size: v-mult and the alpha0
 suite group decompositions by their shape (K and the widths of every
 point's levels, :func:`_shape`), whose members share one column layout,
-and dim-symmetry by their number of points.  No stacked operand takes more
+and dim-symmetry by their number of points.  Each decomposition derives
+that shape, its levels in spectrum order and its points as arrays once, on
+first read, and every suite reads them from there; no suite reads chi, so
+:func:`run_suites` never forms it.  No stacked operand takes more
 than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.  v-mult
 stacks a group's layout (its levels, targets and point lookup) but forms
 the product tensor of one member at a time, so it never holds more than
@@ -57,8 +60,8 @@ from .functional import (
     _check_kernels,
     _pairings,
     _raise_first,
+    _random_functionals,
     _reduce_pencils,
-    random_functional,
     reduce_pencil,
 )
 from .linalg import INFINITY, ProjectivePoint, Subspace, _close, rank, stack_ranks
@@ -165,21 +168,17 @@ def _groups(keys) -> dict:
     return groups
 
 
-def _shape(dec: Decomposition) -> tuple:
-    """The batch key of ``dec``: K and, per point in spectrum order, the
-    widths of its levels.  Decompositions of one shape share nil's
-    dimension and the column layout of their levels."""
-    levels = dec.quotient_filtrations
-    return dec.pencil.K, tuple(tuple(w.shape[1] for w in levels[p.alpha]) for p in dec.points)
+def _shape(dec: Decomposition) -> tuple | None:
+    """The batch key of ``dec``, K and the widths of each point's levels
+    (``Decomposition._levels``), or None when it has no points."""
+    return dec._levels[0] if dec.points else None
 
 
 def _alphas(decs: list[Decomposition]) -> tuple[np.ndarray, np.ndarray]:
     """The points of each of ``decs``, all with as many: (values,
-    infinite), the value 0 at infinity."""
-    rows = [[p.alpha for p in dec.points] for dec in decs]
-    infinite = np.array([[x.is_infinite for x in row] for row in rows], dtype=bool)
-    values = [[0j if x.is_infinite else x.value for x in row] for row in rows]
-    return np.array(values, dtype=complex), infinite
+    infinite), the value 0 at infinity, one row per decomposition."""
+    rows = [dec._point_values for dec in decs]
+    return np.stack([v for v, _ in rows]), np.stack([x for _, x in rows])
 
 
 def _point_indices(
@@ -303,11 +302,12 @@ def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
     ``ALPHA0_TOL``: one level-0 residual call per :func:`_shape`, then each
     climb on its own."""
     residuals = {}
-    for members in _groups(_shape(dec) if dec.points else None for dec in decs).values():
+    for members in _groups(_shape(dec) for dec in decs).values():
+        group = [decs[i] for i in members]
         found = _stab_residuals(
-            [decs[i].pencil for i in members],
-            [[p.alpha for p in decs[i].points] for i in members],
-            [[decs[i].quotient_filtrations[p.alpha][0] for p in decs[i].points] for i in members],
+            [dec.pencil for dec in group],
+            [[p.alpha for p in dec.points] for dec in group],
+            [[levels[0] for levels in dec._levels[1]] for dec in group],
         )
         residuals.update(zip(members, found))
     out = []
@@ -317,9 +317,8 @@ def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
             continue
         shift = None
         results = []
-        for p, residual in zip(dec.points, residuals[i]):
+        for p, levels, residual in zip(dec.points, dec._levels[1], residuals[i]):
             dist = 0.0
-            levels = dec.quotient_filtrations[p.alpha]
             if levels[0].shape[1] < p.algebraic_mult:
                 shift = shift or _new_shift(dec, seed)
                 climbed = _filtration_reduced(
@@ -404,7 +403,7 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     witness.  Every product of two of its columns is one sample."""
     n = alg.dim
     out: list = [((0.0, None, 0), (0.0, None, 0))] * len(decs)
-    groups = _groups(_shape(dec) if dec.points else None for dec in decs)
+    groups = _groups(_shape(dec) for dec in decs)
     for (k, chains), members in groups.items():
         cols = sum(map(sum, chains)) + sum(map(len, chains)) * (n - k)
         for part in _budget_parts(members, 16 * (len(chains) ** 3 + max(n, cols) ** 2)):
@@ -453,7 +452,7 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     # the columns [Q W, nil] of every level, from one stacked product Q W;
     # at nil = 0, Q is the identity and the columns are W.  At nil != 0 one
     # index array puts nil's columns after each level's
-    levels = [[w for p in dec.points for w in dec.quotient_filtrations[p.alpha]] for dec in decs]
+    levels = [[w for chain in dec._levels[1] for w in chain] for dec in decs]
     stacked = _side_by_side(levels)
     if nil:
         q = np.stack([dec.pencil.quotient_frame for dec in decs])
@@ -512,9 +511,8 @@ def _v_mult(alg: Algebra, decs: list[Decomposition]) -> list[list[Finding]]:
     out = []
     for dec, (finite, nonzero) in zip(decs, _product_inclusions(alg, decs)):
         notes = ()
-        has_zero = any((not p.alpha.is_infinite) and p.alpha.value == 0 for p in dec.points)
-        has_inf = any(p.alpha.is_infinite for p in dec.points)
-        if has_zero and has_inf:
+        values, infinite = dec._point_values
+        if infinite.any() and (~infinite & (values == 0)).any():
             notes = ("mixed pair (0, infinity) not covered by either variant; skipped",)
         out.append(
             [
@@ -824,7 +822,10 @@ def run_suites(
     ``seed`` (:func:`algscope.spectral._decompose_pencils`), and each
     decomposition equals, bit for bit, the one
     :func:`algscope.spectral.decompose` gives its functional alone; no
-    suite reads its checks, so none run.  Each per-functional suite then
+    suite reads its checks or its chi, so neither is formed.  The
+    functionals come from one draw of the seed's stream, the one
+    ``n_functionals`` calls of :func:`algscope.functional.random_functional`
+    take.  Each per-functional suite then
     runs once over the chunk, written over its decompositions with stacked
     products, and each finding equals, bit for bit, the one its public
     single-decomposition function gives at the same threshold
@@ -856,8 +857,7 @@ def run_suites(
     if n_functionals < 1:
         raise ValueError("n_functionals must be >= 1")
     _check_tolerance("cluster_tol", cluster_tol)
-    rng = np.random.default_rng(seed)
-    fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
+    fs = _random_functionals(alg.dim, np.random.default_rng(seed), n_functionals)
     decomposing = {"alpha0", "v-mult", "dim-symmetry"}.intersection(suites)
     # the points of the selected corollaries, which read fs[0]'s pencil
     corollaries = {"corollary2": 1.0, "corollary3": 0.0}

@@ -675,21 +675,25 @@ def decomposition_checks_loop(rp, points, v_frames, tol, seed=0):
     return checks
 
 
+def shifted_eigenvalues(rp, alpha0):
+    """The eigenvalues L of S^-1 a~ of one pencil, S = a~^T - alpha0 a~,
+    its entries below eps ||S^-1 a~||_F set to 0."""
+    m = np.linalg.solve(rp.at_tilde - alpha0 * rp.a_tilde, rp.a_tilde)
+    # the entries at roundoff level, below eps ||M||_F, dropped first
+    m[np.abs(m) < np.finfo(float).eps * np.linalg.norm(m)] = 0.0
+    return np.linalg.eig(m)[0]
+
+
 def eigen_char_poly(rp, alpha0):
     """chi = det(lam a~ + mu a~^T) of one pencil from the eigenvalues L of
-    S^-1 a~, S = a~^T - alpha0 a~, its entries below eps ||S^-1 a~||_F set
-    to 0, one interpolation node at a time:
+    :func:`shifted_eigenvalues`, one interpolation node at a time:
     chi(1, w) = det(S) prod_i (w + (1 + alpha0 w) L_i) at the K + 1
     unit-circle nodes, then their inverse DFT."""
     from algscope.linalg import HomogeneousPoly
 
     k = rp.K
-    s_mat = rp.at_tilde - alpha0 * rp.a_tilde
-    m = np.linalg.solve(s_mat, rp.a_tilde)
-    # the entries at roundoff level, below eps ||M||_F, dropped first
-    m[np.abs(m) < np.finfo(float).eps * np.linalg.norm(m)] = 0.0
-    lams = np.linalg.eig(m)[0]
-    det_s = np.linalg.det(s_mat)
+    lams = shifted_eigenvalues(rp, alpha0)
+    det_s = np.linalg.det(rp.at_tilde - alpha0 * rp.a_tilde)
     nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
     # the complex products as array operations: a product of two scalars
     # can round differently from numpy's array loop
@@ -713,14 +717,16 @@ def kernel_level0(rp, alpha):
 def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     """One functional's decomposition from the public single-pencil steps,
     in the order of the pipeline: ``reduce_pencil``, ``choose_alpha0``,
-    chi from the shifted pencil's eigenvalues (:func:`eigen_char_poly`),
+    the shifted pencil's eigenvalues (:func:`shifted_eigenvalues`),
     ``spectrum`` (with its singular-shift test), one chain per multiple
     point up to its multiplicity from its level 0 (:func:`kernel_level0` at
     infinity and 0, its own nullspace elsewhere), and the
     library's invariant checks of the one pencil, points and frames, which
     the returned decomposition's lazily computed ``checks`` must equal bit
-    for bit."""
-    from algscope.linalg import HomogeneousPoly, nullspace
+    for bit.  The decomposition keeps those eigenvalues, and the chi it
+    forms from them on first read must equal :func:`eigen_char_poly` bit
+    for bit (1 at K = 0)."""
+    from algscope.linalg import nullspace
     from algscope.functional import reduce_pencil
     from algscope.spectral import (
         Decomposition,
@@ -741,12 +747,11 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
                 "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
             ),
         )
-        chi = HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-        dec = Decomposition(rp, chi, (), {}, None, cluster_tol, seed)
+        dec = Decomposition(rp, np.empty(0, dtype=complex), (), {}, None, cluster_tol, seed)
         assert repr(dec.checks) == repr(checks)
+        assert dec.chi.degree == 0 and dec.chi.coeffs.tobytes() == np.array([1.0 + 0.0j]).tobytes()
         return dec
     alpha0 = choose_alpha0(rp, seed)
-    chi = eigen_char_poly(rp, alpha0)
     points, levels = [], {}
     for alpha, mult, vector in spectrum(rp, alpha0, cluster_tol):
         if vector is None and (alpha.is_infinite or alpha.value == 0):
@@ -763,8 +768,11 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
         levels[alpha] = tuple(frames)
     v_frames = [chain[-1] for chain in levels.values()]
     checks = _decomposition_checks(rp, points, v_frames, seed)
-    dec = Decomposition(rp, chi, tuple(points), levels, alpha0, cluster_tol, seed)
+    lams = shifted_eigenvalues(rp, alpha0)
+    dec = Decomposition(rp, lams, tuple(points), levels, alpha0, cluster_tol, seed)
     assert repr(dec.checks) == repr(tuple(checks))
+    chi = eigen_char_poly(rp, alpha0)
+    assert dec.chi.degree == chi.degree and dec.chi.coeffs.tobytes() == chi.coeffs.tobytes()
     return dec
 
 
@@ -775,7 +783,7 @@ def split_point(monkeypatch, value):
     import algscope.spectral as spectral
     from algscope.linalg import ProjectivePoint
 
-    original = spectral._spectra
+    original = spectral._shifted_eigens
 
     def split(raw):
         points = []
@@ -788,11 +796,12 @@ def split_point(monkeypatch, value):
         return points
 
     def doctored(*args):
-        chis, spectra = original(*args)
-        return chis, [split(r) for r in spectra]
+        lams, spectra = original(*args)
+        return lams, [split(r) for r in spectra]
 
-    # the spectra of a batch, which decompose takes with a batch of one
-    monkeypatch.setattr(spectral, "_spectra", doctored)
+    # the points of a batch's eigenvalues, which decompose takes with a
+    # batch of one; chi still reads the eigenvalues themselves
+    monkeypatch.setattr(spectral, "_shifted_eigens", doctored)
 
 
 # --------------------------------------------------------------------------

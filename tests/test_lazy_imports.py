@@ -1,5 +1,6 @@
 """The package namespace loads submodules on first use, and each CLI
-subcommand imports only the modules it runs."""
+subcommand imports only the modules it runs: ``verify`` forms no chi, so it
+never loads ``numpy.fft``."""
 
 import importlib
 import json
@@ -31,11 +32,14 @@ def run_fresh(code, cwd):
 
 
 def modules_after_main(argv, cwd):
+    """The algscope modules, and ``numpy.fft`` when it is loaded, after
+    ``main(argv)`` in a new interpreter, which must exit 0."""
     code = (
         "import json, sys\n"
         "from algscope.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('algscope'))]))\n"
+        "mods = sorted(m for m in sys.modules if m.startswith(('algscope', 'numpy.fft')))\n"
+        "print(json.dumps([code, mods]))\n"
     )
     code, modules = json.loads(run_fresh(code, cwd))
     assert code == 0
@@ -48,6 +52,7 @@ def modules_after_main(argv, cwd):
         (["builders", "matrix", "2", "--out", "m.alg"], PIPELINE),
         (["builders", "group", "s3", "--out", "g.alg"], PIPELINE),
         (["analyze", "m3.alg", "f.fn", "--frames", "--out", "r.json"], ("algscope.verify",)),
+        (["verify", "m3.alg", "--seed", "3", "--out", "v.json"], ("numpy.fft",)),
     ],
 )
 def test_cli_subcommand_imports_only_the_layers_it_runs(tmp_path, argv, absent):
@@ -56,6 +61,17 @@ def test_cli_subcommand_imports_only_the_layers_it_runs(tmp_path, argv, absent):
     loaded = modules_after_main(argv, tmp_path)
     assert {"algscope.algebra", "algscope.errors", "algscope.report"} <= loaded
     assert loaded.isdisjoint(absent), sorted(loaded.intersection(absent))
+
+
+def test_analyze_still_forms_and_reports_chi(tmp_path):
+    save_algebra(mat_algebra(3), str(tmp_path / "m3.alg"))
+    save_functional(matrix_trace_functional(np.diag([1.0, 2.0, 5.0])), str(tmp_path / "f.fn"))
+    loaded = modules_after_main(["analyze", "m3.alg", "f.fn", "--out", "r.json"], tmp_path)
+    assert "numpy.fft" in loaded
+    # chi of Mat_3 at diag(1, 2, 5): degree K = 9, chi(1, -1) = 0
+    chi = [complex(re, im) for re, im in json.loads((tmp_path / "r.json").read_text())["chi"]]
+    assert len(chi) == 10
+    assert abs(sum(c * (-1) ** d for d, c in enumerate(chi))) < 1e-8 * np.linalg.norm(chi)
 
 
 def test_every_exported_name_is_its_submodule_object():

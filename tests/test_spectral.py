@@ -1326,7 +1326,8 @@ class TestAlpha0SuiteRule:
 
 def assert_bitwise_equal(got, want):
     """Two decompositions agree bit for bit: every array of the pencil, its
-    kernels, chi and the levels, and every other field exactly."""
+    kernels, the eigenvalues, chi and the levels, and every other field
+    exactly."""
 
     def same(x, y):
         x, y = np.asarray(x), np.asarray(y)
@@ -1338,6 +1339,7 @@ def assert_bitwise_equal(got, want):
         for name in ("quotient_frame", "a_tilde", "at_tilde"):
             same(getattr(rp_got, name), getattr(rp_want, name))
         assert rp_got.K == rp_want.K and rp_got.pencil_scale() == rp_want.pencil_scale()
+    same(got.eigenvalues, want.eigenvalues)
     assert got.chi.degree == want.chi.degree
     same(got.chi.coeffs, want.chi.coeffs)
     assert got.points == want.points
@@ -1409,6 +1411,22 @@ class TestDecomposeAll:
         assert max(len(levels) for levels in decs[0].quotient_filtrations.values()) == 3
         for f, dec in zip(fs, decs):
             assert_bitwise_equal(dec, decompose_loop(alg, f, seed=2))
+
+    def test_chi_is_formed_on_first_read(self):
+        # a batch member holds its eigenvalues and no chi until chi is
+        # read; then its chi is, bit for bit, the one its functional gets
+        # alone, K = 0 included, and a second read returns the same object
+        alg = verify_small_inputs()["Mat_2+S3"]
+        rng = np.random.default_rng(36)
+        fs = [random_functional(alg.dim, rng) for _ in range(3)] + [Functional(np.zeros(alg.dim))]
+        decs = decompose_all(alg, fs, seed=5)
+        assert [dec.quotient_dim for dec in decs] == [10, 10, 10, 0]
+        assert not any("chi" in vars(dec) for dec in decs)
+        for f, dec in zip(fs, decs):
+            alone = decompose(alg, f, seed=5).chi
+            assert dec.chi.degree == alone.degree
+            assert dec.chi.coeffs.tobytes() == alone.coeffs.tobytes()
+            assert "chi" in vars(dec) and dec.chi is dec.chi
 
     def test_empty_batch(self):
         assert decompose_all(mat_algebra(2), []) == []

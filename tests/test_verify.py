@@ -1016,6 +1016,24 @@ class TestProductInclusionsOracle:
         finite, nonzero = verify_v_mult(alg, doctored)
         assert finite.passed and not nonzero.passed and nonzero.witness == witness
 
+    def test_a_doctored_copy_derives_its_own_layout(self):
+        # every suite reads the original first, which derives its points
+        # and levels; a copy made with dataclasses.replace derives its own
+        alg = mat_algebra(3)
+        dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
+        assert all(f.passed for f in verify_v_mult(alg, dec) + verify_dim_symmetry(dec))
+        assert verify_alpha0_suite(dec).passed
+        inf = dec.points[-1].alpha
+        one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
+        levels = dec.quotient_filtrations
+        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, inf: levels[one]})
+        assert [f.passed for f in verify_v_mult(alg, doctored)] == [True, False]
+        assert not verify_alpha0_suite(doctored).passed
+        seven = ProjectivePoint.finite(7.0)
+        moved = [dataclasses.replace(p, alpha=seven) if p.alpha == one else p for p in dec.points]
+        v, _ = verify_dim_symmetry(dataclasses.replace(dec, points=tuple(moved)))
+        assert not v.passed and v.witness == (seven, "no mirror point")
+
     @pytest.mark.parametrize(
         "alg, f",
         [
@@ -1167,11 +1185,10 @@ class TestLinearAlgebraCounts:
         slogdets = self.count_calls(monkeypatch, np.linalg, "slogdet")
         findings = run_suites(mat_algebra(3), SUITE_NAMES, 10, seed=0)
         assert all(f.passed for f in findings)
-        # the spectrum: one solve and one eig over the batch; chi: one det
-        # of the shifted batch, with no det per interpolation node; no
-        # suite reads the invariant checks, so no log-determinant runs
-        assert (len(eigs), len(solves), len(dets), len(slogdets)) == (1, 1, 1, 0)
-        assert [args[0].shape for args, _ in dets] == [(10, 9, 9)]
+        # the spectrum: one solve and one eig over the batch; no suite
+        # reads chi or the invariant checks, so no det and no
+        # log-determinant runs
+        assert (len(eigs), len(solves), len(dets), len(slogdets)) == (1, 1, 0, 0)
         assert collections.Counter(calls) == {
             # both kernels of the batch, then the level 0 of its multiple
             # points; both kernels are 0, so the intersections and the

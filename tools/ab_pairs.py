@@ -7,10 +7,11 @@ For each seed it runs ``perfbench/run.py --workload W --seed S --seconds 28
 first alternates from seed to seed, so a drift of the host's speed does not
 favour one side.  Each run prints one line as it ends.  Then, for each
 end-to-end metric of the change's ``BENCHMARK.json``, it prints each side's
-median and quartiles, the parent's interquartile range, and how many pairs
+median and quartiles, the parent's interquartile range, how many pairs
 each side won, by the metric's own direction (ties are counted for
-neither).  The last lines give each side's failed ops.  The tool only calls
-the benchmark; it changes nothing in either checkout.
+neither), and a verdict (:func:`verdict`).  The last lines give each side's
+failed ops.  The tool only calls the benchmark; it changes nothing in
+either checkout.
 """
 
 from __future__ import annotations
@@ -54,6 +55,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(
+    parent: tuple[float, float, float], c_median: float, change_wins: int, pairs: int,
+    sign: float, bound: float,
+) -> str:
+    """"gain" when the change wins at least 9 in 10 of the ``pairs`` and its
+    median ``c_median`` beats the parent's by more than the parent's
+    interquartile range, from ``parent``, the parent's :func:`quartiles`;
+    "worse" when its median is worse than the parent's by more than
+    ``bound`` times the parent's median, the metric's relative bound in
+    ``BENCHMARK.json``; "unresolved" otherwise.  ``sign`` is 1.0 for a
+    metric where lower is better and -1.0 where higher is."""
+    q1, p_median, q3 = parent
+    if 10 * change_wins >= 9 * pairs and sign * (p_median - c_median) > q3 - q1:
+        return "gain"
+    if sign * (c_median - p_median) > bound * abs(p_median):
+        return "worse"
+    return "unresolved"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -79,7 +99,7 @@ def main() -> int:
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs (seeds {args.seeds[0]}-{args.seeds[-1]})")
     header = f"{'metric':12s} {'parent q1 / median / q3':>32s} {'change q1 / median / q3':>32s}"
-    print(header + f" {'parent IQR':>11s} {'change':>7s} {'parent':>7s}  wins")
+    print(header + f" {'parent IQR':>11s} {'change':>7s} {'parent':>7s}  wins  verdict")
     for m in metrics:
         name, sign = m["name"], (1.0 if m["better"] == "lower" else -1.0)
         old = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -89,7 +109,8 @@ def main() -> int:
         p, c = quartiles(old), quartiles(new)
         print(
             f"{name:12s} {p[0]:10.5g} {p[1]:10.5g} {p[2]:10.5g} {c[0]:10.5g} {c[1]:10.5g} "
-            f"{c[2]:10.5g} {p[2] - p[0]:11.4g} {change_wins:7d} {parent_wins:7d}"
+            f"{c[2]:10.5g} {p[2] - p[0]:11.4g} {change_wins:7d} {parent_wins:7d}  "
+            f"{verdict(p, c[1], change_wins, len(old), sign, m['bound'])}"
         )
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in results[side])
