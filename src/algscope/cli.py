@@ -12,13 +12,17 @@ seed falls back to the ALGSCOPE_SEED environment variable when --seed is not
 given.
 
 :func:`run` is the entry point of a process that exits next (the
-``algscope`` console script and ``python -m algscope.cli``); code that
-embeds the command line calls :func:`main`, which leaves the caller's
-garbage collector alone.
+``algscope`` console script and ``python -m algscope.cli``): it turns the
+cyclic garbage collector off before :func:`main` imports numpy and the
+pipeline, and freezes what is left tracked after it.  Code that embeds the
+command line calls :func:`main`, which leaves the caller's garbage
+collector alone.
 
-Each subcommand imports the pipeline modules it runs inside its own
-function, so ``builders`` loads none of them and ``analyze`` does not load
-``verify``.
+This module imports nothing that loads numpy.  Each subcommand imports the
+modules it runs, ``algebra`` and ``report`` included, inside its own
+function, so ``--version``, ``--help`` and usage errors load no numpy,
+``builders`` loads no pipeline module beyond ``algebra`` and ``report``, and
+``analyze`` does not load ``verify``.
 """
 
 from __future__ import annotations
@@ -30,19 +34,6 @@ import os
 import sys
 
 from . import __version__
-from .algebra import (
-    _axiom_tol,
-    cyclic_table,
-    direct_sum,
-    dual_numbers,
-    group_algebra,
-    klein_table,
-    mat_algebra,
-    opposite,
-    symmetric3_table,
-    upper_triangular,
-    validate,
-)
 from .errors import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
@@ -52,17 +43,6 @@ from .errors import (
     ParseError,
     SingularPencil,
     UnknownBuilder,
-)
-from .report import (
-    ReportDocument,
-    _json_text,
-    algebra_to_doc,
-    load_algebra,
-    load_functional,
-    render_text,
-    report_from_decomposition,
-    report_from_findings,
-    save_algebra,
 )
 from .suite_names import DEFAULT_SUITES, SUITE_NAMES
 
@@ -172,7 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: ReportDocument, fmt: str, out: str | None):
+def _emit(report, fmt: str, out: str | None):
+    from .report import render_text
+
     text = report.to_json() if fmt == "json" else render_text(report)
     if out is None:
         sys.stdout.write(text)
@@ -184,6 +166,8 @@ def _emit(report: ReportDocument, fmt: str, out: str | None):
 def _require_axioms(alg, tol: float):
     """Raise :class:`ParseError` with both residuals and the witness when
     ``alg`` fails the axioms at the axiom tolerance of ``tol``."""
+    from .algebra import _axiom_tol, validate
+
     rep = validate(alg, _axiom_tol(tol))
     if not rep.passed:
         raise ParseError(
@@ -193,6 +177,7 @@ def _require_axioms(alg, tol: float):
 
 
 def _cmd_analyze(args) -> int:
+    from .report import ReportDocument, load_algebra, load_functional, report_from_decomposition
     from .spectral import decompose
 
     alg = load_algebra(args.algebra)
@@ -224,6 +209,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .report import load_algebra, report_from_findings
     from .verify import negative_control_finding, run_suites
 
     alg = load_algebra(args.algebra)
@@ -256,16 +242,28 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-_GROUP_TABLES = {
-    "z2": lambda: cyclic_table(2),
-    "z3": lambda: cyclic_table(3),
-    "z4": lambda: cyclic_table(4),
-    "z2xz2": klein_table,
-    "s3": symmetric3_table,
-}
-
-
 def _cmd_builders(args) -> int:
+    from .algebra import (
+        cyclic_table,
+        direct_sum,
+        dual_numbers,
+        group_algebra,
+        klein_table,
+        mat_algebra,
+        opposite,
+        symmetric3_table,
+        upper_triangular,
+        validate,
+    )
+    from .report import _json_text, algebra_to_doc, load_algebra, save_algebra
+
+    groups = {
+        "z2": lambda: cyclic_table(2),
+        "z3": lambda: cyclic_table(3),
+        "z4": lambda: cyclic_table(4),
+        "z2xz2": klein_table,
+        "s3": symmetric3_table,
+    }
     name = args.name
     params = args.params
 
@@ -283,11 +281,11 @@ def _cmd_builders(args) -> int:
         need(0, "no parameters")
         alg = dual_numbers()
     elif name == "group":
-        need(1, "a group name: " + ", ".join(sorted(_GROUP_TABLES)))
+        need(1, "a group name: " + ", ".join(sorted(groups)))
         key = params[0].lower()
-        if key not in _GROUP_TABLES:
-            raise BadParams(f"unknown group {params[0]!r}; known: {', '.join(sorted(_GROUP_TABLES))}")
-        alg = group_algebra(_GROUP_TABLES[key]())
+        if key not in groups:
+            raise BadParams(f"unknown group {params[0]!r}; known: {', '.join(sorted(groups))}")
+        alg = group_algebra(groups[key]())
     elif name == "direct-sum":
         need(2, "two algebra files")
         alg = direct_sum(load_algebra(params[0]), load_algebra(params[1]))
@@ -342,12 +340,19 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """:func:`main`, in a process that exits next: returns main's exit
-    code after ``gc.freeze()``.  The freeze moves every object the imports
-    left tracked into the permanent generation, which the interpreter's
+    """:func:`main`, in a process that exits next, with the cyclic garbage
+    collector off: returns main's exit code after ``gc.freeze()``.
+
+    ``gc.disable()`` comes before main, so the subcommand imports numpy
+    and algscope, and does its work, without the young- and
+    middle-generation passes those imports would trigger; they leave no
+    cyclic garbage for the passes to free.  The freeze moves every object
+    still tracked into the permanent generation, which the interpreter's
     shutdown collection never scans, so the process ends without one pass
-    over them.  Every file main writes is closed by then, and stdout and
-    stderr are still flushed at exit."""
+    over them either.  Every file main writes is closed by then, and stdout
+    and stderr are still flushed at exit.  The collector stays off in the
+    calling process."""
+    gc.disable()
     code = main(argv)
     gc.freeze()
     return code

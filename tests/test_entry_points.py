@@ -25,13 +25,31 @@ def fresh(args, cwd):
     )
 
 
-def test_main_leaves_the_collector_alone(tmp_path, monkeypatch):
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_alone(tmp_path, monkeypatch, enabled):
     # tests and tools call main many times in one process
     monkeypatch.chdir(tmp_path)
-    before = gc.get_freeze_count()
-    assert main(["builders", "matrix", "2", "--out", "m.alg"]) == 0
-    assert main(["verify", "m.alg", "--seed", "-1"]) == 1
-    assert gc.get_freeze_count() == before
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.get_freeze_count()
+        assert main(["builders", "matrix", "2", "--out", "m.alg"]) == 0
+        assert main(["verify", "m.alg", "--seed", "-1"]) == 1
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_importing_the_cli_loads_no_numpy(tmp_path):
+    script = (
+        "import sys\n"
+        "import algscope.cli\n"
+        "heavy = ('numpy', 'algscope.algebra', 'algscope.report')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    done = fresh(["-c", script], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_module_writes_what_main_writes(tmp_path, monkeypatch):
@@ -51,15 +69,23 @@ def test_module_usage_error_exits_1(tmp_path):
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["builders", "dual", "--out", "d.alg"], 0), (["builders", "dual", "x"], 1)],
+    [
+        (["builders", "matrix", "3", "--out", "m.alg"], 0),
+        (["builders", "dual", "--out", "d.alg"], 0),
+        (["builders", "dual", "x"], 1),
+    ],
 )
 def test_run_returns_mains_code_and_freezes(tmp_path, argv, code):
+    # a fresh interpreter: run turns the collector off in the process that
+    # calls it, so no pass runs while it imports numpy and works
     script = (
         "import gc\n"
         "from algscope.cli import run\n"
+        "passes = []\n"
+        "gc.callbacks.append(lambda phase, info: passes.append(info['generation']))\n"
         f"code = run({argv!r})\n"
-        "print(code, gc.get_freeze_count() > 0)\n"
+        "print(code, passes, gc.isenabled(), gc.get_freeze_count() > 0)\n"
     )
     done = fresh(["-c", script], tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(code), "True"]
+    assert done.stdout.split() == [str(code), "[]", "False", "True"]

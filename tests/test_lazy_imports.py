@@ -1,6 +1,7 @@
 """The package namespace loads submodules on first use, and each CLI
 subcommand imports only the modules it runs: ``verify`` forms no chi, so it
-never loads ``numpy.fft``."""
+never loads ``numpy.fft``, and a command line that runs no subcommand
+loads no numpy at all."""
 
 import importlib
 import json
@@ -31,18 +32,22 @@ def run_fresh(code, cwd):
     return done.stdout
 
 
-def modules_after_main(argv, cwd):
-    """The algscope modules, and ``numpy.fft`` when it is loaded, after
-    ``main(argv)`` in a new interpreter, which must exit 0."""
-    code = (
-        "import json, sys\n"
+def modules_after_main(argv, cwd, code=0):
+    """The algscope modules, and ``numpy`` and ``numpy.fft`` when they are
+    loaded, after ``main(argv)`` in a new interpreter, which must return
+    ``code``.  What main prints is discarded."""
+    script = (
+        "import contextlib, io, json, sys\n"
         "from algscope.cli import main\n"
-        f"code = main({argv!r})\n"
-        "mods = sorted(m for m in sys.modules if m.startswith(('algscope', 'numpy.fft')))\n"
+        "quiet = io.StringIO()\n"
+        "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
+        f"    code = main({argv!r})\n"
+        "numpy = ('numpy', 'numpy.fft')\n"
+        "mods = sorted(m for m in sys.modules if m.startswith('algscope') or m in numpy)\n"
         "print(json.dumps([code, mods]))\n"
     )
-    code, modules = json.loads(run_fresh(code, cwd))
-    assert code == 0
+    returned, modules = json.loads(run_fresh(script, cwd))
+    assert returned == code
     return set(modules)
 
 
@@ -61,6 +66,14 @@ def test_cli_subcommand_imports_only_the_layers_it_runs(tmp_path, argv, absent):
     loaded = modules_after_main(argv, tmp_path)
     assert {"algscope.algebra", "algscope.errors", "algscope.report"} <= loaded
     assert loaded.isdisjoint(absent), sorted(loaded.intersection(absent))
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["--version"], 0), (["--help"], 0), (["verify", "m.alg", "--seed", "-1"], 1)]
+)
+def test_cli_paths_that_run_no_subcommand_load_no_numpy(tmp_path, argv, code):
+    loaded = modules_after_main(argv, tmp_path, code)
+    assert loaded.isdisjoint({"numpy", "algscope.algebra", "algscope.report"}), sorted(loaded)
 
 
 def test_analyze_still_forms_and_reports_chi(tmp_path):

@@ -26,7 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from algscope import Algebra, Functional, mat_algebra, matrix_trace_functional, random_functional
+from algscope import (
+    Algebra,
+    Functional,
+    __version__,
+    mat_algebra,
+    matrix_trace_functional,
+    random_functional,
+)
 from algscope.report import save_algebra, save_functional
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,6 +128,10 @@ def _load(path: str) -> dict:
         return json.load(handle)
 
 
+def text_is(path: str, text: str):
+    _expect(Path(path).read_text(encoding="utf-8") == text, f"{path} does not read {text!r}")
+
+
 def same_bytes(first: str, second: str):
     _expect(Path(first).read_bytes() == Path(second).read_bytes(), f"{first} != {second}")
 
@@ -170,6 +181,10 @@ def one_line_each(*paths: str):
 
 
 CASES = [
+    # the two paths that run no subcommand, and load no numpy
+    cmd("--version", stdout="version.out"),
+    partial(text_is, "version.out", f"algscope {__version__}\n"),
+    cmd("--help"),
     cmd("builders matrix 3 --out m3.alg"),
     # stdout and --out go through one writer: the same bytes
     cmd("builders matrix 3", stdout="m3.out"),
