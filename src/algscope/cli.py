@@ -1,7 +1,8 @@
 """Command-line surface: analyze, verify, builders.
 
 Exit codes: 0 on success with all checks passing, 1 on parse or usage
-errors, when an input algebra file fails the axioms (``analyze``,
+errors, when an ``--out`` file cannot be written, when an input algebra
+file fails the axioms (``analyze``,
 ``verify`` and the ``direct-sum`` and ``opposite`` builders) and when
 ``analyze`` is given a functional whose reduced pencil is singular for
 every alpha (F is not generic; no report), 2 when an invariant
@@ -176,17 +177,25 @@ def _require_axioms(alg, tol: float):
         )
 
 
-def _cmd_analyze(args) -> int:
-    from .report import ReportDocument, load_algebra, load_functional, report_from_decomposition
-    from .spectral import decompose
+def _load_checked(args):
+    """The algebra of ``analyze`` or ``verify``, checked against the axioms
+    unless ``--skip-validate`` is given, and the seed."""
+    from .report import load_algebra
 
     alg = load_algebra(args.algebra)
+    if not args.skip_validate:
+        _require_axioms(alg, args.tol)
+    return alg, args.seed if args.seed is not None else _default_seed()
+
+
+def _cmd_analyze(args) -> int:
+    from .report import ReportDocument, load_functional, report_from_decomposition
+    from .spectral import decompose
+
+    alg, seed = _load_checked(args)
     f = load_functional(args.functional)
     if f.dim != alg.dim:
         raise ParseError(f"functional has {f.dim} coordinates for a dim-{alg.dim} algebra")
-    if not args.skip_validate:
-        _require_axioms(alg, args.tol)
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         dec = decompose(alg, f, seed=seed, tol=args.tol, cluster_tol=args.cluster_tol)
     except SingularPencil as exc:
@@ -209,13 +218,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .report import load_algebra, report_from_findings
+    from .report import report_from_findings
     from .verify import negative_control_finding, run_suites
 
-    alg = load_algebra(args.algebra)
-    if not args.skip_validate:
-        _require_axioms(alg, args.tol)
-    seed = args.seed if args.seed is not None else _default_seed()
+    alg, seed = _load_checked(args)
     suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     if not suites:
         raise BadParams(f"--suite names no suite: {args.suite!r}")
@@ -257,43 +263,30 @@ def _cmd_builders(args) -> int:
     )
     from .report import _json_text, algebra_to_doc, load_algebra, save_algebra
 
-    groups = {
-        "z2": lambda: cyclic_table(2),
-        "z3": lambda: cyclic_table(3),
-        "z4": lambda: cyclic_table(4),
-        "z2xz2": klein_table,
-        "s3": symmetric3_table,
+    groups = {f"z{n}": cyclic_table(n) for n in (2, 3, 4)}
+    groups.update(z2xz2=klein_table(), s3=symmetric3_table())
+    known = ", ".join(sorted(groups))
+
+    def group(raw: str):
+        if raw.lower() not in groups:
+            raise BadParams(f"unknown group {raw!r}; known: {known}")
+        return group_algebra(groups[raw.lower()])
+
+    builders = {
+        "matrix": ("a size N", 1, lambda n: mat_algebra(_int_param(n))),
+        "triangular": ("a size N", 1, lambda n: upper_triangular(_int_param(n))),
+        "dual": ("no parameters", 0, dual_numbers),
+        "group": ("a group name: " + known, 1, group),
+        "direct-sum": ("two algebra files", 2, lambda *p: direct_sum(*map(load_algebra, p))),
+        "opposite": ("an algebra file", 1, lambda a: opposite(load_algebra(a))),
     }
     name = args.name
-    params = args.params
-
-    def need(count: int, what: str):
-        if len(params) != count:
-            raise BadParams(f"builder '{name}' needs {what}")
-
-    if name == "matrix":
-        need(1, "a size N")
-        alg = mat_algebra(_int_param(params[0]))
-    elif name == "triangular":
-        need(1, "a size N")
-        alg = upper_triangular(_int_param(params[0]))
-    elif name == "dual":
-        need(0, "no parameters")
-        alg = dual_numbers()
-    elif name == "group":
-        need(1, "a group name: " + ", ".join(sorted(groups)))
-        key = params[0].lower()
-        if key not in groups:
-            raise BadParams(f"unknown group {params[0]!r}; known: {', '.join(sorted(groups))}")
-        alg = group_algebra(groups[key]())
-    elif name == "direct-sum":
-        need(2, "two algebra files")
-        alg = direct_sum(load_algebra(params[0]), load_algebra(params[1]))
-    elif name == "opposite":
-        need(1, "an algebra file")
-        alg = opposite(load_algebra(params[0]))
-    else:
+    if name not in builders:
         raise UnknownBuilder(f"unknown builder {name!r}")
+    what, count, build = builders[name]
+    if len(args.params) != count:
+        raise BadParams(f"builder '{name}' needs {what}")
+    alg = build(*args.params)
 
     if name in ("direct-sum", "opposite"):
         # these satisfy the axioms exactly when their input files do, so a
@@ -331,7 +324,7 @@ def main(argv=None) -> int:
         if args.command == "builders":
             return _cmd_builders(args)
         raise BadParams(f"unknown command {args.command!r}")
-    except (ParseError, BadParams, UnknownBuilder) as exc:
+    except (ParseError, BadParams, UnknownBuilder, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AlgscopeError as exc:

@@ -100,14 +100,21 @@ def matrix_trace_functional(weight: np.ndarray) -> Functional:
     return Functional(w.T.reshape(-1))
 
 
+def _dim_error(alg: Algebra, dim: int, what: str) -> DimensionMismatch | None:
+    """The :class:`DimensionMismatch` naming ``what``, of dimension ``dim``,
+    and ``alg.dim``, or None when the two agree."""
+    if dim == alg.dim:
+        return None
+    return DimensionMismatch(
+        f"{what}: dimension {dim} does not match the algebra dimension {alg.dim}"
+    )
+
+
 def _check_dim(alg: Algebra, dim: int, what: str):
-    """Raise :class:`DimensionMismatch`, naming both dimensions, unless
-    ``what``, whose space has dimension ``dim``, belongs to an algebra of
-    ``alg``'s dimension."""
-    if dim != alg.dim:
-        raise DimensionMismatch(
-            f"{what}: dimension {dim} does not match the algebra dimension {alg.dim}"
-        )
+    """Raise the :func:`_dim_error`, if any, as every dimension check does."""
+    error = _dim_error(alg, dim, what)
+    if error is not None:
+        raise error
 
 
 def _check_kernels(alg: Algebra, ker: Kernels):
@@ -125,8 +132,7 @@ def _pairings(alg: Algebra, coords: np.ndarray) -> np.ndarray:
 def gram(alg: Algebra, f: Functional) -> np.ndarray:
     """Pairing matrix a[i, j] = F(e_i e_j) of the multiplication table
     through F, read-only."""
-    if f.dim != alg.dim:
-        raise DimensionMismatch("functional does not match the algebra dimension")
+    _check_dim(alg, f.dim, "functional")
     a = _pairings(alg, f.coords[None])[0]
     a.setflags(write=False)
     return a
@@ -263,8 +269,7 @@ def _reduce_pencils(
     others are unaffected.  A ``tol`` that is not a finite number > 0
     raises :class:`ValueError` for all of them."""
     _check_tolerance("tol", tol)
-    mismatch = "functional does not match the algebra dimension"
-    out: list = [None if f.dim == alg.dim else DimensionMismatch(mismatch) for f in fs]
+    out: list = [_dim_error(alg, f.dim, "functional") for f in fs]
     sized = [i for i, rp in enumerate(out) if rp is None]
     coords = np.array([fs[i].coords for i in sized], dtype=complex).reshape(-1, alg.dim)
     pairings = _pairings(alg, coords)
@@ -273,17 +278,18 @@ def _reduce_pencils(
             out[i] = NonFinite("matrix contains NaN or Inf entries")
     keep = [j for j, i in enumerate(sized) if out[i] is None]
     if keep:
+        eye = np.eye(alg.dim, dtype=complex)
         for j, ker in zip(keep, _stack_kernels(pairings[keep], tol)):
-            out[sized[j]] = _compress(pairings[j], ker)
+            out[sized[j]] = _compress(pairings[j], ker, eye)
     return out
 
 
-def _compress(a: np.ndarray, ker: Kernels) -> ReducedPencil:
+def _compress(a: np.ndarray, ker: Kernels, eye: np.ndarray) -> ReducedPencil:
     """The pairing ``a`` compressed to the canonical complement of the
     ``nil`` of its kernels ``ker``.  A pairing whose nil is 0 is its own
-    pencil: Q is the identity, and a~ a copy of ``a``."""
+    pencil: Q is ``eye``, one identity for the batch, and a~ a copy of ``a``."""
     if ker.nil.dim == 0:
-        return ReducedPencil(ker, np.eye(a.shape[0], dtype=complex), a.copy())
+        return ReducedPencil(ker, eye, a.copy())
     q = complement(ker.nil).frame
     return ReducedPencil(ker, q, q.T @ a @ q)
 

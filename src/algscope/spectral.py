@@ -743,11 +743,11 @@ def _decompose_pencils(
     (:attr:`Decomposition.checks`).  The shift that :func:`choose_alpha0`
     accepts leaves the pencil far from singular, so the spectrum takes it
     without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
-    The pencils are grouped by K and their tolerance, each group's pencils
-    are stacked once (:func:`_pencil_stack`), and every stage of the group
-    reads that one stack.  When a reduction or a shift draw fails, the
-    first error in the order of ``rps`` is raised: the one
-    :func:`decompose` raises for that functional."""
+    The pencils are grouped by K and their tolerance, and each group is
+    done in one pass, whose every stage reads one stack of its pencils
+    (:func:`_pencil_stack`), dropped when the group is done.  A group with
+    a failed shift draw is not decomposed, and the first error in the order
+    of ``rps`` is raised: the one :func:`decompose` raises for it."""
     out: list = list(rps)
     groups: dict[tuple[int, float], list[int]] = {}
     for i, rp in enumerate(rps):
@@ -756,19 +756,16 @@ def _decompose_pencils(
                 out[i] = Decomposition(rp, np.empty(0, complex), (), {}, None, cluster_tol, seed)
             else:
                 groups.setdefault((rp.K, rp.nil.tol), []).append(i)
-    stacks = {}
-    for key, members in groups.items():
+    for members in groups.values():
         group = [rps[i] for i in members]
-        stacks[key] = _pencil_stack(group)
-        for i, alpha0 in zip(members, _choose_alpha0s(group, stacks[key], seed)):
-            out[i] = alpha0
-    _raise_first(out)
-    for key, members in groups.items():
-        group, alpha0s = [rps[i] for i in members], [out[i] for i in members]
-        decs = _decompose_stack(group, stacks.pop(key), alpha0s, cluster_tol, seed)
-        for i, dec in zip(members, decs):
+        stack = _pencil_stack(group)
+        found = _choose_alpha0s(group, stack, seed)
+        if not any(isinstance(alpha0, Exception) for alpha0 in found):
+            found = _decompose_stack(group, stack, found, cluster_tol, seed)
+        del stack
+        for i, dec in zip(members, found):
             out[i] = dec
-    return out
+    return _raise_first(out)
 
 
 def _decompose_stack(

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import _VALIDATE_BLOCK_BYTES, Algebra, _axiom_tol, pairwise_products
-from .errors import DEFAULT_CLUSTER_TOL, DEFAULT_TOL, DimensionMismatch, _check_tolerance
+from .errors import DEFAULT_CLUSTER_TOL, DEFAULT_TOL, _check_tolerance
 from .functional import (
     Functional,
     Kernels,
@@ -181,18 +181,19 @@ def _alphas(decs: list[Decomposition]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([v for v, _ in rows]), np.stack([x for _, x in rows])
 
 
-def _point_indices(
-    decs: list[Decomposition], alphas: tuple[np.ndarray, np.ndarray], values: np.ndarray
-) -> np.ndarray:
+def _point_indices(decs: list[Decomposition], alphas: tuple, queries: tuple) -> np.ndarray:
     """Per decomposition r of ``decs``, whose :func:`_alphas` are
-    ``alphas``, the index into its points of the point each finite value of
-    ``values[r]`` falls at, or -1: :meth:`Decomposition.point_at` (the
-    first point within ``cluster_tol``, by :func:`algscope.linalg._close`)
-    applied elementwise, to all decompositions at once."""
+    ``alphas``, the index into its points of the point each of ``queries``
+    (values, infinite), as ``alphas`` are, falls at, or -1:
+    :meth:`Decomposition.point_at` (the first point within ``cluster_tol``,
+    by :func:`algscope.linalg._close`, or at infinity the first infinite
+    one) applied elementwise, to all decompositions at once."""
     points, infinite = alphas
-    shape = (len(decs),) + (1,) * (values.ndim - 1) + (points.shape[1],)
+    values, at_infinity = (q[..., None] for q in queries)
+    shape = (len(decs),) + (1,) * (values.ndim - 2) + (points.shape[1],)
     tols = np.array([dec.cluster_tol for dec in decs]).reshape(shape[:-1] + (1,))
-    close = _close(values[..., None], points.reshape(shape), tols) & ~infinite.reshape(shape)
+    close = _close(values, points.reshape(shape), tols) & ~at_infinity
+    close = np.where(infinite.reshape(shape), at_infinity, close)
     return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
@@ -439,9 +440,8 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     # alpha * beta (infinity when a factor is), or -1 for nil
     alphas = _alphas(decs)
     values, infinite = alphas
-    at = _point_indices(decs, alphas, values[:, :, None] * values[:, None, :])
-    either = infinite[:, :, None] | infinite[:, None, :]
-    at = np.where(either, infinite.argmax(axis=1)[:, None, None], at)
+    at_infinity = infinite[:, :, None] | infinite[:, None, :]
+    at = _point_indices(decs, alphas, (values[:, :, None] * values[:, None, :], at_infinity))
     target_point = at[:, point_of[:, None], point_of[None, :]]
     level = np.minimum(level_of[:, None] + level_of[None, :], n_levels[target_point] - 1)
     target = np.where(target_point >= 0, first_level[target_point] + level, -1).reshape(b, -1)
@@ -553,9 +553,7 @@ def _dim_symmetry(decs: list[Decomposition]) -> list[list[Finding]]:
         alphas = _alphas(group)
         values, infinite = alphas
         mirrors = np.divide(1.0, values, out=np.zeros_like(values), where=values != 0)
-        at_infinity = np.where(infinite.any(axis=1), infinite.argmax(axis=1), -1)
-        zero = ~infinite & (values == 0)
-        at = np.where(zero, at_infinity[:, None], _point_indices(group, alphas, mirrors))
+        at = _point_indices(group, alphas, (mirrors, ~infinite & (values == 0)))
         for i, row in zip(members, at.tolist()):
             found[i] = row
     out = []
@@ -633,6 +631,12 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
 # regular functionals
 
 
+def _check_combination(lambda0: complex, mu0: complex):
+    """Raise :class:`ValueError` when ``lambda0 a + mu0 a^T`` is (0, 0)."""
+    if lambda0 == 0 and mu0 == 0:
+        raise ValueError("lambda0 and mu0 must not both be 0")
+
+
 def _perturbed_coords(
     f_start: Functional, s_basis: list[Functional], samples: int, seed: int
 ) -> np.ndarray:
@@ -671,12 +675,11 @@ def minimize_stab_dim(
     :class:`ValueError`, and a functional whose dimension is not
     ``alg.dim`` :class:`DimensionMismatch`.
     """
-    if lambda0 == 0 and mu0 == 0:
-        raise ValueError("lambda0 and mu0 must not both be 0")
+    _check_combination(lambda0, mu0)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if any(f.dim != alg.dim for f in [f_start, *s_basis]):
-        raise DimensionMismatch("functional does not match the algebra dimension")
+    for f in [f_start, *s_basis]:
+        _check_dim(alg, f.dim, "functional")
     coords = _perturbed_coords(f_start, s_basis, samples, seed)
     a = _pairings(alg, coords)
     mats = lambda0 * a.transpose(0, 2, 1) + mu0 * a
@@ -712,11 +715,10 @@ def verify_regular_perturbation(
     pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0);
     (0, 0) raises :class:`ValueError`, and a pencil or a direction whose
     dimension is not ``alg.dim`` :class:`DimensionMismatch`."""
-    if lambda0 == 0 and mu0 == 0:
-        raise ValueError("lambda0 and mu0 must not both be 0")
+    _check_combination(lambda0, mu0)
     _check_dim(alg, rp.nil.ambient_dim, "reduced pencil")
-    if any(g.dim != alg.dim for g in s_basis):
-        raise DimensionMismatch("functional does not match the algebra dimension")
+    for g in s_basis:
+        _check_dim(alg, g.dim, "functional")
     alpha = INFINITY if lambda0 == 0 else ProjectivePoint.finite(-mu0 / lambda0)
     xs, ys = _stab_pair(rp, alpha)
     xy = pairwise_products(alg, xs.frame, ys.frame)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -171,6 +172,20 @@ def test_symmetric3_is_not_abelian():
 )
 def test_invalid_group_tables_rejected(table):
     with pytest.raises(InvalidGroupTable):
+        group_algebra(table)
+
+
+def test_non_associative_loop_names_its_first_triple():
+    # an order-5 loop: a Latin square with identity 0 that is not
+    # associative; (g1 g1) g2 = g2 but g1 (g1 g2) = g4
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    first = next(
+        (i, j, k)
+        for i, j, k in itertools.product(range(5), repeat=3)
+        if table[table[i][j]][k] != table[i][table[j][k]]
+    )
+    assert first == (1, 1, 2)
+    with pytest.raises(InvalidGroupTable, match=r"^not associative at \(1, 1, 2\)$"):
         group_algebra(table)
 
 

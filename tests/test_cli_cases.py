@@ -42,9 +42,9 @@ def test_every_case_passes_in_process(scratch):
     rows = [row for row in cli_cases.CASES if isinstance(row, Cmd)]
     assert len(calls) == len(rows) + sum(row.twice for row in rows)
     # the 60 runs of the shell script the table replaced (54 command lines,
-    # three of them in a loop over three inputs), the two tri_4 rows and
-    # --version and --help
-    assert len(calls) == 64 and sum(row.twice for row in rows) == 14
+    # three of them in a loop over three inputs), the two tri_4 rows,
+    # --version and --help, and the three unwritable --out paths
+    assert len(calls) == 67 and sum(row.twice for row in rows) == 14
 
 
 # the runner fails on each broken row and names it: a table of rows that

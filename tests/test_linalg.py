@@ -669,7 +669,7 @@ class TestOneClosenessTest:
                 decs = [SimpleNamespace(cluster_tol=tol)]
                 for u, v in ((x, y), (y, x)):
                     alphas = (np.array([[u]]), np.array([[False]]))
-                    (found,) = _point_indices(decs, alphas, np.array([[v]]))
+                    (found,) = _point_indices(decs, alphas, (np.array([[v]]), alphas[1]))
                     assert found.tolist() == [0 if close else -1]
         # both sides of the radius were reached
         assert {(0.5, True), (2.0, False)} <= verdicts

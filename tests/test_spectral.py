@@ -1441,6 +1441,21 @@ class TestDecomposeAll:
             decompose_all(alg, [good, singular, good], seed=3)
         assert str(batch.value) == str(alone.value)
 
+    @pytest.mark.parametrize("singular_first", [True, False])
+    def test_singular_group_raises_in_either_order(self, singular_first):
+        # a random F (K = 9) and the singular F (K = 8) form two groups, each
+        # done in one pass; the singular one's error is raised whichever
+        # group comes first
+        alg = mat_algebra(3)
+        good = random_functional(alg.dim, np.random.default_rng(34))
+        singular = nilpotent_shift_functional()
+        assert [reduce_pencil(alg, f).K for f in (good, singular)] == [9, 8]
+        with pytest.raises(SingularPencil) as alone:
+            decompose(alg, singular)
+        with pytest.raises(SingularPencil) as batch:
+            decompose_all(alg, [singular, good] if singular_first else [good, singular])
+        assert str(batch.value) == str(alone.value)
+
     def test_first_failing_functional_in_input_order_raises(self):
         # a wrong dimension and a non-finite pairing fail at the reduction,
         # before the shift draw at which the singular functional fails.

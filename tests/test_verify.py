@@ -19,6 +19,7 @@ from algscope import (
     decompose_all,
     direct_sum,
     dual_numbers,
+    gram,
     group_algebra,
     is_multiplicative,
     kernels,
@@ -95,9 +96,23 @@ def _mat2_inputs():
     return f, kernels(mat_algebra(2), f), decompose(mat_algebra(2), f)
 
 
-#: the public entry points that read an analysis, each called on Mat_3 with
-#: the Mat_2 inputs of :func:`_mat2_inputs`
+def _mat3_functional():
+    return random_functional(9, np.random.default_rng(0))
+
+
+#: the public entry points that read a functional or an analysis, each
+#: called on Mat_3 with the Mat_2 inputs of :func:`_mat2_inputs`
 _CROSS_ALGEBRA_CALLS = {
+    "gram": lambda alg, f, ker, dec: gram(alg, f),
+    "reduce_pencil": lambda alg, f, ker, dec: reduce_pencil(alg, f),
+    "decompose_all": lambda alg, f, ker, dec: decompose_all(alg, [_mat3_functional(), f]),
+    "minimize_stab_dim": lambda alg, f, ker, dec: minimize_stab_dim(alg, 1.0, -1.0, [], f),
+    "minimize_stab_dim_direction": lambda alg, f, ker, dec: minimize_stab_dim(
+        alg, 1.0, -1.0, [f], _mat3_functional()
+    ),
+    "verify_regular_perturbation_direction": lambda alg, f, ker, dec: verify_regular_perturbation(
+        alg, reduce_pencil(alg, _mat3_functional()), 1.0, -1.0, [f]
+    ),
     "verify_kernel_relations": lambda alg, f, ker, dec: verify_kernel_relations(alg, ker),
     "is_multiplicative": lambda alg, f, ker, dec: is_multiplicative(alg, f, ker),
     "is_multiplicative_kernels": lambda alg, f, ker, dec: is_multiplicative(
@@ -919,19 +934,24 @@ class TestProductInclusionsOracle:
             for dec in decs
         )
 
+    @pytest.mark.parametrize("weights", [(1.0, 2.0, 5.0), (1.0, 2.0, 0.0)])
     @pytest.mark.parametrize("cluster_tol", [None, 0.6])
-    def test_target_points_match_point_at(self, cluster_tol):
-        dec = decompose(mat_algebra(3), diag125())
+    def test_target_points_match_point_at(self, cluster_tol, weights):
+        # weights (1, 2, 0) put 0 and infinity in the spectrum
+        dec = decompose(mat_algebra(3), matrix_trace_functional(np.diag(weights)))
         if cluster_tol is not None:
             # wide clusters make several points match; the first one wins
             dec = dataclasses.replace(dec, cluster_tol=cluster_tol)
-        values = np.array([p.alpha.value for p in dec.points])
+        values, _ = _alphas([dec])
         grid = np.concatenate([np.outer(values, values).ravel(), [4.0, 1.0 + 1e-9, 0.0, 30.0]])
-        (found,) = _point_indices([dec], _alphas([dec]), grid[None])
-        assert np.array_equal(found, target_indices_loop(dec, grid))
-        for value, index in zip(grid, found):
-            point = dec.point_at(ProjectivePoint.finite(value))
+        # every value once as a finite query and once marked infinite
+        queries = np.concatenate([grid, grid]), np.repeat([False, True], grid.size)
+        (found,) = _point_indices([dec], _alphas([dec]), (queries[0][None], queries[1][None]))
+        assert np.array_equal(found[: grid.size], target_indices_loop(dec, grid))
+        for value, infinite, index in zip(*queries, found):
+            point = dec.point_at(INFINITY if infinite else ProjectivePoint.finite(value))
             assert index == -1 if point is None else dec.points[index] is point
+        assert any(p.alpha.is_infinite for p in dec.points) is (weights[-1] == 0.0)
 
     def test_defective_point_matches(self):
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))

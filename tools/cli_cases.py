@@ -249,6 +249,11 @@ CASES = [
         "verify jd.alg --suite v-mult,alpha0,dim-symmetry --functionals 10 --seed 5 --out jd1.json",
         twice=True,
     ),
+    # an --out path that cannot be written is an input error: exit 1 with
+    # the path on stderr, and no traceback
+    cmd("analyze m3.alg f.fn --out missing/a.json", code=1, stderr=("error: ", "missing/a.json")),
+    cmd("verify s3.alg --functionals 2 --out missing/v.json", code=1, stderr=("missing/v.json",)),
+    cmd("builders matrix 3 --out missing/m3.alg", code=1, stderr=("missing/m3.alg",)),
     # a negative seed is a usage error
     cmd("verify s3.alg --seed -1 --out neg.json", code=1),
     # so is a removed suite: kernel-relations checks what nil-ideal did
