@@ -30,17 +30,15 @@ for p in dec.points:
 print()
 
 print("V(1) is spanned by the diagonal matrix units:")
-v1 = dec.v_spaces[dec.point_at(ag.ProjectivePoint.finite(1.0)).alpha]
+v1 = dec.v_spaces[dec.point_at(ag.ProjectivePoint.finite(1.0))]
 for col in range(v1.dim):
     weights = np.abs(v1.frame[:, col])
     names = [alg.label(i) for i in np.nonzero(weights > 1e-8)[0]]
     print(f"  basis vector {col}: supported on {names}")
 print()
 
-p2 = dec.point_at(ag.ProjectivePoint.finite(2.0))
-p52 = dec.point_at(ag.ProjectivePoint.finite(2.5))
-p5 = dec.point_at(ag.ProjectivePoint.finite(5.0))
-v2, v52, v5 = (dec.v_spaces[p.alpha] for p in (p2, p52, p5))
+# point_at gives a point's index, and v_spaces[i] is V(alpha) of points[i]
+v2, v52, v5 = (dec.v_spaces[dec.point_at(ag.ProjectivePoint.finite(x))] for x in (2.0, 2.5, 5.0))
 
 print("products of spectral lines multiply their points:")
 prod = ag.multiply(alg, v2.frame[:, 0], v52.frame[:, 0]).coords

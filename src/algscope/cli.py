@@ -292,7 +292,9 @@ def _cmd_builders(args) -> int:
         # these satisfy the axioms exactly when their input files do, so a
         # failure is an input error
         _require_axioms(alg, DEFAULT_TOL)
-    elif not validate(alg).passed:
+    # group_algebra validates its own output; the other builders take the
+    # self-check here
+    elif name != "group" and not validate(alg).passed:
         raise AlgscopeError("builder output failed validation; this is a bug")
     if args.out is None:
         sys.stdout.write(_json_text(algebra_to_doc(alg)))

@@ -424,8 +424,7 @@ def report_from_decomposition(
     v_frames = None
     if include_frames:
         v_frames = tuple(
-            tuple(tuple(complex(z) for z in col) for col in dec.v_spaces[p.alpha].frame.T)
-            for p in dec.points
+            tuple(tuple(complex(z) for z in col) for col in v.frame.T) for v in dec.v_spaces
         )
     return ReportDocument(
         kind="analyze",

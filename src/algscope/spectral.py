@@ -36,7 +36,9 @@ algebra elements, the columns ``[Q W, nil]`` of each level, and measure
 each product in quotient coordinates: every level contains nil and
 ``[Q, nil]`` is unitary, so no level needs a lift.
 :attr:`Decomposition.filtrations` lifts the levels to subspaces of the full
-algebra on first access, for the report's frames and the public API.
+algebra on first access, for the report's frames and the public API.  Every
+per-point field of a decomposition is a tuple aligned with its ``points``,
+read by index, so two points of equal value keep a chain each.
 
 At the two points where the pencil degenerates to one matrix, level 0 is
 already known.  Stab(infinity) = {x : F(z x) = 0 for all z} is the
@@ -74,9 +76,9 @@ so the rule is bitwise equality: each decomposition of a batch equals the
 one its functional gets alone, bit for bit.  The invariant checks are no
 stage of the batch: each decomposition runs its own, on its one pencil,
 when they are first read (:attr:`Decomposition.checks`).  The suites read
-each decomposition's points as arrays and its levels in spectrum order;
-both are derived once per decomposition, on first read, and a copy made
-with :func:`dataclasses.replace` derives its own.
+each decomposition's points as arrays and its shape, K and the widths of
+its levels; both are derived once per decomposition, on first read, and a
+copy made with :func:`dataclasses.replace` derives its own.
 """
 
 from __future__ import annotations
@@ -159,11 +161,13 @@ class Decomposition:
 
     ``pencil`` is the reduced pencil every other field was built from; the
     theorem suites read it instead of reducing the pairing again.
-    ``quotient_filtrations`` stores the levels V^0 <= V^1 <= ... of each
-    point as quotient-coordinate frames, each fixing its level with nil;
-    ``filtrations`` and ``v_spaces`` lift them to the full algebra on first
-    access.  Level 0 is Stab(alpha), which does not depend on the shift, so
-    the shift-independence suite climbs a second chain from it.
+    ``quotient_filtrations[i]`` is the chain of ``points[i]``, its levels
+    V^0 <= V^1 <= ... as quotient-coordinate frames, each fixing its level
+    with nil; ``filtrations`` and ``v_spaces`` lift them to the full algebra
+    on first access, aligned with ``points`` the same way, and
+    :meth:`point_at` gives the index of a point by value.  Level 0 is
+    Stab(alpha), which does not depend on the shift, so the
+    shift-independence suite climbs a second chain from it.
     ``eigenvalues`` are those of S^-1 a~, S = a~^T - ``alpha0_used`` a~,
     from the eigendecomposition that gave the spectrum (none at K = 0);
     :attr:`chi` is formed from them on first read.  ``seed`` draws the
@@ -172,7 +176,7 @@ class Decomposition:
     pencil: ReducedPencil
     eigenvalues: np.ndarray
     points: tuple[SpectrumPoint, ...]
-    quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]]
+    quotient_filtrations: tuple[tuple[np.ndarray, ...], ...]
     alpha0_used: complex | None
     cluster_tol: float
     seed: int
@@ -211,22 +215,21 @@ class Decomposition:
         return np.array(values, dtype=complex), np.array(infinite, dtype=bool)
 
     @cached_property
-    def _levels(self) -> tuple[tuple, tuple[tuple[np.ndarray, ...], ...]]:
-        """(shape, chains): the levels of each point in spectrum order
-        (``chains``), and the batch key of the suites (``shape``), K and
-        the widths of each chain's levels.  Decompositions of one shape
-        share nil's dimension and the column layout of their levels."""
-        chains = tuple(self.quotient_filtrations[p.alpha] for p in self.points)
-        return (self.pencil.K, tuple(tuple(w.shape[1] for w in c) for c in chains)), chains
+    def _shape(self) -> tuple | None:
+        """The batch key of the suites: K and the widths of each chain's
+        levels, or None when there are no points.  Decompositions of one
+        shape share nil's dimension and the column layout of their
+        levels."""
+        widths = tuple(tuple(w.shape[1] for w in c) for c in self.quotient_filtrations)
+        return (self.pencil.K, widths) if widths else None
 
     @cached_property
-    def filtrations(self) -> dict[ProjectivePoint, tuple[Subspace, ...]]:
+    def filtrations(self) -> tuple[tuple[Subspace, ...], ...]:
         """The levels of each point as subspaces of the full algebra, each
         containing nil."""
-        return {
-            alpha: tuple(_lift(self.pencil, w) for w in frames)
-            for alpha, frames in self.quotient_filtrations.items()
-        }
+        return tuple(
+            tuple(_lift(self.pencil, w) for w in frames) for frames in self.quotient_filtrations
+        )
 
     @cached_property
     def checks(self) -> tuple[InvariantCheck, ...]:
@@ -240,13 +243,13 @@ class Decomposition:
                 InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
                 InvariantCheck("v_spaces_direct_sum", whole, 0.0, "nil is the whole algebra"),
             )
-        v_frames = [levels[-1] for levels in self.quotient_filtrations.values()]
+        v_frames = [levels[-1] for levels in self.quotient_filtrations]
         return tuple(_decomposition_checks(self.pencil, self.points, v_frames, self.seed))
 
     @property
-    def v_spaces(self) -> dict[ProjectivePoint, Subspace]:
+    def v_spaces(self) -> tuple[Subspace, ...]:
         """V(alpha), the last filtration level, of each point."""
-        return {alpha: levels[-1] for alpha, levels in self.filtrations.items()}
+        return tuple(levels[-1] for levels in self.filtrations)
 
     @property
     def nil(self) -> Subspace:
@@ -260,13 +263,11 @@ class Decomposition:
     def quotient_dim(self) -> int:
         return self.pencil.K
 
-    def point_at(self, alpha: ProjectivePoint) -> SpectrumPoint | None:
-        """The first point within ``cluster_tol`` of ``alpha`` (relative
-        for large values), or None."""
-        for p in self.points:
-            if projective_close(p.alpha, alpha, self.cluster_tol):
-                return p
-        return None
+    def point_at(self, alpha: ProjectivePoint) -> int | None:
+        """The index of the first point within ``cluster_tol`` of ``alpha``
+        (relative for large values), or None."""
+        close = (projective_close(p.alpha, alpha, self.cluster_tol) for p in self.points)
+        return next((i for i, hit in enumerate(close) if hit), None)
 
 
 def char_poly(rp: ReducedPencil) -> HomogeneousPoly:
@@ -753,7 +754,7 @@ def _decompose_pencils(
     for i, rp in enumerate(rps):
         if isinstance(rp, ReducedPencil):
             if rp.K == 0:  # nil is the whole algebra, and chi = 1
-                out[i] = Decomposition(rp, np.empty(0, complex), (), {}, None, cluster_tol, seed)
+                out[i] = Decomposition(rp, np.empty(0, complex), (), (), None, cluster_tol, seed)
             else:
                 groups.setdefault((rp.K, rp.nil.tol), []).append(i)
     for members in groups.values():
@@ -805,25 +806,21 @@ def _decompose_stack(
         mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
         for key, space in zip(multiple, _nullspaces(np.stack(mats), rps[0].nil.tol, scales)):
             stab_frames[key] = space.frame
-    all_points, all_levels = [], []
-    for c, (rp, alpha0, raw) in enumerate(zip(rps, alpha0s, spectra)):
-        points: list[SpectrumPoint] = []
-        quotient_filtrations: dict[ProjectivePoint, tuple[np.ndarray, ...]] = {}
-        nil = rp.nil.dim
+    out = []
+    for c, (rp, lam, alpha0, raw) in enumerate(zip(rps, lams, alpha0s, spectra)):
+        points, chains = [], []
         for j, (alpha, mult, vector) in enumerate(raw):
             # a simple point's eigenvector is its one level; the others climb
             # from their Stab(alpha) up to their multiplicity
             if vector is None:
-                frames = _filtration_reduced(rp, alpha, alpha0, stab_frames[c, j], mult)
+                chain = tuple(_filtration_reduced(rp, alpha, alpha0, stab_frames[c, j], mult))
             else:
-                frames = [vector]
-            dims = tuple(w.shape[1] + nil for w in frames)
-            points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
-            quotient_filtrations[alpha] = tuple(frames)
-        all_points.append(points)
-        all_levels.append(quotient_filtrations)
-    return [
-        Decomposition(rp, lam, tuple(points), levels, alpha0, cluster_tol, seed)
-        for rp, lam, points, levels, alpha0 in zip(rps, lams, all_points, all_levels, alpha0s)
-    ]
+                chain = (vector,)
+            dims = tuple(w.shape[1] + rp.nil.dim for w in chain)
+            points.append(SpectrumPoint(alpha, mult, chain[0].shape[1], dims))
+            chains.append(chain)
+        out.append(
+            Decomposition(rp, lam, tuple(points), tuple(chains), alpha0, cluster_tol, seed)
+        )
+    return out
 

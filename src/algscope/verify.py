@@ -28,10 +28,11 @@ A batch is grouped so that every stacked product runs on each member's
 matrices the routine, at the shapes, that the member gets alone, so each
 finding has the same bits in a batch of any size: v-mult and the alpha0
 suite group decompositions by their shape (K and the widths of every
-point's levels, :func:`_shape`), whose members share one column layout,
-and dim-symmetry by their number of points.  Each decomposition derives
-that shape, its levels in spectrum order and its points as arrays once, on
-first read, and every suite reads them from there; no suite reads chi, so
+point's levels, ``Decomposition._shape``), whose members share one column
+layout, and dim-symmetry by their number of points.  Each suite reads a
+decomposition's levels by position, ``dec.quotient_filtrations[i]`` the
+chain of ``dec.points[i]``, and its shape and its points as arrays, which
+the decomposition derives once, on first read; no suite reads chi, so
 :func:`run_suites` never forms it.  No stacked operand takes more
 than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.  v-mult
 stacks a group's layout (its levels, targets and point lookup) but forms
@@ -168,12 +169,6 @@ def _groups(keys) -> dict:
     return groups
 
 
-def _shape(dec: Decomposition) -> tuple | None:
-    """The batch key of ``dec``, K and the widths of each point's levels
-    (``Decomposition._levels``), or None when it has no points."""
-    return dec._levels[0] if dec.points else None
-
-
 def _alphas(decs: list[Decomposition]) -> tuple[np.ndarray, np.ndarray]:
     """The points of each of ``decs``, all with as many: (values,
     infinite), the value 0 at infinity, one row per decomposition."""
@@ -300,15 +295,15 @@ def _chain_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
 
 def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
     """:func:`verify_alpha0_suite` of each of ``decs`` with its own seed, at
-    ``ALPHA0_TOL``: one level-0 residual call per :func:`_shape`, then each
-    climb on its own."""
+    ``ALPHA0_TOL``: one level-0 residual call per shape
+    (``Decomposition._shape``), then each climb on its own."""
     residuals = {}
-    for members in _groups(_shape(dec) for dec in decs).values():
+    for members in _groups(dec._shape for dec in decs).values():
         group = [decs[i] for i in members]
         found = _stab_residuals(
             [dec.pencil for dec in group],
             [[p.alpha for p in dec.points] for dec in group],
-            [[levels[0] for levels in dec._levels[1]] for dec in group],
+            [[levels[0] for levels in dec.quotient_filtrations] for dec in group],
         )
         residuals.update(zip(members, found))
     out = []
@@ -318,7 +313,7 @@ def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
             continue
         shift = None
         results = []
-        for p, levels, residual in zip(dec.points, dec._levels[1], residuals[i]):
+        for p, levels, residual in zip(dec.points, dec.quotient_filtrations, residuals[i]):
             dist = 0.0
             if levels[0].shape[1] < p.algebraic_mult:
                 shift = shift or _new_shift(dec, seed)
@@ -346,10 +341,11 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0) -> Finding:
 
     One rule covers every point.  Level 0, Stab(alpha), does not involve
     the shift, so the decomposition's own frame of it
-    (``dec.quotient_filtrations``) must lie in Stab(alpha), with a residual
-    below ``dec.tol`` (see :func:`algscope.spectral._stab_residuals`).  A
-    chain ends at its multiplicity, so a level 0 of that dimension is the
-    whole filtration; a simple point is the case mult = 1.  A point whose
+    (``dec.quotient_filtrations[i][0]`` at ``dec.points[i]``) must lie in
+    Stab(alpha), with a residual below ``dec.tol`` (see
+    :func:`algscope.spectral._stab_residuals`).  A chain ends at its
+    multiplicity, so a level 0 of that dimension is the whole filtration;
+    a simple point is the case mult = 1.  A point whose
     level 0 is below its multiplicity climbs a chain from that level under
     the new shift, up to the multiplicity, and its levels above 0 must
     agree with the reported ones, climbed under ``dec.alpha0_used``, with
@@ -375,15 +371,16 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     finite points, then over the pairs of nonzero points, infinity
     included.
 
-    The levels are read as the quotient frames W of
+    The levels are read by position, as the quotient frames W of
     ``dec.quotient_filtrations``, with no lift to :class:`Subspace`: the
     columns ``[Q W, nil]`` of all levels of all points of a decomposition
     are stacked into one matrix, and the matrices of a group, the
-    decompositions of one :func:`_shape`, into one array.  At nil = 0, Q
-    is the identity, and neither product with it is formed.  The targets
-    and the point lookup are taken for the whole group at once; the product
-    tensor, one :func:`pairwise_products` call, is formed for one member at
-    a time, and only its row of residuals is kept.  Every level contains
+    decompositions of one shape (``Decomposition._shape``), into one
+    array.  At nil = 0, Q is the identity, and neither product with it is
+    formed.  The targets and the point lookup are taken for the whole
+    group at once; the product tensor, one :func:`pairwise_products` call,
+    is formed for one member at a time, and only its row of residuals is
+    kept.  Every level contains
     nil and ``[Q, nil]`` is unitary, so a product p lies off the level
     ``[Q W, nil]`` by exactly the part of its quotient coordinates
     c = Q^H p off W, and off nil by all of c: its residual is
@@ -404,7 +401,7 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     witness.  Every product of two of its columns is one sample."""
     n = alg.dim
     out: list = [((0.0, None, 0), (0.0, None, 0))] * len(decs)
-    groups = _groups(_shape(dec) for dec in decs)
+    groups = _groups(dec._shape for dec in decs)
     for (k, chains), members in groups.items():
         cols = sum(map(sum, chains)) + sum(map(len, chains)) * (n - k)
         for part in _budget_parts(members, 16 * (len(chains) ** 3 + max(n, cols) ** 2)):
@@ -414,7 +411,7 @@ def _product_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
 
 
 def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
-    """:func:`_product_inclusions` of decompositions of one :func:`_shape`:
+    """:func:`_product_inclusions` of decompositions of one shape:
     the layout, targets and lookup of all of them at once, then one
     member's product tensor, quotient coordinates and projections at a
     time."""
@@ -426,7 +423,7 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     # member's stack, the level level_at[c] among all levels it spans part
     # of, the level's W columns then nil's, that level's point point_of[c]
     # and its index level_of[c] in the point's chain
-    _, chains = _shape(decs[0])
+    _, chains = decs[0]._shape
     n_levels = np.array([len(chain) for chain in chains], dtype=int)
     first_level = np.cumsum(n_levels) - n_levels
     width = np.array([w for chain in chains for w in chain], dtype=int)
@@ -452,7 +449,7 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     # the columns [Q W, nil] of every level, from one stacked product Q W;
     # at nil = 0, Q is the identity and the columns are W.  At nil != 0 one
     # index array puts nil's columns after each level's
-    levels = [[w for chain in dec._levels[1] for w in chain] for dec in decs]
+    levels = [[w for chain in dec.quotient_filtrations for w in chain] for dec in decs]
     stacked = _side_by_side(levels)
     if nil:
         q = np.stack([dec.pencil.quotient_frame for dec in decs])
@@ -603,7 +600,7 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
     nil.
 
     One rank test covers all P(P-1)/2 pairs (``samples``): the stacked
-    quotient-coordinate Stab(alpha) frames (level 0 of
+    quotient-coordinate Stab(alpha) frames (level 0 of each chain of
     ``dec.quotient_filtrations``) must have rank equal to the sum of the
     stabilizer dimensions, so the stabilizers form a direct sum over nil.
     That implies pairwise transversality, and both hold whenever the
@@ -614,7 +611,7 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
     general.  No suite runs it."""
     if not dec.points:
         return Finding(STAB_TRANSVERSALITY, True, 0.0, None, 0)
-    frames = [dec.quotient_filtrations[p.alpha][0] for p in dec.points]
+    frames = [levels[0] for levels in dec.quotient_filtrations]
     stacked = np.hstack(frames)
     ends = np.cumsum([w.shape[1] for w in frames])
     deficit = int(ends[-1]) - rank(stacked, dec.tol, scale=1.0)

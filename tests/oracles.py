@@ -299,7 +299,7 @@ def stab_transversality_pairwise(dec, tol=1e-9):
     number of pairs)."""
     from algscope.linalg import subspace_intersect
 
-    stabs = [dec.filtrations[p.alpha][0] for p in dec.points]
+    stabs = [levels[0] for levels in dec.filtrations]
     worst = 0
     pairs = 0
     for i in range(len(stabs)):
@@ -317,7 +317,8 @@ def dim_symmetry_scan(dec):
     v_mismatch = stab_mismatch = 0
     v_witness = stab_witness = None
     for p in dec.points:
-        mirror = dec.point_at(p.alpha.inverse())
+        at = dec.point_at(p.alpha.inverse())
+        mirror = None if at is None else dec.points[at]
         if mirror is None:
             if p.algebraic_mult > v_mismatch:
                 v_mismatch, v_witness = p.algebraic_mult, (p.alpha, "no mirror point")
@@ -346,23 +347,26 @@ def product_inclusions_pairwise(alg, dec, variant):
     witness = None
     samples = 0
     if variant == "finite":
-        points = [p for p in dec.points if not p.alpha.is_infinite]
+        points = [i for i, p in enumerate(dec.points) if not p.alpha.is_infinite]
     else:
-        points = [p for p in dec.points if p.alpha.is_infinite or p.alpha.value != 0]
-    for p in points:
-        for q in points:
+        points = [
+            i for i, p in enumerate(dec.points) if p.alpha.is_infinite or p.alpha.value != 0
+        ]
+    for i in points:
+        for j in points:
+            p, q = dec.points[i], dec.points[j]
             if p.alpha.is_infinite or q.alpha.is_infinite:
                 target_point = dec.point_at(INFINITY)
             else:
                 target_point = dec.point_at(ProjectivePoint.finite(p.alpha.value * q.alpha.value))
-            filt_p = dec.filtrations[p.alpha]
-            filt_q = dec.filtrations[q.alpha]
+            filt_p = dec.filtrations[i]
+            filt_q = dec.filtrations[j]
             for k in range(len(filt_p)):
                 for m in range(len(filt_q)):
                     if target_point is None:
                         target = dec.nil
                     else:
-                        levels = dec.filtrations[target_point.alpha]
+                        levels = dec.filtrations[target_point]
                         target = levels[min(k + m, len(levels) - 1)]
                     prods = np.einsum(
                         "ia,jb,ijk->abk", filt_p[k].frame, filt_q[m].frame, alg.structure
@@ -747,12 +751,12 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
                 "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
             ),
         )
-        dec = Decomposition(rp, np.empty(0, dtype=complex), (), {}, None, cluster_tol, seed)
+        dec = Decomposition(rp, np.empty(0, dtype=complex), (), (), None, cluster_tol, seed)
         assert repr(dec.checks) == repr(checks)
         assert dec.chi.degree == 0 and dec.chi.coeffs.tobytes() == np.array([1.0 + 0.0j]).tobytes()
         return dec
     alpha0 = choose_alpha0(rp, seed)
-    points, levels = [], {}
+    points, levels = [], []
     for alpha, mult, vector in spectrum(rp, alpha0, cluster_tol):
         if vector is None and (alpha.is_infinite or alpha.value == 0):
             stab_frame = kernel_level0(rp, alpha)
@@ -765,15 +769,24 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
             frames = [vector]
         dims = tuple(w.shape[1] + rp.nil.dim for w in frames)
         points.append(SpectrumPoint(alpha, mult, frames[0].shape[1], dims))
-        levels[alpha] = tuple(frames)
-    v_frames = [chain[-1] for chain in levels.values()]
+        levels.append(tuple(frames))
+    v_frames = [chain[-1] for chain in levels]
     checks = _decomposition_checks(rp, points, v_frames, seed)
     lams = shifted_eigenvalues(rp, alpha0)
-    dec = Decomposition(rp, lams, tuple(points), levels, alpha0, cluster_tol, seed)
+    dec = Decomposition(rp, lams, tuple(points), tuple(levels), alpha0, cluster_tol, seed)
     assert repr(dec.checks) == repr(tuple(checks))
     chi = eigen_char_poly(rp, alpha0)
     assert dec.chi.degree == chi.degree and dec.chi.coeffs.tobytes() == chi.coeffs.tobytes()
     return dec
+
+
+def with_chain(dec, i, chain):
+    """``dec`` with the chain of its point ``i`` replaced by ``chain``."""
+    import dataclasses
+
+    chains = list(dec.quotient_filtrations)
+    chains[i] = tuple(chain)
+    return dataclasses.replace(dec, quotient_filtrations=tuple(chains))
 
 
 def split_point(monkeypatch, value):
@@ -861,16 +874,16 @@ def alpha0_suite_loop(dec, seed=0, tol=1e-8):
         return Finding(ALPHA0_INDEPENDENCE, True, 0.0, None, 0, ("empty spectrum",))
     shift = None
     alphas = [p.alpha for p in dec.points]
-    frames = [dec.quotient_filtrations[alpha][0] for alpha in alphas]
+    frames = [levels[0] for levels in dec.quotient_filtrations]
     results = []
     (residuals,) = _stab_residuals([dec.pencil], [alphas], [frames])
-    for p, w, residual in zip(dec.points, frames, residuals):
+    for p, reported, residual in zip(dec.points, dec.quotient_filtrations, residuals):
+        w = reported[0]
         worst = residual
         passed = residual < dec.tol
         if w.shape[1] < p.algebraic_mult:
             if shift is None:
                 shift = new_shift()
-            reported = dec.quotient_filtrations[p.alpha]
             climbed = _filtration_reduced(dec.pencil, p.alpha, shift, w, p.algebraic_mult)
             if [v.shape[1] for v in reported] != [v.shape[1] for v in climbed]:
                 passed, worst = False, float("inf")
@@ -912,8 +925,8 @@ def product_inclusions_loop(alg, dec, tol):
     if not dec.points:
         return (0.0, None, 0), (0.0, None, 0)
     rp = dec.pencil
-    all_levels = [w for p in dec.points for w in dec.quotient_filtrations[p.alpha]]
-    n_levels = np.array([len(dec.quotient_filtrations[p.alpha]) for p in dec.points])
+    all_levels = [w for chain in dec.quotient_filtrations for w in chain]
+    n_levels = np.array([len(chain) for chain in dec.quotient_filtrations])
     widths = [w.shape[1] + rp.nil.dim for w in all_levels]
     point_of = np.repeat(np.repeat(np.arange(len(dec.points)), n_levels), widths)
     level_of = np.repeat(np.concatenate([np.arange(n) for n in n_levels]), widths)

@@ -94,5 +94,5 @@ def readme_quickstart():
 
 def test_readme_quickstart_runs():
     code = readme_quickstart()
-    assert "dec.filtrations[p.alpha]" in code
+    assert "dec.filtrations[i]" in code
     exec(compile(code, "README.md (Library quickstart)", "exec"), {"__name__": "quickstart"})

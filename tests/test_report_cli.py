@@ -443,6 +443,28 @@ class TestCli:
         a, b = load_algebra("s.alg"), load_algebra("op.alg")
         np.testing.assert_array_equal(b.structure, a.structure.transpose(1, 0, 2))
 
+    def test_each_builder_validates_once(self, workdir, capsys, monkeypatch):
+        import algscope.algebra as algebra
+
+        assert main(["builders", "group", "z2", "--out", "z2.alg"]) == 0
+        assert main(["builders", "dual", "--out", "d.alg"]) == 0
+        calls = []
+        validate = algebra.validate
+        monkeypatch.setattr(algebra, "validate", lambda *a: calls.append(a) or validate(*a))
+        # group_algebra validates the group algebra, and the CLI checks the
+        # others itself
+        for args in (
+            ["group", "s3"],
+            ["matrix", "2"],
+            ["triangular", "2"],
+            ["dual"],
+            ["direct-sum", "z2.alg", "d.alg"],
+            ["opposite", "z2.alg"],
+        ):
+            calls.clear()
+            assert main(["builders", *args, "--out", "a.alg"]) == 0
+            assert len(calls) == 1, args
+
     def test_builders_bad_params(self, workdir, capsys):
         assert main(["builders", "matrix", "many"]) == 1
         assert main(["builders", "group", "z17"]) == 1

@@ -66,6 +66,7 @@ from oracles import (
     split_point,
     stab_fullspace,
     v_split_pairwise_and_span,
+    with_chain,
     zero_on,
 )
 
@@ -84,10 +85,11 @@ def diag125():
 
 
 def find_point(dec, value):
+    """The index of the point of ``dec`` at ``value``, None for infinity."""
     target = INFINITY if value is None else ProjectivePoint.finite(value)
-    p = dec.point_at(target)
-    assert p is not None, f"spectrum point {value} missing: {dec.points}"
-    return p
+    i = dec.point_at(target)
+    assert i is not None, f"spectrum point {value} missing: {dec.points}"
+    return i
 
 
 def level0(rp, alpha):
@@ -111,8 +113,8 @@ def shift_independence(dec, value, alpha0_a, alpha0_b):
     """The alpha0 suite's rule at the point ``value`` of ``dec``, with the
     chains climbed here from its level 0 under two given shifts: (level 0
     lies in Stab(alpha) and the levels above it agree, max residual)."""
-    p = find_point(dec, value)
-    w = dec.quotient_filtrations[p.alpha][0]
+    i = find_point(dec, value)
+    p, w = dec.points[i], dec.quotient_filtrations[i][0]
     ((residual,),) = _stab_residuals([dec.pencil], [[p.alpha]], [[w]])
     dist = _chain_distance(climb(dec.pencil, p, alpha0_a, w), climb(dec.pencil, p, alpha0_b, w))
     return residual < TOL and dist < 1e-8, max(residual, dist)
@@ -331,19 +333,20 @@ class TestStab:
             oracle = Subspace(alg.dim, stab_fullspace(alg, f.coords, value), tol)
             assert projector_distance(got, oracle) < 1e-8
             # the decomposition's level 0 at the point, lifted
-            level = decompose(alg, f, tol=tol).filtrations[alpha][0]
+            dec = decompose(alg, f, tol=tol)
+            level = dec.filtrations[find_point(dec, value)][0]
             assert level.tol == tol and projector_distance(got, level) < 1e-8
 
 
 class TestJordanFiltration:
     def test_semisimple_point_stabilizes_immediately(self):
         dec = decompose(mat_algebra(3), diag125())
-        levels = dec.filtrations[find_point(dec, 2.0).alpha]
+        levels = dec.filtrations[find_point(dec, 2.0)]
         assert len(levels) == 1 and levels[0].dim == 1
 
     def test_dual_numbers_everything_at_one(self):
         dec = decompose(dual_numbers(), Functional(np.array([1.0, 0.0])))
-        levels = dec.filtrations[find_point(dec, 1.0).alpha]
+        levels = dec.filtrations[find_point(dec, 1.0)]
         assert levels[0].dim == 2  # eps lies in nil, the unit spans the quotient part
         assert levels[-1].dim == 2
 
@@ -354,11 +357,11 @@ class TestJordanFiltration:
         dec = decompose(alg, f)
         assert dec.nil.dim == 0
         assert len(dec.points) == 3
-        assert find_point(dec, 0.0) and find_point(dec, 1.0) and find_point(dec, None)
+        assert [find_point(dec, value) for value in (0.0, 1.0, None)] == [0, 1, 2]
         for p in dec.points:
             assert p.algebraic_mult == 1
             assert p.filtration_dims == (1,)
-        stab_one = dec.filtrations[find_point(dec, 1.0).alpha][0]
+        stab_one = dec.filtrations[find_point(dec, 1.0)][0]
         expected = Subspace(3, np.array([[1.0], [0.0], [1.0]]) / np.sqrt(2), TOL)
         assert subspace_equal(stab_one, expected, 1e-9)
 
@@ -398,7 +401,7 @@ class TestJordanFiltration:
             dec = decompose(alg, f)
             rp = reduce_pencil(alg, f, TOL)
             scale = float(np.linalg.norm(rp.a_tilde, "fro"))
-            for p in dec.points:
+            for p, expected in zip(dec.points, dec.filtrations):
                 if p.alpha.is_infinite:
                     continue
                 s_mat = rp.at_tilde - p.alpha.value * rp.a_tilde
@@ -412,7 +415,6 @@ class TestJordanFiltration:
                     if nxt.shape[1] <= levels[-1].shape[1]:
                         break
                     levels.append(nxt)
-                expected = dec.filtrations[p.alpha]
                 assert len(levels) == len(expected)
                 for frame, want in zip(levels, expected):
                     got = Subspace(rp.K, frame, TOL)
@@ -518,7 +520,7 @@ class TestChainEndsAtMultiplicity:
         beta, want_levels = PLANTED_JORDAN_BLOCKS[name]
         dec = decompose(*prescribed_pencil_algebra(beta))
         rp = dec.pencil
-        assert max(len(levels) for levels in dec.quotient_filtrations.values()) == want_levels
+        assert max(len(levels) for levels in dec.quotient_filtrations) == want_levels
         for shift in [dec.alpha0_used] + [choose_alpha0(rp, seed=s) for s in (5, 6)]:
             capped = [climb(rp, p, shift) for p in dec.points]
             looped = [filtration_reduced_loop(rp, p.alpha, shift, TOL) for p in dec.points]
@@ -527,9 +529,7 @@ class TestChainEndsAtMultiplicity:
                 p.algebraic_mult for p in dec.points
             ]
             if shift == dec.alpha0_used:
-                TestFiltrationClimb.assert_frames_equal(
-                    capped, [dec.quotient_filtrations[p.alpha] for p in dec.points]
-                )
+                TestFiltrationClimb.assert_frames_equal(capped, dec.quotient_filtrations)
 
     @staticmethod
     def count_operators(monkeypatch):
@@ -556,8 +556,8 @@ class TestChainEndsAtMultiplicity:
         assert multiple and all(p.stab_dim == p.algebraic_mult for p in multiple)
         assert built == [p.alpha for p in multiple]
         built.clear()
-        for p in dec.points:
-            w = dec.quotient_filtrations[p.alpha][0]
+        for p, levels in zip(dec.points, dec.quotient_filtrations):
+            w = levels[0]
             chain = _filtration_reduced(dec.pencil, p.alpha, dec.alpha0_used, w, p.algebraic_mult)
             assert len(chain) == 1 and chain[0] is w
         assert built == []
@@ -567,16 +567,16 @@ class TestChainEndsAtMultiplicity:
         beta, want_levels = PLANTED_JORDAN_BLOCKS[name]
         dec = decompose(*prescribed_pencil_algebra(beta))
         built = self.count_operators(monkeypatch)
-        short = [p for p in dec.points if p.stab_dim < p.algebraic_mult]
+        short = [i for i, p in enumerate(dec.points) if p.stab_dim < p.algebraic_mult]
         assert short
-        for p in short:
-            w = dec.quotient_filtrations[p.alpha][0]
+        for i in short:
+            p, w = dec.points[i], dec.quotient_filtrations[i][0]
             chain = _filtration_reduced(dec.pencil, p.alpha, dec.alpha0_used, w, p.algebraic_mult)
             assert [u.shape[1] for u in chain] == [d - dec.nil.dim for d in p.filtration_dims]
         # the operators at alpha and at the shift, once per climbing point
         shift = ProjectivePoint.finite(dec.alpha0_used)
-        assert built == [x for p in short for x in (p.alpha, shift)]
-        assert max(len(p.filtration_dims) for p in short) == want_levels
+        assert built == [x for i in short for x in (dec.points[i].alpha, shift)]
+        assert max(len(dec.points[i].filtration_dims) for i in short) == want_levels
 
     def test_split_semisimple_point_fails_both_checks(self, monkeypatch):
         # Mat_4's alpha = 1 has multiplicity 4 and Stab(1) of dimension 4:
@@ -746,8 +746,7 @@ class TestDegeneratePencils:
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
         dec = decompose(alg, f)
         assert dec.ok and dec.nil.dim == 0
-        plus = find_point(dec, 1.0)
-        minus = find_point(dec, -1.0)
+        plus, minus = (dec.points[find_point(dec, value)] for value in (1.0, -1.0))
         assert plus.algebraic_mult == 2 and plus.filtration_dims == (2,)
         assert minus.algebraic_mult == 2 and minus.stab_dim == 1
         assert minus.filtration_dims == (1, 2)
@@ -821,7 +820,7 @@ class TestDecompose:
         for tol in (1e-9, 1e-6):
             dec = decompose(alg, f, tol=tol)
             assert dec.tol == dec.pencil.nil.tol == tol
-            assert {level.tol for levels in dec.filtrations.values() for level in levels} == {tol}
+            assert {level.tol for levels in dec.filtrations for level in levels} == {tol}
             with pytest.raises(dataclasses.FrozenInstanceError):
                 dec.tol = 1e-3
 
@@ -855,7 +854,7 @@ class TestDecompose:
         assert len(calls) == 1
         # the checks of the decomposition's own pencil, points and frames,
         # at its seed
-        v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        v_frames = [levels[-1] for levels in dec.quotient_filtrations]
         want = real(dec.pencil, dec.points, v_frames, 4)
         assert repr(dec.checks) == repr(tuple(want))
         # K = 0 takes its two checks from nil, with no call
@@ -871,7 +870,7 @@ class TestDecompose:
         assert dec.nil.dim == 0
         assert sorted(p.algebraic_mult for p in dec.points) == [1, 1, 1, 1, 1, 1, 3]
         assert dec.ok
-        v1 = dec.v_spaces[find_point(dec, 1.0).alpha]
+        v1 = dec.v_spaces[find_point(dec, 1.0)]
         assert v1.dim == 3
 
     def test_commutative_algebra_collapses_to_one(self):
@@ -880,7 +879,7 @@ class TestDecompose:
         assert len(dec.points) == 1
         p = dec.points[0]
         assert projective_close(p.alpha, ProjectivePoint.finite(1.0), 1e-8)
-        assert p.algebraic_mult == 2 and dec.v_spaces[p.alpha].dim == 2
+        assert p.algebraic_mult == 2 and dec.v_spaces[0].dim == 2
 
     def test_invariants_hold_on_random_inputs(self):
         rng = np.random.default_rng(2024)
@@ -895,8 +894,7 @@ class TestDecompose:
         coords = random_functional(alg.dim, rng).coords.copy()
         coords[0] = 0.0
         dec = decompose(alg, Functional(coords))
-        for p in dec.points:
-            v = dec.v_spaces[p.alpha]
+        for v in dec.v_spaces:
             if dec.nil.dim:
                 assert np.max(v.residual(dec.nil.frame)) < 1e-9
 
@@ -904,15 +902,14 @@ class TestDecompose:
         import dataclasses
 
         dec = decompose(mat_algebra(3), diag125())
-        assert all(dec.v_spaces[a] is levels[-1] for a, levels in dec.filtrations.items())
+        assert len(dec.v_spaces) == len(dec.filtrations) == len(dec.points)
+        assert all(v is levels[-1] for v, levels in zip(dec.v_spaces, dec.filtrations))
         assert "filtrations" not in {field.name for field in dataclasses.fields(dec)}
         # the levels are stored once, as quotient frames: doctoring them
         # leaves no stale lifted level or V(alpha)
-        first, second = (p.alpha for p in dec.points[:2])
-        levels = dec.quotient_filtrations
-        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, first: levels[second]})
-        assert projector_distance(doctored.filtrations[first][0], dec.filtrations[second][0]) == 0
-        assert doctored.v_spaces[first] is doctored.filtrations[first][-1]
+        doctored = with_chain(dec, 0, dec.quotient_filtrations[1])
+        assert projector_distance(doctored.filtrations[0][0], dec.filtrations[1][0]) == 0
+        assert doctored.v_spaces[0] is doctored.filtrations[0][-1]
 
 
 def check_named(checks, name):
@@ -941,7 +938,7 @@ class TestDirectSumCheck:
         for f in functionals:
             dec = decompose(alg, f)
             check = check_named(dec.checks, "v_spaces_direct_sum")
-            frames = [dec.v_spaces[p.alpha].frame for p in dec.points]
+            frames = [v.frame for v in dec.v_spaces]
             pairwise, span = v_split_pairwise_and_span(frames, dec.nil.dim, alg.dim)
             assert check.passed == (pairwise and span)
             assert check.passed and check.residual == 0.0
@@ -1001,7 +998,7 @@ class TestLogDetCheck:
 
     @staticmethod
     def log_det_check(dec, points):
-        v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        v_frames = [levels[-1] for levels in dec.quotient_filtrations]
         checks = _decomposition_checks(dec.pencil, points, v_frames, 0)
         return check_named(checks, "log_det_matches_spectrum")
 
@@ -1124,22 +1121,23 @@ class TestSimpleFrames:
         _, alg, f = case
         dec = decompose(alg, f)
         assert dec.ok, [c for c in dec.checks if not c.passed]
-        simple = [p for p in dec.points if p.algebraic_mult == 1]
-        multiple = [p for p in dec.points if p.algebraic_mult > 1]
+        simple = [i for i, p in enumerate(dec.points) if p.algebraic_mult == 1]
+        multiple = [i for i, p in enumerate(dec.points) if p.algebraic_mult > 1]
         assert simple and multiple
         k = dec.quotient_dim
-        for p in simple:
+        for i in simple:
+            p = dec.points[i]
             # the loop climbs until a level stops growing: one level here
             climbed = filtration_reduced_loop(dec.pencil, p.alpha, dec.alpha0_used, TOL)
             dims = [w.shape[1] + dec.nil.dim for w in climbed]
             assert dims == list(p.filtration_dims) == [1 + dec.nil.dim]
-            eigenvector = dec.quotient_filtrations[p.alpha][0]
+            eigenvector = dec.quotient_filtrations[i][0]
             dist = projector_distance(Subspace(k, climbed[0], TOL), Subspace(k, eigenvector, TOL))
             assert dist < 1e-10
         # the multiple points keep bitwise the frames of the climb
-        for p in multiple:
-            chain = climb(dec.pencil, p, dec.alpha0_used)
-            stored = dec.quotient_filtrations[p.alpha]
+        for i in multiple:
+            chain = climb(dec.pencil, dec.points[i], dec.alpha0_used)
+            stored = dec.quotient_filtrations[i]
             assert len(chain) == len(stored)
             assert all(np.array_equal(w, v) for w, v in zip(chain, stored))
 
@@ -1152,7 +1150,7 @@ class TestSimpleFrames:
     def test_random_frame_fails_the_stabilizer_check(self):
         alg = mat_algebra(3)
         dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(71)))
-        frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        frames = [levels[-1] for levels in dec.quotient_filtrations]
         i = next(q for q, p in enumerate(dec.points) if p.algebraic_mult == 1)
         frames[i] = random_unit(dec.quotient_dim, np.random.default_rng(72))
         checks = _decomposition_checks(dec.pencil, dec.points, frames, 0)
@@ -1166,7 +1164,7 @@ class TestSimpleFrames:
         dec = decompose(upper_triangular(2), Functional(np.array([1.0, 1.0, 2.0])))
         inf = dec.points[-1]
         assert inf.alpha.is_infinite and inf.algebraic_mult == 1
-        frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        frames = [levels[-1] for levels in dec.quotient_filtrations]
         frames[-1] = random_unit(dec.quotient_dim, np.random.default_rng(73))
         checks = _decomposition_checks(dec.pencil, dec.points, frames, 0)
         assert not check_named(checks, "simple_frames_in_stabilizer").passed
@@ -1175,13 +1173,12 @@ class TestSimpleFrames:
         alg = mat_algebra(3)
         dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(74)))
         assert verify_alpha0_suite(dec).passed
-        p = next(p for p in dec.points if p.algebraic_mult == 1)
+        i = next(i for i, p in enumerate(dec.points) if p.algebraic_mult == 1)
         frame = random_unit(dec.quotient_dim, np.random.default_rng(75))
         frame.setflags(write=False)
-        levels = {**dec.quotient_filtrations, p.alpha: (frame,)}
-        finding = verify_alpha0_suite(dataclasses.replace(dec, quotient_filtrations=levels))
+        finding = verify_alpha0_suite(with_chain(dec, i, (frame,)))
         assert not finding.passed and finding.max_residual > 1e-3
-        assert finding.witness[0] == p.alpha
+        assert finding.witness[0] == dec.points[i].alpha
 
 
 class TestPointsAtZero:
@@ -1244,11 +1241,11 @@ class TestRoundoffEntries:
             assert [p.algebraic_mult for p in dec.points] == [5]
 
 
-def doctored_level0(dec, alpha, frame):
-    """``dec`` with the one level of ``alpha`` replaced by ``frame``."""
+def doctored_level0(dec, i, frame):
+    """``dec`` with the chain of its point ``i`` replaced by the one level
+    ``frame``."""
     frame.setflags(write=False)
-    levels = {**dec.quotient_filtrations, alpha: (frame,)}
-    return dataclasses.replace(dec, quotient_filtrations=levels)
+    return with_chain(dec, i, (frame,))
 
 
 def random_frame(k, width, rng):
@@ -1274,10 +1271,10 @@ class TestAlpha0SuiteRule:
                 shift,
                 dec.tol,
                 1e-8,
-                dec.quotient_filtrations[p.alpha][0],
+                levels[0],
                 climb=p.algebraic_mult > 1,
             )
-            for p in dec.points
+            for p, levels in zip(dec.points, dec.quotient_filtrations)
         ]
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
@@ -1294,9 +1291,10 @@ class TestAlpha0SuiteRule:
         # alpha = 1 has multiplicity 3 and a chain of one level: both
         # shifts climb from the level under test, and neither grows
         dec = decompose(mat_algebra(3), diag125())
-        p = find_point(dec, 1.0)
-        assert p.algebraic_mult == 3 and len(dec.quotient_filtrations[p.alpha]) == 1
-        doctored = doctored_level0(dec, p.alpha, random_frame(9, 3, np.random.default_rng(76)))
+        i = find_point(dec, 1.0)
+        p = dec.points[i]
+        assert p.algebraic_mult == 3 and len(dec.quotient_filtrations[i]) == 1
+        doctored = doctored_level0(dec, i, random_frame(9, 3, np.random.default_rng(76)))
         finding = verify_alpha0_suite(doctored)
         assert not finding.passed and finding.max_residual > 1e-3
         assert finding.witness[0] == p.alpha
@@ -1313,15 +1311,15 @@ class TestAlpha0SuiteRule:
         dec = decompose(mat_algebra(3), diag125())
         one, two = find_point(dec, 1.0), find_point(dec, 2.0)
         rng = np.random.default_rng(77)
-        doctored = doctored_level0(dec, one.alpha, random_frame(9, 3, rng))
-        v = dec.quotient_filtrations[two.alpha][0] + 1e-4 * random_unit(9, rng)
-        doctored = doctored_level0(doctored, two.alpha, v / np.linalg.norm(v))
+        doctored = doctored_level0(dec, one, random_frame(9, 3, rng))
+        v = dec.quotient_filtrations[two][0] + 1e-4 * random_unit(9, rng)
+        doctored = doctored_level0(doctored, two, v / np.linalg.norm(v))
         want = self.loop(doctored)
-        residuals = {p.alpha: r for p, (equal, r) in zip(dec.points, want) if not equal}
-        assert list(residuals) == [one.alpha, two.alpha]
-        assert 1e-9 < residuals[two.alpha] < 1e-3 < residuals[one.alpha]
+        residuals = {i: r for i, (equal, r) in enumerate(want) if not equal}
+        assert list(residuals) == [one, two]
+        assert 1e-9 < residuals[two] < 1e-3 < residuals[one]
         finding = verify_alpha0_suite(doctored)
-        assert not finding.passed and finding.witness[0] == one.alpha
+        assert not finding.passed and finding.witness[0] == dec.points[one].alpha
 
 
 def assert_bitwise_equal(got, want):
@@ -1343,10 +1341,10 @@ def assert_bitwise_equal(got, want):
     assert got.chi.degree == want.chi.degree
     same(got.chi.coeffs, want.chi.coeffs)
     assert got.points == want.points
-    assert list(got.quotient_filtrations) == list(want.quotient_filtrations)
-    for alpha, levels in got.quotient_filtrations.items():
-        assert len(levels) == len(want.quotient_filtrations[alpha])
-        for w_got, w_want in zip(levels, want.quotient_filtrations[alpha]):
+    assert len(got.quotient_filtrations) == len(want.quotient_filtrations) == len(got.points)
+    for levels, levels_want in zip(got.quotient_filtrations, want.quotient_filtrations):
+        assert len(levels) == len(levels_want)
+        for w_got, w_want in zip(levels, levels_want):
             same(w_got, w_want)
     assert (got.alpha0_used, got.tol, got.cluster_tol) == (
         want.alpha0_used,
@@ -1408,7 +1406,7 @@ class TestDecomposeAll:
         rng = np.random.default_rng(33)
         fs = [f] + [random_functional(alg.dim, rng) for _ in range(3)]
         decs = decompose_all(alg, fs, seed=2)
-        assert max(len(levels) for levels in decs[0].quotient_filtrations.values()) == 3
+        assert max(len(levels) for levels in decs[0].quotient_filtrations) == 3
         for f, dec in zip(fs, decs):
             assert_bitwise_equal(dec, decompose_loop(alg, f, seed=2))
 
@@ -1580,7 +1578,7 @@ class TestDecompositionChecksOracle:
         found = []
         for dec in decs:
             if dec.quotient_dim:
-                v_frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+                v_frames = [levels[-1] for levels in dec.quotient_filtrations]
                 found.append(cls.assert_agree(dec.checks, dec.pencil, dec.points, v_frames, seed))
         return found
 
@@ -1633,7 +1631,7 @@ class TestDecompositionChecksOracle:
         alg, f = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS[name][0])
         rng = np.random.default_rng(43)
         decs = decompose_all(alg, [f] + [random_functional(alg.dim, rng) for _ in range(3)])
-        assert any(len(levels) > 1 for levels in decs[0].quotient_filtrations.values())
+        assert any(len(levels) > 1 for levels in decs[0].quotient_filtrations)
         self.assert_batch_agrees(decs)
 
     @pytest.mark.parametrize(
@@ -1665,7 +1663,7 @@ class TestDecompositionChecksOracle:
         # extra dependent column (K + 1 columns) and a random simple frame
         alg = mat_algebra(3)
         dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(45)))
-        frames = [levels[-1] for levels in dec.quotient_filtrations.values()]
+        frames = [levels[-1] for levels in dec.quotient_filtrations]
         simple = [q for q, p in enumerate(dec.points) if p.algebraic_mult == 1]
         repeated, extra, randomized = list(frames), list(frames), list(frames)
         repeated[simple[1]] = frames[simple[0]].copy()
@@ -1735,12 +1733,12 @@ class TestKernelStabilizers:
             value = None if alpha.is_infinite else 0.0
             oracle = Subspace(alg.dim, stab_fullspace(alg, f.coords, value), TOL)
             assert got.dim == oracle.dim and projector_distance(got, oracle) < 1e-8
-            p = dec.point_at(alpha)
-            if p is None:
+            i = dec.point_at(alpha)
+            if i is None:
                 # no point there: the kernel is nil
                 assert kernel.dim == rp.nil.dim
                 continue
-            w = dec.quotient_filtrations[p.alpha][0]
+            p, w = dec.points[i], dec.quotient_filtrations[i][0]
             assert p.stab_dim == w.shape[1] == kernel.dim - rp.nil.dim
             # the lifted columns lie in the kernel, and Q w is orthogonal to
             # nil, so w spans Q^H kernel
@@ -1755,3 +1753,53 @@ class TestKernelStabilizers:
         ends = [dec.points[0], dec.points[-1]]
         assert [p.alpha for p in ends] == [ProjectivePoint.finite(0.0), INFINITY]
         assert [(p.algebraic_mult, p.stab_dim) for p in ends] == [(6, 6), (6, 6)]
+
+
+
+class TestEqualValuedPoints:
+    """Each point keeps its own chain, by position, even when two points
+    have equal values: a layout keyed by the value would give both one
+    chain."""
+
+    def test_each_point_keeps_its_own_chain(self, monkeypatch):
+        import algscope.linalg as linalg
+        from algscope import run_suites
+
+        stack_points = linalg._stack_points
+
+        def merged(*args):
+            # the second simple point takes the first one's value, and keeps
+            # its own eigenvector
+            out = stack_points(*args)
+            for raw in out:
+                first, second = [j for j, (_, mult, _) in enumerate(raw) if mult == 1][:2]
+                raw[second] = (raw[first][0],) + raw[second][1:]
+            return out
+
+        # _shifted_eigens looks the name up in its module when it runs
+        monkeypatch.setattr(linalg, "_stack_points", merged)
+        alg = mat_algebra(3)
+        dec = decompose(alg, random_functional(9, np.random.default_rng(1)))
+        first, second = [j for j, p in enumerate(dec.points) if p.algebraic_mult == 1][:2]
+        assert dec.points[first].alpha == dec.points[second].alpha
+        assert len(dec.points) == 7
+        checks = {c.name: c for c in dec.checks}
+        assert len(checks) == 5
+        # the frames are still the eigenvectors, one per point, so they
+        # split the quotient at rank K
+        direct = checks["v_spaces_direct_sum"]
+        assert direct.passed and direct.detail == "rank 9 of 9 stacked V(alpha) columns vs K 9"
+        # the second point's eigenvector lies off Stab of the value it took,
+        # and no other frame does
+        assert not checks["simple_frames_in_stabilizer"].passed
+        alphas = [p.alpha for p in dec.points]
+        (residuals,) = _stab_residuals(
+            [dec.pencil], [alphas], [[levels[0] for levels in dec.quotient_filtrations]]
+        )
+        assert [j for j, r in enumerate(residuals) if r >= dec.tol] == [second]
+        for levels in (dec.quotient_filtrations, dec.filtrations, dec.v_spaces):
+            assert isinstance(levels, tuple) and len(levels) == len(dec.points)
+        assert projector_distance(dec.v_spaces[first], dec.v_spaces[second]) > 0.5
+        # every suite reads the decompositions by position too
+        findings = run_suites(alg, n_functionals=3, seed=1)
+        assert findings and all(f.theorem_id for f in findings)

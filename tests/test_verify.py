@@ -57,7 +57,6 @@ from algscope.verify import (
     _chain_distance,
     _point_indices,
     _product_inclusions,
-    _shape,
 )
 
 from oracles import (
@@ -78,6 +77,7 @@ from oracles import (
     stab_transversality_pairwise,
     target_indices_loop,
     v_mult_loop,
+    with_chain,
     zero_on,
 )
 
@@ -223,12 +223,7 @@ class TestVMult:
         # the inclusion the finding asserts
         alg = mat_algebra(3)
         dec = decompose(alg, diag125())
-        p2 = dec.point_at(ProjectivePoint.finite(2.0))
-        p52 = dec.point_at(ProjectivePoint.finite(2.5))
-        p5 = dec.point_at(ProjectivePoint.finite(5.0))
-        v2 = dec.v_spaces[p2.alpha]
-        v52 = dec.v_spaces[p52.alpha]
-        v5 = dec.v_spaces[p5.alpha]
+        v2, v52, v5 = (dec.v_spaces[dec.point_at(ProjectivePoint.finite(x))] for x in (2, 2.5, 5))
         from algscope import multiply
 
         prod = multiply(alg, v2.frame[:, 0], v52.frame[:, 0]).coords
@@ -238,8 +233,7 @@ class TestVMult:
     def test_product_at_non_spectrum_point_falls_into_nil(self):
         alg = mat_algebra(3)
         dec = decompose(alg, diag125())
-        p2 = dec.point_at(ProjectivePoint.finite(2.0))
-        v2 = dec.v_spaces[p2.alpha]
+        v2 = dec.v_spaces[dec.point_at(ProjectivePoint.finite(2.0))]
         from algscope import multiply
 
         prod = multiply(alg, v2.frame[:, 0], v2.frame[:, 0]).coords
@@ -311,8 +305,8 @@ class TestDimSymmetry:
         two = dec.point_at(ProjectivePoint.finite(2.0))
         moved = {one: 7.0, two: 11.0}
         points = tuple(
-            dataclasses.replace(p, alpha=ProjectivePoint.finite(moved[p])) if p in moved else p
-            for p in dec.points
+            dataclasses.replace(p, alpha=ProjectivePoint.finite(moved[i])) if i in moved else p
+            for i, p in enumerate(dec.points)
         )
         v, stab_finding = verify_dim_symmetry(dataclasses.replace(dec, points=points))
         assert not v.passed and v.max_residual == 3.0
@@ -397,15 +391,15 @@ class TestAlpha0Suite:
         # any chain climbed from level 0 is right
         alg, _ = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["block2"][0])
         dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(0)))
-        p = next(p for p in dec.points if abs(p.alpha.value + 1.0) < 1e-6)
-        w0, w1 = dec.quotient_filtrations[p.alpha]
+        i = next(i for i, p in enumerate(dec.points) if abs(p.alpha.value + 1.0) < 1e-6)
+        p = dec.points[i]
+        w0, w1 = dec.quotient_filtrations[i]
         assert (w0.shape[1], w1.shape[1]) == (1, 2)
         # a direction orthogonal to the whole of the reported level 1
         u = np.linalg.svd(w1, full_matrices=True)[0][:, 2:3]
         level1 = np.hstack([w0, u])
         level1.setflags(write=False)
-        levels = {**dec.quotient_filtrations, p.alpha: (w0, level1)}
-        doctored = dataclasses.replace(dec, quotient_filtrations=levels)
+        doctored = with_chain(dec, i, (w0, level1))
         assert verify_alpha0_suite(dec).passed
         finding = verify_alpha0_suite(doctored)
         assert not finding.passed and finding.max_residual > 0.5
@@ -949,14 +943,14 @@ class TestProductInclusionsOracle:
         (found,) = _point_indices([dec], _alphas([dec]), (queries[0][None], queries[1][None]))
         assert np.array_equal(found[: grid.size], target_indices_loop(dec, grid))
         for value, infinite, index in zip(*queries, found):
-            point = dec.point_at(INFINITY if infinite else ProjectivePoint.finite(value))
-            assert index == -1 if point is None else dec.points[index] is point
+            at = dec.point_at(INFINITY if infinite else ProjectivePoint.finite(value))
+            assert index == (-1 if at is None else at)
         assert any(p.alpha.is_infinite for p in dec.points) is (weights[-1] == 0.0)
 
     def test_defective_point_matches(self):
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
         dec = decompose(alg, f)
-        assert any(len(levels) > 1 for levels in dec.filtrations.values())
+        assert any(len(levels) > 1 for levels in dec.filtrations)
         self.assert_agree(alg, dec)
 
     @pytest.mark.parametrize("name", list(PLANTED_JORDAN_BLOCKS))
@@ -974,7 +968,7 @@ class TestProductInclusionsOracle:
         for a in (alg, opposite(alg)):
             dec = decompose(a, f)
             assert dec.nil.dim == (2 if with_nil else 0)
-            levels = list(dec.quotient_filtrations.values())
+            levels = dec.quotient_filtrations
             assert max(len(chain) for chain in levels) == n_levels
             assert max(w.shape[1] for chain in levels for w in chain) > 1
             assert [f.passed for f in verify_v_mult(a, dec)] == [True, True]
@@ -1003,11 +997,10 @@ class TestProductInclusionsOracle:
         alg = mat_algebra(3)
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
         assert dec.nil.dim == 1
-        one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
-        two = dec.point_at(ProjectivePoint.finite(2.0)).alpha
+        one = dec.point_at(ProjectivePoint.finite(1.0))
+        two = dec.point_at(ProjectivePoint.finite(2.0))
         assert dec.point_at(ProjectivePoint.finite(4.0)) is None
-        levels = dec.quotient_filtrations
-        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, two: levels[one]})
+        doctored = with_chain(dec, two, dec.quotient_filtrations[one])
         for worst, witness in self.assert_agree(alg, doctored):
             assert worst > 0.1 and witness is not None
         assert not any(f.passed for f in verify_v_mult(alg, doctored))
@@ -1016,7 +1009,7 @@ class TestProductInclusionsOracle:
         alg = mat_algebra(2)
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
         assert dec.nil.dim == 0
-        empty = {alpha: (np.zeros((dec.quotient_dim, 0)),) for alpha in dec.quotient_filtrations}
+        empty = tuple((np.zeros((dec.quotient_dim, 0)),) for _ in dec.quotient_filtrations)
         doctored = dataclasses.replace(dec, quotient_filtrations=empty)
         assert self.assert_agree(alg, doctored) == [(0.0, None)] * 2
 
@@ -1024,11 +1017,10 @@ class TestProductInclusionsOracle:
         alg = mat_algebra(3)
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
         inf = dec.points[-1].alpha
-        one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
+        one = dec.point_at(ProjectivePoint.finite(1.0))
         assert inf.is_infinite
         # V(1) holds the unit, so V(1) V(2) misses V(1) put in place of V(inf)
-        levels = dec.quotient_filtrations
-        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, inf: levels[one]})
+        doctored = with_chain(dec, -1, dec.quotient_filtrations[one])
         (worst, _), (worst_nonzero, witness) = self.assert_agree(alg, doctored)
         assert worst < 1e-12 and worst_nonzero > 0.1
         # the witness names V^k(a) V^m(b) in the decomposition's own points
@@ -1043,14 +1035,15 @@ class TestProductInclusionsOracle:
         dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
         assert all(f.passed for f in verify_v_mult(alg, dec) + verify_dim_symmetry(dec))
         assert verify_alpha0_suite(dec).passed
-        inf = dec.points[-1].alpha
-        one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
-        levels = dec.quotient_filtrations
-        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, inf: levels[one]})
+        assert dec.points[-1].alpha.is_infinite
+        one = dec.point_at(ProjectivePoint.finite(1.0))
+        doctored = with_chain(dec, -1, dec.quotient_filtrations[one])
         assert [f.passed for f in verify_v_mult(alg, doctored)] == [True, False]
         assert not verify_alpha0_suite(doctored).passed
         seven = ProjectivePoint.finite(7.0)
-        moved = [dataclasses.replace(p, alpha=seven) if p.alpha == one else p for p in dec.points]
+        moved = [
+            dataclasses.replace(p, alpha=seven) if i == one else p for i, p in enumerate(dec.points)
+        ]
         v, _ = verify_dim_symmetry(dataclasses.replace(dec, points=tuple(moved)))
         assert not v.passed and v.witness == (seven, "no mirror point")
 
@@ -1067,11 +1060,10 @@ class TestProductInclusionsOracle:
     def test_swapped_level_fails_with_the_same_witness(self, alg, f):
         dec = decompose(alg, f)
         # V(1) holds the unit, whose square then misses its new target
-        first = dec.point_at(ProjectivePoint.finite(1.0)).alpha
-        second = next(p.alpha for p in dec.points if p.alpha != first)
+        first = dec.point_at(ProjectivePoint.finite(1.0))
+        second = next(i for i in range(len(dec.points)) if i != first)
         levels = dec.quotient_filtrations
-        swapped = {**levels, first: levels[second], second: levels[first]}
-        doctored = dataclasses.replace(dec, quotient_filtrations=swapped)
+        doctored = with_chain(with_chain(dec, first, levels[second]), second, levels[first])
         for worst, witness in self.assert_agree(alg, doctored):
             assert worst > 0.1 and witness is not None
         findings = verify_v_mult(alg, doctored)
@@ -1126,7 +1118,7 @@ class TestLinearAlgebraCounts:
             calls.clear()
             dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(seed)))
             assert len(dec.points) == n * (n - 1) + 1
-            assert all(len(levels) == 1 for levels in dec.quotient_filtrations.values())
+            assert all(len(levels) == 1 for levels in dec.quotient_filtrations)
             counts.append(len(calls))
         # 7 points on Mat_3 and 13 on Mat_4, but the same number of SVDs
         assert counts[0] == counts[1]
@@ -1142,8 +1134,9 @@ class TestLinearAlgebraCounts:
             alg, f = mat_algebra(3), random_functional(9, np.random.default_rng(59))
         dec = decompose(alg, f)
         k = dec.quotient_dim
-        multiple = [p for p in dec.points if p.algebraic_mult > 1]
-        chains = [dec.quotient_filtrations[p.alpha] for p in multiple]
+        multiple, chains = zip(
+            *((p, c) for p, c in zip(dec.points, dec.quotient_filtrations) if p.algebraic_mult > 1)
+        )
         # alpha = 1 has a level 0 of full dimension on both inputs; the
         # planted Jordan block's alpha = -1 climbs one level
         assert [len(levels) for levels in chains] == ([1, 2] if defective else [1])
@@ -1339,7 +1332,7 @@ class TestLinearAlgebraCounts:
             # v-mult: one product call per decomposition, each member of a
             # shape group formed alone, so that no group holds more than one
             # member's product tensor
-            groups.append(len({_shape(dec) for dec in decs}))
+            groups.append(len({dec._shape for dec in decs}))
             assert callers.count("_group_inclusions") == sum(bool(dec.points) for dec in decs) == n
             assert opposites == []
             # kernel relations: per group of equal kernel dimensions, one
@@ -1409,14 +1402,12 @@ class TestTransversality:
     )
     def test_repeated_stab_frame_fails(self, alg, f):
         dec = decompose(alg, f)
-        first, second = dec.points[0].alpha, dec.points[1].alpha
-        levels = dec.quotient_filtrations
-        doctored = dataclasses.replace(dec, quotient_filtrations={**levels, second: levels[first]})
+        doctored = with_chain(dec, 1, dec.quotient_filtrations[0])
         finding = verify_stab_transversality(doctored)
         passed, worst, pairs = stab_transversality_pairwise(doctored)
         assert not passed and worst >= 1
         assert not finding.passed and finding.max_residual >= 1
-        assert finding.witness == (second,) and finding.samples == pairs
+        assert finding.witness == (dec.points[1].alpha,) and finding.samples == pairs
 
 
     def test_every_failure_fails_the_direct_sum_check(self):
@@ -1438,12 +1429,11 @@ class TestTransversality:
         decs.append(decompose(mat_algebra(3), matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))))
         failures = 0
         for dec in decs:
-            levels = dec.quotient_filtrations
             doctored = [
-                dataclasses.replace(dec, quotient_filtrations={**levels, p.alpha: levels[q.alpha]})
-                for p in dec.points
-                for q in dec.points
-                if p is not q
+                with_chain(dec, i, dec.quotient_filtrations[j])
+                for i in range(len(dec.points))
+                for j in range(len(dec.points))
+                if i != j
             ]
             for d in [dec] + doctored:
                 if not verify_stab_transversality(d).passed:
@@ -1460,10 +1450,9 @@ def test_doctored_quotient_frames_reach_every_reader():
     suite."""
     alg = mat_algebra(3)
     dec = decompose(alg, diag125())
-    one = dec.point_at(ProjectivePoint.finite(1.0)).alpha
-    two = dec.point_at(ProjectivePoint.finite(2.0)).alpha
-    levels = dec.quotient_filtrations
-    doctored = dataclasses.replace(dec, quotient_filtrations={**levels, two: levels[one]})
+    one = dec.point_at(ProjectivePoint.finite(1.0))
+    two = dec.point_at(ProjectivePoint.finite(2.0))
+    doctored = with_chain(dec, two, dec.quotient_filtrations[one])
     assert projector_distance(doctored.filtrations[two][0], dec.filtrations[one][0]) == 0
     assert projector_distance(doctored.v_spaces[two], dec.v_spaces[one]) == 0
     assert all(f.passed for f in verify_v_mult(alg, dec))
@@ -1472,7 +1461,7 @@ def test_doctored_quotient_frames_reach_every_reader():
     assert verify_stab_transversality(dec).passed
     finding = verify_stab_transversality(doctored)
     # 2 follows 1 in spectrum order
-    assert not finding.passed and finding.witness == (two,)
+    assert not finding.passed and finding.witness == (dec.points[two].alpha,)
 
 
 class TestRunSuites:
@@ -1766,13 +1755,13 @@ class TestRunSuitesOracle:
         randoms = decompose_all(alg, [random_functional(9, rng) for _ in range(3)])
         with_nil = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0, 0.0])))
         plain = decompose(alg, diag125())
-        one, two = (plain.point_at(ProjectivePoint.finite(x)).alpha for x in (1.0, 2.0))
+        one, two = (plain.point_at(ProjectivePoint.finite(x)) for x in (1.0, 2.0))
         levels = plain.quotient_filtrations
-        swapped = dataclasses.replace(plain, quotient_filtrations={**levels, two: levels[one]})
-        inf, one0 = with_nil.points[-1].alpha, with_nil.point_at(ProjectivePoint.finite(1.0)).alpha
-        levels0 = with_nil.quotient_filtrations
-        at_inf = dataclasses.replace(with_nil, quotient_filtrations={**levels0, inf: levels0[one0]})
-        empty = {alpha: (np.zeros((plain.quotient_dim, 0)),) for alpha in levels}
+        swapped = with_chain(plain, two, levels[one])
+        assert with_nil.points[-1].alpha.is_infinite
+        one0 = with_nil.point_at(ProjectivePoint.finite(1.0))
+        at_inf = with_chain(with_nil, -1, with_nil.quotient_filtrations[one0])
+        empty = tuple((np.zeros((plain.quotient_dim, 0)),) for _ in levels)
         emptied = dataclasses.replace(plain, quotient_filtrations=empty)
         batch = [randoms[0], with_nil, swapped, randoms[1], plain, at_inf, emptied, randoms[2]]
         return alg, batch, [swapped, at_inf, emptied]
@@ -1804,7 +1793,7 @@ class TestRunSuitesOracle:
         rng = np.random.default_rng(7)
         fs = [diag125(), matrix_trace_functional(np.diag([1.0, -1.0, 2.0]))]
         batch = decompose_all(alg, fs + [random_functional(9, rng) for _ in range(2)])
-        shapes = [_shape(dec) for dec in batch]
+        shapes = [dec._shape for dec in batch]
         assert shapes[0] == shapes[2] == shapes[3] != shapes[1]
         assert {(k, sum(map(sum, chains))) for k, chains in shapes} == {(9, 9)}
         products = TestLinearAlgebraCounts.count_calls(monkeypatch, verify, "_group_inclusions")
