@@ -160,6 +160,16 @@ def _raise_first(results: list) -> list:
     return results
 
 
+def _groups(keys) -> dict:
+    """The indices of ``keys`` per distinct key, in order of first
+    appearance; a key of None joins no group."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return groups
+
+
 def _stack_kernels(a: np.ndarray, tol: float) -> list[Kernels]:
     """Kernels of each finite pairing matrix of the stack ``a``: one full SVD
     of the stack gives both, at one rank per pairing, so the left and the
@@ -193,12 +203,8 @@ def _may_meet(pairs: list[tuple[Subspace, Subspace]], tol: float) -> list[int]:
     4 tol, twice that bound, meets in 0: the margin absorbs the rounding of
     both SVDs.  The others take the intersection SVD, which decides their
     nil exactly as :func:`subspace_intersect` does."""
-    groups: dict[int, list[int]] = {}
-    for i, (_, right) in enumerate(pairs):
-        if right.dim:
-            groups.setdefault(right.dim, []).append(i)
     meet = []
-    for members in groups.values():
+    for members in _groups(right.dim or None for _, right in pairs).values():
         left = np.stack([pairs[i][0].frame for i in members])
         right = np.stack([pairs[i][1].frame for i in members])
         off = right - left @ (left.conj().transpose(0, 2, 1) @ right)

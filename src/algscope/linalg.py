@@ -6,24 +6,25 @@ intersection, equality), eigen-analysis of a matrix pencil through a regular
 shift, and extraction of the homogeneous determinant polynomial
 ``det(lam*a + mu*b)``.
 
-Rank decisions use a relative singular-value threshold ``tol * sigma_max``;
+Rank decisions use a relative singular-value threshold ``tol * sigma_max``,
+and one function, ``_ranks``, counts the values at or above it for
 :func:`rank`, :func:`nullspace`, :func:`orthonormal_columns` and
-:func:`stack_ranks` raise :class:`ValueError` for a ``tol`` that is not a
-finite number > 0.
+:func:`stack_ranks`, which raise :class:`ValueError` for a ``tol`` that is
+not a finite number > 0.
 Operators of the form ``a - alpha*b`` can cancel to a matrix that is zero up
 to roundoff; for those the caller passes ``scale`` (the pre-cancellation
 magnitude) so the cutoff never collapses to the noise floor of an
 all-noise matrix.
 
-:func:`stack_ranks` makes the rank decision of :func:`rank` for a list of
-equal-shape matrices with one LAPACK call: numpy runs the routine of a
-single call on each matrix of the stack, so every rank is that of the
-single call.  The nullspaces and pencil eigen-analyses are written the same
-way, over a stack (``_nullspaces``, ``_shifted_eigens``); :func:`nullspace`
-and :func:`pencil_eigen` call them with a stack of one, so a batch of
-pencils gets, bit for bit, the answers of one call per pencil.  Between
-their LAPACK calls no loop runs per matrix or per point: ranks, frame
-checks and the clustering of eigenvalues are array passes over the stack.
+:func:`stack_ranks` makes the rank decision for a list of equal-shape
+matrices with one LAPACK call: numpy runs the routine of a single call on
+each matrix of the stack, so every rank is that of the single call.  So
+are the nullspaces and pencil eigen-analyses written (``_nullspaces``,
+``_shifted_eigens``), and :func:`rank`, :func:`nullspace` and
+:func:`pencil_eigen` run theirs on a stack of one: a batch gets, bit for
+bit, the answers of one call per matrix.  Between their LAPACK calls no
+loop runs per matrix or per point: ranks, frame checks and the clustering
+of eigenvalues are array passes over the stack.
 :func:`det_poly` interpolates one pencil's determinant from one ``det`` per
 node; :mod:`algscope.spectral` takes its batches' characteristic
 polynomials from the eigenvalues ``_shifted_eigens`` returns instead.
@@ -78,25 +79,21 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def _svd_cutoffs(s: np.ndarray, tol: float, scales) -> np.ndarray:
-    """Threshold below which singular values count as zero, per row of the
-    stack ``s`` of singular values: relative to the row's largest value (or
-    1 for an exactly zero matrix), and never below ``tol * scales[i]`` when
-    that problem scale is supplied (not None)."""
+def _ranks(s: np.ndarray, tol: float, scales) -> np.ndarray:
+    """Per row of the stack ``s`` of descending singular values, how many are
+    at or above ``tol`` times the row's largest (1 for an exactly zero
+    matrix) or, when larger and not None, the problem scale ``scales[i]``."""
     smax = s[:, 0] if s.shape[-1] else np.zeros(len(s))
     # a missing scale becomes NaN, which fmax ignores
     floor = np.array(scales, dtype=float)
-    return tol * np.fmax(np.where(smax > 0.0, smax, 1.0), floor)
+    cutoffs = tol * np.fmax(np.where(smax > 0.0, smax, 1.0), floor)
+    return np.sum(s >= cutoffs[:, None], axis=1)
 
 
 def rank(m, tol: float, *, scale: float | None = None) -> int:
-    """Numerical rank with the cutoff convention of :func:`nullspace`."""
-    _check_tolerance("tol", tol)
-    m = as_matrix(m)
-    if 0 in m.shape:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s >= _svd_cutoffs(s[None], tol, [scale])[0]))
+    """Numerical rank at the cutoff of :func:`nullspace`: :func:`stack_ranks`
+    of ``m`` alone."""
+    return int(stack_ranks([m], tol, [scale])[0])
 
 
 # --------------------------------------------------------------------------
@@ -166,10 +163,10 @@ class Subspace:
 
     ``frame`` has shape ``(ambient_dim, dim)`` and satisfies
     ``frame^H frame = I`` within ``10 * tol``.  The constructor checks that
-    bound; the stacked nullspaces behind :func:`nullspace` check their
-    frames once per stack instead, with the same bound and error.  The
-    constructor, :meth:`zero` and :meth:`full` raise :class:`ValueError`
-    unless ``tol`` is a finite number > 0.
+    bound, and the stacked nullspaces behind :func:`nullspace` run the same
+    check (``_check_orthonormal``) once per stack instead.  The constructor,
+    :meth:`zero` and :meth:`full` raise :class:`ValueError` unless ``tol``
+    is a finite number > 0.
     """
 
     ambient_dim: int
@@ -185,9 +182,7 @@ class Subspace:
             )
         if frame.shape[1] > self.ambient_dim:
             raise ShapeError("frame has more columns than the ambient dimension")
-        g = frame.conj().T @ frame
-        if g.size and np.max(np.abs(g - np.eye(frame.shape[1]))) > 10.0 * self.tol:
-            raise ShapeError("frame columns are not orthonormal at the stated tolerance")
+        _check_orthonormal(frame, self.tol)
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
 
@@ -262,24 +257,28 @@ def _nullspaces(stack: np.ndarray, tol: float, scales, *, left: bool = False) ->
     trailing columns of conj(U)."""
     u, s, vh = np.linalg.svd(stack)
     m, n = stack.shape[-2:]
-    ranks = np.sum(s >= _svd_cutoffs(s, tol, scales)[:, None], axis=1)
+    ranks = _ranks(s, tol, scales)
     rights = _checked_frames(vh.transpose(0, 2, 1), n - ranks, tol)
     if not left:
         return rights
     return list(zip(_checked_frames(u, m - ranks, tol), rights))
 
 
+def _check_orthonormal(frames: np.ndarray, tol: float):
+    """Raise :class:`ShapeError` unless the columns of the frame, or of each
+    frame of the stack, ``frames`` are orthonormal within ``10 * tol``."""
+    gram = frames.conj().swapaxes(-1, -2) @ frames
+    if gram.size and np.max(np.abs(gram - np.eye(frames.shape[-1]))) > 10.0 * tol:
+        raise ShapeError("frame columns are not orthonormal at the stated tolerance")
+
+
 def _checked_frames(cols: np.ndarray, dims: np.ndarray, tol: float) -> list[Subspace]:
     """The subspaces spanned by the conjugated last ``dims[i]`` columns of
-    each ``cols[i]``; raises :class:`ShapeError`, as :class:`Subspace`
-    does, unless they are orthonormal within ``10 * tol``, from one Gram
-    residual per dimension."""
+    each ``cols[i]``, checked as :class:`Subspace` checks its frame, once
+    per dimension."""
     n, width = cols.shape[-2:]
     for d in sorted(set(dims.tolist()) - {0}):
-        block = cols[dims == d, :, width - d :]
-        gram = block.conj().transpose(0, 2, 1) @ block
-        if np.max(np.abs(gram - np.eye(d))) > 10.0 * tol:
-            raise ShapeError("frame columns are not orthonormal at the stated tolerance")
+        _check_orthonormal(cols[dims == d, :, width - d :], tol)
     frames = [c[:, width - d :].conj() for c, d in zip(cols, dims.tolist())]
     return [Subspace._checked(n, w, tol) for w in frames]
 
@@ -291,8 +290,7 @@ def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.n
     if cols.shape[1] == 0:
         return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    r = int(np.sum(s >= _svd_cutoffs(s[None], tol, [scale])[0]))
-    return u[:, :r]
+    return u[:, : int(_ranks(s[None], tol, [scale])[0])]
 
 
 # --------------------------------------------------------------------------
@@ -301,16 +299,11 @@ def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.n
 
 def stack_ranks(mats, tol: float, scales) -> np.ndarray:
     """:func:`rank` of each of the equal-shape matrices ``mats`` at its own
-    ``scales[i]``, from one values-only SVD of their stack; raises on NaN/Inf
-    as :func:`as_matrix` does."""
+    ``scales[i]``, from one values-only SVD of their stack, once each has
+    passed :func:`as_matrix`."""
     _check_tolerance("tol", tol)
-    stack = np.stack(mats).astype(complex, copy=False)
-    if stack.ndim != 3:
-        raise ShapeError(f"expected a stack of 2-d arrays, got shape {stack.shape}")
-    if stack.size and not np.all(np.isfinite(stack)):
-        raise NonFinite("matrix contains NaN or Inf entries")
-    s = np.linalg.svd(stack, compute_uv=False)
-    return np.sum(s >= _svd_cutoffs(s, tol, scales)[:, None], axis=1)
+    stack = np.stack([as_matrix(m) for m in mats])
+    return _ranks(np.linalg.svd(stack, compute_uv=False), tol, scales)
 
 
 def _check_ambient(a: Subspace, b: Subspace):
@@ -356,13 +349,18 @@ def subspace_equal(a: Subspace, b: Subspace, tol: float) -> bool:
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
-    """Operator-norm distance of the two orthogonal projectors, the largest
-    singular value of their difference from one values-only SVD; 0.0, with
-    no SVD, when both subspaces are zero."""
+    """Operator-norm distance of the two orthogonal projectors
+    (:func:`_frame_distance`); 0.0, with no SVD, when both are zero."""
     _check_ambient(a, b)
     if a.dim == b.dim == 0:
         return 0.0
-    return float(np.linalg.svd(a.projector() - b.projector(), compute_uv=False)[0])
+    return _frame_distance(a.frame, b.frame)
+
+
+def _frame_distance(wa: np.ndarray, wb: np.ndarray) -> float:
+    """Operator-norm distance of the projectors onto the spans of the
+    orthonormal frames ``wa`` and ``wb``, from one values-only SVD."""
+    return float(np.linalg.svd(wa @ wa.conj().T - wb @ wb.conj().T, compute_uv=False)[0])
 
 
 def complement(a: Subspace) -> Subspace:
@@ -374,6 +372,16 @@ def complement(a: Subspace) -> Subspace:
 
 # --------------------------------------------------------------------------
 # pencil eigen-analysis
+
+
+def _square_pencil(a, b, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as matrices; a :class:`ShapeError` naming ``caller``
+    unless they are square and of one shape."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{caller} needs equal square matrices, got {a.shape} and {b.shape}")
+    return a, b
 
 
 #: :func:`pencil_eigen` refuses a shift alpha0 at which sigma_min of
@@ -409,10 +417,7 @@ def pencil_eigen(
     not a finite number > 0.
     """
     _check_tolerance("cluster_tol", cluster_tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"pencil needs equal square matrices, got {a.shape} and {b.shape}")
+    a, b = _square_pencil(a, b, "pencil_eigen")
     if a.shape[0] == 0:
         return []
     shifted = a - alpha0 * b
@@ -544,10 +549,7 @@ def det_poly(a, b) -> HomogeneousPoly:
     ``K = 0`` the empty-determinant convention gives the constant
     polynomial 1.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"det_poly needs equal square matrices, got {a.shape} and {b.shape}")
+    a, b = _square_pencil(a, b, "det_poly")
     k = a.shape[0]
     if k == 0:
         return HomogeneousPoly(0, np.array([1.0 + 0.0j]))

@@ -97,7 +97,7 @@ from .errors import (
     SingularPencil,
     _check_tolerance,
 )
-from .functional import Functional, ReducedPencil, _raise_first, _reduce_pencils
+from .functional import Functional, ReducedPencil, _groups, _raise_first, _reduce_pencils
 from .linalg import (
     HomogeneousPoly,
     ProjectivePoint,
@@ -750,20 +750,18 @@ def _decompose_pencils(
     a failed shift draw is not decomposed, and the first error in the order
     of ``rps`` is raised: the one :func:`decompose` raises for it."""
     out: list = list(rps)
-    groups: dict[tuple[int, float], list[int]] = {}
-    for i, rp in enumerate(rps):
-        if isinstance(rp, ReducedPencil):
-            if rp.K == 0:  # nil is the whole algebra, and chi = 1
-                out[i] = Decomposition(rp, np.empty(0, complex), (), (), None, cluster_tol, seed)
-            else:
-                groups.setdefault((rp.K, rp.nil.tol), []).append(i)
-    for members in groups.values():
+    keys = [(rp.K, rp.nil.tol) if isinstance(rp, ReducedPencil) else None for rp in rps]
+    for members in _groups(keys).values():
         group = [rps[i] for i in members]
-        stack = _pencil_stack(group)
-        found = _choose_alpha0s(group, stack, seed)
-        if not any(isinstance(alpha0, Exception) for alpha0 in found):
-            found = _decompose_stack(group, stack, found, cluster_tol, seed)
-        del stack
+        if group[0].K == 0:  # nil is the whole algebra, and chi = 1
+            empty = np.empty(0, complex)
+            found = [Decomposition(rp, empty, (), (), None, cluster_tol, seed) for rp in group]
+        else:
+            stack = _pencil_stack(group)
+            found = _choose_alpha0s(group, stack, seed)
+            if not any(isinstance(alpha0, Exception) for alpha0 in found):
+                found = _decompose_stack(group, stack, found, cluster_tol, seed)
+            del stack
         for i, dec in zip(members, found):
             out[i] = dec
     return _raise_first(out)

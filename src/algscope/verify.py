@@ -59,13 +59,14 @@ from .functional import (
     ReducedPencil,
     _check_dim,
     _check_kernels,
+    _groups,
     _pairings,
     _raise_first,
     _random_functionals,
     _reduce_pencils,
     reduce_pencil,
 )
-from .linalg import INFINITY, ProjectivePoint, Subspace, _close, rank, stack_ranks
+from .linalg import INFINITY, ProjectivePoint, _close, _frame_distance, rank, stack_ranks
 from .spectral import (
     Decomposition,
     _decompose_pencils,
@@ -157,16 +158,6 @@ def _budget_parts(members: list[int], nbytes: int) -> list[list[int]]:
     ``_VALIDATE_BLOCK_BYTES`` at ``nbytes`` per member."""
     parts = _chunks([nbytes] * len(members), _VALIDATE_BLOCK_BYTES)
     return [[members[j] for j in part] for part in parts if part]
-
-
-def _groups(keys) -> dict:
-    """The indices of ``keys`` per distinct key, in order of first
-    appearance; a key of None joins no group."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    return groups
 
 
 def _alphas(decs: list[Decomposition]) -> tuple[np.ndarray, np.ndarray]:
@@ -285,12 +276,7 @@ def _chain_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
     widths differ."""
     if [w.shape[1] for w in a] != [w.shape[1] for w in b]:
         return float("inf")
-    # the spectral norm, as a values-only SVD that np.linalg.svd counts
-    dists = [
-        np.linalg.svd(wa @ wa.conj().T - wb @ wb.conj().T, compute_uv=False)[0]
-        for wa, wb in zip(a[1:], b[1:])
-    ]
-    return float(np.max(dists, initial=0.0))
+    return max((_frame_distance(wa, wb) for wa, wb in zip(a[1:], b[1:])), default=0.0)
 
 
 def _alpha0_suite(decs: list[Decomposition], seeds: list[int]) -> list[Finding]:
@@ -689,12 +675,19 @@ def minimize_stab_dim(
     return (Functional(coords[best].copy()) if best else f_start), int(dims[best])
 
 
-def _stab_pair(rp: ReducedPencil, alpha: ProjectivePoint) -> tuple[Subspace, Subspace]:
-    """Stab(alpha) and Stab(1/alpha) of ``rp`` at its own rank tolerance,
-    with one nullspace when 1/alpha == alpha."""
-    xs = stab(rp, alpha)
+def _stab_products(
+    alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """x y and y x, both indexed [x, y], for the frame columns x of
+    Stab(alpha) and y of Stab(1/alpha) of ``rp``.  At 1/alpha == alpha (1 or
+    -1) one nullspace and one :func:`pairwise_products` call give both."""
     inverse = alpha.inverse()
-    return xs, (xs if inverse == alpha else stab(rp, inverse))
+    xs = stab(rp, alpha).frame
+    if inverse == alpha:
+        xy = pairwise_products(alg, xs, xs)
+        return xy, xy.transpose(1, 0, 2)
+    ys = stab(rp, inverse).frame
+    return pairwise_products(alg, xs, ys), pairwise_products(alg, ys, xs).transpose(1, 0, 2)
 
 
 def verify_regular_perturbation(
@@ -709,17 +702,16 @@ def verify_regular_perturbation(
     ``lambda0 a + mu0 a^T`` and y in the kernel of the swapped combination,
     up to ``REGULAR_PERTURBATION_TOL``.
     These are Stab(alpha) and Stab(1/alpha) of the minimizer's reduced
-    pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0);
-    (0, 0) raises :class:`ValueError`, and a pencil or a direction whose
-    dimension is not ``alg.dim`` :class:`DimensionMismatch`."""
+    pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0),
+    multiplied by :func:`_stab_products`.  (0, 0) raises :class:`ValueError`,
+    and a pencil or a direction whose dimension is not ``alg.dim``
+    :class:`DimensionMismatch`."""
     _check_combination(lambda0, mu0)
     _check_dim(alg, rp.nil.ambient_dim, "reduced pencil")
     for g in s_basis:
         _check_dim(alg, g.dim, "functional")
     alpha = INFINITY if lambda0 == 0 else ProjectivePoint.finite(-mu0 / lambda0)
-    xs, ys = _stab_pair(rp, alpha)
-    xy = pairwise_products(alg, xs.frame, ys.frame)
-    yx = pairwise_products(alg, ys.frame, xs.frame).transpose(1, 0, 2)
+    xy, yx = _stab_products(alg, rp, alpha)
     directions = np.array([g.coords for g in s_basis], dtype=complex).reshape(-1, alg.dim)
     w = lambda0 * xy + mu0 * yx
     res = np.abs(w @ directions.T) / (1.0 + np.linalg.norm(directions, axis=1))
@@ -733,10 +725,11 @@ def verify_corollaries(alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint) 
     from its reduced pencil ``rp``, at ``COROLLARY_TOL``.
 
     alpha = 1: the stabilizer is a commutative subalgebra (commutators
-    vanish).  alpha = 0: products of Stab(0) with Stab(infinity), the left
-    and right kernels ``rp.kernels``, vanish and nil squares to zero.  Other
-    finite alpha: x y = alpha y x for x in Stab(alpha), y in Stab(1/alpha).
-    A pencil of another dimension raises :class:`DimensionMismatch`.
+    vanish), and one product call forms x y and y x (:func:`_stab_products`).
+    alpha = 0: products of Stab(0) with Stab(infinity), the left and right
+    kernels ``rp.kernels``, vanish and nil squares to zero.  Other finite
+    alpha: x y = alpha y x for x in Stab(alpha), y in Stab(1/alpha).  A
+    pencil of another dimension raises :class:`DimensionMismatch`.
     """
     if alpha.is_infinite:
         raise ValueError("corollaries are stated for finite alpha")
@@ -754,12 +747,10 @@ def verify_corollaries(alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint) 
         )
         witness = at and (label,) + at
         return Finding(COROLLARY_3, worst < tol, worst, witness, stab_res.size + nil_res.size)
-    xs, ys = _stab_pair(rp, alpha)
-    xy = pairwise_products(alg, xs.frame, ys.frame)
-    yx = pairwise_products(alg, ys.frame, xs.frame).transpose(1, 0, 2)
+    xy, yx = _stab_products(alg, rp, alpha)
     worst, witness = _first_worst(np.linalg.norm(xy - alpha.value * yx, axis=-1), tol)
     theorem_id = COROLLARY_2 if alpha.value == 1 else COROLLARY_1
-    return Finding(theorem_id, worst < tol, worst, witness, xs.dim * ys.dim)
+    return Finding(theorem_id, worst < tol, worst, witness, xy.shape[0] * xy.shape[1])
 
 
 def negative_control_finding(alg: Algebra, rank_tol: float = DEFAULT_TOL) -> Finding:

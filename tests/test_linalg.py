@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,17 @@ class TestSubspaceLattice:
         assert a.dim + b.dim == s.dim + i.dim
 
 
+@pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 2), (3, 3))])
+@pytest.mark.parametrize("name", ["pencil_eigen", "det_poly"])
+def test_pencil_shape_check_names_its_caller(name, shapes):
+    # one check of both: a non-square pencil, and square matrices of two sizes
+    call = {"pencil_eigen": lambda a, b: pencil_eigen(a, b, 0.0), "det_poly": det_poly}[name]
+    a, b = (np.ones(shape) for shape in shapes)
+    message = f"{name} needs equal square matrices, got {shapes[0]} and {shapes[1]}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call(a, b)
+
+
 class TestPencilEigen:
     def test_equal_matrices_single_point(self):
         pts = pencil_eigen(np.eye(2), np.eye(2), 0.0)
@@ -404,6 +417,21 @@ class TestStackedPrimitives:
         assert stack_ranks(mats, TOL, scales).tolist() == [
             rank(m, TOL, scale=sc) for m, sc in zip(mats, scales)
         ] == ranks
+        # rank is stack_ranks of one matrix: on empty matrices, and on an
+        # all-roundoff one, whose rank the scale floor decides
+        roundoff = np.full((k, k), 1e-20, dtype=complex)
+        edges = [(np.zeros((0, k)), None, 0), (np.zeros((k, 0)), None, 0)]
+        edges += [(roundoff, 1.0, 0), (roundoff, None, 1)]
+        for m, scale, want in edges:
+            assert rank(m, TOL, scale=scale) == stack_ranks([m], TOL, [scale])[0] == want
+        # behind the 2-d check of as_matrix, and the finiteness check of both
+        with pytest.raises(ShapeError, match=rf"^expected a 2-d array, got shape \({k},\)$"):
+            rank(np.ones(k), TOL)
+        bad = np.eye(k, dtype=complex)
+        bad[-1, 0] = np.nan
+        for check in (lambda: rank(bad, TOL), lambda: stack_ranks([bad], TOL, [None])):
+            with pytest.raises(NonFinite):
+                check()
 
     @pytest.mark.parametrize("k", [1, 4, 9])
     def test_stacked_nullspaces_are_the_single_calls(self, k):

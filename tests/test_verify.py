@@ -44,9 +44,11 @@ from algscope import (
     verify_stab_transversality,
     verify_v_mult,
 )
+from algscope.algebra import pairwise_products
 from algscope.verify import (
     COROLLARY_2,
     COROLLARY_3,
+    COROLLARY_TOL,
     DEFAULT_SUITES,
     DIM_SYMMETRY_STAB,
     DIM_SYMMETRY_V,
@@ -55,6 +57,7 @@ from algscope.verify import (
     V_MULT_NONZERO,
     _alphas,
     _chain_distance,
+    _first_worst,
     _point_indices,
     _product_inclusions,
 )
@@ -1339,17 +1342,38 @@ class TestLinearAlgebraCounts:
             # product per relation between two nonzero kernels
             kernel_dims = {tuple(x.dim for x in dec.pencil.kernels) for dec in decs}
             assert callers.count("_kernel_relations") <= 3 * len(kernel_dims)
-            # two products for each of Corollary2 and Corollary3: x y and
-            # y x, or stab0 stabinf and nil nil
-            assert callers.count("verify_corollaries") == 4
-            assert callers.count("verify_regular_perturbation") == 0
+            # Corollary2 forms x y and y x of Stab(1) with one product, and
+            # Corollary3 stab0 stabinf and nil nil with two
+            assert callers.count("_stab_products") == 1
+            assert callers.count("verify_corollaries") == 2
             known = ("_group_inclusions", "_kernel_relations", "verify_corollaries")
-            known += ("verify_regular_perturbation",)
+            known += ("_stab_products",)
             assert len(callers) == sum(callers.count(c) for c in known)
         # all ten decompositions of Mat_3 share one shape group
         assert groups[0] == 1
         # on tri_5 the left and right kernels are nonzero, so their products count too
         assert callers.count("_kernel_relations") > 0
+
+    def test_corollary2_forms_the_stab1_products_once(self, monkeypatch):
+        # Stab(1) is its own Stab(1/alpha), so y x is x y with its indices
+        # swapped: one product call gives the finding that x y and y x, each
+        # from its own call, give, bit for bit
+        import algscope.verify as verify
+
+        alg = mat_algebra(3)
+        rp = reduce_pencil(alg, random_functional(alg.dim, np.random.default_rng(1)))
+        one = ProjectivePoint.finite(1.0)
+        x = stab(rp, one).frame
+        assert x.shape[1] > 0
+        xy = pairwise_products(alg, x, x)
+        yx = pairwise_products(alg, x, x).transpose(1, 0, 2)
+        worst, witness = _first_worst(np.linalg.norm(xy - yx, axis=-1), COROLLARY_TOL)
+        calls = self.count_calls(monkeypatch, verify, "pairwise_products")
+        finding = verify_corollaries(alg, rp, one)
+        assert len(calls) == 1
+        assert finding.theorem_id == COROLLARY_2 and finding.samples == x.shape[1] ** 2
+        assert finding.max_residual.hex() == worst.hex() and finding.witness == witness
+        assert finding.passed == (worst < COROLLARY_TOL)
 
 
 class TestTransversality:
