@@ -9,13 +9,17 @@ reference tensors are overwhelmingly zero.  Every file is one line of JSON
 and a newline, written by :func:`_json_text` through json's C encoder; use
 ``python -m json.tool FILE`` to indent one.  Serialization is deterministic:
 identical inputs produce byte-identical documents.
+
+A report's rows are written and read from one table of fields per row
+type, ``_SPECTRUM``, ``_FINDINGS`` and ``_CHECKS``, and a report is read in
+the order it is written, so that one with several faults names the first.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,7 +58,10 @@ def _real_out(x: float) -> float | str:
 def _real_in(value, where: str) -> float:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number or value in ("inf", "-inf", "nan"):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float's range, read as json reads 1e400
+            return math.inf if value > 0 else -math.inf
     raise ParseError('expected a number, "inf", "-inf" or "nan"', where)
 
 
@@ -97,13 +104,22 @@ def _list_in(value, where: str) -> list:
     raise ParseError("expected a list", where)
 
 
-def _field(obj, key: str, where: str):
-    """``obj[key]``, or :class:`ParseError` naming the missing field."""
+def _tuple_in(parse):
+    """The reader of a list, each item read by ``parse`` at the list's context."""
+    return lambda value, where: tuple([parse(item, where) for item in _list_in(value, where)])
+
+
+def _read(obj, key: str, where: str | None, parse, default=...):
+    """``obj[key]`` read by ``parse`` at the context ``where.key`` (``key``
+    when ``where`` is None, at the top of a document), or ``default`` when
+    ``key`` is absent.  The default ``...`` marks a required field."""
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
-    if key not in obj:
+    if key in obj:
+        return parse(obj[key], key if where is None else f"{where}.{key}")
+    if default is ...:
         raise ParseError(f"missing field {key!r}", where)
-    return obj[key]
+    return default
 
 
 def _pair(z: complex) -> list[float | str]:
@@ -126,12 +142,15 @@ def _finite_unpair(value, where: str) -> complex:
     return z
 
 
-def _witness_in(value) -> str | None:
-    """A finding's witness as :meth:`ReportDocument.to_doc` writes it: a
-    string (the repr of a tuple) or null."""
+def _witness_out(witness) -> str | None:
+    """A finding's witness as a report holds it: None or a string, a tuple's repr."""
+    return witness if witness is None or isinstance(witness, str) else repr(witness)
+
+
+def _witness_in(value, where: str) -> str | None:
     if value is None or isinstance(value, str):
         return value
-    raise ParseError("expected a string or null", "findings.witness")
+    raise ParseError("expected a string or null", where)
 
 
 def _alpha_out(p: ProjectivePoint):
@@ -170,7 +189,9 @@ def algebra_to_doc(alg: Algebra) -> dict:
 def algebra_from_doc(doc: dict) -> Algebra:
     if not isinstance(doc, dict):
         raise ParseError("algebra document must be an object")
-    dim = _int_in(_field(doc, "dim", "algebra"), "dim")
+    if "dim" not in doc:
+        raise ParseError("missing field 'dim'", "algebra")
+    dim = _int_in(doc["dim"], "dim")
     if dim < 1:
         raise ParseError("must be >= 1", "dim")
     unit_raw = doc.get("unit")
@@ -218,14 +239,22 @@ def functional_from_doc(doc: dict) -> Functional:
     return Functional(np.array([_finite_unpair(v, f"coords[{i}]") for i, v in enumerate(coords)]))
 
 
+def _parse_json(load, source, where: str | None = None):
+    """``load(source)``, with json's errors raised as :class:`ParseError` at ``where``."""
+    try:
+        return load(source)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", where) from None
+    except ValueError as exc:  # a file not in UTF-8, or an integer past the digit limit
+        raise ParseError(f"invalid JSON: {exc}", where) from None
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return _parse_json(json.load, handle, path)
     except OSError as exc:
         raise ParseError(str(exc), path) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", path) from None
 
 
 def load_algebra(path: str) -> Algebra:
@@ -260,6 +289,69 @@ def save_functional(f: Functional, path: str):
 # report documents
 
 
+def _as_is(value):
+    return value
+
+
+def _rows_out(rows, table) -> list[dict]:
+    """``rows`` as ``table`` writes them: a row is a tuple of its fields in
+    the table's order, or has an attribute per key."""
+    return [
+        {key: write(value) for (key, write, _, _), value in zip(table, row)}
+        if isinstance(row, tuple)
+        else {key: write(getattr(row, key)) for key, write, _, _ in table}
+        for row in rows
+    ]
+
+
+def _rows_in(table, make):
+    """The reader of a list of ``table``'s rows, each made by ``make(*fields)``."""
+
+    def row_in(row, where: str):
+        return make(*[_read(row, key, where, read, default) for key, _, read, default in table])
+
+    return _tuple_in(row_in)
+
+
+# Each row type's fields in the order they are written: the key, the writer,
+# the reader and the value a reader takes when the key is absent (... for a
+# required field).  The keys name the attributes of a SpectrumPoint and of a
+# Finding; a check is a (name, passed, residual, detail) tuple.
+_SPECTRUM = (
+    ("alpha", _alpha_out, _alpha_in, ...),
+    ("algebraic_mult", _as_is, _int_in, ...),
+    ("stab_dim", _as_is, _int_in, ...),
+    ("filtration_dims", list, _tuple_in(_int_in), ...),
+)
+_FINDINGS = (
+    ("theorem_id", _as_is, _str_in, ...),
+    ("passed", _as_is, _bool_in, ...),
+    ("max_residual", _real_out, _real_in, ...),
+    ("witness", _witness_out, _witness_in, None),
+    ("samples", _as_is, _count_in, 0),
+    ("notes", list, _tuple_in(_str_in), ()),
+)
+_CHECKS = (
+    ("name", _as_is, _str_in, ...),
+    ("passed", _as_is, _bool_in, ...),
+    ("residual", _real_out, _real_in, ...),
+    ("detail", _as_is, _str_in, ""),
+)
+
+
+def _kind_in(value, where: str) -> str:
+    if _str_in(value, where) in ("analyze", "verify"):
+        return value
+    raise ParseError("expected 'analyze' or 'verify'", where)
+
+
+def _tols_in(value, where: str) -> tuple[float, float]:
+    return (
+        _read(value, "tol", where, _tol_in, DEFAULT_TOL),
+        _read(value, "cluster_tol", where, _tol_in, DEFAULT_CLUSTER_TOL),
+    )
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     """Machine-readable analysis or verification report.
@@ -292,40 +384,15 @@ class ReportDocument:
         if self.chi is not None:
             doc["chi"] = [_pair(z) for z in self.chi]
         if self.spectrum:
-            doc["spectrum"] = [
-                {
-                    "alpha": _alpha_out(row.alpha),
-                    "algebraic_mult": row.algebraic_mult,
-                    "stab_dim": row.stab_dim,
-                    "filtration_dims": list(row.filtration_dims),
-                }
-                for row in self.spectrum
-            ]
+            doc["spectrum"] = _rows_out(self.spectrum, _SPECTRUM)
         if self.v_frames is not None:
             doc["v_frames"] = [
                 [[_pair(z) for z in col] for col in frame] for frame in self.v_frames
             ]
         if self.findings:
-            doc["findings"] = [
-                {
-                    "theorem_id": f.theorem_id,
-                    "passed": f.passed,
-                    "max_residual": _real_out(f.max_residual),
-                    "witness": (
-                        f.witness
-                        if f.witness is None or isinstance(f.witness, str)
-                        else repr(f.witness)
-                    ),
-                    "samples": f.samples,
-                    "notes": list(f.notes),
-                }
-                for f in self.findings
-            ]
+            doc["findings"] = _rows_out(self.findings, _FINDINGS)
         if self.checks:
-            doc["checks"] = [
-                {"name": n, "passed": p, "residual": _real_out(r), "detail": d}
-                for n, p, r, d in self.checks
-            ]
+            doc["checks"] = _rows_out(self.checks, _CHECKS)
         return doc
 
     def to_json(self) -> str:
@@ -336,86 +403,24 @@ class ReportDocument:
         from .spectral import SpectrumPoint
         from .verify import Finding
 
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ParseError("report document needs a 'kind'", "kind")
-        tolerances = doc.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ParseError("expected an object", "tolerances")
-        spectrum = tuple(
-            SpectrumPoint(
-                _alpha_in(_field(row, "alpha", "spectrum"), "spectrum.alpha"),
-                _int_in(_field(row, "algebraic_mult", "spectrum"), "spectrum.algebraic_mult"),
-                _int_in(_field(row, "stab_dim", "spectrum"), "spectrum.stab_dim"),
-                tuple(
-                    _int_in(d, "spectrum.filtration_dims")
-                    for d in _list_in(
-                        _field(row, "filtration_dims", "spectrum"), "spectrum.filtration_dims"
-                    )
-                ),
-            )
-            for row in _list_in(doc.get("spectrum", []), "spectrum")
-        )
-        findings = tuple(
-            Finding(
-                _str_in(_field(f, "theorem_id", "findings"), "findings.theorem_id"),
-                _bool_in(_field(f, "passed", "findings"), "findings.passed"),
-                _real_in(_field(f, "max_residual", "findings"), "findings.max_residual"),
-                _witness_in(f.get("witness")),
-                _count_in(f.get("samples", 0), "findings.samples"),
-                tuple(
-                    _str_in(note, "findings.notes")
-                    for note in _list_in(f.get("notes", []), "findings.notes")
-                ),
-            )
-            for f in _list_in(doc.get("findings", []), "findings")
-        )
-        checks = tuple(
-            (
-                _str_in(_field(c, "name", "checks"), "checks.name"),
-                _bool_in(_field(c, "passed", "checks"), "checks.passed"),
-                _real_in(_field(c, "residual", "checks"), "checks.residual"),
-                _str_in(c.get("detail", ""), "checks.detail"),
-            )
-            for c in _list_in(doc.get("checks", []), "checks")
-        )
-        v_frames = None
-        if "v_frames" in doc:
-            v_frames = tuple(
-                tuple(
-                    tuple(_unpair(z, "v_frames") for z in _list_in(col, "v_frames"))
-                    for col in _list_in(frame, "v_frames")
-                )
-                for frame in _list_in(doc["v_frames"], "v_frames")
-            )
-        chi = None
-        if "chi" in doc:
-            chi = tuple(_unpair(z, "chi") for z in _list_in(doc["chi"], "chi"))
-        kind = _str_in(doc["kind"], "kind")
-        if kind not in ("analyze", "verify"):
-            raise ParseError("expected 'analyze' or 'verify'", "kind")
+        kind = _read(doc, "kind", None, _kind_in)
+        tolerances = _read(doc, "tolerances", None, _tols_in, (DEFAULT_TOL, DEFAULT_CLUSTER_TOL))
         return cls(
-            kind=kind,
-            tol=_tol_in(tolerances.get("tol", DEFAULT_TOL), "tolerances.tol"),
-            cluster_tol=_tol_in(
-                tolerances.get("cluster_tol", DEFAULT_CLUSTER_TOL), "tolerances.cluster_tol"
-            ),
-            seed=_count_in(doc.get("seed", 0), "seed"),
-            alpha0=_finite_unpair(doc["alpha0"], "alpha0") if "alpha0" in doc else None,
-            nil_dim=_count_in(doc["nil_dim"], "nil_dim") if "nil_dim" in doc else None,
-            chi=chi,
-            spectrum=spectrum,
-            v_frames=v_frames,
-            findings=findings,
-            checks=checks,
+            kind,
+            *tolerances,
+            seed=_read(doc, "seed", None, _count_in, 0),
+            alpha0=_read(doc, "alpha0", None, _finite_unpair, None),
+            nil_dim=_read(doc, "nil_dim", None, _count_in, None),
+            chi=_read(doc, "chi", None, _tuple_in(_unpair), None),
+            spectrum=_read(doc, "spectrum", None, _rows_in(_SPECTRUM, SpectrumPoint), ()),
+            v_frames=_read(doc, "v_frames", None, _tuple_in(_tuple_in(_tuple_in(_unpair))), None),
+            findings=_read(doc, "findings", None, _rows_in(_FINDINGS, Finding), ()),
+            checks=_read(doc, "checks", None, _rows_in(_CHECKS, lambda *check: check), ()),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from None
-        return cls.from_doc(doc)
+        return cls.from_doc(_parse_json(json.loads, text))
 
 
 def report_from_decomposition(
@@ -441,14 +446,6 @@ def report_from_decomposition(
     )
 
 
-def _stringify_witness(f: Finding) -> Finding:
-    from .verify import Finding
-
-    if f.witness is None or isinstance(f.witness, str):
-        return f
-    return Finding(f.theorem_id, f.passed, f.max_residual, repr(f.witness), f.samples, f.notes)
-
-
 def report_from_findings(
     findings, seed: int, tol: float, cluster_tol: float
 ) -> ReportDocument:
@@ -457,7 +454,7 @@ def report_from_findings(
         tol=tol,
         cluster_tol=cluster_tol,
         seed=seed,
-        findings=tuple(_stringify_witness(f) for f in findings),
+        findings=tuple(replace(f, witness=_witness_out(f.witness)) for f in findings),
     )
 
 

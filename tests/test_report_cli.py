@@ -21,6 +21,7 @@ from algscope import (
     upper_triangular,
 )
 from algscope.cli import main
+from algscope.errors import DEFAULT_CLUSTER_TOL, DEFAULT_TOL
 from algscope.report import (
     ReportDocument,
     _json_text,
@@ -232,15 +233,54 @@ class TestJsonWriter:
             assert strict_json(text) == doc
 
 
+def analyze_report():
+    dec = decompose(mat_algebra(2), matrix_trace_functional(np.diag([1.0, 2.0])))
+    return report_from_decomposition(dec, seed=0, include_frames=True)
+
+
+def verify_report():
+    """A failing finding with a tuple witness, which the report holds as its
+    repr, beside a passing one without."""
+    from algscope.verify import Finding
+
+    findings = (Finding("T", False, 0.5, (1, 2, 0), 3, ("a note",)), Finding("U", True, 0.0))
+    return report_from_findings(findings, seed=4, tol=1e-9, cluster_tol=1e-6)
+
+
 class TestReportRoundTrip:
-    def test_analyze_report_round_trip_is_lossless(self):
-        alg = mat_algebra(2)
-        dec = decompose(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
-        report = report_from_decomposition(dec, seed=0, include_frames=True)
+    @pytest.mark.parametrize(
+        "make, witnesses", [(analyze_report, []), (verify_report, ["(1, 2, 0)", None])]
+    )
+    def test_report_round_trip_is_lossless(self, make, witnesses):
+        report = make()
         text = report.to_json()
         back = ReportDocument.from_json(text)
         assert back == report
         assert back.to_json() == text
+        assert [f.witness for f in back.findings] == witnesses
+
+    def test_absent_optional_fields_take_their_defaults(self):
+        from algscope.verify import Finding
+
+        doc = {
+            "kind": "verify",
+            "findings": [{"theorem_id": "T", "passed": True, "max_residual": 0.0}],
+            "checks": [{"name": "c", "passed": True, "residual": 0.0}],
+        }
+        assert ReportDocument.from_doc(doc) == ReportDocument(
+            "verify",
+            DEFAULT_TOL,
+            DEFAULT_CLUSTER_TOL,
+            0,
+            findings=(Finding("T", True, 0.0, None, 0, ()),),
+            checks=(("c", True, 0.0, ""),),
+        )
+
+    def test_integer_literal_past_the_digit_limit_is_a_parse_error(self):
+        # json refuses it past the interpreter's digit limit; a Python
+        # without the limit reads a kind that is not a string
+        with pytest.raises(ParseError):
+            ReportDocument.from_json('{"kind": ' + "9" * 5000 + "}")
 
     def test_non_finite_residuals_are_strict_json(self):
         from algscope.verify import Finding
@@ -370,6 +410,22 @@ class TestReportRoundTrip:
                 "checks.name: expected a string",
             ),
             ({"kind": 5}, "kind: expected a string"),
+            ({"seed": 0}, "missing field 'kind'"),
+            (["kind"], "expected an object"),
+            # a document with several faults names the first in document order
+            ({"kind": 5, "spectrum": {}}, "kind: expected a string"),
+            (
+                {"kind": "analyze", "nil_dim": -1, "chi": 3, "spectrum": {}, "v_frames": 3},
+                "nil_dim: expected an integer >= 0",
+            ),
+            (
+                {
+                    "kind": "verify",
+                    "findings": [{"theorem_id": "T", "passed": 1, "max_residual": "x"}],
+                    "checks": 4,
+                },
+                "findings.passed: expected true or false",
+            ),
             # values the writer cannot write
             ({"kind": "analyze", "tolerances": {"tol": "nan"}}, "tolerances.tol: expected a finite"),
             ({"kind": "analyze", "tolerances": {"tol": -1.0}}, "tolerances.tol: expected a finite"),
@@ -549,7 +605,18 @@ class TestCli:
         assert main(["analyze", "bad.alg", "d125.fn"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "nan",
+            "inf",
+            "-inf",
+            math.nan,
+            math.inf,
+            pytest.param(10**400, id="int-1e400"),
+            pytest.param(-(10**400), id="int--1e400"),
+        ],
+    )
     @pytest.mark.parametrize(
         "file, path, where",
         [
@@ -562,7 +629,8 @@ class TestCli:
     )
     def test_non_finite_input_value_is_usage_error(self, workdir, capsys, file, path, value, where):
         # math.nan and math.inf reach the file as the JSON literals NaN and
-        # Infinity, which Python's json module reads back
+        # Infinity, which Python's json module reads back; an integer beyond
+        # float's range reads as infinite, as json reads 1e400
         write_inputs(workdir)
         doc = json.loads((workdir / file).read_text(encoding="utf-8"))
         *outer, key = path
@@ -579,11 +647,22 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {where}: expected a finite [re, im] pair"), err
 
-    def test_analyze_invalid_json_reports_location(self, workdir, capsys):
-        (workdir / "broken.alg").write_text("{not json", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "data, fragment",
+        [
+            (b"{not json", "line"),
+            # past the interpreter's digit limit json refuses the literal; a
+            # Python without the limit reads it as an infinite unit entry
+            (b'{"dim": 1, "unit": [[' + b"9" * 5000 + b", 0.0]]}", "error: "),
+            ('{"dim": 1, "basis": ["\u00e9"]}'.encode("latin-1"), "broken.alg: invalid JSON"),
+        ],
+        ids=["not-json", "digit-limit", "not-utf-8"],
+    )
+    def test_analyze_invalid_json_reports_location(self, workdir, capsys, data, fragment):
+        (workdir / "broken.alg").write_bytes(data)
         write_inputs(workdir)
         assert main(["analyze", "broken.alg", "d125.fn"]) == 1
-        assert "line" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
 
     def test_analyze_rejects_non_associative_unless_skipped(self, workdir, capsys):
         from algscope import upper_triangular

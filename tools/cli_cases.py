@@ -105,13 +105,15 @@ def bad_algebra_file(path: str):
     save_algebra(Algebra(4, structure, alg.unit), path)
 
 
-def entry_replaced_file(source: str, key: str, row: int, col: int, text: str, path: str):
-    """``source`` with ``doc[key][row][col]`` set to ``text``, written by
-    ``json.dumps`` itself."""
+def entry_replaced_file(source: str, key: str, row: int, col: int, literal: str, path: str):
+    """``source`` with ``doc[key][row][col]`` replaced by the JSON text
+    ``literal``, which may be one that ``json.dumps`` cannot write, such as
+    an integer past the interpreter's digit limit."""
     with open(source, encoding="utf-8") as handle:
         doc = json.load(handle)
-    doc[key][row][col] = text
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    doc[key][row][col] = "@entry@"
+    text = json.dumps(doc).replace('"@entry@"', literal)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # -- assertions on what the commands wrote, which raise AssertionError
@@ -265,10 +267,27 @@ CASES = [
     cmd("builders opposite bad.alg --out bad-op.alg", code=1),
     cmd("builders direct-sum bad.alg m3.alg --out bad-sum.alg", code=1),
     # a non-finite number in an input file is an input error
-    partial(entry_replaced_file, "f.fn", "coords", 1, 0, "nan", "nan.fn"),
+    partial(entry_replaced_file, "f.fn", "coords", 1, 0, '"nan"', "nan.fn"),
     cmd("analyze m3.alg nan.fn --out nan.json", code=1),
-    partial(entry_replaced_file, "m3.alg", "structure", 0, 3, "inf", "inf.alg"),
+    partial(entry_replaced_file, "m3.alg", "structure", 0, 3, '"inf"', "inf.alg"),
     cmd("verify inf.alg --out inf.json", code=1),
+    # so is an integer past float's range, read as infinite as json reads
+    # 1e400, in every command that reads the file
+    partial(entry_replaced_file, "m3.alg", "unit", 0, 0, "1" + "0" * 400, "big.alg"),
+    *(
+        cmd(line, code=1, stderr=("unit[0]: expected a finite [re, im] pair",))
+        for line in (
+            "analyze big.alg f.fn --out big.json",
+            "verify big.alg --out big-v.json",
+            "builders opposite big.alg --out big-op.alg",
+        )
+    ),
+    partial(entry_replaced_file, "f.fn", "coords", 2, 1, "-1" + "0" * 400, "big.fn"),
+    cmd("analyze m3.alg big.fn --out big-f.json", code=1, stderr=("coords[2]: expected a finite",)),
+    # past the interpreter's digit limit json refuses the literal, naming the
+    # file; a Python without the limit reads it as infinite
+    partial(entry_replaced_file, "m3.alg", "unit", 0, 0, "9" * 5000, "huge.alg"),
+    cmd("analyze huge.alg f.fn --out huge.json", code=1),
     # F(X) = tr(N X): the pencil is singular for every alpha, so F is not
     # generic; the same decided at --tol
     partial(nilshift_file, 3, "nilshift.fn"),

@@ -17,11 +17,11 @@ directories must agree under ``diff -r``.
 
 ``--against REF`` compares two versions of the program on this set: it
 writes the set of this checkout's ``src`` into OUTDIR/checkout and that of
-the commit REF's ``src``, checked out by ``git worktree`` into a temporary
-directory and removed afterwards, into OUTDIR/ref, then prints
-``diff -rq`` of the two.  Both sides take their inputs from this checkout.
-The exit code is 0 whether or not the sets differ, and non-zero when a
-side cannot be written.
+the commit REF's ``src``, extracted by ``git archive REF src | tar -x`` into
+a temporary directory, into OUTDIR/ref, then prints ``diff -rq`` of the
+two; it writes nothing under ``.git``.  Both sides take their inputs from
+this checkout.  The exit code is 0 whether or not the sets differ, and
+non-zero when a side cannot be written.
 """
 
 import argparse
@@ -125,14 +125,12 @@ def against(out: Path, ref: str) -> int:
     """Write the sets of this checkout and of ``ref`` and print their
     ``diff -rq``."""
     write_set_of(ROOT / "src", out / "checkout")
-    git = ["git", "-C", str(ROOT), "worktree"]
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "ref"
-        subprocess.run(git + ["add", "--detach", str(tree), ref], check=True)
-        try:
-            write_set_of(tree / "src", out / "ref")
-        finally:
-            subprocess.run(git + ["remove", "--force", str(tree)], check=True)
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", ref, "src"], stdout=subprocess.PIPE, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        write_set_of(Path(tmp) / "src", out / "ref")
     diff = subprocess.run(
         ["diff", "-rq", str(out / "ref"), str(out / "checkout")], capture_output=True, text=True
     )
