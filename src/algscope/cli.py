@@ -114,6 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=None, help="write the report to this file")
     common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument(
+        "--skip-validate", action="store_true", help="skip the associativity/unit check"
+    )
 
     p_analyze = sub.add_parser(
         "analyze", parents=[common], help="decompose an algebra for one functional"
@@ -121,9 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("algebra", help="algebra file (JSON)")
     p_analyze.add_argument("functional", help="functional file (JSON)")
     p_analyze.add_argument("--frames", action="store_true", help="include V(alpha) frames")
-    p_analyze.add_argument(
-        "--skip-validate", action="store_true", help="skip the associativity/unit check"
-    )
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run theorem suites over random functionals"
@@ -142,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the commutativity check at a non-minimizing functional and expect it to fail",
     )
-    p_verify.add_argument("--skip-validate", action="store_true")
 
     p_build = sub.add_parser("builders", help="emit a reference algebra file")
     p_build.add_argument(

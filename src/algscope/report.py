@@ -72,7 +72,7 @@ def _int_in(value, where: str) -> int:
 
 
 def _count_in(value, where: str) -> int:
-    """An integer >= 0: a seed, a dimension or a sample count."""
+    """An integer >= 0: a seed, a dimension, a multiplicity or a sample count."""
     if _int_in(value, where) < 0:
         raise ParseError("expected an integer >= 0", where)
     return value
@@ -157,12 +157,10 @@ def _alpha_out(p: ProjectivePoint):
     return "inf" if p.is_infinite else _pair(p.value)
 
 
-def _alpha_in(value, where: str) -> ProjectivePoint:
-    from .linalg import INFINITY, ProjectivePoint
-
-    if value == "inf":
-        return INFINITY
-    return ProjectivePoint.finite(_finite_unpair(value, where))
+def _alpha_in(value, where: str) -> complex | None:
+    """A spectral point's value: None for ``"inf"``, else a finite pair;
+    :meth:`ReportDocument.from_doc` makes it a ProjectivePoint."""
+    return None if value == "inf" else _finite_unpair(value, where)
 
 
 # --------------------------------------------------------------------------
@@ -319,9 +317,9 @@ def _rows_in(table, make):
 # Finding; a check is a (name, passed, residual, detail) tuple.
 _SPECTRUM = (
     ("alpha", _alpha_out, _alpha_in, ...),
-    ("algebraic_mult", _as_is, _int_in, ...),
-    ("stab_dim", _as_is, _int_in, ...),
-    ("filtration_dims", list, _tuple_in(_int_in), ...),
+    ("algebraic_mult", _as_is, _count_in, ...),
+    ("stab_dim", _as_is, _count_in, ...),
+    ("filtration_dims", list, _tuple_in(_count_in), ...),
 )
 _FINDINGS = (
     ("theorem_id", _as_is, _str_in, ...),
@@ -400,8 +398,12 @@ class ReportDocument:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ReportDocument":
+        from .linalg import ProjectivePoint
         from .spectral import SpectrumPoint
         from .verify import Finding
+
+        def spectrum_point(alpha, *fields):
+            return SpectrumPoint(ProjectivePoint(alpha), *fields)
 
         kind = _read(doc, "kind", None, _kind_in)
         tolerances = _read(doc, "tolerances", None, _tols_in, (DEFAULT_TOL, DEFAULT_CLUSTER_TOL))
@@ -412,7 +414,7 @@ class ReportDocument:
             alpha0=_read(doc, "alpha0", None, _finite_unpair, None),
             nil_dim=_read(doc, "nil_dim", None, _count_in, None),
             chi=_read(doc, "chi", None, _tuple_in(_unpair), None),
-            spectrum=_read(doc, "spectrum", None, _rows_in(_SPECTRUM, SpectrumPoint), ()),
+            spectrum=_read(doc, "spectrum", None, _rows_in(_SPECTRUM, spectrum_point), ()),
             v_frames=_read(doc, "v_frames", None, _tuple_in(_tuple_in(_tuple_in(_unpair))), None),
             findings=_read(doc, "findings", None, _rows_in(_FINDINGS, Finding), ()),
             checks=_read(doc, "checks", None, _rows_in(_CHECKS, lambda *check: check), ()),

@@ -9,7 +9,6 @@ SUITE_NAMES = (
     "alpha0",
     "v-mult",
     "dim-symmetry",
-    "multiplicative",
     "corollary2",
     "corollary3",
 )

@@ -46,7 +46,6 @@ check, since Stab(alpha) <= V(alpha).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 import numpy as np
@@ -99,7 +98,6 @@ V_MULT_FINITE = "VMultFinite"
 V_MULT_NONZERO = "VMultNonzero"
 DIM_SYMMETRY_V = "DimSymmetryV"
 DIM_SYMMETRY_STAB = "DimSymmetryStab"
-RANK_ONE_MULTIPLICATIVE = "RankOneMultiplicative"
 REGULAR_PERTURBATION = "RegularPerturbation"
 COROLLARY_1 = "Corollary1"
 COROLLARY_2 = "Corollary2"
@@ -822,9 +820,11 @@ def run_suites(
     (``KERNEL_RELATIONS_TOL``, ``ALPHA0_TOL``, ``V_MULT_TOL``);
     ``v-mult`` checks both of its variants on one product tensor per
     decomposition shape, in quotient coordinates, so no suite lifts a level
-    (``Decomposition.filtrations``).  ``kernel-relations`` and
-    ``multiplicative`` read the kernels each pencil keeps; there is no
-    nil-ideal suite, since kernel-relations checks that property.  Findings
+    (``Decomposition.filtrations``).  ``kernel-relations`` reads the
+    kernels each pencil keeps; there is no nil-ideal suite, since
+    kernel-relations checks that property, and no multiplicative suite,
+    since a drawn functional is multiplicative with probability 0
+    (:func:`algscope.functional.is_multiplicative` classifies one).  Findings
     are sorted by theorem id, stably, so each theorem's findings follow the
     functionals' order.  ``corollary2`` and ``corollary3`` run once, on the
     first drawn functional: a complex-Gaussian functional misses, with
@@ -832,8 +832,6 @@ def run_suites(
     its generic dimension, so :func:`minimize_stab_dim` returns it itself.
     They read the pencil its chunk reduced; when no other suite is
     selected, only that functional is reduced."""
-    from .functional import is_multiplicative
-
     if isinstance(suites, str):
         raise ValueError(
             f"suites must be a sequence of suite names, not the string {suites!r}; "
@@ -857,8 +855,7 @@ def run_suites(
         chunks = [[0]]
     findings: list[Finding] = []
     for chunk in chunks:
-        part = [fs[i] for i in chunk]
-        rps = _reduce_pencils(alg, part, rank_tol)
+        rps = _reduce_pencils(alg, [fs[i] for i in chunk], rank_tol)
         if decomposing:
             decs = _decompose_pencils(rps, seed, cluster_tol)
         kers = [rp.kernels for rp in _raise_first(rps)]
@@ -872,11 +869,5 @@ def run_suites(
             findings += [f for pair in _v_mult(alg, decs) for f in pair]
         if "dim-symmetry" in suites:
             findings += [f for pair in _dim_symmetry(decs) for f in pair]
-        if "multiplicative" in suites:
-            for f, ker in zip(part, kers):
-                rep = is_multiplicative(alg, f, ker, rank_tol)
-                res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
-                notes = (f"verdict: {rep.verdict}",)
-                findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
     findings.sort(key=lambda fi: fi.theorem_id)
     return findings

@@ -1035,23 +1035,10 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
     per-decomposition suite bodies above, one functional at a time.  The
     regular-functional suites read the pencil of the first functional's
     sampled minimizer, each reduced on its own."""
-    import math
-
-    from algscope.functional import (
-        Functional,
-        is_multiplicative,
-        kernels,
-        random_functional,
-        reduce_pencil,
-    )
+    from algscope.functional import Functional, kernels, random_functional, reduce_pencil
     from algscope.linalg import ProjectivePoint
     from algscope.spectral import decompose_all
-    from algscope.verify import (
-        RANK_ONE_MULTIPLICATIVE,
-        Finding,
-        minimize_stab_dim,
-        verify_corollaries,
-    )
+    from algscope.verify import minimize_stab_dim, verify_corollaries
 
     rng = np.random.default_rng(seed)
     fs = [random_functional(alg.dim, rng) for _ in range(n_functionals)]
@@ -1062,10 +1049,8 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
     for index, f in enumerate(fs):
         if analysed:
             dec = decs[index]
-            ker = dec.pencil.kernels
-        elif {"kernel-relations", "multiplicative"}.intersection(suites):
-            ker = kernels(alg, f, rank_tol)
         if "kernel-relations" in suites:
+            ker = dec.pencil.kernels if analysed else kernels(alg, f, rank_tol)
             findings.append(kernel_relations_loop(alg, ker))
         if "alpha0" in suites:
             findings.append(alpha0_suite_loop(dec, seed=seed + index))
@@ -1073,11 +1058,6 @@ def run_suites_loop(alg, suites, n_functionals=10, seed=0, rank_tol=1e-9, cluste
             findings.extend(v_mult_loop(alg, dec))
         if "dim-symmetry" in suites:
             findings.extend(dim_symmetry_loop(dec))
-        if "multiplicative" in suites:
-            rep = is_multiplicative(alg, f, ker, rank_tol)
-            res = 0.0 if math.isnan(rep.max_residual) else rep.max_residual
-            notes = (f"verdict: {rep.verdict}",)
-            findings.append(Finding(RANK_ONE_MULTIPLICATIVE, True, res, None, 1, notes))
     full_dual = [Functional(row) for row in np.eye(alg.dim, dtype=complex)]
     f_start = fs[0] if fs else random_functional(alg.dim, rng)
     if "corollary2" in suites:

@@ -43,9 +43,10 @@ def test_every_case_passes_in_process(scratch):
     assert len(calls) == len(rows) + sum(row.twice for row in rows)
     # the 60 runs of the shell script the table replaced (54 command lines,
     # three of them in a loop over three inputs), the two tri_4 rows,
-    # --version and --help, the three unwritable --out paths, and the five
-    # inputs with an integer past float's range or the digit limit
-    assert len(calls) == 72 and sum(row.twice for row in rows) == 14
+    # --version and --help, the three unwritable --out paths, the five
+    # inputs with an integer past float's range or the digit limit, and the
+    # removed multiplicative suite
+    assert len(calls) == 73 and sum(row.twice for row in rows) == 14
 
 
 # the runner fails on each broken row and names it: a table of rows that

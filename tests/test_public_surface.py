@@ -64,6 +64,7 @@ REMOVED = (
     "NilIdealReport",
     "_suite_shifts",
     "_alpha0_independence",
+    "RANK_ONE_MULTIPLICATIVE",
 )
 
 

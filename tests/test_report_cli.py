@@ -445,6 +445,28 @@ class TestReportRoundTrip:
                 },
                 "findings.samples: expected an integer >= 0",
             ),
+            *[
+                (
+                    {
+                        "kind": "analyze",
+                        "spectrum": [
+                            {
+                                "alpha": "inf",
+                                "algebraic_mult": 1,
+                                "stab_dim": 0,
+                                "filtration_dims": [1],
+                                key: value,
+                            }
+                        ],
+                    },
+                    f"spectrum.{key}: expected an integer >= 0",
+                )
+                for key, value in [
+                    ("algebraic_mult", -4),
+                    ("stab_dim", -1),
+                    ("filtration_dims", [2, -7]),
+                ]
+            ],
         ],
     )
     def test_truncated_or_mistyped_reports_raise_parse_errors(self, doc, where):
@@ -881,6 +903,13 @@ class TestCli:
         assert all(name in help_text for name in SUITE_NAMES)
         args = _build_parser().parse_args(["verify", "a.alg"])
         assert tuple(args.suite.split(",")) == DEFAULT_SUITES
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_help_describes_skip_validate(self, capsys, command):
+        # verify declared the flag with no help text
+        assert main([command, "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--skip-validate skip the associativity/unit check" in help_text
 
     @pytest.mark.parametrize("suite", ["corollary1", "perturbation"])
     def test_verify_rejects_the_removed_corollary1_suite(self, workdir, capsys, suite):

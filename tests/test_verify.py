@@ -1192,8 +1192,7 @@ class TestLinearAlgebraCounts:
     def test_lapack_calls_of_an_all_suite_run(self, monkeypatch):
         # Mat_3 with 10 random functionals: K = 9 and nil = 0 for each, and
         # alpha = 1 is the one multiple point, with Stab(1) of dimension 3.
-        # Each rank is decided once: no SVD of a transposed pairing, and
-        # none in the multiplicative suite
+        # Each rank is decided once: no SVD of a transposed pairing
         calls = self.count_svd(monkeypatch)
         eigs = self.count_calls(monkeypatch, np.linalg, "eig")
         solves = self.count_calls(monkeypatch, np.linalg, "solve")
@@ -1250,14 +1249,12 @@ class TestLinearAlgebraCounts:
         # right kernels from one values-only SVD, which rules out an
         # intersection with no intersection SVD
         calls = self.count_svd(monkeypatch)
-        alg = upper_triangular(5)
-        suites = ("kernel-relations", "multiplicative")
-        findings = run_suites(alg, suites, 10, seed=0)
+        findings = run_suites(upper_triangular(5), ("kernel-relations",), 10, seed=0)
         assert collections.Counter(calls) == {
             ((10, 15, 15), "full"): 1,
             ((10, 15, 6), "values"): 1,
         }
-        assert len(findings) == 20 and all(f.passed for f in findings)
+        assert len(findings) == 10 and all(f.passed for f in findings)
 
     def test_svd_calls_of_a_kernel_and_corollary_run(self, monkeypatch):
         # tri_5 with 10 random functionals, nil = 0: one reduction of the
@@ -1563,6 +1560,12 @@ class TestRunSuites:
         assert main(["verify", "d.alg", "--suite", "nil-ideal"]) == 1
         assert "unknown suite names: nil-ideal" in capsys.readouterr().err
 
+    def test_multiplicative_suite_is_gone(self):
+        # a drawn functional is multiplicative with probability 0, so the
+        # suite always passed; is_multiplicative keeps the classification
+        with pytest.raises(ValueError, match=r"^unknown suites: \['multiplicative'\]$"):
+            run_suites(mat_algebra(2), ("multiplicative",), n_functionals=1)
+
     @pytest.mark.parametrize("with_v_mult", [True, False])
     def test_one_batched_decomposition_per_call(self, monkeypatch, with_v_mult):
         import algscope.functional
@@ -1763,7 +1766,7 @@ class TestRunSuitesOracle:
     @pytest.mark.parametrize("name", ["tri_5", "Mat_3+tri_3", "Mat_3"])
     def test_kernel_suites_without_decompositions_match_the_loop(self, name):
         alg = SUITE_INPUTS[name]
-        suites = ("kernel-relations", "multiplicative")
+        suites = ("kernel-relations",)
         for seed in range(2):
             expected = run_suites_loop(alg, suites, 10, seed)
             assert_same_findings(run_suites(alg, suites, 10, seed), expected)
@@ -1882,7 +1885,7 @@ class TestRunSuitesOracle:
         assert [len(args[0]) for args, _ in batches] == [3, 3, 3, 1] * 2
         assert [len(args[1]) for args, _ in parts] == [3, 3, 3, 1] * 2
         tri = SUITE_INPUTS["tri_5"]
-        suites = ("kernel-relations", "multiplicative")
+        suites = ("kernel-relations",)
         assert_same_findings(run_suites(tri, suites, 10, 2), run_suites_loop(tri, suites, 10, 2))
 
     def test_small_inputs_take_one_chunk(self, monkeypatch):

@@ -18,17 +18,23 @@ directories must agree under ``diff -r``.
 ``--against REF`` compares two versions of the program on this set: it
 writes the set of this checkout's ``src`` into OUTDIR/checkout and that of
 the commit REF's ``src``, extracted by ``git archive REF src | tar -x`` into
-a temporary directory, into OUTDIR/ref, then prints ``diff -rq`` of the
-two; it writes nothing under ``.git``.  Both sides take their inputs from
-this checkout.  The exit code is 0 whether or not the sets differ, and
-non-zero when a side cannot be written.
+a temporary directory, into OUTDIR/ref, then prints what differs: each
+file that only one side has, and for each file that differs, the report
+rows that only one side has, named by theorem id, check name or spectral
+point, and the other top-level keys that differ, or, in a file that is not
+a JSON object, the lines that only one side has.  It writes nothing under
+``.git``.  Both sides take their inputs from this checkout.  The exit code
+is 0 whether or not the sets differ, and non-zero when a side cannot be
+written.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,9 +127,64 @@ def write_set_of(src: Path, out: Path):
     subprocess.run([sys.executable, str(script), str(out.resolve())], env=env, check=True)
 
 
+def _one_sided(ref: list, new: list, name) -> list[str]:
+    """The items that only one of ``ref`` and ``new`` has, counted by
+    ``name(item)``: "only in ref: NAME xCOUNT", then "only in checkout: ..."."""
+    counts = [Counter(json.dumps(item, sort_keys=True) for item in side) for side in (ref, new)]
+    found = []
+    for side, mine, other in (("ref", *counts), ("checkout", *counts[::-1])):
+        names = Counter(name(json.loads(item)) for item in (mine - other).elements())
+        found += [f"only in {side}: {n} x{count}" for n, count in names.items()]
+    return found
+
+
+def _row_name(row: dict) -> str:
+    """A report row's theorem id, check name or spectral point."""
+    if "alpha" in row:
+        return f"alpha {row['alpha']}"
+    return str(row.get("theorem_id", row.get("name")))
+
+
+def file_differences(ref: Path, new: Path) -> list[str]:
+    """What differs between two versions of one file of the set: in JSON
+    objects, the rows of each list of rows that only one side has and each
+    other top-level key that differs; otherwise the lines that only one
+    side has."""
+    texts = [path.read_text(encoding="utf-8") for path in (ref, new)]
+    try:
+        docs = [json.loads(text) for text in texts]
+    except ValueError:  # a text file, such as exit_codes.txt
+        docs = texts
+    if not all(isinstance(doc, dict) for doc in docs):
+        return _one_sided(texts[0].splitlines(), texts[1].splitlines(), str)
+    found = []
+    for key in sorted(docs[0].keys() | docs[1].keys()):
+        values = [doc.get(key, []) for doc in docs]  # a report omits an empty list
+        if values[0] == values[1]:
+            continue
+        if all(isinstance(v, list) and all(isinstance(r, dict) for r in v) for v in values):
+            rows = [f"{key}: {line}" for line in _one_sided(*values, _row_name)]
+            found += rows or [f"{key}: the same rows in another order"]
+        else:
+            found.append(f"{key} differs")
+    return found
+
+
+def set_differences(ref: Path, new: Path) -> list[str]:
+    """Each file that only one of the directories ``ref`` and ``new`` has,
+    and each file that differs, followed by what differs in it, indented."""
+    names = [sorted(path.name for path in side.iterdir()) for side in (ref, new)]
+    found = _one_sided(*names, str)
+    for name in sorted(set(names[0]) & set(names[1])):
+        if (ref / name).read_bytes() != (new / name).read_bytes():
+            found.append(f"differs: {name}")
+            found += [f"  {line}" for line in file_differences(ref / name, new / name)]
+    return found
+
+
 def against(out: Path, ref: str) -> int:
-    """Write the sets of this checkout and of ``ref`` and print their
-    ``diff -rq``."""
+    """Write the sets of this checkout and of ``ref`` and print what
+    differs between them."""
     write_set_of(ROOT / "src", out / "checkout")
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(
@@ -131,14 +192,10 @@ def against(out: Path, ref: str) -> int:
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         write_set_of(Path(tmp) / "src", out / "ref")
-    diff = subprocess.run(
-        ["diff", "-rq", str(out / "ref"), str(out / "checkout")], capture_output=True, text=True
-    )
-    print(diff.stdout, end="")
-    if diff.returncode > 1:
-        sys.stderr.write(diff.stderr)
-        return diff.returncode
-    differ = len(diff.stdout.splitlines())
+    found = set_differences(out / "ref", out / "checkout")
+    for line in found:
+        print(line)
+    differ = sum(not line.startswith(" ") for line in found)
     verdict = "byte-identical" if not differ else f"{differ} differences"
     print(f"report sets of {ref} and of this checkout: {verdict}")
     return 0
