@@ -74,7 +74,6 @@ _EXPORTS = {
             "det_poly",
             "nullspace",
             "pencil_eigen",
-            "projective_close",
             "projector_distance",
             "subspace_equal",
             "subspace_intersect",

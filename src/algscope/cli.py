@@ -188,13 +188,14 @@ def _load_checked(args):
 
 
 def _cmd_analyze(args) -> int:
+    from .functional import _dim_error
     from .report import ReportDocument, load_functional, report_from_decomposition
     from .spectral import decompose
 
     alg, seed = _load_checked(args)
     f = load_functional(args.functional)
-    if f.dim != alg.dim:
-        raise ParseError(f"functional has {f.dim} coordinates for a dim-{alg.dim} algebra")
+    if error := _dim_error(alg, f.dim, "functional"):
+        raise ParseError(str(error))
     try:
         dec = decompose(alg, f, seed=seed, tol=args.tol, cluster_tol=args.cluster_tol)
     except SingularPencil as exc:

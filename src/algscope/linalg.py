@@ -65,7 +65,6 @@ __all__ = [
     "projector_distance",
     "pencil_eigen",
     "det_poly",
-    "projective_close",
 ]
 
 
@@ -139,18 +138,9 @@ def _close(a, b, tol):
     """``|a - b| <= tol * max(1, |a|, |b|)``, elementwise over complex values
     or arrays that broadcast: the one closeness test of spectral values,
     absolute below modulus 1 and relative above it.  Clustering the
-    eigenvalues (:func:`_stack_points`), :func:`projective_close` and the
-    point lookup of the suites all decide with it."""
+    eigenvalues (:func:`_stack_points`) and the one point lookup
+    (:func:`algscope.spectral._point_indices`) both decide with it."""
     return np.abs(a - b) <= tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
-
-
-def projective_close(p: ProjectivePoint, q: ProjectivePoint, tol: float) -> bool:
-    """Closeness test used to match spectrum points (:func:`_close`); two
-    infinite points are close, and an infinite point is close to no finite
-    one."""
-    if p.is_infinite or q.is_infinite:
-        return p.is_infinite and q.is_infinite
-    return bool(_close(p.value, q.value, tol))
 
 
 # --------------------------------------------------------------------------
@@ -384,9 +374,20 @@ def _square_pencil(a, b, caller: str) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-#: :func:`pencil_eigen` refuses a shift alpha0 at which sigma_min of
-#: ``a - alpha0*b`` is below this fraction of max(sigma_max, problem scale)
-SINGULAR_SHIFT_TOL = 1e-12
+#: the least regularity (:func:`_shift_regularities`) of a shift that
+#: :func:`pencil_eigen` and the shift search of :mod:`algscope.spectral`
+#: accept; the search raises it to the pencil's rank tolerance when larger
+SHIFT_FLOOR = 1e-8
+
+
+def _shift_regularities(
+    a: np.ndarray, at: np.ndarray, scales: np.ndarray, alpha0: complex
+) -> np.ndarray:
+    """sigma_min / max(sigma_max, (1 + |alpha0|) scale) of the shifted
+    pencil a - alpha0 at, for each pencil of the stack (a, at) with pencil
+    scales ``scales``, from one values-only SVD."""
+    s = np.linalg.svd(a - alpha0 * at, compute_uv=False)
+    return s[:, -1] / np.maximum(s[:, 0], (1.0 + abs(alpha0)) * scales)
 
 
 def pencil_eigen(
@@ -412,22 +413,18 @@ def pencil_eigen(
     1, ``vector`` is the eigenvector of its one eigenvalue as a read-only
     unit column x, with ``(a - alpha*b) x = 0`` (``b x = 0`` at infinity);
     at a multiple point it is None.  Raises :class:`SingularShift` when
-    ``a - alpha0*b`` is numerically singular, which signals a bad shift
-    rather than bad data, and :class:`ValueError` when ``cluster_tol`` is
-    not a finite number > 0.
+    ``a - alpha0*b`` has regularity below ``SHIFT_FLOOR`` at the scale
+    max(||a||_F, ||b||_F), a bad shift rather than bad data, and
+    :class:`ValueError` when ``cluster_tol`` is not a finite number > 0.
     """
     _check_tolerance("cluster_tol", cluster_tol)
     a, b = _square_pencil(a, b, "pencil_eigen")
     if a.shape[0] == 0:
         return []
-    shifted = a - alpha0 * b
-    s = np.linalg.svd(shifted, compute_uv=False)
-    problem_scale = max(
-        float(np.linalg.norm(a, "fro")), abs(alpha0) * float(np.linalg.norm(b, "fro")), 1e-300
-    )
-    if s[-1] < SINGULAR_SHIFT_TOL * max(s[0], problem_scale):
+    scale = max(float(np.linalg.norm(a, "fro")), float(np.linalg.norm(b, "fro")), 1e-300)
+    if _shift_regularities(a[None], b[None], np.array([scale]), alpha0)[0] < SHIFT_FLOOR:
         raise SingularShift(f"shift alpha0={alpha0} leaves the pencil singular")
-    return _shifted_eigens(shifted[None], b[None], [alpha0], cluster_tol)[1][0]
+    return _shifted_eigens((a - alpha0 * b)[None], b[None], [alpha0], cluster_tol)[1][0]
 
 
 def _shifted_eigens(

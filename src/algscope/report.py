@@ -495,6 +495,8 @@ def render_text(report: ReportDocument) -> str:
                 f"  [{status}] {f.theorem_id}: max residual {f.max_residual:.3e}"
                 f" over {f.samples} samples{note}"
             )
+            if f.witness is not None:
+                lines.append(f"    witness: {f.witness}")
     if report.checks:
         lines.append("invariant checks:")
         for name, passed, residual, detail in report.checks:

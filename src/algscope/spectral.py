@@ -44,10 +44,11 @@ At the two points where the pencil degenerates to one matrix, level 0 is
 already known.  Stab(infinity) = {x : F(z x) = 0 for all z} is the
 pairing's right kernel and Stab(0) = {x : F(x z) = 0 for all z} its left
 kernel, which the reduced pencil holds; in quotient coordinates each is the
-kernel seen through Q, Q^H kernel, of dimension dim kernel - dim nil.  A
-multiple point at 0 or infinity reads its level 0 from there
-(:func:`_kernel_stab_frame`), so its dimension is decided once, by the
-pairing's SVD, and only the other multiple points take a level-0 SVD.
+kernel seen through Q, Q^H kernel, of dimension dim kernel - dim nil.  One
+rule, :func:`_stab_frames`, reads them there for :func:`stab` and for the
+level 0 of each multiple point, and takes one stacked SVD at the others.
+One lookup, :func:`_point_indices`, finds points by value for the suites
+and :meth:`Decomposition.point_at`.
 
 Level 0 does not involve the shift, so shift independence has content only
 above it: :func:`algscope.verify.verify_alpha0_suite` checks each level 0
@@ -99,16 +100,18 @@ from .errors import (
 )
 from .functional import Functional, ReducedPencil, _groups, _raise_first, _reduce_pencils
 from .linalg import (
+    SHIFT_FLOOR,
     HomogeneousPoly,
     ProjectivePoint,
     Subspace,
+    _close,
     _nullspaces,
+    _shift_regularities,
     _shifted_eigens,
     det_poly,
     nullspace,
     orthonormal_columns,
     pencil_eigen,
-    projective_close,
     rank,
 )
 
@@ -125,10 +128,6 @@ __all__ = [
 ]
 
 LOG_DET_NODES = 12
-#: the least regularity (sigma_min over the pencil scale) at which the
-#: shift search accepts a draw, raised to the pencil's rank tolerance when
-#: that is larger (:func:`_shift_floor`)
-SHIFT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -265,9 +264,35 @@ class Decomposition:
 
     def point_at(self, alpha: ProjectivePoint) -> int | None:
         """The index of the first point within ``cluster_tol`` of ``alpha``
-        (relative for large values), or None."""
-        close = (projective_close(p.alpha, alpha, self.cluster_tol) for p in self.points)
-        return next((i for i, hit in enumerate(close) if hit), None)
+        (relative for large values), or None: :func:`_point_indices` of the
+        one query."""
+        value = np.array([[0j if alpha.is_infinite else alpha.value]])
+        query = value, np.array([[alpha.is_infinite]])
+        at = _point_indices([self], _alphas([self]), query)[0, 0] if self.points else -1
+        return None if at < 0 else int(at)
+
+
+def _alphas(decs: list[Decomposition]) -> tuple[np.ndarray, np.ndarray]:
+    """The points of each of ``decs``, all with as many: (values,
+    infinite), the value 0 at infinity, one row per decomposition."""
+    rows = [dec._point_values for dec in decs]
+    return np.stack([v for v, _ in rows]), np.stack([x for _, x in rows])
+
+
+def _point_indices(decs: list[Decomposition], alphas: tuple, queries: tuple) -> np.ndarray:
+    """Per decomposition r of ``decs``, whose :func:`_alphas` are
+    ``alphas``, the index into its points of the point each of ``queries``
+    (values, infinite), as ``alphas`` are, falls at, or -1: the first point
+    within ``cluster_tol`` (:func:`algscope.linalg._close`), or at infinity
+    the first infinite one, for all decompositions at once.  The one point
+    lookup: :meth:`Decomposition.point_at` and the suites read it."""
+    points, infinite = alphas
+    values, at_infinity = (q[..., None] for q in queries)
+    shape = (len(decs),) + (1,) * (values.ndim - 2) + (points.shape[1],)
+    tols = np.array([dec.cluster_tol for dec in decs]).reshape(shape[:-1] + (1,))
+    close = _close(values, points.reshape(shape), tols) & ~at_infinity
+    close = np.where(infinite.reshape(shape), at_infinity, close)
+    return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
 def char_poly(rp: ReducedPencil) -> HomogeneousPoly:
@@ -291,16 +316,6 @@ def _pencil_stack(rps: list[ReducedPencil]) -> PencilStack:
         np.stack([rp.at_tilde for rp in rps]),
         np.array([rp.pencil_scale() for rp in rps]),
     )
-
-
-def _shift_regularities(
-    a: np.ndarray, at: np.ndarray, scales: np.ndarray, alpha0: complex
-) -> np.ndarray:
-    """sigma_min / max(sigma_max, (1 + |alpha0|) scale) of the shifted
-    pencil a - alpha0 at, for each pencil of the stack (a, at) with pencil
-    scales ``scales``, from one values-only SVD."""
-    s = np.linalg.svd(a - alpha0 * at, compute_uv=False)
-    return s[:, -1] / np.maximum(s[:, 0], (1.0 + abs(alpha0)) * scales)
 
 
 def _draw_shift(rng: np.random.Generator) -> complex:
@@ -402,10 +417,11 @@ def spectrum(
     when its multiplicity is 1 (None otherwise).
 
     :func:`algscope.linalg.pencil_eigen` gives both, from one values-only
-    SVD that tests the shift ``alpha0`` and one eigendecomposition of the
-    pencil ``a~^T - alpha a~`` through it.  That pencil has the spectrum of
-    ``a~ - alpha a~^T``, its transpose, and its eigenvectors span the
-    kernels of ``a~^T - alpha a~``, the stabilizers.  At a simple point
+    SVD that tests the shift ``alpha0`` by the rule of :func:`choose_alpha0`
+    and one eigendecomposition of the pencil ``a~^T - alpha a~`` through
+    it.  That pencil has the spectrum of ``a~ - alpha a~^T``, its
+    transpose, and its eigenvectors span the kernels of
+    ``a~^T - alpha a~``, the stabilizers.  At a simple point
     1 <= dim Stab(alpha) <= dim V(alpha) = 1, so the eigenvector is the
     whole filtration, with no rank decision.  :func:`decompose` keeps the
     eigenvalues of the same eigendecomposition, which give chi.  A
@@ -495,6 +511,22 @@ def _kernel_stab_frame(rp: ReducedPencil, alpha: ProjectivePoint) -> np.ndarray:
     return frame
 
 
+def _stab_frames(rps: list[ReducedPencil], alphas: list[ProjectivePoint]) -> list[np.ndarray]:
+    """The quotient frame of Stab(alphas[i]) of each pencil ``rps[i]``, all
+    of one size K and one tolerance: from the kernels at 0 and infinity
+    (:func:`_kernel_stab_frame`), and at the other points from one stacked
+    nullspace SVD of a~^T - alpha a~, each at its pre-cancellation scale."""
+    frames = [
+        _kernel_stab_frame(rp, x) if _is_kernel_point(x) else None for rp, x in zip(rps, alphas)
+    ]
+    others = [i for i, w in enumerate(frames) if w is None]
+    if others:
+        mats, scales = zip(*(_slot_one_operator(rps[i], alphas[i]) for i in others))
+        for i, space in zip(others, _nullspaces(np.stack(mats), rps[0].nil.tol, scales)):
+            frames[i] = space.frame
+    return frames
+
+
 def stab(rp: ReducedPencil, alpha: ProjectivePoint) -> Subspace:
     """Stabilizer subspace of the full algebra at ``alpha`` (contains nil),
     read from the reduced pencil ``rp`` of (algebra, F) and decided at its
@@ -504,12 +536,12 @@ def stab(rp: ReducedPencil, alpha: ProjectivePoint) -> Subspace:
     {x : F(z x) = 0 for all z} at infinity: Stab(infinity) is the
     pairing's right kernel, and Stab(0) = {x : F(x z) = 0 for all z} its
     left kernel.  ``rp`` holds both and they are returned as they are, with
-    no SVD.  Every other alpha takes the nullspace of a~^T - alpha a~.
+    no SVD.  Every other alpha lifts its frame from :func:`_stab_frames`,
+    the rule of each decomposition's level 0.
     """
     if _is_kernel_point(alpha):
         return rp.kernels.right if alpha.is_infinite else rp.kernels.left
-    m, scale = _slot_one_operator(rp, alpha)
-    frame = _lift_frame(rp, nullspace(m, rp.nil.tol, scale=scale).frame)
+    frame = _lift_frame(rp, _stab_frames([rp], [alpha])[0])
     return Subspace(rp.nil.ambient_dim, frame, rp.nil.tol)
 
 
@@ -736,14 +768,13 @@ def _decompose_pencils(
     Each draw of the shift is tested with one values-only SVD over the
     pencils still waiting for one; the spectrum takes one ``solve``, one
     ``eig`` and one array pass that clusters the eigenvalues of the stack,
-    whose rows the decompositions keep for chi, the level 0 of every
-    multiple point other than 0 and infinity one nullspace SVD.  At 0 and
-    infinity level 0 is read from the kernels: Stab(0) and Stab(infinity)
-    are the left and right kernels seen in quotient coordinates.  Each
+    whose rows the decompositions keep for chi, and the level 0 of the
+    multiple points one :func:`_stab_frames` call: one nullspace SVD, and
+    the kernels in quotient coordinates at 0 and infinity.  Each
     decomposition runs its checks on first read
     (:attr:`Decomposition.checks`).  The shift that :func:`choose_alpha0`
-    accepts leaves the pencil far from singular, so the spectrum takes it
-    without the singular-shift test of :func:`algscope.linalg.pencil_eigen`.
+    accepts passed the regularity test of
+    :func:`algscope.linalg.pencil_eigen`, so the spectrum skips that test.
     The pencils are grouped by K and their tolerance, and each group is
     done in one pass, whose every stage reads one stack of its pencils
     (:func:`_pencil_stack`), dropped when the group is done.  A group with
@@ -781,29 +812,16 @@ def _decompose_stack(
     decomposition keeps its eigenvalues for chi and ``seed`` for its
     checks.  The spectrum takes one ``solve`` and one ``eig`` of the
     shifted stack a~^T - alpha0 a~, with no singular-shift test
-    (:func:`algscope.linalg._shifted_eigens`).  At 0 and infinity level 0
-    is the pencil's left or right kernel in quotient coordinates
-    (:func:`_kernel_stab_frame`), with no SVD at nil = 0; the other
-    multiple points take one stacked nullspace SVD."""
+    (:func:`algscope.linalg._shifted_eigens`), and the level 0 of all
+    multiple points one call of :func:`_stab_frames`."""
     a, at, _ = stack
     shifted = at - np.array(alpha0s)[:, None, None] * a
     lams, spectra = _shifted_eigens(shifted, a, alpha0s, cluster_tol)
     lams.setflags(write=False)
-    # (pencil, item) of each multiple point, and its Stab(alpha) frame: the
-    # kernels give it at infinity and 0, one stacked SVD at the others
-    stab_frames, multiple = {}, []
-    for c, raw in enumerate(spectra):
-        for j, (alpha, _, vector) in enumerate(raw):
-            if vector is not None:
-                continue
-            if _is_kernel_point(alpha):
-                stab_frames[c, j] = _kernel_stab_frame(rps[c], alpha)
-            else:
-                multiple.append((c, j))
-    if multiple:
-        mats, scales = zip(*(_slot_one_operator(rps[c], spectra[c][j][0]) for c, j in multiple))
-        for key, space in zip(multiple, _nullspaces(np.stack(mats), rps[0].nil.tol, scales)):
-            stab_frames[key] = space.frame
+    # (pencil, item) of each multiple point, and its Stab(alpha) frame
+    multiple = [(c, j) for c, raw in enumerate(spectra) for j, x in enumerate(raw) if x[2] is None]
+    alphas = [spectra[c][j][0] for c, j in multiple]
+    stab_frames = dict(zip(multiple, _stab_frames([rps[c] for c, _ in multiple], alphas)))
     out = []
     for c, (rp, lam, alpha0, raw) in enumerate(zip(rps, lams, alpha0s, spectra)):
         points, chains = [], []

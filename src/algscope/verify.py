@@ -65,11 +65,13 @@ from .functional import (
     _reduce_pencils,
     reduce_pencil,
 )
-from .linalg import INFINITY, ProjectivePoint, _close, _frame_distance, rank, stack_ranks
+from .linalg import INFINITY, ProjectivePoint, _frame_distance, rank, stack_ranks
 from .spectral import (
     Decomposition,
+    _alphas,
     _decompose_pencils,
     _filtration_reduced,
+    _point_indices,
     _side_by_side,
     _stab_residuals,
     choose_alpha0,
@@ -156,29 +158,6 @@ def _budget_parts(members: list[int], nbytes: int) -> list[list[int]]:
     ``_VALIDATE_BLOCK_BYTES`` at ``nbytes`` per member."""
     parts = _chunks([nbytes] * len(members), _VALIDATE_BLOCK_BYTES)
     return [[members[j] for j in part] for part in parts if part]
-
-
-def _alphas(decs: list[Decomposition]) -> tuple[np.ndarray, np.ndarray]:
-    """The points of each of ``decs``, all with as many: (values,
-    infinite), the value 0 at infinity, one row per decomposition."""
-    rows = [dec._point_values for dec in decs]
-    return np.stack([v for v, _ in rows]), np.stack([x for _, x in rows])
-
-
-def _point_indices(decs: list[Decomposition], alphas: tuple, queries: tuple) -> np.ndarray:
-    """Per decomposition r of ``decs``, whose :func:`_alphas` are
-    ``alphas``, the index into its points of the point each of ``queries``
-    (values, infinite), as ``alphas`` are, falls at, or -1:
-    :meth:`Decomposition.point_at` (the first point within ``cluster_tol``,
-    by :func:`algscope.linalg._close`, or at infinity the first infinite
-    one) applied elementwise, to all decompositions at once."""
-    points, infinite = alphas
-    values, at_infinity = (q[..., None] for q in queries)
-    shape = (len(decs),) + (1,) * (values.ndim - 2) + (points.shape[1],)
-    tols = np.array([dec.cluster_tol for dec in decs]).reshape(shape[:-1] + (1,))
-    close = _close(values, points.reshape(shape), tols) & ~at_infinity
-    close = np.where(infinite.reshape(shape), at_infinity, close)
-    return np.where(close.any(axis=-1), close.argmax(axis=-1), -1)
 
 
 # --------------------------------------------------------------------------
@@ -526,8 +505,8 @@ def verify_v_mult(alg: Algebra, dec: Decomposition) -> list[Finding]:
 def _dim_symmetry(decs: list[Decomposition]) -> list[list[Finding]]:
     """:func:`verify_dim_symmetry` of each of ``decs``, the mirrors of all
     points of a group of equal point counts looked up at once
-    (:func:`_point_indices`): a nonzero finite point's is 1/alpha,
-    infinity's is 0, and 0's is the infinite point."""
+    (:func:`algscope.spectral._point_indices`): a nonzero finite point's is
+    1/alpha, infinity's is 0, and 0's is the infinite point."""
     found: list = [[]] * len(decs)
     for members in _groups(len(dec.points) or None for dec in decs).values():
         group = [decs[i] for i in members]
@@ -573,9 +552,10 @@ def verify_dim_symmetry(dec: Decomposition) -> list[Finding]:
     infinity paired) with exactly equal multiplicities, V dimensions, and
     stabilizer dimensions.  Each finding's witness is the first point, in
     spectrum order, that reaches its largest mismatch, with its mirror or
-    "no mirror point".  Each mirror is found by the rule of
-    :meth:`Decomposition.point_at`, all of them at once (see
-    :func:`_point_indices`).  It runs the stacked suite on a batch of one."""
+    "no mirror point".  Each mirror is found by the one point lookup of
+    :meth:`Decomposition.point_at`, all of them at once
+    (:func:`algscope.spectral._point_indices`).  It runs the stacked suite
+    on a batch of one."""
     return _dim_symmetry([dec])[0]
 
 

@@ -8,6 +8,15 @@ quotient machinery, so that agreement is evidence and not circularity.
 import numpy as np
 
 
+def points_close(p, q, tol):
+    """Whether the projective points p and q lie within ``tol`` of each
+    other, relative above modulus 1: two infinite points do, and an infinite
+    point lies close to no finite one."""
+    if p.is_infinite or q.is_infinite:
+        return p.is_infinite and q.is_infinite
+    return abs(p.value - q.value) <= tol * max(1.0, abs(p.value), abs(q.value))
+
+
 def pairing_entry(alg, f_coords, p, q):
     """F(e_p e_q) computed entrywise from the structure tensor."""
     total = 0.0 + 0.0j

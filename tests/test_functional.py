@@ -34,13 +34,12 @@ from algscope.linalg import (
     Subspace,
     complement,
     det_poly,
-    projective_close,
     projector_distance,
     subspace_intersect,
 )
 from algscope.spectral import choose_alpha0, spectrum
 
-from oracles import multiplicative_loop, pairing_matrix, raw_kernel
+from oracles import multiplicative_loop, pairing_matrix, points_close, raw_kernel
 
 TOL = 1e-9
 
@@ -367,7 +366,7 @@ class TestReducedPencil:
         shift = choose_alpha0(rp)
         points_a, points_b = spectrum(rp, shift), spectrum(rp2, shift)
         assert [m for _, m, _ in points_a] == [m for _, m, _ in points_b]
-        assert all(projective_close(x[0], y[0], 1e-8) for x, y in zip(points_a, points_b))
+        assert all(points_close(x[0], y[0], 1e-8) for x, y in zip(points_a, points_b))
 
 
 class TestMultiplicative:

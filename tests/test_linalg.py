@@ -18,7 +18,6 @@ from algscope import (
     mat_algebra,
     nullspace,
     pencil_eigen,
-    projective_close,
     projector_distance,
     random_functional,
     subspace_equal,
@@ -34,7 +33,7 @@ from algscope.linalg import (
     stack_ranks,
 )
 
-from oracles import cluster_values_loop, det_poly_exact
+from oracles import cluster_values_loop, det_poly_exact, points_close
 
 TOL = 1e-10
 
@@ -260,7 +259,7 @@ class TestPencilEigen:
         pts = pencil_eigen(np.eye(2), np.eye(2), 0.0)
         assert len(pts) == 1
         alpha, mult, vector = pts[0]
-        assert mult == 2 and projective_close(alpha, ProjectivePoint.finite(1.0), 1e-9)
+        assert mult == 2 and points_close(alpha, ProjectivePoint.finite(1.0), 1e-9)
         assert vector is None
 
     def test_zero_second_matrix_gives_infinity(self):
@@ -363,11 +362,18 @@ class TestPencilEigen:
         pts = pencil_eigen(a, b, alpha0, cluster_tol=tol)
         assert [m for _, m, _ in pts] == [3, 1, 1]
         assert pts[0][0].value == 0.0 and pts[2][0].is_infinite
-        assert projective_close(pts[1][0], ProjectivePoint(1.0), 1e-12)
+        assert points_close(pts[1][0], ProjectivePoint(1.0), 1e-12)
 
-    def test_singular_shift_raises(self):
+    @pytest.mark.parametrize(
+        "a, alpha0",
+        # on the spectrum, and 1e-10 from it: regularity 1.5e-11, below the
+        # floor of the shift search
+        [(np.eye(2), 1.0), (np.diag([1.0, 2.0]), 2 + 1e-10)],
+        ids=["on", "near"],
+    )
+    def test_singular_shift_raises(self, a, alpha0):
         with pytest.raises(SingularShift):
-            pencil_eigen(np.eye(2), np.eye(2), 1.0)
+            pencil_eigen(a, np.eye(2), alpha0)
 
     def test_multiplicities_sum_to_size(self):
         rng = np.random.default_rng(11)
@@ -637,10 +643,10 @@ class TestProjectivePoint:
         assert abs(p.inverse().value - 0.5) < 1e-15
 
     def test_close_is_relative_for_large_values(self):
-        a = ProjectivePoint.finite(1e9)
-        b = ProjectivePoint.finite(1e9 + 1.0)
-        assert projective_close(a, b, 1e-6)
-        assert not projective_close(a, INFINITY, 1e-6)
+        from algscope.linalg import _close
+
+        assert _close(1e9, 1e9 + 1.0, 1e-6)
+        assert not _close(1.0, 1.0 + 2e-6, 1e-6)
 
     def test_subspace_frame_validation(self):
         with pytest.raises(ShapeError):
@@ -648,10 +654,10 @@ class TestProjectivePoint:
 
 
 class TestOneClosenessTest:
-    """Clustering (``_stack_points``), the suites' point lookup
-    (``verify._point_indices``) and ``projective_close`` all decide with
-    ``_close``, ``|a - b| <= tol * max(1, |a|, |b|)``: they agree at, just
-    inside and just outside that radius, at moduli below 1 and far above."""
+    """Clustering (``_stack_points``) and the one point lookup
+    (``spectral._point_indices``) both decide with ``_close``,
+    ``|a - b| <= tol * max(1, |a|, |b|)``: they agree at, just inside and
+    just outside that radius, at moduli below 1 and far above."""
 
     TOL = 1e-6
 
@@ -673,7 +679,7 @@ class TestOneClosenessTest:
         from types import SimpleNamespace
 
         from algscope.linalg import _close
-        from algscope.verify import _point_indices
+        from algscope.spectral import _point_indices
 
         tol = self.TOL
         verdicts = set()
@@ -688,9 +694,6 @@ class TestOneClosenessTest:
                     assert close is (factor < 1.0)
                     assert close is bool(abs(x - y) <= tol * max(1.0, abs(x), abs(y)))
                 assert bool(_close(y, x, tol)) is close
-                p, q = ProjectivePoint.finite(x), ProjectivePoint.finite(y)
-                assert projective_close(p, q, tol) is close
-                assert projective_close(q, p, tol) is close
                 vectors = np.eye(2, dtype=complex)[None]
                 (points,) = _stack_points(lams, vectors, [0j], tol)
                 assert len(points) == (1 if close else 2)

@@ -42,8 +42,9 @@ def test_tracer_target_resolves_to_a_callable(layer):
 
 #: names removed from the package: a second rule for a decision that the
 #: spectrum's eigendecomposition makes, a type that repeated another one, a
-#: set and a search that no program path needs, or the second shift and the
-#: second climb of the alpha0 suite, which reads the reported chain instead
+#: set and a search that no program path needs, the second shift and the
+#: second climb of the alpha0 suite, which reads the reported chain instead,
+#: or a second copy of the point lookup and of the shift-regularity floor
 REMOVED = (
     "jordan_filtration",
     "verify_alpha0_independence",
@@ -65,6 +66,8 @@ REMOVED = (
     "_suite_shifts",
     "_alpha0_independence",
     "RANK_ONE_MULTIPLICATIVE",
+    "projective_close",
+    "SINGULAR_SHIFT_TOL",
 )
 
 

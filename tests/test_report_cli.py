@@ -481,6 +481,22 @@ class TestReportRoundTrip:
         text = render_text(report)
         assert "spectrum:" in text and "invariant checks:" in text
 
+    def test_text_rendering_prints_each_witness(self):
+        from algscope.verify import V_MULT_FINITE, V_MULT_NONZERO, Finding
+
+        findings = [
+            Finding(V_MULT_FINITE, False, 3e-3, (2.0, 0.5, 0, 1), 81),
+            Finding(V_MULT_NONZERO, True, 1e-15, None, 81),
+        ]
+        report = report_from_findings(findings, seed=0, tol=1e-9, cluster_tol=1e-6)
+        assert report.to_json().count('"witness": "(2.0, 0.5, 0, 1)"') == 1
+        lines = render_text(report).splitlines()
+        at = lines.index("  [FAIL] VMultFinite: max residual 3.000e-03 over 81 samples")
+        assert lines[at + 1] == "    witness: (2.0, 0.5, 0, 1)"
+        # a finding with no witness prints none
+        assert lines[at + 2] == "  [pass] VMultNonzero: max residual 1.000e-15 over 81 samples"
+        assert sum("witness" in line for line in lines) == 1
+
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
@@ -590,10 +606,13 @@ class TestCli:
         assert main(["analyze", "nothere.alg", "nofile.fn"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_analyze_dimension_mismatch_is_usage_error(self, workdir):
+    def test_analyze_dimension_mismatch_is_usage_error(self, workdir, capsys):
         write_inputs(workdir)
         save_functional(Functional(np.zeros(2, dtype=complex)), "tiny.fn")
         assert main(["analyze", "mat3.alg", "tiny.fn"]) == 1
+        # the message every other dimension check gives
+        message = "functional: dimension 2 does not match the algebra dimension 9"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "path, value, message",

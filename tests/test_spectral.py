@@ -26,7 +26,6 @@ from algscope import (
     klein_table,
     mat_algebra,
     matrix_trace_functional,
-    projective_close,
     projector_distance,
     random_functional,
     reduce_pencil,
@@ -38,14 +37,14 @@ from algscope import (
     upper_triangular,
     verify_alpha0_suite,
 )
-from algscope.linalg import Subspace, nullspace
+from algscope.linalg import Subspace, _shift_regularities, nullspace
 from algscope.spectral import (
     DEFAULT_CLUSTER_TOL,
     decompose_all,
     _decomposition_checks,
     _filtration_reduced,
+    _lift_frame,
     _pencil_stack,
-    _shift_regularities,
     _slot_one_operator,
     _stab_residuals,
 )
@@ -62,6 +61,7 @@ from oracles import (
     filtration_reduced_loop,
     jordan_dims_by_powers,
     kernel_level0,
+    points_close,
     prescribed_pencil_algebra,
     split_point,
     stab_fullspace,
@@ -202,6 +202,8 @@ class TestChooseAlpha0:
             a0 = choose_alpha0(rp, seed=seed)
             assert 0.5 <= abs(a0) <= 2.0
             assert _shift_regularities(*_pencil_stack([rp]), a0)[0] >= 1e-8
+            # spectrum tests the shift by the same rule, and takes it
+            assert sum(m for _, m, _ in spectrum(rp, a0)) == rp.K
             assert all(abs(a0 - root) > 1e-6 for root in (1.0, 2.0, 0.5))
 
     def test_scalar_pencil_accepts_anything_but_one(self):
@@ -242,7 +244,7 @@ class TestSpectrum:
         pts = spectrum(rp, choose_alpha0(rp))
         assert len(pts) == 1
         alpha, mult, _ = pts[0]
-        assert mult == 1 and projective_close(alpha, ProjectivePoint.finite(1.0), 1e-8)
+        assert mult == 1 and points_close(alpha, ProjectivePoint.finite(1.0), 1e-8)
 
     def test_mat3_seven_points(self):
         rp = reduce_pencil(mat_algebra(3), diag125(), TOL)
@@ -313,6 +315,36 @@ class TestStab:
             got = stab(rp, near)
             assert got.dim == 1 and got.tol == 1e-6
             assert stab(reduce_pencil(alg, f), near).dim == 0
+
+    @pytest.mark.parametrize("case", ["Mat_3", "levels3", "Mat_3 diag(1, 2, 0)"])
+    def test_is_the_lifted_level_0_of_each_multiple_point(self, case):
+        # one rule gives both, so they agree bit for bit: at a random F, at
+        # a planted block that climbs, and with nil of dimension 1 and the
+        # multiple points 0 and infinity, where stab returns the kernel
+        if case == "levels3":
+            alg, f = prescribed_pencil_algebra(PLANTED_JORDAN_BLOCKS["levels3"][0])
+        elif case == "Mat_3":
+            alg, f = mat_algebra(3), random_functional(9, np.random.default_rng(5))
+        else:
+            alg, f = mat_algebra(3), matrix_trace_functional(np.diag([1.0, 2.0, 0.0]))
+        dec = decompose(alg, f)
+        rp = dec.pencil
+        kernel_points = {INFINITY: rp.kernels.right, ProjectivePoint.finite(0.0): rp.kernels.left}
+        compared = []
+        for p, chain in zip(dec.points, dec.quotient_filtrations):
+            got = stab(rp, p.alpha)
+            if p.alpha in kernel_points:
+                assert got is kernel_points[p.alpha]
+            elif p.algebraic_mult > 1:
+                assert got.frame.tobytes() == _lift_frame(rp, chain[0]).tobytes()
+                compared.append(len(chain))
+        assert compared
+        assert (max(compared) > 1) is (case == "levels3")
+        assert (dec.nil.dim, len(dec.points) - len(compared)) == {
+            "Mat_3": (0, 6),
+            "levels3": (0, 0),
+            "Mat_3 diag(1, 2, 0)": (1, 4),
+        }[case]
 
     @pytest.mark.parametrize(
         "alpha",
@@ -878,7 +910,7 @@ class TestDecompose:
         dec = decompose(alg, Functional(np.array([1.0, 0.37 + 0.11j])))
         assert len(dec.points) == 1
         p = dec.points[0]
-        assert projective_close(p.alpha, ProjectivePoint.finite(1.0), 1e-8)
+        assert points_close(p.alpha, ProjectivePoint.finite(1.0), 1e-8)
         assert p.algebraic_mult == 2 and dec.v_spaces[0].dim == 2
 
     def test_invariants_hold_on_random_inputs(self):
@@ -1205,7 +1237,7 @@ class TestPointsAtZero:
         dec = decompose(alg, Functional(c), cluster_tol=1e-5)
         points = [p.alpha for p in dec.points]
         assert points[0].value == 0.0 and points[2].is_infinite
-        assert projective_close(points[1], ProjectivePoint(1.0), 1e-9)
+        assert points_close(points[1], ProjectivePoint(1.0), 1e-9)
         assert [p.algebraic_mult for p in dec.points] == mults
         assert dec.ok, [ch.name for ch in dec.checks if not ch.passed]
 
@@ -1728,7 +1760,8 @@ class TestKernelStabilizers:
         q = rp.quotient_frame
         for alpha, kernel in ((INFINITY, ker.right), (ProjectivePoint.finite(0.0), ker.left)):
             got = stab(rp, alpha)
-            assert subspace_equal(got, kernel, 1e-12)
+            # the kernel itself, with no SVD
+            assert got is kernel
             # the kernel spans the stabilizer of the defining conditions
             value = None if alpha.is_infinite else 0.0
             oracle = Subspace(alg.dim, stab_fullspace(alg, f.coords, value), TOL)

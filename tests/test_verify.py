@@ -55,12 +55,11 @@ from algscope.verify import (
     SUITE_NAMES,
     V_MULT_FINITE,
     V_MULT_NONZERO,
-    _alphas,
     _chain_distance,
     _first_worst,
-    _point_indices,
     _product_inclusions,
 )
+from algscope.spectral import _alphas, _point_indices
 
 from oracles import (
     PLANTED_JORDAN_BLOCKS,
@@ -362,6 +361,7 @@ class TestDimSymmetry:
         alg = mat_algebra(2)
         empty = decompose(alg, Functional(np.zeros(4)))
         assert empty.points == ()
+        assert empty.point_at(INFINITY) is None and empty.point_at(ProjectivePoint(1.0)) is None
         findings = verify_dim_symmetry(empty)
         assert [(f.passed, f.max_residual, f.witness, f.samples) for f in findings] == [
             (True, 0.0, None, 0)
@@ -944,11 +944,18 @@ class TestProductInclusionsOracle:
         # every value once as a finite query and once marked infinite
         queries = np.concatenate([grid, grid]), np.repeat([False, True], grid.size)
         (found,) = _point_indices([dec], _alphas([dec]), (queries[0][None], queries[1][None]))
-        assert np.array_equal(found[: grid.size], target_indices_loop(dec, grid))
-        for value, infinite, index in zip(*queries, found):
-            at = dec.point_at(INFINITY if infinite else ProjectivePoint.finite(value))
+        want = target_indices_loop(dec, grid)
+        assert np.array_equal(found[: grid.size], want)
+        # point_at is the lookup of one query
+        for value, index in zip(grid, want):
+            at = dec.point_at(ProjectivePoint.finite(value))
             assert index == (-1 if at is None else at)
-        assert any(p.alpha.is_infinite for p in dec.points) is (weights[-1] == 0.0)
+        # a query at infinity falls at the first infinite point, whatever its
+        # value, and at none when there is none
+        infinite = [i for i, p in enumerate(dec.points) if p.alpha.is_infinite]
+        assert bool(infinite) is (weights[-1] == 0.0)
+        assert found[grid.size :].tolist() == [infinite[0] if infinite else -1] * grid.size
+        assert dec.point_at(INFINITY) == (infinite[0] if infinite else None)
 
     def test_defective_point_matches(self):
         alg, f = prescribed_pencil_algebra(np.array([[1.0, 1.0], [-1.0, 0.0]]))
