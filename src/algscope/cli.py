@@ -5,7 +5,8 @@ errors, when an ``--out`` file cannot be written, when an input algebra
 file fails the axioms (``analyze``,
 ``verify`` and the ``direct-sum`` and ``opposite`` builders) and when
 ``analyze`` is given a functional whose reduced pencil is singular for
-every alpha (F is not generic; no report), 2 when an invariant
+every alpha (F is not generic) or whose pairing is too large for double
+precision (no report in either case), 2 when an invariant
 or a suite finding fails, or when ``verify --negative-control`` goes
 undetected on a non-commutative algebra (the report is still emitted).  On a
 commutative algebra the control is not applicable and does not gate.  The
@@ -40,6 +41,7 @@ from .errors import (
     DEFAULT_TOL,
     AlgscopeError,
     BadParams,
+    NonFinite,
     NoRegularValue,
     ParseError,
     SingularPencil,
@@ -198,7 +200,7 @@ def _cmd_analyze(args) -> int:
         raise ParseError(str(error))
     try:
         dec = decompose(alg, f, seed=seed, tol=args.tol, cluster_tol=args.cluster_tol)
-    except SingularPencil as exc:
+    except (SingularPencil, NonFinite) as exc:
         # a precondition on the input, not a failed invariant
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -323,9 +325,7 @@ def main(argv=None) -> int:
             return _cmd_analyze(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "builders":
-            return _cmd_builders(args)
-        raise BadParams(f"unknown command {args.command!r}")
+        return _cmd_builders(args)
     except (ParseError, BadParams, UnknownBuilder, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

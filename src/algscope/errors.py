@@ -15,7 +15,8 @@ class AlgscopeError(Exception):
 
 
 class NonFinite(AlgscopeError):
-    """A matrix or vector contains NaN or Inf entries."""
+    """A matrix or vector contains NaN or Inf entries, or a functional's
+    pairing is too large for double precision."""
 
 
 class DimensionMismatch(AlgscopeError):

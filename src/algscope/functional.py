@@ -269,19 +269,25 @@ def _reduce_pencils(
     """:func:`reduce_pencil` of each functional of ``fs``: the pairing
     matrices come from one contraction and both kernels from one stacked
     SVD (:func:`_stack_kernels`).  A functional of another dimension gets
-    in its place the :class:`DimensionMismatch` and one whose pairing has a
-    non-finite entry (finite coordinates can still overflow) the
-    :class:`NonFinite` that :func:`reduce_pencil` would raise, and the
-    others are unaffected.  A ``tol`` that is not a finite number > 0
-    raises :class:`ValueError` for all of them."""
+    in its place the :class:`DimensionMismatch`, and one whose pairing has
+    no finite Frobenius norm the :class:`NonFinite` that
+    :func:`reduce_pencil` would raise: finite coordinates can still
+    overflow an entry, or the norm, which bounds the pencil's scale
+    (``ReducedPencil.pencil_scale``).  The others are unaffected.  A
+    ``tol`` that is not a finite number > 0 raises :class:`ValueError` for
+    all of them."""
     _check_tolerance("tol", tol)
     out: list = [_dim_error(alg, f.dim, "functional") for f in fs]
     sized = [i for i, rp in enumerate(out) if rp is None]
     coords = np.array([fs[i].coords for i in sized], dtype=complex).reshape(-1, alg.dim)
     pairings = _pairings(alg, coords)
-    for i, a in zip(sized, pairings):
-        if not np.all(np.isfinite(a)):
-            out[i] = NonFinite("matrix contains NaN or Inf entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(pairings, axis=(1, 2))
+    for i, norm in zip(sized, norms.tolist()):
+        if not np.isfinite(norm):
+            out[i] = NonFinite(
+                "functional: the pairing F(e_i e_j) is too large for double precision; rescale F"
+            )
     keep = [j for j, i in enumerate(sized) if out[i] is None]
     if keep:
         eye = np.eye(alg.dim, dtype=complex)

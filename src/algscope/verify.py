@@ -35,9 +35,13 @@ chain of ``dec.points[i]``, and its shape and its points as arrays, which
 the decomposition derives once, on first read; no suite reads chi, so
 :func:`run_suites` never forms it.  No stacked operand takes more
 than ``_VALIDATE_BLOCK_BYTES`` unless one member alone does.  v-mult
-stacks a group's layout (its levels, targets and point lookup) but forms
-the product tensor of one member at a time, so it never holds more than
-one decomposition's product tensor.
+makes one pass per part of a shape group: it stacks the part's layout
+(its levels, targets and point lookup) but forms the product tensor of
+one member at a time, so it never holds more than one decomposition's
+product tensor.  Every product of two frames, the whole algebra among them
+as the identity frame, is one :func:`pairwise_products` call, and every
+level that v-mult lifts out of the quotient goes through
+:func:`algscope.spectral._lift_frame`.
 
 :func:`verify_stab_transversality` is a check of one decomposition that no
 suite runs: it follows from the decomposition's own ``v_spaces_direct_sum``
@@ -71,6 +75,7 @@ from .spectral import (
     _alphas,
     _decompose_pencils,
     _filtration_reduced,
+    _lift_frame,
     _point_indices,
     _side_by_side,
     _stab_residuals,
@@ -164,45 +169,40 @@ def _budget_parts(members: list[int], nbytes: int) -> list[list[int]]:
 # kernel product relations
 
 #: the seven relations: name, left factor, right factor and target, each an
-#: index into (left, right, nil), None standing for the whole algebra
+#: index into (left, right, nil, algebra)
 _RELATIONS = (
-    ("left*algebra<=left", 0, None, 0),
-    ("algebra*right<=right", None, 1, 1),
+    ("left*algebra<=left", 0, 3, 0),
+    ("algebra*right<=right", 3, 1, 1),
     ("left*right<=nil", 0, 1, 2),
     ("left*nil<=nil", 0, 2, 2),
     ("nil*right<=nil", 2, 1, 2),
-    ("nil*algebra<=left", 2, None, 0),
-    ("algebra*nil<=right", None, 2, 1),
+    ("nil*algebra<=left", 2, 3, 0),
+    ("algebra*nil<=right", 3, 2, 1),
 )
 
 
 def _kernel_relations(alg: Algebra, kers: list[Kernels]) -> list[Finding]:
     """:func:`verify_kernel_relations` of each of ``kers``, at
     ``KERNEL_RELATIONS_TOL``: per group of equal kernel dimensions and per
-    relation, one stacked product, with the whole algebra read from the
-    structure tensor, and one stacked residual.  A member's operands take at most 16 N^2 max(kernel dims) <=
-    16 N^3 bytes, and :func:`run_suites` passes chunks of at most
-    ``_VALIDATE_BLOCK_BYTES`` over 16 N^3 members, so that chunk bounds
-    every group."""
+    relation, one stacked :func:`pairwise_products` call, with the whole
+    algebra as the identity frame, and one stacked residual.  A member's
+    operands take at most 16 N^2 max(kernel dims) <= 16 N^3 bytes, and
+    :func:`run_suites` passes chunks of at most ``_VALIDATE_BLOCK_BYTES``
+    over 16 N^3 members, so that chunk bounds every group."""
     tol = KERNEL_RELATIONS_TOL
     n = alg.dim
-    s = alg.structure.reshape(n, n * n)
     out: list = [None] * len(kers)
     for dims, members in _groups(tuple(x.dim for x in ker) for ker in kers).items():
-        frames = [np.stack([kers[i][t].frame for i in members]) for t in range(3)]
+        frames = [np.stack([kers[i][t].frame for i in members]) for t in range(3)] + [np.eye(n)]
+        dims += (n,)
         b = len(members)
         worst = [0.0] * b
         witness: list = [None] * b
         samples = 0
         for name, x, y, t in _RELATIONS:
-            if 0 in [dims[f] for f in (x, y) if f is not None]:
+            if 0 in (dims[x], dims[y]):
                 continue
-            if y is None:
-                prods = (np.swapaxes(frames[x], 1, 2) @ s).reshape(b, dims[x], n, n)
-            elif x is None:
-                prods = np.swapaxes(frames[y], 1, 2)[:, None] @ s.reshape(n, n, n)
-            else:
-                prods = pairwise_products(alg, frames[x], frames[y])
+            prods = pairwise_products(alg, frames[x], frames[y])
             # each product a column, as Subspace.residual takes them
             v = prods.reshape(b, -1, n).transpose(0, 2, 1)
             w = frames[t]
@@ -326,58 +326,41 @@ def verify_alpha0_suite(dec: Decomposition, seed: int = 0) -> Finding:
 # product inclusions between filtration levels
 
 
-def _product_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
-    """Check V^k(a) * V^m(b) <= V^{k+m}(a b) for the pairs of spectral points
-    of each of ``decs``, where infinity times a nonzero point is infinity;
-    products falling at a non-spectral value must lie in nil.  Returns per
-    decomposition (worst residual, witness, samples) over the pairs of
-    finite points, then over the pairs of nonzero points, infinity
-    included.
+def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[list[Finding]]:
+    """:func:`verify_v_mult` of each of ``decs``, decompositions of one
+    shape (``Decomposition._shape``): V^k(a) * V^m(b) <= V^{k+m}(a b) for
+    the pairs of spectral points, where infinity times a nonzero point is
+    infinity; products falling at a non-spectral value must lie in nil.
 
-    The levels are read by position, as the quotient frames W of
-    ``dec.quotient_filtrations``, with no lift to :class:`Subspace`: the
-    columns ``[Q W, nil]`` of all levels of all points of a decomposition
-    are stacked into one matrix, and the matrices of a group, the
-    decompositions of one shape (``Decomposition._shape``), into one
-    array.  At nil = 0, Q is the identity, and neither product with it is
-    formed.  The targets and the point lookup are taken for the whole
-    group at once; the product tensor, one :func:`pairwise_products` call,
-    is formed for one member at a time, and only its row of residuals is
-    kept.  Every level contains
-    nil and ``[Q, nil]`` is unitary, so a product p lies off the level
+    The layout, targets and point lookup are taken for all of ``decs`` at
+    once; the product tensor, one :func:`pairwise_products` call, is formed
+    for one member at a time, and only its row of residuals is kept.  A
+    member's columns are its levels side by side, each lifted as
+    ``[Q W, nil]`` (:func:`algscope.spectral._lift_frame`) from its
+    quotient frame W; at nil = 0, Q is the identity, and the columns are
+    the W with no product with Q.  Every level contains nil and
+    ``[Q, nil]`` is unitary, so a product p lies off the level
     ``[Q W, nil]`` by exactly the part of its quotient coordinates
     c = Q^H p off W, and off nil by all of c: its residual is
     ``|c - W W^H c| / max(1, |p|)``, or ``|c| / max(1, |p|)`` for nil.
     Each product's residual is taken once, against its own target level:
     all coordinates are projected onto the columns of all levels, in chunks
     of whole levels of at most N columns, and each keeps only its target's
-    columns.  A group is split into parts by what it holds per member: the
-    lookup's p^3 complex temporaries, for p points, and a max(N, cols)
-    square of complex entries, which bounds its frames and its per-product
-    arrays.  One member's cols^2 N product tensor does not count, since
-    only one is alive.  Products of 0 and infinity belong to neither
-    variant.  A variant whose worst residual reaches ``V_MULT_TOL`` names
-    as witness (a, b, k, m), meaning V^k(a) V^m(b), the first quadruple, in
-    the order a, b, k, m over the points in spectrum order, whose products
-    reach that residual.  Below it the residuals are round-off, whose argmax
-    any reordering of the arithmetic moves, so a passing variant names no
+    columns.  :func:`_v_mult` splits a shape group into parts by what it
+    holds per member: the lookup's p^3 complex temporaries, for p points,
+    and a max(N, cols) square of complex entries, which bounds its frames
+    and its per-product arrays.  One member's cols^2 N product tensor does
+    not count, since only one is alive.
+
+    ``VMultFinite`` reads the pairs of finite points, ``VMultNonzero`` the
+    pairs of nonzero points, infinity included; products of 0 and infinity
+    belong to neither variant, which a decomposition with both notes.  A
+    variant whose worst residual reaches ``V_MULT_TOL`` names as witness
+    (a, b, k, m), meaning V^k(a) V^m(b), the first quadruple, in the order
+    a, b, k, m over the points in spectrum order, whose products reach that
+    residual.  Below it the residuals are round-off, whose argmax any
+    reordering of the arithmetic moves, so a passing variant names no
     witness.  Every product of two of its columns is one sample."""
-    n = alg.dim
-    out: list = [((0.0, None, 0), (0.0, None, 0))] * len(decs)
-    groups = _groups(dec._shape for dec in decs)
-    for (k, chains), members in groups.items():
-        cols = sum(map(sum, chains)) + sum(map(len, chains)) * (n - k)
-        for part in _budget_parts(members, 16 * (len(chains) ** 3 + max(n, cols) ** 2)):
-            for i, found in zip(part, _group_inclusions(alg, [decs[i] for i in part])):
-                out[i] = found
-    return out
-
-
-def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
-    """:func:`_product_inclusions` of decompositions of one shape:
-    the layout, targets and lookup of all of them at once, then one
-    member's product tensor, quotient coordinates and projections at a
-    time."""
     n = alg.dim
     b = len(decs)
     nil = decs[0].pencil.nil.dim
@@ -408,23 +391,17 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     finite_col = ~infinite[:, point_of]
     nonzero_col = (infinite | (values != 0))[:, point_of]
     in_variant = [(x[:, :, None] & x[:, None, :]).reshape(b, -1) for x in (finite_col, nonzero_col)]
+    mixed = infinite.any(axis=1) & (~infinite & (values == 0)).any(axis=1)
+    note = ("mixed pair (0, infinity) not covered by either variant; skipped",)
+    notes = [note if m else () for m in mixed.tolist()]
 
-    # the columns [Q W, nil] of every level, from one stacked product Q W;
-    # at nil = 0, Q is the identity and the columns are W.  At nil != 0 one
-    # index array puts nil's columns after each level's
+    # the columns [Q W, nil] of every level; at nil = 0, Q is the identity
+    # and the columns are W
     levels = [[w for chain in dec.quotient_filtrations for w in chain] for dec in decs]
-    stacked = _side_by_side(levels)
+    columns = levels
     if nil:
-        q = np.stack([dec.pencil.quotient_frame for dec in decs])
-        stacked = q @ stacked
-        total = width.sum()
-        starts = np.cumsum(width) - width
-        order = [np.r_[s : s + d, total : total + nil] for s, d in zip(starts, width)]
-        order = np.concatenate(order)
-        nil_frames = np.stack([dec.pencil.nil.frame for dec in decs])
-        stacked = np.concatenate([stacked, nil_frames], axis=2)[:, :, order]
-        del nil_frames
-        q = q.conj()
+        columns = [[_lift_frame(d.pencil, w) for w in row] for d, row in zip(decs, levels)]
+    stacked = _side_by_side(columns)
     # the projection chunks, each whole levels of at most N columns: their
     # frames, conjugated, and per column its level
     chunks = []
@@ -436,10 +413,10 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
     # A row's target lies in one chunk, and every other chunk takes exact
     # zeros off it
     res = np.empty((b, cols * cols))
-    for r in range(b):
+    for r, dec in enumerate(decs):
         prods = pairwise_products(alg, stacked[r], stacked[r]).reshape(cols * cols, n)
         scale = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-        coords = prods @ q[r] if nil else prods
+        coords = prods @ dec.pencil.quotient_frame.conj() if nil else prods
         del prods
         for conj, frames, level_cols in chunks:
             onto = coords @ conj[r]
@@ -447,39 +424,36 @@ def _group_inclusions(alg: Algebra, decs: list[Decomposition]) -> list[tuple]:
             coords -= onto @ frames[r].T
         res[r] = np.linalg.norm(coords, axis=1) / scale
 
-    found = []
-    for members in in_variant:
+    out: list = [[] for _ in decs]
+    for theorem_id, members in zip((V_MULT_FINITE, V_MULT_NONZERO), in_variant):
         samples = members.sum(axis=1).tolist()
         worst = np.where(members, res, -np.inf).max(axis=1, initial=-np.inf).tolist()
-        variant = []
         for r, dec in enumerate(decs):
-            if not samples[r] or worst[r] < V_MULT_TOL:
-                variant.append((worst[r] if samples[r] else 0.0, None, samples[r]))
-                continue
-            x, y = np.divmod(np.flatnonzero(members[r] & (res[r] == worst[r])), cols)
-            first = np.lexsort((level_of[y], level_of[x], point_of[y], point_of[x]))[0]
-            x, y = x[first], y[first]
-            a, c = dec.points[point_of[x]].alpha, dec.points[point_of[y]].alpha
-            variant.append((worst[r], (a, c, int(level_of[x]), int(level_of[y])), samples[r]))
-        found.append(variant)
-    return list(zip(*found))
+            residual = worst[r] if samples[r] else 0.0
+            witness = None
+            if residual >= V_MULT_TOL:
+                x, y = np.divmod(np.flatnonzero(members[r] & (res[r] == residual)), cols)
+                first = np.lexsort((level_of[y], level_of[x], point_of[y], point_of[x]))[0]
+                x, y = x[first], y[first]
+                a, c = dec.points[point_of[x]].alpha, dec.points[point_of[y]].alpha
+                witness = (a, c, int(level_of[x]), int(level_of[y]))
+            passed = residual < V_MULT_TOL
+            out[r].append(Finding(theorem_id, passed, residual, witness, samples[r], notes[r]))
+    return out
 
 
 def _v_mult(alg: Algebra, decs: list[Decomposition]) -> list[list[Finding]]:
-    """:func:`verify_v_mult` of each of ``decs``, at ``V_MULT_TOL``."""
-    tol = V_MULT_TOL
-    out = []
-    for dec, (finite, nonzero) in zip(decs, _product_inclusions(alg, decs)):
-        notes = ()
-        values, infinite = dec._point_values
-        if infinite.any() and (~infinite & (values == 0)).any():
-            notes = ("mixed pair (0, infinity) not covered by either variant; skipped",)
-        out.append(
-            [
-                Finding(V_MULT_FINITE, finite[0] < tol, *finite, notes),
-                Finding(V_MULT_NONZERO, nonzero[0] < tol, *nonzero, notes),
-            ]
-        )
+    """:func:`verify_v_mult` of each of ``decs``: one
+    :func:`_group_inclusions` call per part of each shape group
+    (``Decomposition._shape``), split by :func:`_budget_parts`.  An empty
+    spectrum passes both variants with 0 samples."""
+    n = alg.dim
+    out = [[Finding(V_MULT_FINITE, True, 0.0), Finding(V_MULT_NONZERO, True, 0.0)] for _ in decs]
+    for (k, chains), members in _groups(dec._shape for dec in decs).items():
+        cols = sum(map(sum, chains)) + sum(map(len, chains)) * (n - k)
+        for part in _budget_parts(members, 16 * (len(chains) ** 3 + max(n, cols) ** 2)):
+            for i, found in zip(part, _group_inclusions(alg, [decs[i] for i in part])):
+                out[i] = found
     return out
 
 
@@ -488,8 +462,8 @@ def verify_v_mult(alg: Algebra, dec: Decomposition) -> list[Finding]:
     filtration levels of ``dec`` at ``V_MULT_TOL``, one finding per variant:
     ``VMultFinite`` over the pairs of finite points and ``VMultNonzero``
     over the pairs of nonzero points, where infinity times a nonzero point
-    is infinity.  Both read one product tensor (see
-    :func:`_product_inclusions`); the witness (a, b, k, m) of a failing
+    is infinity.  Both read one product tensor of the lifted levels (see
+    :func:`_group_inclusions`); the witness (a, b, k, m) of a failing
     variant names V^k(a) V^m(b) in ``dec``'s own points, and a passing one
     names none.  The pair (0, infinity) belongs to neither variant.  It
     runs the stacked suite on a batch of one.  A decomposition of another
@@ -799,8 +773,9 @@ def run_suites(
     single-decomposition function gives at the same threshold
     (``KERNEL_RELATIONS_TOL``, ``ALPHA0_TOL``, ``V_MULT_TOL``);
     ``v-mult`` checks both of its variants on one product tensor per
-    decomposition shape, in quotient coordinates, so no suite lifts a level
-    (``Decomposition.filtrations``).  ``kernel-relations`` reads the
+    decomposition, in one pass per shape group, and reads the residuals in
+    quotient coordinates, so no suite reads ``Decomposition.filtrations``.
+    ``kernel-relations`` reads the
     kernels each pencil keeps; there is no nil-ideal suite, since
     kernel-relations checks that property, and no multiplicative suite,
     since a drawn functional is multiplicative with probability 0

@@ -6,6 +6,16 @@ import algscope.functional as functional
 from algscope.linalg import subspace_intersect
 
 
+@pytest.fixture(autouse=True, scope="session")
+def runtime_warnings_are_errors_in_child_interpreters():
+    """Every interpreter a test starts (the demos, the entry points, the
+    lazy-import checks) turns a RuntimeWarning into an error, as the
+    ``filterwarnings`` setting of ``pyproject.toml`` does in this one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        yield
+
+
 @pytest.fixture(autouse=True)
 def nil_is_the_intersection():
     """Every nil that ``_stack_kernels`` returns during a test equals, bit

@@ -39,6 +39,7 @@ from algscope import (
     upper_triangular,
     verify_v_mult,
 )
+from algscope.errors import NonFinite
 
 from oracles import prescribed_pencil_algebra
 
@@ -191,7 +192,7 @@ class TestDirectSum:
 
 
 class TestScaling:
-    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1e-4, 1e4, 1e8, 1e150])
     def test_scaled_functional_passes_every_check(self, scale):
         # a decision read from chi's coefficients, whose ends scale by s^K
         # (1e-200 to 1e200 here), fails at 1e-8 and 1e8; the spectrum and
@@ -208,3 +209,12 @@ class TestScaling:
             ]
             for p, q in zip(dec.points, scaled.points):
                 assert abs(p.alpha.value - q.alpha.value) < 1e-9 * max(1.0, abs(p.alpha.value))
+
+    def test_pairing_too_large_for_double_precision_is_nonfinite(self):
+        # every entry of the pairing is finite, and its Frobenius norm, the
+        # pencil's scale, is not; the pencil is not singular
+        alg = mat_algebra(3)
+        f = random_functional(alg.dim, np.random.default_rng(0))
+        message = "^functional: the pairing F\\(e_i e_j\\) is too large for double precision"
+        with pytest.raises(NonFinite, match=message):
+            decompose(alg, Functional(1e160 * f.coords))

@@ -68,6 +68,7 @@ REMOVED = (
     "RANK_ONE_MULTIPLICATIVE",
     "projective_close",
     "SINGULAR_SHIFT_TOL",
+    "_product_inclusions",
 )
 
 

@@ -149,6 +149,38 @@ class TestFileRoundTrips:
             algebra_from_doc(doc)
         assert str(caught.value).startswith("basis[1]: expected a string")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "algebra document must be an object"),
+            ({"dim": 0}, "dim: must be >= 1"),
+            ({"structure": "x"}, "structure: expected a list of [i, j, k, re, im] rows"),
+            ({"structure": [[0, 0, 0]]}, "structure[0]: expected [i, j, k, re, im]"),
+            ({"structure": [[0.0, 0, 0, 1.0, 0.0]]}, "structure[0]: indices must be integers"),
+            ({"basis": ["a", "b"]}, "basis: expected 1 labels"),
+        ],
+    )
+    def test_malformed_algebra_document_rejected(self, doc, message):
+        if isinstance(doc, dict):
+            doc = {"dim": 1, "unit": [[1.0, 0.0]], **doc}
+        with pytest.raises(ParseError) as caught:
+            algebra_from_doc(doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "coords: functional document needs a 'coords' list"),
+            ({"values": []}, "coords: functional document needs a 'coords' list"),
+            ({"coords": []}, "coords: expected a non-empty list of [re, im] pairs"),
+            ({"coords": [1.0]}, "coords[0]: expected a [re, im] pair"),
+        ],
+    )
+    def test_malformed_functional_document_rejected(self, doc, message):
+        with pytest.raises(ParseError) as caught:
+            functional_from_doc(doc)
+        assert str(caught.value) == message
+
 
 def json_reference(doc):
     """The text of every file: one line of strict JSON and a newline."""
@@ -784,6 +816,27 @@ class TestCli:
             )
             assert not (workdir / "r.json").exists()
 
+    @pytest.mark.parametrize("case", ["entry-overflows", "norm-overflows"])
+    def test_analyze_pairing_too_large_exits_one(self, workdir, capsys, case):
+        if case == "entry-overflows":
+            # u u = 2 u passes the axioms, and F(u u) = 2e308 is inf
+            doc = {"dim": 1, "unit": [[0.5, 0.0]], "structure": [[0, 0, 0, 2.0, 0.0]]}
+            (workdir / "a.alg").write_text(json.dumps(doc), encoding="utf-8")
+            (workdir / "f.fn").write_text(json.dumps({"coords": [[1e308, 0.0]]}), "utf-8")
+        else:
+            # every entry of the pairing is finite, and its Frobenius norm is not
+            f = random_functional(9, np.random.default_rng(0))
+            save_algebra(mat_algebra(3), "a.alg")
+            save_functional(Functional(1e154 * f.coords), "f.fn")
+        assert main(["analyze", "a.alg", "f.fn", "--out", "r.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: functional: the pairing F(e_i e_j) is too large for double precision; "
+            "rescale F\n"
+        )
+        assert not (workdir / "r.json").exists()
+
     def test_analyze_without_regular_shift_exits_two_with_report(self, workdir, capsys):
         from oracles import prescribed_pencil_algebra
 
@@ -993,7 +1046,14 @@ class TestCli:
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize(
         "flag, value",
-        [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--cluster-tol", "0")],
+        [
+            ("--tol", "0"),
+            ("--tol", "-1"),
+            ("--tol", "nan"),
+            ("--tol", "inf"),
+            ("--tol", "abc"),
+            ("--cluster-tol", "0"),
+        ],
     )
     def test_tolerance_flag_not_finite_and_positive_is_usage_error(
         self, workdir, capsys, command, flag, value

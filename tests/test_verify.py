@@ -57,7 +57,7 @@ from algscope.verify import (
     V_MULT_NONZERO,
     _chain_distance,
     _first_worst,
-    _product_inclusions,
+    _v_mult,
 )
 from algscope.spectral import _alphas, _point_indices
 
@@ -315,6 +315,27 @@ class TestDimSymmetry:
         assert v.witness == (ProjectivePoint.finite(7.0), "no mirror point")
         assert stab_finding.passed
 
+    @pytest.mark.parametrize("grown", ["stab_dim", "v_dim"])
+    def test_mirror_of_unequal_dimensions_fails(self, grown):
+        # the point 2 keeps its mirror 1/2 but not its dimensions, so the
+        # first of the pair in spectrum order, 1/2, names both
+        dec = decompose(mat_algebra(3), diag125())
+        two = dec.point_at(ProjectivePoint.finite(2.0))
+        half = dec.point_at(ProjectivePoint.finite(0.5))
+        assert half < two
+        p = dec.points[two]
+        if grown == "stab_dim":
+            p = dataclasses.replace(p, stab_dim=p.stab_dim + 1)
+        else:
+            *below, last = p.filtration_dims
+            p = dataclasses.replace(p, filtration_dims=(*below, last + 2))
+        points = dec.points[:two] + (p,) + dec.points[two + 1 :]
+        v, stab_finding = verify_dim_symmetry(dataclasses.replace(dec, points=points))
+        failing, passing = (stab_finding, v) if grown == "stab_dim" else (v, stab_finding)
+        assert not failing.passed and failing.max_residual == (1.0 if grown == "stab_dim" else 2.0)
+        assert failing.witness == (dec.points[half].alpha, dec.points[two].alpha)
+        assert passing.passed and passing.witness is None
+
     @staticmethod
     def mirror_cases():
         """Decompositions whose spectra have mirrors, lack them, hold 0 and
@@ -384,6 +405,13 @@ class TestAlpha0Suite:
         assert finding.passed and finding.samples == 3
         # the distances are round-off, so no point is named
         assert finding.max_residual < 1e-12 and finding.witness is None
+
+    def test_empty_spectrum_passes_with_a_note(self):
+        dec = decompose(dual_numbers(), Functional(np.zeros(2)))
+        assert dec.points == ()
+        finding = verify_alpha0_suite(dec)
+        assert (finding.passed, finding.max_residual, finding.witness) == (True, 0.0, None)
+        assert finding.samples == 0 and finding.notes == ("empty spectrum",)
 
     def test_fails_on_a_doctored_reported_chain(self):
         import algscope.verify as verify
@@ -513,6 +541,12 @@ class TestMinimize:
         f0 = matrix_trace_functional(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError, match="lambda0 and mu0"):
             minimize_stab_dim(alg, 0, 0, full_dual(4), f0)
+
+    def test_rejects_zero_samples(self):
+        alg = mat_algebra(2)
+        f0 = matrix_trace_functional(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            minimize_stab_dim(alg, 1.0, -1.0, full_dual(4), f0, samples=0)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_refuses_a_tolerance_that_is_not_finite_and_positive(self, tol):
@@ -775,6 +809,12 @@ class TestStabilizerRoute:
         with pytest.raises(ValueError, match="both be 0"):
             verify_regular_perturbation(alg, rp, 0.0, 0.0, full_dual(4))
 
+    def test_corollaries_at_infinity_are_rejected(self):
+        alg = mat_algebra(2)
+        rp = reduce_pencil(alg, matrix_trace_functional(np.diag([1.0, 2.0])))
+        with pytest.raises(ValueError, match="^corollaries are stated for finite alpha$"):
+            verify_corollaries(alg, rp, INFINITY)
+
     def test_self_inverse_point_takes_one_nullspace(self, monkeypatch):
         import algscope.verify as verify
 
@@ -893,14 +933,12 @@ class TestProductInclusionsOracle:
 
         tol = verify.V_MULT_TOL
         found = []
-        for variant, (worst, witness, samples) in zip(
-            ("finite", "nonzero"), _product_inclusions(alg, [dec])[0]
-        ):
+        for variant, finding in zip(("finite", "nonzero"), _v_mult(alg, [dec])[0]):
             worst_ref, witness_ref, samples_ref = product_inclusions_pairwise(alg, dec, variant)
-            assert abs(worst - worst_ref) <= 1e-12, variant
-            assert samples == samples_ref, variant
-            assert witness == (witness_ref if worst_ref >= tol else None), variant
-            found.append((worst, witness))
+            assert abs(finding.max_residual - worst_ref) <= 1e-12, variant
+            assert finding.samples == samples_ref, variant
+            assert finding.witness == (witness_ref if worst_ref >= tol else None), variant
+            found.append((finding.max_residual, finding.witness))
         return found
 
     def test_passing_variants_name_no_witness(self, monkeypatch):
@@ -913,8 +951,8 @@ class TestProductInclusionsOracle:
         assert [f.witness for f in findings] == [None, None]
         # at a threshold below the round-off its argmax is named
         monkeypatch.setattr(verify, "V_MULT_TOL", 1e-300)
-        for worst, witness, _ in _product_inclusions(alg, [dec])[0]:
-            assert worst > 0.0 and witness is not None
+        for finding in _v_mult(alg, [dec])[0]:
+            assert finding.max_residual > 0.0 and finding.witness is not None
 
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
     def test_matches_the_pairwise_loop(self, case):
@@ -1343,9 +1381,12 @@ class TestLinearAlgebraCounts:
             assert callers.count("_group_inclusions") == sum(bool(dec.points) for dec in decs) == n
             assert opposites == []
             # kernel relations: per group of equal kernel dimensions, one
-            # product per relation between two nonzero kernels
-            kernel_dims = {tuple(x.dim for x in dec.pencil.kernels) for dec in decs}
-            assert callers.count("_kernel_relations") <= 3 * len(kernel_dims)
+            # product per relation whose two factors, the whole algebra
+            # among them, are nonzero
+            kernel_dims = {(*(x.dim for x in dec.pencil.kernels), alg.dim) for dec in decs}
+            relations = [(x, y) for _, x, y, _ in verify._RELATIONS]
+            formed = sum(0 not in (d[x], d[y]) for d in kernel_dims for x, y in relations)
+            assert callers.count("_kernel_relations") == formed
             # Corollary2 forms x y and y x of Stab(1) with one product, and
             # Corollary3 stab0 stabinf and nil nil with two
             assert callers.count("_stab_products") == 1
@@ -1389,6 +1430,12 @@ class TestTransversality:
         alg = dual_numbers()
         finding = verify_stab_transversality(decompose(alg, Functional(np.array([1.0, 0.0]))))
         assert finding.passed and finding.samples == 0
+
+    def test_empty_spectrum_is_vacuous(self):
+        dec = decompose(dual_numbers(), Functional(np.zeros(2)))
+        assert dec.points == ()
+        finding = verify_stab_transversality(dec)
+        assert (finding.passed, finding.max_residual, finding.samples) == (True, 0.0, 0)
 
     def test_klein_random_sweep(self):
         alg = group_algebra(klein_table())
