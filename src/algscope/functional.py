@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import Algebra, Element
 from .errors import DEFAULT_TOL, DimensionMismatch, NonFinite, TheoremViolation, _check_tolerance
-from .linalg import Subspace, _intersection_operator, _nullspaces, complement
+from .linalg import Subspace, _intersection_operator, _nullspaces, _off_span, complement
 
 __all__ = [
     "Functional",
@@ -129,6 +129,16 @@ def _pairings(alg: Algebra, coords: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ck->cij", alg.structure, coords)
 
 
+def _pairing_norms(pairings: np.ndarray) -> list[float | NonFinite]:
+    """The Frobenius norm, the pencil's scale bound, of each pairing of the
+    stack ``pairings``, or in its place, where finite coordinates overflow
+    it, the :class:`NonFinite` that asks to rescale F."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(pairings, axis=(1, 2)).tolist()
+    too_large = "functional: the pairing F(e_i e_j) is too large for double precision; rescale F"
+    return [norm if np.isfinite(norm) else NonFinite(too_large) for norm in norms]
+
+
 def gram(alg: Algebra, f: Functional) -> np.ndarray:
     """Pairing matrix a[i, j] = F(e_i e_j) of the multiplication table
     through F, read-only."""
@@ -207,8 +217,7 @@ def _may_meet(pairs: list[tuple[Subspace, Subspace]], tol: float) -> list[int]:
     for members in _groups(right.dim or None for _, right in pairs).values():
         left = np.stack([pairs[i][0].frame for i in members])
         right = np.stack([pairs[i][1].frame for i in members])
-        off = right - left @ (left.conj().transpose(0, 2, 1) @ right)
-        sines = np.linalg.svd(off, compute_uv=False)
+        sines = np.linalg.svd(_off_span(left, right), compute_uv=False)
         meet += [i for i, s in zip(members, sines[:, -1].tolist()) if not s >= 4.0 * tol]
     return sorted(meet)
 
@@ -269,25 +278,18 @@ def _reduce_pencils(
     """:func:`reduce_pencil` of each functional of ``fs``: the pairing
     matrices come from one contraction and both kernels from one stacked
     SVD (:func:`_stack_kernels`).  A functional of another dimension gets
-    in its place the :class:`DimensionMismatch`, and one whose pairing has
-    no finite Frobenius norm the :class:`NonFinite` that
-    :func:`reduce_pencil` would raise: finite coordinates can still
-    overflow an entry, or the norm, which bounds the pencil's scale
-    (``ReducedPencil.pencil_scale``).  The others are unaffected.  A
-    ``tol`` that is not a finite number > 0 raises :class:`ValueError` for
-    all of them."""
+    in its place the :class:`DimensionMismatch`, and one whose pairing is
+    too large the :class:`NonFinite` of :func:`_pairing_norms`.  The others
+    are unaffected.  A ``tol`` that is not a finite number > 0 raises
+    :class:`ValueError` for all of them."""
     _check_tolerance("tol", tol)
     out: list = [_dim_error(alg, f.dim, "functional") for f in fs]
     sized = [i for i, rp in enumerate(out) if rp is None]
     coords = np.array([fs[i].coords for i in sized], dtype=complex).reshape(-1, alg.dim)
     pairings = _pairings(alg, coords)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(pairings, axis=(1, 2))
-    for i, norm in zip(sized, norms.tolist()):
-        if not np.isfinite(norm):
-            out[i] = NonFinite(
-                "functional: the pairing F(e_i e_j) is too large for double precision; rescale F"
-            )
+    for i, norm in zip(sized, _pairing_norms(pairings)):
+        if isinstance(norm, NonFinite):
+            out[i] = norm
     keep = [j for j, i in enumerate(sized) if out[i] is None]
     if keep:
         eye = np.eye(alg.dim, dtype=complex)

@@ -193,7 +193,7 @@ class Subspace:
         return self.frame @ self.frame.conj().T
 
     def residual(self, vectors: np.ndarray) -> np.ndarray:
-        """Relative out-of-subspace norm per column of ``vectors``.
+        """Relative out-of-subspace norm per column of ``vectors`` (:func:`_span_residuals`).
 
         Accepts a single vector or a column matrix of vectors.
         """
@@ -204,8 +204,7 @@ class Subspace:
             raise DimensionMismatch(
                 f"vectors of length {v.shape[0]} against ambient dimension {self.ambient_dim}"
             )
-        out = v - self.frame @ (self.frame.conj().T @ v)
-        return np.linalg.norm(out, axis=0) / np.maximum(1.0, np.linalg.norm(v, axis=0))
+        return _span_residuals(self.frame, v)
 
     @classmethod
     def zero(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
@@ -221,6 +220,17 @@ class Subspace:
         return cls._checked(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
 
 
+def _off_span(frame: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v - W W^H v`` for the orthonormal frame W = ``frame``, or per pair of two stacks."""
+    return v - frame @ (frame.conj().swapaxes(-1, -2) @ v)
+
+
+def _span_residuals(frame: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|v - W W^H v| / max(1, |v|) per column v of ``v`` (of each matrix of a stack)."""
+    off = _off_span(frame, v)
+    return np.linalg.norm(off, axis=-2) / np.maximum(1.0, np.linalg.norm(v, axis=-2))
+
+
 def nullspace(m, tol: float, *, scale: float | None = None) -> Subspace:
     """Right nullspace of ``m``: the span of right-singular directions whose
     singular values fall below ``tol * sigma_max`` (``sigma_max`` replaced by 1
@@ -230,11 +240,8 @@ def nullspace(m, tol: float, *, scale: float | None = None) -> Subspace:
     """
     _check_tolerance("tol", tol)
     m = as_matrix(m)
-    n = m.shape[1]
-    if n == 0:
-        return Subspace(0, np.zeros((0, 0), dtype=complex), tol)
     if m.shape[0] == 0:
-        return Subspace.full(n, tol)
+        return Subspace.full(m.shape[1], tol)
     return _nullspaces(m[None], tol, [scale])[0]
 
 
@@ -277,8 +284,6 @@ def orthonormal_columns(cols, tol: float, *, scale: float | None = None) -> np.n
     """Orthonormal basis of the column span of ``cols`` (SVD based)."""
     _check_tolerance("tol", tol)
     cols = as_matrix(cols)
-    if cols.shape[1] == 0:
-        return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, : int(_ranks(s[None], tol, [scale])[0])]
 
@@ -535,21 +540,25 @@ class HomogeneousPoly:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def det_poly(a, b) -> HomogeneousPoly:
-    """Coefficients of ``det(lam*a + mu*b)`` as a homogeneous polynomial.
+def _unit_nodes(degree: int) -> np.ndarray:
+    """The ``degree + 1``-st roots of unity, the nodes of :func:`_interpolate`."""
+    return np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
 
-    Recovered by evaluating the determinant at ``K+1`` sample ratios and
-    solving the interpolation system; sampling at the ``K+1``-st roots of
-    unity makes the system an exact inverse DFT with unit-modulus nodes, so
-    the recovery is perfectly conditioned at any degree.  The ``K+1``
-    determinants come from one ``np.linalg.det`` call per node.  For
-    ``K = 0`` the empty-determinant convention gives the constant
-    polynomial 1.
+
+def _interpolate(values: np.ndarray) -> HomogeneousPoly:
+    """The :class:`HomogeneousPoly` of degree K = ``len(values) - 1`` that
+    takes ``values`` at (1, t) at the nodes t of :func:`_unit_nodes`: an
+    exact inverse DFT, perfectly conditioned at any degree."""
+    k = len(values) - 1
+    return HomogeneousPoly(k, np.fft.fft(values) / (k + 1))
+
+
+def det_poly(a, b) -> HomogeneousPoly:
+    """Coefficients of ``det(lam*a + mu*b)`` as a homogeneous polynomial,
+    interpolated (:func:`_interpolate`) from one ``np.linalg.det`` per node
+    at the ``K+1``-st roots of unity.  For ``K = 0`` the determinant of the
+    empty matrix, 1, gives the constant polynomial 1.
     """
     a, b = _square_pencil(a, b, "det_poly")
-    k = a.shape[0]
-    if k == 0:
-        return HomogeneousPoly(0, np.array([1.0 + 0.0j]))
-    nodes = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    values = np.array([np.linalg.det(a + t * b) for t in nodes])
-    return HomogeneousPoly(k, np.fft.fft(values) / (k + 1))
+    nodes = _unit_nodes(a.shape[0])
+    return _interpolate(np.array([np.linalg.det(a + t * b) for t in nodes]))

@@ -63,13 +63,14 @@ from .functional import (
     _check_dim,
     _check_kernels,
     _groups,
+    _pairing_norms,
     _pairings,
     _raise_first,
     _random_functionals,
     _reduce_pencils,
     reduce_pencil,
 )
-from .linalg import INFINITY, ProjectivePoint, _frame_distance, rank, stack_ranks
+from .linalg import INFINITY, ProjectivePoint, _frame_distance, _span_residuals, rank, stack_ranks
 from .spectral import (
     Decomposition,
     _alphas,
@@ -205,10 +206,7 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels]) -> list[Finding]:
             prods = pairwise_products(alg, frames[x], frames[y])
             # each product a column, as Subspace.residual takes them
             v = prods.reshape(b, -1, n).transpose(0, 2, 1)
-            w = frames[t]
-            off = v - w @ (w.conj().transpose(0, 2, 1) @ v)
-            res = np.linalg.norm(off, axis=1) / np.maximum(1.0, np.linalg.norm(v, axis=1))
-            res = res.reshape(b, *prods.shape[1:3])
+            res = _span_residuals(frames[t], v).reshape(b, *prods.shape[1:3])
             samples += res[0].size
             for r, local in enumerate(res.max(axis=(1, 2)).tolist()):
                 if local > worst[r]:
@@ -492,32 +490,24 @@ def _dim_symmetry(decs: list[Decomposition]) -> list[list[Finding]]:
             found[i] = row
     out = []
     for dec, hits in zip(decs, found):
-        v_mismatch = stab_mismatch = 0
-        v_witness = stab_witness = None
+        # (mismatch, witness) rows of each finding, from a passing one
+        v_rows, stab_rows = [(0, None)], [(0, None)]
         for p, m in zip(dec.points, hits):
-            mirror = dec.points[m] if m >= 0 else None
-            if mirror is None:
-                if p.algebraic_mult > v_mismatch:
-                    v_mismatch = p.algebraic_mult
-                    v_witness = (p.alpha, "no mirror point")
+            if m < 0:
+                v_rows.append((p.algebraic_mult, (p.alpha, "no mirror point")))
                 continue
+            mirror = dec.points[m]
             dv = abs(p.algebraic_mult - mirror.algebraic_mult) + abs(
                 p.filtration_dims[-1] - mirror.filtration_dims[-1]
             )
-            if dv > v_mismatch:
-                v_mismatch = dv
-                v_witness = (p.alpha, mirror.alpha)
-            ds = abs(p.stab_dim - mirror.stab_dim)
-            if ds > stab_mismatch:
-                stab_mismatch = ds
-                stab_witness = (p.alpha, mirror.alpha)
-        v, stab, n = float(v_mismatch), float(stab_mismatch), len(dec.points)
-        out.append(
-            [
-                Finding(DIM_SYMMETRY_V, not v, v, v_witness, n),
-                Finding(DIM_SYMMETRY_STAB, not stab, stab, stab_witness, n),
-            ]
-        )
+            v_rows.append((dv, (p.alpha, mirror.alpha)))
+            stab_rows.append((abs(p.stab_dim - mirror.stab_dim), (p.alpha, mirror.alpha)))
+        findings = []
+        for theorem_id, rows in ((DIM_SYMMETRY_V, v_rows), (DIM_SYMMETRY_STAB, stab_rows)):
+            # max keeps the first of equal mismatches
+            mismatch, witness = max(rows, key=lambda row: row[0])
+            findings.append(Finding(theorem_id, not mismatch, float(mismatch), witness, len(hits)))
+        out.append(findings)
     return out
 
 
@@ -607,8 +597,9 @@ def minimize_stab_dim(
     come from one contraction, and their ranks from stacked values-only SVDs
     (:func:`algscope.linalg.stack_ranks`): ``f_start`` first, then the
     samples only when its kernel is nonzero.  (0, 0) raises
-    :class:`ValueError`, and a functional whose dimension is not
-    ``alg.dim`` :class:`DimensionMismatch`.
+    :class:`ValueError`, a functional whose dimension is not ``alg.dim``
+    :class:`DimensionMismatch`, and a pairing too large for double
+    precision the :class:`NonFinite` of :func:`reduce_pencil`.
     """
     _check_combination(lambda0, mu0)
     if samples < 1:
@@ -617,8 +608,8 @@ def minimize_stab_dim(
         _check_dim(alg, f.dim, "functional")
     coords = _perturbed_coords(f_start, s_basis, samples, seed)
     a = _pairings(alg, coords)
+    scales = (abs(lambda0) + abs(mu0)) * np.maximum(_raise_first(_pairing_norms(a)), 1e-300)
     mats = lambda0 * a.transpose(0, 2, 1) + mu0 * a
-    scales = (abs(lambda0) + abs(mu0)) * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
     dims = alg.dim - stack_ranks(mats[:1], tol, scales[:1])
     if dims[0]:
         dims = np.concatenate([dims, alg.dim - stack_ranks(mats[1:], tol, scales[1:])])

@@ -679,7 +679,7 @@ def decomposition_checks_loop(rp, points, v_frames, tol, seed=0):
     checks.append(
         InvariantCheck(
             "log_det_matches_spectrum",
-            drift < k * tol**0.5,
+            drift <= k * tol**0.5,
             drift,
             f"max - min over {LOG_DET_NODES} nodes t of log|det(a~ - t a~^T)| "
             "- sum m log|t - alpha|, vs K sqrt(tol)",
@@ -736,14 +736,14 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     infinity and 0, its own nullspace elsewhere), and the
     library's invariant checks of the one pencil, points and frames, which
     the returned decomposition's lazily computed ``checks`` must equal bit
-    for bit.  The decomposition keeps those eigenvalues, and the chi it
-    forms from them on first read must equal :func:`eigen_char_poly` bit
-    for bit (1 at K = 0)."""
+    for bit; at K = 0 they must equal :func:`decomposition_checks_loop`'s
+    five, all passing.  The decomposition keeps those eigenvalues, and the
+    chi it forms from them on first read must equal :func:`eigen_char_poly`
+    bit for bit (1 at K = 0)."""
     from algscope.linalg import nullspace
     from algscope.functional import reduce_pencil
     from algscope.spectral import (
         Decomposition,
-        InvariantCheck,
         SpectrumPoint,
         _decomposition_checks,
         _filtration_reduced,
@@ -754,14 +754,11 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
 
     rp = reduce_pencil(alg, f, tol)
     if rp.K == 0:
-        checks = (
-            InvariantCheck("multiplicities_sum_to_quotient_dim", True, 0.0, "empty spectrum"),
-            InvariantCheck(
-                "v_spaces_direct_sum", rp.nil.dim == alg.dim, 0.0, "nil is the whole algebra"
-            ),
-        )
+        # the five checks of an empty spectrum against an empty quotient
+        checks = decomposition_checks_loop(rp, [], [], tol, seed)
+        assert all(c.passed and c.residual == 0.0 for c in checks)
         dec = Decomposition(rp, np.empty(0, dtype=complex), (), (), None, cluster_tol, seed)
-        assert repr(dec.checks) == repr(checks)
+        assert repr(dec.checks) == repr(tuple(checks))
         assert dec.chi.degree == 0 and dec.chi.coeffs.tobytes() == np.array([1.0 + 0.0j]).tobytes()
         return dec
     alpha0 = choose_alpha0(rp, seed)

@@ -889,13 +889,10 @@ class TestDecompose:
         v_frames = [levels[-1] for levels in dec.quotient_filtrations]
         want = real(dec.pencil, dec.points, v_frames, 4)
         assert repr(dec.checks) == repr(tuple(want))
-        # K = 0 takes its two checks from nil, with no call
+        # K = 0 runs the same five checks, on its own empty pencil
         empty = decompose(alg, Functional(np.zeros(alg.dim)))
-        assert [c.name for c in empty.checks] == [
-            "multiplicities_sum_to_quotient_dim",
-            "v_spaces_direct_sum",
-        ]
-        assert empty.ok and len(calls) == 1
+        assert [c.name for c in empty.checks] == [c.name for c in dec.checks]
+        assert empty.ok and len(calls) == 2 and calls[1] is empty.pencil
 
     def test_mat3_shape(self):
         dec = decompose(mat_algebra(3), diag125())
@@ -1015,12 +1012,18 @@ class TestDirectSumCheck:
         assert not check.passed and check.residual == 1.0
 
     def test_empty_quotient_reports_the_direct_sum_check(self):
+        # K = 0: the five checks of every decomposition, each passing with
+        # residual 0 on an empty spectrum and an empty quotient
         dec = decompose(mat_algebra(2), Functional(np.zeros(4)))
-        assert [c.name for c in dec.checks] == [
-            "multiplicities_sum_to_quotient_dim",
-            "v_spaces_direct_sum",
+        assert [(c.name, c.passed, c.residual) for c in dec.checks] == [
+            ("multiplicities_sum_to_quotient_dim", True, 0.0),
+            ("v_dim_equals_nil_plus_multiplicity", True, 0.0),
+            ("simple_frames_in_stabilizer", True, 0.0),
+            ("v_spaces_direct_sum", True, 0.0),
+            ("log_det_matches_spectrum", True, 0.0),
         ]
-        assert dec.ok
+        assert dec.checks[0].detail == "sum 0 vs K 0"
+        assert dec.checks[3].detail == "rank 0 of 0 stacked V(alpha) columns vs K 0"
 
 
 class TestLogDetCheck:
@@ -1605,13 +1608,12 @@ class TestDecompositionChecksOracle:
 
     @classmethod
     def assert_batch_agrees(cls, decs, seed=0):
-        """Compare every decomposition with K >= 1, decomposed with
-        ``seed``; return their checks."""
+        """Compare every decomposition, decomposed with ``seed``; return
+        their checks."""
         found = []
         for dec in decs:
-            if dec.quotient_dim:
-                v_frames = [levels[-1] for levels in dec.quotient_filtrations]
-                found.append(cls.assert_agree(dec.checks, dec.pencil, dec.points, v_frames, seed))
+            v_frames = [levels[-1] for levels in dec.quotient_filtrations]
+            found.append(cls.assert_agree(dec.checks, dec.pencil, dec.points, v_frames, seed))
         return found
 
     @pytest.mark.parametrize("name", list(verify_small_inputs()))
@@ -1623,8 +1625,8 @@ class TestDecompositionChecksOracle:
 
     def test_mixed_and_empty_quotients(self, monkeypatch):
         # K = 10, 4 and 0 in one batch: no check runs until a decomposition's
-        # checks are read, then once per decomposition with K >= 1, on its
-        # own pencil; the empty quotient keeps its two checks
+        # checks are read, then once per decomposition, on its own pencil;
+        # the empty quotient runs the same five checks
         import algscope.spectral as spectral
 
         ks = []
@@ -1642,13 +1644,10 @@ class TestDecompositionChecksOracle:
         decs = decompose_all(alg, fs + [random_functional(alg.dim, rng)], seed=1)
         assert [dec.quotient_dim for dec in decs] == [10, 4, 0, 10]
         assert ks == []
-        assert len(self.assert_batch_agrees(decs, seed=1)) == 3
-        assert sorted(ks) == [4, 10, 10]
-        assert [c.name for c in decs[2].checks] == [
-            "multiplicities_sum_to_quotient_dim",
-            "v_spaces_direct_sum",
-        ]
-        assert sorted(ks) == [4, 10, 10]
+        assert len(self.assert_batch_agrees(decs, seed=1)) == 4
+        assert sorted(ks) == [0, 4, 10, 10]
+        assert [c.name for c in decs[2].checks] == [c.name for c in decs[0].checks]
+        assert decs[2].ok and sorted(ks) == [0, 4, 10, 10]
 
     def test_infinite_points(self):
         decs = [

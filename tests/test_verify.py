@@ -10,6 +10,7 @@ from algscope import (
     DimensionMismatch,
     Functional,
     Kernels,
+    NonFinite,
     ProjectivePoint,
     SingularPencil,
     Subspace,
@@ -336,6 +337,23 @@ class TestDimSymmetry:
         assert failing.witness == (dec.points[half].alpha, dec.points[two].alpha)
         assert passing.passed and passing.witness is None
 
+    def test_first_of_tied_mismatches_is_the_witness(self):
+        # points 1 and 2 grow their stabilizers, so each of them and each of
+        # their mirrors, points 5 and 4, reaches the largest mismatch, 1:
+        # the first of the four in spectrum order, point 1, names itself and
+        # its mirror
+        dec = decompose(mat_algebra(3), random_functional(9, np.random.default_rng(1)), seed=1)
+        mirrors = [dec.point_at(dec.points[i].alpha.inverse()) for i in (1, 2)]
+        assert mirrors == [5, 4]
+        points = tuple(
+            dataclasses.replace(p, stab_dim=p.stab_dim + 1) if i in (1, 2) else p
+            for i, p in enumerate(dec.points)
+        )
+        v, stab_finding = verify_dim_symmetry(dataclasses.replace(dec, points=points))
+        assert not stab_finding.passed and stab_finding.max_residual == 1.0
+        assert stab_finding.witness == (dec.points[1].alpha, dec.points[5].alpha)
+        assert v.passed and v.witness is None
+
     @staticmethod
     def mirror_cases():
         """Decompositions whose spectra have mirrors, lack them, hold 0 and
@@ -620,6 +638,24 @@ class TestMinimize:
         f0 = random_functional(6, np.random.default_rng(3))
         long = _perturbed_coords(f0, full_dual(6), 32, 4)
         assert np.array_equal(_perturbed_coords(f0, full_dual(6), 5, 4), long[:6])
+
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    def test_a_pairing_too_large_for_double_precision_is_nonfinite(self, scale):
+        # the minimizer takes the reduction's pairing-size test: at 1e153 the
+        # pairing's Frobenius norm, the scale of every rank, is finite and
+        # the minimal dimension is 3; at 1e160 it overflows, an infinite
+        # cutoff under which every kernel would be the whole algebra
+        alg = mat_algebra(3)
+        f = Functional(scale * random_functional(9, np.random.default_rng(0)).coords)
+        if scale == 1e153:
+            assert minimize_stab_dim(alg, 1.0, -1.0, [], f)[1] == 3
+            assert reduce_pencil(alg, f).K == 9
+        else:
+            message = "^functional: the pairing F\\(e_i e_j\\) is too large for double precision"
+            with pytest.raises(NonFinite, match=message):
+                minimize_stab_dim(alg, 1.0, -1.0, [], f)
+            with pytest.raises(NonFinite, match=message):
+                reduce_pencil(alg, f)
 
     def test_stacked_ranks_give_the_loop_minimizer(self):
         alg = upper_triangular(3)

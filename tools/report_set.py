@@ -7,8 +7,9 @@ For each input it writes the algebra file and, through ``algscope.cli.main``
 with explicit seeds:
 
 - ``analyze --frames`` reports of two random functionals, plus the planted
-  functional of each planted Jordan block and F = tr(diag(1, 2, 0) X) on
-  Mat_3, whose nil has dimension 1;
+  functional of each planted Jordan block, F = tr(diag(1, 2, 0) X) on
+  Mat_3, whose nil has dimension 1, and F = 0 on the dual numbers, whose
+  pairing is zero, so that nil is the whole algebra and K = 0;
 - ``verify --negative-control`` reports of every suite the program has, ten
   functionals each, at seeds 1 and 2.
 
@@ -48,6 +49,7 @@ def inputs():
     import numpy as np
 
     from algscope import (
+        Functional,
         direct_sum,
         dual_numbers,
         group_algebra,
@@ -72,7 +74,7 @@ def inputs():
         ("Mat_5", mat_algebra(5), []),
         ("tri_8", upper_triangular(8), []),
         ("Mat_4+tri_4", direct_sum(mat_algebra(4), upper_triangular(4)), []),
-        ("dual", dual_numbers(), []),
+        ("dual", dual_numbers(), [Functional(np.zeros(2))]),
     ]
     for name, (beta, _) in PLANTED_JORDAN_BLOCKS.items():
         alg, f = prescribed_pencil_algebra(beta)
