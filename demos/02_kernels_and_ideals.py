@@ -4,8 +4,8 @@ The dual numbers C[eps]/(eps^2) with the projection F(a + b eps) = a give the
 smallest nontrivial picture: the pairing has rank 1, eps spans all three
 kernels, nil is an ideal, and F is multiplicative.  One SVD of the pairing
 gives both kernels at one rank; since left = right = nil, two of the kernel
-relations (nil * algebra <= left, algebra * nil <= right) say that nil is
-an ideal, and the multiplicative classification reads the rank from the
+relations (left * algebra <= left, algebra * right <= right) say that nil
+is an ideal, and the multiplicative classification reads the rank from the
 kernels.  A direct sum with a
 matrix block shows how a functional that vanishes on the nilpotent summand
 pushes those directions into nil.

@@ -1,6 +1,6 @@
 """Run the proved-theorem suites over random functionals on a small corpus.
 
-Every finding here must pass: the seven kernel product relations, the
+Every finding here must pass: the kernel product relations, the
 shift-independence of the filtration, the product inclusions between
 filtration levels (over pairs of finite and of nonzero points), and the exact
 dimension symmetry of the spectrum under alpha -> 1/alpha.

@@ -6,8 +6,9 @@ filtration, product inclusions between filtration levels over pairs of
 finite and of nonzero points, the dimension symmetries) must pass on any
 valid input; a failure always indicates a defect or a conditioning problem
 and carries a witness reproducing the worst case; a passing one names none.
-That nil is a two-sided ideal when left = right = nil is two of the kernel
-product relations, so the kernel-relations suite checks it.
+The kernel-relations suite checks three product relations; the other four
+between the kernels follow from them, since nil lies in both kernels, and
+that nil is a two-sided ideal when left = right = nil is two of those four.
 The regular-functional identities hold at a functional that minimizes the
 relevant kernel dimension, as a generic one does; the module provides an
 empirical minimizer and a deliberate negative control.  Every suite reads
@@ -50,6 +51,7 @@ check, since Stab(alpha) <= V(alpha).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 import numpy as np
@@ -169,16 +171,12 @@ def _budget_parts(members: list[int], nbytes: int) -> list[list[int]]:
 # --------------------------------------------------------------------------
 # kernel product relations
 
-#: the seven relations: name, left factor, right factor and target, each an
+#: the three relations: name, left factor, right factor and target, each an
 #: index into (left, right, nil, algebra)
 _RELATIONS = (
     ("left*algebra<=left", 0, 3, 0),
     ("algebra*right<=right", 3, 1, 1),
     ("left*right<=nil", 0, 1, 2),
-    ("left*nil<=nil", 0, 2, 2),
-    ("nil*right<=nil", 2, 1, 2),
-    ("nil*algebra<=left", 2, 3, 0),
-    ("algebra*nil<=right", 3, 2, 1),
 )
 
 
@@ -186,7 +184,9 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels]) -> list[Finding]:
     """:func:`verify_kernel_relations` of each of ``kers``, at
     ``KERNEL_RELATIONS_TOL``: per group of equal kernel dimensions and per
     relation, one stacked :func:`pairwise_products` call, with the whole
-    algebra as the identity frame, and one stacked residual.  A member's
+    algebra as the identity frame, and one stacked residual.  A relation
+    with a factor nil would form combinations of these products, measured
+    against the same targets, since nil lies in both kernels.  A member's
     operands take at most 16 N^2 max(kernel dims) <= 16 N^3 bytes, and
     :func:`run_suites` passes chunks of at most ``_VALIDATE_BLOCK_BYTES``
     over 16 N^3 members, so that chunk bounds every group."""
@@ -218,13 +218,18 @@ def _kernel_relations(alg: Algebra, kers: list[Kernels]) -> list[Finding]:
 
 
 def verify_kernel_relations(alg: Algebra, ker: Kernels) -> Finding:
-    """All seven product inclusions between the left kernel, right kernel,
-    their intersection, and the full algebra, at ``KERNEL_RELATIONS_TOL``.
+    """The product inclusions between the left kernel, right kernel, their
+    intersection nil, and the full algebra, at ``KERNEL_RELATIONS_TOL``:
+    ``left*algebra<=left``, ``algebra*right<=right`` and
+    ``left*right<=nil``.
 
     ``ker`` are the kernels of a functional on ``alg``, as returned by
     :func:`algscope.functional.kernels` or kept by the reduced pencil of a
-    decomposition (``dec.pencil.kernels``).  When left = right = nil,
-    relations 6 and 7 (``nil*algebra<=left``, ``algebra*nil<=right``) say
+    decomposition (``dec.pencil.kernels``).  The four relations with a
+    factor nil follow, since nil lies in both kernels: ``left*nil<=nil``
+    and ``nil*right<=nil`` from ``left*right<=nil``, ``nil*algebra<=left``
+    from ``left*algebra<=left`` and ``algebra*nil<=right`` from
+    ``algebra*right<=right``.  When left = right = nil, the last two say
     that nil is a two-sided ideal.  A failing finding names the relation
     and the first worst pair of frame columns.  It runs the stacked suite
     on a batch of one.  Kernels of another dimension raise
@@ -602,6 +607,12 @@ def minimize_stab_dim(
     precision the :class:`NonFinite` of :func:`reduce_pencil`.
     """
     _check_combination(lambda0, mu0)
+    # the power of two that puts the pair's largest real or imaginary part
+    # in [0.5, 1) scales it exactly and leaves the kernel as it is, and no
+    # finite pair then overflows the combination or its rank scale
+    parts = [complex(lambda0), complex(mu0)]
+    _, e = math.frexp(max(abs(x) for z in parts for x in (z.real, z.imag)))
+    lambda0, mu0 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in parts)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     for f in [f_start, *s_basis]:
@@ -670,7 +681,10 @@ def verify_corollaries(alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint) 
     alpha = 1: the stabilizer is a commutative subalgebra (commutators
     vanish), and one product call forms x y and y x (:func:`_stab_products`).
     alpha = 0: products of Stab(0) with Stab(infinity), the left and right
-    kernels ``rp.kernels``, vanish and nil squares to zero.  Other finite
+    kernels ``rp.kernels``, vanish, from one product call; a failing
+    finding's witness is ("stab0*stabinf", i, j).  That nil squares to
+    zero follows: nil lies in both kernels, so each product of two of its
+    frame columns is a combination of these products.  Other finite
     alpha: x y = alpha y x for x in Stab(alpha), y in Stab(1/alpha).  A
     pencil of another dimension raises :class:`DimensionMismatch`.
     """
@@ -680,16 +694,10 @@ def verify_corollaries(alg: Algebra, rp: ReducedPencil, alpha: ProjectivePoint) 
     tol = COROLLARY_TOL
     if alpha.value == 0:
         ker = rp.kernels
-        stab_res = np.linalg.norm(pairwise_products(alg, ker.left.frame, ker.right.frame), axis=-1)
-        nil_res = np.linalg.norm(pairwise_products(alg, ker.nil.frame, ker.nil.frame), axis=-1)
-        # max keeps the first of equal residuals, as the loop order did
-        (worst, at), label = max(
-            (_first_worst(stab_res, tol), "stab0*stabinf"),
-            (_first_worst(nil_res, tol), "nil*nil"),
-            key=lambda found: found[0][0],
-        )
-        witness = at and (label,) + at
-        return Finding(COROLLARY_3, worst < tol, worst, witness, stab_res.size + nil_res.size)
+        res = np.linalg.norm(pairwise_products(alg, ker.left.frame, ker.right.frame), axis=-1)
+        worst, at = _first_worst(res, tol)
+        witness = at and ("stab0*stabinf",) + at
+        return Finding(COROLLARY_3, worst < tol, worst, witness, res.size)
     xy, yx = _stab_products(alg, rp, alpha)
     worst, witness = _first_worst(np.linalg.norm(xy - alpha.value * yx, axis=-1), tol)
     theorem_id = COROLLARY_2 if alpha.value == 1 else COROLLARY_1

@@ -536,21 +536,22 @@ def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, frames=None):
 
 def corollaries_loop(alg, f_min, alpha, rank_tol=1e-9):
     """The corollary identities pair by pair, one product at a time: at
-    alpha = 0 the products of the left with the right kernel, then of nil
-    with itself; at other finite alpha x y - alpha y x for x in Stab(alpha)
-    and y in Stab(1/alpha).  The frames come from raw SVDs of the looped
-    pairing matrix: both kernels from one SVD, nil as their intersection,
-    and each stabilizer as a kernel of the pairing compressed to the
-    orthogonal complement of nil, lifted back with all of nil.  Returns
-    (worst norm, first witness reaching it or None, number of samples)."""
+    alpha = 0 the products of the left with the right kernel; at other
+    finite alpha x y - alpha y x for x in Stab(alpha) and y in
+    Stab(1/alpha).  The frames come from raw SVDs of the looped pairing
+    matrix: both kernels from one SVD, and at alpha != 0 nil as their
+    intersection and each stabilizer as a kernel of the pairing compressed
+    to the orthogonal complement of nil, lifted back with all of nil.
+    Returns (worst norm, first witness reaching it or None, number of
+    samples)."""
     from algscope import multiply
 
     a = pairing_matrix(alg, f_min.coords)
     left, right = raw_kernels(a, rank_tol)
-    nil = raw_intersection(left, right, rank_tol)
     if alpha.value == 0:
-        pairs = [("stab0*stabinf", left, right, 0.0), ("nil*nil", nil, nil, 0.0)]
+        pairs = [("stab0*stabinf", left, right, 0.0)]
     else:
+        nil = raw_intersection(left, right, rank_tol)
         if nil.shape[1] == 0:
             q = np.eye(alg.dim, dtype=complex)
         else:
@@ -841,10 +842,6 @@ def kernel_relations_loop(alg, ker, tol=1e-8):
         ("left*algebra<=left", ker.left, full, ker.left),
         ("algebra*right<=right", full, ker.right, ker.right),
         ("left*right<=nil", ker.left, ker.right, ker.nil),
-        ("left*nil<=nil", ker.left, ker.nil, ker.nil),
-        ("nil*right<=nil", ker.nil, ker.right, ker.nil),
-        ("nil*algebra<=left", ker.nil, full, ker.left),
-        ("algebra*nil<=right", full, ker.nil, ker.right),
     ]
     worst = 0.0
     witness = None
