@@ -19,8 +19,8 @@ budget.  The unit check reads the coordinate form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     NonFinite,
     ShapeError,
     _check_tolerance,
+    _ReadOnly,
 )
 
 __all__ = [
@@ -52,36 +53,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Algebra:
+class Algebra(_ReadOnly):
     """Structure-constant model of an associative unital algebra.
 
     The tensor and the unit are read-only; ``==`` is identity, since the
     fields hold arrays."""
 
-    dim: int
-    structure: np.ndarray
-    unit: np.ndarray
-    basis_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.structure, dtype=complex)
-        u = np.asarray(self.unit, dtype=complex)
-        n = self.dim
-        if c.shape != (n, n, n):
-            raise ShapeError(f"structure tensor shape {c.shape} does not match dim {n}")
-        if u.shape != (n,):
-            raise ShapeError(f"unit vector shape {u.shape} does not match dim {n}")
+    def __init__(
+        self,
+        dim: int,
+        structure: np.ndarray,
+        unit: np.ndarray,
+        basis_labels: tuple[str, ...] | None = None,
+    ):
+        c = np.asarray(structure, dtype=complex)
+        u = np.asarray(unit, dtype=complex)
+        if c.shape != (dim, dim, dim):
+            raise ShapeError(f"structure tensor shape {c.shape} does not match dim {dim}")
+        if u.shape != (dim,):
+            raise ShapeError(f"unit vector shape {u.shape} does not match dim {dim}")
         if c.size and not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
             raise NonFinite("structure tensor contains NaN or Inf")
         if u.size and not np.all(np.isfinite(u.real) & np.isfinite(u.imag)):
             raise NonFinite("unit vector contains NaN or Inf")
-        if self.basis_labels is not None and len(self.basis_labels) != n:
+        if basis_labels is not None and len(basis_labels) != dim:
             raise ShapeError("basis_labels length does not match dim")
         c.setflags(write=False)
         u.setflags(write=False)
-        object.__setattr__(self, "structure", c)
-        object.__setattr__(self, "unit", u)
+        self.__dict__.update(dim=dim, structure=c, unit=u, basis_labels=basis_labels)
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -108,23 +107,19 @@ class Algebra:
         return f"e{i}"
 
 
-@dataclass(frozen=True)
-class Element:
-    """Coordinate vector of an algebra element in the fixed basis."""
+class Element(_ReadOnly):
+    """Coordinate vector of an algebra element in the fixed basis, read-only;
+    ``==`` is identity."""
 
-    coords: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        v = np.asarray(self.coords, dtype=complex)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"coords shape {v.shape} does not match dim {self.dim}")
+    def __init__(self, coords: np.ndarray, dim: int):
+        v = np.asarray(coords, dtype=complex)
+        if v.shape != (dim,):
+            raise DimensionMismatch(f"coords shape {v.shape} does not match dim {dim}")
         v.setflags(write=False)
-        object.__setattr__(self, "coords", v)
+        self.__dict__.update(coords=v, dim=dim)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
     max_assoc_residual: float
     max_unit_residual: float

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the default tolerances, and
-the one check of a tolerance argument.
+"""Exception types shared across the package, the default tolerances, the
+one check of a tolerance argument, and the read-only base of the classes
+that hold arrays.
 
 ``DEFAULT_TOL`` is the default of every tolerance argument (``tol``,
 ``rank_tol``, ``axiom_tol``) and of ``algscope --tol``;
@@ -84,3 +85,22 @@ def _check_tolerance(name: str, value: float):
     number > 0."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be a finite number > 0")
+
+
+class _ReadOnly:
+    """Base of the classes that hold arrays (:class:`~algscope.algebra.Algebra`,
+    :class:`~algscope.linalg.Subspace`, ...).  Each ``__init__`` sets its
+    attributes once, through the instance ``__dict__``; assigning or deleting
+    one afterwards raises :class:`AttributeError`.  A ``cached_property``
+    still stores its value, since it writes the ``__dict__`` too.  ``==`` is
+    identity and the hash the default one: an array has no truth value to
+    compare by.  The classes are plain, not dataclasses, so that importing
+    them generates no code."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -21,13 +21,19 @@ functional by the rank-1 criterion (:func:`is_multiplicative`) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import Algebra, Element
-from .errors import DEFAULT_TOL, DimensionMismatch, NonFinite, TheoremViolation, _check_tolerance
+from .errors import (
+    DEFAULT_TOL,
+    DimensionMismatch,
+    NonFinite,
+    TheoremViolation,
+    _check_tolerance,
+    _ReadOnly,
+)
 from .linalg import Subspace, _intersection_operator, _nullspaces, _off_span, complement
 
 __all__ = [
@@ -49,22 +55,19 @@ RANK_ONE_BUT_NOT_UNIT = "RankOneButNotUnit"
 NOT_RANK_ONE = "NotRankOne"
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(_ReadOnly):
     """Linear functional with coordinates f_i = F(e_i), a finite vector: NaN
     or Inf coordinates raise :class:`NonFinite`, as they do in an
-    :class:`Algebra`."""
+    :class:`Algebra`.  The coordinates are read-only; ``==`` is identity."""
 
-    coords: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coords, dtype=complex)
+    def __init__(self, coords: np.ndarray):
+        v = np.asarray(coords, dtype=complex)
         if v.ndim != 1:
             raise DimensionMismatch("functional coordinates must be a vector")
         if v.size and not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
             raise NonFinite("functional coordinates contain NaN or Inf")
         v.setflags(write=False)
-        object.__setattr__(self, "coords", v)
+        self.__dict__.update(coords=v)
 
     @property
     def dim(self) -> int:
@@ -222,30 +225,23 @@ def _may_meet(pairs: list[tuple[Subspace, Subspace]], tol: float) -> list[int]:
     return sorted(meet)
 
 
-@dataclass(frozen=True)
-class ReducedPencil:
+class ReducedPencil(_ReadOnly):
     """The pairing compressed to an orthonormal complement of ``nil``.
 
     ``kernels`` are the left and right kernels of the pairing and their
     intersection ``nil``.  ``a_tilde = Q^T a Q`` where the columns of
     ``Q = quotient_frame`` complete ``nil`` to a basis.  The pencil stores
-    only these; ``at_tilde``, the transpose of a~, and ``K``, the quotient
-    dimension, are read from a~.  Downstream results must not depend on the
-    choice of Q.
+    only these, read-only; ``at_tilde``, the transpose of a~, and ``K``, the
+    quotient dimension, are read from a~.  Downstream results must not
+    depend on the choice of Q.  ``==`` is identity.
     """
 
-    kernels: Kernels
-    quotient_frame: np.ndarray
-    a_tilde: np.ndarray
-    _scale: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("quotient_frame", "a_tilde"):
-            m = np.asarray(getattr(self, name), dtype=complex)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-        scale = 1.0 if self.K == 0 else max(float(np.linalg.norm(self.a_tilde, "fro")), 1e-300)
-        object.__setattr__(self, "_scale", scale)
+    def __init__(self, kernels: Kernels, quotient_frame: np.ndarray, a_tilde: np.ndarray):
+        q, a = (np.asarray(m, dtype=complex) for m in (quotient_frame, a_tilde))
+        q.setflags(write=False)
+        a.setflags(write=False)
+        scale = 1.0 if a.shape[0] == 0 else max(float(np.linalg.norm(a, "fro")), 1e-300)
+        self.__dict__.update(kernels=kernels, quotient_frame=q, a_tilde=a, _scale=scale)
 
     @property
     def at_tilde(self) -> np.ndarray:
@@ -308,8 +304,7 @@ def _compress(a: np.ndarray, ker: Kernels, eye: np.ndarray) -> ReducedPencil:
     return ReducedPencil(ker, q, q.T @ a @ q)
 
 
-@dataclass(frozen=True)
-class MultiplicativeReport:
+class MultiplicativeReport(NamedTuple):
     verdict: str
     rank: int
     unit_value: complex

@@ -34,7 +34,7 @@ the eigen-analysis decides the spectrum and its count at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import (
     ShapeError,
     SingularShift,
     _check_tolerance,
+    _ReadOnly,
 )
 
 __all__ = [
@@ -99,11 +100,11 @@ def rank(m, tol: float, *, scale: float | None = None) -> int:
 # projective points
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """A point of the projective line: a finite complex number or infinity.
 
     Infinity is a distinct tag (``value is None``), never a large float.
+    Points compare and hash by value; the repr is the value's, or ``inf``.
     """
 
     value: complex | None
@@ -147,8 +148,7 @@ def _close(a, b, tol):
 # subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_ReadOnly):
     """A subspace of C^n carried by an orthonormal column frame.
 
     ``frame`` has shape ``(ambient_dim, dim)`` and satisfies
@@ -156,25 +156,20 @@ class Subspace:
     bound, and the stacked nullspaces behind :func:`nullspace` run the same
     check (``_check_orthonormal``) once per stack instead.  The constructor,
     :meth:`zero` and :meth:`full` raise :class:`ValueError` unless ``tol``
-    is a finite number > 0.
+    is a finite number > 0.  The frame is read-only; ``==`` is identity, and
+    :func:`subspace_equal` compares two subspaces.
     """
 
-    ambient_dim: int
-    frame: np.ndarray
-    tol: float
-
-    def __post_init__(self):
-        _check_tolerance("tol", self.tol)
-        frame = np.asarray(self.frame, dtype=complex)
-        if frame.ndim != 2 or frame.shape[0] != self.ambient_dim:
-            raise ShapeError(
-                f"frame shape {frame.shape} does not match ambient dim {self.ambient_dim}"
-            )
-        if frame.shape[1] > self.ambient_dim:
+    def __init__(self, ambient_dim: int, frame: np.ndarray, tol: float):
+        _check_tolerance("tol", tol)
+        frame = np.asarray(frame, dtype=complex)
+        if frame.ndim != 2 or frame.shape[0] != ambient_dim:
+            raise ShapeError(f"frame shape {frame.shape} does not match ambient dim {ambient_dim}")
+        if frame.shape[1] > ambient_dim:
             raise ShapeError("frame has more columns than the ambient dimension")
-        _check_orthonormal(frame, self.tol)
+        _check_orthonormal(frame, tol)
         frame.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
+        self.__dict__.update(ambient_dim=ambient_dim, frame=frame, tol=tol)
 
     @classmethod
     def _checked(cls, ambient_dim: int, frame: np.ndarray, tol: float) -> "Subspace":
@@ -522,22 +517,19 @@ def _stack_points(
 # homogeneous determinant polynomial
 
 
-@dataclass(frozen=True)
-class HomogeneousPoly:
+class HomogeneousPoly(_ReadOnly):
     """Homogeneous polynomial ``sum_d coeffs[d] * lam^(degree-d) * mu^d``,
-    the checked (degree, coeffs) pair of chi and of :func:`det_poly`."""
+    the checked (degree, coeffs) pair of chi and of :func:`det_poly`.  The
+    coefficients are read-only; ``==`` is identity."""
 
-    degree: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.degree + 1,):
+    def __init__(self, degree: int, coeffs: np.ndarray):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (degree + 1,):
             raise ShapeError(
-                f"need {self.degree + 1} coefficients for degree {self.degree}, got {coeffs.shape}"
+                f"need {degree + 1} coefficients for degree {degree}, got {coeffs.shape}"
             )
         coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__.update(degree=degree, coeffs=coeffs)
 
 
 def _unit_nodes(degree: int) -> np.ndarray:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -350,11 +349,11 @@ def _tols_in(value, where: str) -> tuple[float, float]:
     )
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """Machine-readable analysis or verification report.
 
     Round-trips losslessly through :meth:`to_json` / :meth:`from_json`.
+    Reports compare and hash by value.
     """
 
     kind: str  # "analyze" or "verify"
@@ -451,6 +450,9 @@ def report_from_decomposition(
 def report_from_findings(
     findings, seed: int, tol: float, cluster_tol: float
 ) -> ReportDocument:
+    # a Finding is a dataclass: dataclasses is loaded where findings exist
+    from dataclasses import replace
+
     return ReportDocument(
         kind="verify",
         tol=tol,

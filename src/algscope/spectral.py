@@ -79,14 +79,15 @@ stage of the batch: each decomposition runs its own, on its one pencil,
 when they are first read (:attr:`Decomposition.checks`).  The suites read
 each decomposition's points as arrays and its shape, K and the widths of
 its levels; both are derived once per decomposition, on first read, and a
-copy made with :func:`dataclasses.replace` derives its own.
+decomposition built from another's fields, some of them changed, derives
+its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,7 @@ from .errors import (
     NoRegularValue,
     SingularPencil,
     _check_tolerance,
+    _ReadOnly,
 )
 from .functional import Functional, ReducedPencil, _groups, _raise_first, _reduce_pencils
 from .linalg import (
@@ -133,14 +135,14 @@ __all__ = [
 LOG_DET_NODES = 12
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(NamedTuple):
     """One spectral point with its algebraic and geometric data.
 
     ``filtration_dims`` are dimensions of the filtration levels inside the
     full algebra (each level contains nil), so the final value minus
     ``dim nil`` equals the algebraic multiplicity; ``stab_dim`` is the
-    stabilizer dimension within the quotient.
+    stabilizer dimension within the quotient.  Points compare and hash by
+    value, and ``_replace`` makes a copy with some fields changed.
     """
 
     alpha: ProjectivePoint
@@ -149,16 +151,14 @@ class SpectrumPoint:
     filtration_dims: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class InvariantCheck:
+class InvariantCheck(NamedTuple):
     name: str
     passed: bool
     residual: float
     detail: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(_ReadOnly):
     """Full output of :func:`decompose` for one (algebra, functional) pair.
 
     ``pencil`` is the reduced pencil every other field was built from; the
@@ -173,15 +173,29 @@ class Decomposition:
     ``eigenvalues`` are those of S^-1 a~, S = a~^T - ``alpha0_used`` a~,
     from the eigendecomposition that gave the spectrum (none at K = 0);
     :attr:`chi` is formed from them on first read.  ``seed`` draws the
-    log-determinant nodes of :attr:`checks`.  ``==`` is identity."""
+    log-determinant nodes of :attr:`checks`.  The values derived on first
+    read are held beside the fields, which are read-only; a decomposition
+    built from the same fields derives its own.  ``==`` is identity."""
 
-    pencil: ReducedPencil
-    eigenvalues: np.ndarray
-    points: tuple[SpectrumPoint, ...]
-    quotient_filtrations: tuple[tuple[np.ndarray, ...], ...]
-    alpha0_used: complex | None
-    cluster_tol: float
-    seed: int
+    def __init__(
+        self,
+        pencil: ReducedPencil,
+        eigenvalues: np.ndarray,
+        points: tuple[SpectrumPoint, ...],
+        quotient_filtrations: tuple[tuple[np.ndarray, ...], ...],
+        alpha0_used: complex | None,
+        cluster_tol: float,
+        seed: int,
+    ):
+        self.__dict__.update(
+            pencil=pencil,
+            eigenvalues=eigenvalues,
+            points=points,
+            quotient_filtrations=quotient_filtrations,
+            alpha0_used=alpha0_used,
+            cluster_tol=cluster_tol,
+            seed=seed,
+        )
 
     @property
     def tol(self) -> float:

@@ -561,10 +561,20 @@ def verify_stab_transversality(dec: Decomposition) -> Finding:
 # regular functionals
 
 
-def _check_combination(lambda0: complex, mu0: complex):
-    """Raise :class:`ValueError` when ``lambda0 a + mu0 a^T`` is (0, 0)."""
+def _scaled_pair(lambda0: complex, mu0: complex) -> tuple[complex, complex]:
+    """``(lambda0, mu0)`` scaled by the power of two that puts the pair's
+    largest real or imaginary part in [0.5, 1).  The scaling is exact (a
+    part more than 2^1021 times smaller than the largest may lose bits to
+    underflow), so it leaves the kernel of ``lambda0 a + mu0 a^T`` and the
+    point -mu0 / lambda0 as they are; no finite pair then overflows the
+    combination or its rank scale, and no residual of the combination
+    grows or shrinks with the pair.  (0, 0) raises :class:`ValueError`."""
     if lambda0 == 0 and mu0 == 0:
         raise ValueError("lambda0 and mu0 must not both be 0")
+    parts = [complex(lambda0), complex(mu0)]
+    _, e = math.frexp(max(abs(x) for z in parts for x in (z.real, z.imag)))
+    scaled = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in parts]
+    return scaled[0], scaled[1]
 
 
 def _perturbed_coords(
@@ -606,13 +616,7 @@ def minimize_stab_dim(
     :class:`DimensionMismatch`, and a pairing too large for double
     precision the :class:`NonFinite` of :func:`reduce_pencil`.
     """
-    _check_combination(lambda0, mu0)
-    # the power of two that puts the pair's largest real or imaginary part
-    # in [0.5, 1) scales it exactly and leaves the kernel as it is, and no
-    # finite pair then overflows the combination or its rank scale
-    parts = [complex(lambda0), complex(mu0)]
-    _, e = math.frexp(max(abs(x) for z in parts for x in (z.real, z.imag)))
-    lambda0, mu0 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in parts)
+    lambda0, mu0 = _scaled_pair(lambda0, mu0)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     for f in [f_start, *s_basis]:
@@ -657,10 +661,12 @@ def verify_regular_perturbation(
     up to ``REGULAR_PERTURBATION_TOL``.
     These are Stab(alpha) and Stab(1/alpha) of the minimizer's reduced
     pencil ``rp`` at alpha = -mu0 / lambda0 (infinity when lambda0 = 0),
-    multiplied by :func:`_stab_products`.  (0, 0) raises :class:`ValueError`,
-    and a pencil or a direction whose dimension is not ``alg.dim``
-    :class:`DimensionMismatch`."""
-    _check_combination(lambda0, mu0)
+    multiplied by :func:`_stab_products`.  The identity is homogeneous in
+    the pair, and it is measured at the pair :func:`_scaled_pair` gives, so
+    the verdict does not depend on the pair's scale.  (0, 0) raises
+    :class:`ValueError`, and a pencil or a direction whose dimension is not
+    ``alg.dim`` :class:`DimensionMismatch`."""
+    lambda0, mu0 = _scaled_pair(lambda0, mu0)
     _check_dim(alg, rp.nil.ambient_dim, "reduced pencil")
     for g in s_basis:
         _check_dim(alg, g.dim, "functional")

@@ -507,10 +507,18 @@ def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, frames=None):
     kernel and every direction G, in that order, one product at a time.
     The kernels are :func:`slot_one_kernel`'s, or the pair of frames
     ``frames`` spanning them, since the residual and the witness depend on
-    the frames.  Returns (worst |G(lambda0 x y + mu0 y x)| / (1 + |G|),
-    first (i, j, g) reaching it or None, number of samples)."""
+    the frames.  The identity is homogeneous in the pair, and the residual
+    is that of the pair divided by 2^e, 2^(e-1) <= its largest real or
+    imaginary part < 2^e.  Returns (worst |G(lambda0 x y + mu0 y x)| /
+    (1 + |G|), first (i, j, g) reaching it or None, number of samples)."""
     from algscope import multiply
 
+    top = max(abs(x) for z in (lambda0, mu0) for x in (z.real, z.imag))
+    e = 0
+    while top >= 2.0**e:
+        e += 1
+    while top < 2.0 ** (e - 1):
+        e -= 1
     if frames is None:
         frames = (
             slot_one_kernel(alg, f_min.coords, lambda0, mu0),
@@ -525,6 +533,7 @@ def regular_perturbation_loop(alg, f_min, lambda0, mu0, s_basis, frames=None):
             x = xs[:, i]
             y = ys[:, j]
             w = lambda0 * multiply(alg, x, y).coords + mu0 * multiply(alg, y, x).coords
+            w = w / 2.0**e
             for gi, g in enumerate(s_basis):
                 r = abs(complex(w @ g.coords)) / (1.0 + float(np.linalg.norm(g.coords)))
                 samples += 1
@@ -787,13 +796,22 @@ def decompose_loop(alg, f, seed=0, tol=1e-9, cluster_tol=1e-6):
     return dec
 
 
+def doctored_copy(dec, **changes):
+    """A new decomposition of the constructor fields of ``dec``, those named
+    in ``changes`` replaced; it derives its own cached values (points as
+    arrays, shape, lifted levels, checks, chi) from them on first read.
+    A name that is no constructor field raises :class:`TypeError`."""
+    import inspect
+
+    fields = {name: getattr(dec, name) for name in inspect.signature(type(dec)).parameters}
+    return type(dec)(**{**fields, **changes})
+
+
 def with_chain(dec, i, chain):
     """``dec`` with the chain of its point ``i`` replaced by ``chain``."""
-    import dataclasses
-
     chains = list(dec.quotient_filtrations)
     chains[i] = tuple(chain)
-    return dataclasses.replace(dec, quotient_filtrations=tuple(chains))
+    return doctored_copy(dec, quotient_filtrations=tuple(chains))
 
 
 def split_point(monkeypatch, value):

@@ -1,7 +1,9 @@
 """The package namespace loads submodules on first use, and each CLI
 subcommand imports only the modules it runs: ``verify`` forms no chi, so it
 never loads ``numpy.fft``, and a command line that runs no subcommand
-loads no numpy at all."""
+loads no numpy at all.  No module that ``builders`` or ``analyze`` runs
+imports ``dataclasses``: their records are named tuples and plain classes,
+which generate no code when the module is imported."""
 
 import importlib
 import json
@@ -33,17 +35,18 @@ def run_fresh(code, cwd):
 
 
 def modules_after_main(argv, cwd, code=0):
-    """The algscope modules, and ``numpy`` and ``numpy.fft`` when they are
-    loaded, after ``main(argv)`` in a new interpreter, which must return
-    ``code``.  What main prints is discarded."""
+    """The algscope modules, and ``numpy``, ``numpy.fft`` and
+    ``dataclasses`` when they are loaded, after ``main(argv)`` in a new
+    interpreter, which must return ``code``.  What main prints is
+    discarded."""
     script = (
         "import contextlib, io, json, sys\n"
         "from algscope.cli import main\n"
         "quiet = io.StringIO()\n"
         "with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):\n"
         f"    code = main({argv!r})\n"
-        "numpy = ('numpy', 'numpy.fft')\n"
-        "mods = sorted(m for m in sys.modules if m.startswith('algscope') or m in numpy)\n"
+        "other = ('numpy', 'numpy.fft', 'dataclasses')\n"
+        "mods = sorted(m for m in sys.modules if m.startswith('algscope') or m in other)\n"
         "print(json.dumps([code, mods]))\n"
     )
     returned, modules = json.loads(run_fresh(script, cwd))
@@ -54,9 +57,12 @@ def modules_after_main(argv, cwd, code=0):
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["builders", "matrix", "2", "--out", "m.alg"], PIPELINE),
-        (["builders", "group", "s3", "--out", "g.alg"], PIPELINE),
-        (["analyze", "m3.alg", "f.fn", "--frames", "--out", "r.json"], ("algscope.verify",)),
+        (["builders", "matrix", "2", "--out", "m.alg"], PIPELINE + ("dataclasses",)),
+        (["builders", "group", "s3", "--out", "g.alg"], PIPELINE + ("dataclasses",)),
+        (
+            ["analyze", "m3.alg", "f.fn", "--frames", "--out", "r.json"],
+            ("algscope.verify", "dataclasses"),
+        ),
         (["verify", "m3.alg", "--seed", "3", "--out", "v.json"], ("numpy.fft",)),
     ],
 )

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -848,12 +848,12 @@ class TestDecompose:
         # no copy of it, and every lifted level carries it
         alg = upper_triangular(3)
         f = random_functional(alg.dim, np.random.default_rng(0))
-        assert "tol" not in {field.name for field in dataclasses.fields(Decomposition)}
+        assert "tol" not in inspect.signature(Decomposition).parameters
         for tol in (1e-9, 1e-6):
             dec = decompose(alg, f, tol=tol)
             assert dec.tol == dec.pencil.nil.tol == tol
             assert {level.tol for levels in dec.filtrations for level in levels} == {tol}
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 dec.tol = 1e-3
 
     def test_zero_functional(self):
@@ -878,7 +878,7 @@ class TestDecompose:
         alg = mat_algebra(3)
         dec = decompose(alg, random_functional(alg.dim, np.random.default_rng(3)), seed=4)
         assert calls == [] and dec.seed == 4
-        assert "checks" not in {field.name for field in dataclasses.fields(dec)}
+        assert "checks" not in inspect.signature(Decomposition).parameters
         getattr(dec, read)
         assert len(calls) == 1 and calls[0] is dec.pencil
         for _ in range(3):
@@ -928,12 +928,10 @@ class TestDecompose:
                 assert np.max(v.residual(dec.nil.frame)) < 1e-9
 
     def test_v_spaces_follow_the_filtrations(self):
-        import dataclasses
-
         dec = decompose(mat_algebra(3), diag125())
         assert len(dec.v_spaces) == len(dec.filtrations) == len(dec.points)
         assert all(v is levels[-1] for v, levels in zip(dec.v_spaces, dec.filtrations))
-        assert "filtrations" not in {field.name for field in dataclasses.fields(dec)}
+        assert "filtrations" not in inspect.signature(Decomposition).parameters
         # the levels are stored once, as quotient frames: doctoring them
         # leaves no stale lifted level or V(alpha)
         doctored = with_chain(dec, 0, dec.quotient_filtrations[1])
@@ -1068,7 +1066,7 @@ class TestLogDetCheck:
             doctored = list(dec.points)
             for q, step in ((i, 1), (j, -1)):
                 mult = doctored[q].algebraic_mult + step
-                doctored[q] = dataclasses.replace(doctored[q], algebraic_mult=mult)
+                doctored[q] = doctored[q]._replace(algebraic_mult=mult)
             self.assert_fails(dec, doctored)
 
     def test_finite_point_moved_to_infinity_fails(self):
@@ -1076,7 +1074,7 @@ class TestLogDetCheck:
             finite = [i for i, p in enumerate(dec.points) if not p.alpha.is_infinite]
             for i in (finite[0], finite[-1]):
                 doctored = list(dec.points)
-                doctored[i] = dataclasses.replace(doctored[i], alpha=INFINITY)
+                doctored[i] = doctored[i]._replace(alpha=INFINITY)
                 self.assert_fails(dec, doctored)
 
     def test_infinite_point_moved_to_a_small_finite_one_fails(self):
@@ -1085,7 +1083,7 @@ class TestLogDetCheck:
         assert len(with_infinity) == 3
         for dec in with_infinity:
             doctored = list(dec.points)
-            doctored[-1] = dataclasses.replace(doctored[-1], alpha=ProjectivePoint.finite(1e-3))
+            doctored[-1] = doctored[-1]._replace(alpha=ProjectivePoint.finite(1e-3))
             self.assert_fails(dec, doctored)
 
     @pytest.mark.parametrize(
